@@ -25,8 +25,8 @@ from .coverage import ExcessLoss, LosProbabilityModel, coverage_radius
 from .dissemination import (D2dGraph, FileSpec, GroundNode, ReceptionModel,
                             phase1_broadcast, phase2_exchange, run_baseline)
 from .mobility import RelayGeometry, overflight_trajectory
-from .relay import (RelayStrategy, path_loss_trace, simulate_cycle,
-                    sweep_delay, write_sweep_csv)
+from .relay import (RelayStrategy, simulate_cycle, sweep_delay,
+                    write_sweep_csv, write_trace_csv)
 
 SCENARIO_KINDS = ("relay_trace", "relay_sweep", "disseminate", "coverage",
                   "channel_probe")
@@ -302,20 +302,11 @@ def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     for strategy, v in runs:
         geom = RelayGeometry(params["separation_m"], params["uav_altitude_m"],
                              v, params["delay_budget_s"])
-        trace = path_loss_trace(RelayStrategy(strategy), geom,
-                                params["carrier_frequency_hz"],
-                                config.time_step)
         result = simulate_cycle(RelayStrategy(strategy), geom, channel, ref,
                                 time_step=config.time_step)
-        se_map = dict(result.se_trace)
-        buf_map = dict(result.buffer_trace)
         label = "static" if strategy == "static" else f"mobile_v{v:g}"
         name = f"trace_{label}.csv"
-        with open(out / name, "w", newline="\n") as fh:
-            fh.write("time_s,pl_src_db,pl_dst_db,se_bpshz,buffer_bits\n")
-            for t, pl_src, pl_dst in trace:
-                fh.write(f"{t!r},{pl_src!r},{pl_dst!r},"
-                         f"{se_map[t]!r},{buf_map[t]!r}\n")
+        write_trace_csv(result, out / name)
         files.append(name)
         series[name] = {"label": label, "kind": "trace"}
     return files, series

@@ -4,14 +4,18 @@ Trajectories are uniform-step sampled polylines (discrete-time state
 sequences) subject to a max-speed transition constraint.  Generators
 cover the three flight patterns used by the relaying and dissemination
 simulations: the mobile-relay sawtooth, the data-ferry shuttle, and a
-constant-velocity overflight.
+constant-velocity overflight.  The relaying shapes are array functions
+of the sample times (``mobile_relay_x``, ``ferry_x``); the trajectory
+generators build their states from those arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 SPEED_TOLERANCE = 1e-9  # slack on the per-step displacement bound, m/s
 
@@ -126,86 +130,80 @@ def _check_step_divides(delta: float, time_step: float) -> int:
     return n
 
 
-def _states_from_x(xs, times, altitude: float, time_step: float):
-    states = []
-    for i, (t, x) in enumerate(zip(times, xs)):
-        if i + 1 < len(xs):
-            speed = abs(xs[i + 1] - x) / time_step
-        elif i > 0:
-            speed = abs(x - xs[i - 1]) / time_step
-        else:
-            speed = 0.0
-        states.append(UavState(time=t, position=(x, 0.0, altitude), speed=speed))
-    return tuple(states)
+def cycle_times(geom: RelayGeometry, time_step: float) -> np.ndarray:
+    """Sample times i*time_step of one relaying cycle [0, 2*delta]."""
+    n = _check_step_divides(geom.delay_budget, time_step)
+    return np.arange(2 * n + 1) * time_step
 
 
-def mobile_relay_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
-    """One mobile-relaying cycle over [0, 2*delta].
+def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
+    """Horizontal position of the mobile relay (sawtooth) at ``times``.
 
     Phase 1: from the midpoint, fly toward the point above the source at
     v_max; hover there if the speed allows, otherwise turn around at
     delta/2; back at the midpoint exactly at t = delta.  Phase 2 mirrors
-    phase 1 toward the destination.
+    phase 1 through the midpoint plane toward the destination.
     """
     delta = geom.delay_budget
-    n = _check_step_divides(delta, time_step)
     half = geom.separation / 2.0
     v = geom.v_max
-
-    def x_phase1(t: float) -> float:
-        # Horizontal position during [0, delta], source side.
-        if v == 0.0:
-            return half
-        if v * delta / 2.0 >= half:
-            t_fly = half / v
-            if t <= t_fly:
-                return half - v * t
-            if t <= delta - t_fly:
-                return 0.0
-            return v * (t - (delta - t_fly))
-        if t <= delta / 2.0:
-            return half - v * t
-        return half - v * (delta - t)
-
-    times = [i * time_step for i in range(2 * n + 1)]
-    xs = []
-    for t in times:
-        if t <= delta:
-            xs.append(x_phase1(t))
-        else:
-            # Phase 2 mirrors phase 1 through the midpoint plane.
-            xs.append(geom.separation - x_phase1(t - delta))
-    return Trajectory(states=_states_from_x(xs, times, geom.uav_altitude, time_step),
-                      time_step=time_step)
+    phase1 = times <= delta
+    t = np.where(phase1, times, times - delta)
+    if v == 0.0:
+        x = np.full_like(t, half)
+    elif v * delta / 2.0 >= half:
+        t_fly = half / v
+        x = np.where(t <= t_fly, half - v * t,
+                     np.where(t <= delta - t_fly, 0.0,
+                              v * (t - (delta - t_fly))))
+    else:
+        x = np.where(t <= delta / 2.0, half - v * t, half - v * (delta - t))
+    return np.where(phase1, x, geom.separation - x)
 
 
-def ferry_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
-    """One data-ferry shuttle cycle over [0, 2*delta].
+def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
+    """Horizontal position of the data ferry (shuttle) at ``times``.
 
     Hover above the source for delta - R/v, fly to above the destination
-    (R/v), hover there equally long, fly back.  Requires v_max*delta >= R.
+    (R/v), hover there equally long, fly back.  Raises
+    ``FerryInfeasibleError`` unless v_max*delta >= R.
     """
     delta = geom.delay_budget
-    n = _check_step_divides(delta, time_step)
     v, R = geom.v_max, geom.separation
     if v * delta < R - 1e-9:
         raise FerryInfeasibleError(v, R / delta)
-    t_fly = R / v
-    t_hover = delta - t_fly
+    t_hover = delta - R / v
+    x = np.where(times <= t_hover, 0.0,
+                 np.where(times <= delta, v * (times - t_hover),
+                          np.where(times <= delta + t_hover, R,
+                                   R - v * (times - delta - t_hover))))
+    return np.minimum(np.maximum(x, 0.0), R)
 
-    def x(t: float) -> float:
-        if t <= t_hover:
-            return 0.0
-        if t <= delta:
-            return v * (t - t_hover)
-        if t <= delta + t_hover:
-            return R
-        return R - v * (t - delta - t_hover)
 
-    times = [i * time_step for i in range(2 * n + 1)]
-    xs = [min(max(x(t), 0.0), R) for t in times]
-    return Trajectory(states=_states_from_x(xs, times, geom.uav_altitude, time_step),
-                      time_step=time_step)
+def _shuttle_trajectory(xs: np.ndarray, times: np.ndarray, altitude: float,
+                        time_step: float) -> Trajectory:
+    """States along the x axis; a state's speed is that of the step
+    leaving it (the last state repeats the step into it)."""
+    speeds = np.abs(np.diff(xs)) / time_step  # a cycle has >= 3 samples
+    speeds = np.append(speeds, speeds[-1])
+    states = tuple(UavState(time=t, position=(x, 0.0, altitude), speed=v)
+                   for t, x, v in zip(times.tolist(), xs.tolist(),
+                                      speeds.tolist()))
+    return Trajectory(states=states, time_step=time_step)
+
+
+def mobile_relay_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
+    """One mobile-relaying cycle over [0, 2*delta] (see ``mobile_relay_x``)."""
+    times = cycle_times(geom, time_step)
+    return _shuttle_trajectory(mobile_relay_x(geom, times), times,
+                               geom.uav_altitude, time_step)
+
+
+def ferry_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
+    """One data-ferry shuttle cycle over [0, 2*delta] (see ``ferry_x``)."""
+    times = cycle_times(geom, time_step)
+    return _shuttle_trajectory(ferry_x(geom, times), times,
+                               geom.uav_altitude, time_step)
 
 
 def overflight_trajectory(start: tuple[float, float, float],

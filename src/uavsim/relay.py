@@ -11,17 +11,19 @@ left-endpoint Riemann over the trajectory time step.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                      free_space_path_loss, sample_rician_gain, snr_at,
-                      spectral_efficiency)
-from .mobility import (FerryInfeasibleError, RelayGeometry, Trajectory,
-                       ferry_trajectory, mobile_relay_trajectory)
+from .channel import (ChannelModel, LinkGeometryArray, SnrReference,
+                      free_space_path_loss_array, rician_power_gains,
+                      snr_at_array, spectral_efficiency_array)
+from .mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
+                       ferry_x, mobile_relay_x)
 
 _HOVER_EPS = 1e-6  # m, horizontal proximity that counts as hovering overhead
 
@@ -34,38 +36,58 @@ class RelayStrategy(str, Enum):
 
 @dataclass(frozen=True)
 class RelayRunResult:
-    """Per-cycle bit ledger and traces; rates are per unit bandwidth."""
+    """Per-cycle bit ledger and traces; rates are per unit bandwidth.
+
+    The per-sample arrays are kept as computed; the tuple traces are
+    built from them on first access.
+    """
 
     strategy: RelayStrategy
     bits_received: float   # bits/Hz accepted into the buffer in phase 1
     bits_delivered: float  # bits/Hz drained to the destination in phase 2
     end_to_end_se: float   # bits_delivered / (2*delta), bps/Hz
     peak_occupancy: float  # bits/Hz
-    path_loss_trace: tuple[tuple[float, float, float], ...]  # (t, src dB, dst dB)
-    se_trace: tuple[tuple[float, float], ...]                # (t, active-link SE)
-    buffer_trace: tuple[tuple[float, float], ...]            # (t, occupancy)
+    times: np.ndarray = dataclasses.field(repr=False, compare=False)
+    path_loss_src: np.ndarray = dataclasses.field(repr=False, compare=False)
+    path_loss_dst: np.ndarray = dataclasses.field(repr=False, compare=False)
+    se: np.ndarray = dataclasses.field(repr=False, compare=False)
+    occupancy: np.ndarray = dataclasses.field(repr=False, compare=False)
+
+    @cached_property
+    def path_loss_trace(self) -> tuple[tuple[float, float, float], ...]:
+        """(t, src dB, dst dB) per sample."""
+        return tuple(zip(self.times.tolist(), self.path_loss_src.tolist(),
+                         self.path_loss_dst.tolist()))
+
+    @cached_property
+    def se_trace(self) -> tuple[tuple[float, float], ...]:
+        """(t, active-link SE) per sample."""
+        return tuple(zip(self.times.tolist(), self.se.tolist()))
+
+    @cached_property
+    def buffer_trace(self) -> tuple[tuple[float, float], ...]:
+        """(t, occupancy at the start of the step) per sample."""
+        return tuple(zip(self.times.tolist(), self.occupancy.tolist()))
 
 
-def _cycle_trajectory(strategy: RelayStrategy, geom: RelayGeometry,
-                      time_step: float) -> Trajectory:
+def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
+             times: np.ndarray) -> np.ndarray:
     if strategy == RelayStrategy.STATIC:
-        static = RelayGeometry(separation=geom.separation,
-                               uav_altitude=geom.uav_altitude,
-                               v_max=0.0, delay_budget=geom.delay_budget)
-        return mobile_relay_trajectory(static, time_step)
+        return mobile_relay_x(dataclasses.replace(geom, v_max=0.0), times)
     if strategy == RelayStrategy.MOBILE:
-        return mobile_relay_trajectory(geom, time_step)
+        return mobile_relay_x(geom, times)
     if strategy == RelayStrategy.FERRY:
-        return ferry_trajectory(geom, time_step)
+        return ferry_x(geom, times)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _link_geometry(uav_position, ground_position) -> LinkGeometry:
-    dx = uav_position[0] - ground_position[0]
-    dy = uav_position[1] - ground_position[1]
-    return LinkGeometry(horizontal_separation=math.hypot(dx, dy),
-                        transmitter_height=uav_position[2],
-                        receiver_height=ground_position[2])
+def _links(geom: RelayGeometry, xs: np.ndarray):
+    """Relay-to-source and relay-to-destination links along the x axis
+    (the relay, source and destination all have y = 0)."""
+    return tuple(LinkGeometryArray(np.abs(xs - ground[0]), geom.uav_altitude,
+                                   ground[2])
+                 for ground in (geom.source_position,
+                                geom.destination_position))
 
 
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
@@ -79,83 +101,74 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     the buffer, clipped at ``buffer_capacity``.  Phase 2: drain at the
     destination-link spectral efficiency, never below zero occupancy.
     The ferry communicates only while hovering at an endpoint.  With the
-    Rician channel variant, per-step fading draws come from ``rng``
-    (defaults to a fixed seed for reproducibility).
+    Rician channel variant, fading draws come from ``rng`` (defaults to a
+    fixed seed for reproducibility), one per communicating sample in time
+    order.  Integration is left-endpoint: sample i carries its SE over
+    [t_i, t_i + time_step), and the last sample only closes the traces.
     """
     if buffer_capacity < 0:
         raise ValueError("buffer_capacity must be >= 0 (or math.inf)")
     strategy = RelayStrategy(strategy)
-    traj = _cycle_trajectory(strategy, geom, time_step)
+    times = cycle_times(geom, time_step)
+    xs = _cycle_x(strategy, geom, times)
     delta = geom.delay_budget
-    fading = channel.variant == "rician"
-    if fading and rng is None:
-        rng = np.random.default_rng(0)
+    src, dst = _links(geom, xs)
+    pl_src = channel.path_loss_db_array(src)
+    pl_dst = channel.path_loss_db_array(dst)
 
-    occupancy = 0.0
-    bits_received = 0.0
-    bits_delivered = 0.0
-    peak = 0.0
-    pl_trace = []
-    se_trace = []
-    buf_trace = []
-    n_steps = len(traj.states) - 1
-    for i, state in enumerate(traj.states):
-        geo_src = _link_geometry(state.position, geom.source_position)
-        geo_dst = _link_geometry(state.position, geom.destination_position)
-        pl_trace.append((state.time,
-                         channel.path_loss_db(geo_src),
-                         channel.path_loss_db(geo_dst)))
-        buf_trace.append((state.time, occupancy))
-        phase1 = state.time < delta - 1e-12
-        link_geo = geo_src if phase1 else geo_dst
-        silent = (strategy == RelayStrategy.FERRY
-                  and link_geo.horizontal_separation > _HOVER_EPS)
-        if silent:
-            se = 0.0
-        else:
-            snr_db = snr_at(link_geo, channel, ref)
-            if fading:
-                gain = abs(sample_rician_gain(channel.k_factor_db, rng)) ** 2
-                snr_db += 10.0 * math.log10(gain) if gain > 0 else -math.inf
-            se = spectral_efficiency(snr_db)
-        se_trace.append((state.time, se))
-        if i == n_steps:
-            break  # left endpoints only; the final state just closes traces
-        if phase1:
-            accepted = min(se * time_step, buffer_capacity - occupancy)
-            occupancy += accepted
-            bits_received += accepted
-        else:
-            drained = min(se * time_step, occupancy)
-            occupancy -= drained
-            bits_delivered += drained
-        peak = max(peak, occupancy)
+    phase1 = times < delta - 1e-12
+    active = LinkGeometryArray(
+        np.where(phase1, src.horizontal_separation, dst.horizontal_separation),
+        src.transmitter_height, src.receiver_height)
+    snr_db = snr_at_array(active, channel, ref)
+    talking = (np.full(len(times), True) if strategy != RelayStrategy.FERRY
+               else active.horizontal_separation <= _HOVER_EPS)
+    if channel.variant == "rician":
+        if rng is None:
+            rng = np.random.default_rng(0)
+        gains = rician_power_gains(channel.k_factor_db, rng,
+                                   int(np.count_nonzero(talking)))
+        with np.errstate(divide="ignore"):  # a zero gain is -inf dB
+            snr_db[talking] += 10.0 * np.log10(gains)
+    se = np.where(talking, spectral_efficiency_array(snr_db), 0.0)
 
-    buf_trace[-1] = (buf_trace[-1][0], occupancy)
+    # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
+    # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains:
+    # occupancy = max(B - se_1*dt - se_2*dt - ..., 0), summed left to
+    # right as a step-by-step ledger would.
+    offered = se[:-1] * time_step
+    n_fill = int(np.count_nonzero(phase1[:-1]))
+    filled = np.minimum(np.cumsum(offered[:n_fill]), buffer_capacity)
+    bits_received = float(filled[-1]) if n_fill else 0.0
+    drain = offered[n_fill:]
+    left = np.maximum(np.cumsum(np.append(bits_received, -drain))[1:], 0.0)
+    drained = np.minimum(drain, np.append(bits_received, left[:-1]))
+    bits_delivered = float(np.cumsum(drained)[-1]) if len(drain) else 0.0
+    occupancy = np.concatenate(([0.0], filled, left))
+    peak = max(0.0, float(occupancy.max()))
+
     return RelayRunResult(
         strategy=strategy,
         bits_received=bits_received,
         bits_delivered=bits_delivered,
         end_to_end_se=bits_delivered / (2.0 * delta),
         peak_occupancy=peak,
-        path_loss_trace=tuple(pl_trace),
-        se_trace=tuple(se_trace),
-        buffer_trace=tuple(buf_trace),
+        times=times,
+        path_loss_src=pl_src,
+        path_loss_dst=pl_dst,
+        se=se,
+        occupancy=occupancy,
     )
 
 
 def path_loss_trace(strategy: RelayStrategy, geom: RelayGeometry,
                     frequency: float, time_step: float = 0.01):
     """Free-space path loss per step: (time, loss to source, loss to destination)."""
-    traj = _cycle_trajectory(RelayStrategy(strategy), geom, time_step)
-    out = []
-    for state in traj.states:
-        pl_src = free_space_path_loss(
-            _link_geometry(state.position, geom.source_position), frequency)
-        pl_dst = free_space_path_loss(
-            _link_geometry(state.position, geom.destination_position), frequency)
-        out.append((state.time, pl_src, pl_dst))
-    return tuple(out)
+    times = cycle_times(geom, time_step)
+    src, dst = _links(geom, _cycle_x(RelayStrategy(strategy), geom, times))
+    return tuple(zip(times.tolist(),
+                     free_space_path_loss_array(src, frequency).tolist(),
+                     free_space_path_loss_array(dst, frequency).tolist()))
 
 
 @dataclass(frozen=True)
@@ -176,26 +189,34 @@ def sweep_delay(strategies, geom_template: RelayGeometry,
 
     Infeasible cells (ferry too slow) are recorded per-row, not fatal.
     Row order follows input index order: delay-major, then speed, then
-    strategy.
+    strategy.  A static relay ignores the speed, so its cycle is
+    simulated once per delay.
     """
     if not delays or not speeds:
         raise ValueError("delays and speeds must be non-empty")
     rows = []
     for delta in delays:
+        static_se = None
         for v in speeds:
             geom = RelayGeometry(separation=geom_template.separation,
                                  uav_altitude=geom_template.uav_altitude,
                                  v_max=v, delay_budget=delta)
             for strategy in strategies:
                 strategy = RelayStrategy(strategy)
+                if strategy == RelayStrategy.STATIC and static_se is not None:
+                    rows.append(SweepRow(delta, v, strategy, static_se, True))
+                    continue
                 try:
                     result = simulate_cycle(strategy, geom, channel, ref,
                                             buffer_capacity, time_step)
-                    rows.append(SweepRow(delta, v, strategy,
-                                         result.end_to_end_se, True))
                 except FerryInfeasibleError as exc:
                     rows.append(SweepRow(delta, v, strategy, None, False,
                                          note=str(exc)))
+                    continue
+                rows.append(SweepRow(delta, v, strategy,
+                                     result.end_to_end_se, True))
+                if strategy == RelayStrategy.STATIC:
+                    static_se = result.end_to_end_se
     return rows
 
 
@@ -213,15 +234,15 @@ def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,
 
 def write_trace_csv(result: RelayRunResult, path) -> None:
     """Trace file: time_s, pl_src_db, pl_dst_db, se_bpshz, buffer_bits."""
-    se = dict(result.se_trace)
-    buf = dict(result.buffer_trace)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
                          "buffer_bits"])
-        for t, pl_src, pl_dst in result.path_loss_trace:
-            writer.writerow([repr(t), repr(pl_src), repr(pl_dst),
-                             repr(se[t]), repr(buf[t])])
+        writer.writerows(
+            [repr(t), repr(pl_src), repr(pl_dst), repr(se), repr(buf)]
+            for (t, pl_src, pl_dst), (_, se), (_, buf)
+            in zip(result.path_loss_trace, result.se_trace,
+                   result.buffer_trace))
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
-                            SPEED_OF_LIGHT, SnrReference, doppler_shift,
-                            free_space_path_loss, sample_rician_gain, snr_at,
-                            spectral_efficiency, two_ray_breakpoint_distance,
-                            two_ray_path_loss)
+                            LinkGeometryArray, SPEED_OF_LIGHT, SnrReference,
+                            doppler_shift, free_space_path_loss,
+                            free_space_path_loss_array, rician_power_gains,
+                            sample_rician_gain, snr_at, snr_at_array,
+                            spectral_efficiency, spectral_efficiency_array,
+                            two_ray_breakpoint_distance, two_ray_path_loss,
+                            two_ray_path_loss_array)
 
 F5GHZ = 5e9
 # Midpoint slant distance for R=1 km at H=100 m.
@@ -215,3 +218,119 @@ class TestChannelModelValidation:
         g = LinkGeometry(2000.0, 100.0, 1.5)
         assert model.path_loss_db(g) == pytest.approx(
             two_ray_path_loss(g, F5GHZ, -1.0), abs=1e-12)
+
+
+class TestArrayKernels:
+    """The ``*_array`` functions agree element by element with the scalar
+    functions and reject the same inputs with the same messages."""
+
+    HORIZONTAL = np.array([0.0, 0.5, 37.0, 100.0, 499.9, 500.0, 2000.0])
+    HEIGHTS = [(100.0, 0.0), (100.0, 1.5), (30.0, 29.0)]
+    MODELS = [ChannelModel(F5GHZ),
+              ChannelModel(2e9, variant="two_ray",
+                           reflection_coefficient=-0.5),
+              ChannelModel(F5GHZ, variant="rician", base="two_ray",
+                           reflection_coefficient=-0.9)]
+
+    @staticmethod
+    def assert_matches(array_values, scalar_values):
+        assert isinstance(array_values, np.ndarray)
+        for got, want in zip(array_values.tolist(), scalar_values):
+            if math.isinf(want) or math.isnan(want):
+                assert got == want or (math.isnan(got) and math.isnan(want))
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def links(self, tx, rx):
+        return (LinkGeometryArray(self.HORIZONTAL, tx, rx),
+                [LinkGeometry(h, tx, rx) for h in self.HORIZONTAL.tolist()])
+
+    @pytest.mark.parametrize("tx,rx", HEIGHTS)
+    def test_path_loss(self, tx, rx):
+        array, scalars = self.links(tx, rx)
+        self.assert_matches(free_space_path_loss_array(array, F5GHZ),
+                            [free_space_path_loss(g, F5GHZ) for g in scalars])
+        for coefficient in (-1.0, -0.3, 0.0):
+            self.assert_matches(
+                two_ray_path_loss_array(array, F5GHZ, coefficient),
+                [two_ray_path_loss(g, F5GHZ, coefficient) for g in scalars])
+        for model in self.MODELS:
+            self.assert_matches(model.path_loss_db_array(array),
+                                [model.path_loss_db(g) for g in scalars])
+
+    @pytest.mark.parametrize("tx,rx", HEIGHTS)
+    def test_snr(self, tx, rx):
+        array, scalars = self.links(tx, rx)
+        ref = SnrReference(10.0, 150.0)
+        for model in self.MODELS:
+            self.assert_matches(snr_at_array(array, model, ref),
+                                [snr_at(g, model, ref) for g in scalars])
+
+    def test_spectral_efficiency(self):
+        snr_db = [-math.inf, -300.0, -3.0, 0.0, 10.0, 24.15, 80.0]
+        self.assert_matches(spectral_efficiency_array(np.array(snr_db)),
+                            [spectral_efficiency(x) for x in snr_db])
+
+    def test_perfect_null_is_inf_loss_and_zero_se(self, recwarn):
+        # Ground receiver, coefficient -1: the two rays cancel exactly.
+        array = LinkGeometryArray(self.HORIZONTAL, 100.0, 0.0)
+        loss = two_ray_path_loss_array(array, F5GHZ, -1.0)
+        assert np.all(np.isposinf(loss))
+        assert spectral_efficiency_array(-loss).tolist() == \
+            [0.0] * len(self.HORIZONTAL)
+        # The anchor sits in the null too, so the anchored SNR is
+        # inf - inf, as for the scalar function.
+        model = ChannelModel(F5GHZ, variant="two_ray")
+        snr = snr_at_array(array, model, SnrReference(10.0, 150.0))
+        assert np.all(np.isnan(snr))
+        assert math.isnan(snr_at(LinkGeometry(10.0, 100.0), model,
+                                 SnrReference(10.0, 150.0)))
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("scalar,array", [
+        (free_space_path_loss, free_space_path_loss_array),
+        (two_ray_path_loss, two_ray_path_loss_array),
+        (lambda g, f: snr_at(g, ChannelModel(F5GHZ), SnrReference(10.0, 0.5)),
+         lambda g, f: snr_at_array(g, ChannelModel(F5GHZ),
+                                   SnrReference(10.0, 0.5))),
+    ])
+    def test_same_domain_errors(self, scalar, array):
+        cases = [
+            ((0.0, 100.0, 100.0), F5GHZ),  # zero slant distance
+            ((10.0, 100.0, 0.0), 0.0),     # frequency <= 0
+            ((10.0, 100.0, 0.0), -1.0),
+            ((0.0, 100.0, 99.0), F5GHZ),   # reference shorter than dh
+        ]
+        raised = 0
+        for (h, tx, rx), f in cases:
+            scalar_error = array_error = None
+            try:
+                scalar(LinkGeometry(h, tx, rx), f)
+            except ChannelDomainError as exc:
+                scalar_error = str(exc)
+            try:
+                array(LinkGeometryArray(np.array([50.0, h]), tx, rx), f)
+            except ChannelDomainError as exc:
+                array_error = str(exc)
+            assert array_error == scalar_error
+            raised += scalar_error is not None
+        assert raised >= 2
+
+    def test_geometry_validation(self):
+        with pytest.raises(ChannelDomainError,
+                           match="horizontal_separation must be >= 0"):
+            LinkGeometryArray(np.array([1.0, -1.0]), 100.0)
+        with pytest.raises(ChannelDomainError,
+                           match="transmitter_height must be > 0"):
+            LinkGeometryArray(np.array([1.0]), 0.0)
+        with pytest.raises(ChannelDomainError,
+                           match="receiver_height must be >= 0"):
+            LinkGeometryArray(np.array([1.0]), 100.0, -1.0)
+
+    def test_power_gains_follow_scalar_draw_order(self):
+        rng = np.random.default_rng(11)
+        want = [abs(sample_rician_gain(6.0, rng)) ** 2 for _ in range(50)]
+        rng_array = np.random.default_rng(11)
+        got = rician_power_gains(6.0, rng_array, 50)
+        self.assert_matches(got, want)
+        assert rng_array.standard_normal() == rng.standard_normal()

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, Trajectory,
-                             TrajectoryConfigError, UavState,
-                             ferry_trajectory, mobile_relay_trajectory,
-                             overflight_trajectory, validate_trajectory)
+                             TrajectoryConfigError, UavState, cycle_times,
+                             ferry_trajectory, ferry_x, mobile_relay_trajectory,
+                             mobile_relay_x, overflight_trajectory,
+                             validate_trajectory)
 
 
 def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
@@ -88,6 +90,99 @@ class TestMobileRelayTrajectory:
     def test_passes_validation_at_own_vmax(self, v):
         traj = mobile_relay_trajectory(relay_geom(v), time_step=0.01)
         assert validate_trajectory(traj, v).ok
+
+
+class TestShapeFunctions:
+    """The trajectory generators and the array shape functions are one
+    formula: positions and times agree bit for bit."""
+
+    @staticmethod
+    def assert_same(traj, geom, xs, times):
+        assert [s.time for s in traj.states] == times.tolist()
+        assert [s.position for s in traj.states] == \
+            [(x, 0.0, geom.uav_altitude) for x in xs.tolist()]
+        assert all(type(s.time) is float and type(s.position[0]) is float
+                   and type(s.speed) is float for s in traj.states)
+
+    # v=0 (parked), 30 (turnaround at delta/2), 50 (reaches the source
+    # with no hover left), 100 (hover), 250 (long hover).
+    @pytest.mark.parametrize("v", [0.0, 30.0, 50.0, 100.0, 250.0])
+    def test_mobile_relay(self, v):
+        geom = relay_geom(v)
+        times = cycle_times(geom, 0.01)
+        xs = mobile_relay_x(geom, times)
+        self.assert_same(mobile_relay_trajectory(geom, 0.01), geom, xs, times)
+
+    def test_mobile_relay_branches(self):
+        times = cycle_times(relay_geom(0.0), 0.01)
+        assert np.all(mobile_relay_x(relay_geom(0.0), times) == 500.0)
+        turn = mobile_relay_x(relay_geom(30.0), times)
+        assert turn.min() == pytest.approx(200.0, abs=1e-9)
+        assert turn.max() == pytest.approx(800.0, abs=1e-9)
+        hover = mobile_relay_x(relay_geom(100.0), times)
+        assert np.count_nonzero(hover == 0.0) == 1001  # t in [5, 15]
+        assert np.count_nonzero(hover == 1000.0) == 1001
+
+    # v=50 leaves no hover (v*delta == R); 60 and 100 hover at each end.
+    @pytest.mark.parametrize("v", [50.0, 60.0, 100.0])
+    def test_ferry(self, v):
+        geom = relay_geom(v)
+        times = cycle_times(geom, 0.01)
+        xs = ferry_x(geom, times)
+        self.assert_same(ferry_trajectory(geom, 0.01), geom, xs, times)
+        assert xs.min() == 0.0 and xs.max() == 1000.0
+
+    @pytest.mark.parametrize("v", [0.0, 30.0, 50.0, 60.0, 100.0, 250.0])
+    def test_matches_piecewise_oracle(self, v):
+        # The per-sample piecewise definitions, evaluated one time at a
+        # time in plain floats.
+        delta, half, R = 20.0, 500.0, 1000.0
+
+        def sawtooth(t):
+            if v == 0.0:
+                return half
+            if v * delta / 2.0 >= half:
+                t_fly = half / v
+                if t <= t_fly:
+                    return half - v * t
+                if t <= delta - t_fly:
+                    return 0.0
+                return v * (t - (delta - t_fly))
+            if t <= delta / 2.0:
+                return half - v * t
+            return half - v * (delta - t)
+
+        def shuttle(t):
+            t_hover = delta - R / v
+            if t <= t_hover:
+                x = 0.0
+            elif t <= delta:
+                x = v * (t - t_hover)
+            elif t <= delta + t_hover:
+                x = R
+            else:
+                x = R - v * (t - delta - t_hover)
+            return min(max(x, 0.0), R)
+
+        geom = relay_geom(v)
+        times = cycle_times(geom, 0.01)
+        assert mobile_relay_x(geom, times).tolist() == [
+            sawtooth(t) if t <= delta else R - sawtooth(t - delta)
+            for t in times.tolist()]
+        if v >= 50.0:
+            assert ferry_x(geom, times).tolist() == \
+                [shuttle(t) for t in times.tolist()]
+
+    def test_ferry_infeasible(self):
+        geom = relay_geom(49.0)
+        with pytest.raises(FerryInfeasibleError):
+            ferry_x(geom, cycle_times(geom, 0.01))
+
+    def test_cycle_times(self):
+        times = cycle_times(relay_geom(10.0), 0.01)
+        assert times.tolist() == [i * 0.01 for i in range(4001)]
+        with pytest.raises(TrajectoryConfigError):
+            cycle_times(relay_geom(10.0), 0.3)
 
 
 class TestFerryTrajectory:

@@ -1,9 +1,15 @@
+import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from uavsim.channel import ChannelModel, SnrReference
-from uavsim.mobility import FerryInfeasibleError, RelayGeometry
+from uavsim import relay
+from uavsim.channel import (ChannelModel, LinkGeometry, SnrReference,
+                            sample_rician_gain, snr_at, spectral_efficiency)
+from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
+                             ferry_trajectory, mobile_relay_trajectory)
 from uavsim.relay import (RelayStrategy, buffer_requirement, path_loss_trace,
                           simulate_cycle, sweep_delay, write_sweep_csv,
                           write_trace_csv)
@@ -25,6 +31,153 @@ def ref_for(g):
 def run(strategy, v_max, delta=20.0, **kwargs):
     g = geom(v_max, delta)
     return simulate_cycle(strategy, g, CHANNEL, ref_for(g), **kwargs)
+
+
+def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
+                 time_step=0.01, rng=None):
+    """Per-step oracle: one scalar link budget and one scalar Rician draw
+    per communicating sample, and a step-by-step buffer ledger.  Returns
+    (bits_received, bits_delivered, peak, path losses, SE, occupancy)."""
+    if strategy == RelayStrategy.FERRY:
+        traj = ferry_trajectory(g, time_step)
+    else:
+        traj = mobile_relay_trajectory(
+            g if strategy == RelayStrategy.MOBILE
+            else dataclasses.replace(g, v_max=0.0), time_step)
+    occupancy = received = delivered = peak = 0.0
+    losses, ses, buffer = [], [], []
+    for i, state in enumerate(traj.states):
+        x, _, h = state.position
+        src = LinkGeometry(abs(x), h, 0.0)
+        dst = LinkGeometry(abs(x - g.separation), h, 0.0)
+        losses.append((channel.path_loss_db(src), channel.path_loss_db(dst)))
+        buffer.append(occupancy)
+        phase1 = state.time < g.delay_budget - 1e-12
+        link = src if phase1 else dst
+        if (strategy == RelayStrategy.FERRY
+                and link.horizontal_separation > 1e-6):
+            se = 0.0  # the ferry is silent in flight and draws nothing
+        else:
+            snr_db = snr_at(link, channel, ref)
+            if channel.variant == "rician":
+                gain = abs(sample_rician_gain(channel.k_factor_db, rng)) ** 2
+                snr_db += 10.0 * math.log10(gain) if gain > 0 else -math.inf
+            se = spectral_efficiency(snr_db)
+        ses.append(se)
+        if i == len(traj.states) - 1:
+            break
+        if phase1:
+            accepted = min(se * time_step, buffer_capacity - occupancy)
+            occupancy += accepted
+            received += accepted
+        else:
+            drained = min(se * time_step, occupancy)
+            occupancy -= drained
+            delivered += drained
+        peak = max(peak, occupancy)
+    buffer[-1] = occupancy
+    return received, delivered, peak, losses, ses, buffer
+
+
+def assert_close(got, want, rel=1e-12, scale=None):
+    """Element-wise closeness within ``rel`` of each value, or of ``scale``
+    if given; nan matches nan and inf matches inf."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, equal_nan=True,
+                               rtol=0.0 if scale else rel,
+                               atol=rel * scale if scale else 0.0)
+
+
+def assert_matches_scalar_cycle(result, oracle, g):
+    received, delivered, peak, losses, ses, buffer = oracle
+    assert_close([result.bits_received, result.bits_delivered,
+                  result.peak_occupancy],
+                 [received, delivered, peak])
+    assert_close(result.end_to_end_se, delivered / (2.0 * g.delay_budget))
+    assert_close([pl[1:] for pl in result.path_loss_trace], losses)
+    assert_close([se for _, se in result.se_trace], ses)
+    # An occupancy that drains to zero keeps a summation-order residue,
+    # so occupancies are compared relative to the peak.
+    assert_close([b for _, b in result.buffer_trace], buffer,
+                 scale=peak if math.isfinite(peak) else None)
+
+
+class TestScalarEquivalence:
+    """The vectorised cycle reproduces the per-step scalar loop,
+    including the order in which Rician draws consume the stream."""
+
+    RICIAN = ChannelModel(carrier_frequency=5e9, variant="rician",
+                          k_factor_db=6.0)
+
+    @pytest.mark.parametrize("strategy,v", [(RelayStrategy.MOBILE, 100.0),
+                                            (RelayStrategy.MOBILE, 30.0),
+                                            (RelayStrategy.FERRY, 60.0)])
+    def test_rician_draw_order(self, strategy, v):
+        g = geom(v)
+        oracle_rng = np.random.default_rng(17)
+        oracle = scalar_cycle(strategy, g, self.RICIAN, ref_for(g),
+                              time_step=0.05, rng=oracle_rng)
+        rng = np.random.default_rng(17)
+        result = simulate_cycle(strategy, g, self.RICIAN, ref_for(g),
+                                time_step=0.05, rng=rng)
+        assert_matches_scalar_cycle(result, oracle, g)
+        # Both consumed the same number of draws.
+        assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_ferry_draws_only_while_hovering(self):
+        g = geom(60.0)
+        rng = np.random.default_rng(3)
+        result = simulate_cycle(RelayStrategy.FERRY, g, self.RICIAN,
+                                ref_for(g), time_step=0.05, rng=rng)
+        talking = sum(1 for _, se in result.se_trace if se != 0.0)
+        expected = np.random.default_rng(3)
+        expected.standard_normal(2 * talking)
+        assert rng.standard_normal() == expected.standard_normal()
+
+    @pytest.mark.parametrize("strategy,v,capacity", [
+        (RelayStrategy.MOBILE, 100.0, math.inf),
+        (RelayStrategy.MOBILE, 100.0, 40.0),
+        (RelayStrategy.STATIC, 0.0, 10.0),
+        (RelayStrategy.FERRY, 100.0, math.inf)])
+    def test_free_space(self, strategy, v, capacity):
+        g = geom(v)
+        oracle = scalar_cycle(strategy, g, CHANNEL, ref_for(g), capacity,
+                              time_step=0.05)
+        result = simulate_cycle(strategy, g, CHANNEL, ref_for(g), capacity,
+                                time_step=0.05)
+        assert_matches_scalar_cycle(result, oracle, g)
+
+    @pytest.mark.parametrize("strategy,v", [(RelayStrategy.MOBILE, 100.0),
+                                            (RelayStrategy.FERRY, 100.0)])
+    def test_two_ray(self, strategy, v):
+        g = geom(v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            partial = ChannelModel(5e9, variant="two_ray",
+                                   reflection_coefficient=-0.5)
+            assert_matches_scalar_cycle(
+                simulate_cycle(strategy, g, partial, ref_for(g),
+                               time_step=0.05),
+                scalar_cycle(strategy, g, partial, ref_for(g),
+                             time_step=0.05), g)
+            # Coefficient -1 with ground endpoints cancels both rays
+            # everywhere, the reference link included: every loss is inf,
+            # a silent ferry step has SE 0 and every other step's anchored
+            # SNR is inf - inf, as in the scalar loop.
+            null = ChannelModel(5e9, variant="two_ray",
+                                reflection_coefficient=-1.0)
+            result = simulate_cycle(strategy, g, null, ref_for(g),
+                                    time_step=0.05)
+            oracle = scalar_cycle(strategy, g, null, ref_for(g),
+                                  time_step=0.05)
+        assert all(math.isinf(a) and math.isinf(b)
+                   for _, a, b in result.path_loss_trace)
+        assert_close([se for _, se in result.se_trace], oracle[4])
+        assert_close([result.bits_received, result.bits_delivered,
+                      result.peak_occupancy], oracle[:3])
+        if strategy == RelayStrategy.FERRY:
+            assert 0.0 in [se for _, se in result.se_trace]
 
 
 class TestSimulateCycle:
@@ -102,6 +255,26 @@ class TestSimulateCycle:
         assert a.end_to_end_se == b.end_to_end_se
 
 
+class TestTraces:
+    def test_traces_hold_python_floats(self, tmp_path):
+        result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
+        for trace in (result.path_loss_trace, result.se_trace,
+                      result.buffer_trace):
+            assert isinstance(trace, tuple)
+            assert all(type(v) is float for row in trace for v in row)
+        for value in (result.bits_received, result.bits_delivered,
+                      result.end_to_end_se, result.peak_occupancy):
+            assert type(value) is float
+        path = tmp_path / "trace.csv"
+        write_trace_csv(result, path)
+        assert "np." not in path.read_text()
+
+    def test_path_loss_trace_matches_cycle(self):
+        g = geom(30.0)
+        assert path_loss_trace(RelayStrategy.MOBILE, g, 5e9) == \
+            run(RelayStrategy.MOBILE, 30.0).path_loss_trace
+
+
 class TestPathLossTrace:
     def test_mobile_plateau(self):
         trace = path_loss_trace(RelayStrategy.MOBILE, geom(100.0), 5e9,
@@ -171,6 +344,28 @@ class TestSweepDelay:
         assert not rows[0].feasible and rows[0].end_to_end_se is None
         assert "minimum feasible speed" in rows[0].note
         assert rows[1].feasible
+
+    def test_static_cycle_once_per_delay(self, monkeypatch):
+        calls = []
+
+        def counting(strategy, *args, **kwargs):
+            calls.append(RelayStrategy(strategy))
+            return simulate_cycle(strategy, *args, **kwargs)
+
+        ref = SnrReference(10.0, geom(1.0).midpoint_slant)
+        args = (["static", "mobile"], geom(1.0, 1.0), [5.0, 10.0],
+                [10.0, 30.0, 100.0], CHANNEL, ref)
+        monkeypatch.setattr(relay, "simulate_cycle", counting)
+        rows = sweep_delay(*args, time_step=0.05)
+        assert calls.count(RelayStrategy.STATIC) == 2
+        assert calls.count(RelayStrategy.MOBILE) == 6
+        assert [(r.delay_budget, r.v_max, r.strategy) for r in rows] == [
+            (d, v, s) for d in (5.0, 10.0) for v in (10.0, 30.0, 100.0)
+            for s in (RelayStrategy.STATIC, RelayStrategy.MOBILE)]
+        for r in rows:
+            g = geom(r.v_max, r.delay_budget)
+            assert r.end_to_end_se == simulate_cycle(
+                r.strategy, g, CHANNEL, ref, time_step=0.05).end_to_end_se
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
