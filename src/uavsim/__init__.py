@@ -18,8 +18,8 @@ from .relay import (RelayRunResult, RelayStrategy, buffer_requirement,
                     path_loss_trace, simulate_cycle, sweep_delay)
 from .coverage import (ExcessLoss, LosProbabilityModel, coverage_radius,
                        expected_path_loss, optimal_altitude)
-from .dissemination import (D2dGraph, FileSpec, GroundNode, ReceptionModel,
-                            cluster_nodes, phase1_broadcast, phase2_exchange,
-                            run_baseline)
+from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
+                            cluster_nodes, coverage_mask, phase1_broadcast,
+                            phase2_exchange, run_baseline)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

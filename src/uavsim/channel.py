@@ -283,7 +283,12 @@ def _snr_anchor_db(model: ChannelModel, ref: SnrReference,
         transmitter_height=transmitter_height,
         receiver_height=receiver_height,
     )
-    return ref.reference_snr_db + model.path_loss_db(ref_geometry)
+    reference_loss = model.path_loss_db(ref_geometry)
+    if not math.isfinite(reference_loss):
+        raise ChannelDomainError(
+            "path loss at reference_distance is not finite (the reference "
+            "link lies in a perfect two-ray null)")
+    return ref.reference_snr_db + reference_loss
 
 
 def snr_at(geometry: LinkGeometry, model: ChannelModel,
@@ -303,13 +308,12 @@ def snr_at_array(geometry: LinkGeometryArray, model: ChannelModel,
                  ref: SnrReference) -> np.ndarray:
     """``snr_at`` of every link in ``geometry``; the anchor is computed once.
 
-    A link in a perfect null has SNR ``-inf``; if the reference link is in
-    one too, the SNR is ``nan`` (``inf - inf``), as in ``snr_at``.
+    A link in a perfect null has SNR ``-inf``; a reference link in one
+    raises ``ChannelDomainError``, as in ``snr_at``.
     """
     anchor = _snr_anchor_db(model, ref, geometry.transmitter_height,
                            geometry.receiver_height)
-    with np.errstate(invalid="ignore"):
-        return anchor - model.path_loss_db_array(geometry)
+    return anchor - model.path_loss_db_array(geometry)
 
 
 def _shannon(snr_db, log2):

@@ -127,8 +127,10 @@ def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,
     Ties break toward the lowest altitude.  Returns (altitude, radius).
     """
     lo, hi = altitude_range
-    if lo <= 0 or hi < lo:
-        raise ValueError("altitude_range must satisfy 0 < lo <= hi")
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
+    if not grid_step > 0:
+        raise ValueError("grid_step must be > 0")
     best_h, best_r = lo, -1.0
     h = lo
     while h <= hi + 1e-12:

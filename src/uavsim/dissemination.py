@@ -8,26 +8,23 @@ K-packet file.  Phase 2: nodes redistribute packets over error-free
 short-range D2D links in synchronous gossip rounds.  The baseline
 repeats uncoded transmission passes until every node holds the whole
 file individually.
+
+Nodes are the rows of a ground-position array and are identified by row
+index.  What the nodes hold is a (nodes, packets) bool matrix, updated in
+place by each phase.  The geometry a run needs, the (slots, nodes)
+coverage mask and the D2D graph, does not depend on the seed, so it is
+built once and shared by every run over the same field and flight.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mobility import Trajectory
-
-
-@dataclass
-class GroundNode:
-    """Ground terminal with its accumulated coded-packet set."""
-
-    id: int
-    position: tuple[float, float]  # m, ground plane
-    received_packets: set[int] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -44,8 +41,9 @@ class FileSpec:
     def decode_threshold(self) -> int:
         return self.source_packet_count
 
-    def decoded(self, node: GroundNode) -> bool:
-        return len(node.received_packets) >= self.decode_threshold
+    def decoded(self, packets: np.ndarray) -> np.ndarray:
+        """Per-node decode flags of a (nodes, packets) bool matrix."""
+        return packets.sum(axis=1) >= self.decode_threshold
 
 
 @dataclass(frozen=True)
@@ -62,79 +60,103 @@ class ReceptionModel:
             raise ValueError("erasure_probability must lie in [0, 1)")
 
 
-class D2dGraph:
-    """Symmetric adjacency over node ids: edge iff ground distance <= range."""
+def _within(distance: np.ndarray, limit: float, exact_distance) -> np.ndarray:
+    """``distance <= limit`` elementwise.
 
-    def __init__(self, nodes: list[GroundNode], d2d_range: float):
+    ``distance`` is a numpy estimate of the scalar rule
+    ``exact_distance(*index)``; the two can differ by an ulp, so entries
+    within rounding of the limit are decided by the scalar rule itself.
+    """
+    inside = distance <= limit
+    for index in zip(*np.nonzero(np.abs(distance - limit) <= 1e-9 * limit)):
+        inside[index] = exact_distance(*index) <= limit
+    return inside
+
+
+class D2dGraph:
+    """Symmetric adjacency over node indices: edge iff
+    ``math.dist(a, b) <= d2d_range`` for ground positions ``a != b``."""
+
+    def __init__(self, positions, d2d_range: float):
+        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+        points = positions.tolist()
+        gap = positions[:, None, :] - positions[None, :, :]
+        adjacency = _within(np.hypot(gap[..., 0], gap[..., 1]), d2d_range,
+                            lambda i, j: math.dist(points[i], points[j]))
+        np.fill_diagonal(adjacency, False)
         self.d2d_range = d2d_range
-        self.neighbors: dict[int, set[int]] = {n.id: set() for n in nodes}
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                if math.dist(a.position, b.position) <= d2d_range:
-                    self.neighbors[a.id].add(b.id)
-                    self.neighbors[b.id].add(a.id)
+        self.adjacency = adjacency
+        # Component index per node, components numbered by smallest member.
+        self.labels = np.full(len(points), -1)
+        self.component_count = 0
+        for start in range(len(points)):
+            if self.labels[start] >= 0:
+                continue
+            frontier = np.zeros(len(points), dtype=bool)
+            frontier[start] = True
+            while frontier.any():
+                self.labels[frontier] = self.component_count
+                frontier = adjacency[frontier].any(axis=0) & (self.labels < 0)
+            self.component_count += 1
 
     def connected_components(self) -> list[list[int]]:
-        """Components as sorted id lists, ordered by smallest member."""
-        seen: set[int] = set()
-        components = []
-        for start in sorted(self.neighbors):
-            if start in seen:
-                continue
-            stack = [start]
-            component = []
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                component.append(node)
-                stack.extend(self.neighbors[node] - seen)
-            components.append(sorted(component))
-        return components
+        """Components as sorted index lists, ordered by smallest member."""
+        return [np.flatnonzero(self.labels == c).tolist()
+                for c in range(self.component_count)]
 
 
 def _slot_count(traj: Trajectory, slot_duration: float) -> int:
     return max(1, int(round(traj.duration / slot_duration)))
 
 
-def _in_range(uav_position, node: GroundNode, rx: ReceptionModel) -> bool:
-    slant = math.sqrt((uav_position[0] - node.position[0]) ** 2
-                      + (uav_position[1] - node.position[1]) ** 2
-                      + uav_position[2] ** 2)
-    return slant <= rx.coverage_radius
-
-
-def phase1_broadcast(traj: Trajectory, nodes: list[GroundNode], file: FileSpec,
-                     rx: ReceptionModel, slot_duration: float,
-                     rng: np.random.Generator) -> int:
-    """Broadcast one distinct coded packet per slot along the trajectory.
-
-    Mutates each node's ``received_packets``.  Returns the number of UAV
-    transmissions (one per slot over the full flight).
-    """
+def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
+                  slot_duration: float) -> np.ndarray:
+    """(slots, nodes) bool: the node lies inside the coverage disc at the
+    start of the slot, one slot per ``slot_duration`` over the flight."""
     if slot_duration <= 0:
         raise ValueError("slot_duration must be > 0")
-    n_slots = _slot_count(traj, slot_duration)
-    for slot in range(n_slots):
-        uav_pos = traj.position_at(traj.states[0].time + slot * slot_duration)
-        for node in nodes:
-            if not _in_range(uav_pos, node, rx):
-                continue
-            if rng.random() >= rx.erasure_probability:
-                node.received_packets.add(slot)
-    return n_slots
+    times = (traj.states[0].time
+             + np.arange(_slot_count(traj, slot_duration)) * slot_duration)
+    uav = traj.position_at(times)
+    ground = np.asarray(positions, dtype=float).reshape(-1, 2)
+    dx = uav[:, None, 0] - ground[None, :, 0]
+    dy = uav[:, None, 1] - ground[None, :, 1]
+    slant = np.sqrt(dx * dx + dy * dy + (uav[:, 2] * uav[:, 2])[:, None])
+    uav_points, ground_points = uav.tolist(), ground.tolist()
+
+    def exact_slant(slot, node):
+        (ux, uy, uz), (nx, ny) = uav_points[slot], ground_points[node]
+        return math.sqrt((ux - nx) ** 2 + (uy - ny) ** 2 + uz ** 2)
+
+    return _within(slant, rx.coverage_radius, exact_slant)
+
+
+def phase1_broadcast(coverage: np.ndarray, packets: np.ndarray,
+                     rx: ReceptionModel, rng: np.random.Generator) -> int:
+    """Broadcast one distinct coded packet per slot: packet s in slot s.
+
+    ``coverage`` is a (slots, nodes) mask from ``coverage_mask``.  A
+    covered node receives the slot's packet unless it is erased, one
+    uniform draw per covered (slot, node) in slot-major order, and the
+    (nodes, slots) matrix ``packets`` gains it.  Returns the number of UAV
+    transmissions (one per slot over the full flight).
+    """
+    received = np.zeros_like(coverage)
+    received[coverage] = (rng.random(np.count_nonzero(coverage))
+                          >= rx.erasure_probability)
+    packets |= received.T
+    return coverage.shape[0]
 
 
 @dataclass(frozen=True)
 class ExchangeResult:
     rounds_used: int
     success: bool
-    stalled_components: tuple[tuple[int, ...], ...] = ()  # id tuples
+    stalled_components: tuple[tuple[int, ...], ...] = ()  # index tuples
     component_union_sizes: tuple[int, ...] = ()
 
 
-def phase2_exchange(nodes: list[GroundNode], graph: D2dGraph, file: FileSpec,
+def phase2_exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec,
                     rng: np.random.Generator,
                     round_cap: int = 10_000) -> ExchangeResult:
     """Synchronous gossip until every node decodes, a component stalls,
@@ -145,50 +167,42 @@ def phase2_exchange(nodes: list[GroundNode], graph: D2dGraph, file: FileSpec,
     a uniform draw over its whole set once everything has been sent).
     The no-repeat choice stays agnostic of what neighbors need but
     guarantees a component with a sufficient packet union finishes
-    within K rounds.
+    within K rounds.  ``packets`` is the (nodes, packets) matrix, updated
+    in place; a round's picks are one ``integers`` call, in node order,
+    each an index into the sender's pool in ascending packet order.
     """
-    by_id = {n.id: n for n in nodes}
-    components = graph.connected_components()
-    union_sizes = []
-    stalled = []
-    for component in components:
-        union = set().union(*(by_id[i].received_packets for i in component))
-        union_sizes.append(len(union))
-        if len(union) < file.decode_threshold:
-            stalled.append(tuple(component))
-
-    def all_decoded() -> bool:
-        return all(file.decoded(n) for n in nodes)
-
-    already_sent: dict[int, set[int]] = {n.id: set() for n in nodes}
+    union = np.zeros((graph.component_count, packets.shape[1]), dtype=bool)
+    holders, held = np.nonzero(packets)
+    union[graph.labels[holders], held] = True
+    union_sizes = union.sum(axis=1)
+    short = union_sizes < file.decode_threshold
+    stalled = tuple(tuple(component) for component, s
+                    in zip(graph.connected_components(), short) if s)
+    # Nodes of the components that can still finish.
+    reachable = ~short[graph.labels]
+    already_sent = np.zeros_like(packets)
     rounds = 0
-    while not all_decoded():
-        if stalled:
-            # Some component can never finish; stop once the others have.
-            reachable = {i for c in components
-                         if tuple(c) not in {tuple(s) for s in stalled}
-                         for i in c}
-            if all(file.decoded(by_id[i]) for i in reachable):
-                break
-        if rounds >= round_cap:
-            return ExchangeResult(rounds, False, tuple(stalled),
-                                  tuple(union_sizes))
+    while True:
+        decoded = file.decoded(packets)
+        if decoded.all() or rounds >= round_cap or (
+                stalled and decoded[reachable].all()):
+            break
         # Snapshot first: all broadcasts in a round are simultaneous.
-        broadcasts = []
-        for node in nodes:
-            if not node.received_packets:
-                continue
-            fresh = sorted(node.received_packets - already_sent[node.id])
-            pool = fresh if fresh else sorted(node.received_packets)
-            packet = pool[rng.integers(len(pool))]
-            already_sent[node.id].add(packet)
-            broadcasts.append((node.id, packet))
-        for sender, packet in broadcasts:
-            for neighbor in graph.neighbors[sender]:
-                by_id[neighbor].received_packets.add(packet)
+        fresh = packets & ~already_sent
+        pool = np.where(fresh.any(axis=1, keepdims=True), fresh, packets)
+        pool_sizes = pool.sum(axis=1)
+        senders = np.flatnonzero(pool_sizes)
+        picks = rng.integers(0, pool_sizes[senders])
+        # Pools laid end to end in row-major order; a sender's pick indexes
+        # into its own run.
+        starts = np.cumsum(pool_sizes) - pool_sizes
+        sent = np.flatnonzero(pool)[starts[senders] + picks] % pool.shape[1]
+        already_sent[senders, sent] = True
+        links, receivers = np.nonzero(graph.adjacency[senders])
+        packets[receivers, sent[links]] = True
         rounds += 1
-    return ExchangeResult(rounds, all_decoded(), tuple(stalled),
-                          tuple(union_sizes))
+    return ExchangeResult(rounds, bool(decoded.all()), stalled,
+                          tuple(union_sizes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -199,43 +213,87 @@ class BaselineResult:
     missing_per_node: dict[int, int] | None = None  # populated on cap failure
 
 
-def run_baseline(traj: Trajectory, nodes: list[GroundNode], file: FileSpec,
-                 rx: ReceptionModel, slot_duration: float,
-                 rng: np.random.Generator,
+_SEGMENT_CELLS = 4096  # (slot, node) cells a baseline segment covers at least
+
+
+def run_baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
+                 rx: ReceptionModel, rng: np.random.Generator,
                  pass_cap: int = 1_000) -> BaselineResult:
     """Repeat uncoded passes until every node holds all K packets.
 
-    The UAV cycles packet indices 0..K-1 across consecutive slots,
-    continuing the cycle over repeated flights of the same trajectory.
-    Returns total transmissions (count at the completing slot).
+    Transmission g (counting from 0) sends packet g % K in slot g % S of
+    the (S slots, nodes) ``coverage`` mask, continuing the packet cycle
+    over repeated flights of the same trajectory.  ``packets`` is the
+    (nodes, K) matrix, updated in place.  Returns total transmissions
+    (count at the completing slot).
+
+    The draws are those of a slot-by-slot loop: one per covered node
+    still missing packets, slot-major.  The loop runs in segments that
+    end at the first slot where a pending node completes, since the
+    pending set is fixed in between.  A segment draws for whole packet
+    cycles ahead, up to one pass, then rewinds the generator to the draws
+    it used.
     """
-    if slot_duration <= 0:
-        raise ValueError("slot_duration must be > 0")
     k = file.source_packet_count
-    slots_per_pass = _slot_count(traj, slot_duration)
-    pending = [n for n in nodes if len(n.received_packets) < k]
+    slots_per_pass, nodes = coverage.shape
+    limit = pass_cap * slots_per_pass
+    pass_cycles = -(-slots_per_pass // k)  # packet cycles covering a pass
+    cycles = pass_cycles  # segment length, in packet cycles
+    # The coverage of any segment's consecutive transmissions is a slice.
+    slot_ids = np.arange(k * pass_cycles)
+    tiled = coverage[np.arange(slots_per_pass + slot_ids.size)
+                     % slots_per_pass]
+    have = packets.T.copy()  # (K, nodes): row p is packet p
+    counts = have.sum(axis=0)
+    pending = counts < k
     transmissions = 0
-    for pass_index in range(pass_cap):
-        for slot in range(slots_per_pass):
-            packet = transmissions % k
-            transmissions += 1
-            uav_pos = traj.position_at(traj.states[0].time
-                                       + slot * slot_duration)
-            for node in pending:
-                if not _in_range(uav_pos, node, rx):
-                    continue
-                if rng.random() >= rx.erasure_probability:
-                    node.received_packets.add(packet)
-            pending = [n for n in pending if len(n.received_packets) < k]
-            if not pending:
-                return BaselineResult(transmissions, pass_index + 1, True)
-    missing = {n.id: k - len(n.received_packets) for n in pending}
-    return BaselineResult(transmissions, pass_cap, False, missing)
+    while transmissions < limit and pending.any():
+        span = min(k * cycles, limit - transmissions)
+        horizon = k * -(-span // k)
+        start = transmissions % slots_per_pass
+        covered = tiled[start:start + span] & pending
+        state = rng.bit_generator.state
+        received = np.zeros((horizon, nodes), dtype=bool)
+        received[:span][covered] = (rng.random(int(covered.sum()))
+                                    >= rx.erasure_probability)
+        # Segment slot r*K + c sends packet (transmissions + c) % K, so row
+        # c of every cycle carries the same packet; keep its first arrival.
+        arrival = np.where(received, slot_ids[:horizon, None],
+                           horizon).reshape(-1, k, nodes).min(axis=0)
+        rows = (transmissions + np.arange(k)) % k
+        arrival[have[rows]] = horizon
+        # A node completes at its (K - count)-th earliest fresh arrival.
+        need = np.maximum(k - counts, 1)
+        completion = np.sort(arrival.T, axis=1)[np.arange(nodes), need - 1]
+        first = int(completion.min())
+        used = span
+        cycles = min(2 * cycles, pass_cycles)
+        if first < horizon:
+            used = first + 1
+            rng.bit_generator.state = state
+            rng.random(int(covered[:used].sum()))
+            # The next completion is likely about as far away as this one,
+            # but below a few thousand cells numpy's per-call cost dominates.
+            cycles = min(max(-(-used // k), _SEGMENT_CELLS // (k * nodes)),
+                         pass_cycles)
+        landed = arrival < used
+        have[rows] |= landed
+        counts += landed.sum(axis=0)
+        pending &= counts < k
+        transmissions += used
+    packets[...] = have.T
+    if pending.any() or not limit:
+        missing = {int(n): k - int(counts[n]) for n in np.flatnonzero(pending)}
+        return BaselineResult(transmissions, pass_cap, False, missing)
+    # With nobody pending the first slot still goes out.
+    transmissions = max(transmissions, 1)
+    return BaselineResult(transmissions,
+                          (transmissions - 1) // slots_per_pass + 1, True)
 
 
-def cluster_nodes(nodes: list[GroundNode], d2d_range: float) -> list[list[int]]:
-    """Connected components of the D2D graph, as sorted node-id lists."""
-    return D2dGraph(nodes, d2d_range).connected_components()
+def cluster_nodes(positions, d2d_range: float) -> list[list[int]]:
+    """Connected components of the D2D graph, as sorted node-index lists."""
+    return D2dGraph(positions, d2d_range).connected_components()
 
 
 def write_summary_csv(rows, path) -> None:

@@ -22,8 +22,10 @@ from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       doppler_shift, free_space_path_loss, snr_at,
                       spectral_efficiency)
 from .coverage import ExcessLoss, LosProbabilityModel, coverage_radius
-from .dissemination import (D2dGraph, FileSpec, GroundNode, ReceptionModel,
-                            phase1_broadcast, phase2_exchange, run_baseline)
+from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
+                            coverage_mask, phase1_broadcast, phase2_exchange,
+                            run_baseline, write_node_detail_csv,
+                            write_summary_csv)
 from .mobility import RelayGeometry, overflight_trajectory
 from .relay import (RelayStrategy, simulate_cycle, sweep_delay,
                     write_sweep_csv, write_trace_csv)
@@ -211,6 +213,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     params = config.params
     _require(params, _REQUIRED[config.scenario], config.scenario)
     frequency = params.get("carrier_frequency_hz")
+    # Rebuilt, not appended to: a config is validated again by ``run``.
+    config.warnings = []
     if frequency is not None:
         if frequency <= 0:
             raise ConfigError("carrier_frequency_hz must be > 0")
@@ -239,10 +243,19 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     elif config.scenario == "coverage":
         LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
         ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
+        # A non-finite bound or step, or a step <= 0, never walks the grid
+        # to its end (or skips it entirely for NaN).
+        for name in ("altitude_min_m", "altitude_max_m", "altitude_step_m"):
+            value = params[name]
+            if not (isinstance(value, (int, float))
+                    and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number")
         if params["altitude_min_m"] <= 0:
             raise ConfigError("altitude_min_m must be > 0")
         if params["altitude_max_m"] < params["altitude_min_m"]:
             raise ConfigError("altitude_max_m must be >= altitude_min_m")
+        if params["altitude_step_m"] <= 0:
+            raise ConfigError("altitude_step_m must be > 0")
     return config
 
 
@@ -330,11 +343,12 @@ def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
 
 
 def _dissemination_scenario(params):
-    """Build nodes, trajectory, and models for one dissemination run."""
+    """The seed-free part of a dissemination config: the (slots, nodes)
+    coverage mask, the D2D graph, and the reception and file models."""
     n = params["node_count"]
     length = params["field_length_m"]
     spacing = length / n
-    nodes = [GroundNode(i, ((i + 0.5) * spacing, 0.0)) for i in range(n)]
+    positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
     # Overfly past both field edges so boundary nodes get full coverage
     # windows (otherwise the baseline can starve them of packet indices).
     overshoot = params.get("overshoot_m", params["coverage_radius_m"])
@@ -345,55 +359,54 @@ def _dissemination_scenario(params):
     rx = ReceptionModel(params["coverage_radius_m"],
                         params["erasure_probability"])
     file = FileSpec(params["source_packet_count"])
-    return nodes, traj, rx, file
+    coverage = coverage_mask(traj, positions, rx, params["slot_duration_s"])
+    return coverage, D2dGraph(positions, params["d2d_range_m"]), rx, file
 
 
-def run_dissemination_pair(params: dict, seed: int):
-    """One seeded coded-vs-baseline comparison; returns the two results."""
-    nodes, traj, rx, file = _dissemination_scenario(params)
+def run_dissemination_pair(params: dict, seed: int, scenario=None):
+    """One seeded coded-vs-baseline comparison.
+
+    ``scenario`` is ``_dissemination_scenario(params)``, built here when
+    not given.  Returns the coded transmissions, the ``ExchangeResult``,
+    the ``BaselineResult``, and per node the packets held after phase 1
+    and the decode flags after phase 2.
+    """
+    coverage, graph, rx, file = scenario or _dissemination_scenario(params)
+    slots, nodes = coverage.shape
+    packets = np.zeros((nodes, slots), dtype=bool)
     rng = np.random.default_rng(seed)
-    coded_tx = phase1_broadcast(traj, nodes, file, rx,
-                                params["slot_duration_s"], rng)
-    packets_after_phase1 = {n.id: len(n.received_packets) for n in nodes}
-    graph = D2dGraph(nodes, params["d2d_range_m"])
-    exchange = phase2_exchange(nodes, graph, file, rng)
-    base_nodes, base_traj, _, _ = _dissemination_scenario(params)
-    base_rng = np.random.default_rng(seed)
-    baseline = run_baseline(base_traj, base_nodes, file, rx,
-                            params["slot_duration_s"], base_rng,
-                            pass_cap=params.get("pass_cap", 1000))
-    decoded = {n.id: file.decoded(n) for n in nodes}
-    return coded_tx, exchange, baseline, packets_after_phase1, decoded
+    coded_tx = phase1_broadcast(coverage, packets, rx, rng)
+    packets_after_phase1 = np.count_nonzero(packets, axis=1)
+    exchange = phase2_exchange(packets, graph, file, rng)
+    baseline = run_baseline(
+        coverage, np.zeros((nodes, file.source_packet_count), dtype=bool),
+        file, rx, np.random.default_rng(seed),
+        pass_cap=params.get("pass_cap", 1000))
+    return (coded_tx, exchange, baseline, packets_after_phase1,
+            file.decoded(packets))
 
 
 def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     params = config.params
+    scenario = _dissemination_scenario(params)
     summary_rows = []
     detail_rows = []
     for run_index in range(params["n_seeds"]):
         seed = derive_seed(config.master_seed, run_index)
         coded_tx, exchange, baseline, after_p1, decoded = \
-            run_dissemination_pair(params, seed)
+            run_dissemination_pair(params, seed, scenario)
         summary_rows.append(["dissem", run_index, "coded_d2d", coded_tx,
                              exchange.rounds_used, int(exchange.success)])
         summary_rows.append(["dissem", run_index, "baseline",
                              baseline.uav_transmissions, 0,
                              int(baseline.success)])
         if run_index == 0:
-            for node_id in sorted(after_p1):
-                detail_rows.append([node_id, after_p1[node_id],
-                                    int(decoded[node_id])])
-    files = ["summary.csv", "nodes.csv"]
-    with open(out / "summary.csv", "w", newline="\n") as fh:
-        fh.write("scenario_id,seed,scheme,uav_transmissions,d2d_rounds,"
-                 "success\n")
-        for row in summary_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-    with open(out / "nodes.csv", "w", newline="\n") as fh:
-        fh.write("node_id,packets_after_phase1,decoded_after_phase2\n")
-        for row in detail_rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
-    return files, {"summary.csv": {"kind": "dissemination_summary"}}
+            detail_rows = zip(range(len(after_p1)), after_p1.tolist(),
+                              decoded.astype(int).tolist())
+    write_summary_csv(summary_rows, out / "summary.csv")
+    write_node_detail_csv(detail_rows, out / "nodes.csv")
+    return (["summary.csv", "nodes.csv"],
+            {"summary.csv": {"kind": "dissemination_summary"}})
 
 
 def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
@@ -491,7 +504,6 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
                 fh.readline()
                 for line in fh:
                     parts = line.rstrip("\n").split(",")
-                    t = float(parts[0])
                     # Active link: source during phase 1, destination after.
                     trace_rows.append((parts[0], label, parts[1], parts[2]))
         elif meta.get("kind") == "sweep":

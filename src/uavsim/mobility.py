@@ -61,19 +61,30 @@ class Trajectory:
     def duration(self) -> float:
         return self.states[-1].time - self.states[0].time
 
-    def position_at(self, t: float) -> tuple[float, float, float]:
-        """Linearly interpolated position; clamped outside the time span."""
-        states = self.states
-        if t <= states[0].time:
-            return states[0].position
-        if t >= states[-1].time:
-            return states[-1].position
-        i = min(int((t - states[0].time) / self.time_step), len(states) - 2)
-        a, b = states[i], states[i + 1]
-        if t > b.time:  # guard against float rounding of the index
-            a, b = b, states[i + 2]
-        w = (t - a.time) / (b.time - a.time)
-        return tuple(pa + w * (pb - pa) for pa, pb in zip(a.position, b.position))
+    def position_at(self, times) -> np.ndarray:
+        """Linearly interpolated positions, shape ``np.shape(times) + (3,)``;
+        clamped outside the time span.
+
+        Each sample is ``a + w * (b - a)`` between the states ``a`` and ``b``
+        that bracket it, with ``w = (t - a.time) / (b.time - a.time)``.
+        """
+        times = np.asarray(times, dtype=float)
+        t = times.reshape(-1)
+        state_times = np.array([s.time for s in self.states])
+        positions = np.array([s.position for s in self.states], dtype=float)
+        last = len(state_times) - 1
+        if last == 0:
+            return np.broadcast_to(positions[0], times.shape + (3,)).copy()
+        i = np.clip(((t - state_times[0]) / self.time_step).astype(np.int64),
+                    0, last - 1)
+        i += t > state_times[i + 1]  # guard against float rounding of the index
+        i = np.minimum(i, last - 1)  # only moves samples clamped above
+        a, b = state_times[i], state_times[i + 1]
+        w = (t - a) / (b - a)
+        out = positions[i] + w[:, None] * (positions[i + 1] - positions[i])
+        out[t <= state_times[0]] = positions[0]
+        out[t >= state_times[-1]] = positions[-1]
+        return out.reshape(times.shape + (3,))
 
     def to_csv(self, path) -> None:
         """Write columns time_s, x_m, y_m, z_m."""

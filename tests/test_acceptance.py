@@ -169,20 +169,16 @@ def test_criterion_08_dissemination_conservation():
     from uavsim.experiment import _dissemination_scenario
     import numpy as np
     from uavsim.dissemination import phase1_broadcast, phase2_exchange
+    coverage, graph, rx, file = _dissemination_scenario(params)
     for i in range(50):
         seed = derive_seed(3, i)
-        nodes, traj, rx, file = _dissemination_scenario(params)
         rng = np.random.default_rng(seed)
-        phase1_broadcast(traj, nodes, file, rx, params["slot_duration_s"],
-                         rng)
-        graph = D2dGraph(nodes, params["d2d_range_m"])
-        by_id = {n.id: n for n in nodes}
-        before = [frozenset().union(*(by_id[j].received_packets
-                                      for j in comp))
+        packets = np.zeros(coverage.shape[::-1], dtype=bool)
+        phase1_broadcast(coverage, packets, rx, rng)
+        before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                   for comp in graph.connected_components()]
-        phase2_exchange(nodes, graph, file, rng)
-        after = [frozenset().union(*(by_id[j].received_packets
-                                     for j in comp))
+        phase2_exchange(packets, graph, file, rng)
+        after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                  for comp in graph.connected_components()]
         assert before == after
     report(8, "per-component packet unions conserved across 50 seeded runs")

@@ -278,13 +278,13 @@ class TestArrayKernels:
         assert np.all(np.isposinf(loss))
         assert spectral_efficiency_array(-loss).tolist() == \
             [0.0] * len(self.HORIZONTAL)
-        # The anchor sits in the null too, so the anchored SNR is
-        # inf - inf, as for the scalar function.
+        # The anchor sits in the null too, so no SNR can be anchored; both
+        # forms reject the reference instead of returning inf - inf.
         model = ChannelModel(F5GHZ, variant="two_ray")
-        snr = snr_at_array(array, model, SnrReference(10.0, 150.0))
-        assert np.all(np.isnan(snr))
-        assert math.isnan(snr_at(LinkGeometry(10.0, 100.0), model,
-                                 SnrReference(10.0, 150.0)))
+        with pytest.raises(ChannelDomainError, match="reference"):
+            snr_at_array(array, model, SnrReference(10.0, 150.0))
+        with pytest.raises(ChannelDomainError, match="reference"):
+            snr_at(LinkGeometry(10.0, 100.0), model, SnrReference(10.0, 150.0))
         assert not recwarn.list
 
     @pytest.mark.parametrize("scalar,array", [

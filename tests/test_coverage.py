@@ -162,6 +162,19 @@ class TestOptimalAltitude:
             optimal_altitude((0.0, 100.0), 110.0, F2GHZ, URBAN_LOS,
                              URBAN_EXCESS)
 
+    @pytest.mark.parametrize("bounds", [(10.0, math.inf), (math.nan, 100.0),
+                                        (10.0, math.nan)])
+    def test_non_finite_range(self, bounds):
+        with pytest.raises(ValueError, match="altitude_range"):
+            optimal_altitude(bounds, 110.0, F2GHZ, URBAN_LOS, URBAN_EXCESS)
+
+    @pytest.mark.parametrize("step", [0.0, -10.0, float("nan")])
+    def test_non_positive_grid_step(self, step):
+        # A step that never advances the grid would loop forever.
+        with pytest.raises(ValueError, match="grid_step"):
+            optimal_altitude((10.0, 100.0), 110.0, F2GHZ, URBAN_LOS,
+                             URBAN_EXCESS, grid_step=step)
+
 
 class TestCoverageCsv:
     def test_columns(self, tmp_path):

@@ -1,13 +1,17 @@
+import copy
+import math
 import statistics
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim.dissemination import (D2dGraph, FileSpec, GroundNode,
-                                  ReceptionModel, cluster_nodes,
+from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
+                                  cluster_nodes, coverage_mask,
                                   phase1_broadcast, phase2_exchange,
                                   run_baseline)
+from uavsim.experiment import PRESETS, _dissemination_scenario
 from uavsim.mobility import Trajectory, UavState, overflight_trajectory
 
 
@@ -18,45 +22,346 @@ def hover_trajectory(duration, altitude=100.0, time_step=1.0):
     return Trajectory(states=states, time_step=time_step)
 
 
-def line_nodes(count, length, rng=None):
-    if rng is None:
-        spacing = length / count
-        return [GroundNode(i, ((i + 0.5) * spacing, 0.0))
-                for i in range(count)]
-    return [GroundNode(i, (rng.uniform(0.0, length), 0.0))
-            for i in range(count)]
+def line_positions(count, length):
+    spacing = length / count
+    return [((i + 0.5) * spacing, 0.0) for i in range(count)]
+
+
+def holding(sets, width):
+    """(nodes, width) packet matrix holding the given packet-id sets."""
+    packets = np.zeros((len(sets), width), dtype=bool)
+    for row, held in zip(packets, sets):
+        row[sorted(held)] = True
+    return packets
+
+
+def as_sets(packets):
+    return [set(np.flatnonzero(row).tolist()) for row in packets]
+
+
+def broadcast(traj, positions, rx, slot_duration, rng):
+    """Phase 1 from scratch; returns (transmissions, packet matrix)."""
+    coverage = coverage_mask(traj, positions, rx, slot_duration)
+    packets = np.zeros(coverage.shape[::-1], dtype=bool)
+    return phase1_broadcast(coverage, packets, rx, rng), packets
+
+
+def baseline(traj, positions, file, rx, slot_duration, rng, **kwargs):
+    coverage = coverage_mask(traj, positions, rx, slot_duration)
+    packets = np.zeros((len(positions), file.source_packet_count), dtype=bool)
+    return run_baseline(coverage, packets, file, rx, rng, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference: the per-slot, per-node loops over packet sets that the
+# array code replaced.  The array path must reproduce them exactly, draw
+# for draw.
+
+@dataclass
+class OracleNode:
+    id: int
+    position: tuple[float, float]
+    received_packets: set[int] = field(default_factory=set)
+
+
+def oracle_slot_positions(traj, slot_duration):
+    """UAV position at the start of each slot, as tuples of floats."""
+    return [tuple(traj.position_at(traj.states[0].time
+                                   + slot * slot_duration).tolist())
+            for slot in range(oracle_slot_count(traj, slot_duration))]
+
+
+def oracle_in_range(uav_position, node, rx):
+    slant = math.sqrt((uav_position[0] - node.position[0]) ** 2
+                      + (uav_position[1] - node.position[1]) ** 2
+                      + uav_position[2] ** 2)
+    return slant <= rx.coverage_radius
+
+
+def oracle_slot_count(traj, slot_duration):
+    return max(1, int(round(traj.duration / slot_duration)))
+
+
+def oracle_neighbors(nodes, d2d_range):
+    neighbors = {n.id: set() for n in nodes}
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            if math.dist(a.position, b.position) <= d2d_range:
+                neighbors[a.id].add(b.id)
+                neighbors[b.id].add(a.id)
+    return neighbors
+
+
+def oracle_components(neighbors):
+    seen = set()
+    components = []
+    for start in sorted(neighbors):
+        if start in seen:
+            continue
+        stack = [start]
+        component = []
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            component.append(node)
+            stack.extend(neighbors[node] - seen)
+        components.append(sorted(component))
+    return components
+
+
+def oracle_phase1(traj, nodes, rx, slot_duration, rng):
+    uav_positions = oracle_slot_positions(traj, slot_duration)
+    for slot, uav_pos in enumerate(uav_positions):
+        for node in nodes:
+            if not oracle_in_range(uav_pos, node, rx):
+                continue
+            if rng.random() >= rx.erasure_probability:
+                node.received_packets.add(slot)
+    return len(uav_positions)
+
+
+def oracle_phase2(nodes, neighbors, file, rng, round_cap=10_000):
+    """Returns (rounds, success, stalled, union_sizes)."""
+    by_id = {n.id: n for n in nodes}
+    components = oracle_components(neighbors)
+    union_sizes = []
+    stalled = []
+    for component in components:
+        union = set().union(*(by_id[i].received_packets for i in component))
+        union_sizes.append(len(union))
+        if len(union) < file.decode_threshold:
+            stalled.append(tuple(component))
+
+    def decoded(node):
+        return len(node.received_packets) >= file.decode_threshold
+
+    def all_decoded():
+        return all(decoded(n) for n in nodes)
+
+    already_sent = {n.id: set() for n in nodes}
+    rounds = 0
+    while not all_decoded():
+        if stalled:
+            reachable = {i for c in components
+                         if tuple(c) not in {tuple(s) for s in stalled}
+                         for i in c}
+            if all(decoded(by_id[i]) for i in reachable):
+                break
+        if rounds >= round_cap:
+            return rounds, False, tuple(stalled), tuple(union_sizes)
+        broadcasts = []
+        for node in nodes:
+            if not node.received_packets:
+                continue
+            fresh = sorted(node.received_packets - already_sent[node.id])
+            pool = fresh if fresh else sorted(node.received_packets)
+            packet = pool[rng.integers(len(pool))]
+            already_sent[node.id].add(packet)
+            broadcasts.append((node.id, packet))
+        for sender, packet in broadcasts:
+            for neighbor in neighbors[sender]:
+                by_id[neighbor].received_packets.add(packet)
+        rounds += 1
+    return rounds, all_decoded(), tuple(stalled), tuple(union_sizes)
+
+
+def oracle_baseline(traj, nodes, file, rx, slot_duration, rng,
+                    pass_cap=1_000):
+    """Returns (transmissions, passes, success, missing_per_node)."""
+    k = file.source_packet_count
+    uav_positions = oracle_slot_positions(traj, slot_duration)
+    pending = [n for n in nodes if len(n.received_packets) < k]
+    transmissions = 0
+    for pass_index in range(pass_cap):
+        for uav_pos in uav_positions:
+            packet = transmissions % k
+            transmissions += 1
+            for node in pending:
+                if not oracle_in_range(uav_pos, node, rx):
+                    continue
+                if rng.random() >= rx.erasure_probability:
+                    node.received_packets.add(packet)
+            pending = [n for n in pending if len(n.received_packets) < k]
+            if not pending:
+                return transmissions, pass_index + 1, True, None
+    missing = {n.id: k - len(n.received_packets) for n in pending}
+    return transmissions, pass_cap, False, missing
+
+
+def oracle_scenario(params):
+    """The field and flight of ``experiment._dissemination_scenario``."""
+    n = params["node_count"]
+    length = params["field_length_m"]
+    spacing = length / n
+    nodes = [OracleNode(i, ((i + 0.5) * spacing, 0.0)) for i in range(n)]
+    overshoot = params.get("overshoot_m", params["coverage_radius_m"])
+    traj = overflight_trajectory((-overshoot, 0.0, params["uav_altitude_m"]),
+                                 (length + overshoot, 0.0,
+                                  params["uav_altitude_m"]),
+                                 params["uav_speed_mps"], 0.1)
+    return nodes, traj
+
+
+def peek(rng):
+    """The generator's next ``random()``, leaving it where it stands."""
+    return copy.deepcopy(rng).random()
+
+
+# Preset parameter overrides, and the round cap passed to phase 2.
+VARIANTS = {
+    "dissem20": ({}, 10_000),
+    "lossless": ({"erasure_probability": 0.0}, 10_000),
+    "erasure_0.8": ({"erasure_probability": 0.8}, 10_000),
+    "isolated": ({"d2d_range_m": 30.0}, 10_000),
+    "37_nodes_r150": ({"node_count": 37, "coverage_radius_m": 150.0},
+                      10_000),
+    "k200": ({"source_packet_count": 200}, 10_000),
+    # Enough (slot, node) cells that baseline segments shrink and regrow.
+    "60_nodes_3km": ({"node_count": 60, "field_length_m": 3000.0},
+                     10_000),
+    "pass_cap_failure": ({"pass_cap": 1}, 10_000),
+    "round_cap_0": ({}, 0),
+}
+
+
+class TestMatchesScalarReference:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_preset_variants(self, variant, seed):
+        overrides, round_cap = VARIANTS[variant]
+        params = {**PRESETS["dissem20"]["params"], **overrides}
+        pass_cap = params.get("pass_cap", 1000)
+        coverage, graph, rx, file = _dissemination_scenario(params)
+        nodes, traj = oracle_scenario(params)
+        slot = params["slot_duration_s"]
+
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        packets = np.zeros(coverage.shape[::-1], dtype=bool)
+        assert phase1_broadcast(coverage, packets, rx, rng) == \
+            oracle_phase1(traj, nodes, rx, slot, oracle_rng)
+        assert as_sets(packets) == [n.received_packets for n in nodes]
+        assert peek(rng) == peek(oracle_rng)
+
+        neighbors = oracle_neighbors(nodes, params["d2d_range_m"])
+        assert graph.connected_components() == oracle_components(neighbors)
+        exchange = phase2_exchange(packets, graph, file, rng, round_cap)
+        assert (exchange.rounds_used, exchange.success,
+                exchange.stalled_components,
+                exchange.component_union_sizes) == oracle_phase2(
+            nodes, neighbors, file, oracle_rng, round_cap)
+        assert as_sets(packets) == [n.received_packets for n in nodes]
+        assert peek(rng) == peek(oracle_rng)
+
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        base_nodes, _ = oracle_scenario(params)
+        base_packets = np.zeros((len(base_nodes), file.source_packet_count),
+                                dtype=bool)
+        result = run_baseline(coverage, base_packets, file, rx, rng,
+                              pass_cap=pass_cap)
+        assert (result.uav_transmissions, result.passes_used, result.success,
+                result.missing_per_node) == oracle_baseline(
+            traj, base_nodes, file, rx, slot, oracle_rng, pass_cap)
+        assert as_sets(base_packets) == [n.received_packets
+                                         for n in base_nodes]
+        assert peek(rng) == peek(oracle_rng)
+
+        # Plain ints, as the scalar loops returned: callers sum and
+        # serialise them.
+        assert all(type(value) is int for value in (
+            exchange.rounds_used, result.uav_transmissions,
+            result.passes_used, *exchange.component_union_sizes))
+        if variant == "isolated":
+            assert len(exchange.stalled_components) == len(nodes)
+            assert not exchange.success
+        if variant == "pass_cap_failure":
+            assert not result.success and result.missing_per_node
+        if variant == "round_cap_0":
+            assert exchange.rounds_used == 0
+
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_fields_with_held_packets(self, data, seed):
+        # Small fields exercise what the preset does not: repeated packet
+        # ids inside one baseline segment (K < slots per pass), K above the
+        # slots per pass, nodes that start complete, and zero caps.
+        draw_rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(1, 9))
+        positions = [tuple(p) for p in
+                     np.round(draw_rng.uniform(0, 300, (n, 2)) / 25) * 25]
+        k = data.draw(st.integers(1, 25))
+        file = FileSpec(k)
+        rx = ReceptionModel(data.draw(st.sampled_from([120.0, 200.0])),
+                            data.draw(st.sampled_from([0.0, 0.4, 0.9])))
+        traj = overflight_trajectory(
+            (-100.0, 50.0, 80.0), (400.0, 150.0, 80.0),
+            data.draw(st.sampled_from([10.0, 25.0, 60.0])), 0.1)
+        slot = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        d2d_range = data.draw(st.sampled_from([0.0, 25.0, 75.0, 200.0]))
+        pass_cap = data.draw(st.integers(0, 4))
+        round_cap = data.draw(st.sampled_from([0, 1, 3, 10_000]))
+
+        # Phase 1, then gossip over whatever phase 1 delivered.
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
+        sent, packets = broadcast(traj, positions, rx, slot, rng)
+        assert sent == oracle_phase1(traj, nodes, rx, slot, oracle_rng)
+        neighbors = oracle_neighbors(nodes, d2d_range)
+        graph = D2dGraph(positions, d2d_range)
+        exchange = phase2_exchange(packets, graph, file, rng, round_cap)
+        assert (exchange.rounds_used, exchange.success,
+                exchange.stalled_components,
+                exchange.component_union_sizes) == oracle_phase2(
+            nodes, neighbors, file, oracle_rng, round_cap)
+        assert as_sets(packets) == [n.received_packets for n in nodes]
+        assert peek(rng) == peek(oracle_rng)
+
+        # Baseline from random packets already held.
+        held = [set(draw_rng.choice(k, draw_rng.integers(0, k + 1),
+                                    replace=False).tolist())
+                for _ in range(n)]
+        nodes = [OracleNode(i, p, set(h))
+                 for i, (p, h) in enumerate(zip(positions, held))]
+        packets = holding(held, k)
+        coverage = coverage_mask(traj, positions, rx, slot)
+        result = run_baseline(coverage, packets, file, rx, rng, pass_cap)
+        assert (result.uav_transmissions, result.passes_used, result.success,
+                result.missing_per_node) == oracle_baseline(
+            traj, nodes, file, rx, slot, oracle_rng, pass_cap)
+        assert as_sets(packets) == [n.received_packets for n in nodes]
+        assert peek(rng) == peek(oracle_rng)
 
 
 class TestPhase1Broadcast:
     def test_perfect_channel_hovering(self):
-        nodes = [GroundNode(0, (0.0, 0.0))]
+        positions = [(0.0, 0.0)]
         file = FileSpec(10)
         rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.0)
-        count = phase1_broadcast(hover_trajectory(10.0), nodes, file, rx,
-                                 slot_duration=1.0,
-                                 rng=np.random.default_rng(0))
+        count, packets = broadcast(hover_trajectory(10.0), positions, rx,
+                                   slot_duration=1.0,
+                                   rng=np.random.default_rng(0))
         assert count == 10
-        assert nodes[0].received_packets == set(range(10))
-        assert file.decoded(nodes[0])
+        assert as_sets(packets)[0] == set(range(10))
+        assert file.decoded(packets)[0]
 
     def test_near_total_erasure(self):
         rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.999)
         totals = 0
         slots = 0
         for seed in range(20):
-            nodes = [GroundNode(0, (0.0, 0.0))]
-            slots += phase1_broadcast(hover_trajectory(1000.0), nodes,
-                                      FileSpec(1000), rx, 1.0,
-                                      np.random.default_rng(seed))
-            totals += len(nodes[0].received_packets)
+            count, packets = broadcast(hover_trajectory(1000.0), [(0.0, 0.0)],
+                                       rx, 1.0, np.random.default_rng(seed))
+            slots += count
+            totals += int(packets.sum())
         assert totals / slots == pytest.approx(0.001, abs=5e-4)
 
     def test_out_of_range_receives_nothing(self):
-        nodes = [GroundNode(0, (500.0, 0.0))]
         rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.0)
-        phase1_broadcast(hover_trajectory(10.0), nodes, FileSpec(10), rx,
-                         1.0, np.random.default_rng(0))
-        assert nodes[0].received_packets == set()
+        _, packets = broadcast(hover_trajectory(10.0), [(500.0, 0.0)], rx,
+                               1.0, np.random.default_rng(0))
+        assert as_sets(packets)[0] == set()
 
     def test_reproducible_with_same_seed(self):
         traj = overflight_trajectory((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0),
@@ -66,29 +371,55 @@ class TestPhase1Broadcast:
         positions = [(rng_nodes.uniform(0, 1000), 0.0) for _ in range(20)]
         runs = []
         for _ in range(2):
-            nodes = [GroundNode(i, p) for i, p in enumerate(positions)]
-            phase1_broadcast(traj, nodes, FileSpec(50), rx, 1.0,
-                             np.random.default_rng(7))
-            runs.append([sorted(n.received_packets) for n in nodes])
+            _, packets = broadcast(traj, positions, rx, 1.0,
+                                   np.random.default_rng(7))
+            runs.append([sorted(s) for s in as_sets(packets)])
         assert runs[0] == runs[1]
 
     def test_monotone_packet_counts(self):
         # Slots only ever add packets.
-        nodes = [GroundNode(0, (0.0, 0.0)), GroundNode(1, (50.0, 0.0))]
         rx = ReceptionModel(300.0, 0.5)
-        before = [len(n.received_packets) for n in nodes]
-        phase1_broadcast(hover_trajectory(50.0), nodes, FileSpec(50), rx,
-                         1.0, np.random.default_rng(1))
-        after = [len(n.received_packets) for n in nodes]
+        coverage = coverage_mask(hover_trajectory(50.0),
+                                 [(0.0, 0.0), (50.0, 0.0)], rx, 1.0)
+        packets = holding([{3}, set()], coverage.shape[0])
+        before = packets.sum(axis=1)
+        phase1_broadcast(coverage, packets, rx, np.random.default_rng(1))
+        after = packets.sum(axis=1)
         assert all(b >= a for a, b in zip(before, after))
+        assert packets[0, 3]
+
+    def test_radius_decided_by_scalar_slant(self):
+        # Python's ``x ** 2`` and numpy's ``x * x`` differ in the last bit
+        # for a few x; at a radius equal to the scalar slant the node is
+        # covered, one ulp below it is not.
+        altitude = 97.3
+        rng = np.random.default_rng(0)
+        ground = rng.uniform(-300, 300, (20000, 2))
+        exact = [math.sqrt((0.0 - x) ** 2 + (0.0 - y) ** 2 + altitude ** 2)
+                 for x, y in ground.tolist()]
+        vectorised = np.sqrt(ground[:, 0] * ground[:, 0]
+                             + ground[:, 1] * ground[:, 1]
+                             + altitude * altitude)
+        split = np.flatnonzero(vectorised != exact)
+        assert split.size
+        traj = hover_trajectory(1.0, altitude=altitude)
+        for i in split[:20]:
+            for radius in (exact[i], float(np.nextafter(exact[i], 0.0))):
+                mask = coverage_mask(traj, [ground[i]],
+                                     ReceptionModel(radius, 0.0), 1.0)
+                assert mask.tolist() == [[exact[i] <= radius]]
+
+    def test_slot_duration_positive(self):
+        with pytest.raises(ValueError):
+            coverage_mask(hover_trajectory(10.0), [(0.0, 0.0)],
+                          ReceptionModel(200.0, 0.0), 0.0)
 
 
 class TestPhase2Exchange:
     def test_already_decoded_zero_rounds(self):
-        nodes = [GroundNode(0, (0.0, 0.0), set(range(10))),
-                 GroundNode(1, (1.0, 0.0), set(range(10)))]
-        graph = D2dGraph(nodes, d2d_range=10.0)
-        result = phase2_exchange(nodes, graph, FileSpec(10),
+        packets = holding([set(range(10)), set(range(10))], 10)
+        graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
+        result = phase2_exchange(packets, graph, FileSpec(10),
                                  np.random.default_rng(0))
         assert result.rounds_used == 0 and result.success
 
@@ -96,30 +427,27 @@ class TestPhase2Exchange:
         # Two adjacent nodes holding disjoint halves of K=10 finish in
         # <= 10 rounds under every seed (each round moves one packet in
         # each direction and repeats are impossible until saturation).
+        graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
         for seed in range(100):
-            nodes = [GroundNode(0, (0.0, 0.0), set(range(5))),
-                     GroundNode(1, (1.0, 0.0), set(range(5, 10)))]
-            graph = D2dGraph(nodes, d2d_range=10.0)
-            result = phase2_exchange(nodes, graph, FileSpec(10),
+            packets = holding([set(range(5)), set(range(5, 10))], 10)
+            result = phase2_exchange(packets, graph, FileSpec(10),
                                      np.random.default_rng(seed))
             assert result.success
             assert result.rounds_used <= 10
 
     def test_stalled_isolated_node(self):
-        nodes = [GroundNode(0, (0.0, 0.0), set(range(10))),
-                 GroundNode(1, (1e6, 0.0), {0, 1})]
-        graph = D2dGraph(nodes, d2d_range=10.0)
-        result = phase2_exchange(nodes, graph, FileSpec(10),
+        packets = holding([set(range(10)), {0, 1}], 10)
+        graph = D2dGraph([(0.0, 0.0), (1e6, 0.0)], d2d_range=10.0)
+        result = phase2_exchange(packets, graph, FileSpec(10),
                                  np.random.default_rng(0))
         assert not result.success
         assert (1,) in result.stalled_components
         assert 2 in result.component_union_sizes
 
     def test_round_cap_reported_as_failure(self):
-        nodes = [GroundNode(0, (0.0, 0.0), {0}),
-                 GroundNode(1, (1.0, 0.0), {1})]
-        graph = D2dGraph(nodes, d2d_range=10.0)
-        result = phase2_exchange(nodes, graph, FileSpec(2),
+        packets = holding([{0}, {1}], 2)
+        graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
+        result = phase2_exchange(packets, graph, FileSpec(2),
                                  np.random.default_rng(0), round_cap=0)
         assert not result.success
 
@@ -127,40 +455,39 @@ class TestPhase2Exchange:
     @settings(max_examples=30, deadline=None)
     def test_component_union_conserved(self, seed):
         rng = np.random.default_rng(seed)
-        nodes = [GroundNode(i, (rng.uniform(0, 500), rng.uniform(0, 500)),
-                            set(rng.choice(30, size=rng.integers(0, 20),
-                                           replace=False).tolist()))
-                 for i in range(12)]
-        graph = D2dGraph(nodes, d2d_range=150.0)
-        by_id = {n.id: n for n in nodes}
-        unions_before = [
-            frozenset().union(*(by_id[i].received_packets for i in comp))
-            for comp in graph.connected_components()]
-        phase2_exchange(nodes, graph, FileSpec(30),
+        positions = []
+        sets = []
+        for _ in range(12):
+            positions.append((rng.uniform(0, 500), rng.uniform(0, 500)))
+            sets.append(set(rng.choice(30, size=rng.integers(0, 20),
+                                       replace=False).tolist()))
+        packets = holding(sets, 30)
+        graph = D2dGraph(positions, d2d_range=150.0)
+        unions_before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
+                         for comp in graph.connected_components()]
+        phase2_exchange(packets, graph, FileSpec(30),
                         np.random.default_rng(seed + 1), round_cap=50)
-        unions_after = [
-            frozenset().union(*(by_id[i].received_packets for i in comp))
-            for comp in graph.connected_components()]
+        unions_after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
+                        for comp in graph.connected_components()]
         assert unions_before == unions_after
 
     def test_no_rounds_needed_when_all_covered(self):
         # Erasure-free phase 1 with >= K in-range slots decodes everyone.
-        nodes = line_nodes(5, 100.0)
+        positions = line_positions(5, 100.0)
         rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
-        phase1_broadcast(hover_trajectory(20.0), nodes, FileSpec(20), rx,
-                         1.0, np.random.default_rng(0))
-        graph = D2dGraph(nodes, d2d_range=50.0)
-        result = phase2_exchange(nodes, graph, FileSpec(20),
+        _, packets = broadcast(hover_trajectory(20.0), positions, rx, 1.0,
+                               np.random.default_rng(0))
+        graph = D2dGraph(positions, d2d_range=50.0)
+        result = phase2_exchange(packets, graph, FileSpec(20),
                                  np.random.default_rng(0))
         assert result.success and result.rounds_used == 0
 
 
 class TestRunBaseline:
     def test_perfect_channel_single_pass(self):
-        nodes = line_nodes(5, 100.0)
         rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
-        result = run_baseline(hover_trajectory(20.0), nodes, FileSpec(20),
-                              rx, 1.0, np.random.default_rng(0))
+        result = baseline(hover_trajectory(20.0), line_positions(5, 100.0),
+                          FileSpec(20), rx, 1.0, np.random.default_rng(0))
         assert result.success
         assert result.uav_transmissions == 20
         assert result.passes_used == 1
@@ -168,49 +495,90 @@ class TestRunBaseline:
     def test_geometric_retransmissions(self):
         # Single node, K=1, erasure 0.5: transmissions ~ Geometric(0.5),
         # mean 2.
+        rx = ReceptionModel(200.0, 0.5)
+        coverage = coverage_mask(hover_trajectory(1.0), [(0.0, 0.0)], rx, 1.0)
         counts = []
         for seed in range(10_000):
-            nodes = [GroundNode(0, (0.0, 0.0))]
-            rx = ReceptionModel(200.0, 0.5)
-            result = run_baseline(hover_trajectory(1.0), nodes, FileSpec(1),
-                                  rx, 1.0, np.random.default_rng(seed))
+            result = run_baseline(coverage, np.zeros((1, 1), dtype=bool),
+                                  FileSpec(1), rx,
+                                  np.random.default_rng(seed))
             counts.append(result.uav_transmissions)
         assert 1.9 <= statistics.mean(counts) <= 2.1
 
     def test_pass_cap_failure_reports_missing(self):
-        nodes = [GroundNode(0, (1e6, 0.0))]  # forever out of range
         rx = ReceptionModel(200.0, 0.0)
-        result = run_baseline(hover_trajectory(5.0), nodes, FileSpec(3), rx,
-                              1.0, np.random.default_rng(0), pass_cap=2)
+        result = baseline(hover_trajectory(5.0), [(1e6, 0.0)],  # never in range
+                          FileSpec(3), rx, 1.0, np.random.default_rng(0),
+                          pass_cap=2)
         assert not result.success
         assert result.missing_per_node == {0: 3}
 
 
 class TestClusterNodes:
     def test_single_cluster(self):
-        nodes = line_nodes(5, 40.0)
-        assert cluster_nodes(nodes, d2d_range=10.0) == [[0, 1, 2, 3, 4]]
+        assert cluster_nodes(line_positions(5, 40.0), d2d_range=10.0) == \
+            [[0, 1, 2, 3, 4]]
 
     def test_two_separated_groups(self):
-        nodes = [GroundNode(0, (0.0, 0.0)), GroundNode(1, (10.0, 0.0)),
-                 GroundNode(2, (500.0, 0.0)), GroundNode(3, (510.0, 0.0))]
-        assert cluster_nodes(nodes, d2d_range=50.0) == [[0, 1], [2, 3]]
+        positions = [(0.0, 0.0), (10.0, 0.0), (500.0, 0.0), (510.0, 0.0)]
+        assert cluster_nodes(positions, d2d_range=50.0) == [[0, 1], [2, 3]]
 
     def test_zero_range_singletons(self):
         rng = np.random.default_rng(0)
-        nodes = [GroundNode(i, (rng.uniform(0, 1000), rng.uniform(0, 1000)))
-                 for i in range(100)]
-        clusters = cluster_nodes(nodes, d2d_range=0.0)
+        positions = rng.uniform(0, 1000, (100, 2))
+        clusters = cluster_nodes(positions, d2d_range=0.0)
         assert len(clusters) == 100
         assert all(len(c) == 1 for c in clusters)
 
     def test_graph_symmetric_no_self_loops(self):
-        nodes = line_nodes(10, 300.0)
-        graph = D2dGraph(nodes, d2d_range=60.0)
-        for i, neighbors in graph.neighbors.items():
-            assert i not in neighbors
-            for j in neighbors:
-                assert i in graph.neighbors[j]
+        graph = D2dGraph(line_positions(10, 300.0), d2d_range=60.0)
+        adjacency = graph.adjacency
+        assert not adjacency.diagonal().any()
+        assert (adjacency == adjacency.T).all()
+
+    def test_range_decided_by_math_dist(self):
+        # np.hypot and math.dist differ in the last bit for a few pairs; at
+        # a range equal to a pair's math.dist the pair is linked, one ulp
+        # below it is not.
+        rng = np.random.default_rng(0)
+        pairs = rng.uniform(-500, 500, (5000, 2, 2))
+        gap = pairs[:, 0] - pairs[:, 1]
+        exact = [math.dist(a, b) for a, b in pairs.tolist()]
+        split = np.flatnonzero(np.hypot(gap[:, 0], gap[:, 1]) != exact)
+        assert split.size
+        for i in split[:20]:
+            for limit in (exact[i], float(np.nextafter(exact[i], 0.0))):
+                assert D2dGraph(pairs[i], limit).adjacency[0, 1] == \
+                    (exact[i] <= limit)
+
+    def test_preset_edges_at_exact_range(self):
+        # dissem20 nodes i and i+2 are exactly 100 m apart, the D2D range.
+        params = PRESETS["dissem20"]["params"]
+        _, graph, _, _ = _dissemination_scenario(params)
+        n = params["node_count"]
+        assert all(graph.adjacency[i, i + 2] for i in range(n - 2))
+        assert not any(graph.adjacency[i, i + 3] for i in range(n - 3))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           d2d_range=st.sampled_from([0.0, 1.0, 30.0, 100.0, 0.1 + 0.2]),
+           count=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_is_math_dist_rule(self, seed, d2d_range, count):
+        # Half the points sit on a lattice whose spacing equals the range,
+        # so many pairs lie exactly at it; the rest are arbitrary floats.
+        rng = np.random.default_rng(seed)
+        lattice = rng.integers(-3, 4, (count, 2)) * d2d_range
+        scatter = rng.uniform(-3, 3, (count, 2)) * max(d2d_range, 1.0)
+        positions = np.where(rng.random((count, 1)) < 0.5, lattice,
+                             scatter).tolist()
+        graph = D2dGraph(positions, d2d_range)
+        expected = [[i != j and math.dist(a, b) <= d2d_range
+                     for j, b in enumerate(positions)]
+                    for i, a in enumerate(positions)]
+        assert graph.adjacency.tolist() == expected
+        neighbors = {i: {j for j, edge in enumerate(row) if edge}
+                     for i, row in enumerate(expected)}
+        assert graph.connected_components() == oracle_components(neighbors)
 
 
 class TestModelValidation:

@@ -189,6 +189,35 @@ class TestEmitPlotData:
 
 
 class TestCli:
+    def test_cnpc_warning_printed_once(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"preset": "channel_probe",
+                                   "params": {"carrier_frequency_hz": 970e6}}))
+        code = main(["channel", "probe", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "CNPC" in warnings[0]
+
+    @pytest.mark.parametrize("name,value", [
+        ("altitude_step_m", 0), ("altitude_step_m", -1.0),
+        ("altitude_step_m", "NaN"), ("altitude_step_m", "Infinity"),
+        ("altitude_max_m", "Infinity"), ("altitude_min_m", "NaN"),
+        ("altitude_max_m", "NaN")])
+    def test_bad_altitude_grid_is_config_error(self, tmp_path, capsys, name,
+                                               value):
+        # Each would hang the grid walk or skip it; non-finite values
+        # arrive as JSON's NaN and Infinity literals.
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"preset": "urban_coverage", '
+                       f'"params": {{"{name}": {value}}}}}')
+        code = main(["coverage", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_relay_trace_preset(self, tmp_path, capsys):
         code = main(["relay", "trace", "--preset", "fig3",
                      "--out", str(tmp_path), "--time-step", "0.1"])

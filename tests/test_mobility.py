@@ -240,6 +240,57 @@ class TestOverflightTrajectory:
         assert validate_trajectory(traj, speed).ok
 
 
+def scalar_position_at(traj, t):
+    """Reference: the per-call interpolation that ``position_at`` vectorises."""
+    states = traj.states
+    if t <= states[0].time:
+        return states[0].position
+    if t >= states[-1].time:
+        return states[-1].position
+    i = min(int((t - states[0].time) / traj.time_step), len(states) - 2)
+    a, b = states[i], states[i + 1]
+    if t > b.time:  # guard against float rounding of the index
+        a, b = b, states[i + 2]
+    w = (t - a.time) / (b.time - a.time)
+    return tuple(pa + w * (pb - pa) for pa, pb in zip(a.position, b.position))
+
+
+class TestPositionAt:
+    @given(start=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
+           end=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
+           speed=st.floats(min_value=10.0, max_value=300.0),
+           time_step=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+           slot=st.floats(min_value=0.05, max_value=7.0))
+    @settings(max_examples=60, deadline=None)
+    def test_overflight_matches_scalar_reference(self, start, end, speed,
+                                                 time_step, slot):
+        traj = overflight_trajectory(start, end, speed, time_step)
+        times = np.concatenate([
+            traj.states[0].time + np.arange(200) * slot,
+            [s.time for s in traj.states[::7]],
+            [-1.0, 0.0, traj.states[-1].time, traj.states[-1].time + 5.0]])
+        got = traj.position_at(times)
+        assert got.shape == (len(times), 3)
+        for t, row in zip(times.tolist(), got.tolist()):
+            assert tuple(row) == scalar_position_at(traj, t)
+
+    def test_relay_cycle_and_shapes(self):
+        traj = mobile_relay_trajectory(relay_geom(30.0), time_step=0.01)
+        times = np.linspace(-1.0, 41.0, 997)
+        got = traj.position_at(times)
+        assert [tuple(r) for r in got.tolist()] == [
+            scalar_position_at(traj, t) for t in times.tolist()]
+        assert traj.position_at(12.345).tolist() == list(
+            scalar_position_at(traj, 12.345))
+        assert traj.position_at(times.reshape(-1, 1)).shape == (997, 1, 3)
+
+    def test_single_state_is_constant(self):
+        traj = overflight_trajectory((5.0, 5.0, 50.0), (5.0, 5.0, 50.0),
+                                     speed=10.0, time_step=0.1)
+        got = traj.position_at(np.array([-1.0, 0.0, 3.0]))
+        assert got.tolist() == [[5.0, 5.0, 50.0]] * 3
+
+
 class TestValidateTrajectory:
     def test_flags_flight_segments_at_half_vmax(self):
         traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
