@@ -16,8 +16,9 @@ from .mobility import (RelayGeometry, Trajectory, UavState,
                        overflight_trajectory, validate_trajectory)
 from .relay import (RelayRunResult, RelayStrategy, buffer_requirement,
                     path_loss_trace, simulate_cycle, sweep_delay)
-from .coverage import (ExcessLoss, LosProbabilityModel, coverage_radius,
-                       expected_path_loss, optimal_altitude)
+from .coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
+                       coverage_radius, expected_path_loss,
+                       optimal_altitude)
 from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                             cluster_nodes, coverage_mask, phase1_broadcast,
                             phase2_exchange, run_baseline)

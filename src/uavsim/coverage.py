@@ -9,10 +9,10 @@ optimal altitude maximizes that radius over a grid.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
+from ._csvfile import write_csv
 from .channel import LinkGeometry, free_space_path_loss
 
 
@@ -118,6 +118,29 @@ def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
     return best
 
 
+def coverage_curve(altitude_range: tuple[float, float], max_path_loss: float,
+                   frequency: float, los: LosProbabilityModel,
+                   excess: ExcessLoss,
+                   grid_step: float = 1.0) -> list[tuple[float, float]]:
+    """(altitude, coverage radius) rows over the grid lo, lo + step, ... <= hi.
+
+    Each altitude is the previous one plus ``grid_step``, so the grid
+    carries the rounding of that running sum.
+    """
+    lo, hi = altitude_range
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
+    if not grid_step > 0:
+        raise ValueError("grid_step must be > 0")
+    rows = []
+    h = lo
+    while h <= hi + 1e-12:
+        rows.append((h, coverage_radius(h, max_path_loss, frequency, los,
+                                        excess)))
+        h += grid_step
+    return rows
+
+
 def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,
                      frequency: float, los: LosProbabilityModel,
                      excess: ExcessLoss,
@@ -126,25 +149,10 @@ def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,
 
     Ties break toward the lowest altitude.  Returns (altitude, radius).
     """
-    lo, hi = altitude_range
-    if not 0 < lo <= hi < math.inf:
-        raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
-    if not grid_step > 0:
-        raise ValueError("grid_step must be > 0")
-    best_h, best_r = lo, -1.0
-    h = lo
-    while h <= hi + 1e-12:
-        r = coverage_radius(h, max_path_loss, frequency, los, excess)
-        if r > best_r:
-            best_h, best_r = h, r
-        h += grid_step
-    return best_h, best_r
+    return max(coverage_curve(altitude_range, max_path_loss, frequency, los,
+                              excess, grid_step), key=lambda row: row[1])
 
 
 def write_coverage_csv(rows, path) -> None:
     """Rows of (altitude_m, coverage_radius_m)."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["altitude_m", "coverage_radius_m"])
-        for altitude, radius in rows:
-            writer.writerow([repr(altitude), repr(radius)])
+    write_csv(path, ["altitude_m", "coverage_radius_m"], rows)

@@ -18,12 +18,12 @@ built once and shared by every run over the same field and flight.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfile import write_csv
 from .mobility import Trajectory
 
 
@@ -299,19 +299,11 @@ def cluster_nodes(positions, d2d_range: float) -> list[list[int]]:
 def write_summary_csv(rows, path) -> None:
     """Per-run summary rows: (scenario_id, seed, scheme, uav_transmissions,
     d2d_rounds, success)."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario_id", "seed", "scheme", "uav_transmissions",
-                         "d2d_rounds", "success"])
-        for row in rows:
-            writer.writerow(list(row))
+    write_csv(path, ["scenario_id", "seed", "scheme", "uav_transmissions",
+                     "d2d_rounds", "success"], rows)
 
 
 def write_node_detail_csv(rows, path) -> None:
     """Per-node rows: (node_id, packets_after_phase1, decoded_after_phase2)."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["node_id", "packets_after_phase1",
-                         "decoded_after_phase2"])
-        for row in rows:
-            writer.writerow(list(row))
+    write_csv(path, ["node_id", "packets_after_phase1",
+                     "decoded_after_phase2"], rows)

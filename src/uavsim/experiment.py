@@ -8,30 +8,31 @@ across reruns of the same config.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csvfile import write_csv
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       doppler_shift, free_space_path_loss, snr_at,
                       spectral_efficiency)
-from .coverage import ExcessLoss, LosProbabilityModel, coverage_radius
+from .coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
+                       write_coverage_csv)
 from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                             coverage_mask, phase1_broadcast, phase2_exchange,
                             run_baseline, write_node_detail_csv,
                             write_summary_csv)
-from .mobility import RelayGeometry, overflight_trajectory
+from .mobility import (RelayGeometry, _check_step_divides,
+                       overflight_trajectory)
 from .relay import (RelayStrategy, simulate_cycle, sweep_delay,
                     write_sweep_csv, write_trace_csv)
-
-SCENARIO_KINDS = ("relay_trace", "relay_sweep", "disseminate", "coverage",
-                  "channel_probe")
 
 # Protected CNPC spectrum; configs using a carrier inside these bands get
 # a validation warning (data links should not squat on control spectrum).
@@ -75,26 +76,15 @@ class RunManifest:
     series: dict = field(default_factory=dict)  # plot metadata per file
 
     def save(self, path: Path) -> None:
-        path.write_text(json.dumps({
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "scenario": self.scenario,
-            "output_directory": self.output_directory,
-            "run_seeds": self.run_seeds,
-            "output_files": self.output_files,
-            "series": self.series,
-        }, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True)
+                        + "\n")
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
-        data = json.loads(Path(path).read_text())
-        return cls(config_digest=data["config_digest"],
-                   tool_version=data["tool_version"],
-                   scenario=data["scenario"],
-                   output_directory=data["output_directory"],
-                   run_seeds=data["run_seeds"],
-                   output_files=data["output_files"],
-                   series=data.get("series", {}))
+        try:
+            return cls(**json.loads(Path(path).read_text()))
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"cannot load manifest {path}: {exc}") from exc
 
 
 def derive_seed(master_seed: int, run_index: int) -> int:
@@ -178,89 +168,100 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _require(params: dict, fields: list[str], scenario: str) -> None:
-    for name in fields:
-        if name not in params:
-            raise ConfigError(f"{scenario}: missing required field {name!r}")
+# Each scenario kind has one preset, whose params are its schema: a config
+# gives exactly those fields, each with the type of the preset's value.
+_SCHEMAS = {preset["scenario"]: preset["params"]
+            for preset in PRESETS.values()}
+_TOP_LEVEL = {"master_seed": 0, "output_directory": "out", "time_step": 0.01}
+_CONFIG_KEYS = {"preset", "scenario", "params", *_TOP_LEVEL}
+_KINDS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
+          str: (str, "a string"), list: (list, "a non-empty list")}
+# Bounds that no library object checks: field -> (limit, limit allowed).
+_BOUNDS = {"time_step": (0, False), "carrier_frequency_hz": (0, False),
+           "node_count": (1, True), "n_seeds": (1, True),
+           "field_length_m": (0, False), "uav_speed_mps": (0, False),
+           "slot_duration_s": (0, False), "d2d_range_m": (0, True),
+           "altitude_min_m": (0, False), "altitude_step_m": (0, False)}
 
 
-_REQUIRED = {
-    "relay_trace": ["separation_m", "uav_altitude_m", "carrier_frequency_hz",
-                    "delay_budget_s", "speeds_mps", "reference_snr_db"],
-    "relay_sweep": ["separation_m", "uav_altitude_m", "carrier_frequency_hz",
-                    "delays_s", "speeds_mps", "strategies",
-                    "reference_snr_db"],
-    "disseminate": ["node_count", "field_length_m", "uav_altitude_m",
-                    "uav_speed_mps", "coverage_radius_m",
-                    "erasure_probability", "source_packet_count",
-                    "slot_duration_s", "d2d_range_m", "n_seeds"],
-    "coverage": ["s_curve_a", "s_curve_b", "eta_los_db", "eta_nlos_db",
-                 "carrier_frequency_hz", "max_path_loss_db",
-                 "altitude_min_m", "altitude_max_m", "altitude_step_m"],
-    "channel_probe": ["carrier_frequency_hz", "uav_altitude_m",
-                      "ground_ranges_m", "reference_snr_db",
-                      "reference_distance_m"],
-}
+def _check_value(name: str, value, example) -> None:
+    types, kind = _KINDS[type(example)]
+    if (isinstance(value, bool) or not isinstance(value, types) or value == []
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {kind}, not {value!r}")
+    if isinstance(value, list):
+        for item in value:
+            _check_value(name, item, example[0])
+
+
+def _check_fields(where: str, values: dict, schema: dict) -> None:
+    for name in values:
+        if name not in schema:
+            raise ConfigError(f"{where}: unknown field {name!r}")
+    for name, example in schema.items():
+        if name not in values:
+            raise ConfigError(f"{where}: missing required field {name!r}")
+        _check_value(name, values[name], example)
 
 
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Fail-fast validation; returns the config with warnings populated."""
-    if config.scenario not in SCENARIO_KINDS:
+    """Fail-fast validation; returns the config with warnings populated.
+
+    Checks the fields against the scenario's preset, then the bounds by
+    building the objects the scenario's runner builds.
+    """
+    if not isinstance(config.scenario, str) or config.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; expected "
-                          f"one of {SCENARIO_KINDS}")
-    if config.time_step <= 0:
-        raise ConfigError("time_step must be > 0")
+                          f"one of {tuple(_SCHEMAS)}")
     params = config.params
-    _require(params, _REQUIRED[config.scenario], config.scenario)
-    frequency = params.get("carrier_frequency_hz")
-    # Rebuilt, not appended to: a config is validated again by ``run``.
-    config.warnings = []
-    if frequency is not None:
-        if frequency <= 0:
-            raise ConfigError("carrier_frequency_hz must be > 0")
-        for lo, hi in (CNPC_L_BAND_HZ, CNPC_C_BAND_HZ):
-            if lo <= frequency <= hi:
-                config.warnings.append(
-                    f"carrier {frequency/1e6:.1f} MHz falls inside the "
-                    f"protected CNPC band {lo/1e6:.0f}-{hi/1e6:.0f} MHz")
-    # Construct the domain objects now so precondition failures surface
-    # before any output is written.
-    if config.scenario == "relay_trace":
-        for v in params["speeds_mps"]:
-            RelayGeometry(params["separation_m"], params["uav_altitude_m"],
-                          v, params["delay_budget_s"])
-    elif config.scenario == "relay_sweep":
-        for strategy in params["strategies"]:
-            RelayStrategy(strategy)
-        if not params["delays_s"] or not params["speeds_mps"]:
-            raise ConfigError("delays_s and speeds_mps must be non-empty")
-    elif config.scenario == "disseminate":
-        ReceptionModel(params["coverage_radius_m"],
-                       params["erasure_probability"])
-        FileSpec(params["source_packet_count"])
-        if params["n_seeds"] < 1:
-            raise ConfigError("n_seeds must be >= 1")
-    elif config.scenario == "coverage":
-        LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
-        ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
-        # A non-finite bound or step, or a step <= 0, never walks the grid
-        # to its end (or skips it entirely for NaN).
-        for name in ("altitude_min_m", "altitude_max_m", "altitude_step_m"):
-            value = params[name]
-            if not (isinstance(value, (int, float))
-                    and math.isfinite(value)):
-                raise ConfigError(f"{name} must be a finite number")
-        if params["altitude_min_m"] <= 0:
-            raise ConfigError("altitude_min_m must be > 0")
-        if params["altitude_max_m"] < params["altitude_min_m"]:
-            raise ConfigError("altitude_max_m must be >= altitude_min_m")
-        if params["altitude_step_m"] <= 0:
-            raise ConfigError("altitude_step_m must be > 0")
+    fields = {name: getattr(config, name) for name in _TOP_LEVEL}
+    _check_fields("config", fields, _TOP_LEVEL)
+    _check_fields(config.scenario, params, _SCHEMAS[config.scenario])
+    fields.update(params)
+    for name, (limit, closed) in _BOUNDS.items():
+        if name in fields and not (fields[name] >= limit if closed
+                                   else fields[name] > limit):
+            raise ConfigError(f"{name} must be {'>=' if closed else '>'} "
+                              f"{limit}")
+    if not 0 <= config.master_seed < 2 ** 64:
+        raise ConfigError("master_seed must lie in [0, 2**64)")
+    frequency = fields.get("carrier_frequency_hz", 0.0)
+    config.warnings = [f"carrier {frequency/1e6:.1f} MHz falls inside the "
+                       f"protected CNPC band {lo/1e6:.0f}-{hi/1e6:.0f} MHz"
+                       for lo, hi in (CNPC_L_BAND_HZ, CNPC_C_BAND_HZ)
+                       if lo <= frequency <= hi]
+    # Build the runner's domain objects now, so that precondition failures
+    # surface before any output is written.
+    try:
+        if config.scenario in ("relay_trace", "relay_sweep"):
+            _relay_setup(params)
+            if config.scenario == "relay_sweep":
+                delays = params["delays_s"]
+                list(map(RelayStrategy, params["strategies"]))
+            else:
+                delays = [params["delay_budget_s"]]
+            for delay in delays:
+                _check_step_divides(delay, config.time_step)
+                for v in params["speeds_mps"]:
+                    RelayGeometry(params["separation_m"],
+                                  params["uav_altitude_m"], v, delay)
+        elif config.scenario == "disseminate":
+            ReceptionModel(params["coverage_radius_m"],
+                           params["erasure_probability"])
+            FileSpec(params["source_packet_count"])
+        elif config.scenario == "coverage":
+            _coverage_models(params)
+            if params["altitude_max_m"] < params["altitude_min_m"]:
+                raise ConfigError("altitude_max_m must be >= altitude_min_m")
+        else:
+            _probe_rows(params)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{config.scenario}: {exc}") from exc
     return config
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{sorted(PRESETS)}")
     preset = PRESETS[name]
@@ -281,15 +282,22 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    for name in data:
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(f"config: unknown field {name!r}")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("params must be a JSON object")
     if "preset" in data:
         config = preset_config(data["preset"])
-        config.params.update(data.get("params", {}))
+        config.params.update(params)
     else:
         if "scenario" not in data:
             raise ConfigError("missing required field 'scenario'")
-        config = ExperimentConfig(scenario=data["scenario"],
-                                  params=data.get("params", {}))
-    for name in ("master_seed", "output_directory", "time_step"):
+        config = ExperimentConfig(scenario=data["scenario"], params=params)
+    for name in _TOP_LEVEL:
         if name in data:
             setattr(config, name, data[name])
     return validate_config(config)
@@ -332,8 +340,6 @@ def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
                              1.0, 1.0)
     rows = sweep_delay(params["strategies"], template, params["delays_s"],
                        params["speeds_mps"], channel, ref,
-                       buffer_capacity=params.get("buffer_capacity",
-                                                  math.inf),
                        time_step=config.time_step)
     name = "sweep.csv"
     write_sweep_csv(rows, out / name)
@@ -351,7 +357,7 @@ def _dissemination_scenario(params):
     positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
     # Overfly past both field edges so boundary nodes get full coverage
     # windows (otherwise the baseline can starve them of packet indices).
-    overshoot = params.get("overshoot_m", params["coverage_radius_m"])
+    overshoot = params["coverage_radius_m"]
     traj = overflight_trajectory((-overshoot, 0.0, params["uav_altitude_m"]),
                                  (length + overshoot, 0.0,
                                   params["uav_altitude_m"]),
@@ -380,8 +386,7 @@ def run_dissemination_pair(params: dict, seed: int, scenario=None):
     exchange = phase2_exchange(packets, graph, file, rng)
     baseline = run_baseline(
         coverage, np.zeros((nodes, file.source_packet_count), dtype=bool),
-        file, rx, np.random.default_rng(seed),
-        pass_cap=params.get("pass_cap", 1000))
+        file, rx, np.random.default_rng(seed))
     return (coded_tx, exchange, baseline, packets_after_phase1,
             file.decoded(packets))
 
@@ -409,44 +414,47 @@ def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
             {"summary.csv": {"kind": "dissemination_summary"}})
 
 
+def _coverage_models(params):
+    return (LosProbabilityModel(params["s_curve_a"], params["s_curve_b"]),
+            ExcessLoss(params["eta_los_db"], params["eta_nlos_db"]))
+
+
 def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     params = config.params
-    los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
-    excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
+    rows = coverage_curve((params["altitude_min_m"], params["altitude_max_m"]),
+                          params["max_path_loss_db"],
+                          params["carrier_frequency_hz"],
+                          *_coverage_models(params),
+                          grid_step=params["altitude_step_m"])
     name = "coverage.csv"
-    best_h, best_r = None, -1.0
-    with open(out / name, "w", newline="\n") as fh:
-        fh.write("altitude_m,coverage_radius_m\n")
-        h = params["altitude_min_m"]
-        while h <= params["altitude_max_m"] + 1e-12:
-            r = coverage_radius(h, params["max_path_loss_db"],
-                                params["carrier_frequency_hz"], los, excess)
-            fh.write(f"{h!r},{r!r}\n")
-            if r > best_r:
-                best_h, best_r = h, r
-            h += params["altitude_step_m"]
+    write_coverage_csv(rows, out / name)
+    best_h, best_r = max(rows, key=lambda row: row[1])  # the first maximum
     return [name], {name: {"kind": "coverage",
                            "optimal_altitude_m": best_h,
                            "optimal_radius_m": best_r}}
 
 
-def _run_channel_probe(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
-    params = config.params
+def _probe_rows(params) -> list[list[float]]:
     channel = ChannelModel(carrier_frequency=params["carrier_frequency_hz"])
     ref = SnrReference(params["reference_snr_db"],
                        params["reference_distance_m"])
+    fd = doppler_shift(params["relative_speed_mps"],
+                       params["carrier_frequency_hz"])
+    rows = []
+    for r in params["ground_ranges_m"]:
+        geo = LinkGeometry(r, params["uav_altitude_m"])
+        snr = snr_at(geo, channel, ref)
+        rows.append([r, geo.slant_distance,
+                     free_space_path_loss(geo, params["carrier_frequency_hz"]),
+                     snr, spectral_efficiency(snr), fd])
+    return rows
+
+
+def _run_channel_probe(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     name = "probe.csv"
-    with open(out / name, "w", newline="\n") as fh:
-        fh.write("ground_range_m,slant_m,fspl_db,snr_db,se_bpshz,"
-                 "doppler_hz\n")
-        for r in params["ground_ranges_m"]:
-            geo = LinkGeometry(r, params["uav_altitude_m"])
-            pl = free_space_path_loss(geo, params["carrier_frequency_hz"])
-            snr = snr_at(geo, channel, ref)
-            fd = doppler_shift(params.get("relative_speed_mps", 0.0),
-                               params["carrier_frequency_hz"])
-            fh.write(f"{r!r},{geo.slant_distance!r},{pl!r},{snr!r},"
-                     f"{spectral_efficiency(snr)!r},{fd!r}\n")
+    write_csv(out / name, ["ground_range_m", "slant_m", "fspl_db", "snr_db",
+                           "se_bpshz", "doppler_hz"],
+              _probe_rows(config.params))
     return [name], {name: {"kind": "channel_probe"}}
 
 
@@ -467,14 +475,15 @@ def run(config: ExperimentConfig) -> RunManifest:
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     files, series = _RUNNERS[config.scenario](config, out)
-    n_runs = (config.params["n_seeds"]
-              if config.scenario == "disseminate" else len(files))
+    # Only dissemination draws random numbers.
+    seeded = (range(config.params["n_seeds"])
+              if config.scenario == "disseminate" else ())
     manifest = RunManifest(
         config_digest=config.digest(),
         tool_version=__version__,
         scenario=config.scenario,
         output_directory=str(out),
-        run_seeds=[derive_seed(config.master_seed, i) for i in range(n_runs)],
+        run_seeds=[derive_seed(config.master_seed, i) for i in seeded],
         output_files=files,
         series=series,
     )
@@ -499,43 +508,33 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
     for name in manifest.output_files:
         meta = manifest.series.get(name, {})
         if meta.get("kind") == "trace":
-            label = meta["label"]
-            with open(out / name) as fh:
-                fh.readline()
-                for line in fh:
-                    parts = line.rstrip("\n").split(",")
-                    # Active link: source during phase 1, destination after.
-                    trace_rows.append((parts[0], label, parts[1], parts[2]))
+            with open(out / name, newline="") as fh:
+                for t, pl_src, pl_dst, *_ in list(csv.reader(fh))[1:]:
+                    trace_rows.append((t, meta["label"], pl_src, pl_dst))
         elif meta.get("kind") == "sweep":
-            rows = []
-            with open(out / name) as fh:
-                fh.readline()
-                for line in fh:
-                    delta_s, v, strategy, se, feasible = \
-                        line.rstrip("\n").split(",")
+            rows, static_seen = [], set()
+            with open(out / name, newline="") as fh:
+                for delta_s, v, strategy, se, feasible in \
+                        list(csv.reader(fh))[1:]:
                     if feasible != "1" or not se:
                         continue
+                    if strategy == "static":
+                        if delta_s in static_seen:
+                            continue
+                        static_seen.add(delta_s)
                     label = (strategy if strategy == "static"
                              else f"{strategy}_v{float(v):g}")
                     rows.append((delta_s, label, se))
             plot_name = "plot_se_vs_delay.csv"
-            with open(out / plot_name, "w", newline="\n") as fh:
-                fh.write("x,series,y\n")
-                seen = set()
-                for x, label, y in rows:
-                    if label == "static" and (x, label) in seen:
-                        continue
-                    seen.add((x, label))
-                    fh.write(f"{x},{label},{y}\n")
+            write_csv(out / plot_name, ["x", "series", "y"], rows)
             emitted.append(plot_name)
     if trace_rows:
         plot_name = "plot_path_loss_vs_time.csv"
         half = max(float(r[0]) for r in trace_rows) / 2.0
-        with open(out / plot_name, "w", newline="\n") as fh:
-            fh.write("x,series,y\n")
-            for t_str, label, pl_src, pl_dst in trace_rows:
-                y = pl_src if float(t_str) < half else pl_dst
-                fh.write(f"{t_str},{label},{y}\n")
+        # Active link: source during phase 1, destination after.
+        write_csv(out / plot_name, ["x", "series", "y"],
+                  ((t, label, pl_src if float(t) < half else pl_dst)
+                   for t, label, pl_src, pl_dst in trace_rows))
         emitted.append(plot_name)
     if not emitted:
         raise ConfigError("manifest contains no plottable outputs")

@@ -11,11 +11,12 @@ generators build their states from those arrays.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._csvfile import write_csv
 
 SPEED_TOLERANCE = 1e-9  # slack on the per-step displacement bound, m/s
 
@@ -88,12 +89,8 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write columns time_s, x_m, y_m, z_m."""
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time_s", "x_m", "y_m", "z_m"])
-            for s in self.states:
-                writer.writerow([repr(s.time), repr(s.position[0]),
-                                 repr(s.position[1]), repr(s.position[2])])
+        write_csv(path, ["time_s", "x_m", "y_m", "z_m"],
+                  ([s.time, *s.position] for s in self.states))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ left-endpoint Riemann over the trajectory time step.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._csvfile import write_csv
 from .channel import (ChannelModel, LinkGeometryArray, SnrReference,
                       free_space_path_loss_array, rician_power_gains,
                       snr_at_array, spectral_efficiency_array)
@@ -234,25 +234,15 @@ def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,
 
 def write_trace_csv(result: RelayRunResult, path) -> None:
     """Trace file: time_s, pl_src_db, pl_dst_db, se_bpshz, buffer_bits."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
-                         "buffer_bits"])
-        writer.writerows(
-            [repr(t), repr(pl_src), repr(pl_dst), repr(se), repr(buf)]
-            for (t, pl_src, pl_dst), (_, se), (_, buf)
-            in zip(result.path_loss_trace, result.se_trace,
-                   result.buffer_trace))
+    write_csv(path, ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
+                     "buffer_bits"],
+              zip(result.times.tolist(), result.path_loss_src.tolist(),
+                  result.path_loss_dst.tolist(), result.se.tolist(),
+                  result.occupancy.tolist()))
 
 
 def write_sweep_csv(rows, path) -> None:
     """Sweep table: delta_s, v_mps, strategy, se_bpshz, feasible."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"])
-        for row in rows:
-            writer.writerow([repr(row.delay_budget), repr(row.v_max),
-                             row.strategy.value,
-                             "" if row.end_to_end_se is None
-                             else repr(row.end_to_end_se),
-                             int(row.feasible)])
+    write_csv(path, ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"],
+              ([row.delay_budget, row.v_max, row.strategy.value,
+                row.end_to_end_se, int(row.feasible)] for row in rows))

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from uavsim.channel import LinkGeometry, free_space_path_loss
-from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
+from uavsim.coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
                              coverage_radius, environment_preset,
                              expected_path_loss, optimal_altitude,
                              write_coverage_csv)
@@ -156,6 +156,22 @@ class TestOptimalAltitude:
                                      URBAN_LOS, URBAN_EXCESS,
                                      grid_step=coarse_step / 10.0)
         assert abs(h_fine - h_coarse) < coarse_step
+
+    def test_first_maximum_of_the_curve(self):
+        rows = coverage_curve((10.0, 3000.0), 110.0, F2GHZ, URBAN_LOS,
+                              URBAN_EXCESS, grid_step=10.0)
+        # The grid is a running sum of steps, as the CSV writes it.
+        h = 10.0
+        for altitude, radius in rows:
+            assert altitude == h
+            assert radius == coverage_radius(h, 110.0, F2GHZ, URBAN_LOS,
+                                             URBAN_EXCESS)
+            h += 10.0
+        assert len(rows) == 300
+        best = max(radius for _, radius in rows)
+        assert optimal_altitude((10.0, 3000.0), 110.0, F2GHZ, URBAN_LOS,
+                                URBAN_EXCESS, grid_step=10.0) == \
+            next(row for row in rows if row[1] == best)
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):

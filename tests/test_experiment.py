@@ -1,11 +1,44 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uavsim.cli import main
-from uavsim.experiment import (CNPC_L_BAND_HZ, ConfigError, ExperimentConfig,
-                               RunManifest, derive_seed, emit_plot_data,
-                               load_config, preset_config, run)
+from uavsim.experiment import (CNPC_L_BAND_HZ, PRESETS, ConfigError,
+                               ExperimentConfig, RunManifest, derive_seed,
+                               emit_plot_data, load_config, preset_config,
+                               run)
+
+COMMANDS = {"relay_trace": ["relay", "trace"],
+            "relay_sweep": ["relay", "sweep"],
+            "disseminate": ["disseminate"], "coverage": ["coverage"],
+            "channel_probe": ["channel", "probe"]}
+
+
+def run_cli(config: dict, directory: Path, *flags: str):
+    """``uavsim <scenario's command> --config`` on ``config``; returns the
+    exit code, the stderr lines and the output directory."""
+    scenario = config.get("scenario") or PRESETS[config["preset"]]["scenario"]
+    path = directory / "c.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity as literals
+    out = directory / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([*COMMANDS[scenario], "--config", str(path),
+                     "--out", str(out), *flags])
+    return code, stderr.getvalue().splitlines(), out
+
+
+def assert_config_error(code, lines, out):
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert not out.exists()
 
 
 def read(path):
@@ -32,6 +65,25 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config("fig99")
+
+    @pytest.mark.parametrize("name,digest", [
+        ("channel_probe",
+         "d721f7e0764ad840cf591141d517819c5388aedf10cb264ebad85fdbbc75308d"),
+        ("dissem20",
+         "aec945bfbd2878df32135475fe48b9f4455cb2d785e0c044d02cace466b0d2b8"),
+        ("fig3",
+         "570d2862e5592a519249971a9c285e3c32a3777d66f1ec051255e6725381f6e3"),
+        ("fig4",
+         "c257541c25002e081b6bfdb9eeb0a56a32fb0d4f944d541bcf9f385dc93efca5"),
+        ("urban_coverage",
+         "2790e9703f39f321e3583f6e704e4675528d69b59bc27f4d9c485da2e7689526"),
+    ])
+    def test_digest_pinned(self, name, digest):
+        assert preset_config(name).digest() == digest
+
+    def test_one_preset_per_scenario(self):
+        scenarios = [preset["scenario"] for preset in PRESETS.values()]
+        assert sorted(scenarios) == sorted(COMMANDS)
 
 
 class TestLoadConfig:
@@ -70,6 +122,31 @@ class TestLoadConfig:
         }))
         config = load_config(path)
         assert any("CNPC" in w for w in config.warnings)
+
+    @pytest.mark.parametrize("text", [
+        '"preset"', "[1]", '{"preset": "fig3", "params": [1]}',
+        '{"preset": ["fig3"]}', '{"scenario": "relay_trace", "params": 5}',
+        '{"scenario": ["relay_trace"], "params": {}}',
+        '{"preset": "fig3", "time_stepp": 0.01}'])
+    def test_malformed_document(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_unknown_param_named(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": "fig3",
+                                    "params": {"delay_budget": 10.0}}))
+        with pytest.raises(ConfigError, match="'delay_budget'"):
+            load_config(path)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": "fig4",
+                                    "params": {"delays_s": [5, 10]},
+                                    "time_step": 1}))
+        assert load_config(path).params["delays_s"] == [5, 10]
 
     def test_unknown_scenario(self, tmp_path):
         path = tmp_path / "c.json"
@@ -145,6 +222,38 @@ class TestRun:
         loaded = RunManifest.load(tmp_path / "manifest.json")
         assert loaded.config_digest == manifest.config_digest
         assert loaded.output_files == manifest.output_files
+
+    def test_run_seeds_only_for_seeded_runs(self, tmp_path):
+        for name in ("fig3", "channel_probe"):
+            config = preset_config(name)
+            config.output_directory = str(tmp_path / name)
+            assert run(config).run_seeds == []
+        config = preset_config("dissem20")
+        config.params["n_seeds"] = 3
+        config.master_seed = 7
+        config.output_directory = str(tmp_path / "dissem20")
+        seeds = [derive_seed(7, i) for i in range(3)]
+        assert run(config).run_seeds == seeds
+        assert RunManifest.load(tmp_path / "dissem20" / "manifest.json") \
+            .run_seeds == seeds
+
+    @pytest.mark.parametrize("text", [None, "{nope", "[1]",
+                                      '{"config_digest": "d"}'])
+    def test_manifest_load_errors(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match="manifest"):
+            RunManifest.load(path)
+
+    def test_manifest_unknown_key(self, tmp_path):
+        config = preset_config("channel_probe")
+        config.output_directory = str(tmp_path)
+        run(config)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "x": 1}))
+        with pytest.raises(ConfigError, match="'x'"):
+            RunManifest.load(path)
 
     def test_failfast_writes_nothing(self, tmp_path):
         config = ExperimentConfig(scenario="relay_trace", params={},
@@ -262,3 +371,81 @@ class TestCli:
                      "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
+
+
+# Every value here is wrong for every config field: each field is a
+# number, an integer, a string or a non-empty list of those.
+BAD_VALUES = ["abc", None, True, [], {}, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def malformed_configs(draw):
+    """A preset written as a full config with one field broken: deleted,
+    misspelt, or set (or one list element set) to a bad value."""
+    preset = PRESETS[draw(st.sampled_from(sorted(PRESETS)))]
+    config = {"scenario": preset["scenario"],
+              "params": copy.deepcopy(preset["params"]),
+              "time_step": 0.01, "master_seed": 0}
+    params = config["params"]
+    name = draw(st.sampled_from(sorted(params) + ["time_step", "master_seed"]))
+    holder = params if name in params else config
+    # time_step and master_seed have defaults, so deleting them is valid.
+    actions = ["misspell", "set"] + (["delete"] if holder is params else [])
+    action = draw(st.sampled_from(actions))
+    value = draw(st.sampled_from(BAD_VALUES))
+    if action == "delete":
+        del holder[name]
+    elif action == "misspell":
+        holder[draw(st.sampled_from([name[:-1], name + "_", name.upper()]))] \
+            = holder.pop(name)
+    elif isinstance(holder[name], list) and draw(st.booleans()):
+        holder[name][draw(st.integers(0, len(holder[name]) - 1))] = value
+    else:
+        holder[name] = value
+    return config
+
+
+class TestMalformedConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(malformed_configs())
+    def test_exit_2_one_line_nothing_written(self, config):
+        with tempfile.TemporaryDirectory() as directory:
+            assert_config_error(*run_cli(config, Path(directory)))
+
+    @pytest.mark.parametrize("preset,params,top,flags", [
+        ("fig3", {"separation_m": -1}, {}, []),
+        ("urban_coverage", {"s_curve_a": -1}, {}, []),
+        ("fig4", {"strategies": ["warp"]}, {}, []),
+        ("fig3", {}, {"time_step": "0.01"}, []),
+        ("fig3", {"delay_budget_s": math.nan}, {}, []),
+        ("fig3", {}, {"time_step": 0.03}, []),
+        ("dissem20", {"node_count": 0}, {}, []),
+        ("dissem20", {"slot_duration_s": 0}, {}, []),
+        ("dissem20", {"d2d_range_m": "abc"}, {}, []),
+        ("dissem20", {"n_seeds": 2.5}, {}, []),
+        ("dissem20", {"uav_speed_mps": -1}, {}, []),
+        ("fig4", {"delays_s": [5, "x"]}, {}, []),
+        ("channel_probe", {"reference_distance_m": 1}, {}, []),
+        ("channel_probe", {"ground_ranges_m": [-5]}, {}, []),
+        ("dissem20", {}, {"master_seed": -5}, []),
+        ("dissem20", {}, {"master_seed": 2 ** 64}, []),
+        ("dissem20", {}, {}, ["--seed", "-5"]),
+        ("fig3", {}, {}, ["--time-step", "0.03"]),
+    ])
+    def test_out_of_range(self, tmp_path, preset, params, top, flags):
+        config = {"preset": preset, "params": params, **top}
+        assert_config_error(*run_cli(config, tmp_path, *flags))
+
+    def test_infeasible_ferry_cells_are_rows(self, tmp_path):
+        code, _, out = run_cli({"preset": "fig4", "params": {
+            "strategies": ["static", "ferry"]}}, tmp_path)
+        assert code == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert sum(row.endswith(",ferry,,0") for row in rows) == 9
+
+    def test_plot_bad_manifest(self, tmp_path):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["plot", "--manifest", str(tmp_path / "none.json")])
+        assert code == 2
+        assert stderr.getvalue().count("\n") == 1
