@@ -54,19 +54,20 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class LinkGeometryArray:
-    """Many links that share endpoint heights, e.g. one flight sampled in
-    time: an array of horizontal separations and two scalar heights."""
+    """Many links in one array: horizontal separations, and endpoint heights
+    that broadcast against them, e.g. one flight sampled in time (scalar
+    heights) or one ground range per altitude of a grid."""
 
-    horizontal_separation: np.ndarray  # m, >= 0
-    transmitter_height: float          # m, > 0
-    receiver_height: float = 0.0       # m, >= 0
+    horizontal_separation: np.ndarray        # m, >= 0
+    transmitter_height: float | np.ndarray   # m, > 0
+    receiver_height: float | np.ndarray = 0.0  # m, >= 0
 
     def __post_init__(self):
         if np.any(self.horizontal_separation < 0):
             raise ChannelDomainError("horizontal_separation must be >= 0")
-        if self.transmitter_height <= 0:
+        if np.any(self.transmitter_height <= 0):
             raise ChannelDomainError("transmitter_height must be > 0")
-        if self.receiver_height < 0:
+        if np.any(self.receiver_height < 0):
             raise ChannelDomainError("receiver_height must be >= 0")
 
     @property
@@ -179,8 +180,8 @@ def _two_ray_amplitude(d_direct, d_reflected, frequency: float,
     return abs(direct + reflected) * wavelength / (4.0 * math.pi)
 
 
-def _check_two_ray(transmitter_height: float, frequency: float) -> None:
-    if transmitter_height <= 0:
+def _check_two_ray(transmitter_height, frequency: float) -> None:
+    if np.any(transmitter_height <= 0):
         raise ChannelDomainError("transmitter_height must be > 0")
     if frequency <= 0:
         raise ChannelDomainError("frequency must be > 0")

@@ -5,6 +5,11 @@ so raises the line-of-sight probability; the expected path loss mixes
 LoS and NLoS excess losses by that probability.  Coverage radius is the
 largest ground range whose expected loss stays under a threshold, and
 optimal altitude maximizes that radius over a grid.
+
+The expected loss has a scalar function (plain ``math``) and an array
+twin sharing one private kernel, as in ``channel``.  The radii of a whole
+altitude grid come from one bisection run on all altitudes in lockstep;
+it decides every comparison as the scalar loss would.
 """
 
 from __future__ import annotations
@@ -12,8 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._csvfile import write_csv
-from .channel import LinkGeometry, free_space_path_loss
+from .channel import (LinkGeometry, LinkGeometryArray, free_space_path_loss,
+                      free_space_path_loss_array)
+
+MAX_GRID_POINTS = 10 ** 6  # altitudes in one coverage curve
+# numpy's exp, log10 and arctan2 can differ from math's in the last bits,
+# so a loss within this relative band of its bound is compared again with
+# the scalar expected_path_loss.
+_GUARD = 1e-9
+_UNBOUNDED = 1e9  # m; bracketing that passes this range returns there
 
 
 @dataclass(frozen=True)
@@ -28,8 +43,11 @@ class LosProbabilityModel:
             raise ValueError("s-curve parameters must be > 0")
 
     def los_probability(self, elevation_deg: float) -> float:
+        return self._los_probability(elevation_deg, math.exp)
+
+    def _los_probability(self, elevation_deg, exp):
         a, b = self.s_curve_a, self.s_curve_b
-        return 1.0 / (1.0 + a * math.exp(-b * (elevation_deg - a)))
+        return 1.0 / (1.0 + a * exp(-b * (elevation_deg - a)))
 
 
 @dataclass(frozen=True)
@@ -59,6 +77,23 @@ def environment_preset(name: str) -> tuple[LosProbabilityModel, ExcessLoss]:
     return LosProbabilityModel(a, b), ExcessLoss(eta_los, eta_nlos)
 
 
+def _expected_loss(fspl, elevation_deg, los: LosProbabilityModel,
+                   excess: ExcessLoss, exp):
+    """The LoS-probability-weighted mean of the LoS and NLoS losses, dB."""
+    p_los = los._los_probability(elevation_deg, exp)
+    return (p_los * (fspl + excess.eta_los)
+            + (1.0 - p_los) * (fspl + excess.eta_nlos))
+
+
+def _exp_array(x):
+    """``np.exp`` raising ``OverflowError`` where ``math.exp`` does."""
+    with np.errstate(over="raise"):
+        try:
+            return np.exp(x)
+        except FloatingPointError:
+            raise OverflowError("math range error") from None
+
+
 def expected_path_loss(altitude: float, ground_range: float, frequency: float,
                        los: LosProbabilityModel, excess: ExcessLoss) -> float:
     """LoS-probability-weighted mean path loss in dB."""
@@ -68,11 +103,108 @@ def expected_path_loss(altitude: float, ground_range: float, frequency: float,
         raise ValueError("ground_range must be >= 0")
     geometry = LinkGeometry(horizontal_separation=ground_range,
                             transmitter_height=altitude)
-    fspl = free_space_path_loss(geometry, frequency)
-    theta = math.degrees(math.atan2(altitude, ground_range))
-    p_los = los.los_probability(theta)
-    return (p_los * (fspl + excess.eta_los)
-            + (1.0 - p_los) * (fspl + excess.eta_nlos))
+    return _expected_loss(free_space_path_loss(geometry, frequency),
+                          math.degrees(math.atan2(altitude, ground_range)),
+                          los, excess, math.exp)
+
+
+def expected_path_loss_array(altitude, ground_range, frequency: float,
+                             los: LosProbabilityModel,
+                             excess: ExcessLoss) -> np.ndarray:
+    """``expected_path_loss`` of every (altitude, ground range) pair of the
+    two broadcast arrays."""
+    altitude = np.asarray(altitude, dtype=float)
+    ground_range = np.asarray(ground_range, dtype=float)
+    if np.any(altitude <= 0):
+        raise ValueError("altitude must be > 0")
+    if np.any(ground_range < 0):
+        raise ValueError("ground_range must be >= 0")
+    geometry = LinkGeometryArray(horizontal_separation=ground_range,
+                                 transmitter_height=altitude)
+    with np.errstate(over="ignore"):  # a * exp(x) may overflow to inf
+        return _expected_loss(free_space_path_loss_array(geometry, frequency),
+                              np.degrees(np.arctan2(altitude, ground_range)),
+                              los, excess, _exp_array)
+
+
+def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
+                    frequency: float, los: LosProbabilityModel,
+                    excess: ExcessLoss, tolerance: float = 0.1) -> np.ndarray:
+    """``coverage_radius`` of every altitude, all altitudes in lockstep.
+
+    Each altitude takes the steps it would take alone: the nadir test,
+    bracketing by doubling, bisection, and the scan when the monotonicity
+    check fails.  The altitudes still at a step are evaluated in one array
+    call, and ``loss(lo)`` is carried from the step that moved ``lo``.
+    """
+    h = np.asarray(altitudes, dtype=float)
+    # The band scales with what the array and scalar losses can differ by:
+    # a few ulps of the loss itself, and of the NLoS excess times the
+    # sigmoid's slope in its exponent b*(a - theta), theta <= 90 degrees.
+    slack = excess.eta_nlos * (1.0 + los.s_curve_b * (90.0 + los.s_curve_a))
+
+    def losses(index, r):
+        return expected_path_loss_array(h[index], r, frequency, los, excess)
+
+    def scalar(i, r):
+        return expected_path_loss(float(h[i]), float(r), frequency, los,
+                                  excess)
+
+    def decide(decision, values, bound, exact):
+        near = np.abs(values - bound) <= _GUARD * (np.abs(bound) + slack)
+        for k in np.flatnonzero(near).tolist():
+            decision[k] = exact(k)
+        return decision
+
+    def covered(index, r, values):
+        return decide(values <= max_path_loss, values, max_path_loss,
+                      lambda k: scalar(index[k], r[k]) <= max_path_loss)
+
+    radii = np.zeros_like(h)
+    every = np.arange(h.size)
+    loss_lo = losses(every, np.zeros_like(h))
+    bisected = ~decide(loss_lo > max_path_loss, loss_lo, max_path_loss,
+                       lambda k: scalar(k, 0.0) > max_path_loss)
+    # Bracket the crossing by doubling.
+    hi = np.maximum(h, 1.0)
+    index = every[bisected]
+    while index.size:
+        index = index[covered(index, hi[index], losses(index, hi[index]))]
+        hi[index] *= 2.0
+        # The threshold is never reached within any practical range.
+        unbounded = index[hi[index] > _UNBOUNDED]
+        radii[unbounded] = hi[unbounded]
+        bisected[unbounded] = False
+        index = index[hi[index] <= _UNBOUNDED]
+    lo = np.zeros_like(h)
+    monotone = np.ones(h.size, dtype=bool)
+    index = every[bisected & (hi - lo > tolerance)]
+    while index.size:
+        mid = 0.5 * (lo[index] + hi[index])
+        values = losses(index, mid)
+        floor = loss_lo[index] - 1e-12
+        drop = decide(values < floor, values, floor,
+                      lambda k: scalar(index[k], mid[k])
+                      < scalar(index[k], lo[index[k]]) - 1e-12)
+        monotone[index[drop]] = False
+        index, mid, values = index[~drop], mid[~drop], values[~drop]
+        inside = covered(index, mid, values)
+        lo[index[inside]] = mid[inside]
+        loss_lo[index[inside]] = values[inside]
+        hi[index[~inside]] = mid[~inside]
+        index = index[hi[index] - lo[index] > tolerance]
+    radii[bisected] = lo[bisected]
+    # Non-monotone parameters: exhaustive scan at the target resolution.
+    for i in np.flatnonzero(~monotone).tolist():
+        r, top, grid = 0.0, float(hi[i]), []
+        while r <= top:
+            grid.append(r)
+            r += tolerance
+        grid = np.array(grid)
+        index = np.full(grid.size, i)
+        inside = covered(index, grid, losses(index, grid))
+        radii[i] = grid[inside][-1] if inside.any() else 0.0
+    return radii
 
 
 def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
@@ -84,38 +216,31 @@ def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
     altitude; falls back to a fine scan if that fails for the given
     parameters.
     """
-    def loss(r: float) -> float:
-        return expected_path_loss(altitude, r, frequency, los, excess)
+    return float(_coverage_radii(np.array([altitude], dtype=float),
+                                 max_path_loss, frequency, los, excess,
+                                 tolerance)[0])
 
-    if loss(0.0) > max_path_loss:
-        return 0.0
-    # Bracket the crossing by doubling.
-    hi = max(altitude, 1.0)
-    while loss(hi) <= max_path_loss:
-        hi *= 2.0
-        if hi > 1e9:
-            return hi  # threshold never reached within any practical range
-    lo = 0.0
-    monotone = True
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if loss(mid) < loss(lo) - 1e-12:
-            monotone = False
-            break
-        if loss(mid) <= max_path_loss:
-            lo = mid
-        else:
-            hi = mid
-    if monotone:
-        return lo
-    # Non-monotone parameters: exhaustive scan at the target resolution.
-    r = 0.0
-    best = 0.0
-    while r <= hi:
-        if loss(r) <= max_path_loss:
-            best = r
-        r += tolerance
-    return best
+
+def _altitude_grid(altitude_range: tuple[float, float],
+                   grid_step: float) -> list[float]:
+    """The altitudes of ``coverage_curve``.  More than ``MAX_GRID_POINTS``
+    of them is a ``ValueError``, as is a step too small to advance the
+    running sum."""
+    lo, hi = altitude_range
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
+    if not grid_step > 0:
+        raise ValueError("grid_step must be > 0")
+    grid = []
+    h = lo
+    while h <= hi + 1e-12:
+        if len(grid) == MAX_GRID_POINTS:
+            raise ValueError(f"more than {MAX_GRID_POINTS} altitudes from "
+                             f"{lo} to {hi} in steps of grid_step "
+                             f"{grid_step}")
+        grid.append(h)
+        h += grid_step
+    return grid
 
 
 def coverage_curve(altitude_range: tuple[float, float], max_path_loss: float,
@@ -127,18 +252,10 @@ def coverage_curve(altitude_range: tuple[float, float], max_path_loss: float,
     Each altitude is the previous one plus ``grid_step``, so the grid
     carries the rounding of that running sum.
     """
-    lo, hi = altitude_range
-    if not 0 < lo <= hi < math.inf:
-        raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
-    if not grid_step > 0:
-        raise ValueError("grid_step must be > 0")
-    rows = []
-    h = lo
-    while h <= hi + 1e-12:
-        rows.append((h, coverage_radius(h, max_path_loss, frequency, los,
-                                        excess)))
-        h += grid_step
-    return rows
+    altitudes = _altitude_grid(altitude_range, grid_step)
+    radii = _coverage_radii(np.array(altitudes), max_path_loss, frequency,
+                            los, excess)
+    return list(zip(altitudes, radii.tolist()))
 
 
 def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,8 +24,8 @@ from ._csvfile import write_csv
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       doppler_shift, free_space_path_loss, snr_at,
                       spectral_efficiency)
-from .coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
-                       write_coverage_csv)
+from .coverage import (ExcessLoss, LosProbabilityModel, _altitude_grid,
+                       coverage_curve, write_coverage_csv)
 from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                             coverage_mask, phase1_broadcast, phase2_exchange,
                             run_baseline, write_node_detail_csv,
@@ -182,6 +183,18 @@ _BOUNDS = {"time_step": (0, False), "carrier_frequency_hz": (0, False),
            "field_length_m": (0, False), "uav_speed_mps": (0, False),
            "slot_duration_s": (0, False), "d2d_range_m": (0, True),
            "altitude_min_m": (0, False), "altitude_step_m": (0, False)}
+# Names the library's errors use -> the config field they were built from;
+# of several candidates, the one in the scenario's schema.
+_LIBRARY_NAMES = {
+    "separation": ("separation_m",), "uav_altitude": ("uav_altitude_m",),
+    "v_max": ("speeds_mps",), "delay_budget": ("delay_budget_s", "delays_s"),
+    "coverage_radius": ("coverage_radius_m",), "eta_los": ("eta_los_db",),
+    "eta_nlos": ("eta_nlos_db",), "grid_step": ("altitude_step_m",),
+    "horizontal_separation": ("ground_ranges_m",),
+    "transmitter_height": ("uav_altitude_m",),
+    "reference_distance": ("reference_distance_m",),
+    "relative_speed": ("relative_speed_mps",)}
+MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
 
 
 def _check_value(name: str, value, example) -> None:
@@ -204,11 +217,22 @@ def _check_fields(where: str, values: dict, schema: dict) -> None:
         _check_value(name, values[name], example)
 
 
+def _config_terms(message: str, schema: dict) -> str:
+    """``message`` with each library name replaced by its config field."""
+    def field(match):
+        return next((name for name in _LIBRARY_NAMES[match[0]]
+                     if name in schema), match[0])
+    return re.sub(r"\b(" + "|".join(_LIBRARY_NAMES) + r")\b", field,
+                  message)
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Fail-fast validation; returns the config with warnings populated.
 
     Checks the fields against the scenario's preset, then the bounds by
-    building the objects the scenario's runner builds.
+    building the objects the scenario's runner builds, and the size of the
+    run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle and
+    ``coverage.MAX_GRID_POINTS`` altitudes.
     """
     if not isinstance(config.scenario, str) or config.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; expected "
@@ -241,10 +265,15 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             else:
                 delays = [params["delay_budget_s"]]
             for delay in delays:
-                _check_step_divides(delay, config.time_step)
                 for v in params["speeds_mps"]:
                     RelayGeometry(params["separation_m"],
                                   params["uav_altitude_m"], v, delay)
+                samples = 2 * _check_step_divides(delay, config.time_step) + 1
+                if samples > MAX_CYCLE_SAMPLES:
+                    raise ConfigError(
+                        f"delay_budget {delay} at time_step "
+                        f"{config.time_step} gives {samples} samples per "
+                        f"cycle, more than {MAX_CYCLE_SAMPLES}")
         elif config.scenario == "disseminate":
             ReceptionModel(params["coverage_radius_m"],
                            params["erasure_probability"])
@@ -253,10 +282,14 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             _coverage_models(params)
             if params["altitude_max_m"] < params["altitude_min_m"]:
                 raise ConfigError("altitude_max_m must be >= altitude_min_m")
+            _altitude_grid((params["altitude_min_m"],
+                            params["altitude_max_m"]),
+                           params["altitude_step_m"])
         else:
             _probe_rows(params)
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{config.scenario}: {exc}") from exc
+        raise ConfigError(f"{config.scenario}: "
+                          f"{_config_terms(str(exc), params)}") from exc
     return config
 
 
@@ -491,6 +524,16 @@ def run(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _data_rows(path: Path, width: int) -> list[list[str]]:
+    """The rows below the header of a run's CSV, each ``width`` fields."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for line, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise ValueError(f"line {line} has {len(row)} fields, not {width}")
+    return rows
+
+
 def emit_plot_data(manifest: RunManifest) -> list[str]:
     """Long-format (x, series, y) CSVs matching the figure axes.
 
@@ -507,15 +550,15 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
     trace_rows = []
     for name in manifest.output_files:
         meta = manifest.series.get(name, {})
-        if meta.get("kind") == "trace":
-            with open(out / name, newline="") as fh:
-                for t, pl_src, pl_dst, *_ in list(csv.reader(fh))[1:]:
-                    trace_rows.append((t, meta["label"], pl_src, pl_dst))
-        elif meta.get("kind") == "sweep":
-            rows, static_seen = [], set()
-            with open(out / name, newline="") as fh:
+        try:
+            if meta.get("kind") == "trace":
+                for t, pl_src, pl_dst, _, _ in _data_rows(out / name, 5):
+                    trace_rows.append((float(t), t, meta["label"], pl_src,
+                                       pl_dst))
+            elif meta.get("kind") == "sweep":
+                rows, static_seen = [], set()
                 for delta_s, v, strategy, se, feasible in \
-                        list(csv.reader(fh))[1:]:
+                        _data_rows(out / name, 5):
                     if feasible != "1" or not se:
                         continue
                     if strategy == "static":
@@ -525,16 +568,18 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
                     label = (strategy if strategy == "static"
                              else f"{strategy}_v{float(v):g}")
                     rows.append((delta_s, label, se))
-            plot_name = "plot_se_vs_delay.csv"
-            write_csv(out / plot_name, ["x", "series", "y"], rows)
-            emitted.append(plot_name)
+                plot_name = "plot_se_vs_delay.csv"
+                write_csv(out / plot_name, ["x", "series", "y"], rows)
+                emitted.append(plot_name)
+        except ValueError as exc:  # a row too short or long, or not a number
+            raise ConfigError(f"malformed {out / name}: {exc}") from exc
     if trace_rows:
         plot_name = "plot_path_loss_vs_time.csv"
-        half = max(float(r[0]) for r in trace_rows) / 2.0
+        half = max(row[0] for row in trace_rows) / 2.0
         # Active link: source during phase 1, destination after.
         write_csv(out / plot_name, ["x", "series", "y"],
-                  ((t, label, pl_src if float(t) < half else pl_dst)
-                   for t, label, pl_src, pl_dst in trace_rows))
+                  ((t, label, pl_src if time < half else pl_dst)
+                   for time, t, label, pl_src, pl_dst in trace_rows))
         emitted.append(plot_name)
     if not emitted:
         raise ConfigError("manifest contains no plottable outputs")

@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uavsim import coverage
 from uavsim.channel import LinkGeometry, free_space_path_loss
-from uavsim.coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
+from uavsim.coverage import (ENVIRONMENT_PRESETS, ExcessLoss,
+                             LosProbabilityModel, coverage_curve,
                              coverage_radius, environment_preset,
-                             expected_path_loss, optimal_altitude,
-                             write_coverage_csv)
+                             expected_path_loss, expected_path_loss_array,
+                             optimal_altitude, write_coverage_csv)
 
 URBAN_LOS = LosProbabilityModel(9.61, 0.16)
 URBAN_EXCESS = ExcessLoss(1.0, 20.0)
@@ -25,6 +29,42 @@ def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
         elif best > 0.0:
             break
         r += step
+    return best
+
+
+def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
+                              tolerance=0.1):
+    # The per-altitude scalar bisection that the lockstep array bisection
+    # replaced, kept as the reference its radii must equal bit for bit.
+    def loss(r):
+        return expected_path_loss(altitude, r, frequency, los, excess)
+
+    if loss(0.0) > max_path_loss:
+        return 0.0
+    hi = max(altitude, 1.0)
+    while loss(hi) <= max_path_loss:
+        hi *= 2.0
+        if hi > 1e9:
+            return hi
+    lo = 0.0
+    monotone = True
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if loss(mid) < loss(lo) - 1e-12:
+            monotone = False
+            break
+        if loss(mid) <= max_path_loss:
+            lo = mid
+        else:
+            hi = mid
+    if monotone:
+        return lo
+    r = 0.0
+    best = 0.0
+    while r <= hi:
+        if loss(r) <= max_path_loss:
+            best = r
+        r += tolerance
     return best
 
 
@@ -121,6 +161,152 @@ class TestCoverageRadius:
             scanned = scan_radius_oracle(h, 110.0, F2GHZ, URBAN_LOS,
                                          URBAN_EXCESS)
             assert bisected == pytest.approx(scanned, abs=0.2)
+
+
+@st.composite
+def coverage_models(draw):
+    """An environment preset, or random valid s-curve and excess losses."""
+    preset = draw(st.sampled_from([None, *sorted(ENVIRONMENT_PRESETS)]))
+    if preset is not None:
+        return environment_preset(preset)
+    eta_los = draw(st.floats(0.0, 10.0))
+    return (LosProbabilityModel(draw(st.floats(0.5, 30.0)),
+                                draw(st.floats(0.01, 2.0))),
+            ExcessLoss(eta_los, eta_los + draw(st.floats(0.0, 40.0))))
+
+
+class TestMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(models=coverage_models(), frequency=st.floats(1e8, 6e9),
+           lo=st.floats(1.0, 3000.0), step=st.floats(0.5, 500.0),
+           count=st.integers(1, 12), data=st.data())
+    def test_radii_bit_equal(self, models, frequency, lo, step, count, data):
+        los, excess = models
+        hi = lo + step * (count - 1)
+        altitudes = coverage._altitude_grid((lo, hi), step)
+        # Either any threshold, or the scalar loss at a range that the
+        # bisection of one altitude evaluates (the nadir or a bracket), so
+        # that its comparison is a tie the array loss may round either way.
+        h = data.draw(st.sampled_from(altitudes))
+        k = data.draw(st.integers(-1, 6))
+        tie = expected_path_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
+                                 frequency, los, excess)
+        threshold = data.draw(st.one_of(st.just(tie), st.floats(40.0, 200.0)))
+        rows = coverage_curve((lo, hi), threshold, frequency, los, excess,
+                              step)
+        expected = [reference_coverage_radius(h, threshold, frequency, los,
+                                              excess) for h in altitudes]
+        assert [r for _, r in rows] == expected
+        assert coverage_radius(h, threshold, frequency, los, excess) == \
+            expected[altitudes.index(h)]
+
+    @pytest.mark.parametrize("altitude,k", [(410.0, 0), (500.0, 0),
+                                            (500.0, 3), (760.0, 0),
+                                            (1000.0, 0), (2580.0, 2)])
+    def test_threshold_at_a_bracket_loss(self, altitude, k):
+        # With AVX-512 numpy the array loss at these bracket points differs
+        # from the scalar one in the last bit, so only the scalar
+        # re-decision of near ties gives the reference radius.
+        los, excess = environment_preset("suburban")
+        threshold = expected_path_loss(altitude, altitude * 2.0 ** k, F2GHZ,
+                                       los, excess)
+        assert coverage_radius(altitude, threshold, F2GHZ, los, excess) == \
+            reference_coverage_radius(altitude, threshold, F2GHZ, los, excess)
+
+    def test_nadir_infeasible_and_feasible_in_one_grid(self):
+        # At 100 dB the urban nadir loss passes the threshold near 1 km.
+        rows = coverage_curve((10.0, 3000.0), 100.0, F2GHZ, URBAN_LOS,
+                              URBAN_EXCESS, grid_step=10.0)
+        radii = [r for _, r in rows]
+        assert 0.0 in radii and max(radii) > 0.0
+        assert radii == [reference_coverage_radius(h, 100.0, F2GHZ, URBAN_LOS,
+                                                   URBAN_EXCESS)
+                         for h, _ in rows]
+
+    def test_unbounded_returns_the_bracket(self):
+        rows = coverage_curve((10.0, 500.0), 250.0, F2GHZ, URBAN_LOS,
+                              URBAN_EXCESS, grid_step=70.0)
+        for h, r in rows:
+            assert r > 1e9
+            assert r == reference_coverage_radius(h, 250.0, F2GHZ, URBAN_LOS,
+                                                  URBAN_EXCESS)
+
+    def test_non_monotone_loss_scans(self, monkeypatch):
+        # A loss bump around 20 degrees elevation: at 100 m altitude the
+        # bisection moves lo onto the bump (400 m), then finds a lower loss
+        # at 500 m, which only loss(lo) carried from that step shows, and
+        # the radius comes from the scan through the same kernel.
+        def bumped(fspl, elevation, los, excess, exp):
+            t = (elevation - 20.0) / 5.0
+            return fspl + 10.0 * exp(-t * t)
+
+        monkeypatch.setattr(coverage, "_expected_loss", bumped)
+        threshold = expected_path_loss(100.0, 0.0, F2GHZ, URBAN_LOS,
+                                       URBAN_EXCESS) + 15.0
+        assert expected_path_loss(100.0, 400.0, F2GHZ, URBAN_LOS,
+                                  URBAN_EXCESS) > expected_path_loss(
+            100.0, 500.0, F2GHZ, URBAN_LOS, URBAN_EXCESS)
+        expected = reference_coverage_radius(100.0, threshold, F2GHZ,
+                                             URBAN_LOS, URBAN_EXCESS,
+                                             tolerance=1.0)
+        assert coverage_radius(100.0, threshold, F2GHZ, URBAN_LOS,
+                               URBAN_EXCESS, tolerance=1.0) == expected
+        rows = coverage_curve((80.0, 120.0), threshold, F2GHZ, URBAN_LOS,
+                              URBAN_EXCESS, grid_step=10.0)
+        assert [r for _, r in rows] == [
+            reference_coverage_radius(h, threshold, F2GHZ, URBAN_LOS,
+                                      URBAN_EXCESS) for h, _ in rows]
+
+    @pytest.mark.parametrize("altitude", [28.0, 175.0])
+    def test_nadir_tie_with_falling_loss(self, monkeypatch, altitude):
+        # A loss that falls away from the nadir, with the threshold at the
+        # nadir loss: the scalar nadir test passes, so the radius comes
+        # from the scan.  With AVX-512 numpy the array nadir loss here is
+        # one ulp above the scalar one and would fail the test.
+        monkeypatch.setattr(coverage, "_expected_loss",
+                            lambda fspl, elevation, los, excess, exp:
+                            fspl + 30.0 * exp((elevation - 90.0) / 5.0))
+        threshold = expected_path_loss(altitude, 0.0, F2GHZ, URBAN_LOS,
+                                       URBAN_EXCESS)
+        expected = reference_coverage_radius(altitude, threshold, F2GHZ,
+                                             URBAN_LOS, URBAN_EXCESS)
+        assert expected > 0.0
+        assert coverage_radius(altitude, threshold, F2GHZ, URBAN_LOS,
+                               URBAN_EXCESS) == expected
+
+    def test_exp_overflow_raises_like_math(self):
+        steep = LosProbabilityModel(50.0, 15.0)
+        with pytest.raises(OverflowError):
+            reference_coverage_radius(100.0, 150.0, F2GHZ, steep, URBAN_EXCESS)
+        with pytest.raises(OverflowError):
+            coverage_radius(100.0, 150.0, F2GHZ, steep, URBAN_EXCESS)
+
+
+class TestExpectedPathLossArray:
+    def test_matches_scalar(self):
+        altitudes = np.array([1.0, 10.0, 100.0, 1000.0, 3000.0])[:, None]
+        ranges = np.array([0.0, 0.5, 50.0, 500.0, 5000.0, 1e6])[None, :]
+        for name in sorted(ENVIRONMENT_PRESETS):
+            los, excess = environment_preset(name)
+            values = expected_path_loss_array(altitudes, ranges, F2GHZ, los,
+                                              excess)
+            assert values.shape == (5, 6)
+            for (i, j), value in np.ndenumerate(values):
+                scalar = expected_path_loss(altitudes[i, 0], ranges[0, j],
+                                            F2GHZ, los, excess)
+                assert abs(value - scalar) <= 1e-12
+
+    @pytest.mark.parametrize("altitude,ground_range,message", [
+        ([100.0, 0.0], 10.0, "altitude must be > 0"),
+        (100.0, [10.0, -1.0], "ground_range must be >= 0"),
+        ([-1.0, 100.0], [-1.0, 10.0], "altitude must be > 0")])
+    def test_same_errors_as_scalar(self, altitude, ground_range, message):
+        with pytest.raises(ValueError, match=message):
+            expected_path_loss_array(altitude, ground_range, F2GHZ, URBAN_LOS,
+                                     URBAN_EXCESS)
+        with pytest.raises(ValueError, match=message):
+            expected_path_loss(np.min(altitude), np.min(ground_range), F2GHZ,
+                               URBAN_LOS, URBAN_EXCESS)
 
 
 class TestOptimalAltitude:

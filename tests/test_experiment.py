@@ -431,10 +431,54 @@ class TestMalformedConfigs:
         ("dissem20", {}, {"master_seed": 2 ** 64}, []),
         ("dissem20", {}, {}, ["--seed", "-5"]),
         ("fig3", {}, {}, ["--time-step", "0.03"]),
+        # Runs too large to hold or to finish: more than 10**6 altitudes,
+        # a step that no longer advances the altitude, more than 10**7
+        # samples in a relay cycle.
+        ("urban_coverage", {"altitude_max_m": 1e300}, {}, []),
+        ("urban_coverage", {"altitude_step_m": 1e-3}, {}, []),
+        ("urban_coverage", {"altitude_min_m": 1e6, "altitude_max_m": 1e6 + 1,
+                            "altitude_step_m": 1e-12}, {}, []),
+        ("fig3", {"delay_budget_s": 1e9}, {}, []),
+        ("fig3", {"delay_budget_s": 50000.5}, {}, []),
+        ("fig4", {"delays_s": [5.0, 1e6]}, {}, []),
+        ("fig4", {}, {}, ["--time-step", "1e-5"]),
     ])
     def test_out_of_range(self, tmp_path, preset, params, top, flags):
         config = {"preset": preset, "params": params, **top}
         assert_config_error(*run_cli(config, tmp_path, *flags))
+
+    @pytest.mark.parametrize("preset,params,field", [
+        ("channel_probe", {"ground_ranges_m": [0.0, -5.0]}, "ground_ranges_m"),
+        ("channel_probe", {"reference_distance_m": 1}, "reference_distance_m"),
+        ("channel_probe", {"relative_speed_mps": -1.0}, "relative_speed_mps"),
+        ("fig3", {"speeds_mps": [10.0, -1.0]}, "speeds_mps"),
+        ("fig3", {"delay_budget_s": 1e9}, "delay_budget_s"),
+        ("fig4", {"delays_s": [5.0, -5.0]}, "delays_s"),
+        ("dissem20", {"coverage_radius_m": -1.0}, "coverage_radius_m"),
+        ("urban_coverage", {"eta_nlos_db": 0.5}, "eta_nlos_db"),
+        ("urban_coverage", {"altitude_step_m": 1e-3}, "altitude_step_m"),
+    ])
+    def test_bound_error_names_config_field(self, tmp_path, preset, params,
+                                            field):
+        code, lines, out = run_cli({"preset": preset, "params": params},
+                                   tmp_path)
+        assert_config_error(code, lines, out)
+        assert field in lines[0]
+
+    def test_plot_malformed_csv(self, tmp_path):
+        # A sweep row of 3 fields, as a hand-edited or truncated file has.
+        out = tmp_path / "run"
+        assert main(["relay", "sweep", "--out", str(out),
+                     "--time-step", "0.05"]) == 0
+        sweep = out / "sweep.csv"
+        sweep.write_text(sweep.read_text() + "5.0,10.0,static\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["plot", "--manifest", str(out / "manifest.json")])
+        assert code == 2
+        assert stderr.getvalue().count("\n") == 1
+        assert "sweep.csv" in stderr.getvalue()
+        assert not (out / "plot_se_vs_delay.csv").exists()
 
     def test_infeasible_ferry_cells_are_rows(self, tmp_path):
         code, _, out = run_cli({"preset": "fig4", "params": {

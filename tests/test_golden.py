@@ -1,11 +1,14 @@
 """Golden outputs: the SHA-256 of every preset's CSV bodies.
 
-``golden/csv_sha256.json`` maps ``<preset>/seed-<master seed>/<file>`` to
-the digest of that file as written by ``experiment.run``.  A change that
-alters any digest must say so, with the largest absolute and relative
-difference it measured, and record the new digests here.  The float
-columns of the relay presets are the output of numpy's transcendental
-functions, so a different numpy build or CPU may change their last bits.
+``golden/csv_sha256.json`` maps ``<case>/seed-<master seed>/<file>`` to
+the digest of that file as written by ``experiment.run``, where a case is
+a preset or one of ``VARIANTS``, a preset with some params changed.  A
+change that alters any digest must say so, with the largest absolute and
+relative difference it measured, and record the new digests here.  The
+float columns of the relay presets are the output of numpy's
+transcendental functions, so a different numpy build or CPU may change
+their last bits.  The coverage radii are decided exactly as the scalar
+``math`` loss decides them, so they should not.
 """
 
 import hashlib
@@ -19,16 +22,21 @@ from uavsim.experiment import preset_config, run
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "csv_sha256.json").read_text())
 CASES = sorted({tuple(key.split("/")[:2]) for key in GOLDEN})
+# The coverage workload's 1 m grid: its radii come from a lockstep array
+# bisection whose every comparison must match the scalar one.
+VARIANTS = {"urban_coverage_1m": ("urban_coverage", {"altitude_step_m": 1.0})}
 
 
-@pytest.mark.parametrize("preset,seed", CASES)
-def test_csv_bodies_match_golden_digests(tmp_path, preset, seed):
+@pytest.mark.parametrize("case,seed", CASES)
+def test_csv_bodies_match_golden_digests(tmp_path, case, seed):
+    preset, params = VARIANTS.get(case, (case, {}))
     config = preset_config(preset)
+    config.params.update(params)
     config.master_seed = int(seed.removeprefix("seed-"))
     config.output_directory = str(tmp_path)
     manifest = run(config)
-    digests = {f"{preset}/{seed}/{name}":
+    digests = {f"{case}/{seed}/{name}":
                hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in manifest.output_files}
     assert digests == {key: value for key, value in GOLDEN.items()
-                       if key.startswith(f"{preset}/{seed}/")}
+                       if key.startswith(f"{case}/{seed}/")}
