@@ -20,7 +20,7 @@ from .coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
                        coverage_radius, expected_path_loss,
                        optimal_altitude)
 from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                            cluster_nodes, coverage_mask, phase1_broadcast,
-                            phase2_exchange, run_baseline)
+                            cluster_nodes, compare_schemes, coverage_mask,
+                            phase1_broadcast, phase2_exchange, run_baseline)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

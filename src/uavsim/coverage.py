@@ -39,8 +39,9 @@ class LosProbabilityModel:
     s_curve_b: float
 
     def __post_init__(self):
-        if self.s_curve_a <= 0 or self.s_curve_b <= 0:
-            raise ValueError("s-curve parameters must be > 0")
+        for name in ("s_curve_a", "s_curve_b"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
     def los_probability(self, elevation_deg: float) -> float:
         return self._los_probability(elevation_deg, math.exp)

@@ -14,10 +14,21 @@ index.  What the nodes hold is a (nodes, packets) bool matrix, updated in
 place by each phase.  The geometry a run needs, the (slots, nodes)
 coverage mask and the D2D graph, does not depend on the seed, so it is
 built once and shared by every run over the same field and flight.
+
+Seeds are independent, so each phase runs on a batch of them at once,
+over a leading seed axis: (seeds, nodes, packets) matrices, one generator
+per seed, and per round or baseline step one set of array operations for
+all seeds still running.  Each seed makes exactly the draws a one-seed
+run makes, in its own generator, and leaves the generator where that run
+leaves it.  ``phase1_broadcast``, ``phase2_exchange`` and
+``run_baseline`` are one-seed calls of the batch kernels, and
+``compare_schemes`` runs every seed of a config, in blocks of seeds that
+bound the memory a batch holds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +53,8 @@ class FileSpec:
         return self.source_packet_count
 
     def decoded(self, packets: np.ndarray) -> np.ndarray:
-        """Per-node decode flags of a (nodes, packets) bool matrix."""
-        return packets.sum(axis=1) >= self.decode_threshold
+        """Per-node decode flags of a (..., nodes, packets) bool matrix."""
+        return packets.sum(axis=-1) >= self.decode_threshold
 
 
 @dataclass(frozen=True)
@@ -105,8 +116,8 @@ class D2dGraph:
                 for c in range(self.component_count)]
 
 
-def _slot_count(traj: Trajectory, slot_duration: float) -> int:
-    return max(1, int(round(traj.duration / slot_duration)))
+def _slot_count(duration: float, slot_duration: float) -> int:
+    return max(1, int(round(duration / slot_duration)))
 
 
 def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
@@ -115,8 +126,8 @@ def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
     start of the slot, one slot per ``slot_duration`` over the flight."""
     if slot_duration <= 0:
         raise ValueError("slot_duration must be > 0")
-    times = (traj.states[0].time
-             + np.arange(_slot_count(traj, slot_duration)) * slot_duration)
+    slots = _slot_count(traj.duration, slot_duration)
+    times = traj.states[0].time + np.arange(slots) * slot_duration
     uav = traj.position_at(times)
     ground = np.asarray(positions, dtype=float).reshape(-1, 2)
     dx = uav[:, None, 0] - ground[None, :, 0]
@@ -131,6 +142,18 @@ def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
     return _within(slant, rx.coverage_radius, exact_slant)
 
 
+def _broadcast(coverage: np.ndarray, packets: np.ndarray,
+               rx: ReceptionModel, rngs) -> int:
+    """Phase 1 for a batch: ``packets`` is (seeds, nodes, slots) and
+    ``rngs`` holds one generator per seed, each drawing once."""
+    received = np.zeros((len(rngs),) + coverage.shape, dtype=bool)
+    cells = np.count_nonzero(coverage)
+    received[:, coverage] = [rng.random(cells) >= rx.erasure_probability
+                             for rng in rngs]
+    packets |= received.transpose(0, 2, 1)
+    return coverage.shape[0]
+
+
 def phase1_broadcast(coverage: np.ndarray, packets: np.ndarray,
                      rx: ReceptionModel, rng: np.random.Generator) -> int:
     """Broadcast one distinct coded packet per slot: packet s in slot s.
@@ -141,11 +164,7 @@ def phase1_broadcast(coverage: np.ndarray, packets: np.ndarray,
     (nodes, slots) matrix ``packets`` gains it.  Returns the number of UAV
     transmissions (one per slot over the full flight).
     """
-    received = np.zeros_like(coverage)
-    received[coverage] = (rng.random(np.count_nonzero(coverage))
-                          >= rx.erasure_probability)
-    packets |= received.T
-    return coverage.shape[0]
+    return _broadcast(coverage, packets[None], rx, [rng])
 
 
 @dataclass(frozen=True)
@@ -154,6 +173,86 @@ class ExchangeResult:
     success: bool
     stalled_components: tuple[tuple[int, ...], ...] = ()  # index tuples
     component_union_sizes: tuple[int, ...] = ()
+
+
+_BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)],
+                       dtype=np.int8)  # set bits per byte value
+
+
+def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
+              round_cap: int) -> list[ExchangeResult]:
+    """Phase 2 for a batch: ``packets`` is (seeds, nodes, packets), updated
+    in place, and ``rngs`` holds one generator per seed.  A round is one
+    set of mask operations over the seeds still gossiping, plus one
+    ``integers`` call per seed."""
+    seeds, _, width = packets.shape
+    # What the nodes hold, eight packets to a byte.
+    held = np.packbits(packets, axis=2, bitorder="little")
+    order = np.argsort(graph.labels, kind="stable")
+    firsts = np.searchsorted(graph.labels[order],
+                             np.arange(graph.component_count))
+    union_sizes = _BIT_COUNTS[np.bitwise_or.reduceat(
+        held[:, order], firsts, axis=1)].sum(axis=2)
+    short = union_sizes < file.decode_threshold
+    components = graph.connected_components()
+    stalled = [tuple(tuple(c) for c, s in zip(components, row) if s)
+               for row in short]
+    # Nodes of stalled components never decode; a seed is done once the
+    # others have.
+    settled = short[:, graph.labels]
+    edge_from, edge_to = np.nonzero(graph.adjacency)
+    size_type = np.min_scalar_type(-1 - width)  # holds a pool's size
+    rounds_used = np.zeros(seeds, dtype=int)
+    success = np.zeros(seeds, dtype=bool)
+    # The seeds still gossiping; each is written back to ``packets`` when
+    # it finishes.
+    live = np.arange(seeds)
+    already_sent = np.zeros_like(held)
+    rounds = 0
+    while True:
+        decoded = _BIT_COUNTS[held].sum(axis=2) >= file.decode_threshold
+        done = (decoded | settled).all(axis=1) | (rounds >= round_cap)
+        if done.any():
+            finished = live[done]
+            packets[finished] = np.unpackbits(held[done], axis=2, count=width,
+                                              bitorder="little")
+            rounds_used[finished] = rounds
+            success[finished] = decoded[done].all(axis=1)
+            live, held, already_sent, settled = (
+                rows[~done] for rows in (live, held, already_sent, settled))
+            if not live.size:
+                break
+        # Snapshot first: all broadcasts in a round are simultaneous.
+        fresh = held & ~already_sent
+        pool = np.where(fresh.any(axis=2, keepdims=True), fresh, held)
+        byte_sizes = _BIT_COUNTS[pool]
+        ends = byte_sizes.cumsum(axis=2, dtype=size_type)
+        senders = ends[..., -1] > 0
+        rows, nodes = np.nonzero(senders)
+        highs = np.split(ends[rows, nodes, -1],
+                         np.cumsum(np.count_nonzero(senders, axis=1))[:-1])
+        picks = np.concatenate(
+            [rngs[seed].integers(0, high) for seed, high in zip(live, highs)])
+        # A pick indexes the sender's pool in ascending packet order: find
+        # the byte that holds it, then the bit.
+        byte = np.argmax(ends[rows, nodes] > picks[:, None], axis=1)
+        rank = picks - ends[rows, nodes, byte] + byte_sizes[rows, nodes, byte]
+        bits = np.unpackbits(pool[rows, nodes, byte, None], axis=1,
+                             bitorder="little").cumsum(axis=1)
+        bit = (1 << np.argmax(bits > rank[:, None], axis=1)).astype(np.uint8)
+        already_sent[rows, nodes, byte] |= bit
+        sent_byte = np.zeros(senders.shape, dtype=byte.dtype)
+        sent_bit = np.zeros(senders.shape, dtype=np.uint8)
+        sent_byte[rows, nodes], sent_bit[rows, nodes] = byte, bit
+        rows, edges = np.nonzero(senders[:, edge_from])
+        source = edge_from[edges]
+        np.bitwise_or.at(held, (rows, edge_to[edges], sent_byte[rows, source]),
+                         sent_bit[rows, source])
+        rounds += 1
+    return [ExchangeResult(count, ok, stalled[seed], tuple(sizes))
+            for seed, (count, ok, sizes) in enumerate(zip(
+                rounds_used.tolist(), success.tolist(),
+                union_sizes.tolist()))]
 
 
 def phase2_exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec,
@@ -171,38 +270,7 @@ def phase2_exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec,
     in place; a round's picks are one ``integers`` call, in node order,
     each an index into the sender's pool in ascending packet order.
     """
-    union = np.zeros((graph.component_count, packets.shape[1]), dtype=bool)
-    holders, held = np.nonzero(packets)
-    union[graph.labels[holders], held] = True
-    union_sizes = union.sum(axis=1)
-    short = union_sizes < file.decode_threshold
-    stalled = tuple(tuple(component) for component, s
-                    in zip(graph.connected_components(), short) if s)
-    # Nodes of the components that can still finish.
-    reachable = ~short[graph.labels]
-    already_sent = np.zeros_like(packets)
-    rounds = 0
-    while True:
-        decoded = file.decoded(packets)
-        if decoded.all() or rounds >= round_cap or (
-                stalled and decoded[reachable].all()):
-            break
-        # Snapshot first: all broadcasts in a round are simultaneous.
-        fresh = packets & ~already_sent
-        pool = np.where(fresh.any(axis=1, keepdims=True), fresh, packets)
-        pool_sizes = pool.sum(axis=1)
-        senders = np.flatnonzero(pool_sizes)
-        picks = rng.integers(0, pool_sizes[senders])
-        # Pools laid end to end in row-major order; a sender's pick indexes
-        # into its own run.
-        starts = np.cumsum(pool_sizes) - pool_sizes
-        sent = np.flatnonzero(pool)[starts[senders] + picks] % pool.shape[1]
-        already_sent[senders, sent] = True
-        links, receivers = np.nonzero(graph.adjacency[senders])
-        packets[receivers, sent[links]] = True
-        rounds += 1
-    return ExchangeResult(rounds, bool(decoded.all()), stalled,
-                          tuple(union_sizes.tolist()))
+    return _exchange(packets[None], graph, file, [rng], round_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -213,7 +281,110 @@ class BaselineResult:
     missing_per_node: dict[int, int] | None = None  # populated on cap failure
 
 
-_SEGMENT_CELLS = 4096  # (slot, node) cells a baseline segment covers at least
+# (seed, slot, node) cells a baseline step covers at least, up to a pass per
+# seed: below a few thousand, numpy's per-call cost dominates.
+_STEP_CELLS = 4096
+
+
+def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
+              rx: ReceptionModel, rngs, pass_cap: int) -> list[BaselineResult]:
+    """The baseline for a batch: ``packets`` is (seeds, nodes, K), updated
+    in place, and ``rngs`` holds one generator per seed.
+
+    The seeds still running step in lockstep over windows of whole packet
+    cycles; each ends its step at its first node completion, since its
+    pending set is fixed until then.  Draws are only compared with the
+    erasure probability, so each seed keeps the draws a step did not use
+    as hits, the start of its next step's draws; at the end the generator
+    is rewound to the last draw used.
+    """
+    k = file.source_packet_count
+    slots_per_pass, nodes = coverage.shape
+    limit = pass_cap * slots_per_pass
+    pass_cycles = -(-slots_per_pass // k)  # packet cycles covering a pass
+    # The coverage of any window's consecutive transmissions is a slice.
+    tiled = coverage[np.arange(slots_per_pass + k * pass_cycles)
+                     % slots_per_pass]
+    have = packets.transpose(0, 2, 1).copy()  # (seeds, K, nodes)
+    have_rows = have.reshape(-1, nodes)  # row seed * K + packet
+    counts = have.sum(axis=1)
+    pending = counts < k
+    sent = np.zeros(len(rngs), dtype=np.int64)
+    ahead = [np.zeros(0, dtype=bool)] * len(rngs)
+    drawn = [0] * len(rngs)
+    marks = [[] for _ in rngs]  # (draws before, generator state) per draw
+    live = np.flatnonzero(pending.any(axis=1)) if limit else sent[:0]
+    while live.size:
+        cycles = min(max(-(-_STEP_CELLS // (live.size * k * nodes)), 1),
+                     pass_cycles)
+        window = k * cycles
+        base = sent[live]
+        span = np.minimum(window, limit - base)
+        slot_ids = np.arange(window, dtype=np.min_scalar_type(window))
+        covered = (tiled[base[:, None] % slots_per_pass + slot_ids]
+                   & pending[live, None, :])
+        if (span < window).any():
+            covered[slot_ids >= span[:, None]] = False
+        per_slot = np.count_nonzero(covered, axis=2).cumsum(axis=1)
+        hits = []
+        for seed, needed in zip(live.tolist(), per_slot[:, -1].tolist()):
+            short = needed - ahead[seed].size
+            if short > 0:
+                # Marks before the one that holds the first unused draw are
+                # spent.
+                while (len(marks[seed]) > 1 and marks[seed][1][0]
+                       <= drawn[seed] - ahead[seed].size):
+                    del marks[seed][0]
+                rng = rngs[seed]
+                marks[seed].append((drawn[seed], rng.bit_generator.state))
+                more = max(short, needed)  # a step's draws ahead
+                ahead[seed] = np.concatenate(
+                    [ahead[seed], rng.random(more) >= rx.erasure_probability])
+                drawn[seed] += more
+            hits.append(ahead[seed][:needed])
+        received = np.zeros_like(covered)
+        received[covered] = np.concatenate(hits)
+        # Row c of every cycle sends packet (sent + c) % K; keep each
+        # packet's first arrival.
+        arrival = np.where(received, slot_ids[:, None], window).reshape(
+            live.size, cycles, k, nodes).min(axis=1)
+        rows = (live[:, None] * k + (base[:, None] + slot_ids[:k]) % k)
+        held = have_rows[rows]
+        # A pending node completes once the last of its K - count missing
+        # packets arrives.
+        completion = np.where(held, 0, arrival).max(axis=1)
+        completion[~pending[live]] = window
+        first = completion.min(axis=1).astype(np.int64)
+        used = np.where(first < window, first + 1, span)
+        landed = (arrival < used[:, None, None]) & ~held
+        have_rows[rows] |= landed
+        counts[live] += np.count_nonzero(landed, axis=1)
+        pending[live] &= counts[live] < k
+        for seed, taken in zip(live.tolist(),
+                               per_slot[np.arange(live.size), used - 1]):
+            ahead[seed] = ahead[seed][taken:]
+        sent[live] += used
+        live = live[pending[live].any(axis=1) & (sent[live] < limit)]
+    for rng, unused, total, seed_marks in zip(rngs, ahead, drawn, marks):
+        if unused.size:
+            offset, state = next(mark for mark in reversed(seed_marks)
+                                 if mark[0] <= total - unused.size)
+            rng.bit_generator.state = state
+            rng.random(total - unused.size - offset)
+    packets[...] = have.transpose(0, 2, 1)
+    results = []
+    for transmissions, left, missing in zip(sent.tolist(), pending,
+                                            k - counts):
+        if left.any() or not limit:
+            results.append(BaselineResult(transmissions, pass_cap, False, {
+                int(n): int(missing[n]) for n in np.flatnonzero(left)}))
+        else:
+            # With nobody pending the first slot still goes out.
+            transmissions = max(transmissions, 1)
+            results.append(BaselineResult(
+                transmissions, (transmissions - 1) // slots_per_pass + 1,
+                True))
+    return results
 
 
 def run_baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
@@ -225,71 +396,49 @@ def run_baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
     the (S slots, nodes) ``coverage`` mask, continuing the packet cycle
     over repeated flights of the same trajectory.  ``packets`` is the
     (nodes, K) matrix, updated in place.  Returns total transmissions
-    (count at the completing slot).
-
-    The draws are those of a slot-by-slot loop: one per covered node
-    still missing packets, slot-major.  The loop runs in segments that
-    end at the first slot where a pending node completes, since the
-    pending set is fixed in between.  A segment draws for whole packet
-    cycles ahead, up to one pass, then rewinds the generator to the draws
-    it used.
+    (count at the completing slot).  The draws are those of a
+    slot-by-slot loop: one per covered node still missing packets,
+    slot-major.
     """
-    k = file.source_packet_count
-    slots_per_pass, nodes = coverage.shape
-    limit = pass_cap * slots_per_pass
-    pass_cycles = -(-slots_per_pass // k)  # packet cycles covering a pass
-    cycles = pass_cycles  # segment length, in packet cycles
-    # The coverage of any segment's consecutive transmissions is a slice.
-    slot_ids = np.arange(k * pass_cycles)
-    tiled = coverage[np.arange(slots_per_pass + slot_ids.size)
-                     % slots_per_pass]
-    have = packets.T.copy()  # (K, nodes): row p is packet p
-    counts = have.sum(axis=0)
-    pending = counts < k
-    transmissions = 0
-    while transmissions < limit and pending.any():
-        span = min(k * cycles, limit - transmissions)
-        horizon = k * -(-span // k)
-        start = transmissions % slots_per_pass
-        covered = tiled[start:start + span] & pending
-        state = rng.bit_generator.state
-        received = np.zeros((horizon, nodes), dtype=bool)
-        received[:span][covered] = (rng.random(int(covered.sum()))
-                                    >= rx.erasure_probability)
-        # Segment slot r*K + c sends packet (transmissions + c) % K, so row
-        # c of every cycle carries the same packet; keep its first arrival.
-        arrival = np.where(received, slot_ids[:horizon, None],
-                           horizon).reshape(-1, k, nodes).min(axis=0)
-        rows = (transmissions + np.arange(k)) % k
-        arrival[have[rows]] = horizon
-        # A node completes at its (K - count)-th earliest fresh arrival.
-        need = np.maximum(k - counts, 1)
-        completion = np.sort(arrival.T, axis=1)[np.arange(nodes), need - 1]
-        first = int(completion.min())
-        used = span
-        cycles = min(2 * cycles, pass_cycles)
-        if first < horizon:
-            used = first + 1
-            rng.bit_generator.state = state
-            rng.random(int(covered[:used].sum()))
-            # The next completion is likely about as far away as this one,
-            # but below a few thousand cells numpy's per-call cost dominates.
-            cycles = min(max(-(-used // k), _SEGMENT_CELLS // (k * nodes)),
-                         pass_cycles)
-        landed = arrival < used
-        have[rows] |= landed
-        counts += landed.sum(axis=0)
-        pending &= counts < k
-        transmissions += used
-    packets[...] = have.T
-    if pending.any() or not limit:
-        missing = {int(n): k - int(counts[n]) for n in np.flatnonzero(pending)}
-        return BaselineResult(transmissions, pass_cap, False, missing)
-    # With nobody pending the first slot still goes out.
-    transmissions = max(transmissions, 1)
-    return BaselineResult(transmissions,
-                          (transmissions - 1) // slots_per_pass + 1, True)
+    return _baseline(coverage, packets[None], file, rx, [rng], pass_cap)[0]
 
+
+# Cells of one block of seeds in ``compare_schemes``: per seed, nodes x
+# (slots + K + nodes), which bounds its packet matrices, a baseline step's
+# window and a gossip round's D2D links.
+_BLOCK_CELLS = 1 << 18
+
+
+def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
+                    rx: ReceptionModel, coded_rngs, baseline_rngs,
+                    round_cap: int = 10_000, pass_cap: int = 1_000) -> list:
+    """Coded broadcast plus D2D gossip against the uncoded baseline, one
+    seed per pair of generators from the two iterables, all seeds in one
+    batched pass.
+
+    Takes the generators as it runs them, in blocks of at most
+    ``_BLOCK_CELLS`` cells.  Returns, per seed, the coded transmissions,
+    the ``ExchangeResult``, the ``BaselineResult``, and per node the
+    packets held after phase 1 and the decode flags after phase 2: what
+    ``phase1_broadcast``, ``phase2_exchange`` and ``run_baseline`` give for
+    that seed.
+    """
+    slots, nodes = coverage.shape
+    k = file.source_packet_count
+    block = max(1, _BLOCK_CELLS // (nodes * (slots + k + nodes)))
+    coded_rngs, baseline_rngs = iter(coded_rngs), iter(baseline_rngs)
+    outcomes = []
+    while rngs := list(itertools.islice(coded_rngs, block)):
+        packets = np.zeros((len(rngs), nodes, slots), dtype=bool)
+        coded_tx = _broadcast(coverage, packets, rx, rngs)
+        after_phase1 = np.count_nonzero(packets, axis=2)
+        exchanges = _exchange(packets, graph, file, rngs, round_cap)
+        baselines = _baseline(
+            coverage, np.zeros((len(rngs), nodes, k), dtype=bool), file, rx,
+            list(itertools.islice(baseline_rngs, len(rngs))), pass_cap)
+        outcomes += [(coded_tx, *outcome) for outcome in zip(
+            exchanges, baselines, after_phase1, file.decoded(packets))]
+    return outcomes
 
 def cluster_nodes(positions, d2d_range: float) -> list[list[int]]:
     """Connected components of the D2D graph, as sorted node-index lists."""

@@ -27,10 +27,9 @@ from .channel import (ChannelModel, LinkGeometry, SnrReference,
 from .coverage import (ExcessLoss, LosProbabilityModel, _altitude_grid,
                        coverage_curve, write_coverage_csv)
 from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                            coverage_mask, phase1_broadcast, phase2_exchange,
-                            run_baseline, write_node_detail_csv,
-                            write_summary_csv)
-from .mobility import (RelayGeometry, _check_step_divides,
+                            _slot_count, compare_schemes, coverage_mask,
+                            write_node_detail_csv, write_summary_csv)
+from .mobility import (RelayGeometry, _check_step_divides, _overflight_steps,
                        overflight_trajectory)
 from .relay import (RelayStrategy, simulate_cycle, sweep_delay,
                     write_sweep_csv, write_trace_csv)
@@ -195,6 +194,8 @@ _LIBRARY_NAMES = {
     "reference_distance": ("reference_distance_m",),
     "relative_speed": ("relative_speed_mps",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
+# Cells in the D2D adjacency or the coverage mask, or overflight samples.
+MAX_DISSEMINATION_CELLS = 10 ** 7
 
 
 def _check_value(name: str, value, example) -> None:
@@ -231,8 +232,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
 
     Checks the fields against the scenario's preset, then the bounds by
     building the objects the scenario's runner builds, and the size of the
-    run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle and
-    ``coverage.MAX_GRID_POINTS`` altitudes.
+    run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle,
+    ``coverage.MAX_GRID_POINTS`` altitudes, ``MAX_DISSEMINATION_CELLS``
+    cells per dissemination seed and a LoS sigmoid that does not overflow.
     """
     if not isinstance(config.scenario, str) or config.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; expected "
@@ -278,8 +280,17 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             ReceptionModel(params["coverage_radius_m"],
                            params["erasure_probability"])
             FileSpec(params["source_packet_count"])
+            _check_dissemination_size(params)
         elif config.scenario == "coverage":
-            _coverage_models(params)
+            los, _ = _coverage_models(params)
+            try:
+                los.los_probability(0.0)  # the sigmoid's largest exponent
+            except OverflowError:
+                raise ConfigError(
+                    f"s_curve_a * s_curve_b = "
+                    f"{params['s_curve_a'] * params['s_curve_b']:g} "
+                    f"overflows exp() in the LoS probability at elevation "
+                    f"0")
             if params["altitude_max_m"] < params["altitude_min_m"]:
                 raise ConfigError("altitude_max_m must be >= altitude_min_m")
             _altitude_grid((params["altitude_min_m"],
@@ -381,20 +392,47 @@ def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
                            "strategies": params["strategies"]}}
 
 
+_FLIGHT_STEP_S = 0.1  # time step of the dissemination overflight
+
+
+def _flight_ends(params):
+    """Start and end of the dissemination overflight.  It passes both
+    field edges by the coverage radius, so boundary nodes get full coverage
+    windows (otherwise the baseline can starve them of packet indices)."""
+    overshoot = params["coverage_radius_m"]
+    altitude = params["uav_altitude_m"]
+    return ((-overshoot, 0.0, altitude),
+            (params["field_length_m"] + overshoot, 0.0, altitude))
+
+
+def _check_dissemination_size(params) -> None:
+    """At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or
+    the coverage mask, or samples in the overflight."""
+    nodes = params["node_count"]
+    steps = _overflight_steps(math.dist(*_flight_ends(params)),
+                              params["uav_speed_mps"], _FLIGHT_STEP_S)
+    slots = _slot_count(steps * _FLIGHT_STEP_S, params["slot_duration_s"])
+    for size, what in (
+            (nodes * nodes, f"node_count {nodes} gives a D2D adjacency of "
+                            f"{nodes * nodes} cells"),
+            (slots * nodes, f"field_length_m, uav_speed_mps and "
+                            f"slot_duration_s give {slots} slots, so "
+                            f"node_count {nodes} gives a coverage mask of "
+                            f"{slots * nodes} cells"),
+            (steps + 1, f"field_length_m and uav_speed_mps give an "
+                        f"overflight of {steps + 1} samples")):
+        if size > MAX_DISSEMINATION_CELLS:
+            raise ConfigError(f"{what}, more than {MAX_DISSEMINATION_CELLS}")
+
+
 def _dissemination_scenario(params):
     """The seed-free part of a dissemination config: the (slots, nodes)
     coverage mask, the D2D graph, and the reception and file models."""
     n = params["node_count"]
-    length = params["field_length_m"]
-    spacing = length / n
+    spacing = params["field_length_m"] / n
     positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
-    # Overfly past both field edges so boundary nodes get full coverage
-    # windows (otherwise the baseline can starve them of packet indices).
-    overshoot = params["coverage_radius_m"]
-    traj = overflight_trajectory((-overshoot, 0.0, params["uav_altitude_m"]),
-                                 (length + overshoot, 0.0,
-                                  params["uav_altitude_m"]),
-                                 params["uav_speed_mps"], 0.1)
+    traj = overflight_trajectory(*_flight_ends(params),
+                                 params["uav_speed_mps"], _FLIGHT_STEP_S)
     rx = ReceptionModel(params["coverage_radius_m"],
                         params["erasure_probability"])
     file = FileSpec(params["source_packet_count"])
@@ -402,37 +440,35 @@ def _dissemination_scenario(params):
     return coverage, D2dGraph(positions, params["d2d_range_m"]), rx, file
 
 
-def run_dissemination_pair(params: dict, seed: int, scenario=None):
-    """One seeded coded-vs-baseline comparison.
+def run_dissemination_pairs(params: dict, seeds, scenario=None) -> list:
+    """Seeded coded-vs-baseline comparisons, all seeds in one batched pass.
 
     ``scenario`` is ``_dissemination_scenario(params)``, built here when
-    not given.  Returns the coded transmissions, the ``ExchangeResult``,
-    the ``BaselineResult``, and per node the packets held after phase 1
-    and the decode flags after phase 2.
+    not given.  Returns per seed the coded transmissions, the
+    ``ExchangeResult``, the ``BaselineResult``, and per node the packets
+    held after phase 1 and the decode flags after phase 2.  Each seed
+    seeds one generator for the coded scheme and one for the baseline.
     """
     coverage, graph, rx, file = scenario or _dissemination_scenario(params)
-    slots, nodes = coverage.shape
-    packets = np.zeros((nodes, slots), dtype=bool)
-    rng = np.random.default_rng(seed)
-    coded_tx = phase1_broadcast(coverage, packets, rx, rng)
-    packets_after_phase1 = np.count_nonzero(packets, axis=1)
-    exchange = phase2_exchange(packets, graph, file, rng)
-    baseline = run_baseline(
-        coverage, np.zeros((nodes, file.source_packet_count), dtype=bool),
-        file, rx, np.random.default_rng(seed))
-    return (coded_tx, exchange, baseline, packets_after_phase1,
-            file.decoded(packets))
+    return compare_schemes(coverage, graph, file, rx,
+                           (np.random.default_rng(seed) for seed in seeds),
+                           (np.random.default_rng(seed) for seed in seeds))
+
+
+def run_dissemination_pair(params: dict, seed: int, scenario=None):
+    """One seeded coded-vs-baseline comparison: ``run_dissemination_pairs``
+    for the one seed."""
+    return run_dissemination_pairs(params, [seed], scenario)[0]
 
 
 def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     params = config.params
-    scenario = _dissemination_scenario(params)
+    seeds = [derive_seed(config.master_seed, run_index)
+             for run_index in range(params["n_seeds"])]
     summary_rows = []
     detail_rows = []
-    for run_index in range(params["n_seeds"]):
-        seed = derive_seed(config.master_seed, run_index)
-        coded_tx, exchange, baseline, after_p1, decoded = \
-            run_dissemination_pair(params, seed, scenario)
+    for run_index, (coded_tx, exchange, baseline, after_p1, decoded) in \
+            enumerate(run_dissemination_pairs(params, seeds)):
         summary_rows.append(["dissem", run_index, "coded_d2d", coded_tx,
                              exchange.rounds_used, int(exchange.success)])
         summary_rows.append(["dissem", run_index, "baseline",

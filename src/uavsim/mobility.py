@@ -214,6 +214,12 @@ def ferry_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
                                geom.uav_altitude, time_step)
 
 
+def _overflight_steps(length: float, speed: float, time_step: float) -> int:
+    """Time steps of ``overflight_trajectory`` over a path of ``length``;
+    its duration is this many ``time_step``s."""
+    return math.ceil(length / (speed * time_step) - 1e-12)
+
+
 def overflight_trajectory(start: tuple[float, float, float],
                           end: tuple[float, float, float],
                           speed: float, time_step: float) -> Trajectory:
@@ -224,7 +230,7 @@ def overflight_trajectory(start: tuple[float, float, float],
     if length == 0.0:
         return Trajectory(states=(UavState(0.0, tuple(start), 0.0),),
                           time_step=time_step)
-    n = math.ceil(length / (speed * time_step) - 1e-12)
+    n = _overflight_steps(length, speed, time_step)
     states = []
     for i in range(n + 1):
         t = i * time_step

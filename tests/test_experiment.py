@@ -442,6 +442,14 @@ class TestMalformedConfigs:
         ("fig3", {"delay_budget_s": 50000.5}, {}, []),
         ("fig4", {"delays_s": [5.0, 1e6]}, {}, []),
         ("fig4", {}, {}, ["--time-step", "1e-5"]),
+        # More than 10**7 cells in a dissemination seed's D2D adjacency or
+        # coverage mask, or samples in its overflight.
+        ("dissem20", {"node_count": 200000}, {}, []),
+        ("dissem20", {"slot_duration_s": 1e-9}, {}, []),
+        ("dissem20", {"field_length_m": 1e12, "slot_duration_s": 1e12}, {},
+         []),
+        # exp(a * b) in the LoS sigmoid overflows at elevation 0.
+        ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, {}, []),
     ])
     def test_out_of_range(self, tmp_path, preset, params, top, flags):
         config = {"preset": preset, "params": params, **top}
@@ -457,6 +465,10 @@ class TestMalformedConfigs:
         ("dissem20", {"coverage_radius_m": -1.0}, "coverage_radius_m"),
         ("urban_coverage", {"eta_nlos_db": 0.5}, "eta_nlos_db"),
         ("urban_coverage", {"altitude_step_m": 1e-3}, "altitude_step_m"),
+        ("urban_coverage", {"s_curve_b": -1}, "s_curve_b"),
+        ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, "s_curve_a"),
+        ("dissem20", {"node_count": 200000}, "node_count"),
+        ("dissem20", {"slot_duration_s": 1e-9}, "slot_duration_s"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):

@@ -22,9 +22,17 @@ from uavsim.experiment import preset_config, run
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "csv_sha256.json").read_text())
 CASES = sorted({tuple(key.split("/")[:2]) for key in GOLDEN})
-# The coverage workload's 1 m grid: its radii come from a lockstep array
-# bisection whose every comparison must match the scalar one.
-VARIANTS = {"urban_coverage_1m": ("urban_coverage", {"altitude_step_m": 1.0})}
+VARIANTS = {
+    # The coverage workload's 1 m grid: its radii come from a lockstep
+    # array bisection whose every comparison must match the scalar one.
+    "urban_coverage_1m": ("urban_coverage", {"altitude_step_m": 1.0}),
+    # Seeds that need from 0 to 50 gossip rounds, with 16 to 18 of the 18
+    # D2D components stalled: node gaps of 1000/30 m differ in their last
+    # bits, so a range of 100/3 m links some neighbours and not others.
+    "dissem20_staggered": ("dissem20", {"node_count": 30,
+                                        "d2d_range_m": 100 / 3,
+                                        "erasure_probability": 0.6}),
+}
 
 
 @pytest.mark.parametrize("case,seed", CASES)
