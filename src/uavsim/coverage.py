@@ -273,4 +273,4 @@ def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,
 
 def write_coverage_csv(rows, path) -> None:
     """Rows of (altitude_m, coverage_radius_m)."""
-    write_csv(path, ["altitude_m", "coverage_radius_m"], rows)
+    write_csv(path, ["altitude_m", "coverage_radius_m"], zip(*rows))

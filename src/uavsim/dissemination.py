@@ -449,10 +449,10 @@ def write_summary_csv(rows, path) -> None:
     """Per-run summary rows: (scenario_id, seed, scheme, uav_transmissions,
     d2d_rounds, success)."""
     write_csv(path, ["scenario_id", "seed", "scheme", "uav_transmissions",
-                     "d2d_rounds", "success"], rows)
+                     "d2d_rounds", "success"], zip(*rows))
 
 
 def write_node_detail_csv(rows, path) -> None:
     """Per-node rows: (node_id, packets_after_phase1, decoded_after_phase2)."""
     write_csv(path, ["node_id", "packets_after_phase1",
-                     "decoded_after_phase2"], rows)
+                     "decoded_after_phase2"], zip(*rows))

@@ -266,6 +266,14 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                 list(map(RelayStrategy, params["strategies"]))
             else:
                 delays = [params["delay_budget_s"]]
+                speeds = {}
+                for v in params["speeds_mps"]:
+                    label = _trace_label("mobile", v)
+                    if label in speeds:
+                        raise ConfigError(
+                            f"speeds_mps {speeds[label]!r} and {v!r} both "
+                            f"name the trace trace_{label}.csv")
+                    speeds[label] = v
             for delay in delays:
                 for v in params["speeds_mps"]:
                     RelayGeometry(params["separation_m"],
@@ -359,6 +367,11 @@ def _relay_setup(params):
     return channel, ref
 
 
+def _trace_label(strategy: str, v: float) -> str:
+    """A relay trace's series label; its file is ``trace_<label>.csv``."""
+    return "static" if strategy == "static" else f"mobile_v{v:g}"
+
+
 def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     params = config.params
     channel, ref = _relay_setup(params)
@@ -369,7 +382,7 @@ def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
                              v, params["delay_budget_s"])
         result = simulate_cycle(RelayStrategy(strategy), geom, channel, ref,
                                 time_step=config.time_step)
-        label = "static" if strategy == "static" else f"mobile_v{v:g}"
+        label = _trace_label(strategy, v)
         name = f"trace_{label}.csv"
         write_trace_csv(result, out / name)
         files.append(name)
@@ -523,7 +536,7 @@ def _run_channel_probe(config: ExperimentConfig, out: Path) -> tuple[list, dict]
     name = "probe.csv"
     write_csv(out / name, ["ground_range_m", "slant_m", "fspl_db", "snr_db",
                            "se_bpshz", "doppler_hz"],
-              _probe_rows(config.params))
+              zip(*_probe_rows(config.params)))
     return [name], {name: {"kind": "channel_probe"}}
 
 
@@ -605,7 +618,7 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
                              else f"{strategy}_v{float(v):g}")
                     rows.append((delta_s, label, se))
                 plot_name = "plot_se_vs_delay.csv"
-                write_csv(out / plot_name, ["x", "series", "y"], rows)
+                write_csv(out / plot_name, ["x", "series", "y"], zip(*rows))
                 emitted.append(plot_name)
         except ValueError as exc:  # a row too short or long, or not a number
             raise ConfigError(f"malformed {out / name}: {exc}") from exc
@@ -614,8 +627,8 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
         half = max(row[0] for row in trace_rows) / 2.0
         # Active link: source during phase 1, destination after.
         write_csv(out / plot_name, ["x", "series", "y"],
-                  ((t, label, pl_src if time < half else pl_dst)
-                   for time, t, label, pl_src, pl_dst in trace_rows))
+                  zip(*((t, label, pl_src if time < half else pl_dst)
+                        for time, t, label, pl_src, pl_dst in trace_rows)))
         emitted.append(plot_name)
     if not emitted:
         raise ConfigError("manifest contains no plottable outputs")

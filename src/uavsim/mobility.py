@@ -89,8 +89,10 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write columns time_s, x_m, y_m, z_m."""
+        # One array per column, so that a column of ints stays ints.
         write_csv(path, ["time_s", "x_m", "y_m", "z_m"],
-                  ([s.time, *s.position] for s in self.states))
+                  [np.array(column) for column in
+                   zip(*((s.time, *s.position) for s in self.states))])
 
 
 @dataclass(frozen=True)

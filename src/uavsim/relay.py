@@ -236,13 +236,12 @@ def write_trace_csv(result: RelayRunResult, path) -> None:
     """Trace file: time_s, pl_src_db, pl_dst_db, se_bpshz, buffer_bits."""
     write_csv(path, ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
                      "buffer_bits"],
-              zip(result.times.tolist(), result.path_loss_src.tolist(),
-                  result.path_loss_dst.tolist(), result.se.tolist(),
-                  result.occupancy.tolist()))
+              [result.times, result.path_loss_src, result.path_loss_dst,
+               result.se, result.occupancy])
 
 
 def write_sweep_csv(rows, path) -> None:
     """Sweep table: delta_s, v_mps, strategy, se_bpshz, feasible."""
     write_csv(path, ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"],
-              ([row.delay_budget, row.v_max, row.strategy.value,
-                row.end_to_end_se, int(row.feasible)] for row in rows))
+              zip(*((row.delay_budget, row.v_max, row.strategy.value,
+                     row.end_to_end_se, int(row.feasible)) for row in rows)))

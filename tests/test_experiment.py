@@ -469,6 +469,9 @@ class TestMalformedConfigs:
         ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, "s_curve_a"),
         ("dissem20", {"node_count": 200000}, "node_count"),
         ("dissem20", {"slot_duration_s": 1e-9}, "slot_duration_s"),
+        # Two speeds that would write, and list, one trace file twice.
+        ("fig3", {"speeds_mps": [10, 10.0, 30]}, "speeds_mps"),
+        ("fig3", {"speeds_mps": [30.0, 10.000001, 10.0]}, "speeds_mps"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -339,3 +340,21 @@ class TestTrajectoryCsv:
         assert len(lines) == len(traj.states) + 1
         t, x, y, z = (float(v) for v in lines[1].split(","))
         assert (t, x, y, z) == (0.0, 500.0, 0.0, 100.0)
+
+    @pytest.mark.parametrize("traj", [
+        mobile_relay_trajectory(relay_geom(100.0), time_step=0.01),
+        ferry_trajectory(relay_geom(100.0), time_step=0.01),
+        # Int geometry: the z and time columns stay ints.
+        mobile_relay_trajectory(RelayGeometry(1000, 100, 50, 20), 0.1),
+        overflight_trajectory((0, 0, 50), (10, 5, 50), 1, 1),
+        overflight_trajectory((3, 4, 5), (3, 4, 5), 1.0, 0.5),
+    ], ids=["mobile", "ferry", "int_geometry", "int_overflight", "hover"])
+    def test_bytes_match_row_writer(self, tmp_path, traj):
+        """The bytes ``csv`` wrote from one [time, x, y, z] row per state."""
+        with open(tmp_path / "rows.csv", "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["time_s", "x_m", "y_m", "z_m"])
+            writer.writerows([s.time, *s.position] for s in traj.states)
+        traj.to_csv(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
