@@ -11,9 +11,9 @@ from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       doppler_shift, free_space_path_loss,
                       sample_rician_gain, snr_at, spectral_efficiency,
                       two_ray_path_loss)
-from .mobility import (RelayGeometry, Trajectory, UavState,
-                       ferry_trajectory, mobile_relay_trajectory,
-                       overflight_trajectory, validate_trajectory)
+from .mobility import (RelayGeometry, Trajectory, ferry_trajectory,
+                       mobile_relay_trajectory, overflight_trajectory,
+                       validate_trajectory)
 from .relay import (RelayRunResult, RelayStrategy, buffer_requirement,
                     path_loss_trace, simulate_cycle, sweep_delay)
 from .coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,

@@ -127,7 +127,7 @@ def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
     if slot_duration <= 0:
         raise ValueError("slot_duration must be > 0")
     slots = _slot_count(traj.duration, slot_duration)
-    times = traj.states[0].time + np.arange(slots) * slot_duration
+    times = traj.times[0] + np.arange(slots) * slot_duration
     uav = traj.position_at(times)
     ground = np.asarray(positions, dtype=float).reshape(-1, 2)
     dx = uav[:, None, 0] - ground[None, :, 0]

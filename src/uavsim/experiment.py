@@ -82,9 +82,19 @@ class RunManifest:
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
         try:
-            return cls(**json.loads(Path(path).read_text()))
+            manifest = cls(**json.loads(Path(path).read_text()))
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"cannot load manifest {path}: {exc}") from exc
+        files, series = manifest.output_files, manifest.series
+        if not (isinstance(manifest.output_directory, str)
+                and isinstance(files, list) and isinstance(series, dict)
+                and all(isinstance(name, str) for name in files)
+                and all(isinstance(meta, dict) for meta in series.values())):
+            raise ConfigError(
+                f"manifest {path}: output_directory must be a path, "
+                f"output_files a list of file names and series an object "
+                f"of objects")
+        return manifest
 
 
 def derive_seed(master_seed: int, run_index: int) -> int:
@@ -266,14 +276,14 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                 list(map(RelayStrategy, params["strategies"]))
             else:
                 delays = [params["delay_budget_s"]]
-                speeds = {}
-                for v in params["speeds_mps"]:
-                    label = _trace_label("mobile", v)
-                    if label in speeds:
-                        raise ConfigError(
-                            f"speeds_mps {speeds[label]!r} and {v!r} both "
-                            f"name the trace trace_{label}.csv")
-                    speeds[label] = v
+            speeds = {}
+            for v in params["speeds_mps"]:
+                label = _series_label("mobile", v)
+                if label in speeds:
+                    raise ConfigError(
+                        f"speeds_mps {speeds[label]!r} and {v!r} both "
+                        f"have the series label {label}")
+                speeds[label] = v
             for delay in delays:
                 for v in params["speeds_mps"]:
                     RelayGeometry(params["separation_m"],
@@ -367,9 +377,10 @@ def _relay_setup(params):
     return channel, ref
 
 
-def _trace_label(strategy: str, v: float) -> str:
-    """A relay trace's series label; its file is ``trace_<label>.csv``."""
-    return "static" if strategy == "static" else f"mobile_v{v:g}"
+def _series_label(strategy: str, v: float) -> str:
+    """The plot series of a relay strategy at speed ``v``; a trace's file
+    is ``trace_<label>.csv``."""
+    return "static" if strategy == "static" else f"{strategy}_v{v:g}"
 
 
 def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
@@ -382,7 +393,7 @@ def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
                              v, params["delay_budget_s"])
         result = simulate_cycle(RelayStrategy(strategy), geom, channel, ref,
                                 time_step=config.time_step)
-        label = _trace_label(strategy, v)
+        label = _series_label(strategy, v)
         name = f"trace_{label}.csv"
         write_trace_csv(result, out / name)
         files.append(name)
@@ -614,9 +625,8 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
                         if delta_s in static_seen:
                             continue
                         static_seen.add(delta_s)
-                    label = (strategy if strategy == "static"
-                             else f"{strategy}_v{float(v):g}")
-                    rows.append((delta_s, label, se))
+                    rows.append((delta_s, _series_label(strategy, float(v)),
+                                 se))
                 plot_name = "plot_se_vs_delay.csv"
                 write_csv(out / plot_name, ["x", "series", "y"], zip(*rows))
                 emitted.append(plot_name)

@@ -1,18 +1,18 @@
 """UAV kinematics: trajectory types, generators, and validation.
 
-Trajectories are uniform-step sampled polylines (discrete-time state
-sequences) subject to a max-speed transition constraint.  Generators
-cover the three flight patterns used by the relaying and dissemination
-simulations: the mobile-relay sawtooth, the data-ferry shuttle, and a
-constant-velocity overflight.  The relaying shapes are array functions
-of the sample times (``mobile_relay_x``, ``ferry_x``); the trajectory
-generators build their states from those arrays.
+A trajectory is a uniform-step sampled polyline held as arrays: sample
+times and (x, y, z) positions, subject to a max-speed transition
+constraint.  Generators cover the three flight patterns used by the
+relaying and dissemination simulations: the mobile-relay sawtooth, the
+data-ferry shuttle, and a constant-velocity overflight.  The relaying
+shapes are array functions of the sample times (``mobile_relay_x``,
+``ferry_x``), and every generator and check is whole-array numpy code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,62 +37,59 @@ class FerryInfeasibleError(TrajectoryConfigError):
 
 
 @dataclass(frozen=True)
-class UavState:
-    """Kinematic sample: time, 3D position, instantaneous speed."""
-
-    time: float                          # s
-    position: tuple[float, float, float]  # m
-    speed: float = 0.0                   # m/s, >= 0
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered uniform-step sequence of UAV states."""
+    """Uniform-step samples of a UAV flight: ``times`` (n,) in s and
+    ``positions`` (n, 3) in m, both float64."""
 
-    states: tuple[UavState, ...]
+    times: np.ndarray = field(repr=False, compare=False)
+    positions: np.ndarray = field(repr=False, compare=False)
     time_step: float  # s, > 0
 
     def __post_init__(self):
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "positions",
+                           np.asarray(self.positions, dtype=float))
         if self.time_step <= 0:
             raise TrajectoryConfigError("time_step must be > 0")
-        if not self.states:
-            raise TrajectoryConfigError("trajectory must contain states")
+        n = len(self.times) if self.times.ndim == 1 else 0
+        if not n or self.positions.shape != (n, 3):
+            raise TrajectoryConfigError(
+                f"times {self.times.shape} and positions "
+                f"{self.positions.shape} must have shapes (n,) and (n, 3), "
+                f"n >= 1")
 
     @property
     def duration(self) -> float:
-        return self.states[-1].time - self.states[0].time
+        return float(self.times[-1] - self.times[0])
 
     def position_at(self, times) -> np.ndarray:
         """Linearly interpolated positions, shape ``np.shape(times) + (3,)``;
         clamped outside the time span.
 
-        Each sample is ``a + w * (b - a)`` between the states ``a`` and ``b``
-        that bracket it, with ``w = (t - a.time) / (b.time - a.time)``.
+        Each sample is ``a + w * (b - a)`` between the samples ``a`` and
+        ``b`` that bracket it, with ``w = (t - a.time) / (b.time - a.time)``.
         """
         times = np.asarray(times, dtype=float)
         t = times.reshape(-1)
-        state_times = np.array([s.time for s in self.states])
-        positions = np.array([s.position for s in self.states], dtype=float)
-        last = len(state_times) - 1
+        sample_times, positions = self.times, self.positions
+        last = len(sample_times) - 1
         if last == 0:
             return np.broadcast_to(positions[0], times.shape + (3,)).copy()
-        i = np.clip(((t - state_times[0]) / self.time_step).astype(np.int64),
+        i = np.clip(((t - sample_times[0]) / self.time_step).astype(np.int64),
                     0, last - 1)
-        i += t > state_times[i + 1]  # guard against float rounding of the index
+        i += t > sample_times[i + 1]  # guard against float rounding of the index
         i = np.minimum(i, last - 1)  # only moves samples clamped above
-        a, b = state_times[i], state_times[i + 1]
+        a, b = sample_times[i], sample_times[i + 1]
         w = (t - a) / (b - a)
         out = positions[i] + w[:, None] * (positions[i + 1] - positions[i])
-        out[t <= state_times[0]] = positions[0]
-        out[t >= state_times[-1]] = positions[-1]
+        out[t <= sample_times[0]] = positions[0]
+        out[t >= sample_times[-1]] = positions[-1]
         return out.reshape(times.shape + (3,))
 
     def to_csv(self, path) -> None:
         """Write columns time_s, x_m, y_m, z_m."""
-        # One array per column, so that a column of ints stays ints.
         write_csv(path, ["time_s", "x_m", "y_m", "z_m"],
-                  [np.array(column) for column in
-                   zip(*((s.time, *s.position) for s in self.states))])
+                  [self.times, *self.positions.T])
 
 
 @dataclass(frozen=True)
@@ -192,14 +189,10 @@ def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
 
 def _shuttle_trajectory(xs: np.ndarray, times: np.ndarray, altitude: float,
                         time_step: float) -> Trajectory:
-    """States along the x axis; a state's speed is that of the step
-    leaving it (the last state repeats the step into it)."""
-    speeds = np.abs(np.diff(xs)) / time_step  # a cycle has >= 3 samples
-    speeds = np.append(speeds, speeds[-1])
-    states = tuple(UavState(time=t, position=(x, 0.0, altitude), speed=v)
-                   for t, x, v in zip(times.tolist(), xs.tolist(),
-                                      speeds.tolist()))
-    return Trajectory(states=states, time_step=time_step)
+    """Samples along the x axis at ``altitude``."""
+    positions = np.column_stack(
+        [xs, np.zeros_like(xs), np.full_like(xs, altitude)])
+    return Trajectory(times, positions, time_step)
 
 
 def mobile_relay_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
@@ -226,21 +219,16 @@ def overflight_trajectory(start: tuple[float, float, float],
                           end: tuple[float, float, float],
                           speed: float, time_step: float) -> Trajectory:
     """Constant-velocity straight path from start to end."""
-    if speed <= 0:
-        raise TrajectoryConfigError("speed must be > 0")
+    for name, value in (("speed", speed), ("time_step", time_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise TrajectoryConfigError(f"{name} must be finite and > 0")
+    a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
     length = math.dist(start, end)
     if length == 0.0:
-        return Trajectory(states=(UavState(0.0, tuple(start), 0.0),),
-                          time_step=time_step)
-    n = _overflight_steps(length, speed, time_step)
-    states = []
-    for i in range(n + 1):
-        t = i * time_step
-        frac = min(speed * t / length, 1.0)
-        pos = tuple(a + frac * (b - a) for a, b in zip(start, end))
-        states.append(UavState(time=t, position=pos,
-                               speed=speed if i < n else 0.0))
-    return Trajectory(states=tuple(states), time_step=time_step)
+        return Trajectory(np.zeros(1), a[None, :], time_step)
+    t = np.arange(_overflight_steps(length, speed, time_step) + 1) * time_step
+    positions = a + np.minimum(speed * t / length, 1.0)[:, None] * (b - a)
+    return Trajectory(t, positions, time_step)
 
 
 @dataclass(frozen=True)
@@ -261,18 +249,15 @@ class TrajectoryValidation:
 def validate_trajectory(traj: Trajectory, v_max: float) -> TrajectoryValidation:
     """Check monotone time, uniform step, and the speed transition bound.
 
-    Violation indices refer to the later state of each offending pair.
+    Violation indices refer to the later sample of each offending pair; a
+    step that does not move forward in time is only a time violation.
     """
-    bad_time, bad_step, bad_speed = [], [], []
-    for i in range(1, len(traj.states)):
-        a, b = traj.states[i - 1], traj.states[i]
-        dt = b.time - a.time
-        if dt <= 0:
-            bad_time.append(i)
-            continue
-        if abs(dt - traj.time_step) > 1e-9:
-            bad_step.append(i)
-        displacement = math.dist(a.position, b.position)
-        if displacement / dt > v_max + SPEED_TOLERANCE:
-            bad_speed.append(i)
-    return TrajectoryValidation(tuple(bad_time), tuple(bad_step), tuple(bad_speed))
+    dt = np.diff(traj.times)
+    bad_time = dt <= 0
+    displacement = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        too_fast = displacement / dt > v_max + SPEED_TOLERANCE
+    return TrajectoryValidation(*(
+        tuple((np.flatnonzero(bad) + 1).tolist()) for bad in (
+            bad_time, ~bad_time & (np.abs(dt - traj.time_step) > 1e-9),
+            ~bad_time & too_fast)))

@@ -14,14 +14,13 @@ from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
                                   coverage_mask, phase1_broadcast,
                                   phase2_exchange, run_baseline)
 from uavsim.experiment import PRESETS, _dissemination_scenario, derive_seed
-from uavsim.mobility import Trajectory, UavState, overflight_trajectory
+from uavsim.mobility import Trajectory, overflight_trajectory
 
 
 def hover_trajectory(duration, altitude=100.0, time_step=1.0):
     n = int(round(duration / time_step))
-    states = tuple(UavState(i * time_step, (0.0, 0.0, altitude))
-                   for i in range(n + 1))
-    return Trajectory(states=states, time_step=time_step)
+    return Trajectory(np.arange(n + 1) * time_step,
+                      np.tile([0.0, 0.0, altitude], (n + 1, 1)), time_step)
 
 
 def line_positions(count, length):
@@ -68,7 +67,7 @@ class OracleNode:
 
 def oracle_slot_positions(traj, slot_duration):
     """UAV position at the start of each slot, as tuples of floats."""
-    return [tuple(traj.position_at(traj.states[0].time
+    return [tuple(traj.position_at(float(traj.times[0])
                                    + slot * slot_duration).tolist())
             for slot in range(oracle_slot_count(traj, slot_duration))]
 

@@ -472,6 +472,10 @@ class TestMalformedConfigs:
         # Two speeds that would write, and list, one trace file twice.
         ("fig3", {"speeds_mps": [10, 10.0, 30]}, "speeds_mps"),
         ("fig3", {"speeds_mps": [30.0, 10.000001, 10.0]}, "speeds_mps"),
+        # Two speeds that would share one series of the sweep's plot.
+        ("fig4", {"speeds_mps": [10.0, 10.000001]}, "speeds_mps"),
+        ("fig4", {"speeds_mps": [10, 30.0, 10.0],
+                  "strategies": ["static", "ferry"]}, "speeds_mps"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -501,6 +505,30 @@ class TestMalformedConfigs:
         assert code == 0
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert sum(row.endswith(",ferry,,0") for row in rows) == 9
+
+    @pytest.mark.parametrize("change", [
+        {"series": []},
+        {"series": {"trace_static.csv": "static"}},
+        {"output_files": "trace_static.csv"},
+        {"output_files": ["trace_static.csv", 5]},
+        {"output_directory": 5},
+    ], ids=["series_list", "series_entry_str", "files_str", "file_int",
+            "directory_int"])
+    def test_plot_malformed_manifest(self, tmp_path, change):
+        out = tmp_path / "run"
+        assert main(["relay", "trace", "--out", str(out),
+                     "--time-step", "0.05"]) == 0
+        path = out / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    **change}))
+        with pytest.raises(ConfigError, match="manifest"):
+            RunManifest.load(path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["plot", "--manifest", str(path)])
+        assert code == 2
+        assert stderr.getvalue().count("\n") == 1
+        assert not list(out.glob("plot_*"))
 
     def test_plot_bad_manifest(self, tmp_path):
         stderr = io.StringIO()

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, Trajectory,
-                             TrajectoryConfigError, UavState, cycle_times,
-                             ferry_trajectory, ferry_x, mobile_relay_trajectory,
-                             mobile_relay_x, overflight_trajectory,
-                             validate_trajectory)
+from uavsim.mobility import (SPEED_TOLERANCE, FerryInfeasibleError,
+                             RelayGeometry, Trajectory, TrajectoryConfigError,
+                             cycle_times, ferry_trajectory, ferry_x,
+                             mobile_relay_trajectory, mobile_relay_x,
+                             overflight_trajectory, validate_trajectory)
 
 
 def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
@@ -17,40 +17,50 @@ def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
                          v_max=v_max, delay_budget=delta)
 
 
-def source_distance(state):
-    return math.hypot(state.position[0], state.position[1])
+def source_distance(traj):
+    return np.hypot(traj.positions[:, 0], traj.positions[:, 1])
+
+
+def by_time(traj):
+    """Position rows keyed by the sample time rounded to 1 us."""
+    return {round(t, 6): p for t, p in zip(traj.times.tolist(),
+                                           traj.positions.tolist())}
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``, so that -0.0 != 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
 class TestMobileRelayTrajectory:
     def test_hover_above_source_window(self):
         # v=100 m/s, delta=20 s: overhead from t=5 to t=15, i.e. 10 s.
         traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
-        overhead = [s.time for s in traj.states
-                    if s.time <= 20.0 and abs(s.position[0]) < 1e-9]
-        assert min(overhead) == pytest.approx(5.0, abs=0.011)
-        assert max(overhead) == pytest.approx(15.0, abs=0.011)
+        overhead = traj.times[(traj.times <= 20.0)
+                              & (np.abs(traj.positions[:, 0]) < 1e-9)]
+        assert overhead.min() == pytest.approx(5.0, abs=0.011)
+        assert overhead.max() == pytest.approx(15.0, abs=0.011)
 
     def test_zero_speed_stays_at_midpoint(self):
         traj = mobile_relay_trajectory(relay_geom(0.0), time_step=0.1)
-        for s in traj.states:
-            assert s.position == (500.0, 0.0, 100.0)
+        assert traj.positions.tolist() == \
+            [[500.0, 0.0, 100.0]] * len(traj.times)
 
     def test_turnaround_without_hover(self):
         # v=30 m/s cannot reach the source: closest approach R/2 - v*delta/2
         # = 200 m horizontally, at t = delta/2.
         traj = mobile_relay_trajectory(relay_geom(30.0), time_step=0.01)
-        phase1 = [s for s in traj.states if s.time <= 10.0 + 1e-9]
-        closest = min(phase1, key=lambda s: s.position[0])
-        assert closest.position[0] == pytest.approx(200.0, abs=1e-6)
-        assert closest.time == pytest.approx(10.0, abs=0.011)
+        phase1 = np.flatnonzero(traj.times <= 10.0 + 1e-9)
+        closest = phase1[np.argmin(traj.positions[phase1, 0])]
+        assert traj.positions[closest, 0] == pytest.approx(200.0, abs=1e-6)
+        assert traj.times[closest] == pytest.approx(10.0, abs=0.011)
 
     def test_cycle_span_and_midpoint_boundaries(self):
         traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
-        assert traj.states[0].time == 0.0
-        assert traj.states[-1].time == pytest.approx(40.0, abs=1e-9)
-        for t_idx in (0, len(traj.states) // 2, -1):
-            assert traj.states[t_idx].position[0] == pytest.approx(500.0,
-                                                                   abs=1e-9)
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == pytest.approx(40.0, abs=1e-9)
+        for t_idx in (0, len(traj.times) // 2, -1):
+            assert traj.positions[t_idx, 0] == pytest.approx(500.0, abs=1e-9)
 
     def test_non_divisible_time_step_rejected(self):
         with pytest.raises(TrajectoryConfigError):
@@ -60,27 +70,26 @@ class TestMobileRelayTrajectory:
     def test_phase_time_symmetry(self, v):
         # position(t) == position(delta - t) within phase 1.
         traj = mobile_relay_trajectory(relay_geom(v), time_step=0.01)
-        by_time = {round(s.time, 6): s.position for s in traj.states}
+        positions = by_time(traj)
         for t in [0.0, 1.23, 4.56, 7.0, 9.99]:
             t = round(t, 6)
             mirror = round(20.0 - t, 6)
-            if t in by_time and mirror in by_time:
-                assert by_time[t][0] == pytest.approx(by_time[mirror][0],
-                                                      abs=1e-6)
+            if t in positions and mirror in positions:
+                assert positions[t][0] == pytest.approx(positions[mirror][0],
+                                                        abs=1e-6)
 
     @pytest.mark.parametrize("v", [10.0, 100.0])
     def test_phase2_mirrors_phase1(self, v):
         traj = mobile_relay_trajectory(relay_geom(v), time_step=0.01)
-        by_time = {round(s.time, 6): s.position for s in traj.states}
+        positions = by_time(traj)
         for t in [0.5, 3.0, 8.25]:
-            p1 = by_time[round(t, 6)]
-            p2 = by_time[round(t + 20.0, 6)]
+            p1 = positions[round(t, 6)]
+            p2 = positions[round(t + 20.0, 6)]
             assert p2[0] == pytest.approx(1000.0 - p1[0], abs=1e-6)
 
     def test_distance_to_source_v_shaped_in_phase1(self):
         traj = mobile_relay_trajectory(relay_geom(30.0), time_step=0.01)
-        distances = [source_distance(s) for s in traj.states
-                     if s.time <= 20.0 + 1e-9]
+        distances = source_distance(traj)[traj.times <= 20.0 + 1e-9].tolist()
         turn = distances.index(min(distances))
         assert all(a >= b - 1e-9 for a, b in
                    zip(distances[:turn], distances[1:turn + 1]))
@@ -99,11 +108,12 @@ class TestShapeFunctions:
 
     @staticmethod
     def assert_same(traj, geom, xs, times):
-        assert [s.time for s in traj.states] == times.tolist()
-        assert [s.position for s in traj.states] == \
-            [(x, 0.0, geom.uav_altitude) for x in xs.tolist()]
-        assert all(type(s.time) is float and type(s.position[0]) is float
-                   and type(s.speed) is float for s in traj.states)
+        assert traj.times.dtype == traj.positions.dtype == np.float64
+        assert traj.positions.shape == (len(times), 3)
+        assert np.array_equal(bits(traj.times), bits(times))
+        assert np.array_equal(bits(traj.positions[:, 0]), bits(xs))
+        assert np.array_equal(bits(traj.positions[:, 1:]),
+                              bits([[0.0, geom.uav_altitude]] * len(xs)))
 
     # v=0 (parked), 30 (turnaround at delta/2), 50 (reaches the source
     # with no hover left), 100 (hover), 250 (long hover).
@@ -190,19 +200,20 @@ class TestFerryTrajectory:
     def test_hover_and_flight_segments(self):
         # v=100, delta=20, R=1000: 10 s hover at each end, 10 s legs.
         traj = ferry_trajectory(relay_geom(100.0), time_step=0.01)
-        at_source = [s.time for s in traj.states if s.position[0] == 0.0]
-        at_dest = [s.time for s in traj.states if s.position[0] == 1000.0]
-        assert max(t for t in at_source if t < 20.0) == pytest.approx(
+        x = traj.positions[:, 0]
+        at_source = traj.times[x == 0.0]
+        at_dest = traj.times[x == 1000.0]
+        assert at_source[at_source < 20.0].max() == pytest.approx(
             10.0, abs=0.011)
-        assert min(at_dest) == pytest.approx(20.0, abs=0.011)
-        assert max(at_dest) == pytest.approx(30.0, abs=0.011)
-        assert traj.states[-1].position[0] == pytest.approx(0.0, abs=1e-6)
+        assert at_dest.min() == pytest.approx(20.0, abs=0.011)
+        assert at_dest.max() == pytest.approx(30.0, abs=0.011)
+        assert x[-1] == pytest.approx(0.0, abs=1e-6)
 
     def test_boundary_speed_zero_hover(self):
         traj = ferry_trajectory(relay_geom(50.0), time_step=0.01)
-        at_source_p1 = [s.time for s in traj.states
-                        if s.position[0] == 0.0 and s.time < 20.0]
-        assert max(at_source_p1) == pytest.approx(0.0, abs=0.011)
+        at_source_p1 = traj.times[(traj.positions[:, 0] == 0.0)
+                                  & (traj.times < 20.0)]
+        assert at_source_p1.max() == pytest.approx(0.0, abs=0.011)
 
     def test_infeasible_speed_reports_minimum(self):
         with pytest.raises(FerryInfeasibleError) as exc_info:
@@ -218,18 +229,51 @@ class TestOverflightTrajectory:
     def test_degenerate_single_state(self):
         traj = overflight_trajectory((5.0, 5.0, 50.0), (5.0, 5.0, 50.0),
                                      speed=10.0, time_step=0.1)
-        assert len(traj.states) == 1
+        assert traj.times.tolist() == [0.0]
+        assert traj.positions.tolist() == [[5.0, 5.0, 50.0]]
 
     def test_final_timestamp(self):
         traj = overflight_trajectory((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0),
                                      speed=20.0, time_step=0.1)
-        assert traj.states[-1].time == pytest.approx(50.0, abs=0.1)
-        assert traj.states[-1].position[0] == pytest.approx(1000.0, abs=1e-9)
+        assert traj.times[-1] == pytest.approx(50.0, abs=0.1)
+        assert traj.positions[-1, 0] == pytest.approx(1000.0, abs=1e-9)
 
     def test_zero_speed_rejected(self):
         with pytest.raises(TrajectoryConfigError):
             overflight_trajectory((0.0, 0.0, 100.0), (10.0, 0.0, 100.0),
                                   speed=0.0, time_step=0.1)
+
+    @pytest.mark.parametrize("speed,time_step", [
+        (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
+        (10.0, 0.0), (10.0, -0.1), (10.0, math.nan), (10.0, math.inf)])
+    @pytest.mark.parametrize("end", [(10.0, 0.0, 100.0), (0.0, 0.0, 100.0)],
+                             ids=["line", "hover"])
+    def test_bad_speed_or_time_step_rejected(self, speed, time_step, end):
+        with pytest.raises(TrajectoryConfigError,
+                           match="(speed|time_step) must be finite and > 0"):
+            overflight_trajectory((0.0, 0.0, 100.0), end, speed=speed,
+                                  time_step=time_step)
+
+    @given(start=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
+           end=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
+           speed=st.floats(min_value=5.0, max_value=300.0),
+           time_step=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, start, end, speed, time_step):
+        traj = overflight_trajectory(start, end, speed, time_step)
+        times, positions = scalar_overflight(start, end, speed, time_step)
+        assert np.array_equal(bits(traj.times), bits(times))
+        assert np.array_equal(bits(traj.positions), bits(positions))
+
+    def test_dissemination_flight_matches_scalar_oracle(self):
+        # The dissem20 overflight: a 1 km field passed by the 300 m
+        # coverage radius at each end, 20 m/s, 0.1 s steps.
+        args = ((-300.0, 0.0, 100.0), (1300.0, 0.0, 100.0), 20.0, 0.1)
+        traj = overflight_trajectory(*args)
+        times, positions = scalar_overflight(*args)
+        assert len(times) == 801
+        assert np.array_equal(bits(traj.times), bits(times))
+        assert np.array_equal(bits(traj.positions), bits(positions))
 
     @given(speed=st.floats(min_value=0.5, max_value=300.0),
            length=st.floats(min_value=0.0, max_value=5000.0))
@@ -241,19 +285,54 @@ class TestOverflightTrajectory:
         assert validate_trajectory(traj, speed).ok
 
 
+def scalar_overflight(start, end, speed, time_step):
+    """Reference: the per-sample loop that ``overflight_trajectory``
+    vectorises; returns (times, positions) as lists of floats."""
+    length = math.dist(start, end)
+    if length == 0.0:
+        return [0.0], [list(start)]
+    n = math.ceil(length / (speed * time_step) - 1e-12)
+    times, positions = [], []
+    for i in range(n + 1):
+        t = i * time_step
+        frac = min(speed * t / length, 1.0)
+        times.append(t)
+        positions.append([a + frac * (b - a) for a, b in zip(start, end)])
+    return times, positions
+
+
 def scalar_position_at(traj, t):
     """Reference: the per-call interpolation that ``position_at`` vectorises."""
-    states = traj.states
-    if t <= states[0].time:
-        return states[0].position
-    if t >= states[-1].time:
-        return states[-1].position
-    i = min(int((t - states[0].time) / traj.time_step), len(states) - 2)
-    a, b = states[i], states[i + 1]
-    if t > b.time:  # guard against float rounding of the index
-        a, b = b, states[i + 2]
-    w = (t - a.time) / (b.time - a.time)
-    return tuple(pa + w * (pb - pa) for pa, pb in zip(a.position, b.position))
+    times, positions = traj.times, traj.positions
+    if t <= times[0]:
+        return tuple(positions[0].tolist())
+    if t >= times[-1]:
+        return tuple(positions[-1].tolist())
+    i = min(int((t - float(times[0])) / traj.time_step), len(times) - 2)
+    if t > times[i + 1]:  # guard against float rounding of the index
+        i += 1
+    a_time, b_time = float(times[i]), float(times[i + 1])
+    w = (t - a_time) / (b_time - a_time)
+    return tuple(pa + w * (pb - pa) for pa, pb in
+                 zip(positions[i].tolist(), positions[i + 1].tolist()))
+
+
+def scalar_validate(traj, v_max):
+    """Reference: the per-pair loop that ``validate_trajectory``
+    vectorises; returns its three index tuples."""
+    times, positions = traj.times.tolist(), traj.positions.tolist()
+    bad_time, bad_step, bad_speed = [], [], []
+    for i in range(1, len(times)):
+        dt = times[i] - times[i - 1]
+        if dt <= 0:
+            bad_time.append(i)
+            continue
+        if abs(dt - traj.time_step) > 1e-9:
+            bad_step.append(i)
+        if math.dist(positions[i - 1], positions[i]) / dt \
+                > v_max + SPEED_TOLERANCE:
+            bad_speed.append(i)
+    return tuple(bad_time), tuple(bad_step), tuple(bad_speed)
 
 
 class TestPositionAt:
@@ -267,9 +346,9 @@ class TestPositionAt:
                                                  time_step, slot):
         traj = overflight_trajectory(start, end, speed, time_step)
         times = np.concatenate([
-            traj.states[0].time + np.arange(200) * slot,
-            [s.time for s in traj.states[::7]],
-            [-1.0, 0.0, traj.states[-1].time, traj.states[-1].time + 5.0]])
+            traj.times[0] + np.arange(200) * slot,
+            traj.times[::7],
+            [-1.0, 0.0, traj.times[-1], traj.times[-1] + 5.0]])
         got = traj.position_at(times)
         assert got.shape == (len(times), 3)
         for t, row in zip(times.tolist(), got.tolist()):
@@ -298,36 +377,91 @@ class TestValidateTrajectory:
         report = validate_trajectory(traj, 50.0)
         assert not report.ok
         assert report.speed_violations
-        # Hover samples are fine; only flight-segment indices appear.
+        # Both 10 s flight legs at 0.01 s steps; hover samples are fine.
+        assert len(report.speed_violations) == 2000
+        dx = np.diff(traj.positions[:, 0])
         for i in report.speed_violations:
-            a, b = traj.states[i - 1], traj.states[i]
-            assert abs(b.position[0] - a.position[0]) > 0.0
+            assert abs(dx[i - 1]) > 0.0
 
     def test_single_jump_violation(self):
-        traj = Trajectory(states=(
-            UavState(0.0, (0.0, 0.0, 100.0)),
-            UavState(1.0, (1e6, 0.0, 100.0)),
-        ), time_step=1.0)
+        traj = line_trajectory([0.0, 1.0], [0.0, 1e6])
         report = validate_trajectory(traj, 100.0)
         assert report.speed_violations == (1,)
 
     def test_non_monotone_time_flagged(self):
-        traj = Trajectory(states=(
-            UavState(0.0, (0.0, 0.0, 100.0)),
-            UavState(1.0, (1.0, 0.0, 100.0)),
-            UavState(0.5, (2.0, 0.0, 100.0)),
-        ), time_step=1.0)
+        # The backward step also jumps 1 m in -0.5 s, but is reported only
+        # as a time violation.
+        traj = line_trajectory([0.0, 1.0, 0.5], [0.0, 1.0, 2.0])
         report = validate_trajectory(traj, 100.0)
         assert report.monotone_time_violations == (2,)
+        assert report.uniform_step_violations == report.speed_violations \
+            == ()
 
     def test_non_uniform_step_flagged(self):
-        traj = Trajectory(states=(
-            UavState(0.0, (0.0, 0.0, 100.0)),
-            UavState(1.0, (1.0, 0.0, 100.0)),
-            UavState(2.5, (2.0, 0.0, 100.0)),
-        ), time_step=1.0)
+        traj = line_trajectory([0.0, 1.0, 2.5], [0.0, 1.0, 2.0])
         report = validate_trajectory(traj, 100.0)
         assert report.uniform_step_violations == (2,)
+
+    @given(steps=st.lists(st.tuples(
+               st.sampled_from([1.0, 1.0, 1.0, 1.5, 0.0, -0.5, math.nan]),
+               st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+               min_size=0, max_size=30),
+           v_max=st.floats(0.0, 250.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_oracle(self, steps, v_max):
+        times, xs, ys = [0.0], [0.0], [0.0]
+        for dt, dx, dy in steps:
+            times.append(times[-1] + dt)
+            xs.append(xs[-1] + dx)
+            ys.append(ys[-1] + dy)
+        traj = Trajectory(times, np.column_stack(
+            [xs, ys, np.full(len(xs), 100.0)]), time_step=1.0)
+        report = validate_trajectory(traj, v_max)
+        assert (report.monotone_time_violations,
+                report.uniform_step_violations,
+                report.speed_violations) == scalar_validate(traj, v_max)
+
+    @pytest.mark.parametrize("v", [0.0, 30.0, 100.0])
+    def test_relay_cycle_matches_scalar_oracle(self, v):
+        traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
+        report = validate_trajectory(traj, v)
+        assert (report.monotone_time_violations,
+                report.uniform_step_violations,
+                report.speed_violations) == scalar_validate(traj, v)
+
+
+def line_trajectory(times, xs):
+    """Samples along the x axis at 100 m, time step 1 s."""
+    return Trajectory(times, [[x, 0.0, 100.0] for x in xs], time_step=1.0)
+
+
+class TestTrajectoryArrays:
+    def test_inputs_become_float64(self):
+        traj = Trajectory([0, 1], [[0, 0, 50], [1, 0, 50]], time_step=1)
+        assert traj.times.dtype == traj.positions.dtype == np.float64
+        assert traj.duration == 1.0 and type(traj.duration) is float
+
+    @pytest.mark.parametrize("times,positions", [
+        ([], np.zeros((0, 3))),
+        ([0.0, 1.0], [[0.0, 0.0, 1.0]]),
+        ([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]]),
+        ([[0.0, 1.0]], [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]),
+        (0.0, [[0.0, 0.0, 1.0]]),
+    ])
+    def test_shapes_checked(self, times, positions):
+        with pytest.raises(TrajectoryConfigError, match="shapes"):
+            Trajectory(times, positions, time_step=1.0)
+
+    def test_time_step_checked(self):
+        with pytest.raises(TrajectoryConfigError, match="time_step"):
+            Trajectory([0.0], [[0.0, 0.0, 1.0]], time_step=0.0)
+
+    def test_equality_ignores_the_arrays(self):
+        # As in ``RelayRunResult``, the array fields are left out of ==
+        # and hash, which cannot use an elementwise ndarray ==.
+        a = line_trajectory([0.0, 1.0], [0.0, 1.0])
+        b = line_trajectory([0.0, 1.0], [0.0, 2.0])
+        assert a == b and hash(a) == hash(b)
 
 
 class TestTrajectoryCsv:
@@ -337,24 +471,25 @@ class TestTrajectoryCsv:
         traj.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,x_m,y_m,z_m"
-        assert len(lines) == len(traj.states) + 1
+        assert len(lines) == len(traj.times) + 1
         t, x, y, z = (float(v) for v in lines[1].split(","))
         assert (t, x, y, z) == (0.0, 500.0, 0.0, 100.0)
 
     @pytest.mark.parametrize("traj", [
         mobile_relay_trajectory(relay_geom(100.0), time_step=0.01),
         ferry_trajectory(relay_geom(100.0), time_step=0.01),
-        # Int geometry: the z and time columns stay ints.
+        # Int geometry: every column is float64, so 100 is written 100.0.
         mobile_relay_trajectory(RelayGeometry(1000, 100, 50, 20), 0.1),
         overflight_trajectory((0, 0, 50), (10, 5, 50), 1, 1),
         overflight_trajectory((3, 4, 5), (3, 4, 5), 1.0, 0.5),
     ], ids=["mobile", "ferry", "int_geometry", "int_overflight", "hover"])
     def test_bytes_match_row_writer(self, tmp_path, traj):
-        """The bytes ``csv`` wrote from one [time, x, y, z] row per state."""
+        """The bytes ``csv`` wrote from one [time, x, y, z] row per sample."""
         with open(tmp_path / "rows.csv", "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["time_s", "x_m", "y_m", "z_m"])
-            writer.writerows([s.time, *s.position] for s in traj.states)
+            writer.writerows([t, *p] for t, p in zip(traj.times.tolist(),
+                                                     traj.positions.tolist()))
         traj.to_csv(tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()

@@ -47,13 +47,13 @@ def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
             else dataclasses.replace(g, v_max=0.0), time_step)
     occupancy = received = delivered = peak = 0.0
     losses, ses, buffer = [], [], []
-    for i, state in enumerate(traj.states):
-        x, _, h = state.position
+    samples = zip(traj.times.tolist(), traj.positions.tolist())
+    for i, (t, (x, _, h)) in enumerate(samples):
         src = LinkGeometry(abs(x), h, 0.0)
         dst = LinkGeometry(abs(x - g.separation), h, 0.0)
         losses.append((channel.path_loss_db(src), channel.path_loss_db(dst)))
         buffer.append(occupancy)
-        phase1 = state.time < g.delay_budget - 1e-12
+        phase1 = t < g.delay_budget - 1e-12
         link = src if phase1 else dst
         if (strategy == RelayStrategy.FERRY
                 and link.horizontal_separation > 1e-6):
@@ -65,7 +65,7 @@ def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
                 snr_db += 10.0 * math.log10(gain) if gain > 0 else -math.inf
             se = spectral_efficiency(snr_db)
         ses.append(se)
-        if i == len(traj.states) - 1:
+        if i == len(traj.times) - 1:
             break
         if phase1:
             accepted = min(se * time_step, buffer_capacity - occupancy)
