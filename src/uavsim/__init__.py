@@ -15,7 +15,7 @@ from .mobility import (RelayGeometry, Trajectory, ferry_trajectory,
                        mobile_relay_trajectory, overflight_trajectory,
                        validate_trajectory)
 from .relay import (RelayRunResult, RelayStrategy, buffer_requirement,
-                    path_loss_trace, simulate_cycle, sweep_delay)
+                    simulate_cycle, sweep_delay)
 from .coverage import (ExcessLoss, LosProbabilityModel, coverage_curve,
                        coverage_radius, expected_path_loss,
                        optimal_altitude)

@@ -5,10 +5,13 @@ SNR relative to a reference anchor, Shannon spectral efficiency, and
 Doppler shift.  Everything here is a pure function of its inputs; random
 sampling takes an explicit ``numpy.random.Generator``.
 
-Each link quantity has a scalar function (plain ``math``, for callers
-that evaluate one link at a time) and an ``*_array`` twin that evaluates
-a ``LinkGeometryArray`` in one numpy pass.  Both share one private
-kernel per formula and raise the same ``ChannelDomainError`` messages.
+Each path-loss formula and the spectral efficiency have a scalar
+function (plain ``math``, for callers that evaluate one link at a time)
+and an ``*_array`` twin that evaluates a ``LinkGeometryArray`` in one
+numpy pass.  Both share one private kernel per formula and raise the
+same ``ChannelDomainError`` messages.  ``snr_at`` is the scalar SNR;
+array callers take the SNR as ``snr_anchor_db`` minus their own path
+loss, so each link's loss is evaluated once.
 """
 
 from __future__ import annotations
@@ -269,12 +272,13 @@ def rician_power_gains(k_factor_db: float, rng: np.random.Generator,
                                 interleaved=True)) ** 2
 
 
-def _snr_anchor_db(model: ChannelModel, ref: SnrReference,
+def snr_anchor_db(model: ChannelModel, ref: SnrReference,
                   transmitter_height: float,
                   receiver_height: float = 0.0) -> float:
     """The anchor's SNR plus the model's path loss at the reference
     distance, for links between these heights: the SNR in dB of such a
-    link is this value minus its own path loss."""
+    link is this value minus its own path loss.  Raises
+    ``ChannelDomainError`` when the reference link lies in a perfect null."""
     dh = transmitter_height - receiver_height
     if ref.reference_distance < abs(dh):
         raise ChannelDomainError(
@@ -300,21 +304,9 @@ def snr_at(geometry: LinkGeometry, model: ChannelModel,
     (same endpoint heights) maps to ``ref.reference_snr_db``.  For the
     Rician variant this is the fading-averaged SNR.
     """
-    return (_snr_anchor_db(model, ref, geometry.transmitter_height,
-                          geometry.receiver_height)
+    return (snr_anchor_db(model, ref, geometry.transmitter_height,
+                         geometry.receiver_height)
             - model.path_loss_db(geometry))
-
-
-def snr_at_array(geometry: LinkGeometryArray, model: ChannelModel,
-                 ref: SnrReference) -> np.ndarray:
-    """``snr_at`` of every link in ``geometry``; the anchor is computed once.
-
-    A link in a perfect null has SNR ``-inf``; a reference link in one
-    raises ``ChannelDomainError``, as in ``snr_at``.
-    """
-    anchor = _snr_anchor_db(model, ref, geometry.transmitter_height,
-                           geometry.receiver_height)
-    return anchor - model.path_loss_db_array(geometry)
 
 
 def _shannon(snr_db, log2):

@@ -94,6 +94,11 @@ class RunManifest:
                 f"manifest {path}: output_directory must be a path, "
                 f"output_files a list of file names and series an object "
                 f"of objects")
+        for name, meta in series.items():
+            if meta.get("kind") == "trace" and not isinstance(
+                    meta.get("label"), str):
+                raise ConfigError(f"manifest {path}: trace series {name!r} "
+                                  f"needs a string label")
         return manifest
 
 
@@ -274,6 +279,11 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             if config.scenario == "relay_sweep":
                 delays = params["delays_s"]
                 list(map(RelayStrategy, params["strategies"]))
+                for name in ("strategies", "delays_s"):
+                    # Equal numbers count as repeats: 5 and 5.0 are one delay.
+                    if len(set(params[name])) < len(params[name]):
+                        raise ConfigError(f"{name} repeats a value: "
+                                          f"{params[name]!r}")
             else:
                 delays = [params["delay_budget_s"]]
             speeds = {}
@@ -464,25 +474,24 @@ def _dissemination_scenario(params):
     return coverage, D2dGraph(positions, params["d2d_range_m"]), rx, file
 
 
-def run_dissemination_pairs(params: dict, seeds, scenario=None) -> list:
+def run_dissemination_pairs(params: dict, seeds) -> list:
     """Seeded coded-vs-baseline comparisons, all seeds in one batched pass.
 
-    ``scenario`` is ``_dissemination_scenario(params)``, built here when
-    not given.  Returns per seed the coded transmissions, the
-    ``ExchangeResult``, the ``BaselineResult``, and per node the packets
-    held after phase 1 and the decode flags after phase 2.  Each seed
-    seeds one generator for the coded scheme and one for the baseline.
+    Returns per seed the coded transmissions, the ``ExchangeResult``, the
+    ``BaselineResult``, and per node the packets held after phase 1 and
+    the decode flags after phase 2.  Each seed seeds one generator for the
+    coded scheme and one for the baseline.
     """
-    coverage, graph, rx, file = scenario or _dissemination_scenario(params)
+    coverage, graph, rx, file = _dissemination_scenario(params)
     return compare_schemes(coverage, graph, file, rx,
                            (np.random.default_rng(seed) for seed in seeds),
                            (np.random.default_rng(seed) for seed in seeds))
 
 
-def run_dissemination_pair(params: dict, seed: int, scenario=None):
+def run_dissemination_pair(params: dict, seed: int):
     """One seeded coded-vs-baseline comparison: ``run_dissemination_pairs``
     for the one seed."""
-    return run_dissemination_pairs(params, [seed], scenario)[0]
+    return run_dissemination_pairs(params, [seed])[0]
 
 
 def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:

@@ -112,19 +112,6 @@ class RelayGeometry:
             raise TrajectoryConfigError("delay_budget must be > 0")
 
     @property
-    def source_position(self) -> tuple[float, float, float]:
-        return (0.0, 0.0, 0.0)
-
-    @property
-    def destination_position(self) -> tuple[float, float, float]:
-        return (self.separation, 0.0, 0.0)
-
-    @property
-    def midpoint_position(self) -> tuple[float, float, float]:
-        """UAV start/static position: above the midpoint at altitude H."""
-        return (self.separation / 2.0, 0.0, self.uav_altitude)
-
-    @property
     def midpoint_slant(self) -> float:
         return math.hypot(self.separation / 2.0, self.uav_altitude)
 

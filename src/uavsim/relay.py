@@ -20,8 +20,8 @@ import numpy as np
 
 from ._csvfile import write_csv
 from .channel import (ChannelModel, LinkGeometryArray, SnrReference,
-                      free_space_path_loss_array, rician_power_gains,
-                      snr_at_array, spectral_efficiency_array)
+                      rician_power_gains, snr_anchor_db,
+                      spectral_efficiency_array)
 from .mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
                        ferry_x, mobile_relay_x)
 
@@ -82,12 +82,10 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
 
 
 def _links(geom: RelayGeometry, xs: np.ndarray):
-    """Relay-to-source and relay-to-destination links along the x axis
-    (the relay, source and destination all have y = 0)."""
-    return tuple(LinkGeometryArray(np.abs(xs - ground[0]), geom.uav_altitude,
-                                   ground[2])
-                 for ground in (geom.source_position,
-                                geom.destination_position))
+    """Relay-to-source and relay-to-destination links along the x axis:
+    the source is on the ground at x = 0, the destination at x = R."""
+    return (LinkGeometryArray(np.abs(xs), geom.uav_altitude),
+            LinkGeometryArray(np.abs(xs - geom.separation), geom.uav_altitude))
 
 
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
@@ -117,12 +115,12 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     pl_dst = channel.path_loss_db_array(dst)
 
     phase1 = times < delta - 1e-12
-    active = LinkGeometryArray(
-        np.where(phase1, src.horizontal_separation, dst.horizontal_separation),
-        src.transmitter_height, src.receiver_height)
-    snr_db = snr_at_array(active, channel, ref)
+    # The active link is the source's in phase 1, the destination's after.
+    snr_db = (snr_anchor_db(channel, ref, geom.uav_altitude)
+              - np.where(phase1, pl_src, pl_dst))
     talking = (np.full(len(times), True) if strategy != RelayStrategy.FERRY
-               else active.horizontal_separation <= _HOVER_EPS)
+               else np.where(phase1, src.horizontal_separation,
+                             dst.horizontal_separation) <= _HOVER_EPS)
     if channel.variant == "rician":
         if rng is None:
             rng = np.random.default_rng(0)
@@ -161,16 +159,6 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     )
 
 
-def path_loss_trace(strategy: RelayStrategy, geom: RelayGeometry,
-                    frequency: float, time_step: float = 0.01):
-    """Free-space path loss per step: (time, loss to source, loss to destination)."""
-    times = cycle_times(geom, time_step)
-    src, dst = _links(geom, _cycle_x(RelayStrategy(strategy), geom, times))
-    return tuple(zip(times.tolist(),
-                     free_space_path_loss_array(src, frequency).tolist(),
-                     free_space_path_loss_array(dst, frequency).tolist()))
-
-
 @dataclass(frozen=True)
 class SweepRow:
     delay_budget: float
@@ -183,9 +171,9 @@ class SweepRow:
 
 def sweep_delay(strategies, geom_template: RelayGeometry,
                 delays, speeds, channel: ChannelModel, ref: SnrReference,
-                buffer_capacity: float = math.inf,
                 time_step: float = 0.01) -> list[SweepRow]:
-    """End-to-end SE over the (delay, speed, strategy) grid.
+    """End-to-end SE over the (delay, speed, strategy) grid, with
+    unbounded buffers.
 
     Infeasible cells (ferry too slow) are recorded per-row, not fatal.
     Row order follows input index order: delay-major, then speed, then
@@ -208,7 +196,7 @@ def sweep_delay(strategies, geom_template: RelayGeometry,
                     continue
                 try:
                     result = simulate_cycle(strategy, geom, channel, ref,
-                                            buffer_capacity, time_step)
+                                            time_step=time_step)
                 except FerryInfeasibleError as exc:
                     rows.append(SweepRow(delta, v, strategy, None, False,
                                          note=str(exc)))

@@ -7,7 +7,7 @@ from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
                             LinkGeometryArray, SPEED_OF_LIGHT, SnrReference,
                             doppler_shift, free_space_path_loss,
                             free_space_path_loss_array, rician_power_gains,
-                            sample_rician_gain, snr_at, snr_at_array,
+                            sample_rician_gain, snr_anchor_db, snr_at,
                             spectral_efficiency, spectral_efficiency_array,
                             two_ray_breakpoint_distance, two_ray_path_loss,
                             two_ray_path_loss_array)
@@ -263,7 +263,8 @@ class TestArrayKernels:
         array, scalars = self.links(tx, rx)
         ref = SnrReference(10.0, 150.0)
         for model in self.MODELS:
-            self.assert_matches(snr_at_array(array, model, ref),
+            self.assert_matches(snr_anchor_db(model, ref, tx, rx)
+                                - model.path_loss_db_array(array),
                                 [snr_at(g, model, ref) for g in scalars])
 
     def test_spectral_efficiency(self):
@@ -282,7 +283,7 @@ class TestArrayKernels:
         # forms reject the reference instead of returning inf - inf.
         model = ChannelModel(F5GHZ, variant="two_ray")
         with pytest.raises(ChannelDomainError, match="reference"):
-            snr_at_array(array, model, SnrReference(10.0, 150.0))
+            snr_anchor_db(model, SnrReference(10.0, 150.0), 100.0, 0.0)
         with pytest.raises(ChannelDomainError, match="reference"):
             snr_at(LinkGeometry(10.0, 100.0), model, SnrReference(10.0, 150.0))
         assert not recwarn.list
@@ -291,8 +292,10 @@ class TestArrayKernels:
         (free_space_path_loss, free_space_path_loss_array),
         (two_ray_path_loss, two_ray_path_loss_array),
         (lambda g, f: snr_at(g, ChannelModel(F5GHZ), SnrReference(10.0, 0.5)),
-         lambda g, f: snr_at_array(g, ChannelModel(F5GHZ),
-                                   SnrReference(10.0, 0.5))),
+         lambda g, f: (snr_anchor_db(ChannelModel(F5GHZ),
+                                     SnrReference(10.0, 0.5),
+                                     g.transmitter_height, g.receiver_height)
+                       - ChannelModel(F5GHZ).path_loss_db_array(g))),
     ])
     def test_same_domain_errors(self, scalar, array):
         cases = [

@@ -476,6 +476,10 @@ class TestMalformedConfigs:
         ("fig4", {"speeds_mps": [10.0, 10.000001]}, "speeds_mps"),
         ("fig4", {"speeds_mps": [10, 30.0, 10.0],
                   "strategies": ["static", "ferry"]}, "speeds_mps"),
+        # A repeated strategy or delay would write its sweep rows twice.
+        ("fig4", {"strategies": ["static", "mobile", "mobile"],
+                  "delays_s": [5.0, 10.0]}, "strategies"),
+        ("fig4", {"delays_s": [5.0, 5]}, "delays_s"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -512,8 +516,10 @@ class TestMalformedConfigs:
         {"output_files": "trace_static.csv"},
         {"output_files": ["trace_static.csv", 5]},
         {"output_directory": 5},
+        {"series": {"trace_static.csv": {"kind": "trace"}}},
+        {"series": {"trace_static.csv": {"kind": "trace", "label": 5}}},
     ], ids=["series_list", "series_entry_str", "files_str", "file_int",
-            "directory_int"])
+            "directory_int", "trace_no_label", "trace_label_int"])
     def test_plot_malformed_manifest(self, tmp_path, change):
         out = tmp_path / "run"
         assert main(["relay", "trace", "--out", str(out),

@@ -11,9 +11,8 @@ from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
                             spectral_efficiency)
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
                              ferry_trajectory, mobile_relay_trajectory)
-from uavsim.relay import (RelayStrategy, buffer_requirement, path_loss_trace,
-                          simulate_cycle, sweep_delay, write_sweep_csv,
-                          write_trace_csv)
+from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
+                          sweep_delay, write_sweep_csv, write_trace_csv)
 
 CHANNEL = ChannelModel(carrier_frequency=5e9)
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
@@ -202,6 +201,26 @@ class TestSimulateCycle:
         with pytest.raises(FerryInfeasibleError):
             run(RelayStrategy.FERRY, 49.0)
 
+    @pytest.mark.parametrize("channel", [
+        CHANNEL,
+        ChannelModel(5e9, variant="two_ray", reflection_coefficient=-0.5),
+        ChannelModel(5e9, variant="rician", k_factor_db=6.0)],
+        ids=["free_space", "two_ray", "rician"])
+    def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
+        calls = []
+        path_loss = ChannelModel.path_loss_db_array
+
+        def counting(model, geometry):
+            calls.append(len(geometry.horizontal_separation))
+            return path_loss(model, geometry)
+
+        monkeypatch.setattr(ChannelModel, "path_loss_db_array", counting)
+        for strategy in RelayStrategy:
+            calls.clear()
+            result = simulate_cycle(strategy, geom(100.0), channel,
+                                    ref_for(geom(100.0)), time_step=0.1)
+            assert calls == [len(result.times)] * 2
+
     def test_negative_buffer_rejected(self):
         with pytest.raises(ValueError):
             run(RelayStrategy.STATIC, 0.0, buffer_capacity=-1.0)
@@ -260,16 +279,11 @@ class TestTraces:
         write_trace_csv(result, path)
         assert "np." not in path.read_text()
 
-    def test_path_loss_trace_matches_cycle(self):
-        g = geom(30.0)
-        assert path_loss_trace(RelayStrategy.MOBILE, g, 5e9) == \
-            run(RelayStrategy.MOBILE, 30.0).path_loss_trace
-
 
 class TestPathLossTrace:
     def test_mobile_plateau(self):
-        trace = path_loss_trace(RelayStrategy.MOBILE, geom(100.0), 5e9,
-                                time_step=0.01)
+        trace = run(RelayStrategy.MOBILE, 100.0,
+                    time_step=0.01).path_loss_trace
         plateau_value = 86.42696479691709  # FSPL(100 m) oracle
         src_plateau = [t for t, pl_src, _ in trace
                        if t < 20.0 and abs(pl_src - plateau_value) < 1e-9]
@@ -281,17 +295,15 @@ class TestPathLossTrace:
                                                                     abs=0.02)
 
     def test_static_constant(self):
-        trace = path_loss_trace(RelayStrategy.STATIC, geom(0.0), 5e9,
-                                time_step=0.1)
+        trace = run(RelayStrategy.STATIC, 0.0, time_step=0.1).path_loss_trace
         for _, pl_src, pl_dst in trace:
             assert pl_src == pytest.approx(100.57, abs=0.01)
             assert pl_dst == pytest.approx(100.57, abs=0.01)
 
     def test_plateau_vs_static_gap(self):
-        mobile = path_loss_trace(RelayStrategy.MOBILE, geom(100.0), 5e9,
-                                 time_step=0.01)
-        static = path_loss_trace(RelayStrategy.STATIC, geom(0.0), 5e9,
-                                 time_step=0.01)
+        mobile = run(RelayStrategy.MOBILE, 100.0,
+                     time_step=0.01).path_loss_trace
+        static = run(RelayStrategy.STATIC, 0.0, time_step=0.01).path_loss_trace
         plateau = min(pl_src for _, pl_src, _ in mobile)
         gap = static[0][1] - plateau
         assert gap == pytest.approx(14.15, abs=0.05)
