@@ -8,7 +8,6 @@ across reruns of the same config.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -21,18 +20,12 @@ import numpy as np
 
 from . import __version__
 from ._csvfile import write_csv
-from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                      doppler_shift, free_space_path_loss, snr_at,
-                      spectral_efficiency)
-from .coverage import (ExcessLoss, LosProbabilityModel, _altitude_grid,
-                       coverage_curve, write_coverage_csv)
-from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                            _slot_count, compare_schemes, coverage_mask,
-                            write_node_detail_csv, write_summary_csv)
-from .mobility import (RelayGeometry, _check_step_divides, _overflight_steps,
-                       overflight_trajectory)
-from .relay import (RelayStrategy, simulate_cycle, sweep_delay,
-                    write_sweep_csv, write_trace_csv)
+
+# The library modules are imported inside each scenario's validation branch,
+# helpers and runner, so a command loads only its own scenario's modules:
+# every start compiles the source of each module it imports, and start-up is
+# most of a preset's wall time.  Validation builds each scenario's objects,
+# so the modules a run uses are loaded by ``load_config``.
 
 # Protected CNPC spectrum; configs using a carrier inside these bands get
 # a validation warning (data links should not squat on control spectrum).
@@ -81,6 +74,9 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: Path) -> "RunManifest":
+        """The manifest at ``path``, its ``output_directory`` the one that
+        holds it: ``run`` writes the manifest next to its outputs, and the
+        recorded directory may be relative to where the run started."""
         try:
             manifest = cls(**json.loads(Path(path).read_text()))
         except (OSError, ValueError, TypeError) as exc:
@@ -99,6 +95,7 @@ class RunManifest:
                     meta.get("label"), str):
                 raise ConfigError(f"manifest {path}: trace series {name!r} "
                                   f"needs a string label")
+        manifest.output_directory = str(Path(path).parent)
         return manifest
 
 
@@ -190,7 +187,7 @@ _SCHEMAS = {preset["scenario"]: preset["params"]
 _TOP_LEVEL = {"master_seed": 0, "output_directory": "out", "time_step": 0.01}
 _CONFIG_KEYS = {"preset", "scenario", "params", *_TOP_LEVEL}
 _KINDS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
-          str: (str, "a string"), list: (list, "a non-empty list")}
+          str: (str, "a non-empty string"), list: (list, "a non-empty list")}
 # Bounds that no library object checks: field -> (limit, limit allowed).
 _BOUNDS = {"time_step": (0, False), "carrier_frequency_hz": (0, False),
            "node_count": (1, True), "n_seeds": (1, True),
@@ -215,7 +212,8 @@ MAX_DISSEMINATION_CELLS = 10 ** 7
 
 def _check_value(name: str, value, example) -> None:
     types, kind = _KINDS[type(example)]
-    if (isinstance(value, bool) or not isinstance(value, types) or value == []
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or value in ([], "")
             or isinstance(value, float) and not math.isfinite(value)):
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
     if isinstance(value, list):
@@ -275,6 +273,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     # surface before any output is written.
     try:
         if config.scenario in ("relay_trace", "relay_sweep"):
+            from .mobility import RelayGeometry, _check_step_divides
+            from .relay import RelayStrategy
             _relay_setup(params)
             if config.scenario == "relay_sweep":
                 delays = params["delays_s"]
@@ -305,11 +305,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                         f"{config.time_step} gives {samples} samples per "
                         f"cycle, more than {MAX_CYCLE_SAMPLES}")
         elif config.scenario == "disseminate":
+            from .dissemination import FileSpec, ReceptionModel
             ReceptionModel(params["coverage_radius_m"],
                            params["erasure_probability"])
             FileSpec(params["source_packet_count"])
             _check_dissemination_size(params)
         elif config.scenario == "coverage":
+            from .coverage import _altitude_grid
             los, _ = _coverage_models(params)
             try:
                 los.los_probability(0.0)  # the sigmoid's largest exponent
@@ -364,6 +366,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("params must be a JSON object")
     if "preset" in data:
         config = preset_config(data["preset"])
+        if data.get("scenario", config.scenario) != config.scenario:
+            raise ConfigError(f"scenario {data['scenario']!r} contradicts "
+                              f"preset {data['preset']!r}, whose scenario is "
+                              f"{config.scenario!r}")
         config.params.update(params)
     else:
         if "scenario" not in data:
@@ -379,6 +385,7 @@ def load_config(path) -> ExperimentConfig:
 # Scenario runners
 
 def _relay_setup(params):
+    from .channel import ChannelModel, SnrReference
     channel = ChannelModel(carrier_frequency=params["carrier_frequency_hz"])
     mid_slant = math.hypot(params["separation_m"] / 2.0,
                            params["uav_altitude_m"])
@@ -394,6 +401,8 @@ def _series_label(strategy: str, v: float) -> str:
 
 
 def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
+    from .mobility import RelayGeometry
+    from .relay import RelayStrategy, simulate_cycle, write_trace_csv
     params = config.params
     channel, ref = _relay_setup(params)
     files, series = [], {}
@@ -412,6 +421,8 @@ def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
 
 
 def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
+    from .mobility import RelayGeometry
+    from .relay import sweep_delay, write_sweep_csv
     params = config.params
     channel, ref = _relay_setup(params)
     template = RelayGeometry(params["separation_m"], params["uav_altitude_m"],
@@ -442,6 +453,8 @@ def _flight_ends(params):
 def _check_dissemination_size(params) -> None:
     """At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or
     the coverage mask, or samples in the overflight."""
+    from .dissemination import _slot_count
+    from .mobility import _overflight_steps
     nodes = params["node_count"]
     steps = _overflight_steps(math.dist(*_flight_ends(params)),
                               params["uav_speed_mps"], _FLIGHT_STEP_S)
@@ -462,6 +475,9 @@ def _check_dissemination_size(params) -> None:
 def _dissemination_scenario(params):
     """The seed-free part of a dissemination config: the (slots, nodes)
     coverage mask, the D2D graph, and the reception and file models."""
+    from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
+                                coverage_mask)
+    from .mobility import overflight_trajectory
     n = params["node_count"]
     spacing = params["field_length_m"] / n
     positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
@@ -482,6 +498,7 @@ def run_dissemination_pairs(params: dict, seeds) -> list:
     the decode flags after phase 2.  Each seed seeds one generator for the
     coded scheme and one for the baseline.
     """
+    from .dissemination import compare_schemes
     coverage, graph, rx, file = _dissemination_scenario(params)
     return compare_schemes(coverage, graph, file, rx,
                            (np.random.default_rng(seed) for seed in seeds),
@@ -495,6 +512,7 @@ def run_dissemination_pair(params: dict, seed: int):
 
 
 def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
+    from .dissemination import write_node_detail_csv, write_summary_csv
     params = config.params
     seeds = [derive_seed(config.master_seed, run_index)
              for run_index in range(params["n_seeds"])]
@@ -517,11 +535,13 @@ def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
 
 
 def _coverage_models(params):
+    from .coverage import ExcessLoss, LosProbabilityModel
     return (LosProbabilityModel(params["s_curve_a"], params["s_curve_b"]),
             ExcessLoss(params["eta_los_db"], params["eta_nlos_db"]))
 
 
 def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
+    from .coverage import coverage_curve, write_coverage_csv
     params = config.params
     rows = coverage_curve((params["altitude_min_m"], params["altitude_max_m"]),
                           params["max_path_loss_db"],
@@ -537,6 +557,9 @@ def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
 
 
 def _probe_rows(params) -> list[list[float]]:
+    from .channel import (ChannelModel, LinkGeometry, SnrReference,
+                          doppler_shift, free_space_path_loss, snr_at,
+                          spectral_efficiency)
     channel = ChannelModel(carrier_frequency=params["carrier_frequency_hz"])
     ref = SnrReference(params["reference_snr_db"],
                        params["reference_distance_m"])
@@ -595,6 +618,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 def _data_rows(path: Path, width: int) -> list[list[str]]:
     """The rows below the header of a run's CSV, each ``width`` fields."""
+    import csv  # only ``uavsim plot`` reads CSVs
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     for line, row in enumerate(rows, start=2):

@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -358,6 +361,22 @@ class TestCli:
                      str(tmp_path / "manifest.json")]) == 0
         assert (tmp_path / "plot_se_vs_delay.csv").exists()
 
+    def test_plot_from_another_directory(self, tmp_path, monkeypatch,
+                                         capsys):
+        # The manifest records the run's relative output directory; plot
+        # reads the outputs next to the manifest, wherever it runs from.
+        monkeypatch.chdir(tmp_path)
+        assert main(["relay", "sweep", "--out", "res/fig4",
+                     "--time-step", "0.05"]) == 0
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path / "other")
+        capsys.readouterr()
+        assert main(["plot", "--manifest", "../res/fig4/manifest.json"]) == 0
+        assert capsys.readouterr().out.split() == [
+            str(Path("../res/fig4/plot_se_vs_delay.csv"))]
+        assert (tmp_path / "res" / "fig4" / "plot_se_vs_delay.csv").exists()
+        assert not list((tmp_path / "other").iterdir())
+
     def test_coverage_subcommand(self, tmp_path):
         code = main(["coverage", "--out", str(tmp_path)])
         assert code == 0
@@ -431,6 +450,8 @@ class TestMalformedConfigs:
         ("dissem20", {}, {"master_seed": 2 ** 64}, []),
         ("dissem20", {}, {}, ["--seed", "-5"]),
         ("fig3", {}, {}, ["--time-step", "0.03"]),
+        # Without --out, an empty path would write into the current directory.
+        ("fig4", {}, {"output_directory": ""}, []),
         # Runs too large to hold or to finish: more than 10**6 altitudes,
         # a step that no longer advances the altitude, more than 10**7
         # samples in a relay cycle.
@@ -488,6 +509,23 @@ class TestMalformedConfigs:
         assert_config_error(code, lines, out)
         assert field in lines[0]
 
+    @pytest.mark.parametrize("command", [["relay", "sweep"], ["coverage"]])
+    def test_scenario_contradicts_preset(self, tmp_path, command):
+        # load_config used to drop the scenario: under relay sweep this ran
+        # fig4, under coverage it failed naming only relay_sweep.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"preset": "fig4", "scenario": "coverage"}))
+        out = tmp_path / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([*command, "--config", str(cfg), "--out", str(out)])
+        lines = stderr.getvalue().splitlines()
+        assert_config_error(code, lines, out)
+        assert "'fig4'" in lines[0] and "'coverage'" in lines[0]
+        cfg.write_text(json.dumps({"preset": "fig4",
+                                   "scenario": "relay_sweep"}))
+        assert load_config(cfg).scenario == "relay_sweep"
+
     def test_plot_malformed_csv(self, tmp_path):
         # A sweep row of 3 fields, as a hand-edited or truncated file has.
         out = tmp_path / "run"
@@ -542,3 +580,51 @@ class TestMalformedConfigs:
             code = main(["plot", "--manifest", str(tmp_path / "none.json")])
         assert code == 2
         assert stderr.getvalue().count("\n") == 1
+
+
+# The uavsim modules, besides the package and ``experiment``, that loading
+# each preset's config imports; its run imports no more.
+SCENARIO_MODULES = {
+    "fig3": {"_csvfile", "channel", "mobility", "relay"},
+    "fig4": {"_csvfile", "channel", "mobility", "relay"},
+    "dissem20": {"_csvfile", "mobility", "dissemination"},
+    "urban_coverage": {"_csvfile", "channel", "coverage"},
+    "channel_probe": {"_csvfile", "channel"},
+}
+
+STARTUP_PROBE = """
+import json, sys
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("uavsim."))
+
+import uavsim
+bare = loaded()
+from uavsim import experiment
+config = experiment.load_config(sys.argv[1])
+after_load = loaded()
+experiment.run(config)
+print(json.dumps({"bare": bare, "load": after_load, "run": loaded(),
+                  "csv": "csv" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("preset", sorted(SCENARIO_MODULES))
+def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
+    """In a fresh interpreter: ``import uavsim`` loads no submodule, and
+    ``load_config`` loads exactly the preset's scenario modules, which
+    ``run`` then needs no addition to; ``csv`` is left unloaded."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": preset,
+                               "output_directory": str(tmp_path / "out")}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(cfg)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded["bare"] == []
+    assert loaded["load"] == sorted(
+        f"uavsim.{name}" for name in SCENARIO_MODULES[preset] | {"experiment"})
+    assert loaded["run"] == loaded["load"]
+    assert not loaded["csv"]
