@@ -450,8 +450,6 @@ class TestMalformedConfigs:
         ("dissem20", {}, {"master_seed": 2 ** 64}, []),
         ("dissem20", {}, {}, ["--seed", "-5"]),
         ("fig3", {}, {}, ["--time-step", "0.03"]),
-        # Without --out, an empty path would write into the current directory.
-        ("fig4", {}, {"output_directory": ""}, []),
         # Runs too large to hold or to finish: more than 10**6 altitudes,
         # a step that no longer advances the altitude, more than 10**7
         # samples in a relay cycle.
@@ -471,6 +469,8 @@ class TestMalformedConfigs:
          []),
         # exp(a * b) in the LoS sigmoid overflows at elevation 0.
         ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, {}, []),
+        # Without --out, an empty path would write into the current directory.
+        ("fig4", {}, {"output_directory": ""}, []),
     ])
     def test_out_of_range(self, tmp_path, preset, params, top, flags):
         config = {"preset": preset, "params": params, **top}
