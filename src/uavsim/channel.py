@@ -5,13 +5,9 @@ SNR relative to a reference anchor, Shannon spectral efficiency, and
 Doppler shift.  Everything here is a pure function of its inputs; random
 sampling takes an explicit ``numpy.random.Generator``.
 
-Each path-loss formula and the spectral efficiency have a scalar
-function (plain ``math``, for callers that evaluate one link at a time)
-and an ``*_array`` twin that evaluates a ``LinkGeometryArray`` in one
-numpy pass.  Both share one private kernel per formula and raise the
-same ``ChannelDomainError`` messages.  ``snr_at`` is the scalar SNR;
-array callers take the SNR as ``snr_anchor_db`` minus their own path
-loss, so each link's loss is evaluated once.
+Each formula is one numpy function that takes a ``LinkGeometry`` (or
+SNRs) of floats or arrays and returns a float or an array to match.  A
+link's SNR is ``snr_anchor_db`` minus its path loss.
 """
 
 from __future__ import annotations
@@ -31,38 +27,17 @@ class ChannelDomainError(ValueError):
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Transmitter-receiver geometry for a single link.
+    """Transmitter-receiver geometry of one link or of many: horizontal
+    separations, and endpoint heights that broadcast against them, e.g. one
+    flight sampled in time (scalar heights) or one ground range per
+    altitude of a grid.
 
     ``slant_distance`` is derived from the horizontal separation and the
     height difference between the endpoints.
     """
 
-    horizontal_separation: float  # m, >= 0
-    transmitter_height: float     # m, > 0
-    receiver_height: float = 0.0  # m, >= 0
-
-    def __post_init__(self):
-        if self.horizontal_separation < 0:
-            raise ChannelDomainError("horizontal_separation must be >= 0")
-        if self.transmitter_height <= 0:
-            raise ChannelDomainError("transmitter_height must be > 0")
-        if self.receiver_height < 0:
-            raise ChannelDomainError("receiver_height must be >= 0")
-
-    @property
-    def slant_distance(self) -> float:
-        return math.hypot(self.horizontal_separation,
-                          self.transmitter_height - self.receiver_height)
-
-
-@dataclass(frozen=True)
-class LinkGeometryArray:
-    """Many links in one array: horizontal separations, and endpoint heights
-    that broadcast against them, e.g. one flight sampled in time (scalar
-    heights) or one ground range per altitude of a grid."""
-
-    horizontal_separation: np.ndarray        # m, >= 0
-    transmitter_height: float | np.ndarray   # m, > 0
+    horizontal_separation: float | np.ndarray  # m, >= 0
+    transmitter_height: float | np.ndarray     # m, > 0
     receiver_height: float | np.ndarray = 0.0  # m, >= 0
 
     def __post_init__(self):
@@ -74,7 +49,7 @@ class LinkGeometryArray:
             raise ChannelDomainError("receiver_height must be >= 0")
 
     @property
-    def slant_distance(self) -> np.ndarray:
+    def slant_distance(self):
         return np.hypot(self.horizontal_separation,
                         self.transmitter_height - self.receiver_height)
 
@@ -106,21 +81,13 @@ class ChannelModel:
         if not math.isfinite(self.k_factor_db):
             raise ChannelDomainError("k_factor_db must be finite")
 
-    def path_loss_db(self, geometry: LinkGeometry) -> float:
-        """Mean path loss of this model for the given geometry, in dB."""
+    def path_loss_db(self, geometry: LinkGeometry):
+        """Mean path loss of this model for each link of ``geometry``, dB."""
         pl_variant = self.base if self.variant == "rician" else self.variant
         if pl_variant == "two_ray":
             return two_ray_path_loss(geometry, self.carrier_frequency,
                                      self.reflection_coefficient)
         return free_space_path_loss(geometry, self.carrier_frequency)
-
-    def path_loss_db_array(self, geometry: LinkGeometryArray) -> np.ndarray:
-        """``path_loss_db`` of every link in ``geometry``."""
-        pl_variant = self.base if self.variant == "rician" else self.variant
-        if pl_variant == "two_ray":
-            return two_ray_path_loss_array(geometry, self.carrier_frequency,
-                                           self.reflection_coefficient)
-        return free_space_path_loss_array(geometry, self.carrier_frequency)
 
 
 @dataclass(frozen=True)
@@ -139,137 +106,62 @@ class SnrReference:
             raise ChannelDomainError("reference_distance must be > 0")
 
 
-def _friis_db(slant_distance, frequency: float, log10):
-    return 20.0 * log10(4.0 * math.pi * slant_distance * frequency
-                        / SPEED_OF_LIGHT)
-
-
-def free_space_path_loss(geometry: LinkGeometry, frequency: float) -> float:
-    """Free-space (Friis) path loss in dB: 20*log10(4*pi*d*f/c)."""
-    d = geometry.slant_distance
-    if d <= 0:
-        raise ChannelDomainError("slant distance must be > 0")
-    if frequency <= 0:
-        raise ChannelDomainError("frequency must be > 0")
-    return _friis_db(d, frequency, math.log10)
-
-
-def free_space_path_loss_array(geometry: LinkGeometryArray,
-                               frequency: float) -> np.ndarray:
-    """``free_space_path_loss`` of every link in ``geometry``."""
+def _slant_distance(geometry: LinkGeometry, frequency: float):
+    """``geometry.slant_distance``, once it and ``frequency`` are checked."""
     d = geometry.slant_distance
     if np.any(d <= 0):
         raise ChannelDomainError("slant distance must be > 0")
     if frequency <= 0:
         raise ChannelDomainError("frequency must be > 0")
-    return _friis_db(d, frequency, np.log10)
+    return d
 
 
-def two_ray_breakpoint_distance(transmitter_height: float,
-                                receiver_height: float,
-                                frequency: float) -> float:
-    """Distance beyond which two-ray loss follows the 40*log10(d) asymptote."""
-    wavelength = SPEED_OF_LIGHT / frequency
-    return 4.0 * transmitter_height * receiver_height / wavelength
-
-
-def _two_ray_amplitude(d_direct, d_reflected, frequency: float,
-                       reflection_coefficient: float):
-    """Received field amplitude relative to the 1 m free-space reference."""
-    wavelength = SPEED_OF_LIGHT / frequency
-    k = 2.0 * math.pi / wavelength
-    direct = np.exp(-1j * k * d_direct) / d_direct
-    reflected = reflection_coefficient * np.exp(-1j * k * d_reflected) / d_reflected
-    return abs(direct + reflected) * wavelength / (4.0 * math.pi)
-
-
-def _check_two_ray(transmitter_height, frequency: float) -> None:
-    if np.any(transmitter_height <= 0):
-        raise ChannelDomainError("transmitter_height must be > 0")
-    if frequency <= 0:
-        raise ChannelDomainError("frequency must be > 0")
+def free_space_path_loss(geometry: LinkGeometry, frequency: float):
+    """Free-space (Friis) path loss in dB: 20*log10(4*pi*d*f/c)."""
+    d = _slant_distance(geometry, frequency)
+    return 20.0 * np.log10(4.0 * math.pi * d * frequency / SPEED_OF_LIGHT)
 
 
 def two_ray_path_loss(geometry: LinkGeometry, frequency: float,
-                      reflection_coefficient: float = -1.0) -> float:
+                      reflection_coefficient: float = -1.0):
     """Coherent two-ray (direct + ground-reflected) path loss in dB.
 
     The reflected ray travels the image path and is scaled by the
     reflection coefficient; the two complex amplitudes are summed.  A
-    perfect null (e.g. receiver on the ground with coefficient -1)
-    returns ``inf`` rather than raising.
+    perfect null (e.g. receiver on the ground with coefficient -1) is an
+    ``inf`` loss rather than an error.
     """
-    _check_two_ray(geometry.transmitter_height, frequency)
-    r = geometry.horizontal_separation
-    d_direct = math.hypot(r, geometry.transmitter_height
-                          - geometry.receiver_height)
-    if d_direct <= 0:
-        raise ChannelDomainError("slant distance must be > 0")
-    d_reflected = math.hypot(r, geometry.transmitter_height
-                             + geometry.receiver_height)
-    amplitude = _two_ray_amplitude(d_direct, d_reflected, frequency,
-                                   reflection_coefficient)
-    if amplitude == 0.0:
-        return math.inf
-    return -20.0 * math.log10(amplitude)
-
-
-def two_ray_path_loss_array(geometry: LinkGeometryArray, frequency: float,
-                            reflection_coefficient: float = -1.0) -> np.ndarray:
-    """``two_ray_path_loss`` of every link in ``geometry``; nulls are ``inf``."""
-    _check_two_ray(geometry.transmitter_height, frequency)
-    r = geometry.horizontal_separation
-    d_direct = geometry.slant_distance
-    if np.any(d_direct <= 0):
-        raise ChannelDomainError("slant distance must be > 0")
-    d_reflected = np.hypot(r, geometry.transmitter_height
+    d_direct = _slant_distance(geometry, frequency)
+    d_reflected = np.hypot(geometry.horizontal_separation,
+                           geometry.transmitter_height
                            + geometry.receiver_height)
-    amplitude = _two_ray_amplitude(d_direct, d_reflected, frequency,
-                                   reflection_coefficient)
+    wavelength = SPEED_OF_LIGHT / frequency
+    k = 2.0 * math.pi / wavelength
+    direct = np.exp(-1j * k * d_direct) / d_direct
+    reflected = reflection_coefficient * np.exp(-1j * k * d_reflected) / d_reflected
+    # Received field amplitude relative to the 1 m free-space reference.
+    amplitude = np.abs(direct + reflected) * wavelength / (4.0 * math.pi)
     with np.errstate(divide="ignore"):  # log10(0) = -inf: a perfect null
         return -20.0 * np.log10(amplitude)
 
 
-def _rician_gains(k_factor_db: float, rng: np.random.Generator, n: int,
-                  interleaved: bool) -> np.ndarray:
-    """``n`` gains; the normal draws come either all real parts first or
-    as (real, imaginary) pairs."""
+def rician_power_gains(k_factor_db: float, rng: np.random.Generator,
+                       count: int) -> np.ndarray:
+    """|g|^2 of ``count`` unit-mean-power Rician fading gains.
+
+    g = sqrt(K/(K+1)) + sqrt(1/(K+1)) * z with z a circularly-symmetric
+    unit-variance complex Gaussian, so E[|g|^2] = 1.  Each gain draws its
+    (real, imaginary) normal pair from ``rng`` in turn, so a vectorised
+    caller consumes the stream a per-step loop would.
+    """
     if not math.isfinite(k_factor_db):
         raise ChannelDomainError("k_factor_db must be finite")
     k = 10.0 ** (k_factor_db / 10.0)
     los = math.sqrt(k / (k + 1.0))
     scatter_scale = math.sqrt(1.0 / (k + 1.0))
-    if interleaved:
-        pairs = rng.standard_normal(2 * n)
-        z_real, z_imag = pairs[0::2], pairs[1::2]
-    else:
-        z_real = rng.standard_normal(n)
-        z_imag = rng.standard_normal(n)
-    z = (z_real + 1j * z_imag) / math.sqrt(2.0)
-    return los + scatter_scale * z
-
-
-def sample_rician_gain(k_factor_db: float, rng: np.random.Generator,
-                       size: int | None = None):
-    """Draw unit-mean-power Rician fading gains.
-
-    g = sqrt(K/(K+1)) + sqrt(1/(K+1)) * z with z a circularly-symmetric
-    unit-variance complex Gaussian, so E[|g|^2] = 1.  Returns a complex
-    scalar, or an array when ``size`` is given (all real parts are drawn
-    before all imaginary parts).
-    """
-    n = 1 if size is None else size
-    g = _rician_gains(k_factor_db, rng, n, interleaved=False)
-    return g[0] if size is None else g
-
-
-def rician_power_gains(k_factor_db: float, rng: np.random.Generator,
-                       count: int) -> np.ndarray:
-    """|g|^2 of ``count`` Rician gains, drawn from ``rng`` in the order of
-    ``count`` scalar ``sample_rician_gain`` calls (real, imaginary, real,
-    ...), so a vectorised caller consumes the stream a per-step loop did."""
-    return np.abs(_rician_gains(k_factor_db, rng, count,
-                                interleaved=True)) ** 2
+    pairs = rng.standard_normal(2 * count)
+    z = (pairs[0::2] + 1j * pairs[1::2]) / math.sqrt(2.0)
+    return np.abs(los + scatter_scale * z) ** 2
 
 
 def snr_anchor_db(model: ChannelModel, ref: SnrReference,
@@ -277,8 +169,9 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
                   receiver_height: float = 0.0) -> float:
     """The anchor's SNR plus the model's path loss at the reference
     distance, for links between these heights: the SNR in dB of such a
-    link is this value minus its own path loss.  Raises
-    ``ChannelDomainError`` when the reference link lies in a perfect null."""
+    link is this value minus its own path loss (for the Rician variant,
+    the fading-averaged SNR).  Raises ``ChannelDomainError`` when the
+    reference link lies in a perfect null."""
     dh = transmitter_height - receiver_height
     if ref.reference_distance < abs(dh):
         raise ChannelDomainError(
@@ -296,33 +189,9 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
     return ref.reference_snr_db + reference_loss
 
 
-def snr_at(geometry: LinkGeometry, model: ChannelModel,
-           ref: SnrReference) -> float:
-    """Mean received SNR in dB at the given geometry.
-
-    Anchored so the model's own path loss at ``ref.reference_distance``
-    (same endpoint heights) maps to ``ref.reference_snr_db``.  For the
-    Rician variant this is the fading-averaged SNR.
-    """
-    return (snr_anchor_db(model, ref, geometry.transmitter_height,
-                         geometry.receiver_height)
-            - model.path_loss_db(geometry))
-
-
-def _shannon(snr_db, log2):
-    return log2(1.0 + 10.0 ** (snr_db / 10.0))
-
-
-def spectral_efficiency(snr_db: float) -> float:
-    """Shannon spectral efficiency log2(1 + SNR) in bps/Hz."""
-    if snr_db == -math.inf:
-        return 0.0
-    return _shannon(snr_db, math.log2)
-
-
-def spectral_efficiency_array(snr_db: np.ndarray) -> np.ndarray:
-    """``spectral_efficiency`` of every SNR in ``snr_db``."""
-    return _shannon(np.asarray(snr_db, dtype=float), np.log2)
+def spectral_efficiency(snr_db):
+    """Shannon spectral efficiency log2(1 + SNR) in bps/Hz; 0 at -inf dB."""
+    return np.log2(1.0 + 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0))
 
 
 def doppler_shift(relative_speed: float, frequency: float) -> float:

@@ -11,7 +11,8 @@ Subcommands mirror the scenario kinds::
 
 Exit codes: 0 success, 1 run failure, 2 configuration error.  The
 default output directory can be set via the UAVSIM_OUT environment
-variable.
+variable; an empty UAVSIM_OUT counts as unset, while an empty ``--out``
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -84,8 +85,10 @@ def _resolve_config(args):
         config.master_seed = args.seed
     if args.time_step is not None:
         config.time_step = args.time_step
-    config.output_directory = (args.out or os.environ.get("UAVSIM_OUT")
-                               or config.output_directory)
+    if args.out is not None:  # validation rejects an empty --out
+        config.output_directory = args.out
+    elif os.environ.get("UAVSIM_OUT"):  # an empty UAVSIM_OUT counts as unset
+        config.output_directory = os.environ["UAVSIM_OUT"]
     return config
 
 

@@ -6,10 +6,9 @@ LoS and NLoS excess losses by that probability.  Coverage radius is the
 largest ground range whose expected loss stays under a threshold, and
 optimal altitude maximizes that radius over a grid.
 
-The expected loss has a scalar function (plain ``math``) and an array
-twin sharing one private kernel, as in ``channel``.  The radii of a whole
-altitude grid come from one bisection run on all altitudes in lockstep;
-it decides every comparison as the scalar loss would.
+The expected loss is one numpy function of floats or arrays.  The radii
+of a whole altitude grid come from one bisection run on all altitudes in
+lockstep, which takes the steps each altitude would take alone.
 """
 
 from __future__ import annotations
@@ -20,15 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfile import write_csv
-from .channel import (LinkGeometry, LinkGeometryArray, free_space_path_loss,
-                      free_space_path_loss_array)
+from .channel import LinkGeometry, free_space_path_loss
 
 MAX_GRID_POINTS = 10 ** 6  # altitudes in one coverage curve
-# numpy's exp, log10 and arctan2 can differ from math's in the last bits,
-# so a loss within this relative band of its bound is compared again with
-# the scalar expected_path_loss.
-_GUARD = 1e-9
 _UNBOUNDED = 1e9  # m; bracketing that passes this range returns there
+
+
+def _exp(x):
+    """``np.exp``, raising ``OverflowError`` where it overflows, as
+    ``math.exp`` does."""
+    with np.errstate(over="raise"):
+        try:
+            return np.exp(x)
+        except FloatingPointError:
+            raise OverflowError("math range error") from None
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,12 @@ class LosProbabilityModel:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
-    def los_probability(self, elevation_deg: float) -> float:
-        return self._los_probability(elevation_deg, math.exp)
-
-    def _los_probability(self, elevation_deg, exp):
+    def los_probability(self, elevation_deg):
+        """P_LoS at each elevation in degrees; ``OverflowError`` where
+        exp(-b*(theta - a)) overflows."""
         a, b = self.s_curve_a, self.s_curve_b
-        return 1.0 / (1.0 + a * exp(-b * (elevation_deg - a)))
+        with np.errstate(over="ignore"):  # a * exp(x) may overflow to inf
+            return 1.0 / (1.0 + a * _exp(-b * (elevation_deg - a)))
 
 
 @dataclass(frozen=True)
@@ -79,53 +83,28 @@ def environment_preset(name: str) -> tuple[LosProbabilityModel, ExcessLoss]:
 
 
 def _expected_loss(fspl, elevation_deg, los: LosProbabilityModel,
-                   excess: ExcessLoss, exp):
+                   excess: ExcessLoss):
     """The LoS-probability-weighted mean of the LoS and NLoS losses, dB."""
-    p_los = los._los_probability(elevation_deg, exp)
+    p_los = los.los_probability(elevation_deg)
     return (p_los * (fspl + excess.eta_los)
             + (1.0 - p_los) * (fspl + excess.eta_nlos))
 
 
-def _exp_array(x):
-    """``np.exp`` raising ``OverflowError`` where ``math.exp`` does."""
-    with np.errstate(over="raise"):
-        try:
-            return np.exp(x)
-        except FloatingPointError:
-            raise OverflowError("math range error") from None
-
-
-def expected_path_loss(altitude: float, ground_range: float, frequency: float,
-                       los: LosProbabilityModel, excess: ExcessLoss) -> float:
-    """LoS-probability-weighted mean path loss in dB."""
-    if altitude <= 0:
-        raise ValueError("altitude must be > 0")
-    if ground_range < 0:
-        raise ValueError("ground_range must be >= 0")
-    geometry = LinkGeometry(horizontal_separation=ground_range,
-                            transmitter_height=altitude)
-    return _expected_loss(free_space_path_loss(geometry, frequency),
-                          math.degrees(math.atan2(altitude, ground_range)),
-                          los, excess, math.exp)
-
-
-def expected_path_loss_array(altitude, ground_range, frequency: float,
-                             los: LosProbabilityModel,
-                             excess: ExcessLoss) -> np.ndarray:
-    """``expected_path_loss`` of every (altitude, ground range) pair of the
-    two broadcast arrays."""
+def expected_path_loss(altitude, ground_range, frequency: float,
+                       los: LosProbabilityModel, excess: ExcessLoss):
+    """LoS-probability-weighted mean path loss in dB of every (altitude,
+    ground range) pair of the two broadcast floats or arrays."""
     altitude = np.asarray(altitude, dtype=float)
     ground_range = np.asarray(ground_range, dtype=float)
     if np.any(altitude <= 0):
         raise ValueError("altitude must be > 0")
     if np.any(ground_range < 0):
         raise ValueError("ground_range must be >= 0")
-    geometry = LinkGeometryArray(horizontal_separation=ground_range,
-                                 transmitter_height=altitude)
-    with np.errstate(over="ignore"):  # a * exp(x) may overflow to inf
-        return _expected_loss(free_space_path_loss_array(geometry, frequency),
-                              np.degrees(np.arctan2(altitude, ground_range)),
-                              los, excess, _exp_array)
+    geometry = LinkGeometry(horizontal_separation=ground_range,
+                            transmitter_height=altitude)
+    return _expected_loss(free_space_path_loss(geometry, frequency),
+                          np.degrees(np.arctan2(altitude, ground_range)),
+                          los, excess)
 
 
 def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
@@ -139,38 +118,19 @@ def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
     call, and ``loss(lo)`` is carried from the step that moved ``lo``.
     """
     h = np.asarray(altitudes, dtype=float)
-    # The band scales with what the array and scalar losses can differ by:
-    # a few ulps of the loss itself, and of the NLoS excess times the
-    # sigmoid's slope in its exponent b*(a - theta), theta <= 90 degrees.
-    slack = excess.eta_nlos * (1.0 + los.s_curve_b * (90.0 + los.s_curve_a))
 
     def losses(index, r):
-        return expected_path_loss_array(h[index], r, frequency, los, excess)
-
-    def scalar(i, r):
-        return expected_path_loss(float(h[i]), float(r), frequency, los,
-                                  excess)
-
-    def decide(decision, values, bound, exact):
-        near = np.abs(values - bound) <= _GUARD * (np.abs(bound) + slack)
-        for k in np.flatnonzero(near).tolist():
-            decision[k] = exact(k)
-        return decision
-
-    def covered(index, r, values):
-        return decide(values <= max_path_loss, values, max_path_loss,
-                      lambda k: scalar(index[k], r[k]) <= max_path_loss)
+        return expected_path_loss(h[index], r, frequency, los, excess)
 
     radii = np.zeros_like(h)
     every = np.arange(h.size)
     loss_lo = losses(every, np.zeros_like(h))
-    bisected = ~decide(loss_lo > max_path_loss, loss_lo, max_path_loss,
-                       lambda k: scalar(k, 0.0) > max_path_loss)
+    bisected = loss_lo <= max_path_loss
     # Bracket the crossing by doubling.
     hi = np.maximum(h, 1.0)
     index = every[bisected]
     while index.size:
-        index = index[covered(index, hi[index], losses(index, hi[index]))]
+        index = index[losses(index, hi[index]) <= max_path_loss]
         hi[index] *= 2.0
         # The threshold is never reached within any practical range.
         unbounded = index[hi[index] > _UNBOUNDED]
@@ -183,13 +143,10 @@ def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
     while index.size:
         mid = 0.5 * (lo[index] + hi[index])
         values = losses(index, mid)
-        floor = loss_lo[index] - 1e-12
-        drop = decide(values < floor, values, floor,
-                      lambda k: scalar(index[k], mid[k])
-                      < scalar(index[k], lo[index[k]]) - 1e-12)
+        drop = values < loss_lo[index] - 1e-12
         monotone[index[drop]] = False
         index, mid, values = index[~drop], mid[~drop], values[~drop]
-        inside = covered(index, mid, values)
+        inside = values <= max_path_loss
         lo[index[inside]] = mid[inside]
         loss_lo[index[inside]] = values[inside]
         hi[index[~inside]] = mid[~inside]
@@ -202,8 +159,7 @@ def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
             grid.append(r)
             r += tolerance
         grid = np.array(grid)
-        index = np.full(grid.size, i)
-        inside = covered(index, grid, losses(index, grid))
+        inside = losses(i, grid) <= max_path_loss
         radii[i] = grid[inside][-1] if inside.any() else 0.0
     return radii
 

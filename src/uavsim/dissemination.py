@@ -29,7 +29,6 @@ bound the memory a batch holds.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,39 +70,24 @@ class ReceptionModel:
             raise ValueError("erasure_probability must lie in [0, 1)")
 
 
-def _within(distance: np.ndarray, limit: float, exact_distance) -> np.ndarray:
-    """``distance <= limit`` elementwise.
-
-    ``distance`` is a numpy estimate of the scalar rule
-    ``exact_distance(*index)``; the two can differ by an ulp, so entries
-    within rounding of the limit are decided by the scalar rule itself.
-    """
-    inside = distance <= limit
-    for index in zip(*np.nonzero(np.abs(distance - limit) <= 1e-9 * limit)):
-        inside[index] = exact_distance(*index) <= limit
-    return inside
-
-
 class D2dGraph:
     """Symmetric adjacency over node indices: edge iff
-    ``math.dist(a, b) <= d2d_range`` for ground positions ``a != b``."""
+    ``np.hypot(*(a - b)) <= d2d_range`` for ground positions ``a != b``."""
 
     def __init__(self, positions, d2d_range: float):
         positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        points = positions.tolist()
         gap = positions[:, None, :] - positions[None, :, :]
-        adjacency = _within(np.hypot(gap[..., 0], gap[..., 1]), d2d_range,
-                            lambda i, j: math.dist(points[i], points[j]))
+        adjacency = np.hypot(gap[..., 0], gap[..., 1]) <= d2d_range
         np.fill_diagonal(adjacency, False)
         self.d2d_range = d2d_range
         self.adjacency = adjacency
         # Component index per node, components numbered by smallest member.
-        self.labels = np.full(len(points), -1)
+        self.labels = np.full(len(positions), -1)
         self.component_count = 0
-        for start in range(len(points)):
+        for start in range(len(positions)):
             if self.labels[start] >= 0:
                 continue
-            frontier = np.zeros(len(points), dtype=bool)
+            frontier = np.zeros(len(positions), dtype=bool)
             frontier[start] = True
             while frontier.any():
                 self.labels[frontier] = self.component_count
@@ -122,8 +106,9 @@ def _slot_count(duration: float, slot_duration: float) -> int:
 
 def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
                   slot_duration: float) -> np.ndarray:
-    """(slots, nodes) bool: the node lies inside the coverage disc at the
-    start of the slot, one slot per ``slot_duration`` over the flight."""
+    """(slots, nodes) bool: the node's slant distance from the UAV at the
+    start of the slot, ``sqrt(dx*dx + dy*dy + z*z)``, is at most the
+    coverage radius; one slot per ``slot_duration`` over the flight."""
     if slot_duration <= 0:
         raise ValueError("slot_duration must be > 0")
     slots = _slot_count(traj.duration, slot_duration)
@@ -133,13 +118,7 @@ def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
     dx = uav[:, None, 0] - ground[None, :, 0]
     dy = uav[:, None, 1] - ground[None, :, 1]
     slant = np.sqrt(dx * dx + dy * dy + (uav[:, 2] * uav[:, 2])[:, None])
-    uav_points, ground_points = uav.tolist(), ground.tolist()
-
-    def exact_slant(slot, node):
-        (ux, uy, uz), (nx, ny) = uav_points[slot], ground_points[node]
-        return math.sqrt((ux - nx) ** 2 + (uy - ny) ** 2 + uz ** 2)
-
-    return _within(slant, rx.coverage_radius, exact_slant)
+    return slant <= rx.coverage_radius
 
 
 def _broadcast(coverage: np.ndarray, packets: np.ndarray,

@@ -327,7 +327,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                             params["altitude_max_m"]),
                            params["altitude_step_m"])
         else:
-            _probe_rows(params)
+            _probe_columns(params)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{config.scenario}: "
                           f"{_config_terms(str(exc), params)}") from exc
@@ -556,30 +556,30 @@ def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
                            "optimal_radius_m": best_r}}
 
 
-def _probe_rows(params) -> list[list[float]]:
+def _probe_columns(params) -> list:
+    """The columns of ``probe.csv``, one row per ground range."""
     from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                          doppler_shift, free_space_path_loss, snr_at,
+                          doppler_shift, free_space_path_loss, snr_anchor_db,
                           spectral_efficiency)
-    channel = ChannelModel(carrier_frequency=params["carrier_frequency_hz"])
+    frequency = params["carrier_frequency_hz"]
+    altitude = params["uav_altitude_m"]
+    channel = ChannelModel(carrier_frequency=frequency)
     ref = SnrReference(params["reference_snr_db"],
                        params["reference_distance_m"])
-    fd = doppler_shift(params["relative_speed_mps"],
-                       params["carrier_frequency_hz"])
-    rows = []
-    for r in params["ground_ranges_m"]:
-        geo = LinkGeometry(r, params["uav_altitude_m"])
-        snr = snr_at(geo, channel, ref)
-        rows.append([r, geo.slant_distance,
-                     free_space_path_loss(geo, params["carrier_frequency_hz"]),
-                     snr, spectral_efficiency(snr), fd])
-    return rows
+    fd = doppler_shift(params["relative_speed_mps"], frequency)
+    ranges = params["ground_ranges_m"]
+    geo = LinkGeometry(np.array(ranges, dtype=float), altitude)
+    fspl = free_space_path_loss(geo, frequency)  # the channel's path loss
+    snr = snr_anchor_db(channel, ref, altitude) - fspl
+    return [ranges, geo.slant_distance, fspl, snr, spectral_efficiency(snr),
+            [fd] * len(ranges)]
 
 
 def _run_channel_probe(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     name = "probe.csv"
     write_csv(out / name, ["ground_range_m", "slant_m", "fspl_db", "snr_db",
                            "se_bpshz", "doppler_hz"],
-              zip(*_probe_rows(config.params)))
+              _probe_columns(config.params))
     return [name], {name: {"kind": "channel_probe"}}
 
 

@@ -19,9 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from ._csvfile import write_csv
-from .channel import (ChannelModel, LinkGeometryArray, SnrReference,
-                      rician_power_gains, snr_anchor_db,
-                      spectral_efficiency_array)
+from .channel import (ChannelModel, LinkGeometry, SnrReference,
+                      rician_power_gains, snr_anchor_db, spectral_efficiency)
 from .mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
                        ferry_x, mobile_relay_x)
 
@@ -84,8 +83,8 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
 def _links(geom: RelayGeometry, xs: np.ndarray):
     """Relay-to-source and relay-to-destination links along the x axis:
     the source is on the ground at x = 0, the destination at x = R."""
-    return (LinkGeometryArray(np.abs(xs), geom.uav_altitude),
-            LinkGeometryArray(np.abs(xs - geom.separation), geom.uav_altitude))
+    return (LinkGeometry(np.abs(xs), geom.uav_altitude),
+            LinkGeometry(np.abs(xs - geom.separation), geom.uav_altitude))
 
 
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
@@ -111,8 +110,8 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     xs = _cycle_x(strategy, geom, times)
     delta = geom.delay_budget
     src, dst = _links(geom, xs)
-    pl_src = channel.path_loss_db_array(src)
-    pl_dst = channel.path_loss_db_array(dst)
+    pl_src = channel.path_loss_db(src)
+    pl_dst = channel.path_loss_db(dst)
 
     phase1 = times < delta - 1e-12
     # The active link is the source's in phase 1, the destination's after.
@@ -128,7 +127,7 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
                                    int(np.count_nonzero(talking)))
         with np.errstate(divide="ignore"):  # a zero gain is -inf dB
             snr_db[talking] += 10.0 * np.log10(gains)
-    se = np.where(talking, spectral_efficiency_array(snr_db), 0.0)
+    se = np.where(talking, spectral_efficiency(snr_db), 0.0)
 
     # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
     # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains:

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
-                            LinkGeometryArray, SPEED_OF_LIGHT, SnrReference,
-                            doppler_shift, free_space_path_loss,
-                            free_space_path_loss_array, rician_power_gains,
-                            sample_rician_gain, snr_anchor_db, snr_at,
-                            spectral_efficiency, spectral_efficiency_array,
-                            two_ray_breakpoint_distance, two_ray_path_loss,
-                            two_ray_path_loss_array)
+                            SnrReference, doppler_shift, free_space_path_loss,
+                            rician_power_gains, snr_anchor_db,
+                            spectral_efficiency, two_ray_path_loss)
 
 F5GHZ = 5e9
 # Midpoint slant distance for R=1 km at H=100 m.
@@ -19,6 +15,13 @@ MID_SLANT = math.hypot(500.0, 100.0)
 
 def geo(horizontal, tx_height=100.0, rx_height=0.0):
     return LinkGeometry(horizontal, tx_height, rx_height)
+
+
+def snr(geometry, model, ref):
+    # A link's mean SNR in dB: the anchor minus the link's own path loss.
+    return (snr_anchor_db(model, ref, geometry.transmitter_height,
+                          geometry.receiver_height)
+            - model.path_loss_db(geometry))
 
 
 def fspl_oracle(d, f):
@@ -67,12 +70,6 @@ class TestFreeSpacePathLoss:
 
 
 class TestTwoRayPathLoss:
-    def test_breakpoint_distance(self):
-        wavelength = SPEED_OF_LIGHT / F5GHZ
-        d_b = two_ray_breakpoint_distance(100.0, 1.5, F5GHZ)
-        assert d_b == pytest.approx(4.0 * 100.0 * 1.5 / wavelength, rel=1e-12)
-        assert d_b == pytest.approx(10_000.0, rel=1e-2)
-
     def test_zero_reflection_equals_free_space(self):
         for i in range(100):
             g = LinkGeometry(10.0 + 37.0 * i, 50.0 + i, 1.5)
@@ -97,32 +94,32 @@ class TestTwoRayPathLoss:
 class TestRicianFading:
     def test_pure_los_limit(self):
         rng = np.random.default_rng(1)
-        g = sample_rician_gain(300.0, rng, size=1000)
-        assert np.all(np.abs(np.abs(g) - 1.0) < 1e-6)
+        p = rician_power_gains(300.0, rng, 1000)
+        assert np.all(np.abs(np.sqrt(p) - 1.0) < 1e-6)
 
     def test_unit_mean_power_k15(self):
         rng = np.random.default_rng(2)
-        g = sample_rician_gain(15.0, rng, size=1_000_000)
-        assert 0.995 <= np.mean(np.abs(g) ** 2) <= 1.005
+        p = rician_power_gains(15.0, rng, 1_000_000)
+        assert 0.995 <= np.mean(p) <= 1.005
 
     @pytest.mark.parametrize("k_db", [0.0, 5.0, 15.0, 28.0])
     def test_unit_mean_power_across_k(self, k_db):
         rng = np.random.default_rng(3)
-        g = sample_rician_gain(k_db, rng, size=100_000)
-        assert np.mean(np.abs(g) ** 2) == pytest.approx(1.0, abs=0.01)
+        p = rician_power_gains(k_db, rng, 100_000)
+        assert np.mean(p) == pytest.approx(1.0, abs=0.01)
 
     def test_moment_based_k_estimate(self):
         # Standard moment estimator: with c = Var[P]/E[P]^2 for the power
         # P = |g|^2, K = (1 - c + sqrt(1 - c)) / c.
         rng = np.random.default_rng(4)
-        p = np.abs(sample_rician_gain(15.0, rng, size=1_000_000)) ** 2
+        p = rician_power_gains(15.0, rng, 1_000_000)
         c = np.var(p) / np.mean(p) ** 2
         k_est_db = 10.0 * math.log10((1.0 - c + math.sqrt(1.0 - c)) / c)
         assert k_est_db == pytest.approx(15.0, abs=0.5)
 
     def test_deterministic_given_stream(self):
-        a = sample_rician_gain(15.0, np.random.default_rng(9), size=64)
-        b = sample_rician_gain(15.0, np.random.default_rng(9), size=64)
+        a = rician_power_gains(15.0, np.random.default_rng(9), 64)
+        b = rician_power_gains(15.0, np.random.default_rng(9), 64)
         assert np.array_equal(a, b)
 
 
@@ -131,32 +128,31 @@ class TestSnrAt:
     ref = SnrReference(reference_snr_db=10.0, reference_distance=MID_SLANT)
 
     def test_reference_distance_is_identity(self):
-        assert snr_at(geo(500.0), self.channel, self.ref) == pytest.approx(
+        assert snr(geo(500.0), self.channel, self.ref) == pytest.approx(
             10.0, abs=1e-9)
 
     def test_overhead_at_100m(self):
         # Inverse-square oracle: 10 dB * (509.90/100)^2 -> linear 260.
-        snr = snr_at(LinkGeometry(0.0, 100.0), self.channel, self.ref)
-        assert snr == pytest.approx(24.15, abs=0.005)
-        assert 10.0 ** (snr / 10.0) == pytest.approx(
+        value = snr(LinkGeometry(0.0, 100.0), self.channel, self.ref)
+        assert value == pytest.approx(24.15, abs=0.005)
+        assert 10.0 ** (value / 10.0) == pytest.approx(
             10.0 * (MID_SLANT / 100.0) ** 2, rel=1e-9)
 
     def test_at_223m(self):
         g = LinkGeometry(math.sqrt(223.61 ** 2 - 100.0 ** 2), 100.0)
-        snr = snr_at(g, self.channel, self.ref)
-        assert snr == pytest.approx(17.16, abs=0.005)
-        assert 10.0 ** (snr / 10.0) == pytest.approx(52.0, abs=0.01)
+        value = snr(g, self.channel, self.ref)
+        assert value == pytest.approx(17.16, abs=0.005)
+        assert 10.0 ** (value / 10.0) == pytest.approx(52.0, abs=0.01)
 
     def test_antitone_in_distance(self):
-        snrs = [snr_at(geo(r), self.channel, self.ref)
-                for r in range(0, 5000, 50)]
-        assert all(a > b for a, b in zip(snrs, snrs[1:]))
+        snrs = snr(geo(np.arange(0.0, 5000.0, 50.0)), self.channel, self.ref)
+        assert np.all(snrs[:-1] > snrs[1:])
 
     def test_rician_mean_snr_matches_base(self):
         rician = ChannelModel(carrier_frequency=F5GHZ, variant="rician",
                               k_factor_db=15.0)
-        assert snr_at(geo(300.0), rician, self.ref) == pytest.approx(
-            snr_at(geo(300.0), self.channel, self.ref), abs=1e-12)
+        assert snr(geo(300.0), rician, self.ref) == pytest.approx(
+            snr(geo(300.0), self.channel, self.ref), abs=1e-12)
 
 
 class TestSpectralEfficiency:
@@ -221,8 +217,8 @@ class TestChannelModelValidation:
 
 
 class TestArrayKernels:
-    """The ``*_array`` functions agree element by element with the scalar
-    functions and reject the same inputs with the same messages."""
+    """Each kernel evaluates an array of links as it evaluates each link
+    alone, bit for bit, and rejects invalid links with one message."""
 
     HORIZONTAL = np.array([0.0, 0.5, 37.0, 100.0, 499.9, 500.0, 2000.0])
     HEIGHTS = [(100.0, 0.0), (100.0, 1.5), (30.0, 29.0)]
@@ -233,107 +229,98 @@ class TestArrayKernels:
                            reflection_coefficient=-0.9)]
 
     @staticmethod
-    def assert_matches(array_values, scalar_values):
+    def assert_matches(array_values, per_element):
         assert isinstance(array_values, np.ndarray)
-        for got, want in zip(array_values.tolist(), scalar_values):
-            if math.isinf(want) or math.isnan(want):
-                assert got == want or (math.isnan(got) and math.isnan(want))
-            else:
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(array_values, np.array(per_element))
 
     def links(self, tx, rx):
-        return (LinkGeometryArray(self.HORIZONTAL, tx, rx),
+        return (LinkGeometry(self.HORIZONTAL, tx, rx),
                 [LinkGeometry(h, tx, rx) for h in self.HORIZONTAL.tolist()])
 
     @pytest.mark.parametrize("tx,rx", HEIGHTS)
     def test_path_loss(self, tx, rx):
-        array, scalars = self.links(tx, rx)
-        self.assert_matches(free_space_path_loss_array(array, F5GHZ),
-                            [free_space_path_loss(g, F5GHZ) for g in scalars])
+        array, links = self.links(tx, rx)
+        self.assert_matches(free_space_path_loss(array, F5GHZ),
+                            [free_space_path_loss(g, F5GHZ) for g in links])
         for coefficient in (-1.0, -0.3, 0.0):
             self.assert_matches(
-                two_ray_path_loss_array(array, F5GHZ, coefficient),
-                [two_ray_path_loss(g, F5GHZ, coefficient) for g in scalars])
+                two_ray_path_loss(array, F5GHZ, coefficient),
+                [two_ray_path_loss(g, F5GHZ, coefficient) for g in links])
         for model in self.MODELS:
-            self.assert_matches(model.path_loss_db_array(array),
-                                [model.path_loss_db(g) for g in scalars])
+            self.assert_matches(model.path_loss_db(array),
+                                [model.path_loss_db(g) for g in links])
 
     @pytest.mark.parametrize("tx,rx", HEIGHTS)
     def test_snr(self, tx, rx):
-        array, scalars = self.links(tx, rx)
+        array, links = self.links(tx, rx)
         ref = SnrReference(10.0, 150.0)
         for model in self.MODELS:
-            self.assert_matches(snr_anchor_db(model, ref, tx, rx)
-                                - model.path_loss_db_array(array),
-                                [snr_at(g, model, ref) for g in scalars])
+            self.assert_matches(snr(array, model, ref),
+                                [snr(g, model, ref) for g in links])
 
     def test_spectral_efficiency(self):
         snr_db = [-math.inf, -300.0, -3.0, 0.0, 10.0, 24.15, 80.0]
-        self.assert_matches(spectral_efficiency_array(np.array(snr_db)),
+        self.assert_matches(spectral_efficiency(np.array(snr_db)),
                             [spectral_efficiency(x) for x in snr_db])
 
     def test_perfect_null_is_inf_loss_and_zero_se(self, recwarn):
         # Ground receiver, coefficient -1: the two rays cancel exactly.
-        array = LinkGeometryArray(self.HORIZONTAL, 100.0, 0.0)
-        loss = two_ray_path_loss_array(array, F5GHZ, -1.0)
+        array = LinkGeometry(self.HORIZONTAL, 100.0, 0.0)
+        loss = two_ray_path_loss(array, F5GHZ, -1.0)
         assert np.all(np.isposinf(loss))
-        assert spectral_efficiency_array(-loss).tolist() == \
+        assert spectral_efficiency(-loss).tolist() == \
             [0.0] * len(self.HORIZONTAL)
-        # The anchor sits in the null too, so no SNR can be anchored; both
-        # forms reject the reference instead of returning inf - inf.
+        # The anchor sits in the null too, so no SNR can be anchored; the
+        # reference is rejected instead of returning inf - inf.
         model = ChannelModel(F5GHZ, variant="two_ray")
         with pytest.raises(ChannelDomainError, match="reference"):
             snr_anchor_db(model, SnrReference(10.0, 150.0), 100.0, 0.0)
-        with pytest.raises(ChannelDomainError, match="reference"):
-            snr_at(LinkGeometry(10.0, 100.0), model, SnrReference(10.0, 150.0))
         assert not recwarn.list
 
-    @pytest.mark.parametrize("scalar,array", [
-        (free_space_path_loss, free_space_path_loss_array),
-        (two_ray_path_loss, two_ray_path_loss_array),
-        (lambda g, f: snr_at(g, ChannelModel(F5GHZ), SnrReference(10.0, 0.5)),
-         lambda g, f: (snr_anchor_db(ChannelModel(F5GHZ),
-                                     SnrReference(10.0, 0.5),
-                                     g.transmitter_height, g.receiver_height)
-                       - ChannelModel(F5GHZ).path_loss_db_array(g))),
-    ])
-    def test_same_domain_errors(self, scalar, array):
-        cases = [
-            ((0.0, 100.0, 100.0), F5GHZ),  # zero slant distance
-            ((10.0, 100.0, 0.0), 0.0),     # frequency <= 0
-            ((10.0, 100.0, 0.0), -1.0),
-            ((0.0, 100.0, 99.0), F5GHZ),   # reference shorter than dh
-        ]
-        raised = 0
-        for (h, tx, rx), f in cases:
-            scalar_error = array_error = None
-            try:
-                scalar(LinkGeometry(h, tx, rx), f)
-            except ChannelDomainError as exc:
-                scalar_error = str(exc)
-            try:
-                array(LinkGeometryArray(np.array([50.0, h]), tx, rx), f)
-            except ChannelDomainError as exc:
-                array_error = str(exc)
-            assert array_error == scalar_error
-            raised += scalar_error is not None
-        assert raised >= 2
+    # (horizontal, tx height, rx height), frequency
+    ERROR_CASES = [((0.0, 100.0, 100.0), F5GHZ),  # zero slant distance
+                   ((10.0, 100.0, 0.0), 0.0),     # frequency <= 0
+                   ((10.0, 100.0, 0.0), -1.0),
+                   ((0.0, 100.0, 99.0), F5GHZ)]   # reference shorter than dh
+    PATH_LOSS_ERRORS = ["slant distance must be > 0", "frequency must be > 0",
+                        "frequency must be > 0", None]
+
+    @pytest.mark.parametrize("kernel,messages", [
+        (free_space_path_loss, PATH_LOSS_ERRORS),
+        (two_ray_path_loss, PATH_LOSS_ERRORS),
+        (lambda g, f: snr(g, ChannelModel(F5GHZ), SnrReference(10.0, 0.5)),
+         ["slant distance must be > 0"] + 3 * [
+             "reference_distance shorter than the endpoint height "
+             "difference"]),
+    ], ids=["free_space_path_loss", "two_ray_path_loss", "snr"])
+    def test_domain_error_messages(self, kernel, messages):
+        for ((h, tx, rx), f), message in zip(self.ERROR_CASES, messages):
+            # One link alone, and the same link after a valid one.
+            for links in (LinkGeometry(h, tx, rx),
+                          LinkGeometry(np.array([50.0, h]), tx, rx)):
+                if message is None:
+                    kernel(links, f)
+                    continue
+                with pytest.raises(ChannelDomainError) as error:
+                    kernel(links, f)
+                assert str(error.value) == message
 
     def test_geometry_validation(self):
         with pytest.raises(ChannelDomainError,
                            match="horizontal_separation must be >= 0"):
-            LinkGeometryArray(np.array([1.0, -1.0]), 100.0)
+            LinkGeometry(np.array([1.0, -1.0]), 100.0)
         with pytest.raises(ChannelDomainError,
                            match="transmitter_height must be > 0"):
-            LinkGeometryArray(np.array([1.0]), 0.0)
+            LinkGeometry(np.array([1.0]), 0.0)
         with pytest.raises(ChannelDomainError,
                            match="receiver_height must be >= 0"):
-            LinkGeometryArray(np.array([1.0]), 100.0, -1.0)
+            LinkGeometry(np.array([1.0]), 100.0, -1.0)
 
     def test_power_gains_follow_scalar_draw_order(self):
+        # One call for 50 gains draws what 50 one-gain calls draw, in the
+        # same order, and leaves the generator where they leave it.
         rng = np.random.default_rng(11)
-        want = [abs(sample_rician_gain(6.0, rng)) ** 2 for _ in range(50)]
+        want = [rician_power_gains(6.0, rng, 1)[0] for _ in range(50)]
         rng_array = np.random.default_rng(11)
-        got = rician_power_gains(6.0, rng_array, 50)
-        self.assert_matches(got, want)
+        self.assert_matches(rician_power_gains(6.0, rng_array, 50), want)
         assert rng_array.standard_normal() == rng.standard_normal()

@@ -9,8 +9,8 @@ from uavsim.channel import LinkGeometry, free_space_path_loss
 from uavsim.coverage import (ENVIRONMENT_PRESETS, ExcessLoss,
                              LosProbabilityModel, coverage_curve,
                              coverage_radius, environment_preset,
-                             expected_path_loss, expected_path_loss_array,
-                             optimal_altitude, write_coverage_csv)
+                             expected_path_loss, optimal_altitude,
+                             write_coverage_csv)
 
 URBAN_LOS = LosProbabilityModel(9.61, 0.16)
 URBAN_EXCESS = ExcessLoss(1.0, 20.0)
@@ -19,7 +19,8 @@ F2GHZ = 2e9
 
 
 def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
-    # Brute-force grid scan: largest range whose loss stays under threshold.
+    # Brute-force grid scan, one range at a time through the numpy loss:
+    # largest range whose loss stays under threshold.
     best = 0.0
     r = 0.0
     limit = 100_000.0
@@ -34,8 +35,9 @@ def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
 
 def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
                               tolerance=0.1):
-    # The per-altitude scalar bisection that the lockstep array bisection
-    # replaced, kept as the reference its radii must equal bit for bit.
+    # The bisection of one altitude alone, one range at a time through the
+    # numpy loss: the reference the lockstep bisection of a whole grid
+    # must equal bit for bit.
     def loss(r):
         return expected_path_loss(altitude, r, frequency, los, excess)
 
@@ -176,6 +178,9 @@ def coverage_models(draw):
 
 
 class TestMatchesScalarReference:
+    """The lockstep radii equal ``reference_coverage_radius``, which
+    bisects one altitude at a time."""
+
     @settings(max_examples=150, deadline=None)
     @given(models=coverage_models(), frequency=st.floats(1e8, 6e9),
            lo=st.floats(1.0, 3000.0), step=st.floats(0.5, 500.0),
@@ -184,9 +189,9 @@ class TestMatchesScalarReference:
         los, excess = models
         hi = lo + step * (count - 1)
         altitudes = coverage._altitude_grid((lo, hi), step)
-        # Either any threshold, or the scalar loss at a range that the
-        # bisection of one altitude evaluates (the nadir or a bracket), so
-        # that its comparison is a tie the array loss may round either way.
+        # Either any threshold, or the loss at a range that the bisection
+        # of one altitude evaluates (the nadir or a bracket), so that its
+        # comparison is a tie.
         h = data.draw(st.sampled_from(altitudes))
         k = data.draw(st.integers(-1, 6))
         tie = expected_path_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
@@ -204,9 +209,10 @@ class TestMatchesScalarReference:
                                             (500.0, 3), (760.0, 0),
                                             (1000.0, 0), (2580.0, 2)])
     def test_threshold_at_a_bracket_loss(self, altitude, k):
-        # With AVX-512 numpy the array loss at these bracket points differs
-        # from the scalar one in the last bit, so only the scalar
-        # re-decision of near ties gives the reference radius.
+        # The threshold is the loss at a bracket point, so the lockstep
+        # bisection meets a tie there and must decide it as the bisection
+        # of this altitude alone does.  (With AVX-512 numpy the loss here
+        # differs from ``math``'s in the last bit.)
         los, excess = environment_preset("suburban")
         threshold = expected_path_loss(altitude, altitude * 2.0 ** k, F2GHZ,
                                        los, excess)
@@ -236,9 +242,9 @@ class TestMatchesScalarReference:
         # bisection moves lo onto the bump (400 m), then finds a lower loss
         # at 500 m, which only loss(lo) carried from that step shows, and
         # the radius comes from the scan through the same kernel.
-        def bumped(fspl, elevation, los, excess, exp):
+        def bumped(fspl, elevation, los, excess):
             t = (elevation - 20.0) / 5.0
-            return fspl + 10.0 * exp(-t * t)
+            return fspl + 10.0 * np.exp(-t * t)
 
         monkeypatch.setattr(coverage, "_expected_loss", bumped)
         threshold = expected_path_loss(100.0, 0.0, F2GHZ, URBAN_LOS,
@@ -260,12 +266,12 @@ class TestMatchesScalarReference:
     @pytest.mark.parametrize("altitude", [28.0, 175.0])
     def test_nadir_tie_with_falling_loss(self, monkeypatch, altitude):
         # A loss that falls away from the nadir, with the threshold at the
-        # nadir loss: the scalar nadir test passes, so the radius comes
-        # from the scan.  With AVX-512 numpy the array nadir loss here is
-        # one ulp above the scalar one and would fail the test.
+        # nadir loss: the nadir test is a tie that passes, so the radius
+        # comes from the scan.  (With AVX-512 numpy the nadir loss here is
+        # one ulp above ``math``'s.)
         monkeypatch.setattr(coverage, "_expected_loss",
-                            lambda fspl, elevation, los, excess, exp:
-                            fspl + 30.0 * exp((elevation - 90.0) / 5.0))
+                            lambda fspl, elevation, los, excess:
+                            fspl + 30.0 * np.exp((elevation - 90.0) / 5.0))
         threshold = expected_path_loss(altitude, 0.0, F2GHZ, URBAN_LOS,
                                        URBAN_EXCESS)
         expected = reference_coverage_radius(altitude, threshold, F2GHZ,
@@ -284,28 +290,32 @@ class TestMatchesScalarReference:
 
 class TestExpectedPathLossArray:
     def test_matches_scalar(self):
+        # An array call equals the per-element calls bit for bit.
         altitudes = np.array([1.0, 10.0, 100.0, 1000.0, 3000.0])[:, None]
         ranges = np.array([0.0, 0.5, 50.0, 500.0, 5000.0, 1e6])[None, :]
         for name in sorted(ENVIRONMENT_PRESETS):
             los, excess = environment_preset(name)
-            values = expected_path_loss_array(altitudes, ranges, F2GHZ, los,
-                                              excess)
+            values = expected_path_loss(altitudes, ranges, F2GHZ, los,
+                                        excess)
             assert values.shape == (5, 6)
             for (i, j), value in np.ndenumerate(values):
-                scalar = expected_path_loss(altitudes[i, 0], ranges[0, j],
-                                            F2GHZ, los, excess)
-                assert abs(value - scalar) <= 1e-12
+                assert value == expected_path_loss(
+                    float(altitudes[i, 0]), float(ranges[0, j]), F2GHZ, los,
+                    excess)
 
     @pytest.mark.parametrize("altitude,ground_range,message", [
         ([100.0, 0.0], 10.0, "altitude must be > 0"),
         (100.0, [10.0, -1.0], "ground_range must be >= 0"),
         ([-1.0, 100.0], [-1.0, 10.0], "altitude must be > 0")])
     def test_same_errors_as_scalar(self, altitude, ground_range, message):
+        # An array call and a call on the smallest altitude and range
+        # raise the same error.
         with pytest.raises(ValueError, match=message):
-            expected_path_loss_array(altitude, ground_range, F2GHZ, URBAN_LOS,
-                                     URBAN_EXCESS)
+            expected_path_loss(altitude, ground_range, F2GHZ, URBAN_LOS,
+                               URBAN_EXCESS)
         with pytest.raises(ValueError, match=message):
-            expected_path_loss(np.min(altitude), np.min(ground_range), F2GHZ,
+            expected_path_loss(float(np.min(altitude)),
+                               float(np.min(ground_range)), F2GHZ,
                                URBAN_LOS, URBAN_EXCESS)
 
 

@@ -72,11 +72,24 @@ def oracle_slot_positions(traj, slot_duration):
             for slot in range(oracle_slot_count(traj, slot_duration))]
 
 
+def numpy_slant(uav_position, ground_position):
+    # The slant distance as ``coverage_mask`` computes it, for one pair:
+    # sqrt(dx * dx + dy * dy + z * z).  Products, sums and square roots
+    # round the same in Python and numpy, so plain floats give the same
+    # bits (``x ** 2`` in place of ``x * x`` would not).
+    (ux, uy, uz), (nx, ny) = uav_position, ground_position
+    dx, dy = ux - nx, uy - ny
+    return math.sqrt(dx * dx + dy * dy + uz * uz)
+
+
+def numpy_distance(a, b):
+    # The ground distance as ``D2dGraph`` computes it, for one pair.
+    dx, dy = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return np.hypot(dx, dy)
+
+
 def oracle_in_range(uav_position, node, rx):
-    slant = math.sqrt((uav_position[0] - node.position[0]) ** 2
-                      + (uav_position[1] - node.position[1]) ** 2
-                      + uav_position[2] ** 2)
-    return slant <= rx.coverage_radius
+    return numpy_slant(uav_position, node.position) <= rx.coverage_radius
 
 
 def oracle_slot_count(traj, slot_duration):
@@ -87,7 +100,7 @@ def oracle_neighbors(nodes, d2d_range):
     neighbors = {n.id: set() for n in nodes}
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:
-            if math.dist(a.position, b.position) <= d2d_range:
+            if numpy_distance(a.position, b.position) <= d2d_range:
                 neighbors[a.id].add(b.id)
                 neighbors[b.id].add(a.id)
     return neighbors
@@ -501,26 +514,27 @@ class TestPhase1Broadcast:
         assert all(b >= a for a, b in zip(before, after))
         assert packets[0, 3]
 
-    def test_radius_decided_by_scalar_slant(self):
+    def test_radius_decided_by_numpy_slant(self):
         # Python's ``x ** 2`` and numpy's ``x * x`` differ in the last bit
-        # for a few x; at a radius equal to the scalar slant the node is
-        # covered, one ulp below it is not.
+        # for a few x.  There the numpy slant decides: at a radius equal to
+        # it the node is covered, one ulp below it is not, and a radius
+        # equal to the ``math`` slant is decided by the numpy one.
         altitude = 97.3
         rng = np.random.default_rng(0)
         ground = rng.uniform(-300, 300, (20000, 2))
         exact = [math.sqrt((0.0 - x) ** 2 + (0.0 - y) ** 2 + altitude ** 2)
                  for x, y in ground.tolist()]
-        vectorised = np.sqrt(ground[:, 0] * ground[:, 0]
-                             + ground[:, 1] * ground[:, 1]
-                             + altitude * altitude)
-        split = np.flatnonzero(vectorised != exact)
+        slant = [numpy_slant((0.0, 0.0, altitude), point)
+                 for point in ground.tolist()]
+        split = np.flatnonzero(np.array(slant) != exact)
         assert split.size
         traj = hover_trajectory(1.0, altitude=altitude)
         for i in split[:20]:
-            for radius in (exact[i], float(np.nextafter(exact[i], 0.0))):
+            for radius in (slant[i], float(np.nextafter(slant[i], 0.0)),
+                           exact[i]):
                 mask = coverage_mask(traj, [ground[i]],
                                      ReceptionModel(radius, 0.0), 1.0)
-                assert mask.tolist() == [[exact[i] <= radius]]
+                assert mask.tolist() == [[slant[i] <= radius]]
 
     def test_slot_duration_positive(self):
         with pytest.raises(ValueError):
@@ -649,20 +663,22 @@ class TestClusterNodes:
         assert not adjacency.diagonal().any()
         assert (adjacency == adjacency.T).all()
 
-    def test_range_decided_by_math_dist(self):
-        # np.hypot and math.dist differ in the last bit for a few pairs; at
-        # a range equal to a pair's math.dist the pair is linked, one ulp
-        # below it is not.
+    def test_range_decided_by_numpy_hypot(self):
+        # np.hypot and math.dist differ in the last bit for a few pairs.
+        # There np.hypot decides: at a range equal to it the pair is
+        # linked, one ulp below it is not, and a range equal to the
+        # ``math.dist`` is decided by np.hypot.
         rng = np.random.default_rng(0)
         pairs = rng.uniform(-500, 500, (5000, 2, 2))
-        gap = pairs[:, 0] - pairs[:, 1]
         exact = [math.dist(a, b) for a, b in pairs.tolist()]
-        split = np.flatnonzero(np.hypot(gap[:, 0], gap[:, 1]) != exact)
+        distance = [numpy_distance(a, b) for a, b in pairs.tolist()]
+        split = np.flatnonzero(np.array(distance) != exact)
         assert split.size
         for i in split[:20]:
-            for limit in (exact[i], float(np.nextafter(exact[i], 0.0))):
+            for limit in (float(distance[i]),
+                          float(np.nextafter(distance[i], 0.0)), exact[i]):
                 assert D2dGraph(pairs[i], limit).adjacency[0, 1] == \
-                    (exact[i] <= limit)
+                    (distance[i] <= limit)
 
     def test_preset_edges_at_exact_range(self):
         # dissem20 nodes i and i+2 are exactly 100 m apart, the D2D range.
@@ -676,7 +692,7 @@ class TestClusterNodes:
            d2d_range=st.sampled_from([0.0, 1.0, 30.0, 100.0, 0.1 + 0.2]),
            count=st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
-    def test_adjacency_is_math_dist_rule(self, seed, d2d_range, count):
+    def test_adjacency_is_numpy_hypot_rule(self, seed, d2d_range, count):
         # Half the points sit on a lattice whose spacing equals the range,
         # so many pairs lie exactly at it; the rest are arbitrary floats.
         rng = np.random.default_rng(seed)
@@ -685,7 +701,7 @@ class TestClusterNodes:
         positions = np.where(rng.random((count, 1)) < 0.5, lattice,
                              scatter).tolist()
         graph = D2dGraph(positions, d2d_range)
-        expected = [[i != j and math.dist(a, b) <= d2d_range
+        expected = [[i != j and bool(numpy_distance(a, b) <= d2d_range)
                      for j, b in enumerate(positions)]
                     for i, a in enumerate(positions)]
         assert graph.adjacency.tolist() == expected

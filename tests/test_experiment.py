@@ -354,6 +354,19 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "envout" / "probe.csv").exists()
 
+    def test_empty_out_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["channel", "probe", "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_empty_env_var_counts_as_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("UAVSIM_OUT", "")
+        assert main(["channel", "probe"]) == 0
+        assert (tmp_path / "out" / "probe.csv").exists()
+
     def test_plot_subcommand(self, tmp_path):
         assert main(["relay", "sweep", "--preset", "fig4",
                      "--out", str(tmp_path), "--time-step", "0.05"]) == 0

@@ -7,8 +7,7 @@ import pytest
 
 from uavsim import relay
 from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
-                            SnrReference, sample_rician_gain, snr_at,
-                            spectral_efficiency)
+                            SnrReference, snr_anchor_db, spectral_efficiency)
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
                              ferry_trajectory, mobile_relay_trajectory)
 from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
@@ -35,9 +34,10 @@ def run(strategy, v_max, delta=20.0, **kwargs):
 
 def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
                  time_step=0.01, rng=None):
-    """Per-step oracle: one scalar link budget and one scalar Rician draw
-    per communicating sample, and a step-by-step buffer ledger.  Returns
-    (bits_received, bits_delivered, peak, path losses, SE, occupancy)."""
+    """Per-step oracle: one link budget of one scalar geometry and one
+    Rician draw per communicating sample, and a step-by-step buffer
+    ledger.  Returns (bits_received, bits_delivered, peak, path losses,
+    SE, occupancy)."""
     if strategy == RelayStrategy.FERRY:
         traj = ferry_trajectory(g, time_step)
     else:
@@ -58,9 +58,13 @@ def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
                 and link.horizontal_separation > 1e-6):
             se = 0.0  # the ferry is silent in flight and draws nothing
         else:
-            snr_db = snr_at(link, channel, ref)
+            snr_db = (snr_anchor_db(channel, ref, h)
+                      - channel.path_loss_db(link))
             if channel.variant == "rician":
-                gain = abs(sample_rician_gain(channel.k_factor_db, rng)) ** 2
+                k = 10.0 ** (channel.k_factor_db / 10.0)
+                z = complex(*rng.standard_normal(2)) / math.sqrt(2.0)
+                gain = abs(math.sqrt(k / (k + 1.0))
+                           + math.sqrt(1.0 / (k + 1.0)) * z) ** 2
                 snr_db += 10.0 * math.log10(gain) if gain > 0 else -math.inf
             se = spectral_efficiency(snr_db)
         ses.append(se)
@@ -207,19 +211,24 @@ class TestSimulateCycle:
         ChannelModel(5e9, variant="rician", k_factor_db=6.0)],
         ids=["free_space", "two_ray", "rician"])
     def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
+        # Each call records its link count, or None for the SNR anchor's
+        # one scalar link, which is counted apart.
         calls = []
-        path_loss = ChannelModel.path_loss_db_array
+        path_loss = ChannelModel.path_loss_db
 
         def counting(model, geometry):
-            calls.append(len(geometry.horizontal_separation))
+            links = geometry.horizontal_separation
+            calls.append(len(links) if np.ndim(links) else None)
             return path_loss(model, geometry)
 
-        monkeypatch.setattr(ChannelModel, "path_loss_db_array", counting)
+        monkeypatch.setattr(ChannelModel, "path_loss_db", counting)
         for strategy in RelayStrategy:
             calls.clear()
             result = simulate_cycle(strategy, geom(100.0), channel,
                                     ref_for(geom(100.0)), time_step=0.1)
-            assert calls == [len(result.times)] * 2
+            assert [n for n in calls if n is not None] == \
+                [len(result.times)] * 2
+            assert calls.count(None) == 1
 
     def test_negative_buffer_rejected(self):
         with pytest.raises(ValueError):
