@@ -20,10 +20,12 @@ over a leading seed axis: (seeds, nodes, packets) matrices, one generator
 per seed, and per round or baseline step one set of array operations for
 all seeds still running.  Each seed makes exactly the draws a one-seed
 run makes, in its own generator, and leaves the generator where that run
-leaves it.  ``phase1_broadcast``, ``phase2_exchange`` and
-``run_baseline`` are one-seed calls of the batch kernels, and
-``compare_schemes`` runs every seed of a config, in blocks of seeds that
-bound the memory a batch holds.
+leaves it.  A gossip round's picks are ``Generator.integers(0,
+pool_sizes)``, reproduced from the generator's raw stream, so gossip
+takes a PCG64, PCG64DXSM, Philox or SFC64 generator.  ``phase1_broadcast``,
+``phase2_exchange`` and ``run_baseline`` are one-seed calls of the batch
+kernels, and ``compare_schemes`` runs every seed of a config, in blocks
+of seeds that bound the memory a batch holds.
 """
 
 from __future__ import annotations
@@ -158,12 +160,84 @@ _BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)],
                        dtype=np.int8)  # set bits per byte value
 
 
+class _WordStreams:
+    """The ``next_uint32`` words of a batch of generators, drawn in bulk.
+
+    Row r's column 0 holds the word its generator had buffered
+    (``uinteger``, taken first if ``has_uint32``), and columns 1 + 2i and
+    2 + 2i the halves of its i-th raw value, low first as ``next_uint32``
+    takes them; ``cursor`` is each row's next unused column.  ``finish``
+    leaves a generator where its ``integers`` calls would have.
+    """
+
+    def __init__(self, rngs, words: int):
+        self.rngs = rngs
+        self.states = [rng.bit_generator.state for rng in rngs]
+        if not all("has_uint32" in state for state in self.states):
+            raise ValueError("gossip needs a PCG64, PCG64DXSM, Philox or "
+                             "SFC64 bit generator")
+        self.words = np.array([state["uinteger"] for state in self.states],
+                              dtype=np.uint32)[:, None]
+        self.cursor = np.array([1 - state["has_uint32"]
+                                for state in self.states], dtype=np.int64)
+        self.live = np.ones(len(rngs), dtype=bool)
+        self._grow(words)
+
+    def _grow(self, words: int) -> None:
+        """At least ``words`` more words for every live row."""
+        raws = -(-words // 2)
+        more = np.zeros((len(self.rngs), 2 * raws), dtype=np.uint32)
+        for row in np.flatnonzero(self.live):
+            more[row] = self.rngs[row].bit_generator.random_raw(raws).astype(
+                "<u8", copy=False).view("<u4")
+        self.words = np.concatenate([self.words, more], axis=1)
+
+    def integers(self, rows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """``rngs[rows[r]].integers(0, sizes)`` over the positive sizes in
+        row r of ``highs``, in their places (0 elsewhere), by numpy's rule
+        for sizes below 2**32: ``m = word * size`` picks ``m >> 32``,
+        unless the low half of ``m`` is below ``2**32 % size`` and the
+        pick takes the next word; a size of 1 takes no word."""
+        draws = highs > 1
+        taken = draws.cumsum(axis=1)
+        at = self.cursor[rows, None] + taken - draws  # each pick's word
+        self.cursor[rows] += taken[:, -1]
+        highs = highs.astype(np.uint64)
+        while True:
+            while self.cursor.max() >= self.words.shape[1]:
+                self._grow(self.words.shape[1])
+            m = self.words[rows[:, None], at] * highs
+            low = m & 0xFFFFFFFF
+            rejected = low < highs  # numpy's cheap bound on the test
+            if rejected.any():
+                rejected[rejected] = low[rejected] < 2**32 % highs[rejected]
+            if not rejected.any():
+                return (m >> 32).astype(np.int64)
+            # Rare (odds size / 2**32 a pick): a row's first rejected pick
+            # takes the next word, and the row's later picks move along.
+            at += rejected.cumsum(axis=1) > 0
+            self.cursor[rows] += rejected.any(axis=1)
+
+    def finish(self, rows) -> None:
+        """Rewind the generators of ``rows`` to just after the words their
+        picks took, and draw no more from them."""
+        for row in rows:
+            used = int(self.cursor[row])
+            bit_generator = self.rngs[row].bit_generator
+            bit_generator.state = {
+                **self.states[row], "has_uint32": 1 - used % 2,
+                "uinteger": int(self.words[row, used - used % 2])}
+            bit_generator.random_raw(used // 2)
+            self.live[row] = False
+
+
 def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
               round_cap: int) -> list[ExchangeResult]:
     """Phase 2 for a batch: ``packets`` is (seeds, nodes, packets), updated
     in place, and ``rngs`` holds one generator per seed.  A round is one
-    set of mask operations over the seeds still gossiping, plus one
-    ``integers`` call per seed."""
+    set of mask operations over the seeds still gossiping; its picks are
+    each seed's ``integers(0, pool_sizes)`` over its senders, reproduced
+    from the generators' raw streams."""
     seeds, _, width = packets.shape
     # What the nodes hold, eight packets to a byte.
     held = np.packbits(packets, axis=2, bitorder="little")
@@ -186,6 +260,10 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
     # The seeds still gossiping; each is written back to ``packets`` when
     # it finishes.
     live = np.arange(seeds)
+    # A component with the file decodes within K rounds, each taking at
+    # most a word per node.
+    streams = _WordStreams(
+        rngs, min(round_cap, file.source_packet_count) * graph.labels.size)
     already_sent = np.zeros_like(held)
     rounds = 0
     while True:
@@ -193,6 +271,7 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
         done = (decoded | settled).all(axis=1) | (rounds >= round_cap)
         if done.any():
             finished = live[done]
+            streams.finish(finished.tolist())
             packets[finished] = np.unpackbits(held[done], axis=2, count=width,
                                               bitorder="little")
             rounds_used[finished] = rounds
@@ -208,10 +287,7 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
         ends = byte_sizes.cumsum(axis=2, dtype=size_type)
         senders = ends[..., -1] > 0
         rows, nodes = np.nonzero(senders)
-        highs = np.split(ends[rows, nodes, -1],
-                         np.cumsum(np.count_nonzero(senders, axis=1))[:-1])
-        picks = np.concatenate(
-            [rngs[seed].integers(0, high) for seed, high in zip(live, highs)])
+        picks = streams.integers(live, ends[..., -1])[rows, nodes]
         # A pick indexes the sender's pool in ascending packet order: find
         # the byte that holds it, then the bit.
         byte = np.argmax(ends[rows, nodes] > picks[:, None], axis=1)
@@ -246,8 +322,10 @@ def phase2_exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec,
     The no-repeat choice stays agnostic of what neighbors need but
     guarantees a component with a sufficient packet union finishes
     within K rounds.  ``packets`` is the (nodes, packets) matrix, updated
-    in place; a round's picks are one ``integers`` call, in node order,
-    each an index into the sender's pool in ascending packet order.
+    in place; a round's picks are ``rng.integers(0, pool_sizes)`` over
+    the senders in node order, each an index into the sender's pool in
+    ascending packet order.  ``rng`` must be a PCG64, PCG64DXSM, Philox
+    or SFC64 generator.
     """
     return _exchange(packets[None], graph, file, [rng], round_cap)[0]
 
@@ -304,7 +382,8 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
                    & pending[live, None, :])
         if (span < window).any():
             covered[slot_ids >= span[:, None]] = False
-        per_slot = np.count_nonzero(covered, axis=2).cumsum(axis=1)
+        per_slot = covered.sum(axis=2, dtype=np.min_scalar_type(nodes)
+                               ).cumsum(axis=1)
         hits = []
         for seed, needed in zip(live.tolist(), per_slot[:, -1].tolist()):
             short = needed - ahead[seed].size
@@ -325,19 +404,20 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
         received[covered] = np.concatenate(hits)
         # Row c of every cycle sends packet (sent + c) % K; keep each
         # packet's first arrival.
-        arrival = np.where(received, slot_ids[:, None], window).reshape(
-            live.size, cycles, k, nodes).min(axis=1)
+        arrival = window - received * (window - slot_ids)[:, None]
+        if cycles > 1:
+            arrival = arrival.reshape(live.size, cycles, k, nodes).min(axis=1)
         rows = (live[:, None] * k + (base[:, None] + slot_ids[:k]) % k)
-        held = have_rows[rows]
+        missing = ~have_rows[rows]
         # A pending node completes once the last of its K - count missing
         # packets arrives.
-        completion = np.where(held, 0, arrival).max(axis=1)
+        completion = (arrival * missing).max(axis=1)
         completion[~pending[live]] = window
         first = completion.min(axis=1).astype(np.int64)
         used = np.where(first < window, first + 1, span)
-        landed = (arrival < used[:, None, None]) & ~held
+        landed = (arrival < used[:, None, None]) & missing
         have_rows[rows] |= landed
-        counts[live] += np.count_nonzero(landed, axis=1)
+        counts[live] += landed.sum(axis=1, dtype=np.min_scalar_type(k))
         pending[live] &= counts[live] < k
         for seed, taken in zip(live.tolist(),
                                per_slot[np.arange(live.size), used - 1]):
@@ -418,10 +498,6 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
         outcomes += [(coded_tx, *outcome) for outcome in zip(
             exchanges, baselines, after_phase1, file.decoded(packets))]
     return outcomes
-
-def cluster_nodes(positions, d2d_range: float) -> list[list[int]]:
-    """Connected components of the D2D graph, as sorted node-index lists."""
-    return D2dGraph(positions, d2d_range).connected_components()
 
 
 def write_summary_csv(rows, path) -> None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from uavsim import dissemination
 from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                                  cluster_nodes, compare_schemes,
+                                  _WordStreams, compare_schemes,
                                   coverage_mask, phase1_broadcast,
                                   phase2_exchange, run_baseline)
 from uavsim.experiment import PRESETS, _dissemination_scenario, derive_seed
@@ -218,9 +218,18 @@ def oracle_scenario(params):
     return nodes, traj
 
 
+def comparable(value):
+    """``value`` with dicts and ndarrays made comparable with ``==``."""
+    if isinstance(value, dict):
+        return {key: comparable(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.tolist())
+    return value
+
+
 def peek(rng):
-    """The generator's next ``random()``, leaving it where it stands."""
-    return copy.deepcopy(rng).random()
+    """The generator's whole state, buffered uint32 included."""
+    return comparable(rng.bit_generator.state)
 
 
 # Preset parameter overrides, and the round cap passed to phase 2.
@@ -610,6 +619,132 @@ class TestPhase2Exchange:
         assert result.success and result.rounds_used == 0
 
 
+def lemire_oracle(next_uint32, highs):
+    """``Generator.integers(0, highs)`` for highs in [1, 2**32), over the
+    words ``next_uint32()`` returns: numpy's ``random_bounded_uint64`` and
+    ``buffered_bounded_lemire_uint32``, transcribed line for line."""
+    picks = []
+    for high in highs:
+        rng = high - 1  # numpy bounds the closed range [0, rng]
+        if rng == 0:
+            picks.append(0)
+            continue
+        rng_excl = rng + 1
+        m = next_uint32() * rng_excl
+        leftover = m & 0xFFFFFFFF
+        if leftover < rng_excl:
+            threshold = (0xFFFFFFFF - rng) % rng_excl
+            while leftover < threshold:
+                m = next_uint32() * rng_excl
+                leftover = m & 0xFFFFFFFF
+        picks.append(m >> 32)
+    return picks
+
+
+def next_uint32_oracle(bit_generator):
+    """A ``next_uint32`` reader of ``bit_generator``: the buffered high half
+    first, else the low half of a fresh raw value, buffering its high."""
+    def next_uint32():
+        state = bit_generator.state
+        if state["has_uint32"]:
+            bit_generator.state = {**state, "has_uint32": 0}
+            return state["uinteger"]
+        raw = int(bit_generator.random_raw())
+        bit_generator.state = {**bit_generator.state, "has_uint32": 1,
+                               "uinteger": raw >> 32}
+        return raw & 0xFFFFFFFF
+    return next_uint32
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.SFC64]
+
+
+class TestWordStreams:
+    def test_rejected_word_takes_the_next(self):
+        # high 3 rejects a word whose product's low half is below
+        # 2**32 % 3 = 1: word 0 is rejected and the row's next word taken,
+        # which shifts every later pick of that row and no other row's.
+        streams = _WordStreams([np.random.default_rng(s) for s in (0, 1)], 0)
+        words = [[0, 0, 2**32 - 1, 5, 0, 0], [0, 7, 0, 0, 2**32 - 2, 0]]
+        streams.words = np.array(words, dtype=np.uint32)
+        streams.cursor = np.array([1, 1])
+        expected = [lemire_oracle(iter(words[0][1:]).__next__, [3, 1, 3]),
+                    lemire_oracle(iter(words[1][1:]).__next__, [3, 3])]
+        assert expected == [[2, 0, 0], [0, 2]]
+        picks = streams.integers(np.array([0, 1]),
+                                 np.array([[3, 1, 3], [3, 0, 3]]))
+        assert picks.tolist() == [[2, 0, 0], [0, 0, 2]]
+        assert streams.cursor.tolist() == [4, 5]
+
+    def test_pool_of_one_takes_no_word(self):
+        rng = np.random.default_rng(3)
+        oracle = copy.deepcopy(rng)
+        streams = _WordStreams([rng], 4)
+        picks = streams.integers(np.array([0]), np.array([[1, 0, 1]]))
+        assert picks.tolist() == [[0, 0, 0]]
+        assert streams.cursor.tolist() == [1]
+        streams.finish([0])
+        assert peek(rng) == peek(oracle)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_buffered_word_taken_first(self, bit_generator):
+        rng = np.random.Generator(bit_generator(5))
+        rng.integers(0, 7)  # leaves the high half of a raw value buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        oracle = copy.deepcopy(rng)
+        streams = _WordStreams([rng], 3)
+        highs = [5, 2**31 + 1, 1, 9, 2**32 - 3, 6]
+        picks = streams.integers(np.array([0]), np.array([highs]))
+        assert picks.tolist() == [lemire_oracle(
+            next_uint32_oracle(oracle.bit_generator), highs)]
+        streams.finish([0])
+        assert peek(rng) == peek(oracle)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_generator_integers(self, bit_generator, seed):
+        # Three generators, two entering with a buffered word, read over
+        # rounds of random pools: none, pools of one, small pools and
+        # pools near 2**32 that reject about one word in four.  A short
+        # first draw makes the buffers grow; a generator finished early
+        # must not be drawn from again.
+        draw = np.random.default_rng(seed)
+        rngs = [np.random.Generator(bit_generator(seed + i)) for i in range(3)]
+        for rng in rngs[::2]:
+            rng.integers(0, 7)
+        oracles = copy.deepcopy(rngs)
+        lemire = [next_uint32_oracle(copy.deepcopy(rng).bit_generator)
+                  for rng in rngs]
+        streams = _WordStreams(rngs, 3)
+        live = [0, 1, 2]
+        for round_index in range(6):
+            rows = draw.permutation(live)[:draw.integers(1, len(live) + 1)]
+            shape = (rows.size, draw.integers(1, 8))
+            highs = np.choose(draw.integers(0, 4, shape), [
+                0, 1, draw.integers(1, 300, shape),
+                draw.integers(2**31, 2**32, shape)])
+            picks = streams.integers(rows, highs)
+            for row, row_highs, row_picks in zip(rows, highs, picks):
+                pools = row_highs[row_highs > 0]
+                expected = oracles[row].integers(0, pools).tolist()
+                assert lemire_oracle(lemire[row], pools.tolist()) == expected
+                assert row_picks[row_highs > 0].tolist() == expected
+            if round_index == 2:
+                streams.finish([1])
+                live.remove(1)
+        streams.finish(live)
+        assert [peek(rng) for rng in rngs] == [peek(rng) for rng in oracles]
+
+    def test_mt19937_rejected(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        packets = holding([{0}, {1}], 2)
+        graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
+        with pytest.raises(ValueError, match="PCG64"):
+            phase2_exchange(packets, graph, FileSpec(2), rng)
+
+
 class TestRunBaseline:
     def test_perfect_channel_single_pass(self):
         rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
@@ -643,17 +778,18 @@ class TestRunBaseline:
 
 class TestClusterNodes:
     def test_single_cluster(self):
-        assert cluster_nodes(line_positions(5, 40.0), d2d_range=10.0) == \
-            [[0, 1, 2, 3, 4]]
+        graph = D2dGraph(line_positions(5, 40.0), d2d_range=10.0)
+        assert graph.connected_components() == [[0, 1, 2, 3, 4]]
 
     def test_two_separated_groups(self):
         positions = [(0.0, 0.0), (10.0, 0.0), (500.0, 0.0), (510.0, 0.0)]
-        assert cluster_nodes(positions, d2d_range=50.0) == [[0, 1], [2, 3]]
+        assert D2dGraph(positions, d2d_range=50.0).connected_components() \
+            == [[0, 1], [2, 3]]
 
     def test_zero_range_singletons(self):
         rng = np.random.default_rng(0)
         positions = rng.uniform(0, 1000, (100, 2))
-        clusters = cluster_nodes(positions, d2d_range=0.0)
+        clusters = D2dGraph(positions, d2d_range=0.0).connected_components()
         assert len(clusters) == 100
         assert all(len(c) == 1 for c in clusters)
 

@@ -34,6 +34,10 @@ VARIANTS = {
     "dissem20_staggered": ("dissem20", {"node_count": 30,
                                         "d2d_range_m": 100 / 3,
                                         "erasure_probability": 0.6}),
+    # 800 slots, so gossip pools pass 255 packets and the baseline window
+    # needs uint16; about 170 gossip rounds.
+    "dissem20_k300": ("dissem20", {"source_packet_count": 300,
+                                   "slot_duration_s": 0.1, "n_seeds": 10}),
     # A link too weak for fixed notation: the trace writer's SE and buffer
     # columns print in exponent form (1.4426943194232382e-06).
     "fig3_low_snr": ("fig3", {"reference_snr_db": -60.0}),
