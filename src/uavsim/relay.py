@@ -5,7 +5,9 @@ static (fixed at the midpoint), mobile (sawtooth shuttle each phase),
 and data ferrying (load-carry-and-deliver, communicating only while
 hovering at the endpoints).  Phase 1 fills the on-board buffer from the
 source link, phase 2 drains it to the destination; integration is
-left-endpoint Riemann over the trajectory time step.
+left-endpoint Riemann over the trajectory time step.  Only one link
+carries data at any sample, so a cycle evaluates that active link alone;
+the per-link path-loss columns of a result are built when first read.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ class RelayStrategy(str, Enum):
 class RelayRunResult:
     """Per-cycle bit ledger and traces; rates are per unit bandwidth.
 
-    The per-sample arrays are kept as computed; the tuple traces are
-    built from them on first access.
+    The per-sample arrays are kept as computed.  The per-link path-loss
+    columns are built from the stored relay positions, and the tuple
+    traces from the arrays, on first access.
     """
 
     strategy: RelayStrategy
@@ -47,10 +50,24 @@ class RelayRunResult:
     end_to_end_se: float   # bits_delivered / (2*delta), bps/Hz
     peak_occupancy: float  # bits/Hz
     times: np.ndarray = dataclasses.field(repr=False, compare=False)
-    path_loss_src: np.ndarray = dataclasses.field(repr=False, compare=False)
-    path_loss_dst: np.ndarray = dataclasses.field(repr=False, compare=False)
+    relay_x: np.ndarray = dataclasses.field(repr=False, compare=False)
     se: np.ndarray = dataclasses.field(repr=False, compare=False)
     occupancy: np.ndarray = dataclasses.field(repr=False, compare=False)
+    geometry: RelayGeometry = dataclasses.field(repr=False, compare=False)
+    channel: ChannelModel = dataclasses.field(repr=False, compare=False)
+
+    @cached_property
+    def path_loss_src(self) -> np.ndarray:
+        """Relay-to-source path loss per sample, dB."""
+        return self.channel.path_loss_db(LinkGeometry(
+            np.abs(self.relay_x), self.geometry.uav_altitude))
+
+    @cached_property
+    def path_loss_dst(self) -> np.ndarray:
+        """Relay-to-destination path loss per sample, dB."""
+        return self.channel.path_loss_db(LinkGeometry(
+            np.abs(self.relay_x - self.geometry.separation),
+            self.geometry.uav_altitude))
 
     @cached_property
     def path_loss_trace(self) -> tuple[tuple[float, float, float], ...]:
@@ -80,13 +97,6 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _links(geom: RelayGeometry, xs: np.ndarray):
-    """Relay-to-source and relay-to-destination links along the x axis:
-    the source is on the ground at x = 0, the destination at x = R."""
-    return (LinkGeometry(np.abs(xs), geom.uav_altitude),
-            LinkGeometry(np.abs(xs - geom.separation), geom.uav_altitude))
-
-
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
                    channel: ChannelModel, ref: SnrReference,
                    buffer_capacity: float = math.inf,
@@ -97,9 +107,11 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     Phase 1 (t < delta): accumulate source-link spectral efficiency into
     the buffer, clipped at ``buffer_capacity``.  Phase 2: drain at the
     destination-link spectral efficiency, never below zero occupancy.
-    The ferry communicates only while hovering at an endpoint.  With the
-    Rician channel variant, fading draws come from ``rng`` (defaults to a
-    fixed seed for reproducibility), one per communicating sample in time
+    The relay is half duplex, so each sample evaluates only the active
+    link: the source's in phase 1, the destination's after.  The ferry
+    communicates only while hovering at an endpoint.  With the Rician
+    channel variant, fading draws come from ``rng`` (defaults to a fixed
+    seed for reproducibility), one per communicating sample in time
     order.  Integration is left-endpoint: sample i carries its SE over
     [t_i, t_i + time_step), and the last sample only closes the traces.
     """
@@ -109,32 +121,36 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     times = cycle_times(geom, time_step)
     xs = _cycle_x(strategy, geom, times)
     delta = geom.delay_budget
-    src, dst = _links(geom, xs)
-    pl_src = channel.path_loss_db(src)
-    pl_dst = channel.path_loss_db(dst)
 
-    phase1 = times < delta - 1e-12
-    # The active link is the source's in phase 1, the destination's after.
+    # Times increase, so phase 1 (t < delta) is a prefix of the samples.
+    n_phase1 = int(np.count_nonzero(times < delta - 1e-12))
+    # The active link's horizontal gap: the source is on the ground at
+    # x = 0, the destination at x = R.
+    gap = xs.copy()
+    gap[n_phase1:] -= geom.separation
+    np.abs(gap, out=gap)
     snr_db = (snr_anchor_db(channel, ref, geom.uav_altitude)
-              - np.where(phase1, pl_src, pl_dst))
-    talking = (np.full(len(times), True) if strategy != RelayStrategy.FERRY
-               else np.where(phase1, src.horizontal_separation,
-                             dst.horizontal_separation) <= _HOVER_EPS)
+              - channel.path_loss_db(LinkGeometry(gap, geom.uav_altitude)))
+    # The ferry is silent in flight; the other relays talk at every sample.
+    ferry = strategy == RelayStrategy.FERRY
+    talking = gap <= _HOVER_EPS if ferry else slice(None)
     if channel.variant == "rician":
         if rng is None:
             rng = np.random.default_rng(0)
         gains = rician_power_gains(channel.k_factor_db, rng,
-                                   int(np.count_nonzero(talking)))
+                                   snr_db[talking].size)
         with np.errstate(divide="ignore"):  # a zero gain is -inf dB
             snr_db[talking] += 10.0 * np.log10(gains)
-    se = np.where(talking, spectral_efficiency(snr_db), 0.0)
+    se = spectral_efficiency(snr_db)
+    if ferry:
+        se[~talking] = 0.0
 
     # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
     # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains:
     # occupancy = max(B - se_1*dt - se_2*dt - ..., 0), summed left to
     # right as a step-by-step ledger would.
     offered = se[:-1] * time_step
-    n_fill = int(np.count_nonzero(phase1[:-1]))
+    n_fill = min(n_phase1, len(offered))
     filled = np.minimum(np.cumsum(offered[:n_fill]), buffer_capacity)
     bits_received = float(filled[-1]) if n_fill else 0.0
     drain = offered[n_fill:]
@@ -151,10 +167,11 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
         end_to_end_se=bits_delivered / (2.0 * delta),
         peak_occupancy=peak,
         times=times,
-        path_loss_src=pl_src,
-        path_loss_dst=pl_dst,
+        relay_x=xs,
         se=se,
         occupancy=occupancy,
+        geometry=geom,
+        channel=channel,
     )
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from uavsim import relay
 from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
-                            SnrReference, snr_anchor_db, spectral_efficiency)
+                            SnrReference, rician_power_gains, snr_anchor_db,
+                            spectral_efficiency)
+from uavsim.experiment import preset_config
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
                              ferry_trajectory, mobile_relay_trajectory)
 from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
@@ -174,6 +176,69 @@ class TestScalarEquivalence:
             simulate_cycle(strategy, g, null, ref_for(g), time_step=0.05)
 
 
+def two_link_cycle(strategy, g, channel, ref, buffer_capacity, time_step,
+                   rng):
+    """Oracle that evaluates both links at every sample and keeps the
+    active one.  Returns (path losses to source and destination, SE,
+    occupancy)."""
+    if strategy == RelayStrategy.FERRY:
+        traj = ferry_trajectory(g, time_step)
+    else:
+        traj = mobile_relay_trajectory(
+            g if strategy == RelayStrategy.MOBILE
+            else dataclasses.replace(g, v_max=0.0), time_step)
+    times, xs = traj.times, traj.positions[:, 0]
+    src = LinkGeometry(np.abs(xs), g.uav_altitude)
+    dst = LinkGeometry(np.abs(xs - g.separation), g.uav_altitude)
+    pl_src, pl_dst = channel.path_loss_db(src), channel.path_loss_db(dst)
+    phase1 = times < g.delay_budget - 1e-12
+    snr_db = (snr_anchor_db(channel, ref, g.uav_altitude)
+              - np.where(phase1, pl_src, pl_dst))
+    talking = np.full(len(times), True)
+    if strategy == RelayStrategy.FERRY:
+        talking = np.where(phase1, src.horizontal_separation,
+                           dst.horizontal_separation) <= 1e-6
+    if channel.variant == "rician":
+        gains = rician_power_gains(channel.k_factor_db, rng,
+                                   int(np.count_nonzero(talking)))
+        with np.errstate(divide="ignore"):
+            snr_db[talking] += 10.0 * np.log10(gains)
+    se = np.where(talking, spectral_efficiency(snr_db), 0.0)
+    occupancy = [0.0]
+    for offered, fill in zip(se[:-1] * time_step, phase1[:-1]):
+        occupancy.append(min(occupancy[-1] + offered, buffer_capacity)
+                         if fill else max(occupancy[-1] - offered, 0.0))
+    return pl_src, pl_dst, se, np.array(occupancy)
+
+
+class TestActiveLink:
+    """A cycle that evaluates only the active link gives the same bits as
+    one that evaluates both links and keeps the active one."""
+
+    @pytest.mark.parametrize("capacity", [math.inf, 40.0])
+    @pytest.mark.parametrize("channel", [
+        CHANNEL,
+        ChannelModel(5e9, variant="two_ray", reflection_coefficient=-0.5),
+        ChannelModel(5e9, variant="rician", k_factor_db=6.0),
+        ChannelModel(5e9, variant="rician", k_factor_db=6.0, base="two_ray",
+                     reflection_coefficient=-0.5)],
+        ids=["free_space", "two_ray", "rician", "rician_two_ray"])
+    @pytest.mark.parametrize("strategy", list(RelayStrategy),
+                             ids=lambda s: s.value)
+    def test_matches_two_link_oracle(self, strategy, channel, capacity):
+        g = geom(100.0)
+        pl_src, pl_dst, se, occupancy = two_link_cycle(
+            strategy, g, channel, ref_for(g), capacity, 0.05,
+            np.random.default_rng(11))
+        result = simulate_cycle(strategy, g, channel, ref_for(g), capacity,
+                                time_step=0.05,
+                                rng=np.random.default_rng(11))
+        assert np.array_equal(result.se, se)
+        assert np.array_equal(result.path_loss_src, pl_src)
+        assert np.array_equal(result.path_loss_dst, pl_dst)
+        assert np.array_equal(result.occupancy, occupancy)
+
+
 class TestSimulateCycle:
     def test_static_closed_form(self):
         result = run(RelayStrategy.STATIC, 0.0)
@@ -211,8 +276,9 @@ class TestSimulateCycle:
         ChannelModel(5e9, variant="rician", k_factor_db=6.0)],
         ids=["free_space", "two_ray", "rician"])
     def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
-        # Each call records its link count, or None for the SNR anchor's
-        # one scalar link, which is counted apart.
+        # The cycle evaluates only the active link; each per-link column
+        # is evaluated on its first read and kept.  Each call records its
+        # link count, or None for the SNR anchor's one scalar link.
         calls = []
         path_loss = ChannelModel.path_loss_db
 
@@ -226,9 +292,15 @@ class TestSimulateCycle:
             calls.clear()
             result = simulate_cycle(strategy, geom(100.0), channel,
                                     ref_for(geom(100.0)), time_step=0.1)
-            assert [n for n in calls if n is not None] == \
-                [len(result.times)] * 2
+            n = len(result.times)
             assert calls.count(None) == 1
+            assert [c for c in calls if c is not None] == [n]
+            result.path_loss_src
+            assert [c for c in calls if c is not None] == [n, n]
+            result.path_loss_dst
+            assert [c for c in calls if c is not None] == [n, n, n]
+            result.path_loss_src, result.path_loss_dst, result.path_loss_trace
+            assert len(calls) == 4
 
     def test_negative_buffer_rejected(self):
         with pytest.raises(ValueError):
@@ -378,6 +450,38 @@ class TestSweepDelay:
             g = geom(r.v_max, r.delay_budget)
             assert r.end_to_end_se == simulate_cycle(
                 r.strategy, g, CHANNEL, ref, time_step=0.05).end_to_end_se
+
+    def test_fig4_grid_evaluates_only_active_links(self, monkeypatch):
+        # 20 distinct cycles of 2*delta/dt + 1 samples each; the other
+        # 20 geometries are the SNR anchor's scalar links.
+        config = preset_config("fig4")
+        params = config.params
+        samples, builds = [], []
+        path_loss = ChannelModel.path_loss_db
+        post_init = LinkGeometry.__post_init__
+
+        def counting_loss(model, geometry):
+            if np.ndim(geometry.horizontal_separation):
+                samples.append(np.size(geometry.horizontal_separation))
+            return path_loss(model, geometry)
+
+        def counting_build(geometry):
+            builds.append(geometry)
+            post_init(geometry)
+
+        monkeypatch.setattr(ChannelModel, "path_loss_db", counting_loss)
+        monkeypatch.setattr(LinkGeometry, "__post_init__", counting_build)
+        template = RelayGeometry(params["separation_m"],
+                                 params["uav_altitude_m"], 1.0, 1.0)
+        sweep_delay(params["strategies"], template, params["delays_s"],
+                    params["speeds_mps"],
+                    ChannelModel(params["carrier_frequency_hz"]),
+                    SnrReference(params["reference_snr_db"],
+                                 template.midpoint_slant),
+                    time_step=config.time_step)
+        assert len(samples) == 20
+        assert sum(samples) == 124_020
+        assert len(builds) == 40
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
