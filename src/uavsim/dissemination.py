@@ -18,14 +18,16 @@ built once and shared by every run over the same field and flight.
 Seeds are independent, so each phase runs on a batch of them at once,
 over a leading seed axis: (seeds, nodes, packets) matrices, one generator
 per seed, and per round or baseline step one set of array operations for
-all seeds still running.  Each seed makes exactly the draws a one-seed
-run makes, in its own generator, and leaves the generator where that run
-leaves it.  A gossip round's picks are ``Generator.integers(0,
-pool_sizes)``, reproduced from the generator's raw stream, so gossip
-takes a PCG64, PCG64DXSM, Philox or SFC64 generator.  ``phase1_broadcast``,
-``phase2_exchange`` and ``run_baseline`` are one-seed calls of the batch
-kernels, and ``compare_schemes`` runs every seed of a config, in blocks
-of seeds that bound the memory a batch holds.
+all seeds still running.  Gossip holds packets eight to a byte and counts
+them with ``np.bitwise_count`` (numpy 2.0).  Each seed makes exactly the
+draws a one-seed run makes, in its own generator, and leaves the
+generator where that run leaves it.  A gossip round's picks are
+``Generator.integers(0, pool_sizes)``, reproduced from the generator's
+raw stream, so gossip takes a PCG64, PCG64DXSM, Philox or SFC64
+generator.  ``phase1_broadcast``, ``phase2_exchange`` and
+``run_baseline`` are one-seed calls of the batch kernels, and
+``compare_schemes`` runs every seed of a config, in blocks of seeds that
+bound the memory a batch holds.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ class ExchangeResult:
     component_union_sizes: tuple[int, ...] = ()
 
 
-_BIT_COUNTS = np.array([bin(byte).count("1") for byte in range(256)],
-                       dtype=np.int8)  # set bits per byte value
+# Row b: the set bits of byte value b, lowest first, then zeros.
+_NTH_BIT = np.array([sorted([b & 1 << i for i in range(8)], key=bool,
+                            reverse=True) for b in range(256)], dtype=np.uint8)
 
 
 class _WordStreams:
@@ -235,17 +238,19 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
               round_cap: int) -> list[ExchangeResult]:
     """Phase 2 for a batch: ``packets`` is (seeds, nodes, packets), updated
     in place, and ``rngs`` holds one generator per seed.  A round is one
-    set of mask operations over the seeds still gossiping; its picks are
+    set of array operations over the seeds still gossiping: its picks are
     each seed's ``integers(0, pool_sizes)`` over its senders, reproduced
-    from the generators' raw streams."""
-    seeds, _, width = packets.shape
+    from the generators' raw streams; each node ORs in its neighbours'
+    packets through a padded neighbour table, and its packet count grows
+    by the bits that are new to it."""
+    seeds, nodes, width = packets.shape
     # What the nodes hold, eight packets to a byte.
     held = np.packbits(packets, axis=2, bitorder="little")
     order = np.argsort(graph.labels, kind="stable")
     firsts = np.searchsorted(graph.labels[order],
                              np.arange(graph.component_count))
-    union_sizes = _BIT_COUNTS[np.bitwise_or.reduceat(
-        held[:, order], firsts, axis=1)].sum(axis=2)
+    union_sizes = np.bitwise_count(np.bitwise_or.reduceat(
+        held[:, order], firsts, axis=1)).sum(axis=2, dtype=np.int64)
     short = union_sizes < file.decode_threshold
     components = graph.connected_components()
     stalled = [tuple(tuple(c) for c, s in zip(components, row) if s)
@@ -253,8 +258,16 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
     # Nodes of stalled components never decode; a seed is done once the
     # others have.
     settled = short[:, graph.labels]
-    edge_from, edge_to = np.nonzero(graph.adjacency)
+    # Row v lists v's neighbours, padded with v: a node holds what it sent.
+    degrees = graph.adjacency.sum(axis=1)
+    places = np.arange(max(1, degrees.max(initial=0)))
+    neighbours = np.where(places < degrees[:, None], np.argsort(
+        ~graph.adjacency, axis=1, kind="stable")[:, places],
+        np.arange(nodes)[:, None])
     size_type = np.min_scalar_type(-1 - width)  # holds a pool's size
+    counts = np.bitwise_count(held).sum(axis=2, dtype=size_type)
+    # Per node: packets not yet broadcast, and how many it has broadcast.
+    unsent, sent_counts = held.copy(), np.zeros_like(counts)
     rounds_used = np.zeros(seeds, dtype=int)
     success = np.zeros(seeds, dtype=bool)
     # The seeds still gossiping; each is written back to ``packets`` when
@@ -263,11 +276,10 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
     # A component with the file decodes within K rounds, each taking at
     # most a word per node.
     streams = _WordStreams(
-        rngs, min(round_cap, file.source_packet_count) * graph.labels.size)
-    already_sent = np.zeros_like(held)
+        rngs, min(round_cap, file.source_packet_count) * nodes)
     rounds = 0
     while True:
-        decoded = _BIT_COUNTS[held].sum(axis=2) >= file.decode_threshold
+        decoded = counts >= file.decode_threshold
         done = (decoded | settled).all(axis=1) | (rounds >= round_cap)
         if done.any():
             finished = live[done]
@@ -276,33 +288,40 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
                                               bitorder="little")
             rounds_used[finished] = rounds
             success[finished] = decoded[done].all(axis=1)
-            live, held, already_sent, settled = (
-                rows[~done] for rows in (live, held, already_sent, settled))
+            live, held, unsent, counts, sent_counts, settled = (
+                rows[~done] for rows in (live, held, unsent, counts,
+                                         sent_counts, settled))
             if not live.size:
                 break
-        # Snapshot first: all broadcasts in a round are simultaneous.
-        fresh = held & ~already_sent
-        pool = np.where(fresh.any(axis=2, keepdims=True), fresh, held)
-        byte_sizes = _BIT_COUNTS[pool]
-        ends = byte_sizes.cumsum(axis=2, dtype=size_type)
-        senders = ends[..., -1] > 0
-        rows, nodes = np.nonzero(senders)
-        picks = streams.integers(live, ends[..., -1])[rows, nodes]
+        # Snapshot first: all broadcasts in a round are simultaneous.  A
+        # node sends from its unsent packets, or from all it holds once
+        # every one has been sent.
+        spent = sent_counts == counts
+        sizes = np.where(spent, counts, counts - sent_counts)
+        pool = unsent.copy()
+        pool[spent] = held[spent]
+        byte_sizes = np.bitwise_count(pool).reshape(-1)
+        ends = byte_sizes.cumsum(dtype=np.min_scalar_type(-8 * pool.size))
+        senders = np.flatnonzero(sizes)  # live row * nodes + node
+        picks = streams.integers(live, sizes).reshape(-1)[senders]
         # A pick indexes the sender's pool in ascending packet order: find
-        # the byte that holds it, then the bit.
-        byte = np.argmax(ends[rows, nodes] > picks[:, None], axis=1)
-        rank = picks - ends[rows, nodes, byte] + byte_sizes[rows, nodes, byte]
-        bits = np.unpackbits(pool[rows, nodes, byte, None], axis=1,
-                             bitorder="little").cumsum(axis=1)
-        bit = (1 << np.argmax(bits > rank[:, None], axis=1)).astype(np.uint8)
-        already_sent[rows, nodes, byte] |= bit
-        sent_byte = np.zeros(senders.shape, dtype=byte.dtype)
-        sent_bit = np.zeros(senders.shape, dtype=np.uint8)
-        sent_byte[rows, nodes], sent_bit[rows, nodes] = byte, bit
-        rows, edges = np.nonzero(senders[:, edge_from])
-        source = edge_from[edges]
-        np.bitwise_or.at(held, (rows, edge_to[edges], sent_byte[rows, source]),
-                         sent_bit[rows, source])
+        # the byte that holds it in the flat pool, then the bit.
+        first = senders * held.shape[2]
+        target = (ends[first] - byte_sizes[first] + picks).astype(ends.dtype)
+        at = np.searchsorted(ends, target, side="right")
+        bit = _NTH_BIT[pool.reshape(-1)[at],
+                       target - ends[at] + byte_sizes[at]]
+        unsent.reshape(-1)[at] &= ~bit
+        sent_counts += ~spent
+        sent = np.zeros_like(held)
+        sent.reshape(-1)[at] = bit
+        incoming = sent[:, neighbours[:, 0]]
+        for column in neighbours.T[1:]:
+            incoming |= sent[:, column]
+        incoming &= ~held
+        held |= incoming
+        unsent |= incoming
+        counts += np.bitwise_count(incoming).sum(axis=2, dtype=size_type)
         rounds += 1
     return [ExchangeResult(count, ok, stalled[seed], tuple(sizes))
             for seed, (count, ok, sizes) in enumerate(zip(
@@ -350,10 +369,12 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
 
     The seeds still running step in lockstep over windows of whole packet
     cycles; each ends its step at its first node completion, since its
-    pending set is fixed until then.  Draws are only compared with the
-    erasure probability, so each seed keeps the draws a step did not use
-    as hits, the start of its next step's draws; at the end the generator
-    is rewound to the last draw used.
+    pending set is fixed until then.  A node completes with the last
+    arrival among the packets it misses, which also settles whether it
+    is still pending, so no packets are counted.  Draws are only compared
+    with the erasure probability, so each seed keeps the draws a step did
+    not use as hits, the start of its next step's draws; at the end the
+    generator is rewound to the last draw used.
     """
     k = file.source_packet_count
     slots_per_pass, nodes = coverage.shape
@@ -364,8 +385,7 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
                      % slots_per_pass]
     have = packets.transpose(0, 2, 1).copy()  # (seeds, K, nodes)
     have_rows = have.reshape(-1, nodes)  # row seed * K + packet
-    counts = have.sum(axis=1)
-    pending = counts < k
+    pending = have.sum(axis=1) < k
     sent = np.zeros(len(rngs), dtype=np.int64)
     ahead = [np.zeros(0, dtype=bool)] * len(rngs)
     drawn = [0] * len(rngs)
@@ -378,12 +398,12 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
         base = sent[live]
         span = np.minimum(window, limit - base)
         slot_ids = np.arange(window, dtype=np.min_scalar_type(window))
-        covered = (tiled[base[:, None] % slots_per_pass + slot_ids]
-                   & pending[live, None, :])
+        covered = (np.take(tiled, base[:, None] % slots_per_pass + slot_ids,
+                           axis=0) & pending[live, None, :])
         if (span < window).any():
             covered[slot_ids >= span[:, None]] = False
-        per_slot = covered.sum(axis=2, dtype=np.min_scalar_type(nodes)
-                               ).cumsum(axis=1)
+        per_slot = np.einsum("swn->sw", covered.view(np.uint8),
+                             dtype=np.min_scalar_type(nodes)).cumsum(axis=1)
         hits = []
         for seed, needed in zip(live.tolist(), per_slot[:, -1].tolist()):
             short = needed - ahead[seed].size
@@ -395,7 +415,8 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
                     del marks[seed][0]
                 rng = rngs[seed]
                 marks[seed].append((drawn[seed], rng.bit_generator.state))
-                more = max(short, needed)  # a step's draws ahead
+                # Draw ahead four times the need: each refill saves a state.
+                more = max(short, 4 * needed)
                 ahead[seed] = np.concatenate(
                     [ahead[seed], rng.random(more) >= rx.erasure_probability])
                 drawn[seed] += more
@@ -408,17 +429,21 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
         if cycles > 1:
             arrival = arrival.reshape(live.size, cycles, k, nodes).min(axis=1)
         rows = (live[:, None] * k + (base[:, None] + slot_ids[:k]) % k)
-        missing = ~have_rows[rows]
+        held = np.take(have_rows, rows, axis=0)
+        missing = ~held
         # A pending node completes once the last of its K - count missing
-        # packets arrives.
-        completion = (arrival * missing).max(axis=1)
+        # packets arrives.  Halving beats numpy's max over a short axis 1.
+        latest = arrival * missing
+        while latest.shape[1] > 1:
+            half = latest.shape[1] // 2
+            latest = np.maximum(latest[:, :-half], latest[:, half:])
+        completion = latest[:, 0]
         completion[~pending[live]] = window
         first = completion.min(axis=1).astype(np.int64)
         used = np.where(first < window, first + 1, span)
-        landed = (arrival < used[:, None, None]) & missing
-        have_rows[rows] |= landed
-        counts[live] += landed.sum(axis=1, dtype=np.min_scalar_type(k))
-        pending[live] &= counts[live] < k
+        cut = used.astype(arrival.dtype)[:, None]  # comparisons stay narrow
+        have_rows[rows] = held | ((arrival < cut[..., None]) & missing)
+        pending[live] &= completion >= cut
         for seed, taken in zip(live.tolist(),
                                per_slot[np.arange(live.size), used - 1]):
             ahead[seed] = ahead[seed][taken:]
@@ -433,7 +458,7 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
     packets[...] = have.transpose(0, 2, 1)
     results = []
     for transmissions, left, missing in zip(sent.tolist(), pending,
-                                            k - counts):
+                                            k - have.sum(axis=1)):
         if left.any() or not limit:
             results.append(BaselineResult(transmissions, pass_cap, False, {
                 int(n): int(missing[n]) for n in np.flatnonzero(left)}))

@@ -7,7 +7,8 @@ hovering at the endpoints).  Phase 1 fills the on-board buffer from the
 source link, phase 2 drains it to the destination; integration is
 left-endpoint Riemann over the trajectory time step.  Only one link
 carries data at any sample, so a cycle evaluates that active link alone;
-the per-link path-loss columns of a result are built when first read.
+a result keeps that loss, and each per-link path-loss column evaluates
+only its inactive half when first read.
 """
 
 from __future__ import annotations
@@ -39,9 +40,12 @@ class RelayStrategy(str, Enum):
 class RelayRunResult:
     """Per-cycle bit ledger and traces; rates are per unit bandwidth.
 
-    The per-sample arrays are kept as computed.  The per-link path-loss
-    columns are built from the stored relay positions, and the tuple
-    traces from the arrays, on first access.
+    The per-sample arrays are kept as computed, the active link's path
+    loss among them: the source's for the first ``phase1_samples``
+    samples, the destination's after.  Each per-link path-loss column
+    takes that half and evaluates its other half from the stored relay
+    positions, and the tuple traces are built from the arrays, on first
+    access.
     """
 
     strategy: RelayStrategy
@@ -53,21 +57,31 @@ class RelayRunResult:
     relay_x: np.ndarray = dataclasses.field(repr=False, compare=False)
     se: np.ndarray = dataclasses.field(repr=False, compare=False)
     occupancy: np.ndarray = dataclasses.field(repr=False, compare=False)
+    active_path_loss: np.ndarray = dataclasses.field(repr=False,
+                                                     compare=False)
+    phase1_samples: int = dataclasses.field(repr=False, compare=False)
     geometry: RelayGeometry = dataclasses.field(repr=False, compare=False)
     channel: ChannelModel = dataclasses.field(repr=False, compare=False)
+
+    def _link_loss(self, gap: np.ndarray) -> np.ndarray:
+        """Path loss over horizontal gaps ``|gap|`` at the UAV altitude."""
+        return self.channel.path_loss_db(LinkGeometry(
+            np.abs(gap), self.geometry.uav_altitude))
 
     @cached_property
     def path_loss_src(self) -> np.ndarray:
         """Relay-to-source path loss per sample, dB."""
-        return self.channel.path_loss_db(LinkGeometry(
-            np.abs(self.relay_x), self.geometry.uav_altitude))
+        split = self.phase1_samples
+        return np.concatenate([self.active_path_loss[:split],
+                               self._link_loss(self.relay_x[split:])])
 
     @cached_property
     def path_loss_dst(self) -> np.ndarray:
         """Relay-to-destination path loss per sample, dB."""
-        return self.channel.path_loss_db(LinkGeometry(
-            np.abs(self.relay_x - self.geometry.separation),
-            self.geometry.uav_altitude))
+        split = self.phase1_samples
+        gap = self.relay_x[:split] - self.geometry.separation
+        return np.concatenate([self._link_loss(gap),
+                               self.active_path_loss[split:]])
 
     @cached_property
     def path_loss_trace(self) -> tuple[tuple[float, float, float], ...]:
@@ -129,11 +143,13 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     gap = xs.copy()
     gap[n_phase1:] -= geom.separation
     np.abs(gap, out=gap)
-    snr_db = (snr_anchor_db(channel, ref, geom.uav_altitude)
-              - channel.path_loss_db(LinkGeometry(gap, geom.uav_altitude)))
     # The ferry is silent in flight; the other relays talk at every sample.
     ferry = strategy == RelayStrategy.FERRY
     talking = gap <= _HOVER_EPS if ferry else slice(None)
+    anchor = snr_anchor_db(channel, ref, geom.uav_altitude)
+    loss = channel.path_loss_db(LinkGeometry(gap, geom.uav_altitude))
+    # The result keeps the loss, so the SNR reuses the gaps' memory.
+    snr_db = np.subtract(anchor, loss, out=gap)
     if channel.variant == "rician":
         if rng is None:
             rng = np.random.default_rng(0)
@@ -170,6 +186,8 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
         relay_x=xs,
         se=se,
         occupancy=occupancy,
+        active_path_loss=loss,
+        phase1_samples=n_phase1,
         geometry=geom,
         channel=channel,
     )

@@ -551,7 +551,46 @@ class TestPhase1Broadcast:
                           ReceptionModel(200.0, 0.0), 0.0)
 
 
+# Cliques where one round brings a node the same packet from several
+# neighbours: (packet sets, K).
+DUPLICATE_SENDS = {
+    "shared_plus_private": ([{0, i} for i in range(1, 6)], 6),
+    # Nodes 0-2 hold only packet 0 (a pool of one takes no draw), so in
+    # round 1 nodes 3-5 each receive it from all three.
+    "repeat_senders": ([{0}] * 3 + [{1, 2, 3}, {4, 5, 6}, {7, 8, 9}], 10),
+}
+
+
 class TestPhase2Exchange:
+    @pytest.mark.parametrize("case", sorted(DUPLICATE_SENDS))
+    @pytest.mark.parametrize("round_cap", [1, 2, 10_000])
+    def test_duplicate_sends_counted_once(self, case, round_cap):
+        # A packet that arrives from several neighbours in one round counts
+        # once towards decoding: rounds, success, holdings, decode flags
+        # and generator states equal the scalar oracle's, for a batch of
+        # seeds that, uncapped, finish in different rounds.
+        sets, k = DUPLICATE_SENDS[case]
+        file = FileSpec(k)
+        positions = [(float(i), 0.0) for i in range(len(sets))]
+        seeds = range(8)
+        packets = np.stack([holding(sets, k) for _ in seeds])
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        results = dissemination._exchange(
+            packets, D2dGraph(positions, 10.0), file, rngs, round_cap)
+        for seed, rng, result, held in zip(seeds, rngs, results, packets):
+            nodes = [OracleNode(i, p, set(s))
+                     for i, (p, s) in enumerate(zip(positions, sets))]
+            oracle_rng = np.random.default_rng(seed)
+            assert (result.rounds_used, result.success,
+                    result.stalled_components,
+                    result.component_union_sizes) == oracle_phase2(
+                nodes, oracle_neighbors(nodes, 10.0), file, oracle_rng,
+                round_cap)
+            assert as_sets(held) == [n.received_packets for n in nodes]
+            assert file.decoded(held).tolist() == [
+                len(n.received_packets) >= k for n in nodes]
+            assert peek(rng) == peek(oracle_rng)
+
     def test_already_decoded_zero_rounds(self):
         packets = holding([set(range(10)), set(range(10))], 10)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
@@ -766,6 +805,28 @@ class TestRunBaseline:
                                   np.random.default_rng(seed))
             counts.append(result.uav_transmissions)
         assert 1.9 <= statistics.mean(counts) <= 2.1
+
+    @pytest.mark.parametrize("pass_cap, count", [(1_000, 2), (2, 3)])
+    def test_step_lands_over_255_packets(self, pass_cap, count):
+        # K = 300 from a hovering UAV over a perfect channel: each node in
+        # range lands all 300 packets in the first step, more than a byte
+        # holds; the third node, out of range, stays missing all 300.
+        file = FileSpec(300)
+        rx = ReceptionModel(coverage_radius=300.0, erasure_probability=0.0)
+        traj = hover_trajectory(400.0)
+        positions = [(0.0, 0.0), (100.0, 50.0), (1e6, 0.0)][:count]
+        coverage = coverage_mask(traj, positions, rx, 1.0)
+        packets = np.zeros((count, 300), dtype=bool)
+        rng, oracle_rng = (np.random.default_rng(7) for _ in range(2))
+        result = run_baseline(coverage, packets, file, rx, rng, pass_cap)
+        nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
+        expected = oracle_baseline(traj, nodes, file, rx, 1.0, oracle_rng,
+                                   pass_cap)
+        assert (result.uav_transmissions, result.passes_used, result.success,
+                result.missing_per_node) == expected
+        assert expected[0] == (300 if count == 2 else 800)
+        assert as_sets(packets) == [n.received_packets for n in nodes]
+        assert peek(rng) == peek(oracle_rng)
 
     def test_pass_cap_failure_reports_missing(self):
         rx = ReceptionModel(200.0, 0.0)

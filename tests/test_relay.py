@@ -276,9 +276,10 @@ class TestSimulateCycle:
         ChannelModel(5e9, variant="rician", k_factor_db=6.0)],
         ids=["free_space", "two_ray", "rician"])
     def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
-        # The cycle evaluates only the active link; each per-link column
-        # is evaluated on its first read and kept.  Each call records its
-        # link count, or None for the SNR anchor's one scalar link.
+        # The cycle evaluates only the active link and keeps its loss;
+        # each per-link column evaluates only its inactive half, on its
+        # first read, and is kept.  Each call records its link count, or
+        # None for the SNR anchor's one scalar link.
         calls = []
         path_loss = ChannelModel.path_loss_db
 
@@ -292,13 +293,15 @@ class TestSimulateCycle:
             calls.clear()
             result = simulate_cycle(strategy, geom(100.0), channel,
                                     ref_for(geom(100.0)), time_step=0.1)
-            n = len(result.times)
+            n, split = len(result.times), result.phase1_samples
+            assert 0 < split < n
             assert calls.count(None) == 1
             assert [c for c in calls if c is not None] == [n]
             result.path_loss_src
-            assert [c for c in calls if c is not None] == [n, n]
+            assert [c for c in calls if c is not None] == [n, n - split]
             result.path_loss_dst
-            assert [c for c in calls if c is not None] == [n, n, n]
+            assert [c for c in calls if c is not None] == [n, n - split,
+                                                           split]
             result.path_loss_src, result.path_loss_dst, result.path_loss_trace
             assert len(calls) == 4
 
