@@ -6,9 +6,13 @@ written as Python's shortest round-trip ``repr`` (``0.1``, ``-0.0``,
 any other value as its ``str``.  A field that contains a comma, a double
 quote or a line feed is enclosed in double quotes, each of its quotes
 doubled, and a row of one empty field is written as ``""``.  These are
-the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.  The writer
-builds them from columns, so that a float array formats each distinct
-value once.
+the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
+
+One writer, ``write_csvs``, writes a sequence of tables; ``write_csv``
+is its one-table call.  It builds the bytes from columns, so that a
+float array formats each distinct value once: the float64 array columns
+of a table share one text per distinct value, and a table takes the
+texts of the values it shares with the table before it in the same call.
 """
 
 import numpy as np
@@ -21,34 +25,89 @@ def write_csv(path, header, columns) -> None:
 
     Each column is a sequence of values or a 1-D ndarray, all of one
     length; an ndarray column is written as its ``tolist()`` would be.
-    Fields are formatted one block of rows at a time, except that a float
-    array's distinct values are formatted up front.
     """
-    columns = [_column(column) for column in columns]
-    lengths = {len(values) for values, _ in columns}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_lines([_texts([name]) for name in header]))
-        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
-            fh.write(_lines([texts(values[start:start + _BLOCK_ROWS])
-                             for values, texts in columns]))
+    write_csvs([(path, header, columns)])
+
+
+def write_csvs(tables) -> None:
+    """Write each ``(path, header, columns)`` of ``tables``, as
+    ``write_csv`` would, in turn: a table's file is written before the
+    next table is drawn, so ``tables`` may be a generator.
+
+    Fields are formatted one block of rows at a time, except that the
+    distinct values of a table's float arrays are formatted up front,
+    and those the previous table had are taken from it.
+    """
+    bits, texts = np.empty(0, np.int64), np.empty(0, object)
+    for path, header, columns in tables:
+        columns = [_column(column) for column in columns]
+        lengths = {len(values) for values, _ in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"columns differ in length: {sorted(lengths)}")
+        # A float64 column is its bits until the table's distinct bits,
+        # sorted, are known; then each row is an index into their texts.
+        floats = [i for i, (_, texts_of) in enumerate(columns)
+                  if texts_of is None]
+        table_bits = _distinct([columns[i][0] for i in floats])
+        texts, missed = _reused(table_bits, bits, texts)
+        bits = table_bits
+        # Only now, with the previous table's texts dropped, format.
+        texts[missed] = _reprs(bits[missed].view(np.float64))
+        for i in floats:
+            columns[i] = (np.searchsorted(bits, columns[i][0]),
+                          lambda rows, texts=texts: texts[rows].tolist())
+        with open(path, "w", newline="\n") as fh:
+            fh.write(_lines([_texts([name]) for name in header]))
+            for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+                fh.write(_lines([texts_of(values[start:start + _BLOCK_ROWS])
+                                 for values, texts_of in columns]))
 
 
 def _column(column):
     """``(values, texts)``: ``texts`` gives the field texts of a slice of
-    ``values``, which is one entry per row."""
+    ``values``, which is one entry per row.  A float64 array is
+    ``(its bits, None)``, formatted by ``write_csvs`` with the rest of
+    its table."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        # Bit patterns, so -0.0 and 0.0 stay apart.
+        return column.view(np.int64), None
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        # One repr per distinct bit pattern, so -0.0 and 0.0 stay apart;
-        # the values are then each row's index into those reprs.
         bits, index = np.unique(column.view(f"i{column.itemsize}"),
                                 return_inverse=True)
-        reprs = np.array([repr(value) for value in
-                          bits.view(column.dtype).tolist()], dtype=object)
+        reprs = _reprs(bits.view(column.dtype))
         return index, lambda rows: reprs[rows].tolist()
     values = column.tolist() if isinstance(column, np.ndarray) \
         else list(column)
     return values, _texts
+
+
+def _distinct(columns) -> np.ndarray:
+    """The sorted distinct values of the int64 arrays ``columns``."""
+    values = np.concatenate([np.empty(0, np.int64), *columns])
+    values.sort()
+    keep = np.empty(len(values), bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _reused(bits, prior_bits, prior_texts):
+    """``(texts, missed)``: the texts of the sorted distinct ``bits`` that
+    the sorted ``prior_bits`` hold, taken from ``prior_texts``, and the
+    mask of those left to format."""
+    texts = np.empty(len(bits), object)
+    if not len(prior_bits):
+        return texts, np.ones(len(bits), bool)
+    at = np.searchsorted(prior_bits, bits).clip(max=len(prior_bits) - 1)
+    found = prior_bits[at] == bits
+    texts[found] = prior_texts[at[found]]
+    return texts, ~found
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each of the floats ``values``, as an object array:
+    the writer's one place that formats a float array."""
+    return np.array([repr(value) for value in values.tolist()], dtype=object)
 
 
 def _texts(values) -> list[str]:

@@ -402,22 +402,24 @@ def _series_label(strategy: str, v: float) -> str:
 
 def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     from .mobility import RelayGeometry
-    from .relay import RelayStrategy, simulate_cycle, write_trace_csv
+    from .relay import RelayStrategy, simulate_cycle, write_trace_csvs
     params = config.params
     channel, ref = _relay_setup(params)
-    files, series = [], {}
     runs = [("static", 0.0)] + [("mobile", v) for v in params["speeds_mps"]]
-    for strategy, v in runs:
-        geom = RelayGeometry(params["separation_m"], params["uav_altitude_m"],
-                             v, params["delay_budget_s"])
-        result = simulate_cycle(RelayStrategy(strategy), geom, channel, ref,
-                                time_step=config.time_step)
-        label = _series_label(strategy, v)
-        name = f"trace_{label}.csv"
-        write_trace_csv(result, out / name)
-        files.append(name)
-        series[name] = {"label": label, "kind": "trace"}
-    return files, series
+    labels = [_series_label(strategy, v) for strategy, v in runs]
+    files = [f"trace_{label}.csv" for label in labels]
+
+    def traces():  # a generator, so one cycle's result is alive at a time
+        for (strategy, v), name in zip(runs, files):
+            geom = RelayGeometry(params["separation_m"],
+                                 params["uav_altitude_m"], v,
+                                 params["delay_budget_s"])
+            yield simulate_cycle(RelayStrategy(strategy), geom, channel, ref,
+                                 time_step=config.time_step), out / name
+
+    write_trace_csvs(traces())
+    return files, {name: {"label": label, "kind": "trace"}
+                   for name, label in zip(files, labels)}
 
 
 def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._csvfile import write_csv
+from ._csvfile import write_csv, write_csvs
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       rician_power_gains, snr_anchor_db, spectral_efficiency)
 from .mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
@@ -256,10 +256,22 @@ def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,
 
 def write_trace_csv(result: RelayRunResult, path) -> None:
     """Trace file: time_s, pl_src_db, pl_dst_db, se_bpshz, buffer_bits."""
-    write_csv(path, ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
-                     "buffer_bits"],
-              [result.times, result.path_loss_src, result.path_loss_dst,
-               result.se, result.occupancy])
+    write_trace_csvs([(result, path)])
+
+
+def write_trace_csvs(traces) -> None:
+    """One trace file per ``(result, path)`` of ``traces``, in one writer
+    call, which formats a float the previous trace had only once.  Each
+    file is written, and its result let go, before the next is drawn."""
+    write_csvs(map(_trace_table, traces))
+
+
+def _trace_table(trace):
+    """The ``(path, header, columns)`` of a ``(result, path)``."""
+    result, path = trace
+    header = ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz", "buffer_bits"]
+    return path, header, [result.times, result.path_loss_src,
+                          result.path_loss_dst, result.se, result.occupancy]
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -1,4 +1,5 @@
-"""``write_csv`` against the ``csv.writer`` it replaced, byte for byte."""
+"""``write_csv`` and ``write_csvs`` against the ``csv.writer`` they
+replaced, byte for byte."""
 
 import csv
 import math
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim._csvfile import write_csv
+from uavsim._csvfile import write_csv, write_csvs
 
 
 def reference_csv(path, header, rows) -> None:
@@ -28,6 +29,19 @@ def assert_same_bytes(tmp_path, header, columns):
     expected = (tmp_path / "reference.csv").read_bytes()
     assert (tmp_path / "written.csv").read_bytes() == expected
     return expected.decode()
+
+
+def assert_same_files(tmp_path, tables):
+    """One ``write_csvs`` call on the ``(header, columns)`` of ``tables``
+    writes, in each file, what the reference writes on its rows."""
+    write_csvs((tmp_path / f"written{i}.csv", header, columns)
+               for i, (header, columns) in enumerate(tables))
+    for i, (header, columns) in enumerate(tables):
+        values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+                  for c in columns]
+        reference_csv(tmp_path / f"reference{i}.csv", header, zip(*values))
+        assert (tmp_path / f"written{i}.csv").read_bytes() \
+            == (tmp_path / f"reference{i}.csv").read_bytes(), i
 
 
 FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16,
@@ -98,27 +112,96 @@ class TestMixedColumns:
         assert not (tmp_path / "x.csv").exists()
 
 
+def nan_with_payload(payload: int) -> float:
+    return np.array([0x7FF8000000000000 | payload]).view(np.float64)[0]
+
+
+class TestTables:
+    """Tables of one ``write_csvs`` call share float texts; each file must
+    still read as if written alone."""
+
+    def test_tables_that_share_values(self, tmp_path):
+        time = np.arange(50) * 0.1
+        assert_same_files(tmp_path, [
+            (["t", "a", "b"], [time, time / 3, time[::-1].copy()]),
+            (["t", "c"], [time, np.sqrt(time)]),
+            (["t", "a"], [time + 0.1, time / 3])])
+
+    def test_signed_zeros_and_nan_payloads(self, tmp_path):
+        nans = [math.nan, nan_with_payload(1), -nan_with_payload(2)]
+        zeros = np.array([0.0, -0.0, *nans])
+        assert_same_files(tmp_path, [
+            (["z"], [zeros]),
+            (["z", "w"], [-zeros, zeros[::-1].copy()]),
+            (["w"], [np.array(nans[1:] + [-0.0])])])
+
+    def test_float32_never_takes_a_float64_text(self, tmp_path):
+        assert_same_files(tmp_path, [
+            (["x"], [np.array([0.1, 1 / 3])]),
+            (["x", "y"], [np.array([0.1, 1 / 3], dtype=np.float32),
+                          np.array([0.1, 1 / 3])]),
+            (["y"], [np.array([1 / 3, 0.1], dtype=np.float32)])])
+
+    def test_empty_table_between_others(self, tmp_path):
+        column = np.array(FLOATS)
+        assert_same_files(tmp_path, [(["a"], [column]),
+                                     (["a", "b"], [np.array([]), []]),
+                                     (["a"], [column[::-1].copy()]),
+                                     (["a"], [np.array([])])])
+
+    def test_table_without_float64_between_others(self, tmp_path):
+        column = np.array(FLOATS)
+        assert_same_files(tmp_path, [
+            (["a"], [column]),
+            (["b", "c"], [list(FLOATS), np.arange(len(FLOATS))]),
+            (["a"], [column[::-1].copy()])])
+
+    def test_no_tables(self, tmp_path):
+        write_csvs([])
+        assert list(tmp_path.iterdir()) == []
+
+
 # A small pool, so that values repeat within a column.
 POOL = FLOATS + [2.0, 1e-07, -1e22, 4.9406564584124654e-320]
+
+
+def draw_columns(data, kinds=("float", "mixed")):
+    """1-4 columns of 0-40 rows, their floats drawn from ``POOL``."""
+    rows = data.draw(st.integers(0, 40))
+    columns = []
+    for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=1,
+                                   max_size=4)):
+        if kind == "float":
+            columns.append(np.array(data.draw(st.lists(
+                st.sampled_from(POOL), min_size=rows, max_size=rows)),
+                dtype=float))
+        elif kind == "float32":
+            with np.errstate(over="ignore"):  # the largest floats become inf
+                columns.append(np.array(data.draw(st.lists(
+                    st.sampled_from(POOL), min_size=rows, max_size=rows)),
+                    dtype=np.float32))
+        else:
+            columns.append(data.draw(st.lists(st.one_of(
+                st.none(), st.integers(-5, 5), st.sampled_from(POOL),
+                st.text(",\"\n\r ab", max_size=4)),
+                min_size=rows, max_size=rows)))
+    return columns
 
 
 class TestRandomColumns:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_matches_reference(self, tmp_path_factory, data):
-        rows = data.draw(st.integers(0, 40))
-        kinds = data.draw(st.lists(st.sampled_from(["float", "mixed"]),
-                                   min_size=1, max_size=4))
-        columns = []
-        for kind in kinds:
-            if kind == "float":
-                columns.append(np.array(data.draw(st.lists(
-                    st.sampled_from(POOL), min_size=rows, max_size=rows)),
-                    dtype=float))
-            else:
-                columns.append(data.draw(st.lists(st.one_of(
-                    st.none(), st.integers(-5, 5), st.sampled_from(POOL),
-                    st.text(",\"\n\r ab", max_size=4)),
-                    min_size=rows, max_size=rows)))
+        columns = draw_columns(data)
         assert_same_bytes(tmp_path_factory.mktemp("csv"),
                           [f"c{i}" for i in range(len(columns))], columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_tables_match_reference(self, tmp_path_factory, data):
+        tables = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            columns = draw_columns(data, ("float", "float", "float32",
+                                          "mixed"))
+            tables.append(([f"c{i}" for i in range(len(columns))], columns))
+        assert_same_files(tmp_path_factory.mktemp("csv"), tables)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavsim import _csvfile, relay
 from uavsim.cli import main
 from uavsim.experiment import (CNPC_L_BAND_HZ, PRESETS, ConfigError,
                                ExperimentConfig, RunManifest, derive_seed,
@@ -187,6 +188,46 @@ class TestRun:
         mobile_lines = read(tmp_path / "trace_mobile_v100.csv").splitlines()
         plateau = min(float(line.split(",")[1]) for line in mobile_lines[1:])
         assert static_pl - plateau == pytest.approx(14.15, abs=0.05)
+
+    def test_fig3_formats_a_float_the_previous_trace_had_once(
+            self, tmp_path, monkeypatch):
+        """The four traces go through one writer call: the first formats
+        all 7,854 distinct floats of its columns, each later one only
+        those the trace before it lacks.  Column by column, as before
+        that call, the run formatted 45,199."""
+        formatted = []
+        reprs = _csvfile._reprs
+
+        def counted(values):
+            formatted.append(len(values))
+            return reprs(values)
+
+        monkeypatch.setattr(_csvfile, "_reprs", counted)
+        config = preset_config("fig3")
+        config.output_directory = str(tmp_path)
+        run(config)
+        assert formatted[0] == 7854
+        assert sum(formatted) == 26849
+
+    def test_fig3_writes_each_trace_before_the_next_cycle(
+            self, tmp_path, monkeypatch):
+        """The runner streams its cycles: each trace file is complete on
+        disk before the next cycle is simulated."""
+        seen = []
+        simulate = relay.simulate_cycle
+
+        def spy(*args, **kwargs):
+            seen.append({path.name: path.stat().st_size
+                         for path in tmp_path.glob("trace_*.csv")})
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(relay, "simulate_cycle", spy)
+        config = preset_config("fig3")
+        config.output_directory = str(tmp_path)
+        files = run(config).output_files
+        final = {name: (tmp_path / name).stat().st_size for name in files}
+        assert seen == [{name: final[name] for name in files[:i]}
+                        for i in range(len(files))]
 
     def test_rerun_byte_identical(self, tmp_path):
         bodies = []
@@ -618,7 +659,8 @@ config = experiment.load_config(sys.argv[1])
 after_load = loaded()
 experiment.run(config)
 print(json.dumps({"bare": bare, "load": after_load, "run": loaded(),
-                  "csv": "csv" in sys.modules}))
+                  "csv": "csv" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -626,7 +668,8 @@ print(json.dumps({"bare": bare, "load": after_load, "run": loaded(),
 def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
     """In a fresh interpreter: ``import uavsim`` loads no submodule, and
     ``load_config`` loads exactly the preset's scenario modules, which
-    ``run`` then needs no addition to; ``csv`` is left unloaded."""
+    ``run`` then needs no addition to; ``csv`` is left unloaded, and so
+    is ``numpy.ma``, which plain ``np.unique`` imports (about 2.7 MB)."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"preset": preset,
                                "output_directory": str(tmp_path / "out")}))
@@ -641,3 +684,4 @@ def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
         f"uavsim.{name}" for name in SCENARIO_MODULES[preset] | {"experiment"})
     assert loaded["run"] == loaded["load"]
     assert not loaded["csv"]
+    assert not loaded["numpy.ma"]
