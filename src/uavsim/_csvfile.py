@@ -10,9 +10,11 @@ the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
 
 One writer, ``write_csvs``, writes a sequence of tables; ``write_csv``
 is its one-table call.  It builds the bytes from columns, so that a
-float array formats each distinct value once: the float64 array columns
-of a table share one text per distinct value, and a table takes the
-texts of the values it shares with the table before it in the same call.
+float array formats each distinct value once: the float array columns
+of a table, widened to float64, share one text per distinct value, and a
+table takes the texts of the values it shares with the last table before
+it in the same call that has float arrays.  ``_reprs`` is the writer's one place that formats a
+float array.
 """
 
 import numpy as np
@@ -26,6 +28,9 @@ def write_csv(path, header, columns) -> None:
     Each column is a sequence of values or a 1-D ndarray, all of one
     length; an ndarray column is written as its ``tolist()`` would be.
     """
+    # Let go of an iterator of columns, such as zip(*rows), and the
+    # per-row iterators it holds, before the body is formatted.
+    columns = list(columns)
     write_csvs([(path, header, columns)])
 
 
@@ -36,7 +41,8 @@ def write_csvs(tables) -> None:
 
     Fields are formatted one block of rows at a time, except that the
     distinct values of a table's float arrays are formatted up front,
-    and those the previous table had are taken from it.
+    and those that the last table with float arrays had are taken from
+    it.
     """
     bits, texts = np.empty(0, np.int64), np.empty(0, object)
     for path, header, columns in tables:
@@ -44,15 +50,17 @@ def write_csvs(tables) -> None:
         lengths = {len(values) for values, _ in columns}
         if len(lengths) > 1:
             raise ValueError(f"columns differ in length: {sorted(lengths)}")
-        # A float64 column is its bits until the table's distinct bits,
-        # sorted, are known; then each row is an index into their texts.
+        # A float column is its float64 bits until the table's distinct
+        # bits, sorted, are known; then each row is an index into their
+        # texts.
         floats = [i for i, (_, texts_of) in enumerate(columns)
                   if texts_of is None]
-        table_bits = _distinct([columns[i][0] for i in floats])
-        texts, missed = _reused(table_bits, bits, texts)
-        bits = table_bits
-        # Only now, with the previous table's texts dropped, format.
-        texts[missed] = _reprs(bits[missed].view(np.float64))
+        if floats:
+            table_bits = _distinct([columns[i][0] for i in floats])
+            texts, missed = _reused(table_bits, bits, texts)
+            bits = table_bits
+            # Only now, with the previous table's texts dropped, format.
+            texts[missed] = _reprs(bits[missed].view(np.float64))
         for i in floats:
             columns[i] = (np.searchsorted(bits, columns[i][0]),
                           lambda rows, texts=texts: texts[rows].tolist())
@@ -65,25 +73,22 @@ def write_csvs(tables) -> None:
 
 def _column(column):
     """``(values, texts)``: ``texts`` gives the field texts of a slice of
-    ``values``, which is one entry per row.  A float64 array is
-    ``(its bits, None)``, formatted by ``write_csvs`` with the rest of
-    its table."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+    ``values``, which is one entry per row.  A float array of at most 64
+    bits is ``(its float64 bits, None)``, formatted by ``write_csvs``
+    with the rest of its table."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f" \
+            and column.itemsize <= 8:
+        # Widening is exact, and tolist() widens each value the same way.
         # Bit patterns, so -0.0 and 0.0 stay apart.
-        return column.view(np.int64), None
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        bits, index = np.unique(column.view(f"i{column.itemsize}"),
-                                return_inverse=True)
-        reprs = _reprs(bits.view(column.dtype))
-        return index, lambda rows: reprs[rows].tolist()
+        return column.astype(np.float64, copy=False).view(np.int64), None
     values = column.tolist() if isinstance(column, np.ndarray) \
-        else list(column)
+        else column if isinstance(column, (list, tuple)) else list(column)
     return values, _texts
 
 
 def _distinct(columns) -> np.ndarray:
     """The sorted distinct values of the int64 arrays ``columns``."""
-    values = np.concatenate([np.empty(0, np.int64), *columns])
+    values = np.concatenate(columns)  # a copy, so sort it in place
     values.sort()
     keep = np.empty(len(values), bool)
     keep[:1] = True

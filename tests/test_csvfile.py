@@ -3,11 +3,13 @@ replaced, byte for byte."""
 
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavsim import _csvfile
 from uavsim._csvfile import write_csv, write_csvs
 
 
@@ -68,8 +70,10 @@ class TestFloatColumns:
 
     def test_strided_and_float32_columns(self, tmp_path):
         grid = np.arange(12.0).reshape(4, 3) / 7
-        assert_same_bytes(tmp_path, ["x", "y"],
-                          [grid[:, 1], grid[:, 2].astype(np.float32)])
+        assert_same_bytes(tmp_path, ["x", "y", "h", "be", "ld"], [
+            grid[:, 1], grid[:, 2].astype(np.float32),
+            grid[:, 0].astype(np.float16), grid[:, 2].astype(">f8"),
+            grid[:, 1].astype(np.longdouble)])
 
     def test_more_rows_than_one_block(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -110,6 +114,27 @@ class TestMixedColumns:
         with pytest.raises(ValueError, match="differ in length"):
             write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [3]])
         assert not (tmp_path / "x.csv").exists()
+
+    def test_iterator_of_columns_is_let_go_before_the_body(
+            self, tmp_path, monkeypatch):
+        class Columns:  # an iterator of columns, as zip(*rows) is
+            def __init__(self, columns):
+                self.columns = iter(columns)
+                Columns.alive = weakref.ref(self)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                return next(self.columns)
+
+        alive, lines = [], _csvfile._lines
+        monkeypatch.setattr(_csvfile, "_lines", lambda fields: (
+            alive.append(Columns.alive() is not None), lines(fields))[1])
+        write_csv(tmp_path / "x.csv", ["a", "b"],
+                  Columns([(1, 2), np.array([0.5, -0.0])]))
+        assert (tmp_path / "x.csv").read_text() == "a,b\n1,0.5\n2,-0.0\n"
+        assert alive == [False, False]
 
 
 def nan_with_payload(payload: int) -> float:
