@@ -69,19 +69,6 @@ class ExcessLoss:
             raise ValueError("eta_nlos must be >= eta_los")
 
 
-# Implementer-default environment presets (a, b, eta_los dB, eta_nlos dB).
-ENVIRONMENT_PRESETS = {
-    "suburban": (4.88, 0.43, 0.1, 21.0),
-    "urban": (9.61, 0.16, 1.0, 20.0),
-    "dense_urban": (12.08, 0.11, 1.6, 23.0),
-}
-
-
-def environment_preset(name: str) -> tuple[LosProbabilityModel, ExcessLoss]:
-    a, b, eta_los, eta_nlos = ENVIRONMENT_PRESETS[name]
-    return LosProbabilityModel(a, b), ExcessLoss(eta_los, eta_nlos)
-
-
 def _expected_loss(fspl, elevation_deg, los: LosProbabilityModel,
                    excess: ExcessLoss):
     """The LoS-probability-weighted mean of the LoS and NLoS losses, dB."""

@@ -24,10 +24,9 @@ draws a one-seed run makes, in its own generator, and leaves the
 generator where that run leaves it.  A gossip round's picks are
 ``Generator.integers(0, pool_sizes)``, reproduced from the generator's
 raw stream, so gossip takes a PCG64, PCG64DXSM, Philox or SFC64
-generator.  ``phase1_broadcast``, ``phase2_exchange`` and
-``run_baseline`` are one-seed calls of the batch kernels, and
-``compare_schemes`` runs every seed of a config, in blocks of seeds that
-bound the memory a batch holds.
+generator.  ``phase1_broadcast`` and ``phase2_exchange`` are one-seed
+calls of the batch kernels, and ``compare_schemes`` runs every seed of a
+config, in blocks of seeds that bound the memory a batch holds.
 """
 
 from __future__ import annotations
@@ -364,8 +363,16 @@ _STEP_CELLS = 4096
 
 def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
               rx: ReceptionModel, rngs, pass_cap: int) -> list[BaselineResult]:
-    """The baseline for a batch: ``packets`` is (seeds, nodes, K), updated
-    in place, and ``rngs`` holds one generator per seed.
+    """Repeat uncoded passes until every node holds all K packets, for a
+    batch: ``packets`` is (seeds, nodes, K), updated in place, and
+    ``rngs`` holds one generator per seed.
+
+    Transmission g (counting from 0) sends packet g % K in slot g % S of
+    the (S slots, nodes) ``coverage`` mask, continuing the packet cycle
+    over repeated flights of the same trajectory, for at most
+    ``pass_cap`` passes.  A seed's transmissions count up to its
+    completing slot, and its draws are those of a slot-by-slot loop: one
+    per covered node still missing packets, slot-major.
 
     The seeds still running step in lockstep over windows of whole packet
     cycles; each ends its step at its first node completion, since its
@@ -471,22 +478,6 @@ def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
     return results
 
 
-def run_baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
-                 rx: ReceptionModel, rng: np.random.Generator,
-                 pass_cap: int = 1_000) -> BaselineResult:
-    """Repeat uncoded passes until every node holds all K packets.
-
-    Transmission g (counting from 0) sends packet g % K in slot g % S of
-    the (S slots, nodes) ``coverage`` mask, continuing the packet cycle
-    over repeated flights of the same trajectory.  ``packets`` is the
-    (nodes, K) matrix, updated in place.  Returns total transmissions
-    (count at the completing slot).  The draws are those of a
-    slot-by-slot loop: one per covered node still missing packets,
-    slot-major.
-    """
-    return _baseline(coverage, packets[None], file, rx, [rng], pass_cap)[0]
-
-
 # Cells of one block of seeds in ``compare_schemes``: per seed, nodes x
 # (slots + K + nodes), which bounds its packet matrices, a baseline step's
 # window and a gossip round's D2D links.
@@ -504,8 +495,8 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
     ``_BLOCK_CELLS`` cells.  Returns, per seed, the coded transmissions,
     the ``ExchangeResult``, the ``BaselineResult``, and per node the
     packets held after phase 1 and the decode flags after phase 2: what
-    ``phase1_broadcast``, ``phase2_exchange`` and ``run_baseline`` give for
-    that seed.
+    ``phase1_broadcast`` and ``phase2_exchange`` give for that seed, and
+    the baseline of a seed run alone.
     """
     slots, nodes = coverage.shape
     k = file.source_packet_count

@@ -204,7 +204,8 @@ _LIBRARY_NAMES = {
     "horizontal_separation": ("ground_ranges_m",),
     "transmitter_height": ("uav_altitude_m",),
     "reference_distance": ("reference_distance_m",),
-    "relative_speed": ("relative_speed_mps",)}
+    "relative_speed": ("relative_speed_mps",),
+    "carrier_frequency": ("carrier_frequency_hz",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
 # Cells in the D2D adjacency or the coverage mask, or overflight samples.
 MAX_DISSEMINATION_CELLS = 10 ** 7
@@ -247,7 +248,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     building the objects the scenario's runner builds, and the size of the
     run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle,
     ``coverage.MAX_GRID_POINTS`` altitudes, ``MAX_DISSEMINATION_CELLS``
-    cells per dissemination seed and a LoS sigmoid that does not overflow.
+    cells per dissemination seed, a LoS sigmoid that does not overflow and
+    an SNR anchor whose path loss does not overflow.
     """
     if not isinstance(config.scenario, str) or config.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; expected "
@@ -273,9 +275,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     # surface before any output is written.
     try:
         if config.scenario in ("relay_trace", "relay_sweep"):
+            from .channel import snr_anchor_db
             from .mobility import RelayGeometry, _check_step_divides
             from .relay import RelayStrategy
-            _relay_setup(params)
+            channel, ref = _relay_setup(params)
             if config.scenario == "relay_sweep":
                 delays = params["delays_s"]
                 list(map(RelayStrategy, params["strategies"]))
@@ -304,6 +307,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                         f"delay_budget {delay} at time_step "
                         f"{config.time_step} gives {samples} samples per "
                         f"cycle, more than {MAX_CYCLE_SAMPLES}")
+            snr_anchor_db(channel, ref, params["uav_altitude_m"])
         elif config.scenario == "disseminate":
             from .dissemination import FileSpec, ReceptionModel
             ReceptionModel(params["coverage_radius_m"],
@@ -561,8 +565,7 @@ def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
 def _probe_columns(params) -> list:
     """The columns of ``probe.csv``, one row per ground range."""
     from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                          doppler_shift, free_space_path_loss, snr_anchor_db,
-                          spectral_efficiency)
+                          doppler_shift, snr_anchor_db, spectral_efficiency)
     frequency = params["carrier_frequency_hz"]
     altitude = params["uav_altitude_m"]
     channel = ChannelModel(carrier_frequency=frequency)
@@ -571,7 +574,7 @@ def _probe_columns(params) -> list:
     fd = doppler_shift(params["relative_speed_mps"], frequency)
     ranges = params["ground_ranges_m"]
     geo = LinkGeometry(np.array(ranges, dtype=float), altitude)
-    fspl = free_space_path_loss(geo, frequency)  # the channel's path loss
+    fspl = channel.path_loss_db(geo)
     snr = snr_anchor_db(channel, ref, altitude) - fspl
     return [ranges, geo.slant_distance, fspl, snr, spectral_efficiency(snr),
             [fd] * len(ranges)]

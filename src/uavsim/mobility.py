@@ -1,12 +1,12 @@
-"""UAV kinematics: trajectory types, generators, and validation.
+"""UAV kinematics: the relaying flight shapes and the overflight trajectory.
 
-A trajectory is a uniform-step sampled polyline held as arrays: sample
-times and (x, y, z) positions, subject to a max-speed transition
-constraint.  Generators cover the three flight patterns used by the
-relaying and dissemination simulations: the mobile-relay sawtooth, the
-data-ferry shuttle, and a constant-velocity overflight.  The relaying
-shapes are array functions of the sample times (``mobile_relay_x``,
-``ferry_x``), and every generator and check is whole-array numpy code.
+The three flight patterns used by the relaying and dissemination
+simulations are the mobile-relay sawtooth, the data-ferry shuttle, and a
+constant-velocity overflight.  The relaying shapes are array functions
+of a cycle's sample times (``mobile_relay_x``, ``ferry_x``) that keep to
+the geometry's max speed.  The overflight is a ``Trajectory``: a
+uniform-step sampled polyline held as arrays of sample times and
+(x, y, z) positions.  All of it is whole-array numpy code.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ._csvfile import write_csv
-
-SPEED_TOLERANCE = 1e-9  # slack on the per-step displacement bound, m/s
 
 
 class TrajectoryConfigError(ValueError):
@@ -85,11 +81,6 @@ class Trajectory:
         out[t <= sample_times[0]] = positions[0]
         out[t >= sample_times[-1]] = positions[-1]
         return out.reshape(times.shape + (3,))
-
-    def to_csv(self, path) -> None:
-        """Write columns time_s, x_m, y_m, z_m."""
-        write_csv(path, ["time_s", "x_m", "y_m", "z_m"],
-                  [self.times, *self.positions.T])
 
 
 @dataclass(frozen=True)
@@ -174,28 +165,6 @@ def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0), R)
 
 
-def _shuttle_trajectory(xs: np.ndarray, times: np.ndarray, altitude: float,
-                        time_step: float) -> Trajectory:
-    """Samples along the x axis at ``altitude``."""
-    positions = np.column_stack(
-        [xs, np.zeros_like(xs), np.full_like(xs, altitude)])
-    return Trajectory(times, positions, time_step)
-
-
-def mobile_relay_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
-    """One mobile-relaying cycle over [0, 2*delta] (see ``mobile_relay_x``)."""
-    times = cycle_times(geom, time_step)
-    return _shuttle_trajectory(mobile_relay_x(geom, times), times,
-                               geom.uav_altitude, time_step)
-
-
-def ferry_trajectory(geom: RelayGeometry, time_step: float) -> Trajectory:
-    """One data-ferry shuttle cycle over [0, 2*delta] (see ``ferry_x``)."""
-    times = cycle_times(geom, time_step)
-    return _shuttle_trajectory(ferry_x(geom, times), times,
-                               geom.uav_altitude, time_step)
-
-
 def _overflight_steps(length: float, speed: float, time_step: float) -> int:
     """Time steps of ``overflight_trajectory`` over a path of ``length``;
     its duration is this many ``time_step``s."""
@@ -216,35 +185,3 @@ def overflight_trajectory(start: tuple[float, float, float],
     t = np.arange(_overflight_steps(length, speed, time_step) + 1) * time_step
     positions = a + np.minimum(speed * t / length, 1.0)[:, None] * (b - a)
     return Trajectory(t, positions, time_step)
-
-
-@dataclass(frozen=True)
-class TrajectoryValidation:
-    """Per-index invariant violations; empty everywhere iff valid."""
-
-    monotone_time_violations: tuple[int, ...] = ()
-    uniform_step_violations: tuple[int, ...] = ()
-    speed_violations: tuple[int, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not (self.monotone_time_violations
-                    or self.uniform_step_violations
-                    or self.speed_violations)
-
-
-def validate_trajectory(traj: Trajectory, v_max: float) -> TrajectoryValidation:
-    """Check monotone time, uniform step, and the speed transition bound.
-
-    Violation indices refer to the later sample of each offending pair; a
-    step that does not move forward in time is only a time violation.
-    """
-    dt = np.diff(traj.times)
-    bad_time = dt <= 0
-    displacement = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        too_fast = displacement / dt > v_max + SPEED_TOLERANCE
-    return TrajectoryValidation(*(
-        tuple((np.flatnonzero(bad) + 1).tolist()) for bad in (
-            bad_time, ~bad_time & (np.abs(dt - traj.time_step) > 1e-9),
-            ~bad_time & too_fast)))

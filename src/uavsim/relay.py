@@ -5,7 +5,8 @@ static (fixed at the midpoint), mobile (sawtooth shuttle each phase),
 and data ferrying (load-carry-and-deliver, communicating only while
 hovering at the endpoints).  Phase 1 fills the on-board buffer from the
 source link, phase 2 drains it to the destination; integration is
-left-endpoint Riemann over the trajectory time step.  Only one link
+left-endpoint Riemann over the cycle's time step, under the free-space
+channel.  Only one link
 carries data at any sample, so a cycle evaluates that active link alone;
 a result keeps that loss, and each per-link path-loss column evaluates
 only its inactive half when first read.
@@ -23,7 +24,7 @@ import numpy as np
 
 from ._csvfile import write_csv, write_csvs
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                      rician_power_gains, snr_anchor_db, spectral_efficiency)
+                      snr_anchor_db, spectral_efficiency)
 from .mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
                        ferry_x, mobile_relay_x)
 
@@ -114,8 +115,7 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
                    channel: ChannelModel, ref: SnrReference,
                    buffer_capacity: float = math.inf,
-                   time_step: float = 0.01,
-                   rng: np.random.Generator | None = None) -> RelayRunResult:
+                   time_step: float = 0.01) -> RelayRunResult:
     """Simulate one relaying cycle [0, 2*delta] and return the bit ledger.
 
     Phase 1 (t < delta): accumulate source-link spectral efficiency into
@@ -123,11 +123,9 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     destination-link spectral efficiency, never below zero occupancy.
     The relay is half duplex, so each sample evaluates only the active
     link: the source's in phase 1, the destination's after.  The ferry
-    communicates only while hovering at an endpoint.  With the Rician
-    channel variant, fading draws come from ``rng`` (defaults to a fixed
-    seed for reproducibility), one per communicating sample in time
-    order.  Integration is left-endpoint: sample i carries its SE over
-    [t_i, t_i + time_step), and the last sample only closes the traces.
+    communicates only while hovering at an endpoint.  Integration is
+    left-endpoint: sample i carries its SE over [t_i, t_i + time_step),
+    and the last sample only closes the traces.
     """
     if buffer_capacity < 0:
         raise ValueError("buffer_capacity must be >= 0 (or math.inf)")
@@ -144,22 +142,14 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     gap[n_phase1:] -= geom.separation
     np.abs(gap, out=gap)
     # The ferry is silent in flight; the other relays talk at every sample.
-    ferry = strategy == RelayStrategy.FERRY
-    talking = gap <= _HOVER_EPS if ferry else slice(None)
+    silent = gap > _HOVER_EPS if strategy == RelayStrategy.FERRY else None
     anchor = snr_anchor_db(channel, ref, geom.uav_altitude)
     loss = channel.path_loss_db(LinkGeometry(gap, geom.uav_altitude))
     # The result keeps the loss, so the SNR reuses the gaps' memory.
     snr_db = np.subtract(anchor, loss, out=gap)
-    if channel.variant == "rician":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        gains = rician_power_gains(channel.k_factor_db, rng,
-                                   snr_db[talking].size)
-        with np.errstate(divide="ignore"):  # a zero gain is -inf dB
-            snr_db[talking] += 10.0 * np.log10(gains)
     se = spectral_efficiency(snr_db)
-    if ferry:
-        se[~talking] = 0.0
+    if silent is not None:
+        se[silent] = 0.0
 
     # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
     # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains:
@@ -254,13 +244,9 @@ def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,
     return result.peak_occupancy
 
 
-def write_trace_csv(result: RelayRunResult, path) -> None:
-    """Trace file: time_s, pl_src_db, pl_dst_db, se_bpshz, buffer_bits."""
-    write_trace_csvs([(result, path)])
-
-
 def write_trace_csvs(traces) -> None:
-    """One trace file per ``(result, path)`` of ``traces``, in one writer
+    """One trace file (time_s, pl_src_db, pl_dst_db, se_bpshz,
+    buffer_bits) per ``(result, path)`` of ``traces``, in one writer
     call, which formats a float the previous trace had only once.  Each
     file is written, and its result let go, before the next is drawn."""
     write_csvs(map(_trace_table, traces))

@@ -5,8 +5,7 @@ import pytest
 
 from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
                             SnrReference, doppler_shift, free_space_path_loss,
-                            rician_power_gains, snr_anchor_db,
-                            spectral_efficiency, two_ray_path_loss)
+                            snr_anchor_db, spectral_efficiency)
 
 F5GHZ = 5e9
 # Midpoint slant distance for R=1 km at H=100 m.
@@ -69,60 +68,6 @@ class TestFreeSpacePathLoss:
             free_space_path_loss(LinkGeometry(0.0, 5.0, 5.0), F5GHZ)
 
 
-class TestTwoRayPathLoss:
-    def test_zero_reflection_equals_free_space(self):
-        for i in range(100):
-            g = LinkGeometry(10.0 + 37.0 * i, 50.0 + i, 1.5)
-            assert two_ray_path_loss(g, F5GHZ, 0.0) == pytest.approx(
-                free_space_path_loss(g, F5GHZ), abs=1e-9)
-
-    def test_far_field_asymptote(self):
-        # Beyond the breakpoint the loss approaches 40log10(d) - 20log10(ht*hr).
-        g = LinkGeometry(20_000.0, 100.0, 1.5)
-        asymptote = (40.0 * math.log10(20_000.0)
-                     - 20.0 * math.log10(100.0 * 1.5))
-        assert two_ray_path_loss(g, F5GHZ, -1.0) == pytest.approx(asymptote,
-                                                                  abs=1.0)
-
-    def test_perfect_cancellation_returns_inf(self):
-        # Receiver on the ground, perfect reflection: both rays identical
-        # and opposite, infinite loss rather than an error.
-        g = LinkGeometry(1000.0, 100.0, 0.0)
-        assert two_ray_path_loss(g, F5GHZ, -1.0) == math.inf
-
-
-class TestRicianFading:
-    def test_pure_los_limit(self):
-        rng = np.random.default_rng(1)
-        p = rician_power_gains(300.0, rng, 1000)
-        assert np.all(np.abs(np.sqrt(p) - 1.0) < 1e-6)
-
-    def test_unit_mean_power_k15(self):
-        rng = np.random.default_rng(2)
-        p = rician_power_gains(15.0, rng, 1_000_000)
-        assert 0.995 <= np.mean(p) <= 1.005
-
-    @pytest.mark.parametrize("k_db", [0.0, 5.0, 15.0, 28.0])
-    def test_unit_mean_power_across_k(self, k_db):
-        rng = np.random.default_rng(3)
-        p = rician_power_gains(k_db, rng, 100_000)
-        assert np.mean(p) == pytest.approx(1.0, abs=0.01)
-
-    def test_moment_based_k_estimate(self):
-        # Standard moment estimator: with c = Var[P]/E[P]^2 for the power
-        # P = |g|^2, K = (1 - c + sqrt(1 - c)) / c.
-        rng = np.random.default_rng(4)
-        p = rician_power_gains(15.0, rng, 1_000_000)
-        c = np.var(p) / np.mean(p) ** 2
-        k_est_db = 10.0 * math.log10((1.0 - c + math.sqrt(1.0 - c)) / c)
-        assert k_est_db == pytest.approx(15.0, abs=0.5)
-
-    def test_deterministic_given_stream(self):
-        a = rician_power_gains(15.0, np.random.default_rng(9), 64)
-        b = rician_power_gains(15.0, np.random.default_rng(9), 64)
-        assert np.array_equal(a, b)
-
-
 class TestSnrAt:
     channel = ChannelModel(carrier_frequency=F5GHZ)
     ref = SnrReference(reference_snr_db=10.0, reference_distance=MID_SLANT)
@@ -147,12 +92,6 @@ class TestSnrAt:
     def test_antitone_in_distance(self):
         snrs = snr(geo(np.arange(0.0, 5000.0, 50.0)), self.channel, self.ref)
         assert np.all(snrs[:-1] > snrs[1:])
-
-    def test_rician_mean_snr_matches_base(self):
-        rician = ChannelModel(carrier_frequency=F5GHZ, variant="rician",
-                              k_factor_db=15.0)
-        assert snr(geo(300.0), rician, self.ref) == pytest.approx(
-            snr(geo(300.0), self.channel, self.ref), abs=1e-12)
 
 
 class TestSpectralEfficiency:
@@ -197,36 +136,13 @@ class TestDopplerShift:
             doppler_shift(-1.0, F5GHZ)
 
 
-class TestChannelModelValidation:
-    def test_reflection_coefficient_range(self):
-        with pytest.raises(ChannelDomainError):
-            ChannelModel(carrier_frequency=F5GHZ, variant="two_ray",
-                         reflection_coefficient=0.5)
-
-    def test_k_factor_must_be_finite(self):
-        with pytest.raises(ChannelDomainError):
-            ChannelModel(carrier_frequency=F5GHZ, variant="rician",
-                         k_factor_db=math.inf)
-
-    def test_two_ray_variant_path_loss(self):
-        model = ChannelModel(carrier_frequency=F5GHZ, variant="two_ray",
-                             reflection_coefficient=-1.0)
-        g = LinkGeometry(2000.0, 100.0, 1.5)
-        assert model.path_loss_db(g) == pytest.approx(
-            two_ray_path_loss(g, F5GHZ, -1.0), abs=1e-12)
-
-
 class TestArrayKernels:
     """Each kernel evaluates an array of links as it evaluates each link
     alone, bit for bit, and rejects invalid links with one message."""
 
     HORIZONTAL = np.array([0.0, 0.5, 37.0, 100.0, 499.9, 500.0, 2000.0])
     HEIGHTS = [(100.0, 0.0), (100.0, 1.5), (30.0, 29.0)]
-    MODELS = [ChannelModel(F5GHZ),
-              ChannelModel(2e9, variant="two_ray",
-                           reflection_coefficient=-0.5),
-              ChannelModel(F5GHZ, variant="rician", base="two_ray",
-                           reflection_coefficient=-0.9)]
+    MODELS = [ChannelModel(F5GHZ), ChannelModel(2e9)]
 
     @staticmethod
     def assert_matches(array_values, per_element):
@@ -242,10 +158,6 @@ class TestArrayKernels:
         array, links = self.links(tx, rx)
         self.assert_matches(free_space_path_loss(array, F5GHZ),
                             [free_space_path_loss(g, F5GHZ) for g in links])
-        for coefficient in (-1.0, -0.3, 0.0):
-            self.assert_matches(
-                two_ray_path_loss(array, F5GHZ, coefficient),
-                [two_ray_path_loss(g, F5GHZ, coefficient) for g in links])
         for model in self.MODELS:
             self.assert_matches(model.path_loss_db(array),
                                 [model.path_loss_db(g) for g in links])
@@ -263,18 +175,17 @@ class TestArrayKernels:
         self.assert_matches(spectral_efficiency(np.array(snr_db)),
                             [spectral_efficiency(x) for x in snr_db])
 
-    def test_perfect_null_is_inf_loss_and_zero_se(self, recwarn):
-        # Ground receiver, coefficient -1: the two rays cancel exactly.
+    def test_overflow_is_inf_loss_and_rejected_anchor(self, recwarn):
+        # 4*pi*d*f overflows: the loss is inf, with no warning, and no SNR
+        # can be anchored on it.
         array = LinkGeometry(self.HORIZONTAL, 100.0, 0.0)
-        loss = two_ray_path_loss(array, F5GHZ, -1.0)
-        assert np.all(np.isposinf(loss))
-        assert spectral_efficiency(-loss).tolist() == \
-            [0.0] * len(self.HORIZONTAL)
-        # The anchor sits in the null too, so no SNR can be anchored; the
-        # reference is rejected instead of returning inf - inf.
-        model = ChannelModel(F5GHZ, variant="two_ray")
-        with pytest.raises(ChannelDomainError, match="reference"):
-            snr_anchor_db(model, SnrReference(10.0, 150.0), 100.0, 0.0)
+        assert np.all(np.isposinf(free_space_path_loss(array, 1e307)))
+        assert free_space_path_loss(array, 1e300)[0] == pytest.approx(
+            fspl_oracle(100.0, 1e300), abs=1e-9)
+        with pytest.raises(ChannelDomainError,
+                           match="overflows at carrier_frequency 1e"):
+            snr_anchor_db(ChannelModel(1e307), SnrReference(10.0, 150.0),
+                          100.0)
         assert not recwarn.list
 
     # (horizontal, tx height, rx height), frequency
@@ -287,12 +198,11 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("kernel,messages", [
         (free_space_path_loss, PATH_LOSS_ERRORS),
-        (two_ray_path_loss, PATH_LOSS_ERRORS),
         (lambda g, f: snr(g, ChannelModel(F5GHZ), SnrReference(10.0, 0.5)),
          ["slant distance must be > 0"] + 3 * [
              "reference_distance shorter than the endpoint height "
              "difference"]),
-    ], ids=["free_space_path_loss", "two_ray_path_loss", "snr"])
+    ], ids=["free_space_path_loss", "snr"])
     def test_domain_error_messages(self, kernel, messages):
         for ((h, tx, rx), f), message in zip(self.ERROR_CASES, messages):
             # One link alone, and the same link after a valid one.
@@ -315,12 +225,3 @@ class TestArrayKernels:
         with pytest.raises(ChannelDomainError,
                            match="receiver_height must be >= 0"):
             LinkGeometry(np.array([1.0]), 100.0, -1.0)
-
-    def test_power_gains_follow_scalar_draw_order(self):
-        # One call for 50 gains draws what 50 one-gain calls draw, in the
-        # same order, and leaves the generator where they leave it.
-        rng = np.random.default_rng(11)
-        want = [rician_power_gains(6.0, rng, 1)[0] for _ in range(50)]
-        rng_array = np.random.default_rng(11)
-        self.assert_matches(rician_power_gains(6.0, rng_array, 50), want)
-        assert rng_array.standard_normal() == rng.standard_normal()

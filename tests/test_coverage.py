@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from uavsim import coverage
 from uavsim.channel import LinkGeometry, free_space_path_loss
-from uavsim.coverage import (ENVIRONMENT_PRESETS, ExcessLoss,
-                             LosProbabilityModel, coverage_curve,
-                             coverage_radius, environment_preset,
+from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
+                             coverage_curve, coverage_radius,
                              expected_path_loss, optimal_altitude,
                              write_coverage_csv)
 
@@ -16,6 +15,18 @@ URBAN_LOS = LosProbabilityModel(9.61, 0.16)
 URBAN_EXCESS = ExcessLoss(1.0, 20.0)
 NO_EXCESS = ExcessLoss(0.0, 0.0)
 F2GHZ = 2e9
+# Environment parameters (a, b, eta_los dB, eta_nlos dB).
+ENVIRONMENTS = {
+    "suburban": (4.88, 0.43, 0.1, 21.0),
+    "urban": (9.61, 0.16, 1.0, 20.0),
+    "dense_urban": (12.08, 0.11, 1.6, 23.0),
+}
+
+
+def environment(name):
+    """The LoS sigmoid and excess losses of one of ``ENVIRONMENTS``."""
+    a, b, eta_los, eta_nlos = ENVIRONMENTS[name]
+    return LosProbabilityModel(a, b), ExcessLoss(eta_los, eta_nlos)
 
 
 def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
@@ -87,7 +98,7 @@ class TestLosProbability:
 
     def test_presets_available(self):
         for name in ("suburban", "urban", "dense_urban"):
-            los, excess = environment_preset(name)
+            los, excess = environment(name)
             assert excess.eta_nlos > excess.eta_los
 
 
@@ -167,10 +178,10 @@ class TestCoverageRadius:
 
 @st.composite
 def coverage_models(draw):
-    """An environment preset, or random valid s-curve and excess losses."""
-    preset = draw(st.sampled_from([None, *sorted(ENVIRONMENT_PRESETS)]))
-    if preset is not None:
-        return environment_preset(preset)
+    """One of ``ENVIRONMENTS``, or random valid s-curve and excess losses."""
+    name = draw(st.sampled_from([None, *sorted(ENVIRONMENTS)]))
+    if name is not None:
+        return environment(name)
     eta_los = draw(st.floats(0.0, 10.0))
     return (LosProbabilityModel(draw(st.floats(0.5, 30.0)),
                                 draw(st.floats(0.01, 2.0))),
@@ -213,7 +224,7 @@ class TestMatchesScalarReference:
         # bisection meets a tie there and must decide it as the bisection
         # of this altitude alone does.  (With AVX-512 numpy the loss here
         # differs from ``math``'s in the last bit.)
-        los, excess = environment_preset("suburban")
+        los, excess = environment("suburban")
         threshold = expected_path_loss(altitude, altitude * 2.0 ** k, F2GHZ,
                                        los, excess)
         assert coverage_radius(altitude, threshold, F2GHZ, los, excess) == \
@@ -293,8 +304,8 @@ class TestExpectedPathLossArray:
         # An array call equals the per-element calls bit for bit.
         altitudes = np.array([1.0, 10.0, 100.0, 1000.0, 3000.0])[:, None]
         ranges = np.array([0.0, 0.5, 50.0, 500.0, 5000.0, 1e6])[None, :]
-        for name in sorted(ENVIRONMENT_PRESETS):
-            los, excess = environment_preset(name)
+        for name in sorted(ENVIRONMENTS):
+            los, excess = environment(name)
             values = expected_path_loss(altitudes, ranges, F2GHZ, los,
                                         excess)
             assert values.shape == (5, 6)

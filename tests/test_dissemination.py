@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from uavsim import dissemination
 from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                                  _WordStreams, compare_schemes,
+                                  _WordStreams, _baseline, compare_schemes,
                                   coverage_mask, phase1_broadcast,
-                                  phase2_exchange, run_baseline)
+                                  phase2_exchange)
 from uavsim.experiment import PRESETS, _dissemination_scenario, derive_seed
 from uavsim.mobility import Trajectory, overflight_trajectory
 
@@ -47,10 +47,11 @@ def broadcast(traj, positions, rx, slot_duration, rng):
     return phase1_broadcast(coverage, packets, rx, rng), packets
 
 
-def baseline(traj, positions, file, rx, slot_duration, rng, **kwargs):
+def baseline(traj, positions, file, rx, slot_duration, rng, pass_cap=1_000):
+    """The baseline of one seed from scratch."""
     coverage = coverage_mask(traj, positions, rx, slot_duration)
     packets = np.zeros((len(positions), file.source_packet_count), dtype=bool)
-    return run_baseline(coverage, packets, file, rx, rng, **kwargs)
+    return _baseline(coverage, packets[None], file, rx, [rng], pass_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +251,11 @@ VARIANTS = {
 
 
 class TestMatchesScalarReference:
-    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("case", sorted(VARIANTS))
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))
     @settings(max_examples=6, deadline=None)
-    def test_preset_variants(self, variant, seed):
-        overrides, round_cap = VARIANTS[variant]
+    def test_preset_variants(self, case, seed):
+        overrides, round_cap = VARIANTS[case]
         params = {**PRESETS["dissem20"]["params"], **overrides}
         pass_cap = params.get("pass_cap", 1000)
         coverage, graph, rx, file = _dissemination_scenario(params)
@@ -282,8 +283,8 @@ class TestMatchesScalarReference:
         base_nodes, _ = oracle_scenario(params)
         base_packets = np.zeros((len(base_nodes), file.source_packet_count),
                                 dtype=bool)
-        result = run_baseline(coverage, base_packets, file, rx, rng,
-                              pass_cap=pass_cap)
+        result = _baseline(coverage, base_packets[None], file, rx, [rng],
+                           pass_cap)[0]
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == oracle_baseline(
             traj, base_nodes, file, rx, slot, oracle_rng, pass_cap)
@@ -296,16 +297,16 @@ class TestMatchesScalarReference:
         assert all(type(value) is int for value in (
             exchange.rounds_used, result.uav_transmissions,
             result.passes_used, *exchange.component_union_sizes))
-        if variant == "isolated":
+        if case == "isolated":
             # Every node is its own component, so it stalls unless phase 1
             # alone gave it K packets (about 1 seed in 60 has such a node).
             assert exchange.stalled_components == tuple(
                 (n.id,) for n in nodes
                 if len(n.received_packets) < file.decode_threshold)
             assert exchange.success == (not exchange.stalled_components)
-        if variant == "pass_cap_failure":
+        if case == "pass_cap_failure":
             assert not result.success and result.missing_per_node
-        if variant == "round_cap_0":
+        if case == "round_cap_0":
             assert exchange.rounds_used == 0
 
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
@@ -353,7 +354,8 @@ class TestMatchesScalarReference:
                  for i, (p, h) in enumerate(zip(positions, held))]
         packets = holding(held, k)
         coverage = coverage_mask(traj, positions, rx, slot)
-        result = run_baseline(coverage, packets, file, rx, rng, pass_cap)
+        result = _baseline(coverage, packets[None], file, rx, [rng],
+                           pass_cap)[0]
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == oracle_baseline(
             traj, nodes, file, rx, slot, oracle_rng, pass_cap)
@@ -800,9 +802,9 @@ class TestRunBaseline:
         coverage = coverage_mask(hover_trajectory(1.0), [(0.0, 0.0)], rx, 1.0)
         counts = []
         for seed in range(10_000):
-            result = run_baseline(coverage, np.zeros((1, 1), dtype=bool),
-                                  FileSpec(1), rx,
-                                  np.random.default_rng(seed))
+            result = _baseline(coverage, np.zeros((1, 1, 1), dtype=bool),
+                               FileSpec(1), rx, [np.random.default_rng(seed)],
+                               1_000)[0]
             counts.append(result.uav_transmissions)
         assert 1.9 <= statistics.mean(counts) <= 2.1
 
@@ -818,7 +820,8 @@ class TestRunBaseline:
         coverage = coverage_mask(traj, positions, rx, 1.0)
         packets = np.zeros((count, 300), dtype=bool)
         rng, oracle_rng = (np.random.default_rng(7) for _ in range(2))
-        result = run_baseline(coverage, packets, file, rx, rng, pass_cap)
+        result = _baseline(coverage, packets[None], file, rx, [rng],
+                           pass_cap)[0]
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
         expected = oracle_baseline(traj, nodes, file, rx, 1.0, oracle_rng,
                                    pass_cap)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -525,6 +526,10 @@ class TestMalformedConfigs:
         ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, {}, []),
         # Without --out, an empty path would write into the current directory.
         ("fig4", {}, {"output_directory": ""}, []),
+        # 4*pi*d*f overflows in the path loss of the SNR anchor.
+        ("fig3", {"carrier_frequency_hz": 1e307}, {}, []),
+        ("fig4", {"carrier_frequency_hz": 1e307}, {}, []),
+        ("channel_probe", {"carrier_frequency_hz": 1e307}, {}, []),
     ])
     def test_out_of_range(self, tmp_path, preset, params, top, flags):
         config = {"preset": preset, "params": params, **top}
@@ -555,6 +560,10 @@ class TestMalformedConfigs:
         ("fig4", {"strategies": ["static", "mobile", "mobile"],
                   "delays_s": [5.0, 10.0]}, "strategies"),
         ("fig4", {"delays_s": [5.0, 5]}, "delays_s"),
+        ("fig3", {"carrier_frequency_hz": 1e307}, "carrier_frequency_hz"),
+        ("fig4", {"carrier_frequency_hz": 1e307}, "carrier_frequency_hz"),
+        ("channel_probe", {"carrier_frequency_hz": 1e307},
+         "carrier_frequency_hz"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -562,6 +571,17 @@ class TestMalformedConfigs:
                                    tmp_path)
         assert_config_error(code, lines, out)
         assert field in lines[0]
+
+    def test_overflowing_carrier_covers_nothing(self, tmp_path):
+        # Coverage anchors no SNR: the path loss overflows to inf at every
+        # range, so every radius is 0, and no warning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, lines, out = run_cli({"preset": "urban_coverage", "params": {
+                "carrier_frequency_hz": 1e307}}, tmp_path)
+        assert (code, lines) == (0, [])
+        rows = read(out / "coverage.csv").splitlines()[1:]
+        assert rows and all(row.endswith(",0.0") for row in rows)
 
     @pytest.mark.parametrize("command", [["relay", "sweep"], ["coverage"]])
     def test_scenario_contradicts_preset(self, tmp_path, command):

@@ -1,20 +1,33 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim.mobility import (SPEED_TOLERANCE, FerryInfeasibleError,
-                             RelayGeometry, Trajectory, TrajectoryConfigError,
-                             cycle_times, ferry_trajectory, ferry_x,
-                             mobile_relay_trajectory, mobile_relay_x,
-                             overflight_trajectory, validate_trajectory)
+from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, Trajectory,
+                             TrajectoryConfigError, cycle_times, ferry_x,
+                             mobile_relay_x, overflight_trajectory)
 
 
 def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
     return RelayGeometry(separation=separation, uav_altitude=altitude,
                          v_max=v_max, delay_budget=delta)
+
+
+def relay_cycle(shape, geom, time_step):
+    """One relaying cycle flown along ``shape`` (``mobile_relay_x`` or
+    ``ferry_x``): samples along the x axis at the UAV altitude."""
+    times = cycle_times(geom, time_step)
+    xs = shape(geom, times)
+    return Trajectory(times, np.column_stack(
+        [xs, np.zeros_like(xs), np.full_like(xs, geom.uav_altitude)]),
+        time_step)
+
+
+def assert_respects_v_max(traj, v_max):
+    """No step moves farther than ``v_max`` allows in its time step."""
+    steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
+    assert np.all(steps <= v_max * np.diff(traj.times) + 1e-9)
 
 
 def source_distance(traj):
@@ -35,28 +48,28 @@ def bits(values):
 class TestMobileRelayTrajectory:
     def test_hover_above_source_window(self):
         # v=100 m/s, delta=20 s: overhead from t=5 to t=15, i.e. 10 s.
-        traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
         overhead = traj.times[(traj.times <= 20.0)
                               & (np.abs(traj.positions[:, 0]) < 1e-9)]
         assert overhead.min() == pytest.approx(5.0, abs=0.011)
         assert overhead.max() == pytest.approx(15.0, abs=0.011)
 
     def test_zero_speed_stays_at_midpoint(self):
-        traj = mobile_relay_trajectory(relay_geom(0.0), time_step=0.1)
+        traj = relay_cycle(mobile_relay_x, relay_geom(0.0), 0.1)
         assert traj.positions.tolist() == \
             [[500.0, 0.0, 100.0]] * len(traj.times)
 
     def test_turnaround_without_hover(self):
         # v=30 m/s cannot reach the source: closest approach R/2 - v*delta/2
         # = 200 m horizontally, at t = delta/2.
-        traj = mobile_relay_trajectory(relay_geom(30.0), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
         phase1 = np.flatnonzero(traj.times <= 10.0 + 1e-9)
         closest = phase1[np.argmin(traj.positions[phase1, 0])]
         assert traj.positions[closest, 0] == pytest.approx(200.0, abs=1e-6)
         assert traj.times[closest] == pytest.approx(10.0, abs=0.011)
 
     def test_cycle_span_and_midpoint_boundaries(self):
-        traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(40.0, abs=1e-9)
         for t_idx in (0, len(traj.times) // 2, -1):
@@ -64,12 +77,12 @@ class TestMobileRelayTrajectory:
 
     def test_non_divisible_time_step_rejected(self):
         with pytest.raises(TrajectoryConfigError):
-            mobile_relay_trajectory(relay_geom(100.0), time_step=0.3)
+            relay_cycle(mobile_relay_x, relay_geom(100.0), 0.3)
 
     @pytest.mark.parametrize("v", [0.0, 10.0, 30.0, 100.0, 250.0])
     def test_phase_time_symmetry(self, v):
         # position(t) == position(delta - t) within phase 1.
-        traj = mobile_relay_trajectory(relay_geom(v), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(v), 0.01)
         positions = by_time(traj)
         for t in [0.0, 1.23, 4.56, 7.0, 9.99]:
             t = round(t, 6)
@@ -80,7 +93,7 @@ class TestMobileRelayTrajectory:
 
     @pytest.mark.parametrize("v", [10.0, 100.0])
     def test_phase2_mirrors_phase1(self, v):
-        traj = mobile_relay_trajectory(relay_geom(v), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(v), 0.01)
         positions = by_time(traj)
         for t in [0.5, 3.0, 8.25]:
             p1 = positions[round(t, 6)]
@@ -88,7 +101,7 @@ class TestMobileRelayTrajectory:
             assert p2[0] == pytest.approx(1000.0 - p1[0], abs=1e-6)
 
     def test_distance_to_source_v_shaped_in_phase1(self):
-        traj = mobile_relay_trajectory(relay_geom(30.0), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
         distances = source_distance(traj)[traj.times <= 20.0 + 1e-9].tolist()
         turn = distances.index(min(distances))
         assert all(a >= b - 1e-9 for a, b in
@@ -98,22 +111,19 @@ class TestMobileRelayTrajectory:
 
     @pytest.mark.parametrize("v", [0.0, 10.0, 30.0, 100.0])
     def test_passes_validation_at_own_vmax(self, v):
-        traj = mobile_relay_trajectory(relay_geom(v), time_step=0.01)
-        assert validate_trajectory(traj, v).ok
+        traj = relay_cycle(mobile_relay_x, relay_geom(v), 0.01)
+        assert_respects_v_max(traj, v)
 
 
 class TestShapeFunctions:
-    """The trajectory generators and the array shape functions are one
-    formula: positions and times agree bit for bit."""
+    """The array shape functions give one float64 position per sample
+    time, between the source and the destination."""
 
     @staticmethod
-    def assert_same(traj, geom, xs, times):
-        assert traj.times.dtype == traj.positions.dtype == np.float64
-        assert traj.positions.shape == (len(times), 3)
-        assert np.array_equal(bits(traj.times), bits(times))
-        assert np.array_equal(bits(traj.positions[:, 0]), bits(xs))
-        assert np.array_equal(bits(traj.positions[:, 1:]),
-                              bits([[0.0, geom.uav_altitude]] * len(xs)))
+    def assert_positions(xs, times):
+        assert xs.dtype == times.dtype == np.float64
+        assert xs.shape == times.shape
+        assert np.all((xs >= 0.0) & (xs <= 1000.0))
 
     # v=0 (parked), 30 (turnaround at delta/2), 50 (reaches the source
     # with no hover left), 100 (hover), 250 (long hover).
@@ -122,7 +132,7 @@ class TestShapeFunctions:
         geom = relay_geom(v)
         times = cycle_times(geom, 0.01)
         xs = mobile_relay_x(geom, times)
-        self.assert_same(mobile_relay_trajectory(geom, 0.01), geom, xs, times)
+        self.assert_positions(xs, times)
 
     def test_mobile_relay_branches(self):
         times = cycle_times(relay_geom(0.0), 0.01)
@@ -140,7 +150,7 @@ class TestShapeFunctions:
         geom = relay_geom(v)
         times = cycle_times(geom, 0.01)
         xs = ferry_x(geom, times)
-        self.assert_same(ferry_trajectory(geom, 0.01), geom, xs, times)
+        self.assert_positions(xs, times)
         assert xs.min() == 0.0 and xs.max() == 1000.0
 
     @pytest.mark.parametrize("v", [0.0, 30.0, 50.0, 60.0, 100.0, 250.0])
@@ -199,7 +209,7 @@ class TestShapeFunctions:
 class TestFerryTrajectory:
     def test_hover_and_flight_segments(self):
         # v=100, delta=20, R=1000: 10 s hover at each end, 10 s legs.
-        traj = ferry_trajectory(relay_geom(100.0), time_step=0.01)
+        traj = relay_cycle(ferry_x, relay_geom(100.0), 0.01)
         x = traj.positions[:, 0]
         at_source = traj.times[x == 0.0]
         at_dest = traj.times[x == 1000.0]
@@ -210,19 +220,19 @@ class TestFerryTrajectory:
         assert x[-1] == pytest.approx(0.0, abs=1e-6)
 
     def test_boundary_speed_zero_hover(self):
-        traj = ferry_trajectory(relay_geom(50.0), time_step=0.01)
+        traj = relay_cycle(ferry_x, relay_geom(50.0), 0.01)
         at_source_p1 = traj.times[(traj.positions[:, 0] == 0.0)
                                   & (traj.times < 20.0)]
         assert at_source_p1.max() == pytest.approx(0.0, abs=0.011)
 
     def test_infeasible_speed_reports_minimum(self):
         with pytest.raises(FerryInfeasibleError) as exc_info:
-            ferry_trajectory(relay_geom(49.0), time_step=0.01)
+            relay_cycle(ferry_x, relay_geom(49.0), 0.01)
         assert exc_info.value.minimum_speed == pytest.approx(50.0)
 
     def test_passes_validation_at_own_vmax(self):
-        traj = ferry_trajectory(relay_geom(80.0), time_step=0.01)
-        assert validate_trajectory(traj, 80.0).ok
+        traj = relay_cycle(ferry_x, relay_geom(80.0), 0.01)
+        assert_respects_v_max(traj, 80.0)
 
 
 class TestOverflightTrajectory:
@@ -282,7 +292,7 @@ class TestOverflightTrajectory:
         traj = overflight_trajectory((0.0, 0.0, 100.0),
                                      (length, 0.0, 100.0),
                                      speed=speed, time_step=0.5)
-        assert validate_trajectory(traj, speed).ok
+        assert_respects_v_max(traj, speed)
 
 
 def scalar_overflight(start, end, speed, time_step):
@@ -317,24 +327,6 @@ def scalar_position_at(traj, t):
                  zip(positions[i].tolist(), positions[i + 1].tolist()))
 
 
-def scalar_validate(traj, v_max):
-    """Reference: the per-pair loop that ``validate_trajectory``
-    vectorises; returns its three index tuples."""
-    times, positions = traj.times.tolist(), traj.positions.tolist()
-    bad_time, bad_step, bad_speed = [], [], []
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        if dt <= 0:
-            bad_time.append(i)
-            continue
-        if abs(dt - traj.time_step) > 1e-9:
-            bad_step.append(i)
-        if math.dist(positions[i - 1], positions[i]) / dt \
-                > v_max + SPEED_TOLERANCE:
-            bad_speed.append(i)
-    return tuple(bad_time), tuple(bad_step), tuple(bad_speed)
-
-
 class TestPositionAt:
     @given(start=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
            end=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
@@ -355,7 +347,7 @@ class TestPositionAt:
             assert tuple(row) == scalar_position_at(traj, t)
 
     def test_relay_cycle_and_shapes(self):
-        traj = mobile_relay_trajectory(relay_geom(30.0), time_step=0.01)
+        traj = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
         times = np.linspace(-1.0, 41.0, 997)
         got = traj.position_at(times)
         assert [tuple(r) for r in got.tolist()] == [
@@ -369,65 +361,6 @@ class TestPositionAt:
                                      speed=10.0, time_step=0.1)
         got = traj.position_at(np.array([-1.0, 0.0, 3.0]))
         assert got.tolist() == [[5.0, 5.0, 50.0]] * 3
-
-
-class TestValidateTrajectory:
-    def test_flags_flight_segments_at_half_vmax(self):
-        traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
-        report = validate_trajectory(traj, 50.0)
-        assert not report.ok
-        assert report.speed_violations
-        # Both 10 s flight legs at 0.01 s steps; hover samples are fine.
-        assert len(report.speed_violations) == 2000
-        dx = np.diff(traj.positions[:, 0])
-        for i in report.speed_violations:
-            assert abs(dx[i - 1]) > 0.0
-
-    def test_single_jump_violation(self):
-        traj = line_trajectory([0.0, 1.0], [0.0, 1e6])
-        report = validate_trajectory(traj, 100.0)
-        assert report.speed_violations == (1,)
-
-    def test_non_monotone_time_flagged(self):
-        # The backward step also jumps 1 m in -0.5 s, but is reported only
-        # as a time violation.
-        traj = line_trajectory([0.0, 1.0, 0.5], [0.0, 1.0, 2.0])
-        report = validate_trajectory(traj, 100.0)
-        assert report.monotone_time_violations == (2,)
-        assert report.uniform_step_violations == report.speed_violations \
-            == ()
-
-    def test_non_uniform_step_flagged(self):
-        traj = line_trajectory([0.0, 1.0, 2.5], [0.0, 1.0, 2.0])
-        report = validate_trajectory(traj, 100.0)
-        assert report.uniform_step_violations == (2,)
-
-    @given(steps=st.lists(st.tuples(
-               st.sampled_from([1.0, 1.0, 1.0, 1.5, 0.0, -0.5, math.nan]),
-               st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
-               min_size=0, max_size=30),
-           v_max=st.floats(0.0, 250.0))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_scalar_oracle(self, steps, v_max):
-        times, xs, ys = [0.0], [0.0], [0.0]
-        for dt, dx, dy in steps:
-            times.append(times[-1] + dt)
-            xs.append(xs[-1] + dx)
-            ys.append(ys[-1] + dy)
-        traj = Trajectory(times, np.column_stack(
-            [xs, ys, np.full(len(xs), 100.0)]), time_step=1.0)
-        report = validate_trajectory(traj, v_max)
-        assert (report.monotone_time_violations,
-                report.uniform_step_violations,
-                report.speed_violations) == scalar_validate(traj, v_max)
-
-    @pytest.mark.parametrize("v", [0.0, 30.0, 100.0])
-    def test_relay_cycle_matches_scalar_oracle(self, v):
-        traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.01)
-        report = validate_trajectory(traj, v)
-        assert (report.monotone_time_violations,
-                report.uniform_step_violations,
-                report.speed_violations) == scalar_validate(traj, v)
 
 
 def line_trajectory(times, xs):
@@ -462,34 +395,3 @@ class TestTrajectoryArrays:
         a = line_trajectory([0.0, 1.0], [0.0, 1.0])
         b = line_trajectory([0.0, 1.0], [0.0, 2.0])
         assert a == b and hash(a) == hash(b)
-
-
-class TestTrajectoryCsv:
-    def test_round_trippable_columns(self, tmp_path):
-        traj = mobile_relay_trajectory(relay_geom(100.0), time_step=0.1)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_s,x_m,y_m,z_m"
-        assert len(lines) == len(traj.times) + 1
-        t, x, y, z = (float(v) for v in lines[1].split(","))
-        assert (t, x, y, z) == (0.0, 500.0, 0.0, 100.0)
-
-    @pytest.mark.parametrize("traj", [
-        mobile_relay_trajectory(relay_geom(100.0), time_step=0.01),
-        ferry_trajectory(relay_geom(100.0), time_step=0.01),
-        # Int geometry: every column is float64, so 100 is written 100.0.
-        mobile_relay_trajectory(RelayGeometry(1000, 100, 50, 20), 0.1),
-        overflight_trajectory((0, 0, 50), (10, 5, 50), 1, 1),
-        overflight_trajectory((3, 4, 5), (3, 4, 5), 1.0, 0.5),
-    ], ids=["mobile", "ferry", "int_geometry", "int_overflight", "hover"])
-    def test_bytes_match_row_writer(self, tmp_path, traj):
-        """The bytes ``csv`` wrote from one [time, x, y, z] row per sample."""
-        with open(tmp_path / "rows.csv", "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time_s", "x_m", "y_m", "z_m"])
-            writer.writerows([t, *p] for t, p in zip(traj.times.tolist(),
-                                                     traj.positions.tolist()))
-        traj.to_csv(tmp_path / "traj.csv")
-        assert (tmp_path / "traj.csv").read_bytes() == \
-            (tmp_path / "rows.csv").read_bytes()

@@ -1,19 +1,17 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from uavsim import relay
-from uavsim.channel import (ChannelDomainError, ChannelModel, LinkGeometry,
-                            SnrReference, rician_power_gains, snr_anchor_db,
-                            spectral_efficiency)
+from uavsim.channel import (ChannelModel, LinkGeometry, SnrReference,
+                            snr_anchor_db, spectral_efficiency)
 from uavsim.experiment import preset_config
-from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
-                             ferry_trajectory, mobile_relay_trajectory)
+from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
+                             ferry_x, mobile_relay_x)
 from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
-                          sweep_delay, write_sweep_csv, write_trace_csv)
+                          sweep_delay, write_sweep_csv, write_trace_csvs)
 
 CHANNEL = ChannelModel(carrier_frequency=5e9)
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
@@ -34,22 +32,27 @@ def run(strategy, v_max, delta=20.0, **kwargs):
     return simulate_cycle(strategy, g, CHANNEL, ref_for(g), **kwargs)
 
 
-def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
-                 time_step=0.01, rng=None):
-    """Per-step oracle: one link budget of one scalar geometry and one
-    Rician draw per communicating sample, and a step-by-step buffer
-    ledger.  Returns (bits_received, bits_delivered, peak, path losses,
-    SE, occupancy)."""
+def cycle_samples(strategy, g, time_step):
+    """The sample times of one cycle and the relay's horizontal position
+    at each; the static relay is the mobile one at v_max = 0."""
+    times = cycle_times(g, time_step)
     if strategy == RelayStrategy.FERRY:
-        traj = ferry_trajectory(g, time_step)
-    else:
-        traj = mobile_relay_trajectory(
-            g if strategy == RelayStrategy.MOBILE
-            else dataclasses.replace(g, v_max=0.0), time_step)
+        return times, ferry_x(g, times)
+    if strategy == RelayStrategy.STATIC:
+        g = dataclasses.replace(g, v_max=0.0)
+    return times, mobile_relay_x(g, times)
+
+
+def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
+                 time_step=0.01):
+    """Per-step oracle: one link budget of one scalar geometry per
+    sample, and a step-by-step buffer ledger.  Returns (bits_received,
+    bits_delivered, peak, path losses, SE, occupancy)."""
+    times, xs = cycle_samples(strategy, g, time_step)
+    h = g.uav_altitude
     occupancy = received = delivered = peak = 0.0
     losses, ses, buffer = [], [], []
-    samples = zip(traj.times.tolist(), traj.positions.tolist())
-    for i, (t, (x, _, h)) in enumerate(samples):
+    for i, (t, x) in enumerate(zip(times.tolist(), xs.tolist())):
         src = LinkGeometry(abs(x), h, 0.0)
         dst = LinkGeometry(abs(x - g.separation), h, 0.0)
         losses.append((channel.path_loss_db(src), channel.path_loss_db(dst)))
@@ -58,19 +61,12 @@ def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
         link = src if phase1 else dst
         if (strategy == RelayStrategy.FERRY
                 and link.horizontal_separation > 1e-6):
-            se = 0.0  # the ferry is silent in flight and draws nothing
+            se = 0.0  # the ferry is silent in flight
         else:
-            snr_db = (snr_anchor_db(channel, ref, h)
-                      - channel.path_loss_db(link))
-            if channel.variant == "rician":
-                k = 10.0 ** (channel.k_factor_db / 10.0)
-                z = complex(*rng.standard_normal(2)) / math.sqrt(2.0)
-                gain = abs(math.sqrt(k / (k + 1.0))
-                           + math.sqrt(1.0 / (k + 1.0)) * z) ** 2
-                snr_db += 10.0 * math.log10(gain) if gain > 0 else -math.inf
-            se = spectral_efficiency(snr_db)
+            se = spectral_efficiency(snr_anchor_db(channel, ref, h)
+                                     - channel.path_loss_db(link))
         ses.append(se)
-        if i == len(traj.times) - 1:
+        if i == len(times) - 1:
             break
         if phase1:
             accepted = min(se * time_step, buffer_capacity - occupancy)
@@ -110,36 +106,7 @@ def assert_matches_scalar_cycle(result, oracle, g):
 
 
 class TestScalarEquivalence:
-    """The vectorised cycle reproduces the per-step scalar loop,
-    including the order in which Rician draws consume the stream."""
-
-    RICIAN = ChannelModel(carrier_frequency=5e9, variant="rician",
-                          k_factor_db=6.0)
-
-    @pytest.mark.parametrize("strategy,v", [(RelayStrategy.MOBILE, 100.0),
-                                            (RelayStrategy.MOBILE, 30.0),
-                                            (RelayStrategy.FERRY, 60.0)])
-    def test_rician_draw_order(self, strategy, v):
-        g = geom(v)
-        oracle_rng = np.random.default_rng(17)
-        oracle = scalar_cycle(strategy, g, self.RICIAN, ref_for(g),
-                              time_step=0.05, rng=oracle_rng)
-        rng = np.random.default_rng(17)
-        result = simulate_cycle(strategy, g, self.RICIAN, ref_for(g),
-                                time_step=0.05, rng=rng)
-        assert_matches_scalar_cycle(result, oracle, g)
-        # Both consumed the same number of draws.
-        assert rng.standard_normal() == oracle_rng.standard_normal()
-
-    def test_ferry_draws_only_while_hovering(self):
-        g = geom(60.0)
-        rng = np.random.default_rng(3)
-        result = simulate_cycle(RelayStrategy.FERRY, g, self.RICIAN,
-                                ref_for(g), time_step=0.05, rng=rng)
-        talking = sum(1 for _, se in result.se_trace if se != 0.0)
-        expected = np.random.default_rng(3)
-        expected.standard_normal(2 * talking)
-        assert rng.standard_normal() == expected.standard_normal()
+    """The vectorised cycle reproduces the per-step scalar loop."""
 
     @pytest.mark.parametrize("strategy,v,capacity", [
         (RelayStrategy.MOBILE, 100.0, math.inf),
@@ -154,40 +121,12 @@ class TestScalarEquivalence:
                                 time_step=0.05)
         assert_matches_scalar_cycle(result, oracle, g)
 
-    @pytest.mark.parametrize("strategy,v", [(RelayStrategy.MOBILE, 100.0),
-                                            (RelayStrategy.FERRY, 100.0)])
-    def test_two_ray(self, strategy, v):
-        g = geom(v)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            partial = ChannelModel(5e9, variant="two_ray",
-                                   reflection_coefficient=-0.5)
-            assert_matches_scalar_cycle(
-                simulate_cycle(strategy, g, partial, ref_for(g),
-                               time_step=0.05),
-                scalar_cycle(strategy, g, partial, ref_for(g),
-                             time_step=0.05), g)
-        # Coefficient -1 with ground endpoints cancels both rays
-        # everywhere, the reference link included, so no SNR can be
-        # anchored: the cycle is rejected instead of returning nan.
-        null = ChannelModel(5e9, variant="two_ray",
-                            reflection_coefficient=-1.0)
-        with pytest.raises(ChannelDomainError, match="reference"):
-            simulate_cycle(strategy, g, null, ref_for(g), time_step=0.05)
 
-
-def two_link_cycle(strategy, g, channel, ref, buffer_capacity, time_step,
-                   rng):
+def two_link_cycle(strategy, g, channel, ref, buffer_capacity, time_step):
     """Oracle that evaluates both links at every sample and keeps the
     active one.  Returns (path losses to source and destination, SE,
     occupancy)."""
-    if strategy == RelayStrategy.FERRY:
-        traj = ferry_trajectory(g, time_step)
-    else:
-        traj = mobile_relay_trajectory(
-            g if strategy == RelayStrategy.MOBILE
-            else dataclasses.replace(g, v_max=0.0), time_step)
-    times, xs = traj.times, traj.positions[:, 0]
+    times, xs = cycle_samples(strategy, g, time_step)
     src = LinkGeometry(np.abs(xs), g.uav_altitude)
     dst = LinkGeometry(np.abs(xs - g.separation), g.uav_altitude)
     pl_src, pl_dst = channel.path_loss_db(src), channel.path_loss_db(dst)
@@ -198,11 +137,6 @@ def two_link_cycle(strategy, g, channel, ref, buffer_capacity, time_step,
     if strategy == RelayStrategy.FERRY:
         talking = np.where(phase1, src.horizontal_separation,
                            dst.horizontal_separation) <= 1e-6
-    if channel.variant == "rician":
-        gains = rician_power_gains(channel.k_factor_db, rng,
-                                   int(np.count_nonzero(talking)))
-        with np.errstate(divide="ignore"):
-            snr_db[talking] += 10.0 * np.log10(gains)
     se = np.where(talking, spectral_efficiency(snr_db), 0.0)
     occupancy = [0.0]
     for offered, fill in zip(se[:-1] * time_step, phase1[:-1]):
@@ -216,23 +150,15 @@ class TestActiveLink:
     one that evaluates both links and keeps the active one."""
 
     @pytest.mark.parametrize("capacity", [math.inf, 40.0])
-    @pytest.mark.parametrize("channel", [
-        CHANNEL,
-        ChannelModel(5e9, variant="two_ray", reflection_coefficient=-0.5),
-        ChannelModel(5e9, variant="rician", k_factor_db=6.0),
-        ChannelModel(5e9, variant="rician", k_factor_db=6.0, base="two_ray",
-                     reflection_coefficient=-0.5)],
-        ids=["free_space", "two_ray", "rician", "rician_two_ray"])
+    @pytest.mark.parametrize("channel", [CHANNEL], ids=["free_space"])
     @pytest.mark.parametrize("strategy", list(RelayStrategy),
                              ids=lambda s: s.value)
     def test_matches_two_link_oracle(self, strategy, channel, capacity):
         g = geom(100.0)
         pl_src, pl_dst, se, occupancy = two_link_cycle(
-            strategy, g, channel, ref_for(g), capacity, 0.05,
-            np.random.default_rng(11))
+            strategy, g, channel, ref_for(g), capacity, 0.05)
         result = simulate_cycle(strategy, g, channel, ref_for(g), capacity,
-                                time_step=0.05,
-                                rng=np.random.default_rng(11))
+                                time_step=0.05)
         assert np.array_equal(result.se, se)
         assert np.array_equal(result.path_loss_src, pl_src)
         assert np.array_equal(result.path_loss_dst, pl_dst)
@@ -270,11 +196,7 @@ class TestSimulateCycle:
         with pytest.raises(FerryInfeasibleError):
             run(RelayStrategy.FERRY, 49.0)
 
-    @pytest.mark.parametrize("channel", [
-        CHANNEL,
-        ChannelModel(5e9, variant="two_ray", reflection_coefficient=-0.5),
-        ChannelModel(5e9, variant="rician", k_factor_db=6.0)],
-        ids=["free_space", "two_ray", "rician"])
+    @pytest.mark.parametrize("channel", [CHANNEL], ids=["free_space"])
     def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
         # The cycle evaluates only the active link and keeps its loss;
         # each per-link column evaluates only its inactive half, on its
@@ -337,18 +259,6 @@ class TestSimulateCycle:
             fine = run(strategy, v, time_step=0.005).end_to_end_se
             assert abs(fine - coarse) / coarse < 1e-3
 
-    def test_rician_channel_reproducible(self):
-        import numpy as np
-        rician = ChannelModel(carrier_frequency=5e9, variant="rician",
-                              k_factor_db=15.0)
-        g = geom(100.0)
-        a = simulate_cycle(RelayStrategy.MOBILE, g, rician, ref_for(g),
-                           time_step=0.1, rng=np.random.default_rng(5))
-        b = simulate_cycle(RelayStrategy.MOBILE, g, rician, ref_for(g),
-                           time_step=0.1, rng=np.random.default_rng(5))
-        assert a.end_to_end_se == b.end_to_end_se
-
-
 class TestTraces:
     def test_traces_hold_python_floats(self, tmp_path):
         result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
@@ -360,7 +270,7 @@ class TestTraces:
                       result.end_to_end_se, result.peak_occupancy):
             assert type(value) is float
         path = tmp_path / "trace.csv"
-        write_trace_csv(result, path)
+        write_trace_csvs([(result, path)])
         assert "np." not in path.read_text()
 
 
@@ -564,7 +474,7 @@ class TestCsvWriters:
     def test_trace_csv(self, tmp_path):
         result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
         path = tmp_path / "trace.csv"
-        write_trace_csv(result, path)
+        write_trace_csvs([(result, path)])
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,pl_src_db,pl_dst_db,se_bpshz,buffer_bits"
         assert len(lines) == len(result.path_loss_trace) + 1
