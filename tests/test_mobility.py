@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uavsim._csvfile import write_csv
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, Trajectory,
                              TrajectoryConfigError, cycle_times, ferry_x,
                              mobile_relay_x, overflight_trajectory)
@@ -24,10 +26,32 @@ def relay_cycle(shape, geom, time_step):
         time_step)
 
 
+SPEED_TOLERANCE = 1e-9  # slack on the per-step speed bound, m/s
+
+
+def step_violations(traj, v_max):
+    """Indices of the later sample of each pair that steps back in time,
+    off the uniform step, or faster than ``v_max``; a step that does not
+    move forward in time is only a time violation."""
+    dt = np.diff(traj.times)
+    bad_time = dt <= 0
+    displacement = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        too_fast = displacement / dt > v_max + SPEED_TOLERANCE
+    return tuple(tuple((np.flatnonzero(bad) + 1).tolist()) for bad in (
+        bad_time, ~bad_time & (np.abs(dt - traj.time_step) > 1e-9),
+        ~bad_time & too_fast))
+
+
 def assert_respects_v_max(traj, v_max):
-    """No step moves farther than ``v_max`` allows in its time step."""
-    steps = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
-    assert np.all(steps <= v_max * np.diff(traj.times) + 1e-9)
+    """Time runs forward in uniform steps, none faster than ``v_max``."""
+    assert step_violations(traj, v_max) == ((), (), ())
+
+
+def write_trajectory(traj, path):
+    """Columns time_s, x_m, y_m, z_m through the figures' CSV writer."""
+    write_csv(path, ["time_s", "x_m", "y_m", "z_m"],
+              [traj.times, *traj.positions.T])
 
 
 def source_distance(traj):
@@ -311,6 +335,23 @@ def scalar_overflight(start, end, speed, time_step):
     return times, positions
 
 
+def scalar_step_violations(traj, v_max):
+    """Reference: the per-pair loop that ``step_violations`` vectorises."""
+    times, positions = traj.times.tolist(), traj.positions.tolist()
+    bad_time, bad_step, bad_speed = [], [], []
+    for i in range(1, len(times)):
+        dt = times[i] - times[i - 1]
+        if dt <= 0:
+            bad_time.append(i)
+            continue
+        if abs(dt - traj.time_step) > 1e-9:
+            bad_step.append(i)
+        if math.dist(positions[i - 1], positions[i]) / dt \
+                > v_max + SPEED_TOLERANCE:
+            bad_speed.append(i)
+    return tuple(bad_time), tuple(bad_step), tuple(bad_speed)
+
+
 def scalar_position_at(traj, t):
     """Reference: the per-call interpolation that ``position_at`` vectorises."""
     times, positions = traj.times, traj.positions
@@ -363,6 +404,55 @@ class TestPositionAt:
         assert got.tolist() == [[5.0, 5.0, 50.0]] * 3
 
 
+class TestValidateTrajectory:
+    """``step_violations``, the check behind every "respects v_max" test."""
+
+    def test_flags_flight_segments_at_half_vmax(self):
+        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
+        speed_violations = step_violations(traj, 50.0)[2]
+        # Both 10 s flight legs at 0.01 s steps; hover samples are fine.
+        assert len(speed_violations) == 2000
+        dx = np.diff(traj.positions[:, 0])
+        for i in speed_violations:
+            assert abs(dx[i - 1]) > 0.0
+
+    def test_single_jump_violation(self):
+        traj = line_trajectory([0.0, 1.0], [0.0, 1e6])
+        assert step_violations(traj, 100.0) == ((), (), (1,))
+
+    def test_non_monotone_time_flagged(self):
+        # The backward step also jumps 1 m in -0.5 s, but is reported only
+        # as a time violation.
+        traj = line_trajectory([0.0, 1.0, 0.5], [0.0, 1.0, 2.0])
+        assert step_violations(traj, 100.0) == ((2,), (), ())
+
+    def test_non_uniform_step_flagged(self):
+        traj = line_trajectory([0.0, 1.0, 2.5], [0.0, 1.0, 2.0])
+        assert step_violations(traj, 100.0)[1] == (2,)
+
+    @given(steps=st.lists(st.tuples(
+               st.sampled_from([1.0, 1.0, 1.0, 1.5, 0.0, -0.5, math.nan]),
+               st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+               min_size=0, max_size=30),
+           v_max=st.floats(0.0, 250.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_oracle(self, steps, v_max):
+        times, xs, ys = [0.0], [0.0], [0.0]
+        for dt, dx, dy in steps:
+            times.append(times[-1] + dt)
+            xs.append(xs[-1] + dx)
+            ys.append(ys[-1] + dy)
+        traj = Trajectory(times, np.column_stack(
+            [xs, ys, np.full(len(xs), 100.0)]), time_step=1.0)
+        assert step_violations(traj, v_max) == \
+            scalar_step_violations(traj, v_max)
+
+    @pytest.mark.parametrize("v", [0.0, 30.0, 100.0])
+    def test_relay_cycle_matches_scalar_oracle(self, v):
+        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
+        assert step_violations(traj, v) == scalar_step_violations(traj, v)
+
+
 def line_trajectory(times, xs):
     """Samples along the x axis at 100 m, time step 1 s."""
     return Trajectory(times, [[x, 0.0, 100.0] for x in xs], time_step=1.0)
@@ -395,3 +485,37 @@ class TestTrajectoryArrays:
         a = line_trajectory([0.0, 1.0], [0.0, 1.0])
         b = line_trajectory([0.0, 1.0], [0.0, 2.0])
         assert a == b and hash(a) == hash(b)
+
+
+class TestTrajectoryCsv:
+    """Trajectory columns through ``write_csv``: float64 texts, one row
+    per sample."""
+
+    def test_round_trippable_columns(self, tmp_path):
+        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory(traj, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "time_s,x_m,y_m,z_m"
+        assert len(lines) == len(traj.times) + 1
+        t, x, y, z = (float(v) for v in lines[1].split(","))
+        assert (t, x, y, z) == (0.0, 500.0, 0.0, 100.0)
+
+    @pytest.mark.parametrize("traj", [
+        relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01),
+        relay_cycle(ferry_x, relay_geom(100.0), 0.01),
+        # Int geometry: every column is float64, so 100 is written 100.0.
+        relay_cycle(mobile_relay_x, RelayGeometry(1000, 100, 50, 20), 0.1),
+        overflight_trajectory((0, 0, 50), (10, 5, 50), 1, 1),
+        overflight_trajectory((3, 4, 5), (3, 4, 5), 1.0, 0.5),
+    ], ids=["mobile", "ferry", "int_geometry", "int_overflight", "hover"])
+    def test_bytes_match_row_writer(self, tmp_path, traj):
+        """The bytes ``csv`` wrote from one [time, x, y, z] row per sample."""
+        with open(tmp_path / "rows.csv", "w", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["time_s", "x_m", "y_m", "z_m"])
+            writer.writerows([t, *p] for t, p in zip(traj.times.tolist(),
+                                                     traj.positions.tolist()))
+        write_trajectory(traj, tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
