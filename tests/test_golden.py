@@ -41,6 +41,10 @@ VARIANTS = {
     # A link too weak for fixed notation: the trace writer's SE and buffer
     # columns print in exponent form (1.4426943194232382e-06).
     "fig3_low_snr": ("fig3", {"reference_snr_db": -60.0}),
+    # fig4's grid with a ferry: infeasible cells (v*delta < R), a ferry
+    # that never hovers (v*delta = R) and long hover runs, whose silent
+    # samples and repeated links the sweep must keep.
+    "fig4_ferry": ("fig4", {"strategies": ["static", "mobile", "ferry"]}),
 }
 
 
