@@ -107,14 +107,19 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
     """The anchor's SNR plus the model's path loss at the reference
     distance, for links between these heights: the SNR in dB of such a
     link is this value minus its own path loss.  Raises
-    ``ChannelDomainError`` when the path loss of the reference link
-    overflows."""
+    ``ChannelDomainError`` when the square of the reference distance or
+    the path loss of the reference link overflows."""
     dh = transmitter_height - receiver_height
     if ref.reference_distance < abs(dh):
         raise ChannelDomainError(
             "reference_distance shorter than the endpoint height difference")
+    try:
+        ground = math.sqrt(ref.reference_distance ** 2 - dh ** 2)
+    except OverflowError:
+        raise ChannelDomainError(
+            "reference_distance too large: its square overflows") from None
     ref_geometry = LinkGeometry(
-        horizontal_separation=math.sqrt(ref.reference_distance ** 2 - dh ** 2),
+        horizontal_separation=ground,
         transmitter_height=transmitter_height,
         receiver_height=receiver_height,
     )

@@ -203,7 +203,8 @@ _LIBRARY_NAMES = {
     "eta_nlos": ("eta_nlos_db",), "grid_step": ("altitude_step_m",),
     "horizontal_separation": ("ground_ranges_m",),
     "transmitter_height": ("uav_altitude_m",),
-    "reference_distance": ("reference_distance_m",),
+    # The relay scenarios' anchor is the midpoint slant, from the separation.
+    "reference_distance": ("reference_distance_m", "separation_m"),
     "relative_speed": ("relative_speed_mps",),
     "carrier_frequency": ("carrier_frequency_hz",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle

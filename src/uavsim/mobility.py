@@ -146,6 +146,15 @@ def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     return np.where(phase1, x, geom.separation - x)
 
 
+def _ferry_hover_time(geom: RelayGeometry) -> float:
+    """The ferry's hover time at each endpoint, delta - R/v.  Raises
+    ``FerryInfeasibleError`` unless v_max*delta >= R."""
+    delta, v, R = geom.delay_budget, geom.v_max, geom.separation
+    if v * delta < R - 1e-9:
+        raise FerryInfeasibleError(v, R / delta)
+    return delta - R / v
+
+
 def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     """Horizontal position of the data ferry (shuttle) at ``times``.
 
@@ -155,9 +164,7 @@ def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     """
     delta = geom.delay_budget
     v, R = geom.v_max, geom.separation
-    if v * delta < R - 1e-9:
-        raise FerryInfeasibleError(v, R / delta)
-    t_hover = delta - R / v
+    t_hover = _ferry_hover_time(geom)
     x = np.where(times <= t_hover, 0.0,
                  np.where(times <= delta, v * (times - t_hover),
                           np.where(times <= delta + t_hover, R,

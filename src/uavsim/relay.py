@@ -10,12 +10,21 @@ channel.  Only one link
 carries data at any sample, so a cycle evaluates that active link alone;
 a result keeps that loss, and each per-link path-loss column evaluates
 only its inactive half when first read.
+
+One batch kernel simulates a sequence of cycles: ``simulate_cycle`` is
+its one-cycle call, and ``sweep_delay`` passes its grid's distinct cycles
+through it at once.  The kernel takes the cycles in blocks of bounded
+size, computes the SNR anchor once per altitude, and evaluates a block's
+links once per run of equal active-link gaps (a static relay, or one
+hovering overhead), repeating each run's loss and SE to its samples.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -25,10 +34,15 @@ import numpy as np
 from ._csvfile import write_csv, write_csvs
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       snr_anchor_db, spectral_efficiency)
-from .mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
-                       ferry_x, mobile_relay_x)
+from .mobility import (FerryInfeasibleError, RelayGeometry,
+                       _ferry_hover_time, cycle_times, ferry_x,
+                       mobile_relay_x)
 
 _HOVER_EPS = 1e-6  # m, horizontal proximity that counts as hovering overhead
+# Samples per block of cycles whose links are evaluated together: no more
+# than fig4's longest cycle (16,001 samples), which is a block of its own,
+# so a block's arrays stay within that cycle's memory.
+_BLOCK_SAMPLES = 16_000
 
 
 class RelayStrategy(str, Enum):
@@ -127,50 +141,118 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     left-endpoint: sample i carries its SE over [t_i, t_i + time_step),
     and the last sample only closes the traces.
     """
+    result, = _simulate_cycles([(strategy, geom)], channel, ref,
+                               buffer_capacity, time_step)
+    return result
+
+
+def _simulate_cycles(cycles, channel: ChannelModel, ref: SnrReference,
+                     buffer_capacity: float = math.inf,
+                     time_step: float = 0.01):
+    """Yield ``simulate_cycle``'s result for each ``(strategy, geometry)``
+    of ``cycles``, in order.
+
+    Consecutive cycles at one UAV altitude form blocks of at most
+    ``_BLOCK_SAMPLES`` samples (a longer cycle is a block of its own).
+    The SNR anchor is computed once per altitude, and a block's links
+    once per run of equal active-link gaps, each cycle starting a run.
+    """
     if buffer_capacity < 0:
         raise ValueError("buffer_capacity must be >= 0 (or math.inf)")
-    strategy = RelayStrategy(strategy)
-    times = cycle_times(geom, time_step)
-    xs = _cycle_x(strategy, geom, times)
-    delta = geom.delay_budget
+    anchors = {}  # UAV altitude -> SNR anchor, dB
+    block, samples = [], 0
+    for strategy, geom in cycles:
+        strategy = RelayStrategy(strategy)
+        times = cycle_times(geom, time_step)
+        altitude = geom.uav_altitude
+        if block and (samples + len(times) > _BLOCK_SAMPLES
+                      or altitude != block[0][1].uav_altitude):
+            yield from _block_results(block, channel, anchors,
+                                      buffer_capacity, time_step)
+            block, samples = [], 0
+        xs = _cycle_x(strategy, geom, times)
+        if altitude not in anchors:
+            anchors[altitude] = snr_anchor_db(channel, ref, altitude)
+        block.append((strategy, geom, times, xs))
+        samples += len(times)
+    if block:
+        yield from _block_results(block, channel, anchors, buffer_capacity,
+                                  time_step)
 
-    # Times increase, so phase 1 (t < delta) is a prefix of the samples.
-    n_phase1 = int(np.count_nonzero(times < delta - 1e-12))
+
+def _block_results(block, channel, anchors, buffer_capacity, time_step):
+    """The results of a block of ``(strategy, geometry, times, relay x)``
+    cycles at one altitude."""
+    ends = list(itertools.accumulate(len(times) for _, _, times, _ in block))
+    starts = [0] + ends[:-1]
+    # Times increase, so phase 1 (t < delta) is a prefix of each cycle.
+    splits = [start + int(times.searchsorted(geom.delay_budget - 1e-12))
+              for (_, geom, times, _), start in zip(block, starts)]
+    loss, se = _active_links(block, starts, splits, ends, channel,
+                             anchors[block[0][1].uav_altitude])
+    for (strategy, geom, times, xs), start, split, end in zip(
+            block, starts, splits, ends):
+        yield _ledger(strategy, geom, channel, times, xs, split - start,
+                      loss[start:end], se[start:end], buffer_capacity,
+                      time_step)
+
+
+def _active_links(block, starts, splits, ends, channel, anchor):
+    """Path loss and SE of the active link at each sample of a block."""
     # The active link's horizontal gap: the source is on the ground at
     # x = 0, the destination at x = R.
-    gap = xs.copy()
-    gap[n_phase1:] -= geom.separation
+    gap = np.concatenate([xs for _, _, _, xs in block])
+    for (_, geom, _, _), split, end in zip(block, splits, ends):
+        gap[split:end] -= geom.separation
     np.abs(gap, out=gap)
-    # The ferry is silent in flight; the other relays talk at every sample.
-    silent = gap > _HOVER_EPS if strategy == RelayStrategy.FERRY else None
-    anchor = snr_anchor_db(channel, ref, geom.uav_altitude)
-    loss = channel.path_loss_db(LinkGeometry(gap, geom.uav_altitude))
-    # The result keeps the loss, so the SNR reuses the gaps' memory.
-    snr_db = np.subtract(anchor, loss, out=gap)
-    se = spectral_efficiency(snr_db)
-    if silent is not None:
-        se[silent] = 0.0
+    # A static relay, or one hovering overhead, keeps its gap from sample
+    # to sample.  Each run of equal gaps is one link, evaluated once; the
+    # formulas are elementwise, so every sample gets the bits of its own
+    # evaluation.
+    head = np.empty(len(gap) + 1, dtype=bool)
+    np.not_equal(gap[1:], gap[:-1], out=head[1:-1])
+    head[starts] = head[-1] = True
+    bounds = np.flatnonzero(head)  # run starts, then the block's end
+    runs = bounds.searchsorted(ends).tolist()  # runs before each end
+    gap = gap[bounds[:-1]]
+    loss = channel.path_loss_db(LinkGeometry(gap, block[0][1].uav_altitude))
+    se = spectral_efficiency(anchor - loss)
+    for (strategy, _, _, _), first, last in zip(block, [0] + runs, runs):
+        if strategy == RelayStrategy.FERRY:
+            # The ferry is silent in flight; the others talk throughout.
+            se[first:last][gap[first:last] > _HOVER_EPS] = 0.0
+    lengths = bounds[1:] - bounds[:-1]
+    return loss.repeat(lengths), se.repeat(lengths)
 
+
+def _ledger(strategy, geom, channel, times, xs, n_phase1, loss, se,
+            buffer_capacity, time_step) -> RelayRunResult:
+    """The bit ledger of one cycle from its active-link SE per sample."""
     # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
-    # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains:
-    # occupancy = max(B - se_1*dt - se_2*dt - ..., 0), summed left to
-    # right as a step-by-step ledger would.
+    # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains from the
+    # B bits received: occupancy = max(B - se_1*dt - se_2*dt - ..., 0),
+    # summed left to right as a step-by-step ledger would.
     offered = se[:-1] * time_step
     n_fill = min(n_phase1, len(offered))
-    filled = np.minimum(np.cumsum(offered[:n_fill]), buffer_capacity)
-    bits_received = float(filled[-1]) if n_fill else 0.0
+    occupancy = np.empty(len(se))
+    occupancy[0] = 0.0
+    filled = occupancy[1:n_fill + 1]
+    np.minimum(offered[:n_fill].cumsum(out=filled), buffer_capacity,
+               out=filled)
+    bits_received = float(occupancy[n_fill])
     drain = offered[n_fill:]
-    left = np.maximum(np.cumsum(np.append(bits_received, -drain))[1:], 0.0)
-    drained = np.minimum(drain, np.append(bits_received, left[:-1]))
-    bits_delivered = float(np.cumsum(drained)[-1]) if len(drain) else 0.0
-    occupancy = np.concatenate(([0.0], filled, left))
+    left = occupancy[n_fill:]  # B, then the occupancy after each drain
+    np.negative(drain, out=left[1:])
+    np.maximum(left.cumsum(out=left), 0.0, out=left)
+    drained = np.minimum(drain, occupancy[n_fill:-1])
+    bits_delivered = float(drained.cumsum()[-1]) if len(drain) else 0.0
     peak = max(0.0, float(occupancy.max()))
 
     return RelayRunResult(
         strategy=strategy,
         bits_received=bits_received,
         bits_delivered=bits_delivered,
-        end_to_end_se=bits_delivered / (2.0 * delta),
+        end_to_end_se=bits_delivered / (2.0 * geom.delay_budget),
         peak_occupancy=peak,
         times=times,
         relay_x=xs,
@@ -202,34 +284,36 @@ def sweep_delay(strategies, geom_template: RelayGeometry,
     Infeasible cells (ferry too slow) are recorded per-row, not fatal.
     Row order follows input index order: delay-major, then speed, then
     strategy.  A static relay ignores the speed, so its cycle is
-    simulated once per delay.
+    simulated once per delay.  The grid's distinct cycles go through
+    one batch.
     """
     if not delays or not speeds:
         raise ValueError("delays and speeds must be non-empty")
-    rows = []
+    strategies = [RelayStrategy(strategy) for strategy in strategies]
+    cells = []   # (delay, speed, strategy, cycle key or None, note)
+    cycles = {}  # cycle key -> (strategy, geometry), in first-use order
     for delta in delays:
-        static_se = None
         for v in speeds:
             geom = RelayGeometry(separation=geom_template.separation,
                                  uav_altitude=geom_template.uav_altitude,
                                  v_max=v, delay_budget=delta)
             for strategy in strategies:
-                strategy = RelayStrategy(strategy)
-                if strategy == RelayStrategy.STATIC and static_se is not None:
-                    rows.append(SweepRow(delta, v, strategy, static_se, True))
-                    continue
-                try:
-                    result = simulate_cycle(strategy, geom, channel, ref,
-                                            time_step=time_step)
-                except FerryInfeasibleError as exc:
-                    rows.append(SweepRow(delta, v, strategy, None, False,
-                                         note=str(exc)))
-                    continue
-                rows.append(SweepRow(delta, v, strategy,
-                                     result.end_to_end_se, True))
-                if strategy == RelayStrategy.STATIC:
-                    static_se = result.end_to_end_se
-    return rows
+                if strategy == RelayStrategy.FERRY:
+                    try:
+                        _ferry_hover_time(geom)
+                    except FerryInfeasibleError as exc:
+                        cells.append((delta, v, strategy, None, str(exc)))
+                        continue
+                key = ((strategy, delta) if strategy == RelayStrategy.STATIC
+                       else (strategy, delta, v))
+                cycles.setdefault(key, (strategy, geom))
+                cells.append((delta, v, strategy, key, ""))
+    # Each result goes as soon as its SE is read, before the next is built.
+    se = dict(zip(cycles, map(
+        operator.attrgetter("end_to_end_se"),
+        _simulate_cycles(cycles.values(), channel, ref, time_step=time_step))))
+    return [SweepRow(delta, v, strategy, se.get(key), key is not None, note)
+            for delta, v, strategy, key, note in cells]
 
 
 def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,

@@ -186,6 +186,11 @@ class TestArrayKernels:
                            match="overflows at carrier_frequency 1e"):
             snr_anchor_db(ChannelModel(1e307), SnrReference(10.0, 150.0),
                           100.0)
+        # The reference distance's square overflows before any path loss.
+        with pytest.raises(ChannelDomainError,
+                           match="reference_distance too large"):
+            snr_anchor_db(ChannelModel(F5GHZ), SnrReference(10.0, 1e200),
+                          100.0)
         assert not recwarn.list
 
     # (horizontal, tx height, rx height), frequency

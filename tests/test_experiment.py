@@ -564,6 +564,12 @@ class TestMalformedConfigs:
         ("fig4", {"carrier_frequency_hz": 1e307}, "carrier_frequency_hz"),
         ("channel_probe", {"carrier_frequency_hz": 1e307},
          "carrier_frequency_hz"),
+        # The square of the SNR anchor's reference distance overflows; the
+        # relay anchor's reference is the midpoint slant.
+        ("channel_probe", {"reference_distance_m": 1e200},
+         "reference_distance_m"),
+        ("fig3", {"separation_m": 1e308}, "separation_m"),
+        ("fig4", {"separation_m": 1e308}, "separation_m"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):

@@ -43,6 +43,13 @@ def cycle_samples(strategy, g, time_step):
     return times, mobile_relay_x(g, times)
 
 
+def active_gap(result):
+    """The horizontal gap of the active link at each sample of a result."""
+    gap = result.relay_x.copy()
+    gap[result.phase1_samples:] -= result.geometry.separation
+    return np.abs(gap)
+
+
 def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
                  time_step=0.01):
     """Per-step oracle: one link budget of one scalar geometry per
@@ -165,6 +172,89 @@ class TestActiveLink:
         assert np.array_equal(result.occupancy, occupancy)
 
 
+# (strategy, v_max, delta, altitude): every strategy, a relay at v = 0, a
+# hovering one (v = 100) and one that turns around (v = 10), a ferry that
+# hovers and one that never does (v*delta = R), and a second altitude.
+BATCH = [(RelayStrategy.STATIC, 10.0, 5.0, 100.0),
+         (RelayStrategy.MOBILE, 0.0, 5.0, 100.0),
+         (RelayStrategy.MOBILE, 100.0, 5.0, 100.0),
+         (RelayStrategy.FERRY, 100.0, 10.0, 100.0),
+         (RelayStrategy.MOBILE, 10.0, 10.0, 100.0),
+         (RelayStrategy.MOBILE, 100.0, 20.0, 100.0),
+         (RelayStrategy.FERRY, 100.0, 20.0, 100.0),
+         (RelayStrategy.MOBILE, 100.0, 20.0, 250.0),
+         (RelayStrategy.STATIC, 0.0, 20.0, 250.0),
+         (RelayStrategy.STATIC, 0.0, 20.0, 100.0)]
+
+
+def batch_cycles():
+    return [(strategy, RelayGeometry(1000.0, h, v, delta))
+            for strategy, v, delta, h in BATCH]
+
+
+def result_bytes(result):
+    """Every field and lazy column of a result, down to the bits."""
+    arrays = (result.times, result.relay_x, result.se, result.occupancy,
+              result.active_path_loss, result.path_loss_src,
+              result.path_loss_dst)
+    return (result.strategy, result.geometry, result.channel,
+            result.phase1_samples,
+            np.array([result.bits_received, result.bits_delivered,
+                      result.end_to_end_se, result.peak_occupancy]).tobytes(),
+            [(a.dtype, a.shape, a.tobytes()) for a in arrays])
+
+
+class TestBatchKernel:
+    """One batch gives each cycle the bits of a batch of that cycle alone,
+    wherever the block boundaries fall."""
+
+    REF = SnrReference(10.0, geom(1.0).midpoint_slant)
+
+    @pytest.mark.parametrize("capacity", [math.inf, 40.0])
+    @pytest.mark.parametrize("block", [1, relay._BLOCK_SAMPLES, 10 ** 9])
+    def test_batch_equals_one_cycle_batches(self, monkeypatch, block,
+                                            capacity):
+        monkeypatch.setattr(relay, "_BLOCK_SAMPLES", block)
+        cycles = batch_cycles()
+        batch = list(relay._simulate_cycles(cycles, CHANNEL, self.REF,
+                                            capacity, time_step=0.05))
+        assert len(batch) == len(cycles)
+        for (strategy, g), result in zip(cycles, batch):
+            alone = simulate_cycle(strategy, g, CHANNEL, self.REF, capacity,
+                                   time_step=0.05)
+            assert result_bytes(result) == result_bytes(alone)
+
+    def test_anchor_once_per_altitude(self, monkeypatch):
+        anchors = []
+
+        def counting(model, ref, height):
+            anchors.append(height)
+            return snr_anchor_db(model, ref, height)
+
+        monkeypatch.setattr(relay, "snr_anchor_db", counting)
+        list(relay._simulate_cycles(batch_cycles(), CHANNEL, self.REF,
+                                    time_step=0.05))
+        assert anchors == [100.0, 250.0]
+
+    def test_run_length_links_match_every_sample(self):
+        # The kernel evaluates one link per run of equal gaps; the oracle
+        # evaluates every sample's own link.
+        repeats = 0
+        for result in relay._simulate_cycles(batch_cycles(), CHANNEL,
+                                             self.REF, time_step=0.05):
+            h = result.geometry.uav_altitude
+            gap = active_gap(result)
+            repeats += np.count_nonzero(np.diff(gap) == 0)
+            loss = CHANNEL.path_loss_db(LinkGeometry(gap, h))
+            se = spectral_efficiency(snr_anchor_db(CHANNEL, self.REF, h)
+                                     - loss)
+            if result.strategy == RelayStrategy.FERRY:
+                se[gap > 1e-6] = 0.0
+            assert result.active_path_loss.tobytes() == loss.tobytes()
+            assert result.se.tobytes() == se.tobytes()
+        assert repeats > 0
+
+
 class TestSimulateCycle:
     def test_static_closed_form(self):
         result = run(RelayStrategy.STATIC, 0.0)
@@ -198,10 +288,10 @@ class TestSimulateCycle:
 
     @pytest.mark.parametrize("channel", [CHANNEL], ids=["free_space"])
     def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
-        # The cycle evaluates only the active link and keeps its loss;
-        # each per-link column evaluates only its inactive half, on its
-        # first read, and is kept.  Each call records its link count, or
-        # None for the SNR anchor's one scalar link.
+        # The cycle evaluates only the active link, once per run of equal
+        # gaps, and keeps its loss; each per-link column evaluates only its
+        # inactive half, on its first read, and is kept.  Each call records
+        # its link count, or None for the SNR anchor's one scalar link.
         calls = []
         path_loss = ChannelModel.path_loss_db
 
@@ -217,12 +307,14 @@ class TestSimulateCycle:
                                     ref_for(geom(100.0)), time_step=0.1)
             n, split = len(result.times), result.phase1_samples
             assert 0 < split < n
+            runs = 1 + np.count_nonzero(np.diff(active_gap(result)))
+            assert runs < n  # the relays hover, or never move
             assert calls.count(None) == 1
-            assert [c for c in calls if c is not None] == [n]
+            assert [c for c in calls if c is not None] == [runs]
             result.path_loss_src
-            assert [c for c in calls if c is not None] == [n, n - split]
+            assert [c for c in calls if c is not None] == [runs, n - split]
             result.path_loss_dst
-            assert [c for c in calls if c is not None] == [n, n - split,
+            assert [c for c in calls if c is not None] == [runs, n - split,
                                                            split]
             result.path_loss_src, result.path_loss_dst, result.path_loss_trace
             assert len(calls) == 4
@@ -343,19 +435,24 @@ class TestSweepDelay:
         assert rows[1].feasible
 
     def test_static_cycle_once_per_delay(self, monkeypatch):
-        calls = []
+        # The grid's distinct cycles go through one batch, which holds
+        # each static cycle once per delay.
+        batches = []
 
-        def counting(strategy, *args, **kwargs):
-            calls.append(RelayStrategy(strategy))
-            return simulate_cycle(strategy, *args, **kwargs)
+        def counting(cycles, *args, **kwargs):
+            cycles = list(cycles)
+            batches.append([strategy for strategy, _ in cycles])
+            return kernel(cycles, *args, **kwargs)
 
+        kernel = relay._simulate_cycles
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
         args = (["static", "mobile"], geom(1.0, 1.0), [5.0, 10.0],
                 [10.0, 30.0, 100.0], CHANNEL, ref)
-        monkeypatch.setattr(relay, "simulate_cycle", counting)
+        monkeypatch.setattr(relay, "_simulate_cycles", counting)
         rows = sweep_delay(*args, time_step=0.05)
-        assert calls.count(RelayStrategy.STATIC) == 2
-        assert calls.count(RelayStrategy.MOBILE) == 6
+        assert len(batches) == 1
+        assert batches[0].count(RelayStrategy.STATIC) == 2
+        assert batches[0].count(RelayStrategy.MOBILE) == 6
         assert [(r.delay_budget, r.v_max, r.strategy) for r in rows] == [
             (d, v, s) for d in (5.0, 10.0) for v in (10.0, 30.0, 100.0)
             for s in (RelayStrategy.STATIC, RelayStrategy.MOBILE)]
@@ -365,25 +462,34 @@ class TestSweepDelay:
                 r.strategy, g, CHANNEL, ref, time_step=0.05).end_to_end_se
 
     def test_fig4_grid_evaluates_only_active_links(self, monkeypatch):
-        # 20 distinct cycles of 2*delta/dt + 1 samples each; the other
-        # 20 geometries are the SNR anchor's scalar links.
+        # 20 distinct cycles of 2*delta/dt + 1 samples each, 124,020 in
+        # all, evaluate one active link per run of equal gaps: 60,356
+        # links, in one path-loss call per block of cycles.  The SNR
+        # anchor is one scalar link, evaluated once for the one altitude.
         config = preset_config("fig4")
         params = config.params
-        samples, builds = [], []
+        samples, scalars, builds, anchors = [], [], [], []
         path_loss = ChannelModel.path_loss_db
         post_init = LinkGeometry.__post_init__
 
         def counting_loss(model, geometry):
             if np.ndim(geometry.horizontal_separation):
                 samples.append(np.size(geometry.horizontal_separation))
+            else:
+                scalars.append(geometry)
             return path_loss(model, geometry)
 
         def counting_build(geometry):
             builds.append(geometry)
             post_init(geometry)
 
+        def counting_anchor(*args):
+            anchors.append(args)
+            return snr_anchor_db(*args)
+
         monkeypatch.setattr(ChannelModel, "path_loss_db", counting_loss)
         monkeypatch.setattr(LinkGeometry, "__post_init__", counting_build)
+        monkeypatch.setattr(relay, "snr_anchor_db", counting_anchor)
         template = RelayGeometry(params["separation_m"],
                                  params["uav_altitude_m"], 1.0, 1.0)
         sweep_delay(params["strategies"], template, params["delays_s"],
@@ -392,9 +498,10 @@ class TestSweepDelay:
                     SnrReference(params["reference_snr_db"],
                                  template.midpoint_slant),
                     time_step=config.time_step)
-        assert len(samples) == 20
-        assert sum(samples) == 124_020
-        assert len(builds) == 40
+        assert sum(samples) == 60_356
+        assert len(samples) == 10  # blocks of at most 16,000 samples
+        assert len(anchors) == len(scalars) == 1
+        assert len(builds) == len(samples) + 1
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
