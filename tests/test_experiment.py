@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim import _csvfile, relay
+from uavsim import _csvfile, experiment, relay
 from uavsim.cli import main
 from uavsim.experiment import (CNPC_L_BAND_HZ, PRESETS, ConfigError,
                                ExperimentConfig, RunManifest, derive_seed,
@@ -159,12 +160,96 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
+    @pytest.mark.parametrize("document", [
+        {"preset": "urban_coverage", "params": {"altitude_step_m": 2.0}},
+        {"scenario": "channel_probe",
+         "params": PRESETS["channel_probe"]["params"]}])
+    def test_validates_once_per_load(self, tmp_path, monkeypatch, document):
+        """``load_config`` validates the merged config once, not the bare
+        preset first; ``run`` validates once more."""
+        calls = []
+
+        def counted(config):
+            calls.append(config.scenario)
+            return validate(config)
+
+        validate = experiment.validate_config
+        monkeypatch.setattr(experiment, "validate_config", counted)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            **document, "output_directory": str(tmp_path / "out")}))
+        config = load_config(path)
+        assert len(calls) == 1
+        run(config)
+        assert len(calls) == 2
+
 
 class TestSeedDerivation:
     def test_stable_and_distinct(self):
         assert derive_seed(1, 0) == derive_seed(1, 0)
         assert derive_seed(1, 0) != derive_seed(1, 1)
         assert derive_seed(1, 0) != derive_seed(2, 0)
+
+
+# Hashes ``experiment`` while CPython's built-in SHA-256 modules cannot be
+# imported, so that it falls back to ``hashlib``.
+FALLBACK_PROBE = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from uavsim import experiment
+print(json.dumps({
+    "hashlib": experiment.sha256 is hashlib.sha256,
+    "digests": {name: experiment.preset_config(name).digest()
+                for name in sorted(experiment.PRESETS)},
+    "seeds": [experiment.derive_seed(m, i)
+              for m in (0, 7919, 2 ** 64 - 1) for i in range(3)]}))
+"""
+
+
+class TestSha256:
+    """``experiment`` hashes with CPython's built-in SHA-256, which must
+    give exactly what ``hashlib.sha256`` gives."""
+
+    def test_pinned(self):
+        assert preset_config("fig4").digest() == (
+            "c257541c25002e081b6bfdb9eeb0a56a32fb0d4f944d541bcf9f385dc93efca5")
+        assert derive_seed(0, 0) == 12426054289685354689
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+               st.text(max_size=12),
+               st.one_of(st.floats(), st.integers(), st.text(max_size=20),
+                         st.lists(st.floats(allow_nan=False), max_size=4)),
+               max_size=6),
+           st.text(max_size=16), st.integers(0, 2 ** 64 - 1), st.floats())
+    def test_digest_matches_hashlib(self, params, scenario, seed, step):
+        config = ExperimentConfig(scenario=scenario, params=params,
+                                  master_seed=seed, time_step=step)
+        assert config.digest() == hashlib.sha256(
+            config.canonical_json().encode()).hexdigest()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 10 ** 9))
+    def test_derive_seed_matches_hashlib(self, master_seed, run_index):
+        digest = hashlib.sha256(f"{master_seed}:{run_index}".encode())
+        assert derive_seed(master_seed, run_index) == int.from_bytes(
+            digest.digest()[:8], "big")
+
+    def test_hashlib_fallback_gives_the_same_hashes(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", FALLBACK_PROBE],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        fallback = json.loads(done.stdout)
+        assert fallback["hashlib"]
+        assert experiment.sha256 is not hashlib.sha256
+        assert fallback["digests"] == {
+            name: preset_config(name).digest() for name in sorted(PRESETS)}
+        assert fallback["seeds"] == [derive_seed(m, i)
+                                     for m in (0, 7919, 2 ** 64 - 1)
+                                     for i in range(3)]
 
 
 class TestRun:
@@ -686,7 +771,8 @@ after_load = loaded()
 experiment.run(config)
 print(json.dumps({"bare": bare, "load": after_load, "run": loaded(),
                   "csv": "csv" in sys.modules,
-                  "numpy.ma": "numpy.ma" in sys.modules}))
+                  "numpy.ma": "numpy.ma" in sys.modules,
+                  "_hashlib": "_hashlib" in sys.modules}))
 """
 
 
@@ -695,7 +781,8 @@ def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
     """In a fresh interpreter: ``import uavsim`` loads no submodule, and
     ``load_config`` loads exactly the preset's scenario modules, which
     ``run`` then needs no addition to; ``csv`` is left unloaded, and so
-    is ``numpy.ma``, which plain ``np.unique`` imports (about 2.7 MB)."""
+    is ``numpy.ma``, which plain ``np.unique`` imports (about 2.7 MB), and
+    ``_hashlib``, which maps OpenSSL's libcrypto (about 3.6 MB)."""
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"preset": preset,
                                "output_directory": str(tmp_path / "out")}))
@@ -711,3 +798,7 @@ def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
     assert loaded["run"] == loaded["load"]
     assert not loaded["csv"]
     assert not loaded["numpy.ma"]
+    # dissem20 seeds numpy generators: numpy.random.bit_generator imports
+    # secrets, which imports hmac, which imports _hashlib.
+    if preset != "dissem20":
+        assert not loaded["_hashlib"]
