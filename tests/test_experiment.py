@@ -160,13 +160,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
-    @pytest.mark.parametrize("document", [
-        {"preset": "urban_coverage", "params": {"altitude_step_m": 2.0}},
-        {"scenario": "channel_probe",
-         "params": PRESETS["channel_probe"]["params"]}])
-    def test_validates_once_per_load(self, tmp_path, monkeypatch, document):
-        """``load_config`` validates the merged config once, not the bare
-        preset first; ``run`` validates once more."""
+    def test_validates_once_per_load(self, tmp_path, monkeypatch):
+        """``load_config`` validates a preset with overrides once, after
+        merging them, not the bare preset first; ``run`` validates once
+        more."""
         calls = []
 
         def counted(config):
@@ -177,7 +174,8 @@ class TestLoadConfig:
         monkeypatch.setattr(experiment, "validate_config", counted)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
-            **document, "output_directory": str(tmp_path / "out")}))
+            "preset": "urban_coverage", "params": {"altitude_step_m": 2.0},
+            "output_directory": str(tmp_path / "out")}))
         config = load_config(path)
         assert len(calls) == 1
         run(config)
