@@ -8,7 +8,9 @@ optimal altitude maximizes that radius over a grid.
 
 The expected loss is one numpy function of floats or arrays.  The radii
 of a whole altitude grid come from one bisection run on all altitudes in
-lockstep, which takes the steps each altitude would take alone.
+lockstep, which takes the steps each altitude would take alone; the
+bisection relies on the loss being non-decreasing in ground range, which
+the model guarantees.
 """
 
 from __future__ import annotations
@@ -100,9 +102,8 @@ def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
     """``coverage_radius`` of every altitude, all altitudes in lockstep.
 
     Each altitude takes the steps it would take alone: the nadir test,
-    bracketing by doubling, bisection, and the scan when the monotonicity
-    check fails.  The altitudes still at a step are evaluated in one array
-    call, and ``loss(lo)`` is carried from the step that moved ``lo``.
+    bracketing by doubling, and bisection.  The altitudes still at a step
+    are evaluated in one array call.
     """
     h = np.asarray(altitudes, dtype=float)
 
@@ -111,8 +112,7 @@ def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
 
     radii = np.zeros_like(h)
     every = np.arange(h.size)
-    loss_lo = losses(every, np.zeros_like(h))
-    bisected = loss_lo <= max_path_loss
+    bisected = losses(every, np.zeros_like(h)) <= max_path_loss
     # Bracket the crossing by doubling.
     hi = np.maximum(h, 1.0)
     index = every[bisected]
@@ -125,29 +125,14 @@ def _coverage_radii(altitudes: np.ndarray, max_path_loss: float,
         bisected[unbounded] = False
         index = index[hi[index] <= _UNBOUNDED]
     lo = np.zeros_like(h)
-    monotone = np.ones(h.size, dtype=bool)
     index = every[bisected & (hi - lo > tolerance)]
     while index.size:
         mid = 0.5 * (lo[index] + hi[index])
-        values = losses(index, mid)
-        drop = values < loss_lo[index] - 1e-12
-        monotone[index[drop]] = False
-        index, mid, values = index[~drop], mid[~drop], values[~drop]
-        inside = values <= max_path_loss
+        inside = losses(index, mid) <= max_path_loss
         lo[index[inside]] = mid[inside]
-        loss_lo[index[inside]] = values[inside]
         hi[index[~inside]] = mid[~inside]
         index = index[hi[index] - lo[index] > tolerance]
     radii[bisected] = lo[bisected]
-    # Non-monotone parameters: exhaustive scan at the target resolution.
-    for i in np.flatnonzero(~monotone).tolist():
-        r, top, grid = 0.0, float(hi[i]), []
-        while r <= top:
-            grid.append(r)
-            r += tolerance
-        grid = np.array(grid)
-        inside = losses(i, grid) <= max_path_loss
-        radii[i] = grid[inside][-1] if inside.any() else 0.0
     return radii
 
 
@@ -156,9 +141,10 @@ def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
                     tolerance: float = 0.1) -> float:
     """Largest ground range with expected loss <= max_path_loss, by bisection.
 
-    Relies on the expected loss being non-decreasing in range at fixed
-    altitude; falls back to a fine scan if that fails for the given
-    parameters.
+    The expected loss is ``fspl + eta_nlos - p_los*(eta_nlos - eta_los)``
+    with ``p_los`` non-increasing in range and ``eta_nlos >= eta_los``, so
+    it is non-decreasing in range at fixed altitude (to within rounding),
+    which is what the bisection needs.
     """
     return float(_coverage_radii(np.array([altitude], dtype=float),
                                  max_path_loss, frequency, los, excess,

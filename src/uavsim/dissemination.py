@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfile import write_csv
-from .mobility import Trajectory
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,12 @@ class D2dGraph:
                 for c in range(self.component_count)]
 
 
-def _slot_count(duration: float, slot_duration: float) -> int:
-    return max(1, int(round(duration / slot_duration)))
-
-
-def coverage_mask(traj: Trajectory, positions, rx: ReceptionModel,
-                  slot_duration: float) -> np.ndarray:
+def coverage_mask(uav: np.ndarray, positions, rx: ReceptionModel) -> np.ndarray:
     """(slots, nodes) bool: the node's slant distance from the UAV at the
     start of the slot, ``sqrt(dx*dx + dy*dy + z*z)``, is at most the
-    coverage radius; one slot per ``slot_duration`` over the flight."""
-    if slot_duration <= 0:
-        raise ValueError("slot_duration must be > 0")
-    slots = _slot_count(traj.duration, slot_duration)
-    times = traj.times[0] + np.arange(slots) * slot_duration
-    uav = traj.position_at(times)
+    coverage radius; ``uav`` holds the (slots, 3) UAV positions at the
+    slot starts."""
+    uav = np.asarray(uav, dtype=float)
     ground = np.asarray(positions, dtype=float).reshape(-1, 2)
     dx = uav[:, None, 0] - ground[None, :, 0]
     dy = uav[:, None, 1] - ground[None, :, 1]

@@ -218,7 +218,7 @@ _LIBRARY_NAMES = {
     "relative_speed": ("relative_speed_mps",),
     "carrier_frequency": ("carrier_frequency_hz",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
-# Cells in the D2D adjacency or the coverage mask, or overflight samples.
+# Cells in the D2D adjacency or the coverage mask.
 MAX_DISSEMINATION_CELLS = 10 ** 7
 
 
@@ -460,7 +460,7 @@ def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
                            "strategies": params["strategies"]}}
 
 
-_FLIGHT_STEP_S = 0.1  # time step of the dissemination overflight
+_FLIGHT_STEP_S = 0.1  # s; the overflight lasts a whole number of these
 
 
 def _flight_ends(params):
@@ -473,24 +473,28 @@ def _flight_ends(params):
             (params["field_length_m"] + overshoot, 0.0, altitude))
 
 
-def _check_dissemination_size(params) -> None:
-    """At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or
-    the coverage mask, or samples in the overflight."""
-    from .dissemination import _slot_count
+def _slot_count(params) -> int:
+    """Slots of the dissemination overflight: one per ``slot_duration_s``
+    over its duration, which is rounded up to whole ``_FLIGHT_STEP_S``."""
     from .mobility import _overflight_steps
-    nodes = params["node_count"]
     steps = _overflight_steps(math.dist(*_flight_ends(params)),
                               params["uav_speed_mps"], _FLIGHT_STEP_S)
-    slots = _slot_count(steps * _FLIGHT_STEP_S, params["slot_duration_s"])
+    return max(1, int(round(steps * _FLIGHT_STEP_S
+                            / params["slot_duration_s"])))
+
+
+def _check_dissemination_size(params) -> None:
+    """At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or
+    the coverage mask."""
+    nodes = params["node_count"]
+    slots = _slot_count(params)
     for size, what in (
             (nodes * nodes, f"node_count {nodes} gives a D2D adjacency of "
                             f"{nodes * nodes} cells"),
             (slots * nodes, f"field_length_m, uav_speed_mps and "
                             f"slot_duration_s give {slots} slots, so "
                             f"node_count {nodes} gives a coverage mask of "
-                            f"{slots * nodes} cells"),
-            (steps + 1, f"field_length_m and uav_speed_mps give an "
-                        f"overflight of {steps + 1} samples")):
+                            f"{slots * nodes} cells")):
         if size > MAX_DISSEMINATION_CELLS:
             raise ConfigError(f"{what}, more than {MAX_DISSEMINATION_CELLS}")
 
@@ -500,16 +504,17 @@ def _dissemination_scenario(params):
     coverage mask, the D2D graph, and the reception and file models."""
     from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                                 coverage_mask)
-    from .mobility import overflight_trajectory
+    from .mobility import overflight_x
     n = params["node_count"]
     spacing = params["field_length_m"] / n
     positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
-    traj = overflight_trajectory(*_flight_ends(params),
-                                 params["uav_speed_mps"], _FLIGHT_STEP_S)
+    uav = overflight_x(*_flight_ends(params), params["uav_speed_mps"],
+                       np.arange(_slot_count(params))
+                       * params["slot_duration_s"])
     rx = ReceptionModel(params["coverage_radius_m"],
                         params["erasure_probability"])
     file = FileSpec(params["source_packet_count"])
-    coverage = coverage_mask(traj, positions, rx, params["slot_duration_s"])
+    coverage = coverage_mask(uav, positions, rx)
     return coverage, D2dGraph(positions, params["d2d_range_m"]), rx, file
 
 

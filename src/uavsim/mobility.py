@@ -1,18 +1,17 @@
-"""UAV kinematics: the relaying flight shapes and the overflight trajectory.
+"""UAV kinematics: the relaying flight shapes and the overflight.
 
 The three flight patterns used by the relaying and dissemination
 simulations are the mobile-relay sawtooth, the data-ferry shuttle, and a
-constant-velocity overflight.  The relaying shapes are array functions
-of a cycle's sample times (``mobile_relay_x``, ``ferry_x``) that keep to
-the geometry's max speed.  The overflight is a ``Trajectory``: a
-uniform-step sampled polyline held as arrays of sample times and
-(x, y, z) positions.  All of it is whole-array numpy code.
+constant-velocity overflight.  Each is a closed-form array function of
+sample times: ``mobile_relay_x`` and ``ferry_x`` give a relaying cycle's
+horizontal positions, keeping to the geometry's max speed, and
+``overflight_x`` the (x, y, z) positions of a straight flight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,57 +29,6 @@ class FerryInfeasibleError(TrajectoryConfigError):
             f"ferry infeasible: v_max={v_max} m/s cannot cover the "
             f"separation within the delay budget; minimum feasible speed "
             f"is {minimum_speed} m/s")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniform-step samples of a UAV flight: ``times`` (n,) in s and
-    ``positions`` (n, 3) in m, both float64."""
-
-    times: np.ndarray = field(repr=False, compare=False)
-    positions: np.ndarray = field(repr=False, compare=False)
-    time_step: float  # s, > 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "positions",
-                           np.asarray(self.positions, dtype=float))
-        if self.time_step <= 0:
-            raise TrajectoryConfigError("time_step must be > 0")
-        n = len(self.times) if self.times.ndim == 1 else 0
-        if not n or self.positions.shape != (n, 3):
-            raise TrajectoryConfigError(
-                f"times {self.times.shape} and positions "
-                f"{self.positions.shape} must have shapes (n,) and (n, 3), "
-                f"n >= 1")
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    def position_at(self, times) -> np.ndarray:
-        """Linearly interpolated positions, shape ``np.shape(times) + (3,)``;
-        clamped outside the time span.
-
-        Each sample is ``a + w * (b - a)`` between the samples ``a`` and
-        ``b`` that bracket it, with ``w = (t - a.time) / (b.time - a.time)``.
-        """
-        times = np.asarray(times, dtype=float)
-        t = times.reshape(-1)
-        sample_times, positions = self.times, self.positions
-        last = len(sample_times) - 1
-        if last == 0:
-            return np.broadcast_to(positions[0], times.shape + (3,)).copy()
-        i = np.clip(((t - sample_times[0]) / self.time_step).astype(np.int64),
-                    0, last - 1)
-        i += t > sample_times[i + 1]  # guard against float rounding of the index
-        i = np.minimum(i, last - 1)  # only moves samples clamped above
-        a, b = sample_times[i], sample_times[i + 1]
-        w = (t - a) / (b - a)
-        out = positions[i] + w[:, None] * (positions[i + 1] - positions[i])
-        out[t <= sample_times[0]] = positions[0]
-        out[t >= sample_times[-1]] = positions[-1]
-        return out.reshape(times.shape + (3,))
 
 
 @dataclass(frozen=True)
@@ -173,22 +121,25 @@ def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
 
 
 def _overflight_steps(length: float, speed: float, time_step: float) -> int:
-    """Time steps of ``overflight_trajectory`` over a path of ``length``;
-    its duration is this many ``time_step``s."""
+    """Whole ``time_step``s a flight of ``length`` at ``speed`` takes,
+    rounded up."""
     return math.ceil(length / (speed * time_step) - 1e-12)
 
 
-def overflight_trajectory(start: tuple[float, float, float],
-                          end: tuple[float, float, float],
-                          speed: float, time_step: float) -> Trajectory:
-    """Constant-velocity straight path from start to end."""
-    for name, value in (("speed", speed), ("time_step", time_step)):
-        if not (math.isfinite(value) and value > 0):
-            raise TrajectoryConfigError(f"{name} must be finite and > 0")
+def overflight_x(start: tuple[float, float, float],
+                 end: tuple[float, float, float], speed: float,
+                 times: np.ndarray) -> np.ndarray:
+    """Positions (len(times), 3) of the constant-velocity straight flight
+    from ``start`` to ``end`` at ``times`` s after take-off, each
+    ``a + min(speed*t/length, 1)*(b - a)``: the UAV stays at ``end`` once
+    there, and at ``start`` if the two coincide."""
+    if not (math.isfinite(speed) and speed > 0):
+        raise TrajectoryConfigError("speed must be finite and > 0")
+    times = np.asarray(times, dtype=float)
+    if not np.all(times >= 0):
+        raise TrajectoryConfigError("times must be >= 0")
     a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
     length = math.dist(start, end)
     if length == 0.0:
-        return Trajectory(np.zeros(1), a[None, :], time_step)
-    t = np.arange(_overflight_steps(length, speed, time_step) + 1) * time_step
-    positions = a + np.minimum(speed * t / length, 1.0)[:, None] * (b - a)
-    return Trajectory(t, positions, time_step)
+        return np.tile(a, (len(times), 1))
+    return a + np.minimum(speed * times / length, 1.0)[:, None] * (b - a)

@@ -13,14 +13,23 @@ from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
                                   _WordStreams, _baseline, compare_schemes,
                                   coverage_mask, phase1_broadcast,
                                   phase2_exchange)
-from uavsim.experiment import PRESETS, _dissemination_scenario, derive_seed
-from uavsim.mobility import Trajectory, overflight_trajectory
+from uavsim.experiment import (PRESETS, ConfigError, _dissemination_scenario,
+                               derive_seed, preset_config, validate_config)
+from uavsim.mobility import _overflight_steps, overflight_x
 
 
-def hover_trajectory(duration, altitude=100.0, time_step=1.0):
-    n = int(round(duration / time_step))
-    return Trajectory(np.arange(n + 1) * time_step,
-                      np.tile([0.0, 0.0, altitude], (n + 1, 1)), time_step)
+def hover(slots, altitude=100.0):
+    """UAV positions at the slot starts of a flight hovering over the
+    origin."""
+    return np.tile([0.0, 0.0, altitude], (slots, 1))
+
+
+def flight(start, end, speed, slot_duration):
+    """UAV positions at the slot starts of a straight flight: one slot per
+    ``slot_duration`` over its duration in whole 0.1 s steps."""
+    steps = _overflight_steps(math.dist(start, end), speed, 0.1)
+    slots = max(1, round(steps * 0.1 / slot_duration))
+    return overflight_x(start, end, speed, np.arange(slots) * slot_duration)
 
 
 def line_positions(count, length):
@@ -40,16 +49,16 @@ def as_sets(packets):
     return [set(np.flatnonzero(row).tolist()) for row in packets]
 
 
-def broadcast(traj, positions, rx, slot_duration, rng):
+def broadcast(uav, positions, rx, rng):
     """Phase 1 from scratch; returns (transmissions, packet matrix)."""
-    coverage = coverage_mask(traj, positions, rx, slot_duration)
+    coverage = coverage_mask(uav, positions, rx)
     packets = np.zeros(coverage.shape[::-1], dtype=bool)
     return phase1_broadcast(coverage, packets, rx, rng), packets
 
 
-def baseline(traj, positions, file, rx, slot_duration, rng, pass_cap=1_000):
+def baseline(uav, positions, file, rx, rng, pass_cap=1_000):
     """The baseline of one seed from scratch."""
-    coverage = coverage_mask(traj, positions, rx, slot_duration)
+    coverage = coverage_mask(uav, positions, rx)
     packets = np.zeros((len(positions), file.source_packet_count), dtype=bool)
     return _baseline(coverage, packets[None], file, rx, [rng], pass_cap)[0]
 
@@ -64,13 +73,6 @@ class OracleNode:
     id: int
     position: tuple[float, float]
     received_packets: set[int] = field(default_factory=set)
-
-
-def oracle_slot_positions(traj, slot_duration):
-    """UAV position at the start of each slot, as tuples of floats."""
-    return [tuple(traj.position_at(float(traj.times[0])
-                                   + slot * slot_duration).tolist())
-            for slot in range(oracle_slot_count(traj, slot_duration))]
 
 
 def numpy_slant(uav_position, ground_position):
@@ -91,10 +93,6 @@ def numpy_distance(a, b):
 
 def oracle_in_range(uav_position, node, rx):
     return numpy_slant(uav_position, node.position) <= rx.coverage_radius
-
-
-def oracle_slot_count(traj, slot_duration):
-    return max(1, int(round(traj.duration / slot_duration)))
 
 
 def oracle_neighbors(nodes, d2d_range):
@@ -126,8 +124,9 @@ def oracle_components(neighbors):
     return components
 
 
-def oracle_phase1(traj, nodes, rx, slot_duration, rng):
-    uav_positions = oracle_slot_positions(traj, slot_duration)
+def oracle_phase1(uav, nodes, rx, rng):
+    """Phase 1 over ``uav``, the UAV position at the start of each slot."""
+    uav_positions = np.asarray(uav).tolist()
     for slot, uav_pos in enumerate(uav_positions):
         for node in nodes:
             if not oracle_in_range(uav_pos, node, rx):
@@ -182,11 +181,10 @@ def oracle_phase2(nodes, neighbors, file, rng, round_cap=10_000):
     return rounds, all_decoded(), tuple(stalled), tuple(union_sizes)
 
 
-def oracle_baseline(traj, nodes, file, rx, slot_duration, rng,
-                    pass_cap=1_000):
+def oracle_baseline(uav, nodes, file, rx, rng, pass_cap=1_000):
     """Returns (transmissions, passes, success, missing_per_node)."""
     k = file.source_packet_count
-    uav_positions = oracle_slot_positions(traj, slot_duration)
+    uav_positions = np.asarray(uav).tolist()
     pending = [n for n in nodes if len(n.received_packets) < k]
     transmissions = 0
     for pass_index in range(pass_cap):
@@ -212,11 +210,19 @@ def oracle_scenario(params):
     spacing = length / n
     nodes = [OracleNode(i, ((i + 0.5) * spacing, 0.0)) for i in range(n)]
     overshoot = params.get("overshoot_m", params["coverage_radius_m"])
-    traj = overflight_trajectory((-overshoot, 0.0, params["uav_altitude_m"]),
-                                 (length + overshoot, 0.0,
-                                  params["uav_altitude_m"]),
-                                 params["uav_speed_mps"], 0.1)
-    return nodes, traj
+    altitude, speed = params["uav_altitude_m"], params["uav_speed_mps"]
+    start = (-overshoot, 0.0, altitude)
+    end = (length + overshoot, 0.0, altitude)
+    # The flight lasts whole 0.1 s steps; one slot per slot duration, each
+    # starting where the UAV is then.
+    flight_length = math.dist(start, end)
+    steps = math.ceil(flight_length / (speed * 0.1) - 1e-12)
+    slot = params["slot_duration_s"]
+    uav = []
+    for i in range(max(1, int(round(steps * 0.1 / slot)))):
+        frac = min(speed * (i * slot) / flight_length, 1.0)
+        uav.append(tuple(a + frac * (b - a) for a, b in zip(start, end)))
+    return nodes, uav
 
 
 def comparable(value):
@@ -259,13 +265,12 @@ class TestMatchesScalarReference:
         params = {**PRESETS["dissem20"]["params"], **overrides}
         pass_cap = params.get("pass_cap", 1000)
         coverage, graph, rx, file = _dissemination_scenario(params)
-        nodes, traj = oracle_scenario(params)
-        slot = params["slot_duration_s"]
+        nodes, uav = oracle_scenario(params)
 
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         packets = np.zeros(coverage.shape[::-1], dtype=bool)
         assert phase1_broadcast(coverage, packets, rx, rng) == \
-            oracle_phase1(traj, nodes, rx, slot, oracle_rng)
+            oracle_phase1(uav, nodes, rx, oracle_rng)
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
@@ -287,7 +292,7 @@ class TestMatchesScalarReference:
                            pass_cap)[0]
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == oracle_baseline(
-            traj, base_nodes, file, rx, slot, oracle_rng, pass_cap)
+            uav, base_nodes, file, rx, oracle_rng, pass_cap)
         assert as_sets(base_packets) == [n.received_packets
                                          for n in base_nodes]
         assert peek(rng) == peek(oracle_rng)
@@ -323,10 +328,9 @@ class TestMatchesScalarReference:
         file = FileSpec(k)
         rx = ReceptionModel(data.draw(st.sampled_from([120.0, 200.0])),
                             data.draw(st.sampled_from([0.0, 0.4, 0.9])))
-        traj = overflight_trajectory(
-            (-100.0, 50.0, 80.0), (400.0, 150.0, 80.0),
-            data.draw(st.sampled_from([10.0, 25.0, 60.0])), 0.1)
-        slot = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        speed = data.draw(st.sampled_from([10.0, 25.0, 60.0]))
+        uav = flight((-100.0, 50.0, 80.0), (400.0, 150.0, 80.0), speed,
+                     data.draw(st.sampled_from([0.5, 1.0, 3.0])))
         d2d_range = data.draw(st.sampled_from([0.0, 25.0, 75.0, 200.0]))
         pass_cap = data.draw(st.integers(0, 4))
         round_cap = data.draw(st.sampled_from([0, 1, 3, 10_000]))
@@ -334,8 +338,8 @@ class TestMatchesScalarReference:
         # Phase 1, then gossip over whatever phase 1 delivered.
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        sent, packets = broadcast(traj, positions, rx, slot, rng)
-        assert sent == oracle_phase1(traj, nodes, rx, slot, oracle_rng)
+        sent, packets = broadcast(uav, positions, rx, rng)
+        assert sent == oracle_phase1(uav, nodes, rx, oracle_rng)
         neighbors = oracle_neighbors(nodes, d2d_range)
         graph = D2dGraph(positions, d2d_range)
         exchange = phase2_exchange(packets, graph, file, rng, round_cap)
@@ -353,18 +357,18 @@ class TestMatchesScalarReference:
         nodes = [OracleNode(i, p, set(h))
                  for i, (p, h) in enumerate(zip(positions, held))]
         packets = holding(held, k)
-        coverage = coverage_mask(traj, positions, rx, slot)
+        coverage = coverage_mask(uav, positions, rx)
         result = _baseline(coverage, packets[None], file, rx, [rng],
                            pass_cap)[0]
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == oracle_baseline(
-            traj, nodes, file, rx, slot, oracle_rng, pass_cap)
+            uav, nodes, file, rx, oracle_rng, pass_cap)
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
 
-def check_batch(coverage, graph, file, rx, traj, positions, slot_duration,
-                seeds, round_cap, pass_cap, block):
+def check_batch(coverage, graph, file, rx, uav, positions, seeds, round_cap,
+                pass_cap, block):
     """``compare_schemes`` over ``seeds``, ``block`` seeds at a time: every
     seed's outcome and generators must be those of its scalar oracles.
     Returns the outcomes."""
@@ -383,8 +387,7 @@ def check_batch(coverage, graph, file, rx, traj, positions, slot_duration,
         coded_tx, result, baseline_result, after_phase1, decoded = outcome
         oracle_rng = np.random.default_rng(seed)
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        assert coded_tx == oracle_phase1(traj, nodes, rx, slot_duration,
-                                         oracle_rng)
+        assert coded_tx == oracle_phase1(uav, nodes, rx, oracle_rng)
         assert after_phase1.tolist() == [len(n.received_packets)
                                          for n in nodes]
         neighbors = oracle_neighbors(nodes, graph.d2d_range)
@@ -401,7 +404,7 @@ def check_batch(coverage, graph, file, rx, traj, positions, slot_duration,
         assert (baseline_result.uav_transmissions,
                 baseline_result.passes_used, baseline_result.success,
                 baseline_result.missing_per_node) == oracle_baseline(
-            traj, nodes, file, rx, slot_duration, oracle_rng, pass_cap)
+            uav, nodes, file, rx, oracle_rng, pass_cap)
         assert peek(base_rng) == peek(oracle_rng)
     return outcomes
 
@@ -425,10 +428,10 @@ class TestBatchMatchesScalarReference:
         overrides, round_cap, pass_cap = BATCHES[batch]
         params = {**PRESETS["dissem20"]["params"], **overrides}
         coverage, graph, rx, file = _dissemination_scenario(params)
-        nodes, traj = oracle_scenario(params)
+        nodes, uav = oracle_scenario(params)
         outcomes = check_batch(
-            coverage, graph, file, rx, traj, [n.position for n in nodes],
-            params["slot_duration_s"], [derive_seed(0, i) for i in range(6)],
+            coverage, graph, file, rx, uav, [n.position for n in nodes],
+            [derive_seed(0, i) for i in range(6)],
             round_cap, pass_cap, block=4)
         exchanges = [outcome[1] for outcome in outcomes]
         baselines = [outcome[2] for outcome in outcomes]
@@ -456,16 +459,15 @@ class TestBatchMatchesScalarReference:
         file = FileSpec(data.draw(st.integers(1, 20)))
         rx = ReceptionModel(data.draw(st.sampled_from([120.0, 200.0])),
                             data.draw(st.sampled_from([0.0, 0.4, 0.9])))
-        traj = overflight_trajectory(
-            (-100.0, 50.0, 80.0), (400.0, 150.0, 80.0),
-            data.draw(st.sampled_from([10.0, 25.0, 60.0])), 0.1)
-        slot = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        speed = data.draw(st.sampled_from([10.0, 25.0, 60.0]))
+        uav = flight((-100.0, 50.0, 80.0), (400.0, 150.0, 80.0), speed,
+                     data.draw(st.sampled_from([0.5, 1.0, 3.0])))
         graph = D2dGraph(positions,
                          data.draw(st.sampled_from([0.0, 25.0, 75.0, 200.0])))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=1,
                                    max_size=6))
-        check_batch(coverage_mask(traj, positions, rx, slot), graph, file,
-                    rx, traj, positions, slot, seeds,
+        check_batch(coverage_mask(uav, positions, rx), graph, file, rx,
+                    uav, positions, seeds,
                     data.draw(st.sampled_from([0, 1, 3, 10_000])),
                     data.draw(st.integers(0, 4)),
                     data.draw(st.integers(1, len(seeds))))
@@ -476,8 +478,7 @@ class TestPhase1Broadcast:
         positions = [(0.0, 0.0)]
         file = FileSpec(10)
         rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.0)
-        count, packets = broadcast(hover_trajectory(10.0), positions, rx,
-                                   slot_duration=1.0,
+        count, packets = broadcast(hover(10), positions, rx,
                                    rng=np.random.default_rng(0))
         assert count == 10
         assert as_sets(packets)[0] == set(range(10))
@@ -488,27 +489,26 @@ class TestPhase1Broadcast:
         totals = 0
         slots = 0
         for seed in range(20):
-            count, packets = broadcast(hover_trajectory(1000.0), [(0.0, 0.0)],
-                                       rx, 1.0, np.random.default_rng(seed))
+            count, packets = broadcast(hover(1000), [(0.0, 0.0)], rx,
+                                       np.random.default_rng(seed))
             slots += count
             totals += int(packets.sum())
         assert totals / slots == pytest.approx(0.001, abs=5e-4)
 
     def test_out_of_range_receives_nothing(self):
         rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.0)
-        _, packets = broadcast(hover_trajectory(10.0), [(500.0, 0.0)], rx,
-                               1.0, np.random.default_rng(0))
+        _, packets = broadcast(hover(10), [(500.0, 0.0)], rx,
+                               np.random.default_rng(0))
         assert as_sets(packets)[0] == set()
 
     def test_reproducible_with_same_seed(self):
-        traj = overflight_trajectory((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0),
-                                     20.0, 0.1)
+        uav = flight((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0), 20.0, 1.0)
         rx = ReceptionModel(300.0, 0.3)
         rng_nodes = np.random.default_rng(7)
         positions = [(rng_nodes.uniform(0, 1000), 0.0) for _ in range(20)]
         runs = []
         for _ in range(2):
-            _, packets = broadcast(traj, positions, rx, 1.0,
+            _, packets = broadcast(uav, positions, rx,
                                    np.random.default_rng(7))
             runs.append([sorted(s) for s in as_sets(packets)])
         assert runs[0] == runs[1]
@@ -516,8 +516,7 @@ class TestPhase1Broadcast:
     def test_monotone_packet_counts(self):
         # Slots only ever add packets.
         rx = ReceptionModel(300.0, 0.5)
-        coverage = coverage_mask(hover_trajectory(50.0),
-                                 [(0.0, 0.0), (50.0, 0.0)], rx, 1.0)
+        coverage = coverage_mask(hover(50), [(0.0, 0.0), (50.0, 0.0)], rx)
         packets = holding([{3}, set()], coverage.shape[0])
         before = packets.sum(axis=1)
         phase1_broadcast(coverage, packets, rx, np.random.default_rng(1))
@@ -539,18 +538,22 @@ class TestPhase1Broadcast:
                  for point in ground.tolist()]
         split = np.flatnonzero(np.array(slant) != exact)
         assert split.size
-        traj = hover_trajectory(1.0, altitude=altitude)
+        uav = hover(1, altitude=altitude)
         for i in split[:20]:
             for radius in (slant[i], float(np.nextafter(slant[i], 0.0)),
                            exact[i]):
-                mask = coverage_mask(traj, [ground[i]],
-                                     ReceptionModel(radius, 0.0), 1.0)
+                mask = coverage_mask(uav, [ground[i]],
+                                     ReceptionModel(radius, 0.0))
                 assert mask.tolist() == [[slant[i] <= radius]]
 
     def test_slot_duration_positive(self):
-        with pytest.raises(ValueError):
-            coverage_mask(hover_trajectory(10.0), [(0.0, 0.0)],
-                          ReceptionModel(200.0, 0.0), 0.0)
+        # ``coverage_mask`` takes the UAV positions at the slot starts; the
+        # experiment lays out the slots, and its validation rejects a slot
+        # duration that is not > 0 before any mask is built.
+        config = preset_config("dissem20")
+        config.params["slot_duration_s"] = 0.0
+        with pytest.raises(ConfigError, match="slot_duration_s must be > 0"):
+            validate_config(config)
 
 
 # Cliques where one round brings a node the same packet from several
@@ -652,7 +655,7 @@ class TestPhase2Exchange:
         # Erasure-free phase 1 with >= K in-range slots decodes everyone.
         positions = line_positions(5, 100.0)
         rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
-        _, packets = broadcast(hover_trajectory(20.0), positions, rx, 1.0,
+        _, packets = broadcast(hover(20), positions, rx,
                                np.random.default_rng(0))
         graph = D2dGraph(positions, d2d_range=50.0)
         result = phase2_exchange(packets, graph, FileSpec(20),
@@ -789,8 +792,8 @@ class TestWordStreams:
 class TestRunBaseline:
     def test_perfect_channel_single_pass(self):
         rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
-        result = baseline(hover_trajectory(20.0), line_positions(5, 100.0),
-                          FileSpec(20), rx, 1.0, np.random.default_rng(0))
+        result = baseline(hover(20), line_positions(5, 100.0), FileSpec(20),
+                          rx, np.random.default_rng(0))
         assert result.success
         assert result.uav_transmissions == 20
         assert result.passes_used == 1
@@ -799,7 +802,7 @@ class TestRunBaseline:
         # Single node, K=1, erasure 0.5: transmissions ~ Geometric(0.5),
         # mean 2.
         rx = ReceptionModel(200.0, 0.5)
-        coverage = coverage_mask(hover_trajectory(1.0), [(0.0, 0.0)], rx, 1.0)
+        coverage = coverage_mask(hover(1), [(0.0, 0.0)], rx)
         counts = []
         for seed in range(10_000):
             result = _baseline(coverage, np.zeros((1, 1, 1), dtype=bool),
@@ -815,16 +818,15 @@ class TestRunBaseline:
         # holds; the third node, out of range, stays missing all 300.
         file = FileSpec(300)
         rx = ReceptionModel(coverage_radius=300.0, erasure_probability=0.0)
-        traj = hover_trajectory(400.0)
+        uav = hover(400)
         positions = [(0.0, 0.0), (100.0, 50.0), (1e6, 0.0)][:count]
-        coverage = coverage_mask(traj, positions, rx, 1.0)
+        coverage = coverage_mask(uav, positions, rx)
         packets = np.zeros((count, 300), dtype=bool)
         rng, oracle_rng = (np.random.default_rng(7) for _ in range(2))
         result = _baseline(coverage, packets[None], file, rx, [rng],
                            pass_cap)[0]
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        expected = oracle_baseline(traj, nodes, file, rx, 1.0, oracle_rng,
-                                   pass_cap)
+        expected = oracle_baseline(uav, nodes, file, rx, oracle_rng, pass_cap)
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == expected
         assert expected[0] == (300 if count == 2 else 800)
@@ -833,8 +835,8 @@ class TestRunBaseline:
 
     def test_pass_cap_failure_reports_missing(self):
         rx = ReceptionModel(200.0, 0.0)
-        result = baseline(hover_trajectory(5.0), [(1e6, 0.0)],  # never in range
-                          FileSpec(3), rx, 1.0, np.random.default_rng(0),
+        result = baseline(hover(5), [(1e6, 0.0)],  # never in range
+                          FileSpec(3), rx, np.random.default_rng(0),
                           pass_cap=2)
         assert not result.success
         assert result.missing_per_node == {0: 3}

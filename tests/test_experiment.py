@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from uavsim import _csvfile, experiment, relay
 from uavsim.cli import main
 from uavsim.experiment import (CNPC_L_BAND_HZ, PRESETS, ConfigError,
-                               ExperimentConfig, RunManifest, derive_seed,
+                               ExperimentConfig, RunManifest,
+                               _dissemination_scenario, derive_seed,
                                emit_plot_data, load_config, preset_config,
                                run)
 
@@ -600,11 +601,10 @@ class TestMalformedConfigs:
         ("fig4", {"delays_s": [5.0, 1e6]}, {}, []),
         ("fig4", {}, {}, ["--time-step", "1e-5"]),
         # More than 10**7 cells in a dissemination seed's D2D adjacency or
-        # coverage mask, or samples in its overflight.
+        # coverage mask: many nodes, short slots, or a long flight.
         ("dissem20", {"node_count": 200000}, {}, []),
         ("dissem20", {"slot_duration_s": 1e-9}, {}, []),
-        ("dissem20", {"field_length_m": 1e12, "slot_duration_s": 1e12}, {},
-         []),
+        ("dissem20", {"field_length_m": 1e12}, {}, []),
         # exp(a * b) in the LoS sigmoid overflows at elevation 0.
         ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, {}, []),
         # Without --out, an empty path would write into the current directory.
@@ -671,6 +671,29 @@ class TestMalformedConfigs:
         assert (code, lines) == (0, [])
         rows = read(out / "coverage.csv").splitlines()[1:]
         assert rows and all(row.endswith(",0.0") for row in rows)
+
+    @pytest.mark.parametrize("preset,params,row", [
+        # A flight of 5e11 steps of 0.1 s in one slot: nothing is sampled
+        # along the flight, so only the coverage mask's cells are bounded.
+        ("dissem20", {"field_length_m": 1e12, "slot_duration_s": 1e12},
+         None),
+        # Excess losses of 1e15 dB, where rounding can lower the loss
+        # farther out: the bisection needs no scan of the range.
+        ("urban_coverage", {"eta_los_db": 1e15, "eta_nlos_db": 1e15,
+                            "max_path_loss_db": 1e15 + 200.0,
+                            "altitude_min_m": 100.0,
+                            "altitude_max_m": 100.0},
+         "100.0,120147096.77734375"),
+    ], ids=["dissem20_one_slot", "coverage_1e15_db"])
+    def test_extreme_valid_config_runs(self, tmp_path, preset, params, row):
+        code, lines, out = run_cli({"preset": preset, "params": params},
+                                   tmp_path)
+        assert (code, lines) == (0, [])
+        if row is None:
+            full = {**PRESETS[preset]["params"], **params}
+            assert _dissemination_scenario(full)[0].shape == (1, 20)
+        else:
+            assert read(out / "coverage.csv").splitlines()[1:] == [row]
 
     @pytest.mark.parametrize("command", [["relay", "sweep"], ["coverage"]])
     def test_scenario_contradicts_preset(self, tmp_path, command):

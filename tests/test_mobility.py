@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavsim._csvfile import write_csv
-from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, Trajectory,
-                             TrajectoryConfigError, cycle_times, ferry_x,
-                             mobile_relay_x, overflight_trajectory)
+from uavsim.experiment import PRESETS, _flight_ends, _slot_count
+from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
+                             TrajectoryConfigError, _overflight_steps,
+                             cycle_times, ferry_x, mobile_relay_x,
+                             overflight_x)
 
 
 def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
@@ -18,50 +20,58 @@ def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
 
 def relay_cycle(shape, geom, time_step):
     """One relaying cycle flown along ``shape`` (``mobile_relay_x`` or
-    ``ferry_x``): samples along the x axis at the UAV altitude."""
+    ``ferry_x``): its sample times and (x, y, z) positions, along the x
+    axis at the UAV altitude."""
     times = cycle_times(geom, time_step)
     xs = shape(geom, times)
-    return Trajectory(times, np.column_stack(
-        [xs, np.zeros_like(xs), np.full_like(xs, geom.uav_altitude)]),
-        time_step)
+    return times, np.column_stack(
+        [xs, np.zeros_like(xs), np.full_like(xs, geom.uav_altitude)])
+
+
+def overflight(start, end, speed, time_step):
+    """The overflight sampled every ``time_step`` until it arrives: its
+    sample times and (x, y, z) positions."""
+    steps = _overflight_steps(math.dist(start, end), speed, time_step)
+    times = np.arange(steps + 1) * time_step
+    return times, overflight_x(start, end, speed, times)
 
 
 SPEED_TOLERANCE = 1e-9  # slack on the per-step speed bound, m/s
 
 
-def step_violations(traj, v_max):
+def step_violations(times, positions, time_step, v_max):
     """Indices of the later sample of each pair that steps back in time,
-    off the uniform step, or faster than ``v_max``; a step that does not
-    move forward in time is only a time violation."""
-    dt = np.diff(traj.times)
+    off the uniform ``time_step``, or faster than ``v_max``; a step that
+    does not move forward in time is only a time violation."""
+    dt = np.diff(times)
     bad_time = dt <= 0
-    displacement = np.linalg.norm(np.diff(traj.positions, axis=0), axis=1)
+    displacement = np.linalg.norm(np.diff(positions, axis=0), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         too_fast = displacement / dt > v_max + SPEED_TOLERANCE
     return tuple(tuple((np.flatnonzero(bad) + 1).tolist()) for bad in (
-        bad_time, ~bad_time & (np.abs(dt - traj.time_step) > 1e-9),
+        bad_time, ~bad_time & (np.abs(dt - time_step) > 1e-9),
         ~bad_time & too_fast))
 
 
-def assert_respects_v_max(traj, v_max):
+def assert_respects_v_max(times, positions, time_step, v_max):
     """Time runs forward in uniform steps, none faster than ``v_max``."""
-    assert step_violations(traj, v_max) == ((), (), ())
+    assert step_violations(times, positions, time_step, v_max) == \
+        ((), (), ())
 
 
-def write_trajectory(traj, path):
+def write_trajectory(times, positions, path):
     """Columns time_s, x_m, y_m, z_m through the figures' CSV writer."""
-    write_csv(path, ["time_s", "x_m", "y_m", "z_m"],
-              [traj.times, *traj.positions.T])
+    write_csv(path, ["time_s", "x_m", "y_m", "z_m"], [times, *positions.T])
 
 
-def source_distance(traj):
-    return np.hypot(traj.positions[:, 0], traj.positions[:, 1])
+def source_distance(positions):
+    return np.hypot(positions[:, 0], positions[:, 1])
 
 
-def by_time(traj):
+def by_time(times, positions):
     """Position rows keyed by the sample time rounded to 1 us."""
-    return {round(t, 6): p for t, p in zip(traj.times.tolist(),
-                                           traj.positions.tolist())}
+    return {round(t, 6): p for t, p in zip(times.tolist(),
+                                           positions.tolist())}
 
 
 def bits(values):
@@ -72,32 +82,32 @@ def bits(values):
 class TestMobileRelayTrajectory:
     def test_hover_above_source_window(self):
         # v=100 m/s, delta=20 s: overhead from t=5 to t=15, i.e. 10 s.
-        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
-        overhead = traj.times[(traj.times <= 20.0)
-                              & (np.abs(traj.positions[:, 0]) < 1e-9)]
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
+                                       0.01)
+        overhead = times[(times <= 20.0) & (np.abs(positions[:, 0]) < 1e-9)]
         assert overhead.min() == pytest.approx(5.0, abs=0.011)
         assert overhead.max() == pytest.approx(15.0, abs=0.011)
 
     def test_zero_speed_stays_at_midpoint(self):
-        traj = relay_cycle(mobile_relay_x, relay_geom(0.0), 0.1)
-        assert traj.positions.tolist() == \
-            [[500.0, 0.0, 100.0]] * len(traj.times)
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(0.0), 0.1)
+        assert positions.tolist() == [[500.0, 0.0, 100.0]] * len(times)
 
     def test_turnaround_without_hover(self):
         # v=30 m/s cannot reach the source: closest approach R/2 - v*delta/2
         # = 200 m horizontally, at t = delta/2.
-        traj = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
-        phase1 = np.flatnonzero(traj.times <= 10.0 + 1e-9)
-        closest = phase1[np.argmin(traj.positions[phase1, 0])]
-        assert traj.positions[closest, 0] == pytest.approx(200.0, abs=1e-6)
-        assert traj.times[closest] == pytest.approx(10.0, abs=0.011)
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
+        phase1 = np.flatnonzero(times <= 10.0 + 1e-9)
+        closest = phase1[np.argmin(positions[phase1, 0])]
+        assert positions[closest, 0] == pytest.approx(200.0, abs=1e-6)
+        assert times[closest] == pytest.approx(10.0, abs=0.011)
 
     def test_cycle_span_and_midpoint_boundaries(self):
-        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(40.0, abs=1e-9)
-        for t_idx in (0, len(traj.times) // 2, -1):
-            assert traj.positions[t_idx, 0] == pytest.approx(500.0, abs=1e-9)
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
+                                       0.01)
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(40.0, abs=1e-9)
+        for t_idx in (0, len(times) // 2, -1):
+            assert positions[t_idx, 0] == pytest.approx(500.0, abs=1e-9)
 
     def test_non_divisible_time_step_rejected(self):
         with pytest.raises(TrajectoryConfigError):
@@ -106,8 +116,7 @@ class TestMobileRelayTrajectory:
     @pytest.mark.parametrize("v", [0.0, 10.0, 30.0, 100.0, 250.0])
     def test_phase_time_symmetry(self, v):
         # position(t) == position(delta - t) within phase 1.
-        traj = relay_cycle(mobile_relay_x, relay_geom(v), 0.01)
-        positions = by_time(traj)
+        positions = by_time(*relay_cycle(mobile_relay_x, relay_geom(v), 0.01))
         for t in [0.0, 1.23, 4.56, 7.0, 9.99]:
             t = round(t, 6)
             mirror = round(20.0 - t, 6)
@@ -117,16 +126,15 @@ class TestMobileRelayTrajectory:
 
     @pytest.mark.parametrize("v", [10.0, 100.0])
     def test_phase2_mirrors_phase1(self, v):
-        traj = relay_cycle(mobile_relay_x, relay_geom(v), 0.01)
-        positions = by_time(traj)
+        positions = by_time(*relay_cycle(mobile_relay_x, relay_geom(v), 0.01))
         for t in [0.5, 3.0, 8.25]:
             p1 = positions[round(t, 6)]
             p2 = positions[round(t + 20.0, 6)]
             assert p2[0] == pytest.approx(1000.0 - p1[0], abs=1e-6)
 
     def test_distance_to_source_v_shaped_in_phase1(self):
-        traj = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
-        distances = source_distance(traj)[traj.times <= 20.0 + 1e-9].tolist()
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
+        distances = source_distance(positions)[times <= 20.0 + 1e-9].tolist()
         turn = distances.index(min(distances))
         assert all(a >= b - 1e-9 for a, b in
                    zip(distances[:turn], distances[1:turn + 1]))
@@ -135,8 +143,8 @@ class TestMobileRelayTrajectory:
 
     @pytest.mark.parametrize("v", [0.0, 10.0, 30.0, 100.0])
     def test_passes_validation_at_own_vmax(self, v):
-        traj = relay_cycle(mobile_relay_x, relay_geom(v), 0.01)
-        assert_respects_v_max(traj, v)
+        assert_respects_v_max(
+            *relay_cycle(mobile_relay_x, relay_geom(v), 0.01), 0.01, v)
 
 
 class TestShapeFunctions:
@@ -233,10 +241,10 @@ class TestShapeFunctions:
 class TestFerryTrajectory:
     def test_hover_and_flight_segments(self):
         # v=100, delta=20, R=1000: 10 s hover at each end, 10 s legs.
-        traj = relay_cycle(ferry_x, relay_geom(100.0), 0.01)
-        x = traj.positions[:, 0]
-        at_source = traj.times[x == 0.0]
-        at_dest = traj.times[x == 1000.0]
+        times, positions = relay_cycle(ferry_x, relay_geom(100.0), 0.01)
+        x = positions[:, 0]
+        at_source = times[x == 0.0]
+        at_dest = times[x == 1000.0]
         assert at_source[at_source < 20.0].max() == pytest.approx(
             10.0, abs=0.011)
         assert at_dest.min() == pytest.approx(20.0, abs=0.011)
@@ -244,9 +252,8 @@ class TestFerryTrajectory:
         assert x[-1] == pytest.approx(0.0, abs=1e-6)
 
     def test_boundary_speed_zero_hover(self):
-        traj = relay_cycle(ferry_x, relay_geom(50.0), 0.01)
-        at_source_p1 = traj.times[(traj.positions[:, 0] == 0.0)
-                                  & (traj.times < 20.0)]
+        times, positions = relay_cycle(ferry_x, relay_geom(50.0), 0.01)
+        at_source_p1 = times[(positions[:, 0] == 0.0) & (times < 20.0)]
         assert at_source_p1.max() == pytest.approx(0.0, abs=0.011)
 
     def test_infeasible_speed_reports_minimum(self):
@@ -255,96 +262,139 @@ class TestFerryTrajectory:
         assert exc_info.value.minimum_speed == pytest.approx(50.0)
 
     def test_passes_validation_at_own_vmax(self):
-        traj = relay_cycle(ferry_x, relay_geom(80.0), 0.01)
-        assert_respects_v_max(traj, 80.0)
+        assert_respects_v_max(
+            *relay_cycle(ferry_x, relay_geom(80.0), 0.01), 0.01, 80.0)
 
 
 class TestOverflightTrajectory:
     def test_degenerate_single_state(self):
-        traj = overflight_trajectory((5.0, 5.0, 50.0), (5.0, 5.0, 50.0),
-                                     speed=10.0, time_step=0.1)
-        assert traj.times.tolist() == [0.0]
-        assert traj.positions.tolist() == [[5.0, 5.0, 50.0]]
+        positions = overflight_x((5.0, 5.0, 50.0), (5.0, 5.0, 50.0),
+                                 speed=10.0, times=np.array([0.0, 1.5, 3.0]))
+        assert positions.tolist() == [[5.0, 5.0, 50.0]] * 3
 
     def test_final_timestamp(self):
-        traj = overflight_trajectory((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0),
-                                     speed=20.0, time_step=0.1)
-        assert traj.times[-1] == pytest.approx(50.0, abs=0.1)
-        assert traj.positions[-1, 0] == pytest.approx(1000.0, abs=1e-9)
+        times, positions = overflight((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0),
+                                      speed=20.0, time_step=0.1)
+        assert times[-1] == pytest.approx(50.0, abs=0.1)
+        assert positions[-1, 0] == pytest.approx(1000.0, abs=1e-9)
+        # The UAV stays at the end once there.
+        assert overflight_x((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0), 20.0,
+                            np.array([60.0, 1e9])).tolist() == \
+            [[1000.0, 0.0, 100.0]] * 2
 
     def test_zero_speed_rejected(self):
         with pytest.raises(TrajectoryConfigError):
-            overflight_trajectory((0.0, 0.0, 100.0), (10.0, 0.0, 100.0),
-                                  speed=0.0, time_step=0.1)
+            overflight_x((0.0, 0.0, 100.0), (10.0, 0.0, 100.0), speed=0.0,
+                         times=np.zeros(1))
 
-    @pytest.mark.parametrize("speed,time_step", [
-        (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
-        (10.0, 0.0), (10.0, -0.1), (10.0, math.nan), (10.0, math.inf)])
+    @pytest.mark.parametrize("speed,times", [
+        (-1.0, [0.0]), (math.nan, [0.0]), (math.inf, [0.0]),
+        # Times i*step for steps of -0.1, nan and inf (0 * inf is nan).
+        (10.0, [0.0, -0.1, -0.2]), (10.0, [math.nan] * 3),
+        (10.0, [math.nan, math.inf, math.inf])],
+        ids=["speed_negative", "speed_nan", "speed_inf", "step_negative",
+             "step_nan", "step_inf"])
     @pytest.mark.parametrize("end", [(10.0, 0.0, 100.0), (0.0, 0.0, 100.0)],
                              ids=["line", "hover"])
-    def test_bad_speed_or_time_step_rejected(self, speed, time_step, end):
+    def test_bad_speed_or_times_rejected(self, speed, times, end):
         with pytest.raises(TrajectoryConfigError,
-                           match="(speed|time_step) must be finite and > 0"):
-            overflight_trajectory((0.0, 0.0, 100.0), end, speed=speed,
-                                  time_step=time_step)
+                           match="speed must be finite and > 0|"
+                                 "times must be >= 0"):
+            overflight_x((0.0, 0.0, 100.0), end, speed=speed,
+                         times=np.array(times))
 
     @given(start=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
            end=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
            speed=st.floats(min_value=5.0, max_value=300.0),
-           time_step=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]))
+           time_step=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
+           slot=st.floats(min_value=0.05, max_value=7.0))
     @settings(max_examples=60, deadline=None)
-    def test_matches_scalar_oracle(self, start, end, speed, time_step):
-        traj = overflight_trajectory(start, end, speed, time_step)
-        times, positions = scalar_overflight(start, end, speed, time_step)
-        assert np.array_equal(bits(traj.times), bits(times))
-        assert np.array_equal(bits(traj.positions), bits(positions))
+    def test_matches_scalar_oracle(self, start, end, speed, time_step, slot):
+        # At the whole time steps up to arrival, and at slot starts that
+        # run past it.
+        times, positions = overflight(start, end, speed, time_step)
+        assert times.tolist() == scalar_overflight_times(start, end, speed,
+                                                         time_step)
+        slots = np.arange(200) * slot
+        for times, positions in ((times, positions),
+                                 (slots, overflight_x(start, end, speed,
+                                                      slots))):
+            assert positions.shape == (len(times), 3)
+            assert np.array_equal(bits(positions), bits(scalar_overflight(
+                start, end, speed, times.tolist())))
 
     def test_dissemination_flight_matches_scalar_oracle(self):
         # The dissem20 overflight: a 1 km field passed by the 300 m
-        # coverage radius at each end, 20 m/s, 0.1 s steps.
-        args = ((-300.0, 0.0, 100.0), (1300.0, 0.0, 100.0), 20.0, 0.1)
-        traj = overflight_trajectory(*args)
-        times, positions = scalar_overflight(*args)
-        assert len(times) == 801
-        assert np.array_equal(bits(traj.times), bits(times))
-        assert np.array_equal(bits(traj.positions), bits(positions))
+        # coverage radius at each end, 20 m/s, at the start of each of its
+        # 160 slots of 0.5 s.
+        params = PRESETS["dissem20"]["params"]
+        start, end = _flight_ends(params)
+        assert (start, end) == ((-300.0, 0.0, 100.0), (1300.0, 0.0, 100.0))
+        assert _slot_count(params) == 160
+        times = np.arange(160) * 0.5
+        assert np.array_equal(
+            bits(overflight_x(start, end, 20.0, times)),
+            bits(scalar_overflight(start, end, 20.0, times.tolist())))
+
+    def test_last_slot_in_final_partial_step(self):
+        # 1,601 m at 20 m/s takes 80.05 s, rounded up to 801 steps of
+        # 0.1 s, so 0.05 s slots number 1,602 and the last starts at
+        # 80.05 s, inside the final partial step: the UAV is at the end
+        # there.  A polyline sampled every 0.1 s put it halfway between
+        # its last two samples, 0.5 m short.
+        params = {**PRESETS["dissem20"]["params"], "field_length_m": 1001.0,
+                  "slot_duration_s": 0.05}
+        start, end = _flight_ends(params)
+        assert math.dist(start, end) == 1601.0
+        assert _slot_count(params) == 1602
+        times = np.arange(1602) * 0.05
+        positions = overflight_x(start, end, 20.0, times)
+        assert positions[-1].tolist() == list(end)
+        assert np.array_equal(bits(positions), bits(scalar_overflight(
+            start, end, 20.0, times.tolist())))
 
     @given(speed=st.floats(min_value=0.5, max_value=300.0),
            length=st.floats(min_value=0.0, max_value=5000.0))
     @settings(max_examples=50, deadline=None)
     def test_always_passes_validation(self, speed, length):
-        traj = overflight_trajectory((0.0, 0.0, 100.0),
-                                     (length, 0.0, 100.0),
-                                     speed=speed, time_step=0.5)
-        assert_respects_v_max(traj, speed)
+        assert_respects_v_max(*overflight((0.0, 0.0, 100.0),
+                                          (length, 0.0, 100.0), speed=speed,
+                                          time_step=0.5), 0.5, speed)
 
 
-def scalar_overflight(start, end, speed, time_step):
-    """Reference: the per-sample loop that ``overflight_trajectory``
-    vectorises; returns (times, positions) as lists of floats."""
+def scalar_overflight_times(start, end, speed, time_step):
+    """Reference: the whole time steps up to arrival, i * time_step for
+    i <= ceil(length / (speed * time_step))."""
     length = math.dist(start, end)
     if length == 0.0:
-        return [0.0], [list(start)]
+        return [0.0]
     n = math.ceil(length / (speed * time_step) - 1e-12)
-    times, positions = [], []
-    for i in range(n + 1):
-        t = i * time_step
+    return [i * time_step for i in range(n + 1)]
+
+
+def scalar_overflight(start, end, speed, times):
+    """Reference: the per-sample loop that ``overflight_x`` vectorises;
+    returns the positions at ``times`` as lists of floats."""
+    length = math.dist(start, end)
+    if length == 0.0:
+        return [list(start) for _ in times]
+    positions = []
+    for t in times:
         frac = min(speed * t / length, 1.0)
-        times.append(t)
         positions.append([a + frac * (b - a) for a, b in zip(start, end)])
-    return times, positions
+    return positions
 
 
-def scalar_step_violations(traj, v_max):
+def scalar_step_violations(times, positions, time_step, v_max):
     """Reference: the per-pair loop that ``step_violations`` vectorises."""
-    times, positions = traj.times.tolist(), traj.positions.tolist()
+    times, positions = list(times), np.asarray(positions).tolist()
     bad_time, bad_step, bad_speed = [], [], []
     for i in range(1, len(times)):
         dt = times[i] - times[i - 1]
         if dt <= 0:
             bad_time.append(i)
             continue
-        if abs(dt - traj.time_step) > 1e-9:
+        if abs(dt - time_step) > 1e-9:
             bad_step.append(i)
         if math.dist(positions[i - 1], positions[i]) / dt \
                 > v_max + SPEED_TOLERANCE:
@@ -352,83 +402,32 @@ def scalar_step_violations(traj, v_max):
     return tuple(bad_time), tuple(bad_step), tuple(bad_speed)
 
 
-def scalar_position_at(traj, t):
-    """Reference: the per-call interpolation that ``position_at`` vectorises."""
-    times, positions = traj.times, traj.positions
-    if t <= times[0]:
-        return tuple(positions[0].tolist())
-    if t >= times[-1]:
-        return tuple(positions[-1].tolist())
-    i = min(int((t - float(times[0])) / traj.time_step), len(times) - 2)
-    if t > times[i + 1]:  # guard against float rounding of the index
-        i += 1
-    a_time, b_time = float(times[i]), float(times[i + 1])
-    w = (t - a_time) / (b_time - a_time)
-    return tuple(pa + w * (pb - pa) for pa, pb in
-                 zip(positions[i].tolist(), positions[i + 1].tolist()))
-
-
-class TestPositionAt:
-    @given(start=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
-           end=st.tuples(*[st.floats(-2000.0, 2000.0)] * 3),
-           speed=st.floats(min_value=10.0, max_value=300.0),
-           time_step=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
-           slot=st.floats(min_value=0.05, max_value=7.0))
-    @settings(max_examples=60, deadline=None)
-    def test_overflight_matches_scalar_reference(self, start, end, speed,
-                                                 time_step, slot):
-        traj = overflight_trajectory(start, end, speed, time_step)
-        times = np.concatenate([
-            traj.times[0] + np.arange(200) * slot,
-            traj.times[::7],
-            [-1.0, 0.0, traj.times[-1], traj.times[-1] + 5.0]])
-        got = traj.position_at(times)
-        assert got.shape == (len(times), 3)
-        for t, row in zip(times.tolist(), got.tolist()):
-            assert tuple(row) == scalar_position_at(traj, t)
-
-    def test_relay_cycle_and_shapes(self):
-        traj = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
-        times = np.linspace(-1.0, 41.0, 997)
-        got = traj.position_at(times)
-        assert [tuple(r) for r in got.tolist()] == [
-            scalar_position_at(traj, t) for t in times.tolist()]
-        assert traj.position_at(12.345).tolist() == list(
-            scalar_position_at(traj, 12.345))
-        assert traj.position_at(times.reshape(-1, 1)).shape == (997, 1, 3)
-
-    def test_single_state_is_constant(self):
-        traj = overflight_trajectory((5.0, 5.0, 50.0), (5.0, 5.0, 50.0),
-                                     speed=10.0, time_step=0.1)
-        got = traj.position_at(np.array([-1.0, 0.0, 3.0]))
-        assert got.tolist() == [[5.0, 5.0, 50.0]] * 3
-
-
 class TestValidateTrajectory:
     """``step_violations``, the check behind every "respects v_max" test."""
 
     def test_flags_flight_segments_at_half_vmax(self):
-        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
-        speed_violations = step_violations(traj, 50.0)[2]
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
+                                       0.01)
+        speed_violations = step_violations(times, positions, 0.01, 50.0)[2]
         # Both 10 s flight legs at 0.01 s steps; hover samples are fine.
         assert len(speed_violations) == 2000
-        dx = np.diff(traj.positions[:, 0])
+        dx = np.diff(positions[:, 0])
         for i in speed_violations:
             assert abs(dx[i - 1]) > 0.0
 
     def test_single_jump_violation(self):
-        traj = line_trajectory([0.0, 1.0], [0.0, 1e6])
-        assert step_violations(traj, 100.0) == ((), (), (1,))
+        flight = line_flight([0.0, 1.0], [0.0, 1e6])
+        assert step_violations(*flight, 1.0, 100.0) == ((), (), (1,))
 
     def test_non_monotone_time_flagged(self):
         # The backward step also jumps 1 m in -0.5 s, but is reported only
         # as a time violation.
-        traj = line_trajectory([0.0, 1.0, 0.5], [0.0, 1.0, 2.0])
-        assert step_violations(traj, 100.0) == ((2,), (), ())
+        flight = line_flight([0.0, 1.0, 0.5], [0.0, 1.0, 2.0])
+        assert step_violations(*flight, 1.0, 100.0) == ((2,), (), ())
 
     def test_non_uniform_step_flagged(self):
-        traj = line_trajectory([0.0, 1.0, 2.5], [0.0, 1.0, 2.0])
-        assert step_violations(traj, 100.0)[1] == (2,)
+        flight = line_flight([0.0, 1.0, 2.5], [0.0, 1.0, 2.0])
+        assert step_violations(*flight, 1.0, 100.0)[1] == (2,)
 
     @given(steps=st.lists(st.tuples(
                st.sampled_from([1.0, 1.0, 1.0, 1.5, 0.0, -0.5, math.nan]),
@@ -442,80 +441,53 @@ class TestValidateTrajectory:
             times.append(times[-1] + dt)
             xs.append(xs[-1] + dx)
             ys.append(ys[-1] + dy)
-        traj = Trajectory(times, np.column_stack(
-            [xs, ys, np.full(len(xs), 100.0)]), time_step=1.0)
-        assert step_violations(traj, v_max) == \
-            scalar_step_violations(traj, v_max)
+        positions = np.column_stack([xs, ys, np.full(len(xs), 100.0)])
+        assert step_violations(np.array(times), positions, 1.0, v_max) == \
+            scalar_step_violations(times, positions, 1.0, v_max)
 
     @pytest.mark.parametrize("v", [0.0, 30.0, 100.0])
     def test_relay_cycle_matches_scalar_oracle(self, v):
-        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01)
-        assert step_violations(traj, v) == scalar_step_violations(traj, v)
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
+                                       0.01)
+        assert step_violations(times, positions, 0.01, v) == \
+            scalar_step_violations(times.tolist(), positions, 0.01, v)
 
 
-def line_trajectory(times, xs):
-    """Samples along the x axis at 100 m, time step 1 s."""
-    return Trajectory(times, [[x, 0.0, 100.0] for x in xs], time_step=1.0)
-
-
-class TestTrajectoryArrays:
-    def test_inputs_become_float64(self):
-        traj = Trajectory([0, 1], [[0, 0, 50], [1, 0, 50]], time_step=1)
-        assert traj.times.dtype == traj.positions.dtype == np.float64
-        assert traj.duration == 1.0 and type(traj.duration) is float
-
-    @pytest.mark.parametrize("times,positions", [
-        ([], np.zeros((0, 3))),
-        ([0.0, 1.0], [[0.0, 0.0, 1.0]]),
-        ([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]]),
-        ([[0.0, 1.0]], [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]),
-        (0.0, [[0.0, 0.0, 1.0]]),
-    ])
-    def test_shapes_checked(self, times, positions):
-        with pytest.raises(TrajectoryConfigError, match="shapes"):
-            Trajectory(times, positions, time_step=1.0)
-
-    def test_time_step_checked(self):
-        with pytest.raises(TrajectoryConfigError, match="time_step"):
-            Trajectory([0.0], [[0.0, 0.0, 1.0]], time_step=0.0)
-
-    def test_equality_ignores_the_arrays(self):
-        # As in ``RelayRunResult``, the array fields are left out of ==
-        # and hash, which cannot use an elementwise ndarray ==.
-        a = line_trajectory([0.0, 1.0], [0.0, 1.0])
-        b = line_trajectory([0.0, 1.0], [0.0, 2.0])
-        assert a == b and hash(a) == hash(b)
+def line_flight(times, xs):
+    """Sample times and positions along the x axis at 100 m."""
+    return np.array(times), np.array([[x, 0.0, 100.0] for x in xs])
 
 
 class TestTrajectoryCsv:
-    """Trajectory columns through ``write_csv``: float64 texts, one row
-    per sample."""
+    """Flight columns through ``write_csv``: float64 texts, one row per
+    sample."""
 
     def test_round_trippable_columns(self, tmp_path):
-        traj = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.1)
+        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.1)
         path = tmp_path / "traj.csv"
-        write_trajectory(traj, path)
+        write_trajectory(times, positions, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "time_s,x_m,y_m,z_m"
-        assert len(lines) == len(traj.times) + 1
+        assert len(lines) == len(times) + 1
         t, x, y, z = (float(v) for v in lines[1].split(","))
         assert (t, x, y, z) == (0.0, 500.0, 0.0, 100.0)
 
-    @pytest.mark.parametrize("traj", [
+    @pytest.mark.parametrize("flight", [
         relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01),
         relay_cycle(ferry_x, relay_geom(100.0), 0.01),
         # Int geometry: every column is float64, so 100 is written 100.0.
         relay_cycle(mobile_relay_x, RelayGeometry(1000, 100, 50, 20), 0.1),
-        overflight_trajectory((0, 0, 50), (10, 5, 50), 1, 1),
-        overflight_trajectory((3, 4, 5), (3, 4, 5), 1.0, 0.5),
+        overflight((0, 0, 50), (10, 5, 50), 1, 1),
+        overflight((3, 4, 5), (3, 4, 5), 1.0, 0.5),
     ], ids=["mobile", "ferry", "int_geometry", "int_overflight", "hover"])
-    def test_bytes_match_row_writer(self, tmp_path, traj):
+    def test_bytes_match_row_writer(self, tmp_path, flight):
         """The bytes ``csv`` wrote from one [time, x, y, z] row per sample."""
+        times, positions = flight
         with open(tmp_path / "rows.csv", "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["time_s", "x_m", "y_m", "z_m"])
-            writer.writerows([t, *p] for t, p in zip(traj.times.tolist(),
-                                                     traj.positions.tolist()))
-        write_trajectory(traj, tmp_path / "traj.csv")
+            writer.writerows([t, *p] for t, p in zip(times.tolist(),
+                                                     positions.tolist()))
+        write_trajectory(times, positions, tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
