@@ -131,4 +131,6 @@ def _lines(fields: list[list[str]]) -> str:
     """The lines of the rows whose columns hold the texts ``fields``."""
     if len(fields) == 1:  # else a row of one empty field is a blank line
         fields = [['""' if text == "" else text for text in fields[0]]]
-    return "".join([",".join(row) + "\n" for row in zip(*fields)])
+    # A row is never an empty line, so only zero rows join to "".
+    lines = "\n".join(map(",".join, zip(*fields)))
+    return lines + "\n" if lines else ""

@@ -48,8 +48,8 @@ class LinkGeometry:
 
     @property
     def slant_distance(self):
-        return np.hypot(self.horizontal_separation,
-                        self.transmitter_height - self.receiver_height)
+        return _slant(self.horizontal_separation,
+                      self.transmitter_height - self.receiver_height)
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,33 @@ class SnrReference:
             raise ChannelDomainError("reference_distance must be > 0")
 
 
-def _slant_distance(geometry: LinkGeometry, frequency: float):
-    """``geometry.slant_distance``, once it and ``frequency`` are checked."""
-    d = geometry.slant_distance
-    if np.any(d <= 0):
-        raise ChannelDomainError("slant distance must be > 0")
+def _slant(horizontal_separation, height_difference):
+    """Slant distance of links with these horizontal separations and
+    endpoint height differences, m."""
+    return np.hypot(horizontal_separation, height_difference)
+
+
+def _check_frequency(frequency: float) -> None:
     if frequency <= 0:
         raise ChannelDomainError("frequency must be > 0")
-    return d
+
+
+def _free_space_loss(distance, frequency: float):
+    """``free_space_path_loss`` of slant distances, once they and
+    ``frequency`` are checked."""
+    with np.errstate(over="ignore"):
+        return 20.0 * np.log10(4.0 * math.pi * distance * frequency
+                               / SPEED_OF_LIGHT)
 
 
 def free_space_path_loss(geometry: LinkGeometry, frequency: float):
     """Free-space (Friis) path loss in dB: 20*log10(4*pi*d*f/c); ``inf``
     where 4*pi*d*f overflows."""
-    d = _slant_distance(geometry, frequency)
-    with np.errstate(over="ignore"):
-        return 20.0 * np.log10(4.0 * math.pi * d * frequency / SPEED_OF_LIGHT)
+    d = geometry.slant_distance
+    if np.any(d <= 0):
+        raise ChannelDomainError("slant distance must be > 0")
+    _check_frequency(frequency)
+    return _free_space_loss(d, frequency)
 
 
 def snr_anchor_db(model: ChannelModel, ref: SnrReference,

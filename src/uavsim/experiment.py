@@ -571,17 +571,16 @@ def _coverage_models(params):
 def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
     from .coverage import coverage_curve, write_coverage_csv
     params = config.params
-    rows = coverage_curve((params["altitude_min_m"], params["altitude_max_m"]),
-                          params["max_path_loss_db"],
-                          params["carrier_frequency_hz"],
-                          *_coverage_models(params),
-                          grid_step=params["altitude_step_m"])
+    altitudes, radii = coverage_curve(
+        (params["altitude_min_m"], params["altitude_max_m"]),
+        params["max_path_loss_db"], params["carrier_frequency_hz"],
+        *_coverage_models(params), grid_step=params["altitude_step_m"])
     name = "coverage.csv"
-    write_coverage_csv(rows, out / name)
-    best_h, best_r = max(rows, key=lambda row: row[1])  # the first maximum
+    write_coverage_csv(altitudes, radii, out / name)
+    best = np.argmax(radii)  # the first maximum
     return [name], {name: {"kind": "coverage",
-                           "optimal_altitude_m": best_h,
-                           "optimal_radius_m": best_r}}
+                           "optimal_altitude_m": float(altitudes[best]),
+                           "optimal_radius_m": float(radii[best])}}
 
 
 def _probe_columns(params) -> list:

@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +69,23 @@ def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
         else:
             hi = mid
     return lo
+
+
+def reference_altitude_grid(altitude_range, grid_step):
+    # The running sum h += grid_step one altitude at a time: the grid that
+    # the chunked np.add.accumulate of _altitude_grid must equal bit for
+    # bit, with the same ValueError past coverage.MAX_GRID_POINTS values.
+    lo, hi = altitude_range
+    grid = []
+    h = lo
+    while h <= hi + 1e-12:
+        if len(grid) == coverage.MAX_GRID_POINTS:
+            raise ValueError(f"more than {coverage.MAX_GRID_POINTS} "
+                             f"altitudes from {lo} to {hi} in steps of "
+                             f"grid_step {grid_step}")
+        grid.append(h)
+        h += grid_step
+    return grid
 
 
 class TestLosProbability:
@@ -204,7 +223,7 @@ class TestMatchesScalarReference:
     def test_radii_bit_equal(self, models, frequency, lo, step, count, data):
         los, excess = models
         hi = lo + step * (count - 1)
-        altitudes = coverage._altitude_grid((lo, hi), step)
+        altitudes = coverage._altitude_grid((lo, hi), step).tolist()
         # Either any threshold, or the loss at a range that the bisection
         # of one altitude evaluates (the nadir or a bracket), so that its
         # comparison is a tie.
@@ -213,11 +232,12 @@ class TestMatchesScalarReference:
         tie = expected_path_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
                                  frequency, los, excess)
         threshold = data.draw(st.one_of(st.just(tie), st.floats(40.0, 200.0)))
-        rows = coverage_curve((lo, hi), threshold, frequency, los, excess,
-                              step)
+        grid, radii = coverage_curve((lo, hi), threshold, frequency, los,
+                                     excess, step)
         expected = [reference_coverage_radius(h, threshold, frequency, los,
                                               excess) for h in altitudes]
-        assert [r for _, r in rows] == expected
+        assert grid.tolist() == altitudes
+        assert radii.tolist() == expected
         assert coverage_radius(h, threshold, frequency, los, excess) == \
             expected[altitudes.index(h)]
 
@@ -237,18 +257,20 @@ class TestMatchesScalarReference:
 
     def test_nadir_infeasible_and_feasible_in_one_grid(self):
         # At 100 dB the urban nadir loss passes the threshold near 1 km.
-        rows = coverage_curve((10.0, 3000.0), 100.0, F2GHZ, URBAN_LOS,
-                              URBAN_EXCESS, grid_step=10.0)
-        radii = [r for _, r in rows]
+        altitudes, radii = coverage_curve((10.0, 3000.0), 100.0, F2GHZ,
+                                          URBAN_LOS, URBAN_EXCESS,
+                                          grid_step=10.0)
         assert 0.0 in radii and max(radii) > 0.0
-        assert radii == [reference_coverage_radius(h, 100.0, F2GHZ, URBAN_LOS,
-                                                   URBAN_EXCESS)
-                         for h, _ in rows]
+        assert radii.tolist() == [
+            reference_coverage_radius(h, 100.0, F2GHZ, URBAN_LOS,
+                                      URBAN_EXCESS)
+            for h in altitudes.tolist()]
 
     def test_unbounded_returns_the_bracket(self):
-        rows = coverage_curve((10.0, 500.0), 250.0, F2GHZ, URBAN_LOS,
-                              URBAN_EXCESS, grid_step=70.0)
-        for h, r in rows:
+        altitudes, radii = coverage_curve((10.0, 500.0), 250.0, F2GHZ,
+                                          URBAN_LOS, URBAN_EXCESS,
+                                          grid_step=70.0)
+        for h, r in zip(altitudes.tolist(), radii.tolist()):
             assert r > 1e9
             assert r == reference_coverage_radius(h, 250.0, F2GHZ, URBAN_LOS,
                                                   URBAN_EXCESS)
@@ -271,6 +293,98 @@ class TestMatchesScalarReference:
             reference_coverage_radius(100.0, 150.0, F2GHZ, steep, URBAN_EXCESS)
         with pytest.raises(OverflowError):
             coverage_radius(100.0, 150.0, F2GHZ, steep, URBAN_EXCESS)
+
+
+def grid_or_error(grid, altitude_range, grid_step):
+    """``grid(altitude_range, grid_step)``, or its ValueError's text."""
+    try:
+        return grid(altitude_range, grid_step)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def grid_steps(draw):
+    """``(lo, hi, step)`` with a step from a few ulps of ``lo`` up to the
+    whole range, so the running sum rounds, stalls or overshoots."""
+    lo = draw(st.floats(1e-3, 1e17))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, lo * 4.0)))
+    ulps = draw(st.integers(1, 2 ** 20))
+    step = draw(st.one_of(
+        st.just(ulps * math.ulp(lo)),
+        st.just(math.ulp(lo) / 2.0),
+        st.floats(math.ulp(lo), max(hi - lo, math.ulp(lo)) + 1.0)))
+    return lo, hi, step
+
+
+class TestAltitudeGrid:
+    """``_altitude_grid`` equals ``reference_altitude_grid``, the running
+    sum one altitude at a time, bit for bit and in its errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_steps(), limit=st.integers(1, 9000))
+    def test_equals_running_sum(self, case, limit):
+        lo, hi, step = case
+        with mock.patch.object(coverage, "MAX_GRID_POINTS", limit):
+            grid = grid_or_error(coverage._altitude_grid, (lo, hi), step)
+            expected = grid_or_error(reference_altitude_grid, (lo, hi), step)
+        if isinstance(expected, str):
+            assert grid == expected
+        else:
+            assert grid.dtype == np.float64 and grid.tolist() == expected
+
+    @pytest.mark.parametrize("limit", [1, 7, 4096, 4097, 8193])
+    def test_error_at_the_limit(self, monkeypatch, limit):
+        # Exactly ``limit`` altitudes pass and one more is the error, also
+        # where the limit ends a chunk or falls one past it.
+        monkeypatch.setattr(coverage, "MAX_GRID_POINTS", limit)
+        fits = coverage._altitude_grid((1.0, float(limit)), 1.0)
+        assert fits.tolist() == reference_altitude_grid((1.0, float(limit)),
+                                                        1.0)
+        assert len(fits) == limit
+        message = grid_or_error(reference_altitude_grid,
+                                (1.0, limit + 1.0), 1.0)
+        assert message == f"more than {limit} altitudes from 1.0 to " \
+            f"{limit + 1.0} in steps of grid_step 1.0"
+        assert grid_or_error(coverage._altitude_grid, (1.0, limit + 1.0),
+                             1.0) == message
+
+    @pytest.mark.parametrize("altitude_range,step", [
+        ((1e17, 1e17), 1.0), ((10.0, 3000.0), 5e-324)])
+    def test_stalled_sum_is_the_limit_error(self, monkeypatch,
+                                            altitude_range, step):
+        # A step too small to advance the running sum stops at the limit.
+        monkeypatch.setattr(coverage, "MAX_GRID_POINTS", 5000)
+        message = grid_or_error(reference_altitude_grid, altitude_range,
+                                step)
+        assert message.startswith("more than 5000 altitudes")
+        assert grid_or_error(coverage._altitude_grid, altitude_range,
+                             step) == message
+
+
+class TestSameErrorsAsExpectedPathLoss:
+    @pytest.mark.parametrize("altitude,frequency,los", [
+        (0.0, F2GHZ, URBAN_LOS), (-5.0, F2GHZ, URBAN_LOS),
+        (100.0, 0.0, URBAN_LOS), (100.0, -1.0, URBAN_LOS),
+        (100.0, F2GHZ, LosProbabilityModel(50.0, 15.0))],
+        ids=["altitude_zero", "altitude_negative", "frequency_zero",
+             "frequency_negative", "steep_sigmoid"])
+    def test_radius_and_curve(self, altitude, frequency, los):
+        # The bisection checks its inputs once, and its loss kernel raises
+        # where exp overflows, as the loss of one far range does.
+        with pytest.raises((ValueError, ArithmeticError)) as expected:
+            expected_path_loss(altitude, 1e6, frequency, los, URBAN_EXCESS)
+        kind, text = type(expected.value), re.escape(str(expected.value))
+        with pytest.raises(kind, match=text):
+            coverage_radius(altitude, 150.0, frequency, los, URBAN_EXCESS)
+        if altitude > 0:
+            with pytest.raises(kind, match=text):
+                coverage_curve((altitude, altitude + 50.0), 150.0, frequency,
+                               los, URBAN_EXCESS, grid_step=10.0)
+        else:  # the grid itself refuses altitudes <= 0
+            with pytest.raises(ValueError, match="altitude_range"):
+                coverage_curve((altitude, 100.0), 150.0, frequency, los,
+                               URBAN_EXCESS)
 
 
 class TestExpectedPathLossArray:
@@ -339,16 +453,17 @@ class TestOptimalAltitude:
         assert abs(h_fine - h_coarse) < coarse_step
 
     def test_first_maximum_of_the_curve(self):
-        rows = coverage_curve((10.0, 3000.0), 110.0, F2GHZ, URBAN_LOS,
-                              URBAN_EXCESS, grid_step=10.0)
+        altitudes, radii = coverage_curve((10.0, 3000.0), 110.0, F2GHZ,
+                                          URBAN_LOS, URBAN_EXCESS,
+                                          grid_step=10.0)
         # The grid is a running sum of steps, as the CSV writes it.
-        h = 10.0
-        for altitude, radius in rows:
-            assert altitude == h
+        assert altitudes.tolist() == reference_altitude_grid((10.0, 3000.0),
+                                                             10.0)
+        assert len(altitudes) == 300
+        rows = list(zip(altitudes.tolist(), radii.tolist()))
+        for h, radius in rows:
             assert radius == coverage_radius(h, 110.0, F2GHZ, URBAN_LOS,
                                              URBAN_EXCESS)
-            h += 10.0
-        assert len(rows) == 300
         best = max(radius for _, radius in rows)
         assert optimal_altitude((10.0, 3000.0), 110.0, F2GHZ, URBAN_LOS,
                                 URBAN_EXCESS, grid_step=10.0) == \
@@ -376,7 +491,7 @@ class TestOptimalAltitude:
 class TestCoverageCsv:
     def test_columns(self, tmp_path):
         path = tmp_path / "coverage.csv"
-        write_coverage_csv([(100.0, 1234.5), (200.0, 2345.6)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "altitude_m,coverage_radius_m"
-        assert len(lines) == 3
+        write_coverage_csv(np.array([100.0, 200.0]),
+                           np.array([1234.5, 2345.6]), path)
+        assert path.read_text() == ("altitude_m,coverage_radius_m\n"
+                                    "100.0,1234.5\n200.0,2345.6\n")

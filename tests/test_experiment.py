@@ -442,18 +442,31 @@ class TestCli:
         ("altitude_step_m", 0), ("altitude_step_m", -1.0),
         ("altitude_step_m", "NaN"), ("altitude_step_m", "Infinity"),
         ("altitude_max_m", "Infinity"), ("altitude_min_m", "NaN"),
-        ("altitude_max_m", "NaN")])
+        ("altitude_max_m", "NaN"),
+        # More than 10**6 altitudes: a step of the smallest subnormal, and a
+        # step that no longer advances the running sum at 1e17 m.  Each
+        # value is then the params object.
+        pytest.param("altitude_step_m", {"altitude_step_m": 5e-324},
+                     id="altitude_step_m-5e-324"),
+        pytest.param("altitude_step_m", {"altitude_min_m": 1e17,
+                                         "altitude_max_m": 1e17,
+                                         "altitude_step_m": 1.0},
+                     id="stalled-1e17")])
     def test_bad_altitude_grid_is_config_error(self, tmp_path, capsys, name,
                                                value):
-        # Each would hang the grid walk or skip it; non-finite values
-        # arrive as JSON's NaN and Infinity literals.
+        # Each would hang the grid walk, skip it or exceed its bound;
+        # non-finite values arrive as JSON's NaN and Infinity literals.
+        params = json.dumps(value) if isinstance(value, dict) \
+            else f'{{"{name}": {value}}}'
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"preset": "urban_coverage", '
-                       f'"params": {{"{name}": {value}}}}}')
+        cfg.write_text(f'{{"preset": "urban_coverage", "params": {params}}}')
         code = main(["coverage", "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err
+        if isinstance(value, dict):
+            assert "more than 1000000 altitudes" in err
         assert not (tmp_path / "out").exists()
 
     def test_relay_trace_preset(self, tmp_path, capsys):
@@ -520,6 +533,44 @@ class TestCli:
         code = main(["coverage", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "coverage.csv").exists()
+
+    @pytest.mark.parametrize("params", [
+        {},
+        # Every radius is the same unbounded bracket, 2**30 m: the optimum
+        # is the first row.
+        {"altitude_min_m": 0.25, "altitude_max_m": 1.0,
+         "altitude_step_m": 0.25, "max_path_loss_db": 300.0}],
+        ids=["urban_coverage", "tied_radii"])
+    def test_manifest_optimum_is_first_largest_radius(self, tmp_path, params):
+        code, lines, out = run_cli({"preset": "urban_coverage",
+                                    "params": params}, tmp_path)
+        assert (code, lines) == (0, [])
+        rows = [tuple(map(float, line.split(","))) for line in
+                read(out / "coverage.csv").splitlines()[1:]]
+        largest = max(radius for _, radius in rows)
+        first = next(row for row in rows if row[1] == largest)
+        series = RunManifest.load(out / "manifest.json").series
+        assert (series["coverage.csv"]["optimal_altitude_m"],
+                series["coverage.csv"]["optimal_radius_m"]) == first
+        if params:
+            assert {radius for _, radius in rows} == {2.0 ** 30}
+            assert first == rows[0]
+
+    def test_integer_altitudes_write_float_rows(self, tmp_path):
+        # The altitude grid is one float array, so altitudes given as JSON
+        # integers write the rows of their float twin ("10.0", not "10").
+        grid = {"altitude_min_m": 10, "altitude_max_m": 40,
+                "altitude_step_m": 10}
+        texts = []
+        for name, params in [("ints", grid), ("floats", {
+                key: float(value) for key, value in grid.items()})]:
+            (tmp_path / name).mkdir()
+            code, lines, out = run_cli({"preset": "urban_coverage",
+                                        "params": params}, tmp_path / name)
+            assert (code, lines) == (0, [])
+            texts.append(read(out / "coverage.csv"))
+        assert texts[0] == texts[1]
+        assert texts[0].splitlines()[1].startswith("10.0,")
 
     def test_disseminate_seeded(self, tmp_path):
         cfg = tmp_path / "c.json"
