@@ -31,11 +31,11 @@ except ImportError:
 from . import __version__
 from ._csvfile import write_csv
 
-# The library modules are imported inside each scenario's validation branch,
-# helpers and runner, so a command loads only its own scenario's modules:
-# every start compiles the source of each module it imports, and start-up is
-# most of a preset's wall time.  Validation builds each scenario's objects,
-# so the modules a run uses are loaded by ``load_config``.
+# The library modules are imported inside each scenario's setup, helpers and
+# runner, so a command loads only its own scenario's modules: every start
+# compiles the source of each module it imports, and start-up is most of a
+# preset's wall time.  Validation builds each scenario's setup, so the
+# modules a run uses are loaded by ``load_config``.
 
 # Protected CNPC spectrum; configs using a carrier inside these bands get
 # a validation warning (data links should not squat on control spectrum).
@@ -252,11 +252,12 @@ def _config_terms(message: str, schema: dict) -> str:
                   message)
 
 
-def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Fail-fast validation; returns the config with warnings populated.
+def validate_config(config: ExperimentConfig):
+    """Fail-fast validation; populates the config's warnings and returns
+    its scenario's setup, which ``run`` hands to the scenario's runner.
 
     Checks the fields against the scenario's preset, then the bounds by
-    building the objects the scenario's runner builds, and the size of the
+    building the setup, everything the runner needs, and the size of the
     run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle,
     ``coverage.MAX_GRID_POINTS`` altitudes, ``MAX_DISSEMINATION_CELLS``
     cells per dissemination seed, a LoS sigmoid that does not overflow and
@@ -282,71 +283,14 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                        f"protected CNPC band {lo/1e6:.0f}-{hi/1e6:.0f} MHz"
                        for lo, hi in (CNPC_L_BAND_HZ, CNPC_C_BAND_HZ)
                        if lo <= frequency <= hi]
-    # Build the runner's domain objects now, so that precondition failures
-    # surface before any output is written.
+    # Build the setup now, so that precondition failures surface before any
+    # output is written.
+    setup, _ = _SCENARIOS[config.scenario]
     try:
-        if config.scenario in ("relay_trace", "relay_sweep"):
-            from .channel import snr_anchor_db
-            from .mobility import RelayGeometry, _check_step_divides
-            from .relay import RelayStrategy
-            channel, ref = _relay_setup(params)
-            if config.scenario == "relay_sweep":
-                delays = params["delays_s"]
-                list(map(RelayStrategy, params["strategies"]))
-                for name in ("strategies", "delays_s"):
-                    # Equal numbers count as repeats: 5 and 5.0 are one delay.
-                    if len(set(params[name])) < len(params[name]):
-                        raise ConfigError(f"{name} repeats a value: "
-                                          f"{params[name]!r}")
-            else:
-                delays = [params["delay_budget_s"]]
-            speeds = {}
-            for v in params["speeds_mps"]:
-                label = _series_label("mobile", v)
-                if label in speeds:
-                    raise ConfigError(
-                        f"speeds_mps {speeds[label]!r} and {v!r} both "
-                        f"have the series label {label}")
-                speeds[label] = v
-            for delay in delays:
-                for v in params["speeds_mps"]:
-                    RelayGeometry(params["separation_m"],
-                                  params["uav_altitude_m"], v, delay)
-                samples = 2 * _check_step_divides(delay, config.time_step) + 1
-                if samples > MAX_CYCLE_SAMPLES:
-                    raise ConfigError(
-                        f"delay_budget {delay} at time_step "
-                        f"{config.time_step} gives {samples} samples per "
-                        f"cycle, more than {MAX_CYCLE_SAMPLES}")
-            snr_anchor_db(channel, ref, params["uav_altitude_m"])
-        elif config.scenario == "disseminate":
-            from .dissemination import FileSpec, ReceptionModel
-            ReceptionModel(params["coverage_radius_m"],
-                           params["erasure_probability"])
-            FileSpec(params["source_packet_count"])
-            _check_dissemination_size(params)
-        elif config.scenario == "coverage":
-            from .coverage import _altitude_grid
-            los, _ = _coverage_models(params)
-            try:
-                los.los_probability(0.0)  # the sigmoid's largest exponent
-            except OverflowError:
-                raise ConfigError(
-                    f"s_curve_a * s_curve_b = "
-                    f"{params['s_curve_a'] * params['s_curve_b']:g} "
-                    f"overflows exp() in the LoS probability at elevation "
-                    f"0")
-            if params["altitude_max_m"] < params["altitude_min_m"]:
-                raise ConfigError("altitude_max_m must be >= altitude_min_m")
-            _altitude_grid((params["altitude_min_m"],
-                            params["altitude_max_m"]),
-                           params["altitude_step_m"])
-        else:
-            _probe_columns(params)
+        return setup(fields)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{config.scenario}: "
                           f"{_config_terms(str(exc), params)}") from exc
-    return config
 
 
 def _preset(name: str) -> ExperimentConfig:
@@ -362,7 +306,9 @@ def _preset(name: str) -> ExperimentConfig:
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    return validate_config(_preset(name))
+    config = _preset(name)
+    validate_config(config)
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -399,21 +345,12 @@ def load_config(path) -> ExperimentConfig:
     for name in _TOP_LEVEL:
         if name in data:
             setattr(config, name, data[name])
-    return validate_config(config)
+    validate_config(config)
+    return config
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners
-
-def _relay_setup(params):
-    from .channel import ChannelModel, SnrReference
-    channel = ChannelModel(carrier_frequency=params["carrier_frequency_hz"])
-    mid_slant = math.hypot(params["separation_m"] / 2.0,
-                           params["uav_altitude_m"])
-    ref = SnrReference(reference_snr_db=params["reference_snr_db"],
-                       reference_distance=mid_slant)
-    return channel, ref
-
+# Scenario setups and runners
 
 def _series_label(strategy: str, v: float) -> str:
     """The plot series of a relay strategy at speed ``v``; a trace's file
@@ -421,40 +358,74 @@ def _series_label(strategy: str, v: float) -> str:
     return "static" if strategy == "static" else f"{strategy}_v{v:g}"
 
 
-def _run_relay_trace(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
-    from .mobility import RelayGeometry
-    from .relay import RelayStrategy, simulate_cycle, write_trace_csvs
-    params = config.params
-    channel, ref = _relay_setup(params)
-    runs = [("static", 0.0)] + [("mobile", v) for v in params["speeds_mps"]]
-    labels = [_series_label(strategy, v) for strategy, v in runs]
+def _relay_setup(fields):
+    """The channel model, SNR reference and cycles of a relay config: a
+    trace's ``(strategy, RelayGeometry)``, static and then mobile at each
+    speed, or a sweep's ``relay._sweep_grid``.  Checks the series labels,
+    repeats, geometries, samples per cycle and SNR anchor, in that order."""
+    from .channel import ChannelModel, SnrReference, snr_anchor_db
+    from .mobility import RelayGeometry, _check_step_divides
+    from .relay import _sweep_grid
+    separation, altitude = fields["separation_m"], fields["uav_altitude_m"]
+    speeds, time_step = fields["speeds_mps"], fields["time_step"]
+    labels = {}
+    for v in speeds:
+        label = _series_label("mobile", v)
+        if label in labels:
+            raise ConfigError(f"speeds_mps {labels[label]!r} and {v!r} both "
+                              f"have the series label {label}")
+        labels[label] = v
+    if "delays_s" in fields:  # a sweep's schema; a trace has one delay
+        delays = fields["delays_s"]
+        for name in ("strategies", "delays_s"):
+            # Equal numbers count as repeats: 5 and 5.0 are one delay.
+            if len(set(fields[name])) < len(fields[name]):
+                raise ConfigError(f"{name} repeats a value: "
+                                  f"{fields[name]!r}")
+        cycles = _sweep_grid(fields["strategies"],
+                             RelayGeometry(separation, altitude, 1.0, 1.0),
+                             delays, speeds)
+    else:
+        delays = [fields["delay_budget_s"]]
+        cycles = [(strategy, RelayGeometry(separation, altitude, v, delays[0]))
+                  for strategy, v in [("static", 0.0)]
+                  + [("mobile", v) for v in speeds]]
+    for delay in delays:
+        samples = 2 * _check_step_divides(delay, time_step) + 1
+        if samples > MAX_CYCLE_SAMPLES:
+            raise ConfigError(f"delay_budget {delay} at time_step "
+                              f"{time_step} gives {samples} samples per "
+                              f"cycle, more than {MAX_CYCLE_SAMPLES}")
+    channel = ChannelModel(carrier_frequency=fields["carrier_frequency_hz"])
+    ref = SnrReference(reference_snr_db=fields["reference_snr_db"],
+                       reference_distance=math.hypot(separation / 2.0,
+                                                     altitude))
+    snr_anchor_db(channel, ref, altitude)
+    return channel, ref, cycles
+
+
+def _run_relay_trace(config: ExperimentConfig, setup,
+                     out: Path) -> tuple[list, dict]:
+    from .relay import simulate_cycle, write_trace_csvs
+    channel, ref, cycles = setup
+    labels = [_series_label(strategy, geom.v_max) for strategy, geom in cycles]
     files = [f"trace_{label}.csv" for label in labels]
-
-    def traces():  # a generator, so one cycle's result is alive at a time
-        for (strategy, v), name in zip(runs, files):
-            geom = RelayGeometry(params["separation_m"],
-                                 params["uav_altitude_m"], v,
-                                 params["delay_budget_s"])
-            yield simulate_cycle(RelayStrategy(strategy), geom, channel, ref,
-                                 time_step=config.time_step), out / name
-
-    write_trace_csvs(traces())
+    # A generator, so one cycle's result is alive at a time.
+    write_trace_csvs((simulate_cycle(strategy, geom, channel, ref,
+                                     time_step=config.time_step), out / name)
+                     for (strategy, geom), name in zip(cycles, files))
     return files, {name: {"label": label, "kind": "trace"}
                    for name, label in zip(files, labels)}
 
 
-def _run_relay_sweep(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
-    from .mobility import RelayGeometry
-    from .relay import sweep_delay, write_sweep_csv
+def _run_relay_sweep(config: ExperimentConfig, setup,
+                     out: Path) -> tuple[list, dict]:
+    from .relay import _sweep_rows, write_sweep_csv
     params = config.params
-    channel, ref = _relay_setup(params)
-    template = RelayGeometry(params["separation_m"], params["uav_altitude_m"],
-                             1.0, 1.0)
-    rows = sweep_delay(params["strategies"], template, params["delays_s"],
-                       params["speeds_mps"], channel, ref,
-                       time_step=config.time_step)
+    channel, ref, grid = setup
     name = "sweep.csv"
-    write_sweep_csv(rows, out / name)
+    write_sweep_csv(_sweep_rows(grid, channel, ref, config.time_step),
+                    out / name)
     return [name], {name: {"kind": "sweep",
                            "speeds": params["speeds_mps"],
                            "strategies": params["strategies"]}}
@@ -483,43 +454,39 @@ def _slot_count(params) -> int:
                             / params["slot_duration_s"])))
 
 
-def _check_dissemination_size(params) -> None:
-    """At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or
-    the coverage mask."""
-    nodes = params["node_count"]
-    slots = _slot_count(params)
-    for size, what in (
-            (nodes * nodes, f"node_count {nodes} gives a D2D adjacency of "
-                            f"{nodes * nodes} cells"),
-            (slots * nodes, f"field_length_m, uav_speed_mps and "
-                            f"slot_duration_s give {slots} slots, so "
-                            f"node_count {nodes} gives a coverage mask of "
-                            f"{slots * nodes} cells")):
-        if size > MAX_DISSEMINATION_CELLS:
-            raise ConfigError(f"{what}, more than {MAX_DISSEMINATION_CELLS}")
-
-
 def _dissemination_scenario(params):
     """The seed-free part of a dissemination config: the (slots, nodes)
-    coverage mask, the D2D graph, and the reception and file models."""
+    coverage mask, the D2D graph, and the reception and file models.
+
+    At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or the
+    coverage mask.
+    """
     from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                                 coverage_mask)
     from .mobility import overflight_x
-    n = params["node_count"]
-    spacing = params["field_length_m"] / n
-    positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
-    uav = overflight_x(*_flight_ends(params), params["uav_speed_mps"],
-                       np.arange(_slot_count(params))
-                       * params["slot_duration_s"])
     rx = ReceptionModel(params["coverage_radius_m"],
                         params["erasure_probability"])
     file = FileSpec(params["source_packet_count"])
-    coverage = coverage_mask(uav, positions, rx)
-    return coverage, D2dGraph(positions, params["d2d_range_m"]), rx, file
+    n = params["node_count"]
+    slots = _slot_count(params)
+    for size, what in (
+            (n * n, f"node_count {n} gives a D2D adjacency of {n * n} cells"),
+            (slots * n, f"field_length_m, uav_speed_mps and slot_duration_s "
+                        f"give {slots} slots, so node_count {n} gives a "
+                        f"coverage mask of {slots * n} cells")):
+        if size > MAX_DISSEMINATION_CELLS:
+            raise ConfigError(f"{what}, more than {MAX_DISSEMINATION_CELLS}")
+    spacing = params["field_length_m"] / n
+    positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
+    uav = overflight_x(*_flight_ends(params), params["uav_speed_mps"],
+                       np.arange(slots) * params["slot_duration_s"])
+    return (coverage_mask(uav, positions, rx),
+            D2dGraph(positions, params["d2d_range_m"]), rx, file)
 
 
-def run_dissemination_pairs(params: dict, seeds) -> list:
-    """Seeded coded-vs-baseline comparisons, all seeds in one batched pass.
+def _compare_seeds(scenario, seeds) -> list:
+    """Seeded coded-vs-baseline comparisons of a
+    ``_dissemination_scenario``, all seeds in one batched pass.
 
     Returns per seed the coded transmissions, the ``ExchangeResult``, the
     ``BaselineResult``, and per node the packets held after phase 1 and
@@ -527,27 +494,27 @@ def run_dissemination_pairs(params: dict, seeds) -> list:
     coded scheme and one for the baseline.
     """
     from .dissemination import compare_schemes
-    coverage, graph, rx, file = _dissemination_scenario(params)
+    coverage, graph, rx, file = scenario
     return compare_schemes(coverage, graph, file, rx,
                            (np.random.default_rng(seed) for seed in seeds),
                            (np.random.default_rng(seed) for seed in seeds))
 
 
 def run_dissemination_pair(params: dict, seed: int):
-    """One seeded coded-vs-baseline comparison: ``run_dissemination_pairs``
-    for the one seed."""
-    return run_dissemination_pairs(params, [seed])[0]
+    """One seeded coded-vs-baseline comparison of the dissemination
+    ``params``: ``_compare_seeds`` for the one seed."""
+    return _compare_seeds(_dissemination_scenario(params), [seed])[0]
 
 
-def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
+def _run_disseminate(config: ExperimentConfig, setup,
+                     out: Path) -> tuple[list, dict]:
     from .dissemination import write_node_detail_csv, write_summary_csv
-    params = config.params
     seeds = [derive_seed(config.master_seed, run_index)
-             for run_index in range(params["n_seeds"])]
+             for run_index in range(config.params["n_seeds"])]
     summary_rows = []
     detail_rows = []
     for run_index, (coded_tx, exchange, baseline, after_p1, decoded) in \
-            enumerate(run_dissemination_pairs(params, seeds)):
+            enumerate(_compare_seeds(setup, seeds)):
         summary_rows.append(["dissem", run_index, "coded_d2d", coded_tx,
                              exchange.rounds_used, int(exchange.success)])
         summary_rows.append(["dissem", run_index, "baseline",
@@ -562,19 +529,33 @@ def _run_disseminate(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
             {"summary.csv": {"kind": "dissemination_summary"}})
 
 
-def _coverage_models(params):
-    from .coverage import ExcessLoss, LosProbabilityModel
-    return (LosProbabilityModel(params["s_curve_a"], params["s_curve_b"]),
-            ExcessLoss(params["eta_los_db"], params["eta_nlos_db"]))
+def _coverage_setup(params):
+    """The LoS and excess-loss models and the altitude grid of a coverage
+    config, whose LoS sigmoid must not overflow."""
+    from .coverage import ExcessLoss, LosProbabilityModel, _altitude_grid
+    los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
+    excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
+    try:
+        los.los_probability(0.0)  # the sigmoid's largest exponent
+    except OverflowError:
+        raise ConfigError(
+            f"s_curve_a * s_curve_b = "
+            f"{params['s_curve_a'] * params['s_curve_b']:g} overflows exp() "
+            f"in the LoS probability at elevation 0")
+    if params["altitude_max_m"] < params["altitude_min_m"]:
+        raise ConfigError("altitude_max_m must be >= altitude_min_m")
+    return los, excess, _altitude_grid((params["altitude_min_m"],
+                                        params["altitude_max_m"]),
+                                       params["altitude_step_m"])
 
 
-def _run_coverage(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
-    from .coverage import coverage_curve, write_coverage_csv
+def _run_coverage(config: ExperimentConfig, setup,
+                  out: Path) -> tuple[list, dict]:
+    from .coverage import _coverage_radii, write_coverage_csv
     params = config.params
-    altitudes, radii = coverage_curve(
-        (params["altitude_min_m"], params["altitude_max_m"]),
-        params["max_path_loss_db"], params["carrier_frequency_hz"],
-        *_coverage_models(params), grid_step=params["altitude_step_m"])
+    los, excess, altitudes = setup
+    radii = _coverage_radii(altitudes, params["max_path_loss_db"],
+                            params["carrier_frequency_hz"], los, excess)
     name = "coverage.csv"
     write_coverage_csv(altitudes, radii, out / name)
     best = np.argmax(radii)  # the first maximum
@@ -601,31 +582,34 @@ def _probe_columns(params) -> list:
             [fd] * len(ranges)]
 
 
-def _run_channel_probe(config: ExperimentConfig, out: Path) -> tuple[list, dict]:
+def _run_channel_probe(config: ExperimentConfig, setup,
+                       out: Path) -> tuple[list, dict]:
     name = "probe.csv"
     write_csv(out / name, ["ground_range_m", "slant_m", "fspl_db", "snr_db",
-                           "se_bpshz", "doppler_hz"],
-              _probe_columns(config.params))
+                           "se_bpshz", "doppler_hz"], setup)
     return [name], {name: {"kind": "channel_probe"}}
 
 
-_RUNNERS = {
-    "relay_trace": _run_relay_trace,
-    "relay_sweep": _run_relay_sweep,
-    "disseminate": _run_disseminate,
-    "coverage": _run_coverage,
-    "channel_probe": _run_channel_probe,
+# Scenario -> (setup, runner).  A setup takes the config's top-level fields
+# and params in one dict; ``run`` hands it to ``runner(config, setup, out)``.
+_SCENARIOS = {
+    "relay_trace": (_relay_setup, _run_relay_trace),
+    "relay_sweep": (_relay_setup, _run_relay_sweep),
+    "disseminate": (_dissemination_scenario, _run_disseminate),
+    "coverage": (_coverage_setup, _run_coverage),
+    "channel_probe": (_probe_columns, _run_channel_probe),
 }
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    """Execute a validated config; write outputs and the run manifest."""
-    validate_config(config)
+    """Validate a config, then run it: write its outputs and the run
+    manifest."""
+    setup = validate_config(config)
     out = Path(config.output_directory)
     out.mkdir(parents=True, exist_ok=True)
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    files, series = _RUNNERS[config.scenario](config, out)
+    files, series = _SCENARIOS[config.scenario][1](config, setup, out)
     # Only dissemination draws random numbers.
     seeded = (range(config.params["n_seeds"])
               if config.scenario == "disseminate" else ())

@@ -287,11 +287,19 @@ def sweep_delay(strategies, geom_template: RelayGeometry,
     simulated once per delay.  The grid's distinct cycles go through
     one batch.
     """
+    return _sweep_rows(_sweep_grid(strategies, geom_template, delays, speeds),
+                       channel, ref, time_step)
+
+
+def _sweep_grid(strategies, geom_template: RelayGeometry, delays, speeds):
+    """``sweep_delay``'s plan: the cells ``(delay, speed, strategy, cycle
+    key or None, note)`` in row order, and the distinct cycles, cycle key
+    -> ``(strategy, geometry)`` in first-use order."""
     if not delays or not speeds:
         raise ValueError("delays and speeds must be non-empty")
     strategies = [RelayStrategy(strategy) for strategy in strategies]
-    cells = []   # (delay, speed, strategy, cycle key or None, note)
-    cycles = {}  # cycle key -> (strategy, geometry), in first-use order
+    cells = []
+    cycles = {}
     for delta in delays:
         for v in speeds:
             geom = RelayGeometry(separation=geom_template.separation,
@@ -308,6 +316,12 @@ def sweep_delay(strategies, geom_template: RelayGeometry,
                        else (strategy, delta, v))
                 cycles.setdefault(key, (strategy, geom))
                 cells.append((delta, v, strategy, key, ""))
+    return cells, cycles
+
+
+def _sweep_rows(grid, channel, ref, time_step) -> list[SweepRow]:
+    """The rows of a ``_sweep_grid`` plan; its cycles go through one batch."""
+    cells, cycles = grid
     # Each result goes as soon as its SE is read, before the next is built.
     se = dict(zip(cycles, map(
         operator.attrgetter("end_to_end_se"),
