@@ -218,7 +218,7 @@ _LIBRARY_NAMES = {
     "relative_speed": ("relative_speed_mps",),
     "carrier_frequency": ("carrier_frequency_hz",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
-# Cells in the D2D adjacency or the coverage mask.
+# Cells in the D2D adjacency, the coverage mask or a seed's packet matrix.
 MAX_DISSEMINATION_CELLS = 10 ** 7
 
 
@@ -458,8 +458,8 @@ def _dissemination_scenario(params):
     """The seed-free part of a dissemination config: the (slots, nodes)
     coverage mask, the D2D graph, and the reception and file models.
 
-    At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency or the
-    coverage mask.
+    At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency, the
+    coverage mask or one seed's (nodes, packets) matrix.
     """
     from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                                 coverage_mask)
@@ -467,13 +467,15 @@ def _dissemination_scenario(params):
     rx = ReceptionModel(params["coverage_radius_m"],
                         params["erasure_probability"])
     file = FileSpec(params["source_packet_count"])
-    n = params["node_count"]
+    n, k = params["node_count"], params["source_packet_count"]
     slots = _slot_count(params)
     for size, what in (
             (n * n, f"node_count {n} gives a D2D adjacency of {n * n} cells"),
             (slots * n, f"field_length_m, uav_speed_mps and slot_duration_s "
                         f"give {slots} slots, so node_count {n} gives a "
-                        f"coverage mask of {slots * n} cells")):
+                        f"coverage mask of {slots * n} cells"),
+            (n * k, f"node_count {n} and source_packet_count {k} give a "
+                    f"packet matrix of {n * k} cells")):
         if size > MAX_DISSEMINATION_CELLS:
             raise ConfigError(f"{what}, more than {MAX_DISSEMINATION_CELLS}")
     spacing = params["field_length_m"] / n
@@ -535,13 +537,16 @@ def _coverage_setup(params):
     from .coverage import ExcessLoss, LosProbabilityModel, _altitude_grid
     los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
     excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
+    exponent = params["s_curve_a"] * params["s_curve_b"]  # at elevation 0
     try:
+        # exp(inf) raises nothing, but the run then meets a finite exponent
+        # that overflows.
+        if not math.isfinite(exponent):
+            raise OverflowError
         los.los_probability(0.0)  # the sigmoid's largest exponent
     except OverflowError:
-        raise ConfigError(
-            f"s_curve_a * s_curve_b = "
-            f"{params['s_curve_a'] * params['s_curve_b']:g} overflows exp() "
-            f"in the LoS probability at elevation 0")
+        raise ConfigError(f"s_curve_a * s_curve_b = {exponent:g} overflows "
+                          f"exp() in the LoS probability at elevation 0")
     if params["altitude_max_m"] < params["altitude_min_m"]:
         raise ConfigError("altitude_max_m must be >= altitude_min_m")
     return los, excess, _altitude_grid((params["altitude_min_m"],

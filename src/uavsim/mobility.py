@@ -142,4 +142,8 @@ def overflight_x(start: tuple[float, float, float],
     length = math.dist(start, end)
     if length == 0.0:
         return np.tile(a, (len(times), 1))
-    return a + np.minimum(speed * times / length, 1.0)[:, None] * (b - a)
+    # A flight of a few subnormal metres overflows the fraction to inf; the
+    # clip to 1 then gives the end, as the scalar formula's inf does.
+    with np.errstate(over="ignore"):
+        fraction = np.minimum(speed * times / length, 1.0)
+    return a + fraction[:, None] * (b - a)

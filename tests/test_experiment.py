@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import hashlib
@@ -93,6 +94,16 @@ class TestPresets:
         assert sorted(scenarios) == sorted(COMMANDS)
 
 
+# Per preset, the functions that build its setup, and a params override.
+SETUP_BUILDS = {
+    "fig3": ({"_relay_setup"}, {"delay_budget_s": 10.0}),
+    "fig4": ({"_relay_setup", "_sweep_grid"}, {"delays_s": [5.0, 10.0]}),
+    "dissem20": ({"_slot_count", "coverage_mask"}, {"n_seeds": 2}),
+    "urban_coverage": ({"_altitude_grid"}, {"altitude_step_m": 2.0}),
+    "channel_probe": ({"_probe_columns"}, {"relative_speed_mps": 50.0}),
+}
+
+
 class TestLoadConfig:
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -161,26 +172,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
-    def test_validates_once_per_load(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("preset", sorted(SETUP_BUILDS))
+    def test_builds_each_setup_once_per_validation(self, tmp_path, preset):
         """``load_config`` validates a preset with overrides once, after
         merging them, not the bare preset first; ``run`` validates once
-        more."""
-        calls = []
+        more and hands that validation's setup to the runner, which builds
+        none of it again."""
+        builders, overrides = SETUP_BUILDS[preset]
+        counts = collections.Counter()
 
-        def counted(config):
-            calls.append(config.scenario)
-            return validate(config)
+        def count(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name in builders
+                    and frame.f_globals["__name__"].startswith("uavsim.")):
+                counts[frame.f_code.co_name] += 1
 
-        validate = experiment.validate_config
-        monkeypatch.setattr(experiment, "validate_config", counted)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
-            "preset": "urban_coverage", "params": {"altitude_step_m": 2.0},
+            "preset": preset, "params": overrides,
             "output_directory": str(tmp_path / "out")}))
-        config = load_config(path)
-        assert len(calls) == 1
-        run(config)
-        assert len(calls) == 2
+        sys.setprofile(count)
+        try:
+            config = load_config(path)
+            loaded = dict(counts)
+            run(config)
+        finally:
+            sys.setprofile(None)
+        assert loaded == dict.fromkeys(builders, 1)
+        assert counts == dict.fromkeys(builders, 2)
 
 
 class TestSeedDerivation:
@@ -664,6 +682,10 @@ class TestMalformedConfigs:
         ("fig3", {"carrier_frequency_hz": 1e307}, {}, []),
         ("fig4", {"carrier_frequency_hz": 1e307}, {}, []),
         ("channel_probe", {"carrier_frequency_hz": 1e307}, {}, []),
+        # a * b overflows to inf, where exp() raises nothing.
+        ("urban_coverage", {"s_curve_b": 1.7e308}, {}, []),
+        # One seed's (nodes, packets) matrix of 2 * 10**10 cells.
+        ("dissem20", {"source_packet_count": 10 ** 9}, {}, []),
     ])
     def test_out_of_range(self, tmp_path, preset, params, top, flags):
         config = {"preset": preset, "params": params, **top}
@@ -704,6 +726,9 @@ class TestMalformedConfigs:
          "reference_distance_m"),
         ("fig3", {"separation_m": 1e308}, "separation_m"),
         ("fig4", {"separation_m": 1e308}, "separation_m"),
+        ("urban_coverage", {"s_curve_b": 1.7e308}, "s_curve_a"),
+        ("dissem20", {"source_packet_count": 10 ** 9},
+         "source_packet_count"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,18 @@ class TestOverflightTrajectory:
         assert positions[-1].tolist() == list(end)
         assert np.array_equal(bits(positions), bits(scalar_overflight(
             start, end, 20.0, times.tolist())))
+
+    def test_subnormal_flight_overflows_silently(self):
+        # On a flight of 1e-310 m, speed * t / length overflows to inf; the
+        # clip to 1 puts the UAV at the end, as the scalar formula does,
+        # and no RuntimeWarning reaches the caller.
+        start, end, times = (0.0, 0.0, 100.0), (1e-310, 0.0, 100.0), [0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            positions = overflight_x(start, end, 1e3, np.array(times))
+        assert np.array_equal(bits(positions), bits(scalar_overflight(
+            start, end, 1e3, times)))
+        assert positions[-1].tolist() == list(end)
 
     @given(speed=st.floats(min_value=0.5, max_value=300.0),
            length=st.floats(min_value=0.0, max_value=5000.0))
