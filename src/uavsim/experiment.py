@@ -1,9 +1,11 @@
 """Experiment orchestration: config files, presets, seeding, CSV output.
 
 A config is a JSON document selecting one scenario kind plus its
-parameter block.  Runs are deterministic: per-run seeds derive from the
-master seed and run index via SHA-256, and CSV bodies are byte-identical
-across reruns of the same config.
+parameter block.  Each scenario has one setup, which validation builds
+and returns, and one runner, which writes the outputs from that setup.
+Runs are deterministic: per-run seeds derive from the master seed and
+run index via SHA-256, and CSV bodies are byte-identical across reruns
+of the same config.
 """
 
 from __future__ import annotations
