@@ -14,7 +14,7 @@ each altitude.  The radii come from one bisection run on all altitudes
 in lockstep, which checks its inputs once, calls the same kernel, and
 takes the steps each altitude would take alone; the bisection relies on
 the loss being non-decreasing in ground range, which the model
-guarantees.
+guarantees.  The module only computes: ``experiment`` writes the curve.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfile import write_csv
 from .channel import _check_frequency, _free_space_loss, _slant
 
 MAX_GRID_POINTS = 10 ** 6  # altitudes in one coverage curve
@@ -235,8 +234,3 @@ def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,
                                       frequency, los, excess, grid_step)
     best = np.argmax(radii)  # the first maximum
     return float(altitudes[best]), float(radii[best])
-
-
-def write_coverage_csv(altitudes, radii, path) -> None:
-    """The columns altitude_m and coverage_radius_m."""
-    write_csv(path, ["altitude_m", "coverage_radius_m"], [altitudes, radii])

@@ -26,7 +26,8 @@ generator where that run leaves it.  A gossip round's picks are
 raw stream, so gossip takes a PCG64, PCG64DXSM, Philox or SFC64
 generator.  ``phase1_broadcast`` and ``phase2_exchange`` are one-seed
 calls of the batch kernels, and ``compare_schemes`` runs every seed of a
-config, in blocks of seeds that bound the memory a batch holds.
+config, in blocks of seeds that bound the memory a batch holds.  The
+module only computes: ``experiment`` writes the summary and node tables.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._csvfile import write_csv
 
 
 @dataclass(frozen=True)
@@ -505,16 +504,3 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
         outcomes += [(coded_tx, *outcome) for outcome in zip(
             exchanges, baselines, after_phase1, file.decoded(packets))]
     return outcomes
-
-
-def write_summary_csv(rows, path) -> None:
-    """Per-run summary rows: (scenario_id, seed, scheme, uav_transmissions,
-    d2d_rounds, success)."""
-    write_csv(path, ["scenario_id", "seed", "scheme", "uav_transmissions",
-                     "d2d_rounds", "success"], zip(*rows))
-
-
-def write_node_detail_csv(rows, path) -> None:
-    """Per-node rows: (node_id, packets_after_phase1, decoded_after_phase2)."""
-    write_csv(path, ["node_id", "packets_after_phase1",
-                     "decoded_after_phase2"], zip(*rows))

@@ -1,11 +1,13 @@
-"""Experiment orchestration: config files, presets, seeding, CSV output.
+"""Experiment orchestration: config files, presets, seeding, and every
+output file.
 
 A config is a JSON document selecting one scenario kind plus its
 parameter block.  Each scenario has one setup, which validation builds
-and returns, and one runner, which writes the outputs from that setup.
-Runs are deterministic: per-run seeds derive from the master seed and
-run index via SHA-256, and CSV bodies are byte-identical across reruns
-of the same config.
+and returns, and one runner, which computes with the library and writes
+the outputs from that setup: this is the one module that calls the CSV
+writer, with each table's header.  Runs are deterministic: per-run seeds
+derive from the master seed and run index via SHA-256, and CSV bodies
+are byte-identical across reruns of the same config.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from ._csvfile import write_csv
+from ._csvfile import write_csv, write_csvs
 
 # The library modules are imported inside each scenario's setup, helpers and
 # runner, so a command loads only its own scenario's modules: every start
@@ -406,31 +408,46 @@ def _relay_setup(fields):
     return channel, ref, cycles
 
 
-def _run_relay_trace(config: ExperimentConfig, setup,
-                     out: Path) -> tuple[list, dict]:
-    from .relay import simulate_cycle, write_trace_csvs
+# The columns of a trace file and of the sweep file, which
+# ``emit_plot_data`` reads back.
+_TRACE_HEADER = ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
+                 "buffer_bits"]
+_SWEEP_HEADER = ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"]
+
+
+def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
+    from .relay import simulate_cycle
     channel, ref, cycles = setup
     labels = [_series_label(strategy, geom.v_max) for strategy, geom in cycles]
     files = [f"trace_{label}.csv" for label in labels]
-    # A generator, so one cycle's result is alive at a time.
-    write_trace_csvs((simulate_cycle(strategy, geom, channel, ref,
-                                     time_step=config.time_step), out / name)
-                     for (strategy, geom), name in zip(cycles, files))
+
+    def table(cycle, name):
+        # The result is bound only here, so one cycle's is alive at a time.
+        result = simulate_cycle(*cycle, channel, ref,
+                                time_step=config.time_step)
+        return out / name, _TRACE_HEADER, [
+            result.times, result.path_loss_src, result.path_loss_dst,
+            result.se, result.occupancy]
+
+    # One writer call formats a float the previous trace had only once;
+    # each file is written before the next cycle is simulated.
+    write_csvs(map(table, cycles, files))
     return files, {name: {"label": label, "kind": "trace"}
-                   for name, label in zip(files, labels)}
+                   for name, label in zip(files, labels)}, []
 
 
-def _run_relay_sweep(config: ExperimentConfig, setup,
-                     out: Path) -> tuple[list, dict]:
-    from .relay import _sweep_rows, write_sweep_csv
+def _run_relay_sweep(config: ExperimentConfig, setup, out: Path):
+    from .relay import _sweep_rows
     params = config.params
     channel, ref, grid = setup
     name = "sweep.csv"
-    write_sweep_csv(_sweep_rows(grid, channel, ref, config.time_step),
-                    out / name)
+    write_csv(out / name, _SWEEP_HEADER, zip(*(
+        (row.delay_budget, row.v_max, row.strategy.value, row.end_to_end_se,
+         int(row.feasible))
+        for row in _sweep_rows(grid, channel, ref, config.time_step))))
     return [name], {name: {"kind": "sweep",
                            "speeds": params["speeds_mps"],
-                           "strategies": params["strategies"]}}
+                           "strategies": params["strategies"]}}, []
 
 
 _FLIGHT_STEP_S = 0.1  # s; the overflight lasts a whole number of these
@@ -510,27 +527,28 @@ def run_dissemination_pair(params: dict, seed: int):
     return _compare_seeds(_dissemination_scenario(params), [seed])[0]
 
 
-def _run_disseminate(config: ExperimentConfig, setup,
-                     out: Path) -> tuple[list, dict]:
-    from .dissemination import write_node_detail_csv, write_summary_csv
+def _run_disseminate(config: ExperimentConfig, setup, out: Path):
     seeds = [derive_seed(config.master_seed, run_index)
              for run_index in range(config.params["n_seeds"])]
+    outcomes = _compare_seeds(setup, seeds)
     summary_rows = []
-    detail_rows = []
-    for run_index, (coded_tx, exchange, baseline, after_p1, decoded) in \
-            enumerate(_compare_seeds(setup, seeds)):
+    for run_index, (coded_tx, exchange, baseline, _, _) in \
+            enumerate(outcomes):
         summary_rows.append(["dissem", run_index, "coded_d2d", coded_tx,
                              exchange.rounds_used, int(exchange.success)])
         summary_rows.append(["dissem", run_index, "baseline",
                              baseline.uav_transmissions, 0,
                              int(baseline.success)])
-        if run_index == 0:
-            detail_rows = zip(range(len(after_p1)), after_p1.tolist(),
-                              decoded.astype(int).tolist())
-    write_summary_csv(summary_rows, out / "summary.csv")
-    write_node_detail_csv(detail_rows, out / "nodes.csv")
+    write_csv(out / "summary.csv", ["scenario_id", "seed", "scheme",
+                                    "uav_transmissions", "d2d_rounds",
+                                    "success"], zip(*summary_rows))
+    # Per node of the first seed.
+    _, _, _, after_p1, decoded = outcomes[0]
+    write_csv(out / "nodes.csv", ["node_id", "packets_after_phase1",
+                                  "decoded_after_phase2"],
+              [range(len(after_p1)), after_p1, decoded.astype(int)])
     return (["summary.csv", "nodes.csv"],
-            {"summary.csv": {"kind": "dissemination_summary"}})
+            {"summary.csv": {"kind": "dissemination_summary"}}, seeds)
 
 
 def _coverage_setup(params):
@@ -556,19 +574,19 @@ def _coverage_setup(params):
                                        params["altitude_step_m"])
 
 
-def _run_coverage(config: ExperimentConfig, setup,
-                  out: Path) -> tuple[list, dict]:
-    from .coverage import _coverage_radii, write_coverage_csv
+def _run_coverage(config: ExperimentConfig, setup, out: Path):
+    from .coverage import _coverage_radii
     params = config.params
     los, excess, altitudes = setup
     radii = _coverage_radii(altitudes, params["max_path_loss_db"],
                             params["carrier_frequency_hz"], los, excess)
     name = "coverage.csv"
-    write_coverage_csv(altitudes, radii, out / name)
+    write_csv(out / name, ["altitude_m", "coverage_radius_m"],
+              [altitudes, radii])
     best = np.argmax(radii)  # the first maximum
     return [name], {name: {"kind": "coverage",
                            "optimal_altitude_m": float(altitudes[best]),
-                           "optimal_radius_m": float(radii[best])}}
+                           "optimal_radius_m": float(radii[best])}}, []
 
 
 def _probe_columns(params) -> list:
@@ -589,16 +607,17 @@ def _probe_columns(params) -> list:
             [fd] * len(ranges)]
 
 
-def _run_channel_probe(config: ExperimentConfig, setup,
-                       out: Path) -> tuple[list, dict]:
+def _run_channel_probe(config: ExperimentConfig, setup, out: Path):
     name = "probe.csv"
     write_csv(out / name, ["ground_range_m", "slant_m", "fspl_db", "snr_db",
                            "se_bpshz", "doppler_hz"], setup)
-    return [name], {name: {"kind": "channel_probe"}}
+    return [name], {name: {"kind": "channel_probe"}}, []
 
 
 # Scenario -> (setup, runner).  A setup takes the config's top-level fields
-# and params in one dict; ``run`` hands it to ``runner(config, setup, out)``.
+# and params in one dict; ``run`` hands it to ``runner(config, setup, out)``,
+# which writes the run's files and returns their names, their plot metadata
+# and the run's seeds (only dissemination draws random numbers).
 _SCENARIOS = {
     "relay_trace": (_relay_setup, _run_relay_trace),
     "relay_sweep": (_relay_setup, _run_relay_sweep),
@@ -616,16 +635,13 @@ def run(config: ExperimentConfig) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    files, series = _SCENARIOS[config.scenario][1](config, setup, out)
-    # Only dissemination draws random numbers.
-    seeded = (range(config.params["n_seeds"])
-              if config.scenario == "disseminate" else ())
+    files, series, seeds = _SCENARIOS[config.scenario][1](config, setup, out)
     manifest = RunManifest(
         config_digest=config.digest(),
         tool_version=__version__,
         scenario=config.scenario,
         output_directory=str(out),
-        run_seeds=[derive_seed(config.master_seed, i) for i in seeded],
+        run_seeds=seeds,
         output_files=files,
         series=series,
     )
@@ -662,13 +678,14 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
         meta = manifest.series.get(name, {})
         try:
             if meta.get("kind") == "trace":
-                for t, pl_src, pl_dst, _, _ in _data_rows(out / name, 5):
+                for t, pl_src, pl_dst, _, _ in _data_rows(
+                        out / name, len(_TRACE_HEADER)):
                     trace_rows.append((float(t), t, meta["label"], pl_src,
                                        pl_dst))
             elif meta.get("kind") == "sweep":
                 rows, static_seen = [], set()
                 for delta_s, v, strategy, se, feasible in \
-                        _data_rows(out / name, 5):
+                        _data_rows(out / name, len(_SWEEP_HEADER)):
                     if feasible != "1" or not se:
                         continue
                     if strategy == "static":

@@ -17,6 +17,9 @@ through it at once.  The kernel takes the cycles in blocks of bounded
 size, computes the SNR anchor once per altitude, and evaluates a block's
 links once per run of equal active-link gaps (a static relay, or one
 hovering overhead), repeating each run's loss and SE to its samples.
+
+The module only computes: ``experiment`` writes the traces and the sweep
+table.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._csvfile import write_csv, write_csvs
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       snr_anchor_db, spectral_efficiency)
 from .mobility import (FerryInfeasibleError, RelayGeometry,
@@ -340,26 +342,3 @@ def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,
     result = simulate_cycle(strategy, geom, channel, ref,
                             buffer_capacity=math.inf, time_step=time_step)
     return result.peak_occupancy
-
-
-def write_trace_csvs(traces) -> None:
-    """One trace file (time_s, pl_src_db, pl_dst_db, se_bpshz,
-    buffer_bits) per ``(result, path)`` of ``traces``, in one writer
-    call, which formats a float the previous trace had only once.  Each
-    file is written, and its result let go, before the next is drawn."""
-    write_csvs(map(_trace_table, traces))
-
-
-def _trace_table(trace):
-    """The ``(path, header, columns)`` of a ``(result, path)``."""
-    result, path = trace
-    header = ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz", "buffer_bits"]
-    return path, header, [result.times, result.path_loss_src,
-                          result.path_loss_dst, result.se, result.occupancy]
-
-
-def write_sweep_csv(rows, path) -> None:
-    """Sweep table: delta_s, v_mps, strategy, se_bpshz, feasible."""
-    write_csv(path, ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"],
-              zip(*((row.delay_budget, row.v_max, row.strategy.value,
-                     row.end_to_end_se, int(row.feasible)) for row in rows)))

@@ -10,8 +10,7 @@ from uavsim import coverage
 from uavsim.channel import LinkGeometry, free_space_path_loss
 from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
                              coverage_curve, coverage_radius,
-                             expected_path_loss, optimal_altitude,
-                             write_coverage_csv)
+                             expected_path_loss, optimal_altitude)
 
 URBAN_LOS = LosProbabilityModel(9.61, 0.16)
 URBAN_EXCESS = ExcessLoss(1.0, 20.0)
@@ -486,12 +485,3 @@ class TestOptimalAltitude:
         with pytest.raises(ValueError, match="grid_step"):
             optimal_altitude((10.0, 100.0), 110.0, F2GHZ, URBAN_LOS,
                              URBAN_EXCESS, grid_step=step)
-
-
-class TestCoverageCsv:
-    def test_columns(self, tmp_path):
-        path = tmp_path / "coverage.csv"
-        write_coverage_csv(np.array([100.0, 200.0]),
-                           np.array([1234.5, 2345.6]), path)
-        assert path.read_text() == ("altitude_m,coverage_radius_m\n"
-                                    "100.0,1234.5\n200.0,2345.6\n")

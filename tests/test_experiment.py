@@ -409,6 +409,86 @@ class TestRun:
             run(config)
         assert not (tmp_path / "x").exists()
 
+    def test_dissem20_derives_each_seed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(master_seed, run_index):
+            calls.append(run_index)
+            return derive_seed(master_seed, run_index)
+
+        monkeypatch.setattr(experiment, "derive_seed", counted)
+        config = preset_config("dissem20")
+        config.output_directory = str(tmp_path)
+        seeds = run(config).run_seeds
+        assert calls == list(range(50))
+        assert seeds == [derive_seed(0, i) for i in range(50)]
+
+
+class TestRunnerFiles:
+    """The files each runner writes, with the headers ``experiment``
+    gives them."""
+
+    def test_only_experiment_imports_the_writer(self):
+        package = Path(experiment.__file__).parent
+        assert {path.stem for path in package.glob("*.py")
+                if "._csvfile import" in path.read_text()} == {"experiment"}
+
+    def test_trace_files(self, tmp_path):
+        config = preset_config("fig3")
+        config.time_step = 0.1
+        config.output_directory = str(tmp_path)
+        manifest = run(config)
+        channel, ref, cycles = experiment._relay_setup({**config.params,
+                                                        "time_step": 0.1})
+        strategy, geom = cycles[-1]  # mobile at 100 m/s
+        cycle = relay.simulate_cycle(strategy, geom, channel, ref,
+                                     time_step=0.1)
+        assert len(manifest.output_files) == 4
+        for name in manifest.output_files:
+            text = read(tmp_path / name)
+            lines = text.splitlines()
+            assert lines[0] == "time_s,pl_src_db,pl_dst_db,se_bpshz,buffer_bits"
+            assert len(lines) == len(cycle.path_loss_trace) + 1
+            assert "np." not in text
+        assert read(tmp_path / "trace_mobile_v100.csv").splitlines()[1:] == [
+            ",".join(map(repr, row)) for row in zip(
+                cycle.times.tolist(), cycle.path_loss_src.tolist(),
+                cycle.path_loss_dst.tolist(), cycle.se.tolist(),
+                cycle.occupancy.tolist())]
+
+    def test_sweep_file(self, tmp_path):
+        code, lines, out = run_cli({"preset": "fig4", "params": {
+            "strategies": ["static", "ferry"], "delays_s": [10.0],
+            "speeds_mps": [10.0]}, "time_step": 0.1}, tmp_path)
+        assert (code, lines) == (0, [])
+        rows = read(out / "sweep.csv").splitlines()
+        assert rows[0] == "delta_s,v_mps,strategy,se_bpshz,feasible"
+        assert rows[1].startswith("10.0,10.0,static,")
+        assert rows[1].endswith(",1")
+        assert rows[2] == "10.0,10.0,ferry,,0"  # infeasible ferry row
+        assert len(rows) == 3
+
+    def test_coverage_file_bytes(self, tmp_path):
+        from uavsim.coverage import ExcessLoss, LosProbabilityModel, \
+            coverage_curve
+        params = {"altitude_min_m": 100.0, "altitude_max_m": 200.0,
+                  "altitude_step_m": 100.0}
+        code, lines, out = run_cli({"preset": "urban_coverage",
+                                    "params": params}, tmp_path)
+        assert (code, lines) == (0, [])
+        full = {**PRESETS["urban_coverage"]["params"], **params}
+        altitudes, radii = coverage_curve(
+            (100.0, 200.0), full["max_path_loss_db"],
+            full["carrier_frequency_hz"],
+            LosProbabilityModel(full["s_curve_a"], full["s_curve_b"]),
+            ExcessLoss(full["eta_los_db"], full["eta_nlos_db"]), 100.0)
+        assert altitudes.tolist() == [100.0, 200.0]
+        assert (out / "coverage.csv").read_bytes() == (
+            "altitude_m,coverage_radius_m\n"
+            + "".join(f"{a!r},{r!r}\n" for a, r in zip(altitudes.tolist(),
+                                                       radii.tolist()))
+        ).encode()
+
 
 class TestEmitPlotData:
     def test_fig4_series_labels(self, tmp_path):

@@ -11,7 +11,7 @@ from uavsim.experiment import preset_config
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
                              ferry_x, mobile_relay_x)
 from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
-                          sweep_delay, write_sweep_csv, write_trace_csvs)
+                          sweep_delay)
 
 CHANNEL = ChannelModel(carrier_frequency=5e9)
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
@@ -352,7 +352,7 @@ class TestSimulateCycle:
             assert abs(fine - coarse) / coarse < 1e-3
 
 class TestTraces:
-    def test_traces_hold_python_floats(self, tmp_path):
+    def test_traces_hold_python_floats(self):
         result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
         for trace in (result.path_loss_trace, result.se_trace,
                       result.buffer_trace):
@@ -361,9 +361,6 @@ class TestTraces:
         for value in (result.bits_received, result.bits_delivered,
                       result.end_to_end_se, result.peak_occupancy):
             assert type(value) is float
-        path = tmp_path / "trace.csv"
-        write_trace_csvs([(result, path)])
-        assert "np." not in path.read_text()
 
 
 class TestPathLossTrace:
@@ -575,24 +572,3 @@ class TestBufferRequirement:
         unbounded = run(RelayStrategy.MOBILE, 100.0)
         exact = run(RelayStrategy.MOBILE, 100.0, buffer_capacity=req)
         assert exact.end_to_end_se == unbounded.end_to_end_se
-
-
-class TestCsvWriters:
-    def test_trace_csv(self, tmp_path):
-        result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
-        path = tmp_path / "trace.csv"
-        write_trace_csvs([(result, path)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_s,pl_src_db,pl_dst_db,se_bpshz,buffer_bits"
-        assert len(lines) == len(result.path_loss_trace) + 1
-
-    def test_sweep_csv(self, tmp_path):
-        ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep_delay(["static", "ferry"], geom(1.0, 1.0),
-                           delays=[10.0], speeds=[10.0], channel=CHANNEL,
-                           ref=ref, time_step=0.1)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "delta_s,v_mps,strategy,se_bpshz,feasible"
-        assert lines[2].endswith(",0")  # infeasible ferry row
