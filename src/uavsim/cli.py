@@ -97,22 +97,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "plot":
             manifest = RunManifest.load(args.manifest)
-            for name in emit_plot_data(manifest):
-                print(Path(manifest.output_directory) / name)
-            return EXIT_OK
-        config = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        manifest = run(config)
+            names = emit_plot_data(manifest)
+        else:
+            manifest = run(_resolve_config(args))
+            names = manifest.output_files
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # run failure, not a config problem
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    for name in manifest.output_files:
+    for name in names:
         print(Path(manifest.output_directory) / name)
     return EXIT_OK
 

@@ -110,7 +110,9 @@ def coverage_mask(uav: np.ndarray, positions, rx: ReceptionModel) -> np.ndarray:
     ground = np.asarray(positions, dtype=float).reshape(-1, 2)
     dx = uav[:, None, 0] - ground[None, :, 0]
     dy = uav[:, None, 1] - ground[None, :, 1]
-    slant = np.sqrt(dx * dx + dy * dy + (uav[:, 2] * uav[:, 2])[:, None])
+    # A square that overflows is an infinite slant, which covers nothing.
+    with np.errstate(over="ignore"):
+        slant = np.sqrt(dx * dx + dy * dy + (uav[:, 2] * uav[:, 2])[:, None])
     return slant <= rx.coverage_radius
 
 

@@ -362,12 +362,27 @@ def _series_label(strategy: str, v: float) -> str:
     return "static" if strategy == "static" else f"{strategy}_v{v:g}"
 
 
+def _check_peak_snr(peak_db) -> None:
+    """Raise ``ConfigError`` when the spectral efficiency of the peak SNR
+    overflows: its linear SNR, ``10 ** (peak_db / 10)``, does above about
+    3082.55 dB.  Every other link of the run has a lower SNR."""
+    from .channel import spectral_efficiency
+    with np.errstate(over="ignore"):  # an overflow is the error raised here
+        if np.isfinite(spectral_efficiency(peak_db)):
+            return
+    raise ConfigError(f"the peak SNR, reference_snr_db carried to the "
+                      f"shortest link, is {peak_db:.6g} dB, and 10 ** (SNR "
+                      f"/ 10) overflows above about 3082.55 dB")
+
+
 def _relay_setup(fields):
     """The channel model, SNR reference and cycles of a relay config: a
     trace's ``(strategy, RelayGeometry)``, static and then mobile at each
     speed, or a sweep's ``relay._sweep_grid``.  Checks the series labels,
-    repeats, geometries, samples per cycle and SNR anchor, in that order."""
-    from .channel import ChannelModel, SnrReference, snr_anchor_db
+    repeats, geometries, samples per cycle, SNR anchor and peak SNR, in
+    that order."""
+    from .channel import (ChannelModel, LinkGeometry, SnrReference,
+                          snr_anchor_db)
     from .mobility import RelayGeometry, _check_step_divides
     from .relay import _sweep_grid
     separation, altitude = fields["separation_m"], fields["uav_altitude_m"]
@@ -404,7 +419,9 @@ def _relay_setup(fields):
     ref = SnrReference(reference_snr_db=fields["reference_snr_db"],
                        reference_distance=math.hypot(separation / 2.0,
                                                      altitude))
-    snr_anchor_db(channel, ref, altitude)
+    # The shortest link a relay can see is the one straight down.
+    _check_peak_snr(snr_anchor_db(channel, ref, altitude)
+                    - channel.path_loss_db(LinkGeometry(0.0, altitude)))
     return channel, ref, cycles
 
 
@@ -603,6 +620,7 @@ def _probe_columns(params) -> list:
     geo = LinkGeometry(np.array(ranges, dtype=float), altitude)
     fspl = channel.path_loss_db(geo)
     snr = snr_anchor_db(channel, ref, altitude) - fspl
+    _check_peak_snr(snr.max())  # the nearest ground range's
     return [ranges, geo.slant_distance, fspl, snr, spectral_efficiency(snr),
             [fd] * len(ranges)]
 

@@ -86,9 +86,13 @@ def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
         x = np.full_like(t, half)
     elif v * delta / 2.0 >= half:
         t_fly = half / v
-        x = np.where(t <= t_fly, half - v * t,
-                     np.where(t <= delta - t_fly, 0.0,
-                              v * (t - (delta - t_fly))))
+        # np.where evaluates each leg at every sample: at a huge speed a leg
+        # overflows at the samples outside its own interval, which it does
+        # not give.
+        with np.errstate(over="ignore"):
+            x = np.where(t <= t_fly, half - v * t,
+                         np.where(t <= delta - t_fly, 0.0,
+                                  v * (t - (delta - t_fly))))
     else:
         x = np.where(t <= delta / 2.0, half - v * t, half - v * (delta - t))
     return np.where(phase1, x, geom.separation - x)

@@ -817,6 +817,31 @@ class TestMalformedConfigs:
         assert_config_error(code, lines, out)
         assert field in lines[0]
 
+    @pytest.mark.parametrize("preset,params,code", [
+        # The linear value of the peak SNR overflows, and the run wrote nan
+        # SE rows.
+        ("fig4", {"reference_snr_db": 4000}, 2),
+        ("fig4", {"reference_snr_db": 3070}, 2),
+        ("fig3", {"uav_altitude_m": 1e-300}, 2),
+        ("channel_probe", {"reference_snr_db": 1e6}, 2),
+        # Overflows in values that no output takes: the outputs are right.
+        ("fig3", {"speeds_mps": [1.7e308]}, 0),
+        ("fig4", {"speeds_mps": [1.7e308]}, 0),
+        ("dissem20", {"uav_altitude_m": 1e200, "n_seeds": 2}, 0),
+    ], ids=["fig4_snr_4000", "fig4_snr_3070", "fig3_altitude_1e-300",
+            "probe_snr_1e6", "fig3_speed_1.7e308", "fig4_speed_1.7e308",
+            "dissem20_altitude_1e200"])
+    def test_overflow_is_config_error_or_silent(self, tmp_path, preset,
+                                                params, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli({"preset": preset, "params": params}, tmp_path)
+        if code:
+            assert_config_error(*result)
+            assert "reference_snr_db" in result[1][0]
+        else:
+            assert result[:2] == (0, [])
+
     def test_overflowing_carrier_covers_nothing(self, tmp_path):
         # Coverage anchors no SNR: the path loss overflows to inf at every
         # range, so every radius is 0, and no warning is raised.
@@ -915,6 +940,17 @@ class TestMalformedConfigs:
         assert code == 2
         assert stderr.getvalue().count("\n") == 1
         assert not list(out.glob("plot_*"))
+
+    def test_plot_write_failure_is_one_line(self, tmp_path):
+        assert main(["relay", "sweep", "--out", str(tmp_path),
+                     "--time-step", "0.05"]) == 0
+        (tmp_path / "plot_se_vs_delay.csv").mkdir()
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["plot", "--manifest", str(tmp_path / "manifest.json")])
+        assert code == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run failed:"), lines
 
     def test_plot_bad_manifest(self, tmp_path):
         stderr = io.StringIO()
