@@ -1,12 +1,14 @@
-"""Air-to-ground and air-to-air link computations.
+"""Air-to-ground link computations.
 
 Free-space path loss, SNR relative to a reference anchor, Shannon
 spectral efficiency, and Doppler shift.  Everything here is a pure
 function of its inputs.
 
-Each formula is one numpy function that takes a ``LinkGeometry`` (or
-SNRs) of floats or arrays and returns a float or an array to match.  A
-link's SNR is ``snr_anchor_db`` minus its path loss.
+Every link runs from a transmitter in the air to a receiver on the
+ground, so its slant distance follows from its horizontal separation and
+the transmitter height.  Each formula is one numpy function that takes a
+``LinkGeometry`` (or SNRs) of floats or arrays and returns a float or an
+array to match.  A link's SNR is ``snr_anchor_db`` minus its path loss.
 """
 
 from __future__ import annotations
@@ -25,31 +27,27 @@ class ChannelDomainError(ValueError):
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """Transmitter-receiver geometry of one link or of many: horizontal
-    separations, and endpoint heights that broadcast against them, e.g. one
-    flight sampled in time (scalar heights) or one ground range per
-    altitude of a grid.
+    """Geometry of one link or of many, from a transmitter in the air to a
+    receiver on the ground: horizontal separations, and transmitter heights
+    that broadcast against them, e.g. one flight sampled in time (a scalar
+    height) or one ground range per altitude of a grid.
 
     ``slant_distance`` is derived from the horizontal separation and the
-    height difference between the endpoints.
+    transmitter height.
     """
 
     horizontal_separation: float | np.ndarray  # m, >= 0
     transmitter_height: float | np.ndarray     # m, > 0
-    receiver_height: float | np.ndarray = 0.0  # m, >= 0
 
     def __post_init__(self):
         if np.any(self.horizontal_separation < 0):
             raise ChannelDomainError("horizontal_separation must be >= 0")
         if np.any(self.transmitter_height <= 0):
             raise ChannelDomainError("transmitter_height must be > 0")
-        if np.any(self.receiver_height < 0):
-            raise ChannelDomainError("receiver_height must be >= 0")
 
     @property
     def slant_distance(self):
-        return _slant(self.horizontal_separation,
-                      self.transmitter_height - self.receiver_height)
+        return _slant(self.horizontal_separation, self.transmitter_height)
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,10 @@ class SnrReference:
             raise ChannelDomainError("reference_distance must be > 0")
 
 
-def _slant(horizontal_separation, height_difference):
+def _slant(horizontal_separation, height):
     """Slant distance of links with these horizontal separations and
-    endpoint height differences, m."""
-    return np.hypot(horizontal_separation, height_difference)
+    transmitter heights, m."""
+    return np.hypot(horizontal_separation, height)
 
 
 def _check_frequency(frequency: float) -> None:
@@ -104,37 +102,33 @@ def _free_space_loss(distance, frequency: float):
 
 def free_space_path_loss(geometry: LinkGeometry, frequency: float):
     """Free-space (Friis) path loss in dB: 20*log10(4*pi*d*f/c); ``inf``
-    where 4*pi*d*f overflows."""
-    d = geometry.slant_distance
-    if np.any(d <= 0):
-        raise ChannelDomainError("slant distance must be > 0")
+    where 4*pi*d*f overflows.  A slant distance is never 0, as the
+    transmitter height is > 0."""
     _check_frequency(frequency)
-    return _free_space_loss(d, frequency)
+    return _free_space_loss(geometry.slant_distance, frequency)
 
 
 def snr_anchor_db(model: ChannelModel, ref: SnrReference,
-                  transmitter_height: float,
-                  receiver_height: float = 0.0) -> float:
+                  transmitter_height: float) -> float:
     """The anchor's SNR plus the model's path loss at the reference
-    distance, for links between these heights: the SNR in dB of such a
-    link is this value minus its own path loss.  Raises
+    distance, for links from this height to the ground: the SNR in dB of
+    such a link is this value minus its own path loss.  Raises
     ``ChannelDomainError`` when the square of the reference distance or
     the path loss of the reference link overflows."""
-    dh = transmitter_height - receiver_height
-    if ref.reference_distance < abs(dh):
+    # A float, as the link's arithmetic takes it: a large integer height
+    # would compare with the reference distance exactly.
+    height = float(transmitter_height)
+    if ref.reference_distance < abs(height):
         raise ChannelDomainError(
             "reference_distance shorter than the endpoint height difference")
     try:
-        ground = math.sqrt(ref.reference_distance ** 2 - dh ** 2)
+        ground = math.sqrt(ref.reference_distance ** 2 - height ** 2)
     except OverflowError:
         raise ChannelDomainError(
             "reference_distance too large: its square overflows") from None
-    ref_geometry = LinkGeometry(
-        horizontal_separation=ground,
-        transmitter_height=transmitter_height,
-        receiver_height=receiver_height,
-    )
-    reference_loss = model.path_loss_db(ref_geometry)
+    reference_loss = model.path_loss_db(
+        LinkGeometry(horizontal_separation=ground,
+                     transmitter_height=transmitter_height))
     if not math.isfinite(reference_loss):
         raise ChannelDomainError(
             f"path loss at reference_distance overflows at carrier_frequency "

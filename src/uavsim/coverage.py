@@ -8,13 +8,16 @@ optimal altitude maximizes that radius over a grid.
 
 The expected loss is one numpy kernel of floats or arrays, built from
 ``channel``'s slant-distance and free-space formulas and this module's
-LoS sigmoid; ``expected_path_loss`` checks its inputs and calls it.  A
-coverage curve is two float arrays, its altitude grid and the radius at
-each altitude.  The radii come from one bisection run on all altitudes
-in lockstep, which checks its inputs once, calls the same kernel, and
-takes the steps each altitude would take alone; the bisection relies on
-the loss being non-decreasing in ground range, which the model
-guarantees.  The module only computes: ``experiment`` writes the curve.
+LoS sigmoid; ``expected_path_loss`` checks its inputs and calls it.  The
+receiver is on the ground, so a link's height is the altitude.  The LoS
+model owns its domain: it rejects, when built, a sigmoid whose exponent
+at elevation 0, its largest, overflows ``exp``.  A coverage curve is two
+float arrays, its altitude grid and the radius at each altitude.  The
+radii come from one bisection run on all altitudes in lockstep, which
+checks its inputs once, calls the same kernel, and takes the steps each
+altitude would take alone; the bisection relies on the loss being
+non-decreasing in ground range, which the model guarantees.  The module
+only computes: ``experiment`` writes the curve.
 """
 
 from __future__ import annotations
@@ -29,21 +32,17 @@ from .channel import _check_frequency, _free_space_loss, _slant
 MAX_GRID_POINTS = 10 ** 6  # altitudes in one coverage curve
 _GRID_CHUNK = 4096  # altitudes summed per np.add.accumulate call
 _UNBOUNDED = 1e9  # m; bracketing that passes this range returns there
-
-
-def _exp(x):
-    """``np.exp``, raising ``OverflowError`` where it overflows, as
-    ``math.exp`` does."""
-    with np.errstate(over="raise"):
-        try:
-            return np.exp(x)
-        except FloatingPointError:
-            raise OverflowError("math range error") from None
+_TOLERANCE = 0.1  # m; the bisection stops at a bracket this narrow
 
 
 @dataclass(frozen=True)
 class LosProbabilityModel:
-    """Elevation-angle sigmoid P_LoS(theta) = 1/(1 + a*exp(-b*(theta - a)))."""
+    """Elevation-angle sigmoid P_LoS(theta) = 1/(1 + a*exp(-b*(theta - a))).
+
+    The exponent is largest at elevation 0, where it is ``a * b``; a model
+    whose ``exp(a * b)`` overflows is rejected, so no elevation in
+    [0, 90] degrees overflows it.
+    """
 
     s_curve_a: float
     s_curve_b: float
@@ -52,13 +51,18 @@ class LosProbabilityModel:
         for name in ("s_curve_a", "s_curve_b"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        exponent = self.s_curve_a * self.s_curve_b
+        with np.errstate(over="ignore"):  # an overflow is the error raised
+            if not np.isfinite(np.exp(float(exponent))):
+                raise ValueError(f"s_curve_a * s_curve_b = {exponent:g} "
+                                 f"overflows exp() in the LoS probability at "
+                                 f"elevation 0")
 
     def los_probability(self, elevation_deg):
-        """P_LoS at each elevation in degrees; ``OverflowError`` where
-        exp(-b*(theta - a)) overflows."""
+        """P_LoS at each elevation in degrees."""
         a, b = self.s_curve_a, self.s_curve_b
         with np.errstate(over="ignore"):  # a * exp(x) may overflow to inf
-            return 1.0 / (1.0 + a * _exp(-b * (elevation_deg - a)))
+            return 1.0 / (1.0 + a * np.exp(-b * (elevation_deg - a)))
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ def _expected_loss(altitude, ground_range, frequency: float,
     """``expected_path_loss`` of altitudes, ground ranges and a frequency
     that are checked: the LoS-probability-weighted mean of the LoS and
     NLoS losses, dB."""
-    # The receiver is on the ground, so the height difference is altitude.
     fspl = _free_space_loss(_slant(ground_range, altitude), frequency)
     p_los = los.los_probability(np.degrees(np.arctan2(altitude,
                                                       ground_range)))
@@ -107,8 +110,8 @@ def expected_path_loss(altitude, ground_range, frequency: float,
 
 
 def _coverage_radii(altitudes, max_path_loss: float, frequency: float,
-                    los: LosProbabilityModel, excess: ExcessLoss,
-                    tolerance: float = 0.1) -> np.ndarray:
+                    los: LosProbabilityModel,
+                    excess: ExcessLoss) -> np.ndarray:
     """``coverage_radius`` of every altitude, all altitudes in lockstep.
 
     Each altitude takes the steps it would take alone: the nadir test,
@@ -142,7 +145,7 @@ def _coverage_radii(altitudes, max_path_loss: float, frequency: float,
         index, hi = index[~far], hi[~far]
     index, hi = np.concatenate(left), np.concatenate(brackets)
     heights, lo = h[index], np.zeros_like(hi)
-    live = hi - lo > tolerance
+    live = hi - lo > _TOLERANCE
     while True:
         if not live.all():
             radii[index[~live]] = lo[~live]
@@ -154,12 +157,11 @@ def _coverage_radii(altitudes, max_path_loss: float, frequency: float,
         inside = covered(heights, mid)
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-        live = hi - lo > tolerance
+        live = hi - lo > _TOLERANCE
 
 
 def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
-                    los: LosProbabilityModel, excess: ExcessLoss,
-                    tolerance: float = 0.1) -> float:
+                    los: LosProbabilityModel, excess: ExcessLoss) -> float:
     """Largest ground range with expected loss <= max_path_loss, by bisection.
 
     The expected loss is ``fspl + eta_nlos - p_los*(eta_nlos - eta_los)``
@@ -168,8 +170,7 @@ def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
     which is what the bisection needs.
     """
     return float(_coverage_radii(np.array([altitude], dtype=float),
-                                 max_path_loss, frequency, los, excess,
-                                 tolerance)[0])
+                                 max_path_loss, frequency, los, excess)[0])
 
 
 def _altitude_grid(altitude_range: tuple[float, float],

@@ -48,13 +48,9 @@ class FileSpec:
         if self.source_packet_count <= 0:
             raise ValueError("source_packet_count must be > 0")
 
-    @property
-    def decode_threshold(self) -> int:
-        return self.source_packet_count
-
     def decoded(self, packets: np.ndarray) -> np.ndarray:
         """Per-node decode flags of a (..., nodes, packets) bool matrix."""
-        return packets.sum(axis=-1) >= self.decode_threshold
+        return packets.sum(axis=-1) >= self.source_packet_count
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,6 @@ class D2dGraph:
         gap = positions[:, None, :] - positions[None, :, :]
         adjacency = np.hypot(gap[..., 0], gap[..., 1]) <= d2d_range
         np.fill_diagonal(adjacency, False)
-        self.d2d_range = d2d_range
         self.adjacency = adjacency
         # Component index per node, components numbered by smallest member.
         self.labels = np.full(len(positions), -1)
@@ -242,7 +237,7 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
                              np.arange(graph.component_count))
     union_sizes = np.bitwise_count(np.bitwise_or.reduceat(
         held[:, order], firsts, axis=1)).sum(axis=2, dtype=np.int64)
-    short = union_sizes < file.decode_threshold
+    short = union_sizes < file.source_packet_count
     components = graph.connected_components()
     stalled = [tuple(tuple(c) for c, s in zip(components, row) if s)
                for row in short]
@@ -270,7 +265,7 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
         rngs, min(round_cap, file.source_packet_count) * nodes)
     rounds = 0
     while True:
-        decoded = counts >= file.decode_threshold
+        decoded = counts >= file.source_packet_count
         done = (decoded | settled).all(axis=1) | (rounds >= round_cap)
         if done.any():
             finished = live[done]

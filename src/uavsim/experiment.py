@@ -5,9 +5,11 @@ A config is a JSON document selecting one scenario kind plus its
 parameter block.  Each scenario has one setup, which validation builds
 and returns, and one runner, which computes with the library and writes
 the outputs from that setup: this is the one module that calls the CSV
-writer, with each table's header.  Runs are deterministic: per-run seeds
-derive from the master seed and run index via SHA-256, and CSV bodies
-are byte-identical across reruns of the same config.
+writer, with each table's header.  Validation leaves the config as it
+is; ``run`` prints a warning for a carrier in the protected CNPC bands.
+Runs are deterministic: per-run seeds derive from the master seed and
+run index via SHA-256, and CSV bodies are byte-identical across reruns
+of the same config.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from ._csvfile import write_csv, write_csvs
 # preset's wall time.  Validation builds each scenario's setup, so the
 # modules a run uses are loaded by ``load_config``.
 
-# Protected CNPC spectrum; configs using a carrier inside these bands get
-# a validation warning (data links should not squat on control spectrum).
+# Protected CNPC spectrum; a run whose carrier is inside these bands prints
+# a warning (data links should not squat on control spectrum).
 CNPC_L_BAND_HZ = (960e6, 977e6)
 CNPC_C_BAND_HZ = (5030e6, 5091e6)
 
@@ -58,7 +60,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_directory: str = "out"
     time_step: float = 0.01
-    warnings: list[str] = field(default_factory=list)
 
     def canonical_json(self) -> str:
         return json.dumps({
@@ -257,8 +258,8 @@ def _config_terms(message: str, schema: dict) -> str:
 
 
 def validate_config(config: ExperimentConfig):
-    """Fail-fast validation; populates the config's warnings and returns
-    its scenario's setup, which ``run`` hands to the scenario's runner.
+    """Fail-fast validation; returns the config's scenario setup, which
+    ``run`` hands to the scenario's runner, and leaves the config as it is.
 
     Checks the fields against the scenario's preset, then the bounds by
     building the setup, everything the runner needs, and the size of the
@@ -282,11 +283,6 @@ def validate_config(config: ExperimentConfig):
                               f"{limit}")
     if not 0 <= config.master_seed < 2 ** 64:
         raise ConfigError("master_seed must lie in [0, 2**64)")
-    frequency = fields.get("carrier_frequency_hz", 0.0)
-    config.warnings = [f"carrier {frequency/1e6:.1f} MHz falls inside the "
-                       f"protected CNPC band {lo/1e6:.0f}-{hi/1e6:.0f} MHz"
-                       for lo, hi in (CNPC_L_BAND_HZ, CNPC_C_BAND_HZ)
-                       if lo <= frequency <= hi]
     # Build the setup now, so that precondition failures surface before any
     # output is written.
     setup, _ = _SCENARIOS[config.scenario]
@@ -376,17 +372,16 @@ def _check_peak_snr(peak_db) -> None:
 
 
 def _relay_setup(fields):
-    """The channel model, SNR reference and cycles of a relay config: a
-    trace's ``(strategy, RelayGeometry)``, static and then mobile at each
-    speed, or a sweep's ``relay._sweep_grid``.  Checks the series labels,
-    repeats, geometries, samples per cycle, SNR anchor and peak SNR, in
-    that order."""
+    """The channel model, SNR reference and ``relay._sweep_grid`` of a
+    sweep config.  Checks the series labels, repeats, geometries, samples
+    per cycle, SNR anchor and peak SNR, in that order."""
     from .channel import (ChannelModel, LinkGeometry, SnrReference,
                           snr_anchor_db)
     from .mobility import RelayGeometry, _check_step_divides
     from .relay import _sweep_grid
     separation, altitude = fields["separation_m"], fields["uav_altitude_m"]
     speeds, time_step = fields["speeds_mps"], fields["time_step"]
+    delays = fields["delays_s"]
     labels = {}
     for v in speeds:
         label = _series_label("mobile", v)
@@ -394,21 +389,13 @@ def _relay_setup(fields):
             raise ConfigError(f"speeds_mps {labels[label]!r} and {v!r} both "
                               f"have the series label {label}")
         labels[label] = v
-    if "delays_s" in fields:  # a sweep's schema; a trace has one delay
-        delays = fields["delays_s"]
-        for name in ("strategies", "delays_s"):
-            # Equal numbers count as repeats: 5 and 5.0 are one delay.
-            if len(set(fields[name])) < len(fields[name]):
-                raise ConfigError(f"{name} repeats a value: "
-                                  f"{fields[name]!r}")
-        cycles = _sweep_grid(fields["strategies"],
-                             RelayGeometry(separation, altitude, 1.0, 1.0),
-                             delays, speeds)
-    else:
-        delays = [fields["delay_budget_s"]]
-        cycles = [(strategy, RelayGeometry(separation, altitude, v, delays[0]))
-                  for strategy, v in [("static", 0.0)]
-                  + [("mobile", v) for v in speeds]]
+    for name in ("strategies", "delays_s"):
+        # Equal numbers count as repeats: 5 and 5.0 are one delay.
+        if len(set(fields[name])) < len(fields[name]):
+            raise ConfigError(f"{name} repeats a value: {fields[name]!r}")
+    grid = _sweep_grid(fields["strategies"],
+                       RelayGeometry(separation, altitude, 1.0, 1.0),
+                       delays, speeds)
     for delay in delays:
         samples = 2 * _check_step_divides(delay, time_step) + 1
         if samples > MAX_CYCLE_SAMPLES:
@@ -422,7 +409,14 @@ def _relay_setup(fields):
     # The shortest link a relay can see is the one straight down.
     _check_peak_snr(snr_anchor_db(channel, ref, altitude)
                     - channel.path_loss_db(LinkGeometry(0.0, altitude)))
-    return channel, ref, cycles
+    return channel, ref, grid
+
+
+def _trace_setup(fields):
+    """A trace config's ``_relay_setup``: a trace is the sweep of static
+    and mobile at its one delay."""
+    return _relay_setup({**fields, "strategies": ["static", "mobile"],
+                         "delays_s": [fields["delay_budget_s"]]})
 
 
 # The columns of a trace file and of the sweep file, which
@@ -434,8 +428,11 @@ _SWEEP_HEADER = ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"]
 
 def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
     from .relay import simulate_cycle
-    channel, ref, cycles = setup
-    labels = [_series_label(strategy, geom.v_max) for strategy, geom in cycles]
+    channel, ref, (_, cycles) = setup
+    # A cycle's strategy is a ``RelayStrategy``, whose f-string form is
+    # ``RelayStrategy.MOBILE``, not ``mobile``.
+    labels = [_series_label(strategy.value, geom.v_max)
+              for strategy, geom in cycles.values()]
     files = [f"trace_{label}.csv" for label in labels]
 
     def table(cycle, name):
@@ -448,7 +445,7 @@ def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
 
     # One writer call formats a float the previous trace had only once;
     # each file is written before the next cycle is simulated.
-    write_csvs(map(table, cycles, files))
+    write_csvs(map(table, cycles.values(), files))
     return files, {name: {"label": label, "kind": "trace"}
                    for name, label in zip(files, labels)}, []
 
@@ -570,20 +567,10 @@ def _run_disseminate(config: ExperimentConfig, setup, out: Path):
 
 def _coverage_setup(params):
     """The LoS and excess-loss models and the altitude grid of a coverage
-    config, whose LoS sigmoid must not overflow."""
+    config."""
     from .coverage import ExcessLoss, LosProbabilityModel, _altitude_grid
     los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
     excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
-    exponent = params["s_curve_a"] * params["s_curve_b"]  # at elevation 0
-    try:
-        # exp(inf) raises nothing, but the run then meets a finite exponent
-        # that overflows.
-        if not math.isfinite(exponent):
-            raise OverflowError
-        los.los_probability(0.0)  # the sigmoid's largest exponent
-    except OverflowError:
-        raise ConfigError(f"s_curve_a * s_curve_b = {exponent:g} overflows "
-                          f"exp() in the LoS probability at elevation 0")
     if params["altitude_max_m"] < params["altitude_min_m"]:
         raise ConfigError("altitude_max_m must be >= altitude_min_m")
     return los, excess, _altitude_grid((params["altitude_min_m"],
@@ -637,7 +624,7 @@ def _run_channel_probe(config: ExperimentConfig, setup, out: Path):
 # which writes the run's files and returns their names, their plot metadata
 # and the run's seeds (only dissemination draws random numbers).
 _SCENARIOS = {
-    "relay_trace": (_relay_setup, _run_relay_trace),
+    "relay_trace": (_trace_setup, _run_relay_trace),
     "relay_sweep": (_relay_setup, _run_relay_sweep),
     "disseminate": (_dissemination_scenario, _run_disseminate),
     "coverage": (_coverage_setup, _run_coverage),
@@ -651,8 +638,12 @@ def run(config: ExperimentConfig) -> RunManifest:
     setup = validate_config(config)
     out = Path(config.output_directory)
     out.mkdir(parents=True, exist_ok=True)
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    frequency = config.params.get("carrier_frequency_hz", 0.0)
+    for lo, hi in (CNPC_L_BAND_HZ, CNPC_C_BAND_HZ):
+        if lo <= frequency <= hi:
+            print(f"warning: carrier {frequency/1e6:.1f} MHz falls inside the "
+                  f"protected CNPC band {lo/1e6:.0f}-{hi/1e6:.0f} MHz",
+                  file=sys.stderr)
     files, series, seeds = _SCENARIOS[config.scenario][1](config, setup, out)
     manifest = RunManifest(
         config_digest=config.digest(),

@@ -102,6 +102,14 @@ class TestLosProbability:
         with pytest.raises(ValueError):
             LosProbabilityModel(0.0, 0.16)
 
+    def test_exp_overflow_boundary(self):
+        # exp(a * b), the sigmoid's value at elevation 0, is the largest it
+        # computes: the model is built exactly while that is finite.
+        steepest = LosProbabilityModel(1.0, 709.782712893384)
+        assert 0.0 < steepest.los_probability(0.0) < 1e-307
+        with pytest.raises(ValueError, match="overflows exp"):
+            LosProbabilityModel(1.0, np.nextafter(709.782712893384, np.inf))
+
     def test_presets_available(self):
         for name in ("suburban", "urban", "dense_urban"):
             los, excess = environment(name)
@@ -287,11 +295,12 @@ class TestMatchesScalarReference:
         assert radius == pytest.approx(37993.95, abs=0.01)
 
     def test_exp_overflow_raises_like_math(self):
-        steep = LosProbabilityModel(50.0, 15.0)
-        with pytest.raises(OverflowError):
-            reference_coverage_radius(100.0, 150.0, F2GHZ, steep, URBAN_EXCESS)
-        with pytest.raises(OverflowError):
-            coverage_radius(100.0, 150.0, F2GHZ, steep, URBAN_EXCESS)
+        # A sigmoid whose exp overflows is refused when its model is built,
+        # so neither bisection can meet the overflow.
+        with pytest.raises(ValueError, match=re.escape(
+                "s_curve_a * s_curve_b = 750 overflows exp() in the LoS "
+                "probability at elevation 0")):
+            LosProbabilityModel(50.0, 15.0)
 
 
 def grid_or_error(grid, altitude_range, grid_step):
@@ -362,27 +371,31 @@ class TestAltitudeGrid:
 
 
 class TestSameErrorsAsExpectedPathLoss:
-    @pytest.mark.parametrize("altitude,frequency,los", [
-        (0.0, F2GHZ, URBAN_LOS), (-5.0, F2GHZ, URBAN_LOS),
-        (100.0, 0.0, URBAN_LOS), (100.0, -1.0, URBAN_LOS),
-        (100.0, F2GHZ, LosProbabilityModel(50.0, 15.0))],
+    @pytest.mark.parametrize("altitude,frequency,sigmoid", [
+        (0.0, F2GHZ, (9.61, 0.16)), (-5.0, F2GHZ, (9.61, 0.16)),
+        (100.0, 0.0, (9.61, 0.16)), (100.0, -1.0, (9.61, 0.16)),
+        (100.0, F2GHZ, (50.0, 15.0))],
         ids=["altitude_zero", "altitude_negative", "frequency_zero",
              "frequency_negative", "steep_sigmoid"])
-    def test_radius_and_curve(self, altitude, frequency, los):
-        # The bisection checks its inputs once, and its loss kernel raises
-        # where exp overflows, as the loss of one far range does.
-        with pytest.raises((ValueError, ArithmeticError)) as expected:
-            expected_path_loss(altitude, 1e6, frequency, los, URBAN_EXCESS)
+    def test_radius_and_curve(self, altitude, frequency, sigmoid):
+        # The bisection checks its inputs once, as the loss of one far range
+        # does; a sigmoid whose exp overflows fails before any of them, when
+        # its model is built.
+        def los():
+            return LosProbabilityModel(*sigmoid)
+
+        with pytest.raises(ValueError) as expected:
+            expected_path_loss(altitude, 1e6, frequency, los(), URBAN_EXCESS)
         kind, text = type(expected.value), re.escape(str(expected.value))
         with pytest.raises(kind, match=text):
-            coverage_radius(altitude, 150.0, frequency, los, URBAN_EXCESS)
+            coverage_radius(altitude, 150.0, frequency, los(), URBAN_EXCESS)
         if altitude > 0:
             with pytest.raises(kind, match=text):
                 coverage_curve((altitude, altitude + 50.0), 150.0, frequency,
-                               los, URBAN_EXCESS, grid_step=10.0)
+                               los(), URBAN_EXCESS, grid_step=10.0)
         else:  # the grid itself refuses altitudes <= 0
             with pytest.raises(ValueError, match="altitude_range"):
-                coverage_curve((altitude, 100.0), 150.0, frequency, los,
+                coverage_curve((altitude, 100.0), 150.0, frequency, los(),
                                URBAN_EXCESS)
 
 

@@ -145,11 +145,11 @@ def oracle_phase2(nodes, neighbors, file, rng, round_cap=10_000):
     for component in components:
         union = set().union(*(by_id[i].received_packets for i in component))
         union_sizes.append(len(union))
-        if len(union) < file.decode_threshold:
+        if len(union) < file.source_packet_count:
             stalled.append(tuple(component))
 
     def decoded(node):
-        return len(node.received_packets) >= file.decode_threshold
+        return len(node.received_packets) >= file.source_packet_count
 
     def all_decoded():
         return all(decoded(n) for n in nodes)
@@ -307,7 +307,7 @@ class TestMatchesScalarReference:
             # alone gave it K packets (about 1 seed in 60 has such a node).
             assert exchange.stalled_components == tuple(
                 (n.id,) for n in nodes
-                if len(n.received_packets) < file.decode_threshold)
+                if len(n.received_packets) < file.source_packet_count)
             assert exchange.success == (not exchange.stalled_components)
         if case == "pass_cap_failure":
             assert not result.success and result.missing_per_node
@@ -367,11 +367,12 @@ class TestMatchesScalarReference:
         assert peek(rng) == peek(oracle_rng)
 
 
-def check_batch(coverage, graph, file, rx, uav, positions, seeds, round_cap,
-                pass_cap, block):
+def check_batch(coverage, graph, d2d_range, file, rx, uav, positions, seeds,
+                round_cap, pass_cap, block):
     """``compare_schemes`` over ``seeds``, ``block`` seeds at a time: every
-    seed's outcome and generators must be those of its scalar oracles.
-    Returns the outcomes."""
+    seed's outcome and generators must be those of its scalar oracles,
+    whose D2D links are the pairs within ``d2d_range``, the range
+    ``graph`` was built with.  Returns the outcomes."""
     slots, nodes = coverage.shape
     seed_cells = nodes * (slots + file.source_packet_count + nodes)
     coded = [np.random.default_rng(s) for s in seeds]
@@ -390,13 +391,13 @@ def check_batch(coverage, graph, file, rx, uav, positions, seeds, round_cap,
         assert coded_tx == oracle_phase1(uav, nodes, rx, oracle_rng)
         assert after_phase1.tolist() == [len(n.received_packets)
                                          for n in nodes]
-        neighbors = oracle_neighbors(nodes, graph.d2d_range)
+        neighbors = oracle_neighbors(nodes, d2d_range)
         assert (result.rounds_used, result.success,
                 result.stalled_components,
                 result.component_union_sizes) == oracle_phase2(
             nodes, neighbors, file, oracle_rng, round_cap)
         assert decoded.tolist() == [
-            len(n.received_packets) >= file.decode_threshold for n in nodes]
+            len(n.received_packets) >= file.source_packet_count for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
         oracle_rng = np.random.default_rng(seed)
@@ -430,7 +431,8 @@ class TestBatchMatchesScalarReference:
         coverage, graph, rx, file = _dissemination_scenario(params)
         nodes, uav = oracle_scenario(params)
         outcomes = check_batch(
-            coverage, graph, file, rx, uav, [n.position for n in nodes],
+            coverage, graph, params["d2d_range_m"], file, rx, uav,
+            [n.position for n in nodes],
             [derive_seed(0, i) for i in range(6)],
             round_cap, pass_cap, block=4)
         exchanges = [outcome[1] for outcome in outcomes]
@@ -462,12 +464,12 @@ class TestBatchMatchesScalarReference:
         speed = data.draw(st.sampled_from([10.0, 25.0, 60.0]))
         uav = flight((-100.0, 50.0, 80.0), (400.0, 150.0, 80.0), speed,
                      data.draw(st.sampled_from([0.5, 1.0, 3.0])))
-        graph = D2dGraph(positions,
-                         data.draw(st.sampled_from([0.0, 25.0, 75.0, 200.0])))
+        d2d_range = data.draw(st.sampled_from([0.0, 25.0, 75.0, 200.0]))
+        graph = D2dGraph(positions, d2d_range)
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=1,
                                    max_size=6))
-        check_batch(coverage_mask(uav, positions, rx), graph, file, rx,
-                    uav, positions, seeds,
+        check_batch(coverage_mask(uav, positions, rx), graph, d2d_range,
+                    file, rx, uav, positions, seeds,
                     data.draw(st.sampled_from([0, 1, 3, 10_000])),
                     data.draw(st.integers(0, 4)),
                     data.draw(st.integers(1, len(seeds))))

@@ -96,7 +96,8 @@ class TestPresets:
 
 # Per preset, the functions that build its setup, and a params override.
 SETUP_BUILDS = {
-    "fig3": ({"_relay_setup"}, {"delay_budget_s": 10.0}),
+    # A trace's setup is the sweep plan of its one delay.
+    "fig3": ({"_relay_setup", "_sweep_grid"}, {"delay_budget_s": 10.0}),
     "fig4": ({"_relay_setup", "_sweep_grid"}, {"delays_s": [5.0, 10.0]}),
     "dissem20": ({"_slot_count", "coverage_mask"}, {"n_seeds": 2}),
     "urban_coverage": ({"_altitude_grid"}, {"altitude_step_m": 2.0}),
@@ -132,14 +133,21 @@ class TestLoadConfig:
         assert config.params["separation_m"] == 1000.0
         assert config.master_seed == 99
 
-    def test_cnpc_band_warning(self, tmp_path):
+    def test_cnpc_band_warning(self, tmp_path, capsys):
+        # Validation leaves the config as it is; the run warns.
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "preset": "fig3",
             "params": {"carrier_frequency_hz": CNPC_L_BAND_HZ[0] + 1e6},
+            "output_directory": str(tmp_path / "out"),
         }))
         config = load_config(path)
-        assert any("CNPC" in w for w in config.warnings)
+        loaded = copy.deepcopy(config)
+        assert capsys.readouterr().err == ""
+        run(config)
+        assert config == loaded
+        assert any("CNPC" in line
+                   for line in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("text", [
         '"preset"', "[1]", '{"preset": "fig3", "params": [1]}',
@@ -438,9 +446,9 @@ class TestRunnerFiles:
         config.time_step = 0.1
         config.output_directory = str(tmp_path)
         manifest = run(config)
-        channel, ref, cycles = experiment._relay_setup({**config.params,
-                                                        "time_step": 0.1})
-        strategy, geom = cycles[-1]  # mobile at 100 m/s
+        channel, ref, (_, cycles) = experiment._trace_setup(
+            {**config.params, "time_step": 0.1})
+        strategy, geom = list(cycles.values())[-1]  # mobile at 100 m/s
         cycle = relay.simulate_cycle(strategy, geom, channel, ref,
                                      time_step=0.1)
         assert len(manifest.output_files) == 4

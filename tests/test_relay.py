@@ -60,8 +60,8 @@ def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
     occupancy = received = delivered = peak = 0.0
     losses, ses, buffer = [], [], []
     for i, (t, x) in enumerate(zip(times.tolist(), xs.tolist())):
-        src = LinkGeometry(abs(x), h, 0.0)
-        dst = LinkGeometry(abs(x - g.separation), h, 0.0)
+        src = LinkGeometry(abs(x), h)
+        dst = LinkGeometry(abs(x - g.separation), h)
         losses.append((channel.path_loss_db(src), channel.path_loss_db(dst)))
         buffer.append(occupancy)
         phase1 = t < g.delay_budget - 1e-12
