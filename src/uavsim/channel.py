@@ -95,15 +95,15 @@ def _check_frequency(frequency: float) -> None:
 def _free_space_loss(distance, frequency: float):
     """``free_space_path_loss`` of slant distances, once they and
     ``frequency`` are checked."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return 20.0 * np.log10(4.0 * math.pi * distance * frequency
                                / SPEED_OF_LIGHT)
 
 
 def free_space_path_loss(geometry: LinkGeometry, frequency: float):
     """Free-space (Friis) path loss in dB: 20*log10(4*pi*d*f/c); ``inf``
-    where 4*pi*d*f overflows.  A slant distance is never 0, as the
-    transmitter height is > 0."""
+    where 4*pi*d*f overflows and ``-inf`` where 4*pi*d*f/c underflows to
+    0.  A slant distance is never 0, as the transmitter height is > 0."""
     _check_frequency(frequency)
     return _free_space_loss(geometry.slant_distance, frequency)
 
@@ -113,8 +113,9 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
     """The anchor's SNR plus the model's path loss at the reference
     distance, for links from this height to the ground: the SNR in dB of
     such a link is this value minus its own path loss.  Raises
-    ``ChannelDomainError`` when the square of the reference distance or
-    the path loss of the reference link overflows."""
+    ``ChannelDomainError`` when the square of the reference distance
+    overflows, or when the path loss of the reference link overflows or
+    underflows."""
     # A float, as the link's arithmetic takes it: a large integer height
     # would compare with the reference distance exactly.
     height = float(transmitter_height)
@@ -131,8 +132,9 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
                      transmitter_height=transmitter_height))
     if not math.isfinite(reference_loss):
         raise ChannelDomainError(
-            f"path loss at reference_distance overflows at carrier_frequency "
-            f"{model.carrier_frequency:g} Hz")
+            f"path loss at reference_distance "
+            f"{'underflows' if reference_loss < 0 else 'overflows'} at "
+            f"carrier_frequency {model.carrier_frequency:g} Hz")
     return ref.reference_snr_db + reference_loss
 
 

@@ -266,7 +266,7 @@ def validate_config(config: ExperimentConfig):
     run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle,
     ``coverage.MAX_GRID_POINTS`` altitudes, ``MAX_DISSEMINATION_CELLS``
     cells per dissemination seed, a LoS sigmoid that does not overflow and
-    an SNR anchor whose path loss does not overflow.
+    an SNR anchor whose path loss neither overflows nor underflows.
     """
     if not isinstance(config.scenario, str) or config.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; expected "

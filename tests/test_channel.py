@@ -187,6 +187,13 @@ class TestArrayKernels:
                            match="overflows at carrier_frequency 1e"):
             snr_anchor_db(ChannelModel(1e307), SnrReference(10.0, 150.0),
                           100.0)
+        # 4*pi*d*f/c underflows to 0: the loss is -inf, with no warning,
+        # and the anchor says so.
+        assert np.all(np.isneginf(free_space_path_loss(array, 5e-324)))
+        with pytest.raises(ChannelDomainError,
+                           match="underflows at carrier_frequency 4.9"):
+            snr_anchor_db(ChannelModel(5e-324), SnrReference(10.0, 150.0),
+                          100.0)
         # The reference distance's square overflows before any path loss.
         with pytest.raises(ChannelDomainError,
                            match="reference_distance too large"):

@@ -817,6 +817,11 @@ class TestMalformedConfigs:
         ("urban_coverage", {"s_curve_b": 1.7e308}, "s_curve_a"),
         ("dissem20", {"source_packet_count": 10 ** 9},
          "source_packet_count"),
+        # 4*pi*d*f/c underflows to 0 in the path loss of the SNR anchor.
+        ("fig3", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
+        ("fig4", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
+        ("channel_probe", {"carrier_frequency_hz": 5e-324},
+         "carrier_frequency_hz"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -825,28 +830,37 @@ class TestMalformedConfigs:
         assert_config_error(code, lines, out)
         assert field in lines[0]
 
-    @pytest.mark.parametrize("preset,params,code", [
+    @pytest.mark.parametrize("preset,params,field", [
         # The linear value of the peak SNR overflows, and the run wrote nan
         # SE rows.
-        ("fig4", {"reference_snr_db": 4000}, 2),
-        ("fig4", {"reference_snr_db": 3070}, 2),
-        ("fig3", {"uav_altitude_m": 1e-300}, 2),
-        ("channel_probe", {"reference_snr_db": 1e6}, 2),
+        ("fig4", {"reference_snr_db": 4000}, "reference_snr_db"),
+        ("fig4", {"reference_snr_db": 3070}, "reference_snr_db"),
+        ("fig3", {"uav_altitude_m": 1e-300}, "reference_snr_db"),
+        ("channel_probe", {"reference_snr_db": 1e6}, "reference_snr_db"),
         # Overflows in values that no output takes: the outputs are right.
-        ("fig3", {"speeds_mps": [1.7e308]}, 0),
-        ("fig4", {"speeds_mps": [1.7e308]}, 0),
-        ("dissem20", {"uav_altitude_m": 1e200, "n_seeds": 2}, 0),
+        ("fig3", {"speeds_mps": [1.7e308]}, None),
+        ("fig4", {"speeds_mps": [1.7e308]}, None),
+        ("dissem20", {"uav_altitude_m": 1e200, "n_seeds": 2}, None),
+        # 4*pi*d*f/c underflows to 0: the anchored scenarios refuse it, and
+        # coverage, which anchors nothing, runs.
+        ("fig3", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
+        ("fig4", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
+        ("channel_probe", {"carrier_frequency_hz": 5e-324},
+         "carrier_frequency_hz"),
+        ("urban_coverage", {"carrier_frequency_hz": 5e-324}, None),
     ], ids=["fig4_snr_4000", "fig4_snr_3070", "fig3_altitude_1e-300",
             "probe_snr_1e6", "fig3_speed_1.7e308", "fig4_speed_1.7e308",
-            "dissem20_altitude_1e200"])
+            "dissem20_altitude_1e200", "fig3_carrier_5e-324",
+            "fig4_carrier_5e-324", "probe_carrier_5e-324",
+            "coverage_carrier_5e-324"])
     def test_overflow_is_config_error_or_silent(self, tmp_path, preset,
-                                                params, code):
+                                                params, field):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_cli({"preset": preset, "params": params}, tmp_path)
-        if code:
+        if field:
             assert_config_error(*result)
-            assert "reference_snr_db" in result[1][0]
+            assert field in result[1][0]
         else:
             assert result[:2] == (0, [])
 
