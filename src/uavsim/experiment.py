@@ -225,6 +225,7 @@ _LIBRARY_NAMES = {
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
 # Cells in the D2D adjacency, the coverage mask or a seed's packet matrix.
 MAX_DISSEMINATION_CELLS = 10 ** 7
+MAX_SEEDS = 10 ** 4  # seeded runs of one dissemination config
 
 
 def _check_value(name: str, value, example) -> None:
@@ -264,9 +265,10 @@ def validate_config(config: ExperimentConfig):
     Checks the fields against the scenario's preset, then the bounds by
     building the setup, everything the runner needs, and the size of the
     run: at most ``MAX_CYCLE_SAMPLES`` samples per relay cycle,
-    ``coverage.MAX_GRID_POINTS`` altitudes, ``MAX_DISSEMINATION_CELLS``
-    cells per dissemination seed, a LoS sigmoid that does not overflow and
-    an SNR anchor whose path loss neither overflows nor underflows.
+    ``coverage.MAX_GRID_POINTS`` altitudes, ``MAX_SEEDS`` dissemination
+    seeds of at most ``MAX_DISSEMINATION_CELLS`` cells each, a LoS sigmoid
+    that does not overflow and an SNR anchor whose path loss neither
+    overflows nor underflows.
     """
     if not isinstance(config.scenario, str) or config.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {config.scenario!r}; expected "
@@ -491,8 +493,9 @@ def _dissemination_scenario(params):
     """The seed-free part of a dissemination config: the (slots, nodes)
     coverage mask, the D2D graph, and the reception and file models.
 
-    At most ``MAX_DISSEMINATION_CELLS`` cells in the D2D adjacency, the
-    coverage mask or one seed's (nodes, packets) matrix.
+    At most ``MAX_SEEDS`` seeds, and at most ``MAX_DISSEMINATION_CELLS``
+    cells in the D2D adjacency, the coverage mask or one seed's (nodes,
+    packets) matrix.
     """
     from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
                                 coverage_mask)
@@ -502,6 +505,9 @@ def _dissemination_scenario(params):
     file = FileSpec(params["source_packet_count"])
     n, k = params["node_count"], params["source_packet_count"]
     slots = _slot_count(params)
+    if params["n_seeds"] > MAX_SEEDS:
+        raise ConfigError(f"n_seeds {params['n_seeds']} is more than "
+                          f"{MAX_SEEDS}")
     for size, what in (
             (n * n, f"node_count {n} gives a D2D adjacency of {n * n} cells"),
             (slots * n, f"field_length_m, uav_speed_mps and slot_duration_s "

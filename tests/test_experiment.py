@@ -822,6 +822,9 @@ class TestMalformedConfigs:
         ("fig4", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
         ("channel_probe", {"carrier_frequency_hz": 5e-324},
          "carrier_frequency_hz"),
+        # More seeds than MAX_SEEDS; 2**63 would never finish.
+        ("dissem20", {"n_seeds": 10 ** 4 + 1}, "n_seeds"),
+        ("dissem20", {"n_seeds": 2 ** 63}, "n_seeds"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
