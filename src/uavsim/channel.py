@@ -116,8 +116,8 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
     ``ChannelDomainError`` when the square of the reference distance
     overflows, or when the path loss of the reference link overflows or
     underflows."""
-    # A float, as the link's arithmetic takes it: a large integer height
-    # would compare with the reference distance exactly.
+    # Compared and squared as the float the link's arithmetic uses, so an
+    # integer height acts as its float does.
     height = float(transmitter_height)
     if ref.reference_distance < abs(height):
         raise ChannelDomainError(
@@ -128,8 +128,7 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
         raise ChannelDomainError(
             "reference_distance too large: its square overflows") from None
     reference_loss = model.path_loss_db(
-        LinkGeometry(horizontal_separation=ground,
-                     transmitter_height=transmitter_height))
+        LinkGeometry(horizontal_separation=ground, transmitter_height=height))
     if not math.isfinite(reference_loss):
         raise ChannelDomainError(
             f"path loss at reference_distance "

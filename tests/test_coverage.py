@@ -103,8 +103,8 @@ class TestLosProbability:
             LosProbabilityModel(0.0, 0.16)
 
     def test_exp_overflow_boundary(self):
-        # exp(a * b), the sigmoid's value at elevation 0, is the largest it
-        # computes: the model is built exactly while that is finite.
+        # exp(a * b), taken at elevation 0, is the largest exp the sigmoid
+        # computes: the model is built exactly while it is finite.
         steepest = LosProbabilityModel(1.0, 709.782712893384)
         assert 0.0 < steepest.los_probability(0.0) < 1e-307
         with pytest.raises(ValueError, match="overflows exp"):
