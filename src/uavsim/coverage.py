@@ -4,7 +4,7 @@ Higher altitude raises free-space loss but steepens elevation angles and
 so raises the line-of-sight probability; the expected path loss mixes
 LoS and NLoS excess losses by that probability.  Coverage radius is the
 largest ground range whose expected loss stays under a threshold, and
-optimal altitude maximizes that radius over a grid.
+the optimal altitude is the first maximum of the radius over a grid.
 
 The expected loss is one numpy kernel of floats or arrays, built from
 ``channel``'s slant-distance and free-space formulas and this module's
@@ -12,12 +12,10 @@ LoS sigmoid; ``expected_path_loss`` checks its inputs and calls it.  The
 receiver is on the ground, so a link's height is the altitude.  The LoS
 model owns its domain: it rejects, when built, a sigmoid whose exponent
 at elevation 0, its largest, overflows ``exp``.  A coverage curve is two
-float arrays, its altitude grid and the radius at each altitude.  The
-radii come from one bisection run on all altitudes in lockstep, which
-checks its inputs once, calls the same kernel, and takes the steps each
-altitude would take alone; the bisection relies on the loss being
-non-decreasing in ground range, which the model guarantees.  The module
-only computes: ``experiment`` writes the curve.
+float arrays: ``altitude_grid`` and the ``coverage_radii`` of its
+altitudes, which one bisection computes on all altitudes in lockstep.
+The module only computes: ``experiment`` writes the curve and picks its
+optimum.
 """
 
 from __future__ import annotations
@@ -92,8 +90,13 @@ def _expected_loss(altitude, ground_range, frequency: float,
     fspl = _free_space_loss(_slant(ground_range, altitude), frequency)
     p_los = los.los_probability(np.degrees(np.arctan2(altitude,
                                                       ground_range)))
-    return (p_los * (fspl + excess.eta_los)
-            + (1.0 - p_los) * (fspl + excess.eta_nlos))
+    # A loss that overflows to inf, weighted by a LoS probability of
+    # exactly 0 or 1, makes 0 * inf = nan, which no threshold covers, as
+    # none covers inf.  Only such products are nan; finite losses keep
+    # every bit.
+    with np.errstate(invalid="ignore"):
+        return (p_los * (fspl + excess.eta_los)
+                + (1.0 - p_los) * (fspl + excess.eta_nlos))
 
 
 def expected_path_loss(altitude, ground_range, frequency: float,
@@ -109,16 +112,21 @@ def expected_path_loss(altitude, ground_range, frequency: float,
     return _expected_loss(altitude, ground_range, frequency, los, excess)
 
 
-def _coverage_radii(altitudes, max_path_loss: float, frequency: float,
-                    los: LosProbabilityModel,
-                    excess: ExcessLoss) -> np.ndarray:
-    """``coverage_radius`` of every altitude, all altitudes in lockstep.
+def coverage_radii(altitudes, max_path_loss: float, frequency: float,
+                   los: LosProbabilityModel,
+                   excess: ExcessLoss) -> np.ndarray:
+    """The coverage radius at each of the altitudes: the largest ground
+    range whose expected loss is <= ``max_path_loss``, by bisection.
 
-    Each altitude takes the steps it would take alone: the nadir test,
-    bracketing by doubling, and bisection.  The altitudes and brackets
-    still at a step are held in compact arrays and evaluated in one call
-    of the loss kernel; the inputs are checked once, as
-    ``expected_path_loss`` checks them.
+    The expected loss is ``fspl + eta_nlos - p_los*(eta_nlos - eta_los)``
+    with ``p_los`` non-increasing in range and ``eta_nlos >= eta_los``, so
+    it is non-decreasing in range at fixed altitude (to within rounding),
+    which is what the bisection needs.  All altitudes run in lockstep,
+    each taking the steps it would take alone: the nadir test, bracketing
+    by doubling, and bisection.  The altitudes and brackets still at a
+    step are held in compact arrays and evaluated in one call of the loss
+    kernel; the inputs are checked once, as ``expected_path_loss`` checks
+    them.
     """
     h = np.asarray(altitudes, dtype=float)
     _check_altitude(h)
@@ -160,25 +168,13 @@ def _coverage_radii(altitudes, max_path_loss: float, frequency: float,
         live = hi - lo > _TOLERANCE
 
 
-def coverage_radius(altitude: float, max_path_loss: float, frequency: float,
-                    los: LosProbabilityModel, excess: ExcessLoss) -> float:
-    """Largest ground range with expected loss <= max_path_loss, by bisection.
-
-    The expected loss is ``fspl + eta_nlos - p_los*(eta_nlos - eta_los)``
-    with ``p_los`` non-increasing in range and ``eta_nlos >= eta_los``, so
-    it is non-decreasing in range at fixed altitude (to within rounding),
-    which is what the bisection needs.
-    """
-    return float(_coverage_radii(np.array([altitude], dtype=float),
-                                 max_path_loss, frequency, los, excess)[0])
-
-
-def _altitude_grid(altitude_range: tuple[float, float],
-                   grid_step: float) -> np.ndarray:
-    """The altitudes of ``coverage_curve``: ``lo``, then each the one
+def altitude_grid(altitude_range: tuple[float, float],
+                  grid_step: float) -> np.ndarray:
+    """The float altitudes of a coverage curve: ``lo``, then each the one
     before plus ``grid_step``, while within ``hi`` (and 1e-12 m beyond it,
-    for rounding).  More than ``MAX_GRID_POINTS`` of them is a
-    ``ValueError``, as is a step too small to advance the running sum."""
+    for rounding), so the grid carries the rounding of that running sum.
+    More than ``MAX_GRID_POINTS`` of them is a ``ValueError``, as is a
+    step too small to advance the running sum."""
     lo, hi = altitude_range
     if not 0 < lo <= hi < math.inf:
         raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
@@ -206,32 +202,3 @@ def _altitude_grid(altitude_range: tuple[float, float],
                              f"{lo} to {hi} in steps of grid_step "
                              f"{grid_step}")
         start = float(chunk[-1]) + grid_step
-
-
-def coverage_curve(altitude_range: tuple[float, float], max_path_loss: float,
-                   frequency: float, los: LosProbabilityModel,
-                   excess: ExcessLoss,
-                   grid_step: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """``(altitudes, radii)``: the float arrays of the grid lo, lo + step,
-    ... <= hi and of the coverage radius at each altitude.
-
-    Each altitude is the previous one plus ``grid_step``, so the grid
-    carries the rounding of that running sum.
-    """
-    altitudes = _altitude_grid(altitude_range, grid_step)
-    return altitudes, _coverage_radii(altitudes, max_path_loss, frequency,
-                                      los, excess)
-
-
-def optimal_altitude(altitude_range: tuple[float, float], max_path_loss: float,
-                     frequency: float, los: LosProbabilityModel,
-                     excess: ExcessLoss,
-                     grid_step: float = 1.0) -> tuple[float, float]:
-    """Grid-search altitude maximizing the coverage radius.
-
-    Ties break toward the lowest altitude.  Returns (altitude, radius).
-    """
-    altitudes, radii = coverage_curve(altitude_range, max_path_loss,
-                                      frequency, los, excess, grid_step)
-    best = np.argmax(radii)  # the first maximum
-    return float(altitudes[best]), float(radii[best])

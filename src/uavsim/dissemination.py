@@ -24,9 +24,10 @@ draws a one-seed run makes, in its own generator, and leaves the
 generator where that run leaves it.  A gossip round's picks are
 ``Generator.integers(0, pool_sizes)``, reproduced from the generator's
 raw stream, so gossip takes a PCG64, PCG64DXSM, Philox or SFC64
-generator.  ``phase1_broadcast`` and ``phase2_exchange`` are one-seed
-calls of the batch kernels, and ``compare_schemes`` runs every seed of a
-config, in blocks of seeds that bound the memory a batch holds.  The
+generator.  The batch kernels ``broadcast``, ``exchange`` and
+``baseline`` run one phase each; a one-seed run passes ``packets[None]``
+and ``[rng]``.  ``compare_schemes`` runs every seed of a config through
+them, in blocks of seeds that bound the memory a batch holds.  The
 module only computes: ``experiment`` writes the summary and node tables.
 """
 
@@ -111,29 +112,25 @@ def coverage_mask(uav: np.ndarray, positions, rx: ReceptionModel) -> np.ndarray:
     return slant <= rx.coverage_radius
 
 
-def _broadcast(coverage: np.ndarray, packets: np.ndarray,
-               rx: ReceptionModel, rngs) -> int:
-    """Phase 1 for a batch: ``packets`` is (seeds, nodes, slots) and
-    ``rngs`` holds one generator per seed, each drawing once."""
+def broadcast(coverage: np.ndarray, packets: np.ndarray,
+              rx: ReceptionModel, rngs) -> int:
+    """Phase 1 for a batch of seeds: broadcast one distinct coded packet
+    per slot, packet s in slot s.
+
+    ``coverage`` is a (slots, nodes) mask from ``coverage_mask``,
+    ``packets`` the (seeds, nodes, slots) matrix and ``rngs`` one
+    generator per seed.  A covered node receives the slot's packet unless
+    it is erased, one uniform draw per covered (slot, node) in slot-major
+    order, each seed drawing once from its own generator, and ``packets``
+    gains it.  Returns the number of UAV transmissions (one per slot over
+    the full flight).
+    """
     received = np.zeros((len(rngs),) + coverage.shape, dtype=bool)
     cells = np.count_nonzero(coverage)
     received[:, coverage] = [rng.random(cells) >= rx.erasure_probability
                              for rng in rngs]
     packets |= received.transpose(0, 2, 1)
     return coverage.shape[0]
-
-
-def phase1_broadcast(coverage: np.ndarray, packets: np.ndarray,
-                     rx: ReceptionModel, rng: np.random.Generator) -> int:
-    """Broadcast one distinct coded packet per slot: packet s in slot s.
-
-    ``coverage`` is a (slots, nodes) mask from ``coverage_mask``.  A
-    covered node receives the slot's packet unless it is erased, one
-    uniform draw per covered (slot, node) in slot-major order, and the
-    (nodes, slots) matrix ``packets`` gains it.  Returns the number of UAV
-    transmissions (one per slot over the full flight).
-    """
-    return _broadcast(coverage, packets[None], rx, [rng])
 
 
 @dataclass(frozen=True)
@@ -220,15 +217,26 @@ class _WordStreams:
             self.live[row] = False
 
 
-def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
-              round_cap: int) -> list[ExchangeResult]:
-    """Phase 2 for a batch: ``packets`` is (seeds, nodes, packets), updated
-    in place, and ``rngs`` holds one generator per seed.  A round is one
-    set of array operations over the seeds still gossiping: its picks are
-    each seed's ``integers(0, pool_sizes)`` over its senders, reproduced
-    from the generators' raw streams; each node ORs in its neighbours'
-    packets through a padded neighbour table, and its packet count grows
-    by the bits that are new to it."""
+def exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
+             round_cap: int) -> list[ExchangeResult]:
+    """Phase 2 for a batch of seeds: synchronous gossip until every node
+    decodes, a component stalls, or the round cap is hit.
+
+    Each round, every node holding at least one packet broadcasts one
+    uniformly random packet it has not broadcast before (falling back to
+    a uniform draw over its whole set once everything has been sent).
+    The no-repeat choice stays agnostic of what neighbors need but
+    guarantees a component with a sufficient packet union finishes
+    within K rounds.  ``packets`` is the (seeds, nodes, packets) matrix,
+    updated in place, and ``rngs`` holds one generator per seed, each a
+    PCG64, PCG64DXSM, Philox or SFC64 generator.  A seed's round picks
+    are ``rng.integers(0, pool_sizes)`` over its senders in node order,
+    each an index into the sender's pool in ascending packet order.
+
+    A round is one set of array operations over the seeds still
+    gossiping: the picks are reproduced from the generators' raw streams,
+    each node ORs in its neighbours' packets through a padded neighbour
+    table, and its packet count grows by the bits that are new to it."""
     seeds, nodes, width = packets.shape
     # What the nodes hold, eight packets to a byte.
     held = np.packbits(packets, axis=2, bitorder="little")
@@ -315,26 +323,6 @@ def _exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
                 union_sizes.tolist()))]
 
 
-def phase2_exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec,
-                    rng: np.random.Generator,
-                    round_cap: int = 10_000) -> ExchangeResult:
-    """Synchronous gossip until every node decodes, a component stalls,
-    or the round cap is hit.
-
-    Each round, every node holding at least one packet broadcasts one
-    uniformly random packet it has not broadcast before (falling back to
-    a uniform draw over its whole set once everything has been sent).
-    The no-repeat choice stays agnostic of what neighbors need but
-    guarantees a component with a sufficient packet union finishes
-    within K rounds.  ``packets`` is the (nodes, packets) matrix, updated
-    in place; a round's picks are ``rng.integers(0, pool_sizes)`` over
-    the senders in node order, each an index into the sender's pool in
-    ascending packet order.  ``rng`` must be a PCG64, PCG64DXSM, Philox
-    or SFC64 generator.
-    """
-    return _exchange(packets[None], graph, file, [rng], round_cap)[0]
-
-
 @dataclass(frozen=True)
 class BaselineResult:
     uav_transmissions: int
@@ -348,8 +336,8 @@ class BaselineResult:
 _STEP_CELLS = 4096
 
 
-def _baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
-              rx: ReceptionModel, rngs, pass_cap: int) -> list[BaselineResult]:
+def baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
+             rx: ReceptionModel, rngs, pass_cap: int) -> list[BaselineResult]:
     """Repeat uncoded passes until every node holds all K packets, for a
     batch: ``packets`` is (seeds, nodes, K), updated in place, and
     ``rngs`` holds one generator per seed.
@@ -482,8 +470,8 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
     ``_BLOCK_CELLS`` cells.  Returns, per seed, the coded transmissions,
     the ``ExchangeResult``, the ``BaselineResult``, and per node the
     packets held after phase 1 and the decode flags after phase 2: what
-    ``phase1_broadcast`` and ``phase2_exchange`` give for that seed, and
-    the baseline of a seed run alone.
+    ``broadcast``, ``exchange`` and ``baseline`` give that seed run
+    alone.
     """
     slots, nodes = coverage.shape
     k = file.source_packet_count
@@ -492,10 +480,10 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
     outcomes = []
     while rngs := list(itertools.islice(coded_rngs, block)):
         packets = np.zeros((len(rngs), nodes, slots), dtype=bool)
-        coded_tx = _broadcast(coverage, packets, rx, rngs)
+        coded_tx = broadcast(coverage, packets, rx, rngs)
         after_phase1 = np.count_nonzero(packets, axis=2)
-        exchanges = _exchange(packets, graph, file, rngs, round_cap)
-        baselines = _baseline(
+        exchanges = exchange(packets, graph, file, rngs, round_cap)
+        baselines = baseline(
             coverage, np.zeros((len(rngs), nodes, k), dtype=bool), file, rx,
             list(itertools.islice(baseline_rngs, len(rngs))), pass_cap)
         outcomes += [(coded_tx, *outcome) for outcome in zip(

@@ -3,9 +3,11 @@ output file.
 
 A config is a JSON document selecting one scenario kind plus its
 parameter block.  Each scenario has one setup, which validation builds
-and returns, and one runner, which computes with the library and writes
-the outputs from that setup: this is the one module that calls the CSV
-writer, with each table's header.  Validation leaves the config as it
+and returns, and one runner, which computes with the library's public
+kernels and writes the outputs from that setup: ``relay.simulate_cycle``
+for traces, ``relay.sweep`` for sweeps, ``dissemination.compare_schemes``
+and ``coverage.coverage_radii``.  This is the one module that calls the
+CSV writer, with each table's header.  Validation leaves the config as it
 is; ``run`` prints a warning for a carrier in the protected CNPC bands.
 Runs are deterministic: per-run seeds derive from the master seed and
 run index via SHA-256, and CSV bodies are byte-identical across reruns
@@ -374,14 +376,14 @@ def _check_peak_snr(peak_db) -> None:
 
 
 def _relay_setup(fields):
-    """The channel model, SNR reference and ``relay._sweep_grid`` of a
+    """The channel model, SNR reference and ``relay.sweep_plan`` of a
     sweep config.  Checks the series labels, repeats, geometries, samples
     per cycle, SNR anchor and peak SNR, in that order."""
     from .channel import (ChannelModel, LinkGeometry, SnrReference,
                           snr_anchor_db)
     from .mobility import RelayGeometry, _check_step_divides
-    from .relay import _sweep_grid
-    separation, altitude = fields["separation_m"], fields["uav_altitude_m"]
+    from .relay import sweep_plan
+    altitude = fields["uav_altitude_m"]
     speeds, time_step = fields["speeds_mps"], fields["time_step"]
     delays = fields["delays_s"]
     labels = {}
@@ -395,9 +397,8 @@ def _relay_setup(fields):
         # Equal numbers count as repeats: 5 and 5.0 are one delay.
         if len(set(fields[name])) < len(fields[name]):
             raise ConfigError(f"{name} repeats a value: {fields[name]!r}")
-    grid = _sweep_grid(fields["strategies"],
-                       RelayGeometry(separation, altitude, 1.0, 1.0),
-                       delays, speeds)
+    template = RelayGeometry(fields["separation_m"], altitude, 1.0, 1.0)
+    plan = sweep_plan(fields["strategies"], template, delays, speeds)
     for delay in delays:
         samples = 2 * _check_step_divides(delay, time_step) + 1
         if samples > MAX_CYCLE_SAMPLES:
@@ -406,12 +407,11 @@ def _relay_setup(fields):
                               f"cycle, more than {MAX_CYCLE_SAMPLES}")
     channel = ChannelModel(carrier_frequency=fields["carrier_frequency_hz"])
     ref = SnrReference(reference_snr_db=fields["reference_snr_db"],
-                       reference_distance=math.hypot(separation / 2.0,
-                                                     altitude))
+                       reference_distance=template.midpoint_slant)
     # The shortest link a relay can see is the one straight down.
     _check_peak_snr(snr_anchor_db(channel, ref, altitude)
                     - channel.path_loss_db(LinkGeometry(0.0, altitude)))
-    return channel, ref, grid
+    return channel, ref, plan
 
 
 def _trace_setup(fields):
@@ -453,14 +453,14 @@ def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
 
 
 def _run_relay_sweep(config: ExperimentConfig, setup, out: Path):
-    from .relay import _sweep_rows
+    from .relay import sweep
     params = config.params
-    channel, ref, grid = setup
+    channel, ref, plan = setup
     name = "sweep.csv"
     write_csv(out / name, _SWEEP_HEADER, zip(*(
         (row.delay_budget, row.v_max, row.strategy.value, row.end_to_end_se,
          int(row.feasible))
-        for row in _sweep_rows(grid, channel, ref, config.time_step))))
+        for row in sweep(plan, channel, ref, config.time_step))))
     return [name], {name: {"kind": "sweep",
                            "speeds": params["speeds_mps"],
                            "strategies": params["strategies"]}}, []
@@ -525,32 +525,17 @@ def _dissemination_scenario(params):
             D2dGraph(positions, params["d2d_range_m"]), rx, file)
 
 
-def _compare_seeds(scenario, seeds) -> list:
-    """Seeded coded-vs-baseline comparisons of a
-    ``_dissemination_scenario``, all seeds in one batched pass.
-
-    Returns per seed the coded transmissions, the ``ExchangeResult``, the
-    ``BaselineResult``, and per node the packets held after phase 1 and
-    the decode flags after phase 2.  Each seed seeds one generator for the
-    coded scheme and one for the baseline.
-    """
-    from .dissemination import compare_schemes
-    coverage, graph, rx, file = scenario
-    return compare_schemes(coverage, graph, file, rx,
-                           (np.random.default_rng(seed) for seed in seeds),
-                           (np.random.default_rng(seed) for seed in seeds))
-
-
-def run_dissemination_pair(params: dict, seed: int):
-    """One seeded coded-vs-baseline comparison of the dissemination
-    ``params``: ``_compare_seeds`` for the one seed."""
-    return _compare_seeds(_dissemination_scenario(params), [seed])[0]
-
-
 def _run_disseminate(config: ExperimentConfig, setup, out: Path):
+    from .dissemination import compare_schemes
+    coverage, graph, rx, file = setup
     seeds = [derive_seed(config.master_seed, run_index)
              for run_index in range(config.params["n_seeds"])]
-    outcomes = _compare_seeds(setup, seeds)
+    # Each seed seeds one generator for the coded scheme and one for the
+    # baseline.
+    outcomes = compare_schemes(
+        coverage, graph, file, rx,
+        (np.random.default_rng(seed) for seed in seeds),
+        (np.random.default_rng(seed) for seed in seeds))
     summary_rows = []
     for run_index, (coded_tx, exchange, baseline, _, _) in \
             enumerate(outcomes):
@@ -574,22 +559,22 @@ def _run_disseminate(config: ExperimentConfig, setup, out: Path):
 def _coverage_setup(params):
     """The LoS and excess-loss models and the altitude grid of a coverage
     config."""
-    from .coverage import ExcessLoss, LosProbabilityModel, _altitude_grid
+    from .coverage import ExcessLoss, LosProbabilityModel, altitude_grid
     los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
     excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
     if params["altitude_max_m"] < params["altitude_min_m"]:
         raise ConfigError("altitude_max_m must be >= altitude_min_m")
-    return los, excess, _altitude_grid((params["altitude_min_m"],
-                                        params["altitude_max_m"]),
-                                       params["altitude_step_m"])
+    return los, excess, altitude_grid((params["altitude_min_m"],
+                                       params["altitude_max_m"]),
+                                      params["altitude_step_m"])
 
 
 def _run_coverage(config: ExperimentConfig, setup, out: Path):
-    from .coverage import _coverage_radii
+    from .coverage import coverage_radii
     params = config.params
     los, excess, altitudes = setup
-    radii = _coverage_radii(altitudes, params["max_path_loss_db"],
-                            params["carrier_frequency_hz"], los, excess)
+    radii = coverage_radii(altitudes, params["max_path_loss_db"],
+                           params["carrier_frequency_hz"], los, excess)
     name = "coverage.csv"
     write_csv(out / name, ["altitude_m", "coverage_radius_m"],
               [altitudes, radii])

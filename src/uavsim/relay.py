@@ -12,11 +12,13 @@ a result keeps that loss, and each per-link path-loss column evaluates
 only its inactive half when first read.
 
 One batch kernel simulates a sequence of cycles: ``simulate_cycle`` is
-its one-cycle call, and ``sweep_delay`` passes its grid's distinct cycles
-through it at once.  The kernel takes the cycles in blocks of bounded
-size, computes the SNR anchor once per altitude, and evaluates a block's
-links once per run of equal active-link gaps (a static relay, or one
-hovering overhead), repeating each run's loss and SE to its samples.
+its one-cycle call, and ``sweep`` passes the distinct cycles of a
+``sweep_plan`` through it at once.  The kernel takes the cycles in blocks
+of bounded size, computes the SNR anchor once per altitude, and evaluates
+a block's links once per run of equal active-link gaps (a static relay,
+or one hovering overhead), repeating each run's loss and SE to its
+samples.  The minimum buffer that keeps the unbounded throughput is a
+result's ``peak_occupancy``.
 
 The module only computes: ``experiment`` writes the traces and the sweep
 table.
@@ -61,8 +63,10 @@ class RelayRunResult:
     loss among them: the source's for the first ``phase1_samples``
     samples, the destination's after.  Each per-link path-loss column
     takes that half and evaluates its other half from the stored relay
-    positions, and the tuple traces are built from the arrays, on first
-    access.
+    positions on first access.  ``occupancy`` is the buffer at the start
+    of each step, so the minimum buffer achieving the unbounded
+    throughput is ``peak_occupancy`` of an unbounded run.  ``se_trace``
+    is the one tuple trace, which ``perfbench/tracer.py`` reads.
     """
 
     strategy: RelayStrategy
@@ -101,20 +105,9 @@ class RelayRunResult:
                                self.active_path_loss[split:]])
 
     @cached_property
-    def path_loss_trace(self) -> tuple[tuple[float, float, float], ...]:
-        """(t, src dB, dst dB) per sample."""
-        return tuple(zip(self.times.tolist(), self.path_loss_src.tolist(),
-                         self.path_loss_dst.tolist()))
-
-    @cached_property
     def se_trace(self) -> tuple[tuple[float, float], ...]:
         """(t, active-link SE) per sample."""
         return tuple(zip(self.times.tolist(), self.se.tolist()))
-
-    @cached_property
-    def buffer_trace(self) -> tuple[tuple[float, float], ...]:
-        """(t, occupancy at the start of the step) per sample."""
-        return tuple(zip(self.times.tolist(), self.occupancy.tolist()))
 
 
 def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
@@ -277,26 +270,17 @@ class SweepRow:
     note: str = ""
 
 
-def sweep_delay(strategies, geom_template: RelayGeometry,
-                delays, speeds, channel: ChannelModel, ref: SnrReference,
-                time_step: float = 0.01) -> list[SweepRow]:
-    """End-to-end SE over the (delay, speed, strategy) grid, with
-    unbounded buffers.
+def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
+    """The plan of a sweep over the (delay, speed, strategy) grid: the
+    cells ``(delay, speed, strategy, cycle key or None, note)`` in row
+    order, and the distinct cycles, cycle key -> ``(strategy, geometry)``
+    in first-use order.
 
-    Infeasible cells (ferry too slow) are recorded per-row, not fatal.
     Row order follows input index order: delay-major, then speed, then
-    strategy.  A static relay ignores the speed, so its cycle is
-    simulated once per delay.  The grid's distinct cycles go through
-    one batch.
+    strategy.  A static relay ignores the speed, so its cycle is keyed
+    once per delay.  An infeasible cell (ferry too slow) has no cycle and
+    keeps the reason as its note.
     """
-    return _sweep_rows(_sweep_grid(strategies, geom_template, delays, speeds),
-                       channel, ref, time_step)
-
-
-def _sweep_grid(strategies, geom_template: RelayGeometry, delays, speeds):
-    """``sweep_delay``'s plan: the cells ``(delay, speed, strategy, cycle
-    key or None, note)`` in row order, and the distinct cycles, cycle key
-    -> ``(strategy, geometry)`` in first-use order."""
     if not delays or not speeds:
         raise ValueError("delays and speeds must be non-empty")
     strategies = [RelayStrategy(strategy) for strategy in strategies]
@@ -321,24 +305,15 @@ def _sweep_grid(strategies, geom_template: RelayGeometry, delays, speeds):
     return cells, cycles
 
 
-def _sweep_rows(grid, channel, ref, time_step) -> list[SweepRow]:
-    """The rows of a ``_sweep_grid`` plan; its cycles go through one batch."""
-    cells, cycles = grid
+def sweep(plan, channel: ChannelModel, ref: SnrReference,
+          time_step: float) -> list[SweepRow]:
+    """End-to-end SE of each cell of a ``sweep_plan``, with unbounded
+    buffers, one row per cell; the plan's distinct cycles go through one
+    batch."""
+    cells, cycles = plan
     # Each result goes as soon as its SE is read, before the next is built.
     se = dict(zip(cycles, map(
         operator.attrgetter("end_to_end_se"),
         _simulate_cycles(cycles.values(), channel, ref, time_step=time_step))))
     return [SweepRow(delta, v, strategy, se.get(key), key is not None, note)
             for delta, v, strategy, key, note in cells]
-
-
-def buffer_requirement(strategy: RelayStrategy, geom: RelayGeometry,
-                       channel: ChannelModel, ref: SnrReference,
-                       time_step: float = 0.01) -> float:
-    """Minimum buffer capacity (bits/Hz) achieving the unbounded throughput.
-
-    Equals the peak occupancy of an unbounded-buffer run.
-    """
-    result = simulate_cycle(strategy, geom, channel, ref,
-                            buffer_capacity=math.inf, time_step=time_step)
-    return result.peak_occupancy

@@ -8,17 +8,17 @@ import math
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from uavsim.channel import ChannelModel, SnrReference
-from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
-                             coverage_radius, optimal_altitude)
-from uavsim.dissemination import D2dGraph, FileSpec
-from uavsim.experiment import (derive_seed, preset_config, run,
-                               run_dissemination_pair, PRESETS)
+from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
+                             coverage_radii)
+from uavsim.dissemination import broadcast, compare_schemes, exchange
+from uavsim.experiment import (_dissemination_scenario, derive_seed,
+                               preset_config, run, PRESETS)
 from uavsim.mobility import RelayGeometry
-from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
-                          sweep_delay)
+from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
 
 CHANNEL = ChannelModel(carrier_frequency=5e9)
 
@@ -74,9 +74,9 @@ def test_criterion_02_static_baseline():
 def test_criterion_03_fig4_mobile_static_ratio():
     start = time.perf_counter()
     config = preset_config("fig4")
-    rows = sweep_delay(config.params["strategies"], geom(1.0, 1.0),
-                       config.params["delays_s"], config.params["speeds_mps"],
-                       CHANNEL, ref_for(geom(1.0)), time_step=0.01)
+    plan = sweep_plan(config.params["strategies"], geom(1.0, 1.0),
+                      config.params["delays_s"], config.params["speeds_mps"])
+    rows = sweep(plan, CHANNEL, ref_for(geom(1.0)), time_step=0.01)
     elapsed = time.perf_counter() - start
     table = {(r.delay_budget, r.v_max, r.strategy): r.end_to_end_se
              for r in rows}
@@ -96,13 +96,15 @@ def test_criterion_04_zero_speed_degeneracy():
                             ref_for(geom(0.0)))
     static = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CHANNEL,
                             ref_for(geom(0.0)))
-    assert mobile.path_loss_trace == static.path_loss_trace
-    assert mobile.se_trace == static.se_trace
-    assert mobile.buffer_trace == static.buffer_trace
+    for name in ("times", "path_loss_src", "path_loss_dst", "se",
+                 "occupancy"):
+        a, b = getattr(mobile, name), getattr(static, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                  b.tobytes())
     assert mobile.bits_received == static.bits_received
     assert mobile.bits_delivered == static.bits_delivered
     assert mobile.end_to_end_se == static.end_to_end_se
-    report(4, "mobile v=0 bitwise identical to static on all traces")
+    report(4, "mobile v=0 bitwise identical to static on all arrays")
 
 
 def test_criterion_05_dominance_grid():
@@ -129,9 +131,8 @@ def test_criterion_05_dominance_grid():
 
 def test_criterion_06_buffer_tradeoff():
     g = geom(100.0)
-    requirement = buffer_requirement(RelayStrategy.MOBILE, g, CHANNEL,
-                                     ref_for(g))
     unbounded = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL, ref_for(g))
+    requirement = unbounded.peak_occupancy
     halved = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL, ref_for(g),
                             buffer_capacity=requirement / 2.0)
     exact = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL, ref_for(g),
@@ -146,11 +147,14 @@ def test_criterion_06_buffer_tradeoff():
 def test_criterion_07_dissemination_benefit():
     start = time.perf_counter()
     params = PRESETS["dissem20"]["params"]
+    coverage, graph, rx, file = _dissemination_scenario(params)
+    seeds = [derive_seed(0, i) for i in range(50)]
+    outcomes = compare_schemes(
+        coverage, graph, file, rx,
+        (np.random.default_rng(seed) for seed in seeds),
+        (np.random.default_rng(seed) for seed in seeds))
     reductions = []
-    for i in range(50):
-        seed = derive_seed(0, i)
-        coded_tx, exchange, baseline, _, _ = run_dissemination_pair(params,
-                                                                    seed)
+    for coded_tx, _, baseline, _, _ in outcomes:
         assert coded_tx <= baseline.uav_transmissions
         reductions.append(1.0 - coded_tx / baseline.uav_transmissions)
     elapsed = time.perf_counter() - start
@@ -166,18 +170,15 @@ def test_criterion_08_dissemination_conservation():
     # persist to the end of the run; before/after equality per component
     # therefore certifies every round.
     params = PRESETS["dissem20"]["params"]
-    from uavsim.experiment import _dissemination_scenario
-    import numpy as np
-    from uavsim.dissemination import phase1_broadcast, phase2_exchange
     coverage, graph, rx, file = _dissemination_scenario(params)
     for i in range(50):
         seed = derive_seed(3, i)
         rng = np.random.default_rng(seed)
         packets = np.zeros(coverage.shape[::-1], dtype=bool)
-        phase1_broadcast(coverage, packets, rx, rng)
+        broadcast(coverage, packets[None], rx, [rng])
         before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                   for comp in graph.connected_components()]
-        phase2_exchange(packets, graph, file, rng)
+        exchange(packets[None], graph, file, [rng], 10_000)
         after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                  for comp in graph.connected_components()]
         assert before == after
@@ -188,16 +189,17 @@ def test_criterion_09_coverage_interiority():
     los = LosProbabilityModel(9.61, 0.16)
     urban = ExcessLoss(1.0, 20.0)
     bounds = (10.0, 3000.0)
-    h_opt, r_opt = optimal_altitude(bounds, 110.0, 2e9, los, urban,
-                                    grid_step=10.0)
+    altitudes = altitude_grid(bounds, 10.0)
+    radii = coverage_radii(altitudes, 110.0, 2e9, los, urban)
+    best = np.argmax(radii)  # the first maximum, as the CLI takes it
+    h_opt, r_opt = float(altitudes[best]), float(radii[best])
     assert bounds[0] < h_opt < bounds[1]
-    r_low = coverage_radius(bounds[0], 110.0, 2e9, los, urban)
-    r_high = coverage_radius(bounds[1], 110.0, 2e9, los, urban)
+    r_low, r_high = coverage_radii(list(bounds), 110.0, 2e9, los, urban)
     assert r_opt > r_low and r_opt > r_high
 
     flat = ExcessLoss(1.0, 1.0)
-    h_flat, _ = optimal_altitude(bounds, 110.0, 2e9, los, flat,
-                                 grid_step=10.0)
+    flat_radii = coverage_radii(altitudes, 110.0, 2e9, los, flat)
+    h_flat = float(altitudes[np.argmax(flat_radii)])
     assert h_flat == bounds[0]
     report(9, f"urban optimum {h_opt:.0f} m (radius {r_opt:.0f} m > "
               f"{r_low:.0f}/{r_high:.0f} m at bounds); equal-excess optimum "

@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from uavsim import coverage
 from uavsim.channel import LinkGeometry, free_space_path_loss
-from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
-                             coverage_curve, coverage_radius,
-                             expected_path_loss, optimal_altitude)
+from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
+                             coverage_radii, expected_path_loss)
 
 URBAN_LOS = LosProbabilityModel(9.61, 0.16)
 URBAN_EXCESS = ExcessLoss(1.0, 20.0)
@@ -28,6 +27,30 @@ def environment(name):
     """The LoS sigmoid and excess losses of one of ``ENVIRONMENTS``."""
     a, b, eta_los, eta_nlos = ENVIRONMENTS[name]
     return LosProbabilityModel(a, b), ExcessLoss(eta_los, eta_nlos)
+
+
+def coverage_radius(altitude, max_path_loss, frequency, los, excess):
+    """The coverage radius of one altitude."""
+    return float(coverage_radii([altitude], max_path_loss, frequency, los,
+                                excess)[0])
+
+
+def coverage_curve(altitude_range, max_path_loss, frequency, los, excess,
+                   grid_step=1.0):
+    """``(altitudes, radii)`` of the grid over ``altitude_range``."""
+    altitudes = altitude_grid(altitude_range, grid_step)
+    return altitudes, coverage_radii(altitudes, max_path_loss, frequency,
+                                     los, excess)
+
+
+def optimal_altitude(altitude_range, max_path_loss, frequency, los, excess,
+                     grid_step=1.0):
+    """``(altitude, radius)`` at the first maximum of the curve, as the
+    CLI's manifest records it."""
+    altitudes, radii = coverage_curve(altitude_range, max_path_loss,
+                                      frequency, los, excess, grid_step)
+    best = np.argmax(radii)
+    return float(altitudes[best]), float(radii[best])
 
 
 def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
@@ -72,7 +95,7 @@ def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
 
 def reference_altitude_grid(altitude_range, grid_step):
     # The running sum h += grid_step one altitude at a time: the grid that
-    # the chunked np.add.accumulate of _altitude_grid must equal bit for
+    # the chunked np.add.accumulate of altitude_grid must equal bit for
     # bit, with the same ValueError past coverage.MAX_GRID_POINTS values.
     lo, hi = altitude_range
     grid = []
@@ -230,7 +253,7 @@ class TestMatchesScalarReference:
     def test_radii_bit_equal(self, models, frequency, lo, step, count, data):
         los, excess = models
         hi = lo + step * (count - 1)
-        altitudes = coverage._altitude_grid((lo, hi), step).tolist()
+        altitudes = altitude_grid((lo, hi), step).tolist()
         # Either any threshold, or the loss at a range that the bisection
         # of one altitude evaluates (the nadir or a bracket), so that its
         # comparison is a tie.
@@ -326,7 +349,7 @@ def grid_steps(draw):
 
 
 class TestAltitudeGrid:
-    """``_altitude_grid`` equals ``reference_altitude_grid``, the running
+    """``altitude_grid`` equals ``reference_altitude_grid``, the running
     sum one altitude at a time, bit for bit and in its errors."""
 
     @settings(max_examples=300, deadline=None)
@@ -334,7 +357,7 @@ class TestAltitudeGrid:
     def test_equals_running_sum(self, case, limit):
         lo, hi, step = case
         with mock.patch.object(coverage, "MAX_GRID_POINTS", limit):
-            grid = grid_or_error(coverage._altitude_grid, (lo, hi), step)
+            grid = grid_or_error(altitude_grid, (lo, hi), step)
             expected = grid_or_error(reference_altitude_grid, (lo, hi), step)
         if isinstance(expected, str):
             assert grid == expected
@@ -346,7 +369,7 @@ class TestAltitudeGrid:
         # Exactly ``limit`` altitudes pass and one more is the error, also
         # where the limit ends a chunk or falls one past it.
         monkeypatch.setattr(coverage, "MAX_GRID_POINTS", limit)
-        fits = coverage._altitude_grid((1.0, float(limit)), 1.0)
+        fits = altitude_grid((1.0, float(limit)), 1.0)
         assert fits.tolist() == reference_altitude_grid((1.0, float(limit)),
                                                         1.0)
         assert len(fits) == limit
@@ -354,7 +377,7 @@ class TestAltitudeGrid:
                                 (1.0, limit + 1.0), 1.0)
         assert message == f"more than {limit} altitudes from 1.0 to " \
             f"{limit + 1.0} in steps of grid_step 1.0"
-        assert grid_or_error(coverage._altitude_grid, (1.0, limit + 1.0),
+        assert grid_or_error(altitude_grid, (1.0, limit + 1.0),
                              1.0) == message
 
     @pytest.mark.parametrize("altitude_range,step", [
@@ -366,7 +389,7 @@ class TestAltitudeGrid:
         message = grid_or_error(reference_altitude_grid, altitude_range,
                                 step)
         assert message.startswith("more than 5000 altitudes")
-        assert grid_or_error(coverage._altitude_grid, altitude_range,
+        assert grid_or_error(altitude_grid, altitude_range,
                              step) == message
 
 

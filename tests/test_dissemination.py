@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from uavsim import dissemination
 from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                                  _WordStreams, _baseline, compare_schemes,
-                                  coverage_mask, phase1_broadcast,
-                                  phase2_exchange)
+                                  _WordStreams, compare_schemes,
+                                  coverage_mask)
 from uavsim.experiment import (PRESETS, ConfigError, _dissemination_scenario,
                                derive_seed, preset_config, validate_config)
 from uavsim.mobility import _overflight_steps, overflight_x
@@ -53,14 +52,21 @@ def broadcast(uav, positions, rx, rng):
     """Phase 1 from scratch; returns (transmissions, packet matrix)."""
     coverage = coverage_mask(uav, positions, rx)
     packets = np.zeros(coverage.shape[::-1], dtype=bool)
-    return phase1_broadcast(coverage, packets, rx, rng), packets
+    return dissemination.broadcast(coverage, packets[None], rx, [rng]), packets
+
+
+def gossip(packets, graph, file, rng, round_cap=10_000):
+    """Phase 2 of one seed on its (nodes, packets) matrix."""
+    return dissemination.exchange(packets[None], graph, file, [rng],
+                                  round_cap)[0]
 
 
 def baseline(uav, positions, file, rx, rng, pass_cap=1_000):
     """The baseline of one seed from scratch."""
     coverage = coverage_mask(uav, positions, rx)
     packets = np.zeros((len(positions), file.source_packet_count), dtype=bool)
-    return _baseline(coverage, packets[None], file, rx, [rng], pass_cap)[0]
+    return dissemination.baseline(coverage, packets[None], file, rx, [rng],
+                                  pass_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +275,14 @@ class TestMatchesScalarReference:
 
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         packets = np.zeros(coverage.shape[::-1], dtype=bool)
-        assert phase1_broadcast(coverage, packets, rx, rng) == \
+        assert dissemination.broadcast(coverage, packets[None], rx, [rng]) == \
             oracle_phase1(uav, nodes, rx, oracle_rng)
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
         neighbors = oracle_neighbors(nodes, params["d2d_range_m"])
         assert graph.connected_components() == oracle_components(neighbors)
-        exchange = phase2_exchange(packets, graph, file, rng, round_cap)
+        exchange = gossip(packets, graph, file, rng, round_cap)
         assert (exchange.rounds_used, exchange.success,
                 exchange.stalled_components,
                 exchange.component_union_sizes) == oracle_phase2(
@@ -288,8 +294,8 @@ class TestMatchesScalarReference:
         base_nodes, _ = oracle_scenario(params)
         base_packets = np.zeros((len(base_nodes), file.source_packet_count),
                                 dtype=bool)
-        result = _baseline(coverage, base_packets[None], file, rx, [rng],
-                           pass_cap)[0]
+        result = dissemination.baseline(coverage, base_packets[None], file,
+                                        rx, [rng], pass_cap)[0]
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == oracle_baseline(
             uav, base_nodes, file, rx, oracle_rng, pass_cap)
@@ -342,7 +348,7 @@ class TestMatchesScalarReference:
         assert sent == oracle_phase1(uav, nodes, rx, oracle_rng)
         neighbors = oracle_neighbors(nodes, d2d_range)
         graph = D2dGraph(positions, d2d_range)
-        exchange = phase2_exchange(packets, graph, file, rng, round_cap)
+        exchange = gossip(packets, graph, file, rng, round_cap)
         assert (exchange.rounds_used, exchange.success,
                 exchange.stalled_components,
                 exchange.component_union_sizes) == oracle_phase2(
@@ -358,8 +364,8 @@ class TestMatchesScalarReference:
                  for i, (p, h) in enumerate(zip(positions, held))]
         packets = holding(held, k)
         coverage = coverage_mask(uav, positions, rx)
-        result = _baseline(coverage, packets[None], file, rx, [rng],
-                           pass_cap)[0]
+        result = dissemination.baseline(coverage, packets[None], file, rx,
+                                        [rng], pass_cap)[0]
         assert (result.uav_transmissions, result.passes_used, result.success,
                 result.missing_per_node) == oracle_baseline(
             uav, nodes, file, rx, oracle_rng, pass_cap)
@@ -379,8 +385,8 @@ def check_batch(coverage, graph, d2d_range, file, rx, uav, positions, seeds,
     base = [np.random.default_rng(s) for s in seeds]
     with mock.patch.object(dissemination, "_BLOCK_CELLS",
                            block * seed_cells), \
-            mock.patch.object(dissemination, "_exchange",
-                              wraps=dissemination._exchange) as exchange:
+            mock.patch.object(dissemination, "exchange",
+                              wraps=dissemination.exchange) as exchange:
         outcomes = compare_schemes(coverage, graph, file, rx, coded, base,
                                    round_cap, pass_cap)
     assert exchange.call_count == -(-len(seeds) // block)
@@ -521,7 +527,8 @@ class TestPhase1Broadcast:
         coverage = coverage_mask(hover(50), [(0.0, 0.0), (50.0, 0.0)], rx)
         packets = holding([{3}, set()], coverage.shape[0])
         before = packets.sum(axis=1)
-        phase1_broadcast(coverage, packets, rx, np.random.default_rng(1))
+        dissemination.broadcast(coverage, packets[None], rx,
+                                [np.random.default_rng(1)])
         after = packets.sum(axis=1)
         assert all(b >= a for a, b in zip(before, after))
         assert packets[0, 3]
@@ -582,7 +589,7 @@ class TestPhase2Exchange:
         seeds = range(8)
         packets = np.stack([holding(sets, k) for _ in seeds])
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        results = dissemination._exchange(
+        results = dissemination.exchange(
             packets, D2dGraph(positions, 10.0), file, rngs, round_cap)
         for seed, rng, result, held in zip(seeds, rngs, results, packets):
             nodes = [OracleNode(i, p, set(s))
@@ -601,8 +608,8 @@ class TestPhase2Exchange:
     def test_already_decoded_zero_rounds(self):
         packets = holding([set(range(10)), set(range(10))], 10)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
-        result = phase2_exchange(packets, graph, FileSpec(10),
-                                 np.random.default_rng(0))
+        result = gossip(packets, graph, FileSpec(10),
+                        np.random.default_rng(0))
         assert result.rounds_used == 0 and result.success
 
     def test_disjoint_halves_complete(self):
@@ -612,16 +619,16 @@ class TestPhase2Exchange:
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
         for seed in range(100):
             packets = holding([set(range(5)), set(range(5, 10))], 10)
-            result = phase2_exchange(packets, graph, FileSpec(10),
-                                     np.random.default_rng(seed))
+            result = gossip(packets, graph, FileSpec(10),
+                            np.random.default_rng(seed))
             assert result.success
             assert result.rounds_used <= 10
 
     def test_stalled_isolated_node(self):
         packets = holding([set(range(10)), {0, 1}], 10)
         graph = D2dGraph([(0.0, 0.0), (1e6, 0.0)], d2d_range=10.0)
-        result = phase2_exchange(packets, graph, FileSpec(10),
-                                 np.random.default_rng(0))
+        result = gossip(packets, graph, FileSpec(10),
+                        np.random.default_rng(0))
         assert not result.success
         assert (1,) in result.stalled_components
         assert 2 in result.component_union_sizes
@@ -629,8 +636,8 @@ class TestPhase2Exchange:
     def test_round_cap_reported_as_failure(self):
         packets = holding([{0}, {1}], 2)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
-        result = phase2_exchange(packets, graph, FileSpec(2),
-                                 np.random.default_rng(0), round_cap=0)
+        result = gossip(packets, graph, FileSpec(2),
+                        np.random.default_rng(0), round_cap=0)
         assert not result.success
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -647,8 +654,8 @@ class TestPhase2Exchange:
         graph = D2dGraph(positions, d2d_range=150.0)
         unions_before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                          for comp in graph.connected_components()]
-        phase2_exchange(packets, graph, FileSpec(30),
-                        np.random.default_rng(seed + 1), round_cap=50)
+        gossip(packets, graph, FileSpec(30),
+               np.random.default_rng(seed + 1), round_cap=50)
         unions_after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                         for comp in graph.connected_components()]
         assert unions_before == unions_after
@@ -660,8 +667,8 @@ class TestPhase2Exchange:
         _, packets = broadcast(hover(20), positions, rx,
                                np.random.default_rng(0))
         graph = D2dGraph(positions, d2d_range=50.0)
-        result = phase2_exchange(packets, graph, FileSpec(20),
-                                 np.random.default_rng(0))
+        result = gossip(packets, graph, FileSpec(20),
+                        np.random.default_rng(0))
         assert result.success and result.rounds_used == 0
 
 
@@ -788,7 +795,7 @@ class TestWordStreams:
         packets = holding([{0}, {1}], 2)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
         with pytest.raises(ValueError, match="PCG64"):
-            phase2_exchange(packets, graph, FileSpec(2), rng)
+            gossip(packets, graph, FileSpec(2), rng)
 
 
 class TestRunBaseline:
@@ -807,9 +814,9 @@ class TestRunBaseline:
         coverage = coverage_mask(hover(1), [(0.0, 0.0)], rx)
         counts = []
         for seed in range(10_000):
-            result = _baseline(coverage, np.zeros((1, 1, 1), dtype=bool),
-                               FileSpec(1), rx, [np.random.default_rng(seed)],
-                               1_000)[0]
+            result = dissemination.baseline(
+                coverage, np.zeros((1, 1, 1), dtype=bool), FileSpec(1), rx,
+                [np.random.default_rng(seed)], 1_000)[0]
             counts.append(result.uav_transmissions)
         assert 1.9 <= statistics.mean(counts) <= 2.1
 
@@ -825,8 +832,8 @@ class TestRunBaseline:
         coverage = coverage_mask(uav, positions, rx)
         packets = np.zeros((count, 300), dtype=bool)
         rng, oracle_rng = (np.random.default_rng(7) for _ in range(2))
-        result = _baseline(coverage, packets[None], file, rx, [rng],
-                           pass_cap)[0]
+        result = dissemination.baseline(coverage, packets[None], file, rx,
+                                        [rng], pass_cap)[0]
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
         expected = oracle_baseline(uav, nodes, file, rx, oracle_rng, pass_cap)
         assert (result.uav_transmissions, result.passes_used, result.success,

@@ -97,10 +97,10 @@ class TestPresets:
 # Per preset, the functions that build its setup, and a params override.
 SETUP_BUILDS = {
     # A trace's setup is the sweep plan of its one delay.
-    "fig3": ({"_relay_setup", "_sweep_grid"}, {"delay_budget_s": 10.0}),
-    "fig4": ({"_relay_setup", "_sweep_grid"}, {"delays_s": [5.0, 10.0]}),
+    "fig3": ({"_relay_setup", "sweep_plan"}, {"delay_budget_s": 10.0}),
+    "fig4": ({"_relay_setup", "sweep_plan"}, {"delays_s": [5.0, 10.0]}),
     "dissem20": ({"_slot_count", "coverage_mask"}, {"n_seeds": 2}),
-    "urban_coverage": ({"_altitude_grid"}, {"altitude_step_m": 2.0}),
+    "urban_coverage": ({"altitude_grid"}, {"altitude_step_m": 2.0}),
     "channel_probe": ({"_probe_columns"}, {"relative_speed_mps": 50.0}),
 }
 
@@ -456,7 +456,7 @@ class TestRunnerFiles:
             text = read(tmp_path / name)
             lines = text.splitlines()
             assert lines[0] == "time_s,pl_src_db,pl_dst_db,se_bpshz,buffer_bits"
-            assert len(lines) == len(cycle.path_loss_trace) + 1
+            assert len(lines) == len(cycle.times) + 1
             assert "np." not in text
         assert read(tmp_path / "trace_mobile_v100.csv").splitlines()[1:] == [
             ",".join(map(repr, row)) for row in zip(
@@ -477,19 +477,19 @@ class TestRunnerFiles:
         assert len(rows) == 3
 
     def test_coverage_file_bytes(self, tmp_path):
-        from uavsim.coverage import ExcessLoss, LosProbabilityModel, \
-            coverage_curve
+        from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
+                                     altitude_grid, coverage_radii)
         params = {"altitude_min_m": 100.0, "altitude_max_m": 200.0,
                   "altitude_step_m": 100.0}
         code, lines, out = run_cli({"preset": "urban_coverage",
                                     "params": params}, tmp_path)
         assert (code, lines) == (0, [])
         full = {**PRESETS["urban_coverage"]["params"], **params}
-        altitudes, radii = coverage_curve(
-            (100.0, 200.0), full["max_path_loss_db"],
-            full["carrier_frequency_hz"],
+        altitudes = altitude_grid((100.0, 200.0), 100.0)
+        radii = coverage_radii(
+            altitudes, full["max_path_loss_db"], full["carrier_frequency_hz"],
             LosProbabilityModel(full["s_curve_a"], full["s_curve_b"]),
-            ExcessLoss(full["eta_los_db"], full["eta_nlos_db"]), 100.0)
+            ExcessLoss(full["eta_los_db"], full["eta_nlos_db"]))
         assert altitudes.tolist() == [100.0, 200.0]
         assert (out / "coverage.csv").read_bytes() == (
             "altitude_m,coverage_radius_m\n"

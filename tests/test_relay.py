@@ -10,8 +10,7 @@ from uavsim.channel import (ChannelModel, LinkGeometry, SnrReference,
 from uavsim.experiment import preset_config
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
                              ferry_x, mobile_relay_x)
-from uavsim.relay import (RelayStrategy, buffer_requirement, simulate_cycle,
-                          sweep_delay)
+from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
 
 CHANNEL = ChannelModel(carrier_frequency=5e9)
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
@@ -98,17 +97,33 @@ def assert_close(got, want, rel=1e-12, scale=None):
                                atol=rel * scale if scale else 0.0)
 
 
+def path_loss_rows(result):
+    """(t, src dB, dst dB) per sample of a result, as Python floats."""
+    return list(zip(result.times.tolist(), result.path_loss_src.tolist(),
+                    result.path_loss_dst.tolist()))
+
+
+def assert_arrays_bitwise_equal(a, b):
+    """Two results hold the same bits in every per-sample array."""
+    for name in ("times", "path_loss_src", "path_loss_dst", "se",
+                 "occupancy"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                  y.tobytes()), name
+
+
 def assert_matches_scalar_cycle(result, oracle, g):
     received, delivered, peak, losses, ses, buffer = oracle
     assert_close([result.bits_received, result.bits_delivered,
                   result.peak_occupancy],
                  [received, delivered, peak])
     assert_close(result.end_to_end_se, delivered / (2.0 * g.delay_budget))
-    assert_close([pl[1:] for pl in result.path_loss_trace], losses)
-    assert_close([se for _, se in result.se_trace], ses)
+    assert_close(np.column_stack([result.path_loss_src,
+                                  result.path_loss_dst]), losses)
+    assert_close(result.se, ses)
     # An occupancy that drains to zero keeps a summation-order residue,
     # so occupancies are compared relative to the peak.
-    assert_close([b for _, b in result.buffer_trace], buffer,
+    assert_close(result.occupancy, buffer,
                  scale=peak if math.isfinite(peak) else None)
 
 
@@ -273,9 +288,7 @@ class TestSimulateCycle:
         assert mobile.bits_received == static.bits_received
         assert mobile.bits_delivered == static.bits_delivered
         assert mobile.end_to_end_se == static.end_to_end_se
-        assert mobile.path_loss_trace == static.path_loss_trace
-        assert mobile.se_trace == static.se_trace
-        assert mobile.buffer_trace == static.buffer_trace
+        assert_arrays_bitwise_equal(mobile, static)
 
     def test_ferry_v100(self):
         # Closed form: log2(261) * (delta - R/v) / (2*delta) = 2.007.
@@ -316,7 +329,7 @@ class TestSimulateCycle:
             result.path_loss_dst
             assert [c for c in calls if c is not None] == [runs, n - split,
                                                            split]
-            result.path_loss_src, result.path_loss_dst, result.path_loss_trace
+            result.path_loss_src, result.path_loss_dst
             assert len(calls) == 4
 
     def test_negative_buffer_rejected(self):
@@ -330,7 +343,7 @@ class TestSimulateCycle:
                             (RelayStrategy.FERRY, 60.0)]:
             for capacity in [math.inf, 40.0, 10.0]:
                 result = run(strategy, v, buffer_capacity=capacity)
-                final_occupancy = result.buffer_trace[-1][1]
+                final_occupancy = float(result.occupancy[-1])
                 assert result.bits_delivered + final_occupancy == \
                     pytest.approx(result.bits_received, abs=1e-9)
                 assert result.bits_delivered <= result.bits_received + 1e-12
@@ -354,10 +367,10 @@ class TestSimulateCycle:
 class TestTraces:
     def test_traces_hold_python_floats(self):
         result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
-        for trace in (result.path_loss_trace, result.se_trace,
-                      result.buffer_trace):
-            assert isinstance(trace, tuple)
-            assert all(type(v) is float for row in trace for v in row)
+        trace = result.se_trace
+        assert isinstance(trace, tuple)
+        assert all(type(v) is float for row in trace for v in row)
+        assert trace == tuple(zip(result.times.tolist(), result.se.tolist()))
         for value in (result.bits_received, result.bits_delivered,
                       result.end_to_end_se, result.peak_occupancy):
             assert type(value) is float
@@ -365,8 +378,8 @@ class TestTraces:
 
 class TestPathLossTrace:
     def test_mobile_plateau(self):
-        trace = run(RelayStrategy.MOBILE, 100.0,
-                    time_step=0.01).path_loss_trace
+        trace = path_loss_rows(run(RelayStrategy.MOBILE, 100.0,
+                                   time_step=0.01))
         plateau_value = 86.42696479691709  # FSPL(100 m) oracle
         src_plateau = [t for t, pl_src, _ in trace
                        if t < 20.0 and abs(pl_src - plateau_value) < 1e-9]
@@ -378,15 +391,17 @@ class TestPathLossTrace:
                                                                     abs=0.02)
 
     def test_static_constant(self):
-        trace = run(RelayStrategy.STATIC, 0.0, time_step=0.1).path_loss_trace
+        trace = path_loss_rows(run(RelayStrategy.STATIC, 0.0,
+                                   time_step=0.1))
         for _, pl_src, pl_dst in trace:
             assert pl_src == pytest.approx(100.57, abs=0.01)
             assert pl_dst == pytest.approx(100.57, abs=0.01)
 
     def test_plateau_vs_static_gap(self):
-        mobile = run(RelayStrategy.MOBILE, 100.0,
-                     time_step=0.01).path_loss_trace
-        static = run(RelayStrategy.STATIC, 0.0, time_step=0.01).path_loss_trace
+        mobile = path_loss_rows(run(RelayStrategy.MOBILE, 100.0,
+                                    time_step=0.01))
+        static = path_loss_rows(run(RelayStrategy.STATIC, 0.0,
+                                    time_step=0.01))
         plateau = min(pl_src for _, pl_src, _ in mobile)
         gap = static[0][1] - plateau
         assert gap == pytest.approx(14.15, abs=0.05)
@@ -394,10 +409,10 @@ class TestPathLossTrace:
 
 class TestSweepDelay:
     def test_mobile_to_static_ratio(self):
-        rows = sweep_delay(["static", "mobile"], geom(1.0, 1.0),
-                           delays=[20.0, 40.0], speeds=[100.0],
-                           channel=CHANNEL,
-                           ref=SnrReference(10.0, geom(1.0).midpoint_slant))
+        rows = sweep(sweep_plan(["static", "mobile"], geom(1.0, 1.0),
+                                delays=[20.0, 40.0], speeds=[100.0]),
+                     CHANNEL, SnrReference(10.0, geom(1.0).midpoint_slant),
+                     time_step=0.01)
         by_key = {(r.delay_budget, r.strategy): r.end_to_end_se for r in rows}
         ratio20 = (by_key[(20.0, RelayStrategy.MOBILE)]
                    / by_key[(20.0, RelayStrategy.STATIC)])
@@ -409,24 +424,26 @@ class TestSweepDelay:
 
     def test_static_rows_constant(self):
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep_delay(["static"], geom(1.0, 1.0),
-                           delays=[5.0, 10.0, 20.0], speeds=[10.0, 100.0],
-                           channel=CHANNEL, ref=ref, time_step=0.01)
+        rows = sweep(sweep_plan(["static"], geom(1.0, 1.0),
+                                delays=[5.0, 10.0, 20.0],
+                                speeds=[10.0, 100.0]),
+                     CHANNEL, ref, time_step=0.01)
         values = {round(r.end_to_end_se, 9) for r in rows}
         assert len(values) == 1
 
     def test_mobile_nondecreasing_in_speed(self):
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep_delay(["mobile"], geom(1.0, 1.0), delays=[20.0],
-                           speeds=[10.0, 30.0, 60.0, 100.0],
-                           channel=CHANNEL, ref=ref)
+        rows = sweep(sweep_plan(["mobile"], geom(1.0, 1.0), delays=[20.0],
+                                speeds=[10.0, 30.0, 60.0, 100.0]),
+                     CHANNEL, ref, time_step=0.01)
         ses = [r.end_to_end_se for r in rows]
         assert all(a <= b + 1e-9 for a, b in zip(ses, ses[1:]))
 
     def test_infeasible_ferry_cell_recorded(self):
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep_delay(["ferry"], geom(1.0, 1.0), delays=[10.0],
-                           speeds=[50.0, 200.0], channel=CHANNEL, ref=ref)
+        rows = sweep(sweep_plan(["ferry"], geom(1.0, 1.0), delays=[10.0],
+                                speeds=[50.0, 200.0]),
+                     CHANNEL, ref, time_step=0.01)
         assert not rows[0].feasible and rows[0].end_to_end_se is None
         assert "minimum feasible speed" in rows[0].note
         assert rows[1].feasible
@@ -443,10 +460,10 @@ class TestSweepDelay:
 
         kernel = relay._simulate_cycles
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        args = (["static", "mobile"], geom(1.0, 1.0), [5.0, 10.0],
-                [10.0, 30.0, 100.0], CHANNEL, ref)
+        plan = sweep_plan(["static", "mobile"], geom(1.0, 1.0), [5.0, 10.0],
+                          [10.0, 30.0, 100.0])
         monkeypatch.setattr(relay, "_simulate_cycles", counting)
-        rows = sweep_delay(*args, time_step=0.05)
+        rows = sweep(plan, CHANNEL, ref, time_step=0.05)
         assert len(batches) == 1
         assert batches[0].count(RelayStrategy.STATIC) == 2
         assert batches[0].count(RelayStrategy.MOBILE) == 6
@@ -489,12 +506,12 @@ class TestSweepDelay:
         monkeypatch.setattr(relay, "snr_anchor_db", counting_anchor)
         template = RelayGeometry(params["separation_m"],
                                  params["uav_altitude_m"], 1.0, 1.0)
-        sweep_delay(params["strategies"], template, params["delays_s"],
-                    params["speeds_mps"],
-                    ChannelModel(params["carrier_frequency_hz"]),
-                    SnrReference(params["reference_snr_db"],
-                                 template.midpoint_slant),
-                    time_step=config.time_step)
+        sweep(sweep_plan(params["strategies"], template, params["delays_s"],
+                         params["speeds_mps"]),
+              ChannelModel(params["carrier_frequency_hz"]),
+              SnrReference(params["reference_snr_db"],
+                           template.midpoint_slant),
+              time_step=config.time_step)
         assert sum(samples) == 60_356
         assert len(samples) == 10  # blocks of at most 16,000 samples
         assert len(anchors) == len(scalars) == 1
@@ -502,9 +519,7 @@ class TestSweepDelay:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_delay(["static"], geom(1.0, 1.0), delays=[], speeds=[1.0],
-                        channel=CHANNEL,
-                        ref=SnrReference(10.0, geom(1.0).midpoint_slant))
+            sweep_plan(["static"], geom(1.0, 1.0), delays=[], speeds=[1.0])
 
 
 class TestDominanceGrid:
@@ -547,28 +562,24 @@ class TestDominanceGrid:
 
 class TestBufferRequirement:
     def test_mobile_v100(self):
-        req = buffer_requirement(RelayStrategy.MOBILE, geom(100.0), CHANNEL,
-                                 ref_for(geom(100.0)))
+        req = run(RelayStrategy.MOBILE, 100.0).peak_occupancy
         assert req == pytest.approx(134.9, abs=0.5)
         unbounded = run(RelayStrategy.MOBILE, 100.0)
         assert req == unbounded.bits_received  # everything buffered at t=delta
 
     def test_static_peak(self):
-        req = buffer_requirement(RelayStrategy.STATIC, geom(0.0), CHANNEL,
-                                 ref_for(geom(0.0)))
+        req = run(RelayStrategy.STATIC, 0.0).peak_occupancy
         assert req == pytest.approx(math.log2(11.0) * 20.0, abs=0.05)
 
     def test_half_capacity_strictly_reduces_se(self):
-        req = buffer_requirement(RelayStrategy.MOBILE, geom(100.0), CHANNEL,
-                                 ref_for(geom(100.0)))
+        req = run(RelayStrategy.MOBILE, 100.0).peak_occupancy
         unbounded = run(RelayStrategy.MOBILE, 100.0)
         clipped = run(RelayStrategy.MOBILE, 100.0, buffer_capacity=req / 2.0)
         assert clipped.end_to_end_se < unbounded.end_to_end_se
         assert clipped.peak_occupancy <= req / 2.0 + 1e-12
 
     def test_sufficient_capacity_reproduces_unbounded(self):
-        req = buffer_requirement(RelayStrategy.MOBILE, geom(100.0), CHANNEL,
-                                 ref_for(geom(100.0)))
+        req = run(RelayStrategy.MOBILE, 100.0).peak_occupancy
         unbounded = run(RelayStrategy.MOBILE, 100.0)
         exact = run(RelayStrategy.MOBILE, 100.0, buffer_capacity=req)
         assert exact.end_to_end_se == unbounded.end_to_end_se
