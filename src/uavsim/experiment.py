@@ -234,7 +234,10 @@ def _check_value(name: str, value, example) -> None:
     types, kind = _KINDS[type(example)]
     if (isinstance(value, bool) or not isinstance(value, types)
             or value in ([], "")
-            or isinstance(value, float) and not math.isfinite(value)):
+            or isinstance(value, float) and not math.isfinite(value)
+            # A JSON integer in a float field must convert to a float.
+            or isinstance(example, float)
+            and not -sys.float_info.max <= value <= sys.float_info.max):
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
     if isinstance(value, list):
         for item in value:
@@ -326,6 +329,8 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     for name in data:
@@ -558,15 +563,25 @@ def _run_disseminate(config: ExperimentConfig, setup, out: Path):
 
 def _coverage_setup(params):
     """The LoS and excess-loss models and the altitude grid of a coverage
-    config."""
+    config.  Checks that no link's free-space loss underflows to -inf."""
+    from .channel import LinkGeometry, free_space_path_loss
     from .coverage import ExcessLoss, LosProbabilityModel, altitude_grid
     los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
     excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
     if params["altitude_max_m"] < params["altitude_min_m"]:
         raise ConfigError("altitude_max_m must be >= altitude_min_m")
-    return los, excess, altitude_grid((params["altitude_min_m"],
-                                       params["altitude_max_m"]),
-                                      params["altitude_step_m"])
+    altitudes = altitude_grid((params["altitude_min_m"],
+                               params["altitude_max_m"]),
+                              params["altitude_step_m"])
+    # The shortest link, and so the smallest loss, is the lowest altitude's
+    # nadir.
+    frequency = params["carrier_frequency_hz"]
+    if free_space_path_loss(LinkGeometry(0.0, altitudes[0]),
+                            frequency) == -math.inf:
+        raise ConfigError(f"path loss at the lowest altitude's nadir "
+                          f"underflows at carrier_frequency_hz "
+                          f"{frequency:g} Hz")
+    return los, excess, altitudes
 
 
 def _run_coverage(config: ExperimentConfig, setup, out: Path):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim import _csvfile, experiment, relay
+from uavsim import _csvfile, coverage, dissemination, experiment, relay
 from uavsim.cli import main
 from uavsim.experiment import (CNPC_L_BAND_HZ, PRESETS, ConfigError,
                                ExperimentConfig, RunManifest,
@@ -153,7 +153,10 @@ class TestLoadConfig:
         '"preset"', "[1]", '{"preset": "fig3", "params": [1]}',
         '{"preset": ["fig3"]}', '{"scenario": "relay_trace", "params": 5}',
         '{"scenario": ["relay_trace"], "params": {}}',
-        '{"preset": "fig3", "time_stepp": 0.01}'])
+        '{"preset": "fig3", "time_stepp": 0.01}',
+        # An integer past int()'s default limit of 4,300 digits.
+        pytest.param('{"preset": "fig3", "params": {"uav_altitude_m": 1%s}}'
+                      % ("0" * 5000), id="int_of_5001_digits")])
     def test_malformed_document(self, tmp_path, text):
         path = tmp_path / "c.json"
         path.write_text(text)
@@ -339,6 +342,28 @@ class TestRun:
         final = {name: (tmp_path / name).stat().st_size for name in files}
         assert seen == [{name: final[name] for name in files[:i]}
                         for i in range(len(files))]
+
+    @pytest.mark.parametrize("preset,library,kernel,calls", [
+        ("fig3", relay, "simulate_cycle", 4),
+        ("fig4", relay, "sweep", 1),
+        ("dissem20", dissemination, "compare_schemes", 1),
+        ("urban_coverage", coverage, "coverage_radii", 1)])
+    def test_runs_the_public_kernel(self, tmp_path, monkeypatch, preset,
+                                    library, kernel, calls):
+        """Each runner computes through its library's public kernel, the
+        function the library's tests pin."""
+        called = []
+        public = getattr(library, kernel)
+
+        def counting(*args, **kwargs):
+            called.append(kernel)
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(library, kernel, counting)
+        config = preset_config(preset)
+        config.output_directory = str(tmp_path)
+        run(config)
+        assert len(called) == calls
 
     def test_rerun_byte_identical(self, tmp_path):
         bodies = []
@@ -825,6 +850,17 @@ class TestMalformedConfigs:
         # More seeds than MAX_SEEDS; 2**63 would never finish.
         ("dissem20", {"n_seeds": 10 ** 4 + 1}, "n_seeds"),
         ("dissem20", {"n_seeds": 2 ** 63}, "n_seeds"),
+        # An integer outside the float range in a float field.
+        ("fig3", {"uav_altitude_m": 10 ** 400}, "uav_altitude_m"),
+        ("urban_coverage", {"s_curve_a": 10 ** 400}, "s_curve_a"),
+        # 4*pi*d*f/c underflows to 0 at the lowest altitude's nadir, the
+        # shortest coverage link; a steep sigmoid's LoS probability there
+        # is exactly 1.
+        ("urban_coverage", {"carrier_frequency_hz": 5e-324},
+         "carrier_frequency_hz"),
+        ("urban_coverage", {"s_curve_a": 40, "s_curve_b": 17,
+                            "carrier_frequency_hz": 5e-324},
+         "carrier_frequency_hz"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -844,18 +880,20 @@ class TestMalformedConfigs:
         ("fig3", {"speeds_mps": [1.7e308]}, None),
         ("fig4", {"speeds_mps": [1.7e308]}, None),
         ("dissem20", {"uav_altitude_m": 1e200, "n_seeds": 2}, None),
-        # 4*pi*d*f/c underflows to 0: the anchored scenarios refuse it, and
-        # coverage, which anchors nothing, runs.
+        # 4*pi*d*f/c underflows to 0 in the SNR anchor's path loss.
         ("fig3", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
         ("fig4", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
         ("channel_probe", {"carrier_frequency_hz": 5e-324},
          "carrier_frequency_hz"),
-        ("urban_coverage", {"carrier_frequency_hz": 5e-324}, None),
+        # 4*pi*d*f overflows at every coverage link, and a steep sigmoid
+        # weights that inf by a LoS probability of exactly 1 or 0.
+        ("urban_coverage", {"s_curve_a": 40, "s_curve_b": 17,
+                            "carrier_frequency_hz": 1e307}, None),
     ], ids=["fig4_snr_4000", "fig4_snr_3070", "fig3_altitude_1e-300",
             "probe_snr_1e6", "fig3_speed_1.7e308", "fig4_speed_1.7e308",
             "dissem20_altitude_1e200", "fig3_carrier_5e-324",
             "fig4_carrier_5e-324", "probe_carrier_5e-324",
-            "coverage_carrier_5e-324"])
+            "steep_coverage_carrier_1e307"])
     def test_overflow_is_config_error_or_silent(self, tmp_path, preset,
                                                 params, field):
         with warnings.catch_warnings():
@@ -869,14 +907,20 @@ class TestMalformedConfigs:
 
     def test_overflowing_carrier_covers_nothing(self, tmp_path):
         # Coverage anchors no SNR: the path loss overflows to inf at every
-        # range, so every radius is 0, and no warning is raised.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, lines, out = run_cli({"preset": "urban_coverage", "params": {
-                "carrier_frequency_hz": 1e307}}, tmp_path)
-        assert (code, lines) == (0, [])
-        rows = read(out / "coverage.csv").splitlines()[1:]
-        assert rows and all(row.endswith(",0.0") for row in rows)
+        # range, so every radius is 0, and no warning is raised, also where
+        # a steep sigmoid's LoS probability of 1 makes the mix nan.
+        for name, sigmoid in (("default", {}),
+                              ("steep", {"s_curve_a": 40, "s_curve_b": 17})):
+            (tmp_path / name).mkdir()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, lines, out = run_cli({
+                    "preset": "urban_coverage",
+                    "params": {"carrier_frequency_hz": 1e307, **sigmoid}},
+                    tmp_path / name)
+            assert (code, lines) == (0, [])
+            rows = read(out / "coverage.csv").splitlines()[1:]
+            assert rows and all(row.endswith(",0.0") for row in rows)
 
     @pytest.mark.parametrize("preset,params,row", [
         # A flight of 5e11 steps of 0.1 s in one slot: nothing is sampled
