@@ -17,8 +17,7 @@ its one-cycle call, and ``sweep`` passes the distinct cycles of a
 of bounded size, computes the SNR anchor once per altitude, and evaluates
 a block's links once per run of equal active-link gaps (a static relay,
 or one hovering overhead), repeating each run's loss and SE to its
-samples.  The minimum buffer that keeps the unbounded throughput is a
-result's ``peak_occupancy``.
+samples.
 
 The module only computes: ``experiment`` writes the traces and the sweep
 table.
