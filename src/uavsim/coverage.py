@@ -14,6 +14,8 @@ model owns its domain: it rejects, when built, a sigmoid whose exponent
 at elevation 0, its largest, overflows ``exp``.  A coverage curve is two
 float arrays: ``altitude_grid`` and the ``coverage_radii`` of its
 altitudes, which one bisection computes on all altitudes in lockstep.
+``check_carrier`` refuses a carrier whose free-space loss underflows to
+-inf on the shortest link, as a threshold would cover any range then.
 The module only computes: ``experiment`` writes the curve and picks its
 optimum.
 """
@@ -82,6 +84,17 @@ def _check_altitude(altitude) -> None:
         raise ValueError("altitude must be > 0")
 
 
+def check_carrier(altitudes, frequency: float) -> None:
+    """Raises ``ValueError`` for a frequency <= 0, or where the free-space
+    loss at the lowest altitude's nadir, the shortest link and so the
+    smallest loss, underflows to -inf: 4*pi*d*f/c rounds to 0 there."""
+    _check_frequency(frequency)
+    if np.size(altitudes) and _free_space_loss(
+            np.min(altitudes), frequency) == -math.inf:
+        raise ValueError(f"path loss at the lowest altitude's nadir "
+                         f"underflows at carrier_frequency {frequency:g} Hz")
+
+
 def _expected_loss(altitude, ground_range, frequency: float,
                    los: LosProbabilityModel, excess: ExcessLoss):
     """``expected_path_loss`` of altitudes, ground ranges and a frequency
@@ -126,11 +139,11 @@ def coverage_radii(altitudes, max_path_loss: float, frequency: float,
     by doubling, and bisection.  The altitudes and brackets still at a
     step are held in compact arrays and evaluated in one call of the loss
     kernel; the inputs are checked once, as ``expected_path_loss`` checks
-    them.
+    them, and the carrier by ``check_carrier``.
     """
     h = np.asarray(altitudes, dtype=float)
     _check_altitude(h)
-    _check_frequency(frequency)
+    check_carrier(h, frequency)
 
     def covered(heights, ranges):
         return _expected_loss(heights, ranges, frequency, los,

@@ -12,18 +12,36 @@ is; ``run`` prints a warning for a carrier in the protected CNPC bands.
 Runs are deterministic: per-run seeds derive from the master seed and
 run index via SHA-256, and CSV bodies are byte-identical across reruns
 of the same config.
+
+This module is where every command first imports numpy, and it does so
+with ``OPENBLAS_NUM_THREADS=1`` set for that import alone, unless the
+caller set a variable that OpenBLAS reads for its thread count.  uavsim
+makes no BLAS call, and OpenBLAS sizes its pool of worker threads when
+the library loads: starting an idle worker, which spin-waits before it
+sleeps, took about 40% of ``import numpy`` on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS's thread-count variables, the first set one taking precedence.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:  # child processes and os.environ see the caller's environment
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): ``hashlib``
 # always imports ``_hashlib``, which maps OpenSSL's libcrypto (about 3 ms
@@ -563,9 +581,9 @@ def _run_disseminate(config: ExperimentConfig, setup, out: Path):
 
 def _coverage_setup(params):
     """The LoS and excess-loss models and the altitude grid of a coverage
-    config.  Checks that no link's free-space loss underflows to -inf."""
-    from .channel import LinkGeometry, free_space_path_loss
-    from .coverage import ExcessLoss, LosProbabilityModel, altitude_grid
+    config, whose carrier ``check_carrier`` passes."""
+    from .coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
+                           check_carrier)
     los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
     excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
     if params["altitude_max_m"] < params["altitude_min_m"]:
@@ -573,14 +591,7 @@ def _coverage_setup(params):
     altitudes = altitude_grid((params["altitude_min_m"],
                                params["altitude_max_m"]),
                               params["altitude_step_m"])
-    # The shortest link, and so the smallest loss, is the lowest altitude's
-    # nadir.
-    frequency = params["carrier_frequency_hz"]
-    if free_space_path_loss(LinkGeometry(0.0, altitudes[0]),
-                            frequency) == -math.inf:
-        raise ConfigError(f"path loss at the lowest altitude's nadir "
-                          f"underflows at carrier_frequency_hz "
-                          f"{frequency:g} Hz")
+    check_carrier(altitudes, params["carrier_frequency_hz"])
     return los, excess, altitudes
 
 

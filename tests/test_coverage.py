@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from uavsim import coverage
 from uavsim.channel import LinkGeometry, free_space_path_loss
 from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
-                             coverage_radii, expected_path_loss)
+                             check_carrier, coverage_radii,
+                             expected_path_loss)
 
 URBAN_LOS = LosProbabilityModel(9.61, 0.16)
 URBAN_EXCESS = ExcessLoss(1.0, 20.0)
@@ -397,18 +398,21 @@ class TestSameErrorsAsExpectedPathLoss:
     @pytest.mark.parametrize("altitude,frequency,sigmoid", [
         (0.0, F2GHZ, (9.61, 0.16)), (-5.0, F2GHZ, (9.61, 0.16)),
         (100.0, 0.0, (9.61, 0.16)), (100.0, -1.0, (9.61, 0.16)),
-        (100.0, F2GHZ, (50.0, 15.0))],
+        (100.0, F2GHZ, (50.0, 15.0)), (10.0, 5e-324, (9.61, 0.16))],
         ids=["altitude_zero", "altitude_negative", "frequency_zero",
-             "frequency_negative", "steep_sigmoid"])
+             "frequency_negative", "steep_sigmoid", "frequency_underflow"])
     def test_radius_and_curve(self, altitude, frequency, sigmoid):
         # The bisection checks its inputs once, as the loss of one far range
         # does; a sigmoid whose exp overflows fails before any of them, when
-        # its model is built.
+        # its model is built.  A carrier whose loss underflows to -inf at
+        # the nadir is no error of the loss, which is then -inf, but of
+        # ``check_carrier``: every threshold would cover every range.
         def los():
             return LosProbabilityModel(*sigmoid)
 
         with pytest.raises(ValueError) as expected:
             expected_path_loss(altitude, 1e6, frequency, los(), URBAN_EXCESS)
+            check_carrier([altitude], frequency)
         kind, text = type(expected.value), re.escape(str(expected.value))
         with pytest.raises(kind, match=text):
             coverage_radius(altitude, 150.0, frequency, los(), URBAN_EXCESS)
