@@ -17,7 +17,7 @@ it in the same call that has float arrays.  ``_reprs`` is the writer's one place
 float array.
 """
 
-import numpy as np
+from ._numpy import np
 
 _BLOCK_ROWS = 1024  # rows formatted and joined per write
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .channel import _check_frequency, _free_space_loss, _slant
 
 MAX_GRID_POINTS = 10 ** 6  # altitudes in one coverage curve

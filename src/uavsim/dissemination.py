@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 
 @dataclass(frozen=True)

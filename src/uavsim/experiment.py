@@ -13,35 +13,20 @@ Runs are deterministic: per-run seeds derive from the master seed and
 run index via SHA-256, and CSV bodies are byte-identical across reruns
 of the same config.
 
-This module is where every command first imports numpy, and it does so
-with ``OPENBLAS_NUM_THREADS=1`` set for that import alone, unless the
-caller set a variable that OpenBLAS reads for its thread count.  uavsim
-makes no BLAS call, and OpenBLAS sizes its pool of worker threads when
-the library loads: starting an idle worker, which spin-waits before it
-sleeps, took about 40% of ``import numpy`` on a 2-vCPU host.
+Like every uavsim module, this one gets numpy from ``_numpy``, which
+loads it without OpenBLAS's idle worker thread.  The dissemination runner
+seeds its generators through ``_numpy.import_random``, so no preset maps
+OpenSSL's libcrypto: SHA-256 here is CPython's own.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-# OpenBLAS's thread-count variables, the first set one taking precedence.
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                          "OMP_NUM_THREADS")
-if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
-    import numpy as np
-else:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as np
-    finally:  # child processes and os.environ see the caller's environment
-        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): ``hashlib``
 # always imports ``_hashlib``, which maps OpenSSL's libcrypto (about 3 ms
@@ -56,6 +41,7 @@ except ImportError:
 
 from . import __version__
 from ._csvfile import write_csv, write_csvs
+from ._numpy import import_random, np
 
 # The library modules are imported inside each scenario's setup, helpers and
 # runner, so a command loads only its own scenario's modules: every start
@@ -555,10 +541,11 @@ def _run_disseminate(config: ExperimentConfig, setup, out: Path):
              for run_index in range(config.params["n_seeds"])]
     # Each seed seeds one generator for the coded scheme and one for the
     # baseline.
+    default_rng = import_random().default_rng
     outcomes = compare_schemes(
         coverage, graph, file, rx,
-        (np.random.default_rng(seed) for seed in seeds),
-        (np.random.default_rng(seed) for seed in seeds))
+        (default_rng(seed) for seed in seeds),
+        (default_rng(seed) for seed in seeds))
     summary_rows = []
     for run_index, (coded_tx, exchange, baseline, _, _) in \
             enumerate(outcomes):

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .channel import (ChannelModel, LinkGeometry, SnrReference,
                       snr_anchor_db, spectral_efficiency)
 from .mobility import (FerryInfeasibleError, RelayGeometry,

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1037,14 +1038,15 @@ class TestMalformedConfigs:
 # The uavsim modules, besides the package and ``experiment``, that loading
 # each preset's config imports; its run imports no more.
 SCENARIO_MODULES = {
-    "fig3": {"_csvfile", "channel", "mobility", "relay"},
-    "fig4": {"_csvfile", "channel", "mobility", "relay"},
-    "dissem20": {"_csvfile", "mobility", "dissemination"},
-    "urban_coverage": {"_csvfile", "channel", "coverage"},
-    "channel_probe": {"_csvfile", "channel"},
+    "fig3": {"_csvfile", "_numpy", "channel", "mobility", "relay"},
+    "fig4": {"_csvfile", "_numpy", "channel", "mobility", "relay"},
+    "dissem20": {"_csvfile", "_numpy", "mobility", "dissemination"},
+    "urban_coverage": {"_csvfile", "_numpy", "channel", "coverage"},
+    "channel_probe": {"_csvfile", "_numpy", "channel"},
 }
 
-STARTUP_PROBE = """
+# Helpers of the fresh-interpreter probes below.
+PROBE_HELPERS = """
 import json, os, sys
 
 def loaded():
@@ -1061,6 +1063,16 @@ def blas_threads():
         threads = None
     return [threads, {name: os.environ.get(name) for name in sys.argv[2:]}]
 
+def libcrypto_mapped():
+    # Whether OpenSSL's libcrypto is mapped, where /proc tells it.
+    try:
+        with open("/proc/self/maps") as maps:
+            return any("libcrypto" in line for line in maps)
+    except OSError:
+        return None
+"""
+
+STARTUP_PROBE = PROBE_HELPERS + """
 import uavsim
 bare = loaded()
 from uavsim import experiment
@@ -1071,7 +1083,8 @@ print(json.dumps({"bare": bare, "load": after_load, "run": loaded(),
                   "threads": [threads_load, blas_threads()],
                   "csv": "csv" in sys.modules,
                   "numpy.ma": "numpy.ma" in sys.modules,
-                  "_hashlib": "_hashlib" in sys.modules}))
+                  "_hashlib": "_hashlib" in sys.modules,
+                  "libcrypto": libcrypto_mapped()}))
 """
 # The variables OpenBLAS reads for the size of its thread pool, the first
 # set one taking precedence.
@@ -1092,22 +1105,34 @@ COUNTS_BLAS_THREADS = (Path("/proc/self/status").exists()
                        and numpy_loads_openblas())
 
 
-def startup_probe(tmp_path, preset, **variables):
-    """STARTUP_PROBE's report on a run of ``preset`` in a fresh interpreter
-    whose environment sets none of ``BLAS_THREAD_VARIABLES`` but
-    ``variables``."""
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"preset": preset,
-                               "output_directory": str(tmp_path / "out")}))
+def fresh_probe(probe, *args, **variables):
+    """The JSON that ``probe`` prints, run with ``args`` in a fresh
+    interpreter whose environment sets none of ``BLAS_THREAD_VARIABLES``
+    but ``variables``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {name: value for name, value in os.environ.items()
            if name not in BLAS_THREAD_VARIABLES}
-    done = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(cfg),
-                           *BLAS_THREAD_VARIABLES],
+    done = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
                           env={**env, "PYTHONPATH": src, **variables},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def preset_file(tmp_path, preset, out="out"):
+    """A config file that runs ``preset`` into ``tmp_path / out``."""
+    cfg = tmp_path / f"{out}.json"
+    cfg.write_text(json.dumps({"preset": preset,
+                               "output_directory": str(tmp_path / out)}))
+    return cfg
+
+
+def startup_probe(tmp_path, preset, **variables):
+    """STARTUP_PROBE's report on a run of ``preset`` in a fresh interpreter
+    whose environment sets none of ``BLAS_THREAD_VARIABLES`` but
+    ``variables``."""
+    return fresh_probe(STARTUP_PROBE, preset_file(tmp_path, preset),
+                       *BLAS_THREAD_VARIABLES, **variables)
 
 
 @pytest.mark.parametrize("preset", sorted(SCENARIO_MODULES))
@@ -1116,8 +1141,9 @@ def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
     ``load_config`` loads exactly the preset's scenario modules, which
     ``run`` then needs no addition to; ``csv`` is left unloaded, and so
     is ``numpy.ma``, which plain ``np.unique`` imports (about 2.7 MB), and
-    ``_hashlib``, which maps OpenSSL's libcrypto (about 3.6 MB).  numpy's
-    OpenBLAS starts no worker thread, and no thread variable is left set."""
+    ``_hashlib``, which maps OpenSSL's libcrypto (about 3.6 MB), even by
+    ``dissem20``, which imports ``numpy.random``.  numpy's OpenBLAS starts
+    no worker thread, and no thread variable is left set."""
     loaded = startup_probe(tmp_path, preset)
     assert loaded["bare"] == []
     assert loaded["load"] == sorted(
@@ -1125,10 +1151,8 @@ def test_startup_loads_only_the_scenario_modules(tmp_path, preset):
     assert loaded["run"] == loaded["load"]
     assert not loaded["csv"]
     assert not loaded["numpy.ma"]
-    # dissem20 seeds numpy generators: numpy.random.bit_generator imports
-    # secrets, which imports hmac, which imports _hashlib.
-    if preset != "dissem20":
-        assert not loaded["_hashlib"]
+    assert not loaded["_hashlib"]
+    assert not loaded["libcrypto"]  # None: /proc/self/maps is unreadable
     unset = dict.fromkeys(BLAS_THREAD_VARIABLES)
     assert [variables for _, variables in loaded["threads"]] == [unset, unset]
     if COUNTS_BLAS_THREADS:
@@ -1146,3 +1170,63 @@ def test_startup_keeps_the_callers_blas_thread_count(tmp_path, name):
     loaded = startup_probe(tmp_path, "channel_probe", **{name: "2"})
     variables = {**dict.fromkeys(BLAS_THREAD_VARIABLES), name: "2"}
     assert loaded["threads"] == [[2, variables], [2, variables]]
+
+
+IMPORT_PROBE = PROBE_HELPERS + """
+import importlib
+importlib.import_module(sys.argv[1])
+print(json.dumps(blas_threads()))
+"""
+LIBRARY_MODULES = sorted(
+    path.stem for path in Path(experiment.__file__).parent.glob("*.py")
+    if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_importing_any_module_first_starts_no_blas_worker(name):
+    # Every module gets numpy from uavsim._numpy, so a library user who
+    # imports it before ``experiment`` also loads numpy with one thread.
+    threads, variables = fresh_probe(IMPORT_PROBE, f"uavsim.{name}",
+                                     *BLAS_THREAD_VARIABLES)
+    assert variables == dict.fromkeys(BLAS_THREAD_VARIABLES)
+    if COUNTS_BLAS_THREADS:
+        assert threads == 1
+
+
+# argv[1]: a config to run first, or "-" for none; argv[2]: "hashlib" to
+# import hashlib before uavsim.
+HASHLIB_PROBE = PROBE_HELPERS + """
+if sys.argv[2] == "hashlib":
+    import hashlib
+if sys.argv[1] != "-":
+    from uavsim import experiment
+    experiment.run(experiment.load_config(sys.argv[1]))
+import hashlib, hmac, secrets
+print(json.dumps({"hmac_openssl": hmac._hashopenssl is not None,
+                  "algorithms": sorted(hashlib.algorithms_available),
+                  "sha256": hashlib.sha256(b"uavsim").hexdigest(),
+                  "token_bytes": len(secrets.token_bytes(16)),
+                  "libcrypto": libcrypto_mapped()}))
+"""
+
+
+def test_dissem20_leaves_hmac_and_hashlib_to_later_imports(tmp_path):
+    """``dissem20`` imports ``numpy.random`` with ``_hashlib`` blocked; the
+    ``hmac``, ``hashlib`` and ``secrets`` imported after the run are those
+    of a fresh interpreter, OpenSSL-backed where ``_hashlib`` is
+    importable.  A process that imported ``hashlib`` first, so that
+    ``_hashlib`` was loaded and the block is skipped, writes the same
+    CSV bytes."""
+    fresh = fresh_probe(HASHLIB_PROBE, "-", "")
+    after = fresh_probe(HASHLIB_PROBE, preset_file(tmp_path, "dissem20"), "")
+    assert after == fresh
+    assert fresh["hmac_openssl"] == (
+        importlib.util.find_spec("_hashlib") is not None)
+    assert fresh["token_bytes"] == 16
+    fresh_probe(HASHLIB_PROBE, preset_file(tmp_path, "dissem20", "first"),
+                "hashlib")
+    written = sorted(path.name for path in (tmp_path / "out").glob("*.csv"))
+    assert written == ["nodes.csv", "summary.csv"]
+    for name in written:
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes())
