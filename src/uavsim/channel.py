@@ -6,9 +6,11 @@ function of its inputs.
 
 Every link runs from a transmitter in the air to a receiver on the
 ground, so its slant distance follows from its horizontal separation and
-the transmitter height.  Each formula is one numpy function that takes a
-``LinkGeometry`` (or SNRs) of floats or arrays and returns a float or an
-array to match.  A link's SNR is ``snr_anchor_db`` minus its path loss.
+the transmitter height.  Each formula is one numpy function of floats or
+arrays that broadcast against each other, e.g. one flight sampled in
+time at one height, or one ground range per altitude of a grid, and
+returns a float or an array to match.  A link's SNR is ``snr_anchor_db``
+minus its path loss.
 """
 
 from __future__ import annotations
@@ -23,46 +25,6 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 
 class ChannelDomainError(ValueError):
     """Raised for geometrically or physically invalid channel inputs."""
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Geometry of one link or of many, from a transmitter in the air to a
-    receiver on the ground: horizontal separations, and transmitter heights
-    that broadcast against them, e.g. one flight sampled in time (a scalar
-    height) or one ground range per altitude of a grid.
-
-    ``slant_distance`` is derived from the horizontal separation and the
-    transmitter height.
-    """
-
-    horizontal_separation: float | np.ndarray  # m, >= 0
-    transmitter_height: float | np.ndarray     # m, > 0
-
-    def __post_init__(self):
-        if np.any(self.horizontal_separation < 0):
-            raise ChannelDomainError("horizontal_separation must be >= 0")
-        if np.any(self.transmitter_height <= 0):
-            raise ChannelDomainError("transmitter_height must be > 0")
-
-    @property
-    def slant_distance(self):
-        return _slant(self.horizontal_separation, self.transmitter_height)
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Free-space (Friis) path loss at one carrier frequency."""
-
-    carrier_frequency: float  # Hz, > 0
-
-    def __post_init__(self):
-        if self.carrier_frequency <= 0:
-            raise ChannelDomainError("carrier_frequency must be > 0")
-
-    def path_loss_db(self, geometry: LinkGeometry):
-        """Path loss of each link of ``geometry``, dB."""
-        return free_space_path_loss(geometry, self.carrier_frequency)
 
 
 @dataclass(frozen=True)
@@ -81,10 +43,10 @@ class SnrReference:
             raise ChannelDomainError("reference_distance must be > 0")
 
 
-def _slant(horizontal_separation, height):
+def slant_distance(horizontal_separation, transmitter_height):
     """Slant distance of links with these horizontal separations and
     transmitter heights, m."""
-    return np.hypot(horizontal_separation, height)
+    return np.hypot(horizontal_separation, transmitter_height)
 
 
 def _check_frequency(frequency: float) -> None:
@@ -100,19 +62,27 @@ def _free_space_loss(distance, frequency: float):
                                / SPEED_OF_LIGHT)
 
 
-def free_space_path_loss(geometry: LinkGeometry, frequency: float):
-    """Free-space (Friis) path loss in dB: 20*log10(4*pi*d*f/c); ``inf``
-    where 4*pi*d*f overflows and ``-inf`` where 4*pi*d*f/c underflows to
-    0.  A slant distance is never 0, as the transmitter height is > 0."""
+def free_space_path_loss(horizontal_separation, transmitter_height,
+                         frequency: float):
+    """Free-space (Friis) path loss in dB, 20*log10(4*pi*d*f/c), of the
+    links from ``transmitter_height`` (m, > 0) to the ground at
+    ``horizontal_separation`` (m, >= 0): ``inf`` where 4*pi*d*f overflows
+    and ``-inf`` where 4*pi*d*f/c underflows to 0.  A slant distance d is
+    never 0, as the transmitter height is > 0."""
+    if np.any(horizontal_separation < 0):
+        raise ChannelDomainError("horizontal_separation must be >= 0")
+    if np.any(transmitter_height <= 0):
+        raise ChannelDomainError("transmitter_height must be > 0")
     _check_frequency(frequency)
-    return _free_space_loss(geometry.slant_distance, frequency)
+    return _free_space_loss(
+        slant_distance(horizontal_separation, transmitter_height), frequency)
 
 
-def snr_anchor_db(model: ChannelModel, ref: SnrReference,
+def snr_anchor_db(frequency: float, ref: SnrReference,
                   transmitter_height: float) -> float:
-    """The anchor's SNR plus the model's path loss at the reference
-    distance, for links from this height to the ground: the SNR in dB of
-    such a link is this value minus its own path loss.  Raises
+    """The anchor's SNR plus the path loss at the reference distance, at
+    ``frequency``, for links from this height to the ground: the SNR in
+    dB of such a link is this value minus its own path loss.  Raises
     ``ChannelDomainError`` when the square of the reference distance
     overflows, or when the path loss of the reference link overflows or
     underflows."""
@@ -127,13 +97,12 @@ def snr_anchor_db(model: ChannelModel, ref: SnrReference,
     except OverflowError:
         raise ChannelDomainError(
             "reference_distance too large: its square overflows") from None
-    reference_loss = model.path_loss_db(
-        LinkGeometry(horizontal_separation=ground, transmitter_height=height))
+    reference_loss = free_space_path_loss(ground, height, frequency)
     if not math.isfinite(reference_loss):
         raise ChannelDomainError(
             f"path loss at reference_distance "
             f"{'underflows' if reference_loss < 0 else 'overflows'} at "
-            f"carrier_frequency {model.carrier_frequency:g} Hz")
+            f"carrier_frequency {frequency:g} Hz")
     return ref.reference_snr_db + reference_loss
 
 

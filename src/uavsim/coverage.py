@@ -7,11 +7,13 @@ largest ground range whose expected loss stays under a threshold, and
 the optimal altitude is the first maximum of the radius over a grid.
 
 The expected loss is one numpy kernel of floats or arrays, built from
-``channel``'s slant-distance and free-space formulas and this module's
-LoS sigmoid; ``expected_path_loss`` checks its inputs and calls it.  The
-receiver is on the ground, so a link's height is the altitude.  The LoS
-model owns its domain: it rejects, when built, a sigmoid whose exponent
-at elevation 0, its largest, overflows ``exp``.  A coverage curve is two
+``channel.slant_distance``, the unchecked form of
+``channel.free_space_path_loss`` and this module's LoS sigmoid; its
+inputs are checked once, by ``expected_path_loss`` or before the
+bisection, and not on each of the bisection's calls.  The receiver is on
+the ground, so a link's height is the altitude.  The LoS model owns its
+domain: it rejects, when built, a sigmoid whose exponent at elevation 0,
+its largest, overflows ``exp``.  A coverage curve is two
 float arrays: ``altitude_grid`` and the ``coverage_radii`` of its
 altitudes, which one bisection computes on all altitudes in lockstep.
 ``check_carrier`` refuses a carrier whose free-space loss underflows to
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .channel import _check_frequency, _free_space_loss, _slant
+from .channel import _check_frequency, _free_space_loss, slant_distance
 
 MAX_GRID_POINTS = 10 ** 6  # altitudes in one coverage curve
 _GRID_CHUNK = 4096  # altitudes summed per np.add.accumulate call
@@ -99,7 +101,7 @@ def _expected_loss(altitude, ground_range, frequency: float,
     """``expected_path_loss`` of altitudes, ground ranges and a frequency
     that are checked: the LoS-probability-weighted mean of the LoS and
     NLoS losses, dB."""
-    fspl = _free_space_loss(_slant(ground_range, altitude), frequency)
+    fspl = _free_space_loss(slant_distance(ground_range, altitude), frequency)
     p_los = los.los_probability(np.degrees(np.arctan2(altitude,
                                                       ground_range)))
     # A loss that overflows to inf, weighted by a LoS probability of

@@ -385,11 +385,10 @@ def _check_peak_snr(peak_db) -> None:
 
 
 def _relay_setup(fields):
-    """The channel model, SNR reference and ``relay.sweep_plan`` of a
+    """The carrier frequency, SNR reference and ``relay.sweep_plan`` of a
     sweep config.  Checks the series labels, repeats, geometries, samples
     per cycle, SNR anchor and peak SNR, in that order."""
-    from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                          snr_anchor_db)
+    from .channel import SnrReference, free_space_path_loss, snr_anchor_db
     from .mobility import RelayGeometry, _check_step_divides
     from .relay import sweep_plan
     altitude = fields["uav_altitude_m"]
@@ -409,18 +408,21 @@ def _relay_setup(fields):
     template = RelayGeometry(fields["separation_m"], altitude, 1.0, 1.0)
     plan = sweep_plan(fields["strategies"], template, delays, speeds)
     for delay in delays:
-        samples = 2 * _check_step_divides(delay, time_step) + 1
+        # Bounded before it is rounded: a quotient past the largest float
+        # is inf, which no integer holds.
+        samples = 2 * (delay / time_step) + 1
         if samples > MAX_CYCLE_SAMPLES:
             raise ConfigError(f"delay_budget {delay} at time_step "
-                              f"{time_step} gives {samples} samples per "
+                              f"{time_step} gives {samples:.0f} samples per "
                               f"cycle, more than {MAX_CYCLE_SAMPLES}")
-    channel = ChannelModel(carrier_frequency=fields["carrier_frequency_hz"])
+        _check_step_divides(delay, time_step)
+    frequency = fields["carrier_frequency_hz"]
     ref = SnrReference(reference_snr_db=fields["reference_snr_db"],
                        reference_distance=template.midpoint_slant)
     # The shortest link a relay can see is the one straight down.
-    _check_peak_snr(snr_anchor_db(channel, ref, altitude)
-                    - channel.path_loss_db(LinkGeometry(0.0, altitude)))
-    return channel, ref, plan
+    _check_peak_snr(snr_anchor_db(frequency, ref, altitude)
+                    - free_space_path_loss(0.0, altitude, frequency))
+    return frequency, ref, plan
 
 
 def _trace_setup(fields):
@@ -439,7 +441,7 @@ _SWEEP_HEADER = ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"]
 
 def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
     from .relay import simulate_cycle
-    channel, ref, (_, cycles) = setup
+    frequency, ref, (_, cycles) = setup
     # A cycle's strategy is a ``RelayStrategy``, whose f-string form is
     # ``RelayStrategy.MOBILE``, not ``mobile``.
     labels = [_series_label(strategy.value, geom.v_max)
@@ -448,7 +450,7 @@ def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
 
     def table(cycle, name):
         # The result is bound only here, so one cycle's is alive at a time.
-        result = simulate_cycle(*cycle, channel, ref,
+        result = simulate_cycle(*cycle, frequency, ref,
                                 time_step=config.time_step)
         return out / name, _TRACE_HEADER, [
             result.times, result.path_loss_src, result.path_loss_dst,
@@ -464,12 +466,12 @@ def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
 def _run_relay_sweep(config: ExperimentConfig, setup, out: Path):
     from .relay import sweep
     params = config.params
-    channel, ref, plan = setup
+    frequency, ref, plan = setup
     name = "sweep.csv"
     write_csv(out / name, _SWEEP_HEADER, zip(*(
         (row.delay_budget, row.v_max, row.strategy.value, row.end_to_end_se,
          int(row.feasible))
-        for row in sweep(plan, channel, ref, config.time_step))))
+        for row in sweep(plan, frequency, ref, config.time_step))))
     return [name], {name: {"kind": "sweep",
                            "speeds": params["speeds_mps"],
                            "strategies": params["strategies"]}}, []
@@ -488,14 +490,15 @@ def _flight_ends(params):
             (params["field_length_m"] + overshoot, 0.0, altitude))
 
 
-def _slot_count(params) -> int:
+def _slot_count(params):
     """Slots of the dissemination overflight: one per ``slot_duration_s``
-    over its duration, which is rounded up to whole ``_FLIGHT_STEP_S``."""
+    over its duration, which is rounded up to whole ``_FLIGHT_STEP_S``;
+    ``math.inf`` where that count passes the largest float."""
     from .mobility import _overflight_steps
     steps = _overflight_steps(math.dist(*_flight_ends(params)),
                               params["uav_speed_mps"], _FLIGHT_STEP_S)
-    return max(1, int(round(steps * _FLIGHT_STEP_S
-                            / params["slot_duration_s"])))
+    slots = steps * _FLIGHT_STEP_S / params["slot_duration_s"]
+    return max(1, int(round(slots))) if math.isfinite(slots) else math.inf
 
 
 def _dissemination_scenario(params):
@@ -519,9 +522,10 @@ def _dissemination_scenario(params):
                           f"{MAX_SEEDS}")
     for size, what in (
             (n * n, f"node_count {n} gives a D2D adjacency of {n * n} cells"),
-            (slots * n, f"field_length_m, uav_speed_mps and slot_duration_s "
-                        f"give {slots} slots, so node_count {n} gives a "
-                        f"coverage mask of {slots * n} cells"),
+            (slots * n, f"field_length_m, coverage_radius_m, uav_speed_mps "
+                        f"and slot_duration_s give {slots} slots, so "
+                        f"node_count {n} gives a coverage mask of "
+                        f"{slots * n} cells"),
             (n * k, f"node_count {n} and source_packet_count {k} give a "
                     f"packet matrix of {n * k} cells")):
         if size > MAX_DISSEMINATION_CELLS:
@@ -599,21 +603,20 @@ def _run_coverage(config: ExperimentConfig, setup, out: Path):
 
 def _probe_columns(params) -> list:
     """The columns of ``probe.csv``, one row per ground range."""
-    from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                          doppler_shift, snr_anchor_db, spectral_efficiency)
+    from .channel import (SnrReference, doppler_shift, free_space_path_loss,
+                          slant_distance, snr_anchor_db, spectral_efficiency)
     frequency = params["carrier_frequency_hz"]
     altitude = params["uav_altitude_m"]
-    channel = ChannelModel(carrier_frequency=frequency)
     ref = SnrReference(params["reference_snr_db"],
                        params["reference_distance_m"])
     fd = doppler_shift(params["relative_speed_mps"], frequency)
     ranges = params["ground_ranges_m"]
-    geo = LinkGeometry(np.array(ranges, dtype=float), altitude)
-    fspl = channel.path_loss_db(geo)
-    snr = snr_anchor_db(channel, ref, altitude) - fspl
+    horizontal = np.array(ranges, dtype=float)
+    fspl = free_space_path_loss(horizontal, altitude, frequency)
+    snr = snr_anchor_db(frequency, ref, altitude) - fspl
     _check_peak_snr(snr.max())  # the nearest ground range's
-    return [ranges, geo.slant_distance, fspl, snr, spectral_efficiency(snr),
-            [fd] * len(ranges)]
+    return [ranges, slant_distance(horizontal, altitude), fspl, snr,
+            spectral_efficiency(snr), [fd] * len(ranges)]
 
 
 def _run_channel_probe(config: ExperimentConfig, setup, out: Path):

@@ -117,17 +117,24 @@ def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     delta = geom.delay_budget
     v, R = geom.v_max, geom.separation
     t_hover = _ferry_hover_time(geom)
-    x = np.where(times <= t_hover, 0.0,
-                 np.where(times <= delta, v * (times - t_hover),
-                          np.where(times <= delta + t_hover, R,
-                                   R - v * (times - delta - t_hover))))
+    # np.where evaluates each leg at every sample: at a huge speed a flight
+    # leg overflows at the samples outside its own interval, which it does
+    # not give.
+    with np.errstate(over="ignore"):
+        x = np.where(times <= t_hover, 0.0,
+                     np.where(times <= delta, v * (times - t_hover),
+                              np.where(times <= delta + t_hover, R,
+                                       R - v * (times - delta - t_hover))))
     return np.minimum(np.maximum(x, 0.0), R)
 
 
-def _overflight_steps(length: float, speed: float, time_step: float) -> int:
+def _overflight_steps(length: float, speed: float, time_step: float):
     """Whole ``time_step``s a flight of ``length`` at ``speed`` takes,
-    rounded up."""
-    return math.ceil(length / (speed * time_step) - 1e-12)
+    rounded up; ``math.inf`` where that count passes the largest float,
+    as it does where ``speed * time_step`` underflows to 0."""
+    step = speed * time_step
+    steps = length / step if step else math.inf
+    return math.ceil(steps - 1e-12) if math.isfinite(steps) else math.inf
 
 
 def overflight_x(start: tuple[float, float, float],

@@ -5,11 +5,12 @@ static (fixed at the midpoint), mobile (sawtooth shuttle each phase),
 and data ferrying (load-carry-and-deliver, communicating only while
 hovering at the endpoints).  Phase 1 fills the on-board buffer from the
 source link, phase 2 drains it to the destination; integration is
-left-endpoint Riemann over the cycle's time step, under the free-space
-channel.  Only one link
-carries data at any sample, so a cycle evaluates that active link alone;
-a result keeps that loss, and each per-link path-loss column evaluates
-only its inactive half when first read.
+left-endpoint Riemann over the cycle's time step.  A link's path loss is
+``channel.free_space_path_loss`` at the carrier frequency, from the UAV
+altitude over the relay's horizontal gap to the ground endpoint.  Only
+one link carries data at any sample, so a cycle evaluates that active
+link alone; a result keeps that loss, and each per-link path-loss column
+evaluates only its inactive half when first read.
 
 One batch kernel simulates a sequence of cycles: ``simulate_cycle`` is
 its one-cycle call, and ``sweep`` passes the distinct cycles of a
@@ -34,8 +35,8 @@ from enum import Enum
 from functools import cached_property
 
 from ._numpy import np
-from .channel import (ChannelModel, LinkGeometry, SnrReference,
-                      snr_anchor_db, spectral_efficiency)
+from .channel import (SnrReference, free_space_path_loss, snr_anchor_db,
+                      spectral_efficiency)
 from .mobility import (FerryInfeasibleError, RelayGeometry,
                        _ferry_hover_time, cycle_times, ferry_x,
                        mobile_relay_x)
@@ -80,12 +81,12 @@ class RelayRunResult:
                                                      compare=False)
     phase1_samples: int = dataclasses.field(repr=False, compare=False)
     geometry: RelayGeometry = dataclasses.field(repr=False, compare=False)
-    channel: ChannelModel = dataclasses.field(repr=False, compare=False)
+    carrier_frequency: float = dataclasses.field(repr=False, compare=False)
 
     def _link_loss(self, gap: np.ndarray) -> np.ndarray:
         """Path loss over horizontal gaps ``|gap|`` at the UAV altitude."""
-        return self.channel.path_loss_db(LinkGeometry(
-            np.abs(gap), self.geometry.uav_altitude))
+        return free_space_path_loss(np.abs(gap), self.geometry.uav_altitude,
+                                    self.carrier_frequency)
 
     @cached_property
     def path_loss_src(self) -> np.ndarray:
@@ -120,7 +121,7 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
 
 
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
-                   channel: ChannelModel, ref: SnrReference,
+                   carrier_frequency: float, ref: SnrReference,
                    buffer_capacity: float = math.inf,
                    time_step: float = 0.01) -> RelayRunResult:
     """Simulate one relaying cycle [0, 2*delta] and return the bit ledger.
@@ -134,12 +135,12 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     left-endpoint: sample i carries its SE over [t_i, t_i + time_step),
     and the last sample only closes the traces.
     """
-    result, = _simulate_cycles([(strategy, geom)], channel, ref,
+    result, = _simulate_cycles([(strategy, geom)], carrier_frequency, ref,
                                buffer_capacity, time_step)
     return result
 
 
-def _simulate_cycles(cycles, channel: ChannelModel, ref: SnrReference,
+def _simulate_cycles(cycles, carrier_frequency: float, ref: SnrReference,
                      buffer_capacity: float = math.inf,
                      time_step: float = 0.01):
     """Yield ``simulate_cycle``'s result for each ``(strategy, geometry)``
@@ -160,20 +161,21 @@ def _simulate_cycles(cycles, channel: ChannelModel, ref: SnrReference,
         altitude = geom.uav_altitude
         if block and (samples + len(times) > _BLOCK_SAMPLES
                       or altitude != block[0][1].uav_altitude):
-            yield from _block_results(block, channel, anchors,
+            yield from _block_results(block, carrier_frequency, anchors,
                                       buffer_capacity, time_step)
             block, samples = [], 0
         xs = _cycle_x(strategy, geom, times)
         if altitude not in anchors:
-            anchors[altitude] = snr_anchor_db(channel, ref, altitude)
+            anchors[altitude] = snr_anchor_db(carrier_frequency, ref,
+                                              altitude)
         block.append((strategy, geom, times, xs))
         samples += len(times)
     if block:
-        yield from _block_results(block, channel, anchors, buffer_capacity,
-                                  time_step)
+        yield from _block_results(block, carrier_frequency, anchors,
+                                  buffer_capacity, time_step)
 
 
-def _block_results(block, channel, anchors, buffer_capacity, time_step):
+def _block_results(block, frequency, anchors, buffer_capacity, time_step):
     """The results of a block of ``(strategy, geometry, times, relay x)``
     cycles at one altitude."""
     ends = list(itertools.accumulate(len(times) for _, _, times, _ in block))
@@ -181,16 +183,16 @@ def _block_results(block, channel, anchors, buffer_capacity, time_step):
     # Times increase, so phase 1 (t < delta) is a prefix of each cycle.
     splits = [start + int(times.searchsorted(geom.delay_budget - 1e-12))
               for (_, geom, times, _), start in zip(block, starts)]
-    loss, se = _active_links(block, starts, splits, ends, channel,
+    loss, se = _active_links(block, starts, splits, ends, frequency,
                              anchors[block[0][1].uav_altitude])
     for (strategy, geom, times, xs), start, split, end in zip(
             block, starts, splits, ends):
-        yield _ledger(strategy, geom, channel, times, xs, split - start,
+        yield _ledger(strategy, geom, frequency, times, xs, split - start,
                       loss[start:end], se[start:end], buffer_capacity,
                       time_step)
 
 
-def _active_links(block, starts, splits, ends, channel, anchor):
+def _active_links(block, starts, splits, ends, frequency, anchor):
     """Path loss and SE of the active link at each sample of a block."""
     # The active link's horizontal gap: the source is on the ground at
     # x = 0, the destination at x = R.
@@ -208,7 +210,7 @@ def _active_links(block, starts, splits, ends, channel, anchor):
     bounds = np.flatnonzero(head)  # run starts, then the block's end
     runs = bounds.searchsorted(ends).tolist()  # runs before each end
     gap = gap[bounds[:-1]]
-    loss = channel.path_loss_db(LinkGeometry(gap, block[0][1].uav_altitude))
+    loss = free_space_path_loss(gap, block[0][1].uav_altitude, frequency)
     se = spectral_efficiency(anchor - loss)
     for (strategy, _, _, _), first, last in zip(block, [0] + runs, runs):
         if strategy == RelayStrategy.FERRY:
@@ -218,7 +220,7 @@ def _active_links(block, starts, splits, ends, channel, anchor):
     return loss.repeat(lengths), se.repeat(lengths)
 
 
-def _ledger(strategy, geom, channel, times, xs, n_phase1, loss, se,
+def _ledger(strategy, geom, frequency, times, xs, n_phase1, loss, se,
             buffer_capacity, time_step) -> RelayRunResult:
     """The bit ledger of one cycle from its active-link SE per sample."""
     # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
@@ -254,7 +256,7 @@ def _ledger(strategy, geom, channel, times, xs, n_phase1, loss, se,
         active_path_loss=loss,
         phase1_samples=n_phase1,
         geometry=geom,
-        channel=channel,
+        carrier_frequency=frequency,
     )
 
 
@@ -303,7 +305,7 @@ def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
     return cells, cycles
 
 
-def sweep(plan, channel: ChannelModel, ref: SnrReference,
+def sweep(plan, carrier_frequency: float, ref: SnrReference,
           time_step: float) -> list[SweepRow]:
     """End-to-end SE of each cell of a ``sweep_plan``, with unbounded
     buffers, one row per cell; the plan's distinct cycles go through one
@@ -312,6 +314,7 @@ def sweep(plan, channel: ChannelModel, ref: SnrReference,
     # Each result goes as soon as its SE is read, before the next is built.
     se = dict(zip(cycles, map(
         operator.attrgetter("end_to_end_se"),
-        _simulate_cycles(cycles.values(), channel, ref, time_step=time_step))))
+        _simulate_cycles(cycles.values(), carrier_frequency, ref,
+                         time_step=time_step))))
     return [SweepRow(delta, v, strategy, se.get(key), key is not None, note)
             for delta, v, strategy, key, note in cells]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from uavsim.channel import ChannelModel, SnrReference
+from uavsim.channel import SnrReference
 from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
                              coverage_radii)
 from uavsim.dissemination import broadcast, compare_schemes, exchange
@@ -20,7 +20,7 @@ from uavsim.experiment import (_dissemination_scenario, derive_seed,
 from uavsim.mobility import RelayGeometry
 from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
 
-CHANNEL = ChannelModel(carrier_frequency=5e9)
+CARRIER_HZ = 5e9
 
 
 def geom(v_max, delta=20.0):
@@ -63,7 +63,7 @@ def test_criterion_01_fig3_plateau_and_gap(tmp_path):
 
 
 def test_criterion_02_static_baseline():
-    result = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CHANNEL,
+    result = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CARRIER_HZ,
                             ref_for(geom(0.0)))
     assert result.end_to_end_se == pytest.approx(0.5 * math.log2(11.0),
                                                  abs=1e-4)
@@ -76,7 +76,7 @@ def test_criterion_03_fig4_mobile_static_ratio():
     config = preset_config("fig4")
     plan = sweep_plan(config.params["strategies"], geom(1.0, 1.0),
                       config.params["delays_s"], config.params["speeds_mps"])
-    rows = sweep(plan, CHANNEL, ref_for(geom(1.0)), time_step=0.01)
+    rows = sweep(plan, CARRIER_HZ, ref_for(geom(1.0)), time_step=0.01)
     elapsed = time.perf_counter() - start
     table = {(r.delay_budget, r.v_max, r.strategy): r.end_to_end_se
              for r in rows}
@@ -92,9 +92,9 @@ def test_criterion_03_fig4_mobile_static_ratio():
 
 
 def test_criterion_04_zero_speed_degeneracy():
-    mobile = simulate_cycle(RelayStrategy.MOBILE, geom(0.0), CHANNEL,
+    mobile = simulate_cycle(RelayStrategy.MOBILE, geom(0.0), CARRIER_HZ,
                             ref_for(geom(0.0)))
-    static = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CHANNEL,
+    static = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CARRIER_HZ,
                             ref_for(geom(0.0)))
     for name in ("times", "path_loss_src", "path_loss_dst", "se",
                  "occupancy"):
@@ -115,7 +115,7 @@ def test_criterion_05_dominance_grid():
         for v in speeds:
             g = geom(v, delta)
             ref = ref_for(g)
-            se = {s: simulate_cycle(s, g, CHANNEL, ref,
+            se = {s: simulate_cycle(s, g, CARRIER_HZ, ref,
                                     time_step=0.05).end_to_end_se
                   for s in RelayStrategy}
             assert se[RelayStrategy.MOBILE] >= se[RelayStrategy.STATIC] - 1e-9
@@ -131,11 +131,11 @@ def test_criterion_05_dominance_grid():
 
 def test_criterion_06_buffer_tradeoff():
     g = geom(100.0)
-    unbounded = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL, ref_for(g))
+    unbounded = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g))
     requirement = unbounded.peak_occupancy
-    halved = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL, ref_for(g),
+    halved = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g),
                             buffer_capacity=requirement / 2.0)
-    exact = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL, ref_for(g),
+    exact = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g),
                            buffer_capacity=requirement)
     assert halved.end_to_end_se < unbounded.end_to_end_se
     assert exact.end_to_end_se == unbounded.end_to_end_se
@@ -213,9 +213,9 @@ def test_criterion_10_time_step_convergence():
                         (RelayStrategy.MOBILE, 100.0),
                         (RelayStrategy.FERRY, 100.0)]:
         g = geom(v)
-        coarse = simulate_cycle(strategy, g, CHANNEL, ref_for(g),
+        coarse = simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g),
                                 time_step=0.01).end_to_end_se
-        fine = simulate_cycle(strategy, g, CHANNEL, ref_for(g),
+        fine = simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g),
                               time_step=0.005).end_to_end_se
         worst = max(worst, abs(fine - coarse) / coarse)
     assert worst < 1e-3

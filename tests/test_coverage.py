@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from uavsim import coverage
-from uavsim.channel import LinkGeometry, free_space_path_loss
+from uavsim.channel import free_space_path_loss
 from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
                              check_carrier, coverage_radii,
                              expected_path_loss)
@@ -143,7 +143,7 @@ class TestLosProbability:
 class TestExpectedPathLoss:
     def test_zero_excess_equals_fspl(self):
         for h, r in [(50.0, 0.0), (100.0, 500.0), (2000.0, 3000.0)]:
-            fspl = free_space_path_loss(LinkGeometry(r, h), F2GHZ)
+            fspl = free_space_path_loss(r, h, F2GHZ)
             assert expected_path_loss(h, r, F2GHZ, URBAN_LOS,
                                       NO_EXCESS) == pytest.approx(fspl,
                                                                   abs=1e-12)
@@ -152,7 +152,7 @@ class TestExpectedPathLoss:
         # Directly overhead: theta = 90 deg, P_LoS ~ 1 for urban defaults.
         h = 100.0
         loss = expected_path_loss(h, 0.0, F2GHZ, URBAN_LOS, URBAN_EXCESS)
-        fspl = free_space_path_loss(LinkGeometry(0.0, h), F2GHZ)
+        fspl = free_space_path_loss(0.0, h, F2GHZ)
         assert loss == pytest.approx(fspl + 1.0, abs=0.1)
 
     def test_regression_pinned_value(self):

@@ -867,6 +867,14 @@ class TestMalformedConfigs:
         ("urban_coverage", {"s_curve_a": 40, "s_curve_b": 17,
                             "carrier_frequency_hz": 5e-324},
          "carrier_frequency_hz"),
+        # Sample and slot counts past the largest float, bounded before
+        # they are rounded: a subnormal speed's 0.1 s step underflows to 0,
+        # and a huge coverage radius lengthens the flight past any float.
+        ("fig3", {"delay_budget_s": 1e308}, "delay_budget_s"),
+        ("fig4", {"delays_s": [1e308]}, "delays_s"),
+        ("dissem20", {"uav_speed_mps": 5e-324}, "uav_speed_mps"),
+        ("dissem20", {"coverage_radius_m": 1e308}, "coverage_radius_m"),
+        ("dissem20", {"slot_duration_s": 5e-324}, "slot_duration_s"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -883,8 +891,10 @@ class TestMalformedConfigs:
         ("fig3", {"uav_altitude_m": 1e-300}, "reference_snr_db"),
         ("channel_probe", {"reference_snr_db": 1e6}, "reference_snr_db"),
         # Overflows in values that no output takes: the outputs are right.
+        # A ferry's flight legs overflow at the samples where it hovers.
         ("fig3", {"speeds_mps": [1.7e308]}, None),
         ("fig4", {"speeds_mps": [1.7e308]}, None),
+        ("fig4", {"strategies": ["ferry"], "speeds_mps": [1e308]}, None),
         ("dissem20", {"uav_altitude_m": 1e200, "n_seeds": 2}, None),
         # 4*pi*d*f/c underflows to 0 in the SNR anchor's path loss.
         ("fig3", {"carrier_frequency_hz": 5e-324}, "carrier_frequency_hz"),
@@ -897,9 +907,9 @@ class TestMalformedConfigs:
                             "carrier_frequency_hz": 1e307}, None),
     ], ids=["fig4_snr_4000", "fig4_snr_3070", "fig3_altitude_1e-300",
             "probe_snr_1e6", "fig3_speed_1.7e308", "fig4_speed_1.7e308",
-            "dissem20_altitude_1e200", "fig3_carrier_5e-324",
-            "fig4_carrier_5e-324", "probe_carrier_5e-324",
-            "steep_coverage_carrier_1e307"])
+            "fig4_ferry_speed_1e308", "dissem20_altitude_1e200",
+            "fig3_carrier_5e-324", "fig4_carrier_5e-324",
+            "probe_carrier_5e-324", "steep_coverage_carrier_1e307"])
     def test_overflow_is_config_error_or_silent(self, tmp_path, preset,
                                                 params, field):
         with warnings.catch_warnings():
@@ -910,6 +920,43 @@ class TestMalformedConfigs:
             assert field in result[1][0]
         else:
             assert result[:2] == (0, [])
+
+    def test_one_field_extremes(self, tmp_path):
+        # Every numeric field of every preset, and the time step, set alone
+        # to the smallest subnormal and to 1e308 (a list field to a list of
+        # it): a run succeeds silently, or is one config error that names
+        # a field of its scenario and writes nothing.
+        failures, runs = [], 0
+        for preset, spec in PRESETS.items():
+            schema = spec["params"]
+            keys = [*schema, *experiment._TOP_LEVEL]
+            for name, example in [*schema.items(), ("time_step", 0.01)]:
+                if isinstance(example, list):
+                    example = example[0]
+                if isinstance(example, str):
+                    continue
+                for value in (5e-324, 1e308):
+                    runs += 1
+                    if isinstance(schema.get(name), list):
+                        value = [value]
+                    config = ({"preset": preset, name: value}
+                              if name in experiment._TOP_LEVEL
+                              else {"preset": preset,
+                                    "params": {name: value}})
+                    directory = tmp_path / str(runs)
+                    directory.mkdir()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code, lines, out = run_cli(config, directory)
+                    if (code, lines) == (0, []) or (
+                            code == 2 and len(lines) == 1
+                            and lines[0].startswith("config error:")
+                            and any(key in lines[0] for key in keys)
+                            and not out.exists()):
+                        continue
+                    failures.append((preset, name, value, code, lines))
+        assert runs == 84
+        assert failures == []
 
     def test_overflowing_carrier_covers_nothing(self, tmp_path):
         # Coverage anchors no SNR: the path loss overflows to inf at every

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from uavsim import relay
-from uavsim.channel import (ChannelModel, LinkGeometry, SnrReference,
-                            snr_anchor_db, spectral_efficiency)
+from uavsim import channel, relay
+from uavsim.channel import (SnrReference, free_space_path_loss, snr_anchor_db,
+                            spectral_efficiency)
 from uavsim.experiment import preset_config
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
                              ferry_x, mobile_relay_x)
 from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
 
-CHANNEL = ChannelModel(carrier_frequency=5e9)
+CARRIER_HZ = 5e9
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
 
 
@@ -28,7 +28,7 @@ def ref_for(g):
 
 def run(strategy, v_max, delta=20.0, **kwargs):
     g = geom(v_max, delta)
-    return simulate_cycle(strategy, g, CHANNEL, ref_for(g), **kwargs)
+    return simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g), **kwargs)
 
 
 def cycle_samples(strategy, g, time_step):
@@ -49,28 +49,28 @@ def active_gap(result):
     return np.abs(gap)
 
 
-def scalar_cycle(strategy, g, channel, ref, buffer_capacity=math.inf,
+def scalar_cycle(strategy, g, frequency, ref, buffer_capacity=math.inf,
                  time_step=0.01):
-    """Per-step oracle: one link budget of one scalar geometry per
-    sample, and a step-by-step buffer ledger.  Returns (bits_received,
+    """Per-step oracle: one link budget of one scalar link per sample,
+    and a step-by-step buffer ledger.  Returns (bits_received,
     bits_delivered, peak, path losses, SE, occupancy)."""
     times, xs = cycle_samples(strategy, g, time_step)
     h = g.uav_altitude
     occupancy = received = delivered = peak = 0.0
     losses, ses, buffer = [], [], []
     for i, (t, x) in enumerate(zip(times.tolist(), xs.tolist())):
-        src = LinkGeometry(abs(x), h)
-        dst = LinkGeometry(abs(x - g.separation), h)
-        losses.append((channel.path_loss_db(src), channel.path_loss_db(dst)))
+        src, dst = abs(x), abs(x - g.separation)
+        losses.append((free_space_path_loss(src, h, frequency),
+                       free_space_path_loss(dst, h, frequency)))
         buffer.append(occupancy)
         phase1 = t < g.delay_budget - 1e-12
-        link = src if phase1 else dst
-        if (strategy == RelayStrategy.FERRY
-                and link.horizontal_separation > 1e-6):
+        gap = src if phase1 else dst
+        if strategy == RelayStrategy.FERRY and gap > 1e-6:
             se = 0.0  # the ferry is silent in flight
         else:
-            se = spectral_efficiency(snr_anchor_db(channel, ref, h)
-                                     - channel.path_loss_db(link))
+            se = spectral_efficiency(
+                snr_anchor_db(frequency, ref, h)
+                - free_space_path_loss(gap, h, frequency))
         ses.append(se)
         if i == len(times) - 1:
             break
@@ -137,28 +137,28 @@ class TestScalarEquivalence:
         (RelayStrategy.FERRY, 100.0, math.inf)])
     def test_free_space(self, strategy, v, capacity):
         g = geom(v)
-        oracle = scalar_cycle(strategy, g, CHANNEL, ref_for(g), capacity,
+        oracle = scalar_cycle(strategy, g, CARRIER_HZ, ref_for(g), capacity,
                               time_step=0.05)
-        result = simulate_cycle(strategy, g, CHANNEL, ref_for(g), capacity,
+        result = simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g), capacity,
                                 time_step=0.05)
         assert_matches_scalar_cycle(result, oracle, g)
 
 
-def two_link_cycle(strategy, g, channel, ref, buffer_capacity, time_step):
+def two_link_cycle(strategy, g, frequency, ref, buffer_capacity,
+                   time_step):
     """Oracle that evaluates both links at every sample and keeps the
     active one.  Returns (path losses to source and destination, SE,
     occupancy)."""
     times, xs = cycle_samples(strategy, g, time_step)
-    src = LinkGeometry(np.abs(xs), g.uav_altitude)
-    dst = LinkGeometry(np.abs(xs - g.separation), g.uav_altitude)
-    pl_src, pl_dst = channel.path_loss_db(src), channel.path_loss_db(dst)
+    src, dst = np.abs(xs), np.abs(xs - g.separation)
+    pl_src = free_space_path_loss(src, g.uav_altitude, frequency)
+    pl_dst = free_space_path_loss(dst, g.uav_altitude, frequency)
     phase1 = times < g.delay_budget - 1e-12
-    snr_db = (snr_anchor_db(channel, ref, g.uav_altitude)
+    snr_db = (snr_anchor_db(frequency, ref, g.uav_altitude)
               - np.where(phase1, pl_src, pl_dst))
     talking = np.full(len(times), True)
     if strategy == RelayStrategy.FERRY:
-        talking = np.where(phase1, src.horizontal_separation,
-                           dst.horizontal_separation) <= 1e-6
+        talking = np.where(phase1, src, dst) <= 1e-6
     se = np.where(talking, spectral_efficiency(snr_db), 0.0)
     occupancy = [0.0]
     for offered, fill in zip(se[:-1] * time_step, phase1[:-1]):
@@ -172,14 +172,14 @@ class TestActiveLink:
     one that evaluates both links and keeps the active one."""
 
     @pytest.mark.parametrize("capacity", [math.inf, 40.0])
-    @pytest.mark.parametrize("channel", [CHANNEL], ids=["free_space"])
+    @pytest.mark.parametrize("frequency", [CARRIER_HZ], ids=["free_space"])
     @pytest.mark.parametrize("strategy", list(RelayStrategy),
                              ids=lambda s: s.value)
-    def test_matches_two_link_oracle(self, strategy, channel, capacity):
+    def test_matches_two_link_oracle(self, strategy, frequency, capacity):
         g = geom(100.0)
         pl_src, pl_dst, se, occupancy = two_link_cycle(
-            strategy, g, channel, ref_for(g), capacity, 0.05)
-        result = simulate_cycle(strategy, g, channel, ref_for(g), capacity,
+            strategy, g, frequency, ref_for(g), capacity, 0.05)
+        result = simulate_cycle(strategy, g, frequency, ref_for(g), capacity,
                                 time_step=0.05)
         assert np.array_equal(result.se, se)
         assert np.array_equal(result.path_loss_src, pl_src)
@@ -212,7 +212,7 @@ def result_bytes(result):
     arrays = (result.times, result.relay_x, result.se, result.occupancy,
               result.active_path_loss, result.path_loss_src,
               result.path_loss_dst)
-    return (result.strategy, result.geometry, result.channel,
+    return (result.strategy, result.geometry, result.carrier_frequency,
             result.phase1_samples,
             np.array([result.bits_received, result.bits_delivered,
                       result.end_to_end_se, result.peak_occupancy]).tobytes(),
@@ -231,23 +231,23 @@ class TestBatchKernel:
                                             capacity):
         monkeypatch.setattr(relay, "_BLOCK_SAMPLES", block)
         cycles = batch_cycles()
-        batch = list(relay._simulate_cycles(cycles, CHANNEL, self.REF,
+        batch = list(relay._simulate_cycles(cycles, CARRIER_HZ, self.REF,
                                             capacity, time_step=0.05))
         assert len(batch) == len(cycles)
         for (strategy, g), result in zip(cycles, batch):
-            alone = simulate_cycle(strategy, g, CHANNEL, self.REF, capacity,
-                                   time_step=0.05)
+            alone = simulate_cycle(strategy, g, CARRIER_HZ, self.REF,
+                                   capacity, time_step=0.05)
             assert result_bytes(result) == result_bytes(alone)
 
     def test_anchor_once_per_altitude(self, monkeypatch):
         anchors = []
 
-        def counting(model, ref, height):
+        def counting(frequency, ref, height):
             anchors.append(height)
-            return snr_anchor_db(model, ref, height)
+            return snr_anchor_db(frequency, ref, height)
 
         monkeypatch.setattr(relay, "snr_anchor_db", counting)
-        list(relay._simulate_cycles(batch_cycles(), CHANNEL, self.REF,
+        list(relay._simulate_cycles(batch_cycles(), CARRIER_HZ, self.REF,
                                     time_step=0.05))
         assert anchors == [100.0, 250.0]
 
@@ -255,13 +255,13 @@ class TestBatchKernel:
         # The kernel evaluates one link per run of equal gaps; the oracle
         # evaluates every sample's own link.
         repeats = 0
-        for result in relay._simulate_cycles(batch_cycles(), CHANNEL,
+        for result in relay._simulate_cycles(batch_cycles(), CARRIER_HZ,
                                              self.REF, time_step=0.05):
             h = result.geometry.uav_altitude
             gap = active_gap(result)
             repeats += np.count_nonzero(np.diff(gap) == 0)
-            loss = CHANNEL.path_loss_db(LinkGeometry(gap, h))
-            se = spectral_efficiency(snr_anchor_db(CHANNEL, self.REF, h)
+            loss = free_space_path_loss(gap, h, CARRIER_HZ)
+            se = spectral_efficiency(snr_anchor_db(CARRIER_HZ, self.REF, h)
                                      - loss)
             if result.strategy == RelayStrategy.FERRY:
                 se[gap > 1e-6] = 0.0
@@ -299,24 +299,27 @@ class TestSimulateCycle:
         with pytest.raises(FerryInfeasibleError):
             run(RelayStrategy.FERRY, 49.0)
 
-    @pytest.mark.parametrize("channel", [CHANNEL], ids=["free_space"])
-    def test_each_link_path_loss_evaluated_once(self, monkeypatch, channel):
+    @pytest.mark.parametrize("frequency", [CARRIER_HZ], ids=["free_space"])
+    def test_each_link_path_loss_evaluated_once(self, monkeypatch,
+                                                frequency):
         # The cycle evaluates only the active link, once per run of equal
         # gaps, and keeps its loss; each per-link column evaluates only its
         # inactive half, on its first read, and is kept.  Each call records
         # its link count, or None for the SNR anchor's one scalar link.
         calls = []
-        path_loss = ChannelModel.path_loss_db
 
-        def counting(model, geometry):
-            links = geometry.horizontal_separation
-            calls.append(len(links) if np.ndim(links) else None)
-            return path_loss(model, geometry)
+        def counting(horizontal_separation, *args):
+            calls.append(len(horizontal_separation)
+                         if np.ndim(horizontal_separation) else None)
+            return free_space_path_loss(horizontal_separation, *args)
 
-        monkeypatch.setattr(ChannelModel, "path_loss_db", counting)
+        # The anchor looks the formula up in ``channel``, the cycle in
+        # ``relay``.
+        monkeypatch.setattr(channel, "free_space_path_loss", counting)
+        monkeypatch.setattr(relay, "free_space_path_loss", counting)
         for strategy in RelayStrategy:
             calls.clear()
-            result = simulate_cycle(strategy, geom(100.0), channel,
+            result = simulate_cycle(strategy, geom(100.0), frequency,
                                     ref_for(geom(100.0)), time_step=0.1)
             n, split = len(result.times), result.phase1_samples
             assert 0 < split < n
@@ -411,7 +414,8 @@ class TestSweepDelay:
     def test_mobile_to_static_ratio(self):
         rows = sweep(sweep_plan(["static", "mobile"], geom(1.0, 1.0),
                                 delays=[20.0, 40.0], speeds=[100.0]),
-                     CHANNEL, SnrReference(10.0, geom(1.0).midpoint_slant),
+                     CARRIER_HZ,
+                     SnrReference(10.0, geom(1.0).midpoint_slant),
                      time_step=0.01)
         by_key = {(r.delay_budget, r.strategy): r.end_to_end_se for r in rows}
         ratio20 = (by_key[(20.0, RelayStrategy.MOBILE)]
@@ -427,7 +431,7 @@ class TestSweepDelay:
         rows = sweep(sweep_plan(["static"], geom(1.0, 1.0),
                                 delays=[5.0, 10.0, 20.0],
                                 speeds=[10.0, 100.0]),
-                     CHANNEL, ref, time_step=0.01)
+                     CARRIER_HZ, ref, time_step=0.01)
         values = {round(r.end_to_end_se, 9) for r in rows}
         assert len(values) == 1
 
@@ -435,7 +439,7 @@ class TestSweepDelay:
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
         rows = sweep(sweep_plan(["mobile"], geom(1.0, 1.0), delays=[20.0],
                                 speeds=[10.0, 30.0, 60.0, 100.0]),
-                     CHANNEL, ref, time_step=0.01)
+                     CARRIER_HZ, ref, time_step=0.01)
         ses = [r.end_to_end_se for r in rows]
         assert all(a <= b + 1e-9 for a, b in zip(ses, ses[1:]))
 
@@ -443,7 +447,7 @@ class TestSweepDelay:
         ref = SnrReference(10.0, geom(1.0).midpoint_slant)
         rows = sweep(sweep_plan(["ferry"], geom(1.0, 1.0), delays=[10.0],
                                 speeds=[50.0, 200.0]),
-                     CHANNEL, ref, time_step=0.01)
+                     CARRIER_HZ, ref, time_step=0.01)
         assert not rows[0].feasible and rows[0].end_to_end_se is None
         assert "minimum feasible speed" in rows[0].note
         assert rows[1].feasible
@@ -463,7 +467,7 @@ class TestSweepDelay:
         plan = sweep_plan(["static", "mobile"], geom(1.0, 1.0), [5.0, 10.0],
                           [10.0, 30.0, 100.0])
         monkeypatch.setattr(relay, "_simulate_cycles", counting)
-        rows = sweep(plan, CHANNEL, ref, time_step=0.05)
+        rows = sweep(plan, CARRIER_HZ, ref, time_step=0.05)
         assert len(batches) == 1
         assert batches[0].count(RelayStrategy.STATIC) == 2
         assert batches[0].count(RelayStrategy.MOBILE) == 6
@@ -473,7 +477,7 @@ class TestSweepDelay:
         for r in rows:
             g = geom(r.v_max, r.delay_budget)
             assert r.end_to_end_se == simulate_cycle(
-                r.strategy, g, CHANNEL, ref, time_step=0.05).end_to_end_se
+                r.strategy, g, CARRIER_HZ, ref, time_step=0.05).end_to_end_se
 
     def test_fig4_grid_evaluates_only_active_links(self, monkeypatch):
         # 20 distinct cycles of 2*delta/dt + 1 samples each, 124,020 in
@@ -482,40 +486,33 @@ class TestSweepDelay:
         # anchor is one scalar link, evaluated once for the one altitude.
         config = preset_config("fig4")
         params = config.params
-        samples, scalars, builds, anchors = [], [], [], []
-        path_loss = ChannelModel.path_loss_db
-        post_init = LinkGeometry.__post_init__
+        samples, scalars, anchors = [], [], []
 
-        def counting_loss(model, geometry):
-            if np.ndim(geometry.horizontal_separation):
-                samples.append(np.size(geometry.horizontal_separation))
+        def counting_loss(horizontal_separation, *args):
+            if np.ndim(horizontal_separation):
+                samples.append(np.size(horizontal_separation))
             else:
-                scalars.append(geometry)
-            return path_loss(model, geometry)
-
-        def counting_build(geometry):
-            builds.append(geometry)
-            post_init(geometry)
+                scalars.append(horizontal_separation)
+            return free_space_path_loss(horizontal_separation, *args)
 
         def counting_anchor(*args):
             anchors.append(args)
             return snr_anchor_db(*args)
 
-        monkeypatch.setattr(ChannelModel, "path_loss_db", counting_loss)
-        monkeypatch.setattr(LinkGeometry, "__post_init__", counting_build)
+        monkeypatch.setattr(channel, "free_space_path_loss", counting_loss)
+        monkeypatch.setattr(relay, "free_space_path_loss", counting_loss)
         monkeypatch.setattr(relay, "snr_anchor_db", counting_anchor)
         template = RelayGeometry(params["separation_m"],
                                  params["uav_altitude_m"], 1.0, 1.0)
         sweep(sweep_plan(params["strategies"], template, params["delays_s"],
                          params["speeds_mps"]),
-              ChannelModel(params["carrier_frequency_hz"]),
+              params["carrier_frequency_hz"],
               SnrReference(params["reference_snr_db"],
                            template.midpoint_slant),
               time_step=config.time_step)
         assert sum(samples) == 60_356
         assert len(samples) == 10  # blocks of at most 16,000 samples
         assert len(anchors) == len(scalars) == 1
-        assert len(builds) == len(samples) + 1
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -531,11 +528,11 @@ class TestDominanceGrid:
             for v in speeds:
                 g = geom(v, delta)
                 ref = ref_for(g)
-                mobile = simulate_cycle(RelayStrategy.MOBILE, g, CHANNEL,
+                mobile = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ,
                                         ref, time_step=0.05).end_to_end_se
-                static = simulate_cycle(RelayStrategy.STATIC, g, CHANNEL,
+                static = simulate_cycle(RelayStrategy.STATIC, g, CARRIER_HZ,
                                         ref, time_step=0.05).end_to_end_se
-                ferry = simulate_cycle(RelayStrategy.FERRY, g, CHANNEL,
+                ferry = simulate_cycle(RelayStrategy.FERRY, g, CARRIER_HZ,
                                        ref, time_step=0.05).end_to_end_se
                 assert mobile >= static - 1e-9
                 assert mobile >= ferry - 1e-9
@@ -550,7 +547,7 @@ class TestDominanceGrid:
             for v in speeds:
                 g = geom(v, delta)
                 table[(delta, v)] = simulate_cycle(
-                    RelayStrategy.MOBILE, g, CHANNEL, ref_for(g),
+                    RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g),
                     time_step=0.05).end_to_end_se
         for delta in delays:
             ses = [table[(delta, v)] for v in speeds]
