@@ -3,12 +3,13 @@ output file.
 
 A config is a JSON document selecting one scenario kind plus its
 parameter block.  Each scenario has one setup, which validation builds
-and returns, and one runner, which computes with the library's public
-kernels and writes the outputs from that setup: ``relay.simulate_cycle``
-for traces, ``relay.sweep`` for sweeps, ``dissemination.compare_schemes``
-and ``coverage.coverage_radii``.  This is the one module that calls the
-CSV writer, with each table's header.  Validation leaves the config as it
-is; ``run`` prints a warning for a carrier in the protected CNPC bands.
+and returns, and one runner, which computes its output tables from that
+setup with the library's public kernels: ``relay.simulate_cycle`` for
+traces, ``relay.sweep`` for sweeps, ``dissemination.compare_schemes`` and
+``coverage.coverage_radii``.  ``run`` writes a run's tables and
+``emit_plot_data`` its plot tables, each with one call of the CSV writer,
+which no other module imports.  Validation leaves the config as it is;
+``run`` prints a warning for a carrier in the protected CNPC bands.
 Runs are deterministic: per-run seeds derive from the master seed and
 run index via SHA-256, and CSV bodies are byte-identical across reruns
 of the same config.
@@ -26,6 +27,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import starmap
 from pathlib import Path
 
 # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): ``hashlib``
@@ -40,7 +42,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from ._csvfile import write_csv, write_csvs
+from ._csvfile import write_csvs
 from ._numpy import import_random, np
 
 # The library modules are imported inside each scenario's setup, helpers and
@@ -439,42 +441,39 @@ _TRACE_HEADER = ["time_s", "pl_src_db", "pl_dst_db", "se_bpshz",
 _SWEEP_HEADER = ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"]
 
 
-def _run_relay_trace(config: ExperimentConfig, setup, out: Path):
+def _run_relay_trace(config: ExperimentConfig, setup):
     from .relay import simulate_cycle
     frequency, ref, (_, cycles) = setup
     # A cycle's strategy is a ``RelayStrategy``, whose f-string form is
     # ``RelayStrategy.MOBILE``, not ``mobile``.
-    labels = [_series_label(strategy.value, geom.v_max)
-              for strategy, geom in cycles.values()]
-    files = [f"trace_{label}.csv" for label in labels]
+    series = {f"trace_{label}.csv": {"label": label, "kind": "trace"}
+              for label in (_series_label(strategy.value, geom.v_max)
+                            for strategy, geom in cycles.values())}
 
     def table(cycle, name):
         # The result is bound only here, so one cycle's is alive at a time.
         result = simulate_cycle(*cycle, frequency, ref,
                                 time_step=config.time_step)
-        return out / name, _TRACE_HEADER, [
+        return name, _TRACE_HEADER, [
             result.times, result.path_loss_src, result.path_loss_dst,
             result.se, result.occupancy]
 
-    # One writer call formats a float the previous trace had only once;
-    # each file is written before the next cycle is simulated.
-    write_csvs(map(table, cycles.values(), files))
-    return files, {name: {"label": label, "kind": "trace"}
-                   for name, label in zip(files, labels)}, []
+    # A generator: ``run`` writes each trace before the next cycle is
+    # simulated, and its one writer call formats a float the previous trace
+    # had only once.
+    return map(table, cycles.values(), series), series, []
 
 
-def _run_relay_sweep(config: ExperimentConfig, setup, out: Path):
+def _run_relay_sweep(config: ExperimentConfig, setup):
     from .relay import sweep
     params = config.params
     frequency, ref, plan = setup
-    name = "sweep.csv"
-    write_csv(out / name, _SWEEP_HEADER, zip(*(
+    return [("sweep.csv", _SWEEP_HEADER, list(zip(*(
         (row.delay_budget, row.v_max, row.strategy.value, row.end_to_end_se,
          int(row.feasible))
-        for row in sweep(plan, frequency, ref, config.time_step))))
-    return [name], {name: {"kind": "sweep",
-                           "speeds": params["speeds_mps"],
-                           "strategies": params["strategies"]}}, []
+        for row in sweep(plan, frequency, ref, config.time_step)))))], {
+        "sweep.csv": {"kind": "sweep", "speeds": params["speeds_mps"],
+                      "strategies": params["strategies"]}}, []
 
 
 _FLIGHT_STEP_S = 0.1  # s; the overflight lasts a whole number of these
@@ -520,14 +519,18 @@ def _dissemination_scenario(params):
     if params["n_seeds"] > MAX_SEEDS:
         raise ConfigError(f"n_seeds {params['n_seeds']} is more than "
                           f"{MAX_SEEDS}")
+
+    def count(value):  # 6 digits; an integer past the floats is inf
+        return f"{value if value <= sys.float_info.max else math.inf:.6g}"
     for size, what in (
-            (n * n, f"node_count {n} gives a D2D adjacency of {n * n} cells"),
+            (n * n, f"node_count {n} gives a D2D adjacency of "
+                    f"{count(n * n)} cells"),
             (slots * n, f"field_length_m, coverage_radius_m, uav_speed_mps "
-                        f"and slot_duration_s give {slots} slots, so "
+                        f"and slot_duration_s give {count(slots)} slots, so "
                         f"node_count {n} gives a coverage mask of "
-                        f"{slots * n} cells"),
+                        f"{count(slots * n)} cells"),
             (n * k, f"node_count {n} and source_packet_count {k} give a "
-                    f"packet matrix of {n * k} cells")):
+                    f"packet matrix of {count(n * k)} cells")):
         if size > MAX_DISSEMINATION_CELLS:
             raise ConfigError(f"{what}, more than {MAX_DISSEMINATION_CELLS}")
     spacing = params["field_length_m"] / n
@@ -538,7 +541,7 @@ def _dissemination_scenario(params):
             D2dGraph(positions, params["d2d_range_m"]), rx, file)
 
 
-def _run_disseminate(config: ExperimentConfig, setup, out: Path):
+def _run_disseminate(config: ExperimentConfig, setup):
     from .dissemination import compare_schemes
     coverage, graph, rx, file = setup
     seeds = [derive_seed(config.master_seed, run_index)
@@ -558,16 +561,15 @@ def _run_disseminate(config: ExperimentConfig, setup, out: Path):
         summary_rows.append(["dissem", run_index, "baseline",
                              baseline.uav_transmissions, 0,
                              int(baseline.success)])
-    write_csv(out / "summary.csv", ["scenario_id", "seed", "scheme",
-                                    "uav_transmissions", "d2d_rounds",
-                                    "success"], zip(*summary_rows))
     # Per node of the first seed.
     _, _, _, after_p1, decoded = outcomes[0]
-    write_csv(out / "nodes.csv", ["node_id", "packets_after_phase1",
-                                  "decoded_after_phase2"],
-              [range(len(after_p1)), after_p1, decoded.astype(int)])
-    return (["summary.csv", "nodes.csv"],
-            {"summary.csv": {"kind": "dissemination_summary"}}, seeds)
+    return [("summary.csv", ["scenario_id", "seed", "scheme",
+                             "uav_transmissions", "d2d_rounds", "success"],
+             list(zip(*summary_rows))),
+            ("nodes.csv", ["node_id", "packets_after_phase1",
+                           "decoded_after_phase2"],
+             [range(len(after_p1)), after_p1, decoded.astype(int)])], \
+        {"summary.csv": {"kind": "dissemination_summary"}}, seeds
 
 
 def _coverage_setup(params):
@@ -586,19 +588,18 @@ def _coverage_setup(params):
     return los, excess, altitudes
 
 
-def _run_coverage(config: ExperimentConfig, setup, out: Path):
+def _run_coverage(config: ExperimentConfig, setup):
     from .coverage import coverage_radii
     params = config.params
     los, excess, altitudes = setup
     radii = coverage_radii(altitudes, params["max_path_loss_db"],
                            params["carrier_frequency_hz"], los, excess)
-    name = "coverage.csv"
-    write_csv(out / name, ["altitude_m", "coverage_radius_m"],
-              [altitudes, radii])
     best = np.argmax(radii)  # the first maximum
-    return [name], {name: {"kind": "coverage",
-                           "optimal_altitude_m": float(altitudes[best]),
-                           "optimal_radius_m": float(radii[best])}}, []
+    return [("coverage.csv", ["altitude_m", "coverage_radius_m"],
+             [altitudes, radii])], {
+        "coverage.csv": {"kind": "coverage",
+                         "optimal_altitude_m": float(altitudes[best]),
+                         "optimal_radius_m": float(radii[best])}}, []
 
 
 def _probe_columns(params) -> list:
@@ -619,29 +620,26 @@ def _probe_columns(params) -> list:
             spectral_efficiency(snr), [fd] * len(ranges)]
 
 
-def _run_channel_probe(config: ExperimentConfig, setup, out: Path):
-    name = "probe.csv"
-    write_csv(out / name, ["ground_range_m", "slant_m", "fspl_db", "snr_db",
-                           "se_bpshz", "doppler_hz"], setup)
-    return [name], {name: {"kind": "channel_probe"}}, []
-
-
 # Scenario -> (setup, runner).  A setup takes the config's top-level fields
-# and params in one dict; ``run`` hands it to ``runner(config, setup, out)``,
-# which writes the run's files and returns their names, their plot metadata
-# and the run's seeds (only dissemination draws random numbers).
+# and params in one dict; ``runner(config, setup)`` returns the run's tables,
+# each ``(file name, header, columns)``, their plot metadata and the run's
+# seeds (only dissemination draws random numbers).  The probe's setup
+# computes its columns, so its runner only names them.
 _SCENARIOS = {
     "relay_trace": (_trace_setup, _run_relay_trace),
     "relay_sweep": (_relay_setup, _run_relay_sweep),
     "disseminate": (_dissemination_scenario, _run_disseminate),
     "coverage": (_coverage_setup, _run_coverage),
-    "channel_probe": (_probe_columns, _run_channel_probe),
+    "channel_probe": (_probe_columns, lambda config, columns: (
+        [("probe.csv", ["ground_range_m", "slant_m", "fspl_db", "snr_db",
+                        "se_bpshz", "doppler_hz"], columns)],
+        {"probe.csv": {"kind": "channel_probe"}}, [])),
 }
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    """Validate a config, then run it: write its outputs and the run
-    manifest."""
+    """Validate a config, then run it: write its tables, with one writer
+    call, and then the run manifest, which lists them in that order."""
     setup = validate_config(config)
     out = Path(config.output_directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -651,16 +649,19 @@ def run(config: ExperimentConfig) -> RunManifest:
             print(f"warning: carrier {frequency/1e6:.1f} MHz falls inside the "
                   f"protected CNPC band {lo/1e6:.0f}-{hi/1e6:.0f} MHz",
                   file=sys.stderr)
-    files, series, seeds = _SCENARIOS[config.scenario][1](config, setup, out)
+    tables, series, seeds = _SCENARIOS[config.scenario][1](config, setup)
+    files = []
+
+    def place(name, header, columns):
+        files.append(name)
+        return out / name, header, columns
+    # starmap keeps no table it has passed on, so a written trace's arrays
+    # are freed before the next cycle is simulated.
+    write_csvs(starmap(place, tables))
     manifest = RunManifest(
-        config_digest=config.digest(),
-        tool_version=__version__,
-        scenario=config.scenario,
-        output_directory=str(out),
-        run_seeds=seeds,
-        output_files=files,
-        series=series,
-    )
+        config_digest=config.digest(), tool_version=__version__,
+        scenario=config.scenario, output_directory=str(out),
+        run_seeds=seeds, output_files=files, series=series)
     manifest.save(out / "manifest.json")
     return manifest
 
@@ -688,8 +689,7 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
     missing = [f for f in manifest.output_files if not (out / f).exists()]
     if missing:
         raise ConfigError(f"manifest outputs missing: {missing}")
-    emitted = []
-    trace_rows = []
+    tables, trace_rows = [], []  # tables: (plot file, its columns)
     for name in manifest.output_files:
         meta = manifest.series.get(name, {})
         try:
@@ -710,19 +710,18 @@ def emit_plot_data(manifest: RunManifest) -> list[str]:
                         static_seen.add(delta_s)
                     rows.append((delta_s, _series_label(strategy, float(v)),
                                  se))
-                plot_name = "plot_se_vs_delay.csv"
-                write_csv(out / plot_name, ["x", "series", "y"], zip(*rows))
-                emitted.append(plot_name)
+                tables.append(("plot_se_vs_delay.csv", list(zip(*rows))))
         except ValueError as exc:  # a row too short or long, or not a number
             raise ConfigError(f"malformed {out / name}: {exc}") from exc
     if trace_rows:
-        plot_name = "plot_path_loss_vs_time.csv"
         half = max(row[0] for row in trace_rows) / 2.0
         # Active link: source during phase 1, destination after.
-        write_csv(out / plot_name, ["x", "series", "y"],
-                  zip(*((t, label, pl_src if time < half else pl_dst)
-                        for time, t, label, pl_src, pl_dst in trace_rows)))
-        emitted.append(plot_name)
-    if not emitted:
+        tables.append(("plot_path_loss_vs_time.csv", list(zip(*(
+            (t, label, pl_src if time < half else pl_dst)
+            for time, t, label, pl_src, pl_dst in trace_rows)))))
+    if not tables:
         raise ConfigError("manifest contains no plottable outputs")
-    return emitted
+    # Every listed file is read and checked before any plot is written.
+    write_csvs((out / name, ["x", "series", "y"], columns)
+               for name, columns in tables)
+    return [name for name, _ in tables]

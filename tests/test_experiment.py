@@ -1,8 +1,10 @@
+import ast
 import collections
 import contextlib
 import copy
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -469,8 +471,62 @@ class TestRunnerFiles:
 
     def test_only_experiment_imports_the_writer(self):
         package = Path(experiment.__file__).parent
-        assert {path.stem for path in package.glob("*.py")
-                if "._csvfile import" in path.read_text()} == {"experiment"}
+        importers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = [alias.name for alias in getattr(node, "names", [])]
+                if isinstance(node, ast.ImportFrom):
+                    names.append(node.module or "")
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                        "_csvfile" in name for name in names):
+                    importers.add(path.stem)
+        assert importers == {"experiment"}
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_run_writes_its_files_with_one_call(self, tmp_path, monkeypatch,
+                                                preset):
+        """A runner returns its tables and takes no output directory; ``run``
+        writes them with one writer call and lists them in its order."""
+        _, runner = experiment._SCENARIOS[PRESETS[preset]["scenario"]]
+        assert len(inspect.signature(runner).parameters) == 2
+        calls, write = [], experiment.write_csvs
+
+        def counted(tables):
+            names = []
+            calls.append(names)
+
+            def named():
+                for path, header, columns in tables:
+                    names.append(path.name)
+                    yield path, header, columns
+
+            write(named())
+
+        monkeypatch.setattr(experiment, "write_csvs", counted)
+        config = preset_config(preset)
+        config.output_directory = str(tmp_path)
+        manifest = run(config)
+        assert calls == [manifest.output_files]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [*manifest.output_files, "manifest.json"])
+
+    @pytest.mark.parametrize("preset,emitted", [
+        ("fig3", ["plot_path_loss_vs_time.csv"]),
+        ("fig4", ["plot_se_vs_delay.csv"])])
+    def test_plot_writes_its_files_with_one_call(self, tmp_path, monkeypatch,
+                                                 preset, emitted):
+        config = preset_config(preset)
+        config.output_directory = str(tmp_path)
+        manifest = run(config)
+        calls, write = [], experiment.write_csvs
+
+        def counted(tables):
+            calls.append(1)
+            write(tables)
+
+        monkeypatch.setattr(experiment, "write_csvs", counted)
+        assert emit_plot_data(manifest) == emitted
+        assert calls == [1]
 
     def test_trace_files(self, tmp_path):
         config = preset_config("fig3")
@@ -875,6 +931,10 @@ class TestMalformedConfigs:
         ("dissem20", {"uav_speed_mps": 5e-324}, "uav_speed_mps"),
         ("dissem20", {"coverage_radius_m": 1e308}, "coverage_radius_m"),
         ("dissem20", {"slot_duration_s": 5e-324}, "slot_duration_s"),
+        # Cell counts past the largest float, formatted as inf.
+        ("dissem20", {"node_count": 10 ** 400}, "node_count"),
+        ("dissem20", {"source_packet_count": 10 ** 400},
+         "source_packet_count"),
     ])
     def test_bound_error_names_config_field(self, tmp_path, preset, params,
                                             field):
@@ -882,6 +942,15 @@ class TestMalformedConfigs:
                                    tmp_path)
         assert_config_error(code, lines, out)
         assert field in lines[0]
+
+    def test_huge_dissemination_field_is_a_short_line(self, tmp_path):
+        # Its slot and cell counts used to print as 300-digit integers, in
+        # a line of 795 bytes.
+        code, lines, out = run_cli({"preset": "dissem20", "params": {
+            "field_length_m": 1e308}}, tmp_path)
+        assert_config_error(code, lines, out)
+        assert "field_length_m" in lines[0]
+        assert len(lines[0].encode()) <= 250
 
     @pytest.mark.parametrize("preset,params,field", [
         # The linear value of the peak SNR overflows, and the run wrote nan
@@ -1061,6 +1130,30 @@ class TestMalformedConfigs:
             code = main(["plot", "--manifest", str(path)])
         assert code == 2
         assert stderr.getvalue().count("\n") == 1
+        assert not list(out.glob("plot_*"))
+
+    def test_plot_malformed_trace_after_sweep_writes_nothing(self, tmp_path):
+        # The sweep's plot used to be written before the trace was read.
+        out = tmp_path / "run"
+        assert main(["relay", "trace", "--out", str(out),
+                     "--time-step", "0.05"]) == 0
+        assert main(["relay", "sweep", "--out", str(out),
+                     "--time-step", "0.05"]) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        trace = "trace_mobile_v10.csv"
+        manifest["output_files"] = ["sweep.csv", trace]
+        manifest["series"][trace] = {"kind": "trace", "label": "mobile_v10"}
+        path.write_text(json.dumps(manifest))
+        lines = (out / trace).read_text().splitlines()
+        lines[5] += ",0.0"
+        (out / trace).write_text("\n".join(lines) + "\n")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["plot", "--manifest", str(path)])
+        assert code == 2
+        assert stderr.getvalue().count("\n") == 1
+        assert f"{trace}: line 6 has 6 fields, not 5" in stderr.getvalue()
         assert not list(out.glob("plot_*"))
 
     def test_plot_write_failure_is_one_line(self, tmp_path):

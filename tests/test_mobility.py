@@ -238,6 +238,15 @@ class TestShapeFunctions:
         with pytest.raises(TrajectoryConfigError):
             cycle_times(relay_geom(10.0), 0.3)
 
+    @pytest.mark.parametrize("delta,time_step", [
+        (10.0, 5e-324), (math.inf, 0.01), (math.inf, math.inf)],
+        ids=["quotient_inf", "delta_inf", "quotient_nan"])
+    def test_cycle_times_non_finite_quotient(self, delta, time_step):
+        # round() of an inf or nan quotient raised a bare OverflowError or
+        # ValueError that named no parameter.
+        with pytest.raises(TrajectoryConfigError, match="time_step"):
+            cycle_times(RelayGeometry(1000.0, 100.0, 10.0, delta), time_step)
+
 
 class TestFerryTrajectory:
     def test_hover_and_flight_segments(self):
