@@ -8,13 +8,13 @@ quote or a line feed is enclosed in double quotes, each of its quotes
 doubled, and a row of one empty field is written as ``""``.  These are
 the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
 
-One writer, ``write_csvs``, writes a sequence of tables; ``write_csv``
-is its one-table call.  It builds the bytes from columns, so that a
-float array formats each distinct value once: the float array columns
-of a table, widened to float64, share one text per distinct value, and a
-table takes the texts of the values it shares with the last table before
-it in the same call that has float arrays.  ``_reprs`` is the writer's one place that formats a
-float array.
+One writer, ``write_csvs``, writes a sequence of tables.  It builds the
+bytes from columns, so that a float array formats each distinct value
+once: the float array columns of a table, widened to float64, share one
+text per distinct value, and a table takes the texts of the values it
+shares with the last table before it in the same call that has float
+arrays.  ``_reprs`` is the writer's one place that formats a float
+array.
 """
 
 from ._numpy import np
@@ -22,22 +22,16 @@ from ._numpy import np
 _BLOCK_ROWS = 1024  # rows formatted and joined per write
 
 
-def write_csv(path, header, columns) -> None:
-    """Write ``header`` and the body whose columns are ``columns``.
+def write_csvs(tables) -> None:
+    """Write each ``(path, header, columns)`` of ``tables`` in turn: the
+    file ``path`` gets the row ``header`` and then the body whose columns
+    are ``columns``.  A table's file is written before the next table is
+    drawn, so ``tables`` may be a generator.
 
     Each column is a sequence of values or a 1-D ndarray, all of one
     length; an ndarray column is written as its ``tolist()`` would be.
-    """
-    # Let go of an iterator of columns, such as zip(*rows), and the
-    # per-row iterators it holds, before the body is formatted.
-    columns = list(columns)
-    write_csvs([(path, header, columns)])
-
-
-def write_csvs(tables) -> None:
-    """Write each ``(path, header, columns)`` of ``tables``, as
-    ``write_csv`` would, in turn: a table's file is written before the
-    next table is drawn, so ``tables`` may be a generator.
+    ``columns`` may be an iterator, such as ``zip(*rows)``: it is let go
+    before the body is formatted.
 
     Fields are formatted one block of rows at a time, except that the
     distinct values of a table's float arrays are formatted up front,

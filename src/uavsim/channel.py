@@ -16,7 +16,6 @@ minus its path loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
 
@@ -25,22 +24,6 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 
 class ChannelDomainError(ValueError):
     """Raised for geometrically or physically invalid channel inputs."""
-
-
-@dataclass(frozen=True)
-class SnrReference:
-    """SNR anchor: the mean received SNR observed at a reference distance.
-
-    Fixes transmit power/noise implicitly; under free space the SNR at
-    distance d is ``reference_snr_db + 20*log10(reference_distance/d)``.
-    """
-
-    reference_snr_db: float
-    reference_distance: float  # m, > 0
-
-    def __post_init__(self):
-        if self.reference_distance <= 0:
-            raise ChannelDomainError("reference_distance must be > 0")
 
 
 def slant_distance(horizontal_separation, transmitter_height):
@@ -78,22 +61,31 @@ def free_space_path_loss(horizontal_separation, transmitter_height,
         slant_distance(horizontal_separation, transmitter_height), frequency)
 
 
-def snr_anchor_db(frequency: float, ref: SnrReference,
+def _check_reference_distance(reference_distance: float) -> None:
+    if reference_distance <= 0:
+        raise ChannelDomainError("reference_distance must be > 0")
+
+
+def snr_anchor_db(frequency: float, reference_snr_db: float,
+                  reference_distance: float,
                   transmitter_height: float) -> float:
-    """The anchor's SNR plus the path loss at the reference distance, at
-    ``frequency``, for links from this height to the ground: the SNR in
-    dB of such a link is this value minus its own path loss.  Raises
-    ``ChannelDomainError`` when the square of the reference distance
-    overflows, or when the path loss of the reference link overflows or
-    underflows."""
+    """``reference_snr_db``, the mean SNR observed at
+    ``reference_distance`` (m, > 0), plus the path loss at that distance,
+    at ``frequency``, for links from this height to the ground: the SNR in
+    dB of such a link is this value minus its own path loss, so under
+    free space the SNR at distance d is ``reference_snr_db +
+    20*log10(reference_distance/d)``.  Raises ``ChannelDomainError`` when
+    the square of the reference distance overflows, or when the path loss
+    of the reference link overflows or underflows."""
+    _check_reference_distance(reference_distance)
     # Compared and squared as the float the link's arithmetic uses, so an
     # integer height acts as its float does.
     height = float(transmitter_height)
-    if ref.reference_distance < abs(height):
+    if reference_distance < abs(height):
         raise ChannelDomainError(
             "reference_distance shorter than the endpoint height difference")
     try:
-        ground = math.sqrt(ref.reference_distance ** 2 - height ** 2)
+        ground = math.sqrt(reference_distance ** 2 - height ** 2)
     except OverflowError:
         raise ChannelDomainError(
             "reference_distance too large: its square overflows") from None
@@ -103,7 +95,7 @@ def snr_anchor_db(frequency: float, ref: SnrReference,
             f"path loss at reference_distance "
             f"{'underflows' if reference_loss < 0 else 'overflows'} at "
             f"carrier_frequency {frequency:g} Hz")
-    return ref.reference_snr_db + reference_loss
+    return reference_snr_db + reference_loss
 
 
 def spectral_efficiency(snr_db):

@@ -8,18 +8,19 @@ the optimal altitude is the first maximum of the radius over a grid.
 
 The expected loss is one numpy kernel of floats or arrays, built from
 ``channel.slant_distance``, the unchecked form of
-``channel.free_space_path_loss`` and this module's LoS sigmoid; its
-inputs are checked once, by ``expected_path_loss`` or before the
-bisection, and not on each of the bisection's calls.  The receiver is on
-the ground, so a link's height is the altitude.  The LoS model owns its
-domain: it rejects, when built, a sigmoid whose exponent at elevation 0,
-its largest, overflows ``exp``.  A coverage curve is two
-float arrays: ``altitude_grid`` and the ``coverage_radii`` of its
-altitudes, which one bisection computes on all altitudes in lockstep.
-``check_carrier`` refuses a carrier whose free-space loss underflows to
--inf on the shortest link, as a threshold would cover any range then.
-The module only computes: ``experiment`` writes the curve and picks its
-optimum.
+``channel.free_space_path_loss`` and this module's LoS sigmoid.  It takes
+the mean excess losses as two numbers, ``eta_los`` and ``eta_nlos``,
+which ``check_excess_loss`` checks.  Its inputs are checked once, by
+``expected_path_loss`` or before the bisection, and not on each of the
+bisection's calls.  The receiver is on the ground, so a link's height is
+the altitude.  The LoS model owns its domain: it rejects, when built, a
+sigmoid whose exponent at elevation 0, its largest, overflows ``exp``.  A
+coverage curve is two float arrays: ``altitude_grid`` and the
+``coverage_radii`` of its altitudes, which one bisection computes on all
+altitudes in lockstep.  ``check_carrier`` refuses a carrier whose
+free-space loss underflows to -inf on the shortest link, as a threshold
+would cover any range then.  The module only computes: ``experiment``
+writes the curve and picks its optimum.
 """
 
 from __future__ import annotations
@@ -66,23 +67,19 @@ class LosProbabilityModel:
             return 1.0 / (1.0 + a * np.exp(-b * (elevation_deg - a)))
 
 
-@dataclass(frozen=True)
-class ExcessLoss:
-    """Mean excess losses beyond free space, dB; NLoS strictly worse."""
-
-    eta_los: float
-    eta_nlos: float
-
-    def __post_init__(self):
-        if self.eta_los < 0:
-            raise ValueError("eta_los must be >= 0")
-        if self.eta_nlos < self.eta_los:
-            raise ValueError("eta_nlos must be >= eta_los")
-
-
 def _check_altitude(altitude) -> None:
     if np.any(altitude <= 0):
         raise ValueError("altitude must be > 0")
+
+
+def check_excess_loss(eta_los: float, eta_nlos: float) -> None:
+    """Raises ``ValueError`` unless the mean excess losses beyond free
+    space, dB, satisfy ``0 <= eta_los <= eta_nlos``: NLoS is never better
+    than LoS."""
+    if eta_los < 0:
+        raise ValueError("eta_los must be >= 0")
+    if eta_nlos < eta_los:
+        raise ValueError("eta_nlos must be >= eta_los")
 
 
 def check_carrier(altitudes, frequency: float) -> None:
@@ -97,7 +94,8 @@ def check_carrier(altitudes, frequency: float) -> None:
 
 
 def _expected_loss(altitude, ground_range, frequency: float,
-                   los: LosProbabilityModel, excess: ExcessLoss):
+                   los: LosProbabilityModel, eta_los: float,
+                   eta_nlos: float):
     """``expected_path_loss`` of altitudes, ground ranges and a frequency
     that are checked: the LoS-probability-weighted mean of the LoS and
     NLoS losses, dB."""
@@ -109,26 +107,30 @@ def _expected_loss(altitude, ground_range, frequency: float,
     # none covers inf.  Only such products are nan; finite losses keep
     # every bit.
     with np.errstate(invalid="ignore"):
-        return (p_los * (fspl + excess.eta_los)
-                + (1.0 - p_los) * (fspl + excess.eta_nlos))
+        return (p_los * (fspl + eta_los)
+                + (1.0 - p_los) * (fspl + eta_nlos))
 
 
 def expected_path_loss(altitude, ground_range, frequency: float,
-                       los: LosProbabilityModel, excess: ExcessLoss):
+                       los: LosProbabilityModel, eta_los: float,
+                       eta_nlos: float):
     """LoS-probability-weighted mean path loss in dB of every (altitude,
-    ground range) pair of the two broadcast floats or arrays."""
+    ground range) pair of the two broadcast floats or arrays, with mean
+    excess losses ``eta_los`` and ``eta_nlos`` beyond free space."""
+    check_excess_loss(eta_los, eta_nlos)
     altitude = np.asarray(altitude, dtype=float)
     ground_range = np.asarray(ground_range, dtype=float)
     _check_altitude(altitude)
     if np.any(ground_range < 0):
         raise ValueError("ground_range must be >= 0")
     _check_frequency(frequency)
-    return _expected_loss(altitude, ground_range, frequency, los, excess)
+    return _expected_loss(altitude, ground_range, frequency, los, eta_los,
+                          eta_nlos)
 
 
 def coverage_radii(altitudes, max_path_loss: float, frequency: float,
-                   los: LosProbabilityModel,
-                   excess: ExcessLoss) -> np.ndarray:
+                   los: LosProbabilityModel, eta_los: float,
+                   eta_nlos: float) -> np.ndarray:
     """The coverage radius at each of the altitudes: the largest ground
     range whose expected loss is <= ``max_path_loss``, by bisection.
 
@@ -142,13 +144,14 @@ def coverage_radii(altitudes, max_path_loss: float, frequency: float,
     kernel; the inputs are checked once, as ``expected_path_loss`` checks
     them, and the carrier by ``check_carrier``.
     """
+    check_excess_loss(eta_los, eta_nlos)
     h = np.asarray(altitudes, dtype=float)
     _check_altitude(h)
     check_carrier(h, frequency)
 
     def covered(heights, ranges):
-        return _expected_loss(heights, ranges, frequency, los,
-                              excess) <= max_path_loss
+        return _expected_loss(heights, ranges, frequency, los, eta_los,
+                              eta_nlos) <= max_path_loss
 
     radii = np.zeros_like(h)
     # Bracket the crossing by doubling.  An altitude leaves with the first

@@ -24,48 +24,40 @@ draws a one-seed run makes, in its own generator, and leaves the
 generator where that run leaves it.  A gossip round's picks are
 ``Generator.integers(0, pool_sizes)``, reproduced from the generator's
 raw stream, so gossip takes a PCG64, PCG64DXSM, Philox or SFC64
-generator.  The batch kernels ``broadcast``, ``exchange`` and
-``baseline`` run one phase each; a one-seed run passes ``packets[None]``
-and ``[rng]``.  ``compare_schemes`` runs every seed of a config through
-them, in blocks of seeds that bound the memory a batch holds.  The
+generator.  The batch kernels run one phase each and take the numbers
+they use: ``coverage_mask(uav, positions, coverage_radius)``,
+``broadcast(coverage, packets, erasure_probability, rngs)``,
+``exchange(packets, graph, k, rngs, round_cap)`` and ``baseline(coverage,
+packets, erasure_probability, rngs, pass_cap)``, which takes K from the
+packet matrix; a one-seed run passes ``packets[None]`` and ``[rng]``.
+Each returns per-seed arrays: ``exchange`` the rounds used, success and
+(seeds, components) stalled flags, ``baseline`` the transmissions,
+success and (seeds, nodes) packets still missing.  ``compare_schemes``
+runs every seed of a config through them, in blocks of seeds that bound
+the memory a batch holds, and returns one dict of per-seed arrays.  The
 module only computes: ``experiment`` writes the summary and node tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ._numpy import np
 
 
-@dataclass(frozen=True)
-class FileSpec:
-    """File of K source packets; decodes once K distinct coded packets arrive."""
-
-    source_packet_count: int
-
-    def __post_init__(self):
-        if self.source_packet_count <= 0:
-            raise ValueError("source_packet_count must be > 0")
-
-    def decoded(self, packets: np.ndarray) -> np.ndarray:
-        """Per-node decode flags of a (..., nodes, packets) bool matrix."""
-        return packets.sum(axis=-1) >= self.source_packet_count
+def _check_coverage_radius(coverage_radius: float) -> None:
+    if coverage_radius <= 0:
+        raise ValueError("coverage_radius must be > 0")
 
 
-@dataclass(frozen=True)
-class ReceptionModel:
-    """Binary coverage disc plus i.i.d. packet erasure."""
+def _check_erasure_probability(erasure_probability: float) -> None:
+    if not 0.0 <= erasure_probability < 1.0:
+        raise ValueError("erasure_probability must lie in [0, 1)")
 
-    coverage_radius: float      # m, slant, > 0
-    erasure_probability: float  # in [0, 1)
 
-    def __post_init__(self):
-        if self.coverage_radius <= 0:
-            raise ValueError("coverage_radius must be > 0")
-        if not 0.0 <= self.erasure_probability < 1.0:
-            raise ValueError("erasure_probability must lie in [0, 1)")
+def _check_packet_count(source_packet_count: int) -> None:
+    if source_packet_count <= 0:
+        raise ValueError("source_packet_count must be > 0")
 
 
 class D2dGraph:
@@ -97,11 +89,13 @@ class D2dGraph:
                 for c in range(self.component_count)]
 
 
-def coverage_mask(uav: np.ndarray, positions, rx: ReceptionModel) -> np.ndarray:
+def coverage_mask(uav: np.ndarray, positions,
+                  coverage_radius: float) -> np.ndarray:
     """(slots, nodes) bool: the node's slant distance from the UAV at the
-    start of the slot, ``sqrt(dx*dx + dy*dy + z*z)``, is at most the
-    coverage radius; ``uav`` holds the (slots, 3) UAV positions at the
-    slot starts."""
+    start of the slot, ``sqrt(dx*dx + dy*dy + z*z)``, is at most
+    ``coverage_radius`` (m, > 0); ``uav`` holds the (slots, 3) UAV
+    positions at the slot starts."""
+    _check_coverage_radius(coverage_radius)
     uav = np.asarray(uav, dtype=float)
     ground = np.asarray(positions, dtype=float).reshape(-1, 2)
     dx = uav[:, None, 0] - ground[None, :, 0]
@@ -109,36 +103,29 @@ def coverage_mask(uav: np.ndarray, positions, rx: ReceptionModel) -> np.ndarray:
     # A square that overflows is an infinite slant, which covers nothing.
     with np.errstate(over="ignore"):
         slant = np.sqrt(dx * dx + dy * dy + (uav[:, 2] * uav[:, 2])[:, None])
-    return slant <= rx.coverage_radius
+    return slant <= coverage_radius
 
 
 def broadcast(coverage: np.ndarray, packets: np.ndarray,
-              rx: ReceptionModel, rngs) -> int:
+              erasure_probability: float, rngs) -> int:
     """Phase 1 for a batch of seeds: broadcast one distinct coded packet
     per slot, packet s in slot s.
 
     ``coverage`` is a (slots, nodes) mask from ``coverage_mask``,
     ``packets`` the (seeds, nodes, slots) matrix and ``rngs`` one
     generator per seed.  A covered node receives the slot's packet unless
-    it is erased, one uniform draw per covered (slot, node) in slot-major
-    order, each seed drawing once from its own generator, and ``packets``
-    gains it.  Returns the number of UAV transmissions (one per slot over
-    the full flight).
+    it is erased with ``erasure_probability`` (in [0, 1)), one uniform
+    draw per covered (slot, node) in slot-major order, each seed drawing
+    once from its own generator, and ``packets`` gains it.  Returns the
+    number of UAV transmissions (one per slot over the full flight).
     """
+    _check_erasure_probability(erasure_probability)
     received = np.zeros((len(rngs),) + coverage.shape, dtype=bool)
     cells = np.count_nonzero(coverage)
-    received[:, coverage] = [rng.random(cells) >= rx.erasure_probability
+    received[:, coverage] = [rng.random(cells) >= erasure_probability
                              for rng in rngs]
     packets |= received.transpose(0, 2, 1)
     return coverage.shape[0]
-
-
-@dataclass(frozen=True)
-class ExchangeResult:
-    rounds_used: int
-    success: bool
-    stalled_components: tuple[tuple[int, ...], ...] = ()  # index tuples
-    component_union_sizes: tuple[int, ...] = ()
 
 
 # Row b: the set bits of byte value b, lowest first, then zeros.
@@ -217,10 +204,14 @@ class _WordStreams:
             self.live[row] = False
 
 
-def exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
-             round_cap: int) -> list[ExchangeResult]:
+def exchange(packets: np.ndarray, graph: D2dGraph, k: int, rngs,
+             round_cap: int):
     """Phase 2 for a batch of seeds: synchronous gossip until every node
-    decodes, a component stalls, or the round cap is hit.
+    decodes (holds ``k`` packets), the rest are in stalled components, or
+    the round cap is hit.  Returns per seed the rounds used, whether
+    every node decoded, and a (seeds, components) bool array: the
+    components, numbered as ``graph.labels`` numbers them, whose packet
+    union after phase 1 is short of ``k``, so that they never decode.
 
     Each round, every node holding at least one packet broadcasts one
     uniformly random packet it has not broadcast before (falling back to
@@ -237,21 +228,18 @@ def exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
     gossiping: the picks are reproduced from the generators' raw streams,
     each node ORs in its neighbours' packets through a padded neighbour
     table, and its packet count grows by the bits that are new to it."""
+    _check_packet_count(k)
     seeds, nodes, width = packets.shape
     # What the nodes hold, eight packets to a byte.
     held = np.packbits(packets, axis=2, bitorder="little")
     order = np.argsort(graph.labels, kind="stable")
     firsts = np.searchsorted(graph.labels[order],
                              np.arange(graph.component_count))
-    union_sizes = np.bitwise_count(np.bitwise_or.reduceat(
-        held[:, order], firsts, axis=1)).sum(axis=2, dtype=np.int64)
-    short = union_sizes < file.source_packet_count
-    components = graph.connected_components()
-    stalled = [tuple(tuple(c) for c, s in zip(components, row) if s)
-               for row in short]
+    stalled = np.bitwise_count(np.bitwise_or.reduceat(
+        held[:, order], firsts, axis=1)).sum(axis=2, dtype=np.int64) < k
     # Nodes of stalled components never decode; a seed is done once the
     # others have.
-    settled = short[:, graph.labels]
+    settled = stalled[:, graph.labels]
     # Row v lists v's neighbours, padded with v: a node holds what it sent.
     degrees = graph.adjacency.sum(axis=1)
     places = np.arange(max(1, degrees.max(initial=0)))
@@ -269,11 +257,10 @@ def exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
     live = np.arange(seeds)
     # A component with the file decodes within K rounds, each taking at
     # most a word per node.
-    streams = _WordStreams(
-        rngs, min(round_cap, file.source_packet_count) * nodes)
+    streams = _WordStreams(rngs, min(round_cap, k) * nodes)
     rounds = 0
     while True:
-        decoded = counts >= file.source_packet_count
+        decoded = counts >= k
         done = (decoded | settled).all(axis=1) | (rounds >= round_cap)
         if done.any():
             finished = live[done]
@@ -317,18 +304,7 @@ def exchange(packets: np.ndarray, graph: D2dGraph, file: FileSpec, rngs,
         unsent |= incoming
         counts += np.bitwise_count(incoming).sum(axis=2, dtype=size_type)
         rounds += 1
-    return [ExchangeResult(count, ok, stalled[seed], tuple(sizes))
-            for seed, (count, ok, sizes) in enumerate(zip(
-                rounds_used.tolist(), success.tolist(),
-                union_sizes.tolist()))]
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    uav_transmissions: int
-    passes_used: int
-    success: bool
-    missing_per_node: dict[int, int] | None = None  # populated on cap failure
+    return rounds_used, success, stalled
 
 
 # (seed, slot, node) cells a baseline step covers at least, up to a pass per
@@ -336,18 +312,22 @@ class BaselineResult:
 _STEP_CELLS = 4096
 
 
-def baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
-             rx: ReceptionModel, rngs, pass_cap: int) -> list[BaselineResult]:
+def baseline(coverage: np.ndarray, packets: np.ndarray,
+             erasure_probability: float, rngs, pass_cap: int):
     """Repeat uncoded passes until every node holds all K packets, for a
     batch: ``packets`` is (seeds, nodes, K), updated in place, and
-    ``rngs`` holds one generator per seed.
+    ``rngs`` holds one generator per seed.  Returns per seed the UAV
+    transmissions, whether every node completed within the cap, and a
+    (seeds, nodes) count of the packets each node still lacks.
 
     Transmission g (counting from 0) sends packet g % K in slot g % S of
     the (S slots, nodes) ``coverage`` mask, continuing the packet cycle
     over repeated flights of the same trajectory, for at most
     ``pass_cap`` passes.  A seed's transmissions count up to its
     completing slot, and its draws are those of a slot-by-slot loop: one
-    per covered node still missing packets, slot-major.
+    per covered node still missing packets, slot-major, each erased with
+    ``erasure_probability``.  Passes used are ``(transmissions - 1) // S +
+    1`` for a seed that completes, else ``pass_cap``.
 
     The seeds still running step in lockstep over windows of whole packet
     cycles; each ends its step at its first node completion, since its
@@ -358,7 +338,9 @@ def baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
     not use as hits, the start of its next step's draws; at the end the
     generator is rewound to the last draw used.
     """
-    k = file.source_packet_count
+    _check_erasure_probability(erasure_probability)
+    k = packets.shape[2]
+    _check_packet_count(k)
     slots_per_pass, nodes = coverage.shape
     limit = pass_cap * slots_per_pass
     pass_cycles = -(-slots_per_pass // k)  # packet cycles covering a pass
@@ -400,7 +382,7 @@ def baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
                 # Draw ahead four times the need: each refill saves a state.
                 more = max(short, 4 * needed)
                 ahead[seed] = np.concatenate(
-                    [ahead[seed], rng.random(more) >= rx.erasure_probability])
+                    [ahead[seed], rng.random(more) >= erasure_probability])
                 drawn[seed] += more
             hits.append(ahead[seed][:needed])
         received = np.zeros_like(covered)
@@ -438,19 +420,10 @@ def baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
             rng.bit_generator.state = state
             rng.random(total - unused.size - offset)
     packets[...] = have.transpose(0, 2, 1)
-    results = []
-    for transmissions, left, missing in zip(sent.tolist(), pending,
-                                            k - have.sum(axis=1)):
-        if left.any() or not limit:
-            results.append(BaselineResult(transmissions, pass_cap, False, {
-                int(n): int(missing[n]) for n in np.flatnonzero(left)}))
-        else:
-            # With nobody pending the first slot still goes out.
-            transmissions = max(transmissions, 1)
-            results.append(BaselineResult(
-                transmissions, (transmissions - 1) // slots_per_pass + 1,
-                True))
-    return results
+    success = ~pending.any(axis=1) & (limit > 0)
+    # With nobody pending the first slot still goes out.
+    sent[success] = np.maximum(sent[success], 1)
+    return sent, success, k - have.sum(axis=1)
 
 
 # Cells of one block of seeds in ``compare_schemes``: per seed, nodes x
@@ -459,33 +432,48 @@ def baseline(coverage: np.ndarray, packets: np.ndarray, file: FileSpec,
 _BLOCK_CELLS = 1 << 18
 
 
-def compare_schemes(coverage: np.ndarray, graph: D2dGraph, file: FileSpec,
-                    rx: ReceptionModel, coded_rngs, baseline_rngs,
-                    round_cap: int = 10_000, pass_cap: int = 1_000) -> list:
-    """Coded broadcast plus D2D gossip against the uncoded baseline, one
-    seed per pair of generators from the two iterables, all seeds in one
-    batched pass.
+def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
+                    erasure_probability: float, coded_rngs, baseline_rngs,
+                    round_cap: int = 10_000, pass_cap: int = 1_000) -> dict:
+    """Coded broadcast plus D2D gossip against the uncoded baseline of a
+    ``k``-packet file, one seed per pair of generators from the two
+    iterables, all seeds in one batched pass.
 
     Takes the generators as it runs them, in blocks of at most
-    ``_BLOCK_CELLS`` cells.  Returns, per seed, the coded transmissions,
-    the ``ExchangeResult``, the ``BaselineResult``, and per node the
-    packets held after phase 1 and the decode flags after phase 2: what
-    ``broadcast``, ``exchange`` and ``baseline`` give that seed run
-    alone.
+    ``_BLOCK_CELLS`` cells.  Returns what ``broadcast``, ``exchange`` and
+    ``baseline`` give each seed run alone, as arrays over a leading seed
+    axis, by name:
+
+    - ``coded_transmissions``, ``d2d_rounds``, ``coded_success``: the
+      coded scheme's UAV transmissions, gossip rounds and success;
+    - ``stalled``: (seeds, components) bool, ``exchange``'s;
+    - ``baseline_transmissions``, ``baseline_success``;
+    - ``missing``: (seeds, nodes), the packets each node lacks after the
+      baseline;
+    - ``packets_after_phase1``, ``decoded_after_phase2``: (seeds, nodes).
     """
     slots, nodes = coverage.shape
-    k = file.source_packet_count
     block = max(1, _BLOCK_CELLS // (nodes * (slots + k + nodes)))
     coded_rngs, baseline_rngs = iter(coded_rngs), iter(baseline_rngs)
-    outcomes = []
+    blocks = []
     while rngs := list(itertools.islice(coded_rngs, block)):
         packets = np.zeros((len(rngs), nodes, slots), dtype=bool)
-        coded_tx = broadcast(coverage, packets, rx, rngs)
+        coded_tx = broadcast(coverage, packets, erasure_probability, rngs)
         after_phase1 = np.count_nonzero(packets, axis=2)
-        exchanges = exchange(packets, graph, file, rngs, round_cap)
-        baselines = baseline(
-            coverage, np.zeros((len(rngs), nodes, k), dtype=bool), file, rx,
+        rounds, coded_success, stalled = exchange(packets, graph, k, rngs,
+                                                  round_cap)
+        baseline_tx, baseline_success, missing = baseline(
+            coverage, np.zeros((len(rngs), nodes, k), dtype=bool),
+            erasure_probability,
             list(itertools.islice(baseline_rngs, len(rngs))), pass_cap)
-        outcomes += [(coded_tx, *outcome) for outcome in zip(
-            exchanges, baselines, after_phase1, file.decoded(packets))]
-    return outcomes
+        blocks.append({
+            "coded_transmissions": np.full(len(rngs), coded_tx),
+            "d2d_rounds": rounds, "coded_success": coded_success,
+            "stalled": stalled, "baseline_transmissions": baseline_tx,
+            "baseline_success": baseline_success, "missing": missing,
+            "packets_after_phase1": after_phase1,
+            "decoded_after_phase2": packets.sum(axis=2) >= k})
+    if not blocks:
+        raise ValueError("compare_schemes needs at least one seed")
+    return {name: np.concatenate([part[name] for part in blocks])
+            for name in blocks[0]}

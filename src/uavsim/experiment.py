@@ -387,10 +387,11 @@ def _check_peak_snr(peak_db) -> None:
 
 
 def _relay_setup(fields):
-    """The carrier frequency, SNR reference and ``relay.sweep_plan`` of a
-    sweep config.  Checks the series labels, repeats, geometries, samples
-    per cycle, SNR anchor and peak SNR, in that order."""
-    from .channel import SnrReference, free_space_path_loss, snr_anchor_db
+    """The carrier frequency, (reference SNR, reference distance) and
+    ``relay.sweep_plan`` of a sweep config.  Checks the series labels,
+    repeats, geometries, samples per cycle, SNR anchor and peak SNR, in
+    that order."""
+    from .channel import free_space_path_loss, snr_anchor_db
     from .mobility import RelayGeometry, _check_step_divides
     from .relay import sweep_plan
     altitude = fields["uav_altitude_m"]
@@ -419,12 +420,11 @@ def _relay_setup(fields):
                               f"cycle, more than {MAX_CYCLE_SAMPLES}")
         _check_step_divides(delay, time_step)
     frequency = fields["carrier_frequency_hz"]
-    ref = SnrReference(reference_snr_db=fields["reference_snr_db"],
-                       reference_distance=template.midpoint_slant)
+    reference = fields["reference_snr_db"], template.midpoint_slant
     # The shortest link a relay can see is the one straight down.
-    _check_peak_snr(snr_anchor_db(frequency, ref, altitude)
+    _check_peak_snr(snr_anchor_db(frequency, *reference, altitude)
                     - free_space_path_loss(0.0, altitude, frequency))
-    return frequency, ref, plan
+    return frequency, reference, plan
 
 
 def _trace_setup(fields):
@@ -443,7 +443,7 @@ _SWEEP_HEADER = ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"]
 
 def _run_relay_trace(config: ExperimentConfig, setup):
     from .relay import simulate_cycle
-    frequency, ref, (_, cycles) = setup
+    frequency, reference, (_, cycles) = setup
     # A cycle's strategy is a ``RelayStrategy``, whose f-string form is
     # ``RelayStrategy.MOBILE``, not ``mobile``.
     series = {f"trace_{label}.csv": {"label": label, "kind": "trace"}
@@ -452,7 +452,7 @@ def _run_relay_trace(config: ExperimentConfig, setup):
 
     def table(cycle, name):
         # The result is bound only here, so one cycle's is alive at a time.
-        result = simulate_cycle(*cycle, frequency, ref,
+        result = simulate_cycle(*cycle, frequency, *reference,
                                 time_step=config.time_step)
         return name, _TRACE_HEADER, [
             result.times, result.path_loss_src, result.path_loss_dst,
@@ -467,11 +467,9 @@ def _run_relay_trace(config: ExperimentConfig, setup):
 def _run_relay_sweep(config: ExperimentConfig, setup):
     from .relay import sweep
     params = config.params
-    frequency, ref, plan = setup
-    return [("sweep.csv", _SWEEP_HEADER, list(zip(*(
-        (row.delay_budget, row.v_max, row.strategy.value, row.end_to_end_se,
-         int(row.feasible))
-        for row in sweep(plan, frequency, ref, config.time_step)))))], {
+    frequency, reference, plan = setup
+    return [("sweep.csv", _SWEEP_HEADER,
+             sweep(plan, frequency, *reference, config.time_step))], {
         "sweep.csv": {"kind": "sweep", "speeds": params["speeds_mps"],
                       "strategies": params["strategies"]}}, []
 
@@ -502,19 +500,21 @@ def _slot_count(params):
 
 def _dissemination_scenario(params):
     """The seed-free part of a dissemination config: the (slots, nodes)
-    coverage mask, the D2D graph, and the reception and file models.
+    coverage mask and the D2D graph.  Checks the coverage radius, erasure
+    probability and packet count first, as the kernels check them.
 
     At most ``MAX_SEEDS`` seeds, and at most ``MAX_DISSEMINATION_CELLS``
     cells in the D2D adjacency, the coverage mask or one seed's (nodes,
     packets) matrix.
     """
-    from .dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                                coverage_mask)
+    from .dissemination import (D2dGraph, _check_coverage_radius,
+                                _check_erasure_probability,
+                                _check_packet_count, coverage_mask)
     from .mobility import overflight_x
-    rx = ReceptionModel(params["coverage_radius_m"],
-                        params["erasure_probability"])
-    file = FileSpec(params["source_packet_count"])
     n, k = params["node_count"], params["source_packet_count"]
+    _check_coverage_radius(params["coverage_radius_m"])
+    _check_erasure_probability(params["erasure_probability"])
+    _check_packet_count(k)
     slots = _slot_count(params)
     if params["n_seeds"] > MAX_SEEDS:
         raise ConfigError(f"n_seeds {params['n_seeds']} is more than "
@@ -537,63 +537,72 @@ def _dissemination_scenario(params):
     positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
     uav = overflight_x(*_flight_ends(params), params["uav_speed_mps"],
                        np.arange(slots) * params["slot_duration_s"])
-    return (coverage_mask(uav, positions, rx),
-            D2dGraph(positions, params["d2d_range_m"]), rx, file)
+    return (coverage_mask(uav, positions, params["coverage_radius_m"]),
+            D2dGraph(positions, params["d2d_range_m"]))
 
 
 def _run_disseminate(config: ExperimentConfig, setup):
     from .dissemination import compare_schemes
-    coverage, graph, rx, file = setup
+    params = config.params
+    coverage, graph = setup
+    n = params["n_seeds"]
     seeds = [derive_seed(config.master_seed, run_index)
-             for run_index in range(config.params["n_seeds"])]
+             for run_index in range(n)]
     # Each seed seeds one generator for the coded scheme and one for the
     # baseline.
     default_rng = import_random().default_rng
-    outcomes = compare_schemes(
-        coverage, graph, file, rx,
+    result = compare_schemes(
+        coverage, graph, params["source_packet_count"],
+        params["erasure_probability"],
         (default_rng(seed) for seed in seeds),
         (default_rng(seed) for seed in seeds))
-    summary_rows = []
-    for run_index, (coded_tx, exchange, baseline, _, _) in \
-            enumerate(outcomes):
-        summary_rows.append(["dissem", run_index, "coded_d2d", coded_tx,
-                             exchange.rounds_used, int(exchange.success)])
-        summary_rows.append(["dissem", run_index, "baseline",
-                             baseline.uav_transmissions, 0,
-                             int(baseline.success)])
+
+    def pairs(coded, baseline):  # per seed, the coded row, then baseline
+        column = np.empty(2 * n, dtype=np.int64)
+        column[0::2], column[1::2] = coded, baseline
+        return column
+    summary = [["dissem"] * (2 * n), np.arange(n).repeat(2),
+               ["coded_d2d", "baseline"] * n,
+               pairs(result["coded_transmissions"],
+                     result["baseline_transmissions"]),
+               pairs(result["d2d_rounds"], 0),
+               pairs(result["coded_success"], result["baseline_success"])]
     # Per node of the first seed.
-    _, _, _, after_p1, decoded = outcomes[0]
+    after_p1 = result["packets_after_phase1"][0]
     return [("summary.csv", ["scenario_id", "seed", "scheme",
                              "uav_transmissions", "d2d_rounds", "success"],
-             list(zip(*summary_rows))),
+             summary),
             ("nodes.csv", ["node_id", "packets_after_phase1",
                            "decoded_after_phase2"],
-             [range(len(after_p1)), after_p1, decoded.astype(int)])], \
+             [range(len(after_p1)), after_p1,
+              result["decoded_after_phase2"][0].astype(int)])], \
         {"summary.csv": {"kind": "dissemination_summary"}}, seeds
 
 
 def _coverage_setup(params):
-    """The LoS and excess-loss models and the altitude grid of a coverage
-    config, whose carrier ``check_carrier`` passes."""
-    from .coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
-                           check_carrier)
+    """The LoS model and the altitude grid of a coverage config, whose
+    excess losses ``check_excess_loss`` and carrier ``check_carrier``
+    pass."""
+    from .coverage import (LosProbabilityModel, altitude_grid, check_carrier,
+                           check_excess_loss)
     los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
-    excess = ExcessLoss(params["eta_los_db"], params["eta_nlos_db"])
+    check_excess_loss(params["eta_los_db"], params["eta_nlos_db"])
     if params["altitude_max_m"] < params["altitude_min_m"]:
         raise ConfigError("altitude_max_m must be >= altitude_min_m")
     altitudes = altitude_grid((params["altitude_min_m"],
                                params["altitude_max_m"]),
                               params["altitude_step_m"])
     check_carrier(altitudes, params["carrier_frequency_hz"])
-    return los, excess, altitudes
+    return los, altitudes
 
 
 def _run_coverage(config: ExperimentConfig, setup):
     from .coverage import coverage_radii
     params = config.params
-    los, excess, altitudes = setup
+    los, altitudes = setup
     radii = coverage_radii(altitudes, params["max_path_loss_db"],
-                           params["carrier_frequency_hz"], los, excess)
+                           params["carrier_frequency_hz"], los,
+                           params["eta_los_db"], params["eta_nlos_db"])
     best = np.argmax(radii)  # the first maximum
     return [("coverage.csv", ["altitude_m", "coverage_radius_m"],
              [altitudes, radii])], {
@@ -604,17 +613,20 @@ def _run_coverage(config: ExperimentConfig, setup):
 
 def _probe_columns(params) -> list:
     """The columns of ``probe.csv``, one row per ground range."""
-    from .channel import (SnrReference, doppler_shift, free_space_path_loss,
-                          slant_distance, snr_anchor_db, spectral_efficiency)
+    from .channel import (_check_reference_distance, doppler_shift,
+                          free_space_path_loss, slant_distance,
+                          snr_anchor_db, spectral_efficiency)
     frequency = params["carrier_frequency_hz"]
     altitude = params["uav_altitude_m"]
-    ref = SnrReference(params["reference_snr_db"],
-                       params["reference_distance_m"])
+    distance = params["reference_distance_m"]
+    # ``snr_anchor_db`` checks it too, but its error comes first.
+    _check_reference_distance(distance)
     fd = doppler_shift(params["relative_speed_mps"], frequency)
     ranges = params["ground_ranges_m"]
     horizontal = np.array(ranges, dtype=float)
     fspl = free_space_path_loss(horizontal, altitude, frequency)
-    snr = snr_anchor_db(frequency, ref, altitude) - fspl
+    snr = (snr_anchor_db(frequency, params["reference_snr_db"], distance,
+                         altitude) - fspl)
     _check_peak_snr(snr.max())  # the nearest ground range's
     return [ranges, slant_distance(horizontal, altitude), fspl, snr,
             spectral_efficiency(snr), [fd] * len(ranges)]

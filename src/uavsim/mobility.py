@@ -56,7 +56,9 @@ class RelayGeometry:
 
 
 def _check_step_divides(delta: float, time_step: float) -> int:
-    n = round(delta / time_step) if math.isfinite(delta / time_step) else 0
+    # A zero step divides nothing: its quotient is taken as infinite.
+    quotient = delta / time_step if time_step else math.inf
+    n = round(quotient) if math.isfinite(quotient) else 0
     if n < 1 or abs(n * time_step - delta) > 1e-9:
         raise TrajectoryConfigError(
             f"time_step {time_step} does not divide the phase duration {delta}")

@@ -12,9 +12,12 @@ one link carries data at any sample, so a cycle evaluates that active
 link alone; a result keeps that loss, and each per-link path-loss column
 evaluates only its inactive half when first read.
 
-One batch kernel simulates a sequence of cycles: ``simulate_cycle`` is
+One batch kernel simulates a sequence of cycles: ``simulate_cycle``
+(strategy, geometry, carrier frequency, reference SNR and distance) is
 its one-cycle call, and ``sweep`` passes the distinct cycles of a
-``sweep_plan`` through it at once.  The kernel takes the cycles in blocks
+``sweep_plan`` through it at once and returns the sweep table's five
+columns.  Both take the SNR reference as its two numbers, which
+``channel.snr_anchor_db`` checks.  The kernel takes the cycles in blocks
 of bounded size, computes the SNR anchor once per altitude, and evaluates
 a block's links once per run of equal active-link gaps (a static relay,
 or one hovering overhead), repeating each run's loss and SE to its
@@ -35,8 +38,7 @@ from enum import Enum
 from functools import cached_property
 
 from ._numpy import np
-from .channel import (SnrReference, free_space_path_loss, snr_anchor_db,
-                      spectral_efficiency)
+from .channel import free_space_path_loss, snr_anchor_db, spectral_efficiency
 from .mobility import (FerryInfeasibleError, RelayGeometry,
                        _ferry_hover_time, cycle_times, ferry_x,
                        mobile_relay_x)
@@ -121,10 +123,14 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
 
 
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
-                   carrier_frequency: float, ref: SnrReference,
+                   carrier_frequency: float, reference_snr_db: float,
+                   reference_distance: float,
                    buffer_capacity: float = math.inf,
                    time_step: float = 0.01) -> RelayRunResult:
     """Simulate one relaying cycle [0, 2*delta] and return the bit ledger.
+
+    A link's SNR is ``channel.snr_anchor_db`` of the carrier, the
+    reference SNR and distance, and the UAV altitude, minus its path loss.
 
     Phase 1 (t < delta): accumulate source-link spectral efficiency into
     the buffer, clipped at ``buffer_capacity``.  Phase 2: drain at the
@@ -135,12 +141,14 @@ def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
     left-endpoint: sample i carries its SE over [t_i, t_i + time_step),
     and the last sample only closes the traces.
     """
-    result, = _simulate_cycles([(strategy, geom)], carrier_frequency, ref,
+    result, = _simulate_cycles([(strategy, geom)], carrier_frequency,
+                               reference_snr_db, reference_distance,
                                buffer_capacity, time_step)
     return result
 
 
-def _simulate_cycles(cycles, carrier_frequency: float, ref: SnrReference,
+def _simulate_cycles(cycles, carrier_frequency: float,
+                     reference_snr_db: float, reference_distance: float,
                      buffer_capacity: float = math.inf,
                      time_step: float = 0.01):
     """Yield ``simulate_cycle``'s result for each ``(strategy, geometry)``
@@ -166,8 +174,9 @@ def _simulate_cycles(cycles, carrier_frequency: float, ref: SnrReference,
             block, samples = [], 0
         xs = _cycle_x(strategy, geom, times)
         if altitude not in anchors:
-            anchors[altitude] = snr_anchor_db(carrier_frequency, ref,
-                                              altitude)
+            anchors[altitude] = snr_anchor_db(
+                carrier_frequency, reference_snr_db, reference_distance,
+                altitude)
         block.append((strategy, geom, times, xs))
         samples += len(times)
     if block:
@@ -260,16 +269,6 @@ def _ledger(strategy, geom, frequency, times, xs, n_phase1, loss, se,
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    delay_budget: float
-    v_max: float
-    strategy: RelayStrategy
-    end_to_end_se: float | None
-    feasible: bool
-    note: str = ""
-
-
 def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
     """The plan of a sweep over the (delay, speed, strategy) grid: the
     cells ``(delay, speed, strategy, cycle key or None, note)`` in row
@@ -305,16 +304,23 @@ def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
     return cells, cycles
 
 
-def sweep(plan, carrier_frequency: float, ref: SnrReference,
-          time_step: float) -> list[SweepRow]:
+def sweep(plan, carrier_frequency: float, reference_snr_db: float,
+          reference_distance: float, time_step: float) -> list[list]:
     """End-to-end SE of each cell of a ``sweep_plan``, with unbounded
-    buffers, one row per cell; the plan's distinct cycles go through one
-    batch."""
+    buffers; the plan's distinct cycles go through one batch.
+
+    Returns five columns in row order: the delay budget, speed, strategy
+    name, end-to-end SE (``None`` for an infeasible cell) and a feasible
+    flag (1 or 0).
+    """
     cells, cycles = plan
     # Each result goes as soon as its SE is read, before the next is built.
     se = dict(zip(cycles, map(
         operator.attrgetter("end_to_end_se"),
-        _simulate_cycles(cycles.values(), carrier_frequency, ref,
+        _simulate_cycles(cycles.values(), carrier_frequency,
+                         reference_snr_db, reference_distance,
                          time_step=time_step))))
-    return [SweepRow(delta, v, strategy, se.get(key), key is not None, note)
-            for delta, v, strategy, key, note in cells]
+    return [[cell[0] for cell in cells], [cell[1] for cell in cells],
+            [cell[2].value for cell in cells],
+            [se.get(cell[3]) for cell in cells],
+            [int(cell[3] is not None) for cell in cells]]

@@ -11,9 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from uavsim.channel import SnrReference
-from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
-                             coverage_radii)
+from uavsim.coverage import LosProbabilityModel, altitude_grid, coverage_radii
 from uavsim.dissemination import broadcast, compare_schemes, exchange
 from uavsim.experiment import (_dissemination_scenario, derive_seed,
                                preset_config, run, PRESETS)
@@ -29,7 +27,8 @@ def geom(v_max, delta=20.0):
 
 
 def ref_for(g):
-    return SnrReference(10.0, g.midpoint_slant)
+    """The reference SNR, dB, and distance, m: 10 dB at the midpoint."""
+    return 10.0, g.midpoint_slant
 
 
 def report(number, text):
@@ -64,7 +63,7 @@ def test_criterion_01_fig3_plateau_and_gap(tmp_path):
 
 def test_criterion_02_static_baseline():
     result = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CARRIER_HZ,
-                            ref_for(geom(0.0)))
+                            *ref_for(geom(0.0)))
     assert result.end_to_end_se == pytest.approx(0.5 * math.log2(11.0),
                                                  abs=1e-4)
     report(2, f"static SE {result.end_to_end_se:.5f} bps/Hz "
@@ -76,12 +75,12 @@ def test_criterion_03_fig4_mobile_static_ratio():
     config = preset_config("fig4")
     plan = sweep_plan(config.params["strategies"], geom(1.0, 1.0),
                       config.params["delays_s"], config.params["speeds_mps"])
-    rows = sweep(plan, CARRIER_HZ, ref_for(geom(1.0)), time_step=0.01)
+    columns = sweep(plan, CARRIER_HZ, *ref_for(geom(1.0)), time_step=0.01)
     elapsed = time.perf_counter() - start
-    table = {(r.delay_budget, r.v_max, r.strategy): r.end_to_end_se
-             for r in rows}
-    ratios = {delta: (table[(delta, 100.0, RelayStrategy.MOBILE)]
-                      / table[(delta, 100.0, RelayStrategy.STATIC)])
+    table = {(delta, v, strategy): se
+             for delta, v, strategy, se, _ in zip(*columns)}
+    ratios = {delta: (table[(delta, 100.0, "mobile")]
+                      / table[(delta, 100.0, "static")])
               for delta in config.params["delays_s"]}
     assert ratios[20.0] == pytest.approx(1.95, abs=0.03)
     for delta in (40.0, 80.0):
@@ -93,9 +92,9 @@ def test_criterion_03_fig4_mobile_static_ratio():
 
 def test_criterion_04_zero_speed_degeneracy():
     mobile = simulate_cycle(RelayStrategy.MOBILE, geom(0.0), CARRIER_HZ,
-                            ref_for(geom(0.0)))
+                            *ref_for(geom(0.0)))
     static = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CARRIER_HZ,
-                            ref_for(geom(0.0)))
+                            *ref_for(geom(0.0)))
     for name in ("times", "path_loss_src", "path_loss_dst", "se",
                  "occupancy"):
         a, b = getattr(mobile, name), getattr(static, name)
@@ -115,7 +114,7 @@ def test_criterion_05_dominance_grid():
         for v in speeds:
             g = geom(v, delta)
             ref = ref_for(g)
-            se = {s: simulate_cycle(s, g, CARRIER_HZ, ref,
+            se = {s: simulate_cycle(s, g, CARRIER_HZ, *ref,
                                     time_step=0.05).end_to_end_se
                   for s in RelayStrategy}
             assert se[RelayStrategy.MOBILE] >= se[RelayStrategy.STATIC] - 1e-9
@@ -131,11 +130,12 @@ def test_criterion_05_dominance_grid():
 
 def test_criterion_06_buffer_tradeoff():
     g = geom(100.0)
-    unbounded = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g))
+    unbounded = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ,
+                               *ref_for(g))
     requirement = unbounded.peak_occupancy
-    halved = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g),
+    halved = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, *ref_for(g),
                             buffer_capacity=requirement / 2.0)
-    exact = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g),
+    exact = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, *ref_for(g),
                            buffer_capacity=requirement)
     assert halved.end_to_end_se < unbounded.end_to_end_se
     assert exact.end_to_end_se == unbounded.end_to_end_se
@@ -147,16 +147,19 @@ def test_criterion_06_buffer_tradeoff():
 def test_criterion_07_dissemination_benefit():
     start = time.perf_counter()
     params = PRESETS["dissem20"]["params"]
-    coverage, graph, rx, file = _dissemination_scenario(params)
+    coverage, graph = _dissemination_scenario(params)
     seeds = [derive_seed(0, i) for i in range(50)]
-    outcomes = compare_schemes(
-        coverage, graph, file, rx,
+    result = compare_schemes(
+        coverage, graph, params["source_packet_count"],
+        params["erasure_probability"],
         (np.random.default_rng(seed) for seed in seeds),
         (np.random.default_rng(seed) for seed in seeds))
     reductions = []
-    for coded_tx, _, baseline, _, _ in outcomes:
-        assert coded_tx <= baseline.uav_transmissions
-        reductions.append(1.0 - coded_tx / baseline.uav_transmissions)
+    for coded_tx, baseline_tx in zip(
+            result["coded_transmissions"].tolist(),
+            result["baseline_transmissions"].tolist()):
+        assert coded_tx <= baseline_tx
+        reductions.append(1.0 - coded_tx / baseline_tx)
     elapsed = time.perf_counter() - start
     mean_reduction = statistics.mean(reductions)
     assert mean_reduction >= 0.30
@@ -170,15 +173,17 @@ def test_criterion_08_dissemination_conservation():
     # persist to the end of the run; before/after equality per component
     # therefore certifies every round.
     params = PRESETS["dissem20"]["params"]
-    coverage, graph, rx, file = _dissemination_scenario(params)
+    coverage, graph = _dissemination_scenario(params)
     for i in range(50):
         seed = derive_seed(3, i)
         rng = np.random.default_rng(seed)
         packets = np.zeros(coverage.shape[::-1], dtype=bool)
-        broadcast(coverage, packets[None], rx, [rng])
+        broadcast(coverage, packets[None], params["erasure_probability"],
+                  [rng])
         before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                   for comp in graph.connected_components()]
-        exchange(packets[None], graph, file, [rng], 10_000)
+        exchange(packets[None], graph, params["source_packet_count"], [rng],
+                 10_000)
         after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                  for comp in graph.connected_components()]
         assert before == after
@@ -187,18 +192,18 @@ def test_criterion_08_dissemination_conservation():
 
 def test_criterion_09_coverage_interiority():
     los = LosProbabilityModel(9.61, 0.16)
-    urban = ExcessLoss(1.0, 20.0)
+    urban = (1.0, 20.0)  # eta_los, eta_nlos, dB
     bounds = (10.0, 3000.0)
     altitudes = altitude_grid(bounds, 10.0)
-    radii = coverage_radii(altitudes, 110.0, 2e9, los, urban)
+    radii = coverage_radii(altitudes, 110.0, 2e9, los, *urban)
     best = np.argmax(radii)  # the first maximum, as the CLI takes it
     h_opt, r_opt = float(altitudes[best]), float(radii[best])
     assert bounds[0] < h_opt < bounds[1]
-    r_low, r_high = coverage_radii(list(bounds), 110.0, 2e9, los, urban)
+    r_low, r_high = coverage_radii(list(bounds), 110.0, 2e9, los, *urban)
     assert r_opt > r_low and r_opt > r_high
 
-    flat = ExcessLoss(1.0, 1.0)
-    flat_radii = coverage_radii(altitudes, 110.0, 2e9, los, flat)
+    flat = (1.0, 1.0)
+    flat_radii = coverage_radii(altitudes, 110.0, 2e9, los, *flat)
     h_flat = float(altitudes[np.argmax(flat_radii)])
     assert h_flat == bounds[0]
     report(9, f"urban optimum {h_opt:.0f} m (radius {r_opt:.0f} m > "
@@ -213,9 +218,9 @@ def test_criterion_10_time_step_convergence():
                         (RelayStrategy.MOBILE, 100.0),
                         (RelayStrategy.FERRY, 100.0)]:
         g = geom(v)
-        coarse = simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g),
+        coarse = simulate_cycle(strategy, g, CARRIER_HZ, *ref_for(g),
                                 time_step=0.01).end_to_end_se
-        fine = simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g),
+        fine = simulate_cycle(strategy, g, CARRIER_HZ, *ref_for(g),
                               time_step=0.005).end_to_end_se
         worst = max(worst, abs(fine - coarse) / coarse)
     assert worst < 1e-3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uavsim.channel import (ChannelDomainError, SnrReference, doppler_shift,
+from uavsim.channel import (ChannelDomainError, doppler_shift,
                             free_space_path_loss, snr_anchor_db,
                             spectral_efficiency)
 
@@ -13,8 +13,9 @@ MID_SLANT = math.hypot(500.0, 100.0)
 
 
 def snr(horizontal, tx_height, frequency, ref):
-    # A link's mean SNR in dB: the anchor minus the link's own path loss.
-    return (snr_anchor_db(frequency, ref, tx_height)
+    # A link's mean SNR in dB: the anchor minus the link's own path loss;
+    # ``ref`` is the reference SNR and distance.
+    return (snr_anchor_db(frequency, *ref, tx_height)
             - free_space_path_loss(horizontal, tx_height, frequency))
 
 
@@ -65,7 +66,7 @@ class TestFreeSpacePathLoss:
 
 
 class TestSnrAt:
-    ref = SnrReference(reference_snr_db=10.0, reference_distance=MID_SLANT)
+    ref = (10.0, MID_SLANT)  # reference SNR, dB, and distance, m
 
     def test_reference_distance_is_identity(self):
         assert snr(500.0, 100.0, F5GHZ, self.ref) == pytest.approx(
@@ -87,6 +88,14 @@ class TestSnrAt:
     def test_antitone_in_distance(self):
         snrs = snr(np.arange(0.0, 5000.0, 50.0), 100.0, F5GHZ, self.ref)
         assert np.all(snrs[:-1] > snrs[1:])
+
+    @pytest.mark.parametrize("distance", [0.0, -0.0, -1.0])
+    def test_reference_distance_positive(self, distance):
+        # Checked first: a reference distance that is not > 0 is refused
+        # even where the height and frequency are refused too.
+        with pytest.raises(ChannelDomainError) as error:
+            snr_anchor_db(-1.0, 10.0, distance, -100.0)
+        assert str(error.value) == "reference_distance must be > 0"
 
 
 class TestSpectralEfficiency:
@@ -155,7 +164,7 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("tx,rx", HEIGHTS)
     def test_snr(self, tx, rx):
-        ref = SnrReference(10.0, 150.0)
+        ref = (10.0, 150.0)
         for f in self.FREQUENCIES:
             self.assert_matches(snr(self.HORIZONTAL, tx - rx, f, ref),
                                 [snr(h, tx - rx, f, ref)
@@ -175,18 +184,18 @@ class TestArrayKernels:
             fspl_oracle(100.0, 1e300), abs=1e-9)
         with pytest.raises(ChannelDomainError,
                            match="overflows at carrier_frequency 1e"):
-            snr_anchor_db(1e307, SnrReference(10.0, 150.0), 100.0)
+            snr_anchor_db(1e307, 10.0, 150.0, 100.0)
         # 4*pi*d*f/c underflows to 0: the loss is -inf, with no warning,
         # and the anchor says so.
         assert np.all(np.isneginf(free_space_path_loss(array, 100.0,
                                                        5e-324)))
         with pytest.raises(ChannelDomainError,
                            match="underflows at carrier_frequency 4.9"):
-            snr_anchor_db(5e-324, SnrReference(10.0, 150.0), 100.0)
+            snr_anchor_db(5e-324, 10.0, 150.0, 100.0)
         # The reference distance's square overflows before any path loss.
         with pytest.raises(ChannelDomainError,
                            match="reference_distance too large"):
-            snr_anchor_db(F5GHZ, SnrReference(10.0, 1e200), 100.0)
+            snr_anchor_db(F5GHZ, 10.0, 1e200, 100.0)
         assert not recwarn.list
 
     # (horizontal, tx height), frequency
@@ -200,7 +209,7 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("kernel,messages", [
         (free_space_path_loss, PATH_LOSS_ERRORS),
-        (lambda h, tx, f: snr(h, tx, F5GHZ, SnrReference(10.0, 0.5)),
+        (lambda h, tx, f: snr(h, tx, F5GHZ, (10.0, 0.5)),
          ["transmitter_height must be > 0"] + 3 * [
              "reference_distance shorter than the endpoint height "
              "difference"]),

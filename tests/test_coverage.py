@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from uavsim import coverage
 from uavsim.channel import free_space_path_loss
-from uavsim.coverage import (ExcessLoss, LosProbabilityModel, altitude_grid,
-                             check_carrier, coverage_radii,
-                             expected_path_loss)
+from uavsim.coverage import (LosProbabilityModel, altitude_grid,
+                             check_carrier, check_excess_loss,
+                             coverage_radii, expected_path_loss)
 
 URBAN_LOS = LosProbabilityModel(9.61, 0.16)
-URBAN_EXCESS = ExcessLoss(1.0, 20.0)
-NO_EXCESS = ExcessLoss(0.0, 0.0)
+# Mean excess losses beyond free space (eta_los dB, eta_nlos dB).
+URBAN_EXCESS = (1.0, 20.0)
+NO_EXCESS = (0.0, 0.0)
 F2GHZ = 2e9
 # Environment parameters (a, b, eta_los dB, eta_nlos dB).
 ENVIRONMENTS = {
@@ -27,13 +28,13 @@ ENVIRONMENTS = {
 def environment(name):
     """The LoS sigmoid and excess losses of one of ``ENVIRONMENTS``."""
     a, b, eta_los, eta_nlos = ENVIRONMENTS[name]
-    return LosProbabilityModel(a, b), ExcessLoss(eta_los, eta_nlos)
+    return LosProbabilityModel(a, b), (eta_los, eta_nlos)
 
 
 def coverage_radius(altitude, max_path_loss, frequency, los, excess):
     """The coverage radius of one altitude."""
     return float(coverage_radii([altitude], max_path_loss, frequency, los,
-                                excess)[0])
+                                *excess)[0])
 
 
 def coverage_curve(altitude_range, max_path_loss, frequency, los, excess,
@@ -41,7 +42,7 @@ def coverage_curve(altitude_range, max_path_loss, frequency, los, excess,
     """``(altitudes, radii)`` of the grid over ``altitude_range``."""
     altitudes = altitude_grid(altitude_range, grid_step)
     return altitudes, coverage_radii(altitudes, max_path_loss, frequency,
-                                     los, excess)
+                                     los, *excess)
 
 
 def optimal_altitude(altitude_range, max_path_loss, frequency, los, excess,
@@ -61,7 +62,7 @@ def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
     r = 0.0
     limit = 100_000.0
     while r <= limit:
-        if expected_path_loss(altitude, r, frequency, los, excess) <= max_pl:
+        if expected_path_loss(altitude, r, frequency, los, *excess) <= max_pl:
             best = r
         elif best > 0.0:
             break
@@ -75,7 +76,7 @@ def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
     # numpy loss: the reference the lockstep bisection of a whole grid
     # must equal bit for bit.
     def loss(r):
-        return expected_path_loss(altitude, r, frequency, los, excess)
+        return expected_path_loss(altitude, r, frequency, los, *excess)
 
     if loss(0.0) > max_path_loss:
         return 0.0
@@ -137,7 +138,8 @@ class TestLosProbability:
     def test_presets_available(self):
         for name in ("suburban", "urban", "dense_urban"):
             los, excess = environment(name)
-            assert excess.eta_nlos > excess.eta_los
+            eta_los, eta_nlos = excess
+            assert eta_nlos > eta_los
 
 
 class TestExpectedPathLoss:
@@ -145,13 +147,13 @@ class TestExpectedPathLoss:
         for h, r in [(50.0, 0.0), (100.0, 500.0), (2000.0, 3000.0)]:
             fspl = free_space_path_loss(r, h, F2GHZ)
             assert expected_path_loss(h, r, F2GHZ, URBAN_LOS,
-                                      NO_EXCESS) == pytest.approx(fspl,
+                                      *NO_EXCESS) == pytest.approx(fspl,
                                                                   abs=1e-12)
 
     def test_nadir_geometry(self):
         # Directly overhead: theta = 90 deg, P_LoS ~ 1 for urban defaults.
         h = 100.0
-        loss = expected_path_loss(h, 0.0, F2GHZ, URBAN_LOS, URBAN_EXCESS)
+        loss = expected_path_loss(h, 0.0, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
         fspl = free_space_path_loss(0.0, h, F2GHZ)
         assert loss == pytest.approx(fspl + 1.0, abs=0.1)
 
@@ -164,13 +166,13 @@ class TestExpectedPathLoss:
         p = 1.0 / (1.0 + 9.61 * math.exp(-0.16 * (theta - 9.61)))
         expected = p * (fspl + 1.0) + (1.0 - p) * (fspl + 20.0)
         value = expected_path_loss(100.0, 500.0, F2GHZ, URBAN_LOS,
-                                   URBAN_EXCESS)
+                                   *URBAN_EXCESS)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(110.3347, abs=1e-3)  # frozen oracle
 
     def test_nondecreasing_in_range(self):
         for h in (50.0, 100.0, 500.0, 1500.0):
-            losses = [expected_path_loss(h, r, F2GHZ, URBAN_LOS, URBAN_EXCESS)
+            losses = [expected_path_loss(h, r, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
                       for r in range(0, 5000, 25)]
             assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -186,22 +188,39 @@ class TestExpectedPathLoss:
         # never drops farther out, except by a few ulps of rounding.
         assume(a * b < 700.0)  # exp(a*b) at elevation 0 stays finite
         los = LosProbabilityModel(a, b)
-        excess = ExcessLoss(eta_los, min(eta_los + extra, 100.0))
+        excess = eta_los, min(eta_los + extra, 100.0)
         near_loss, far_loss = expected_path_loss(
-            altitude, np.array([near, near + gap]), frequency, los, excess)
+            altitude, np.array([near, near + gap]), frequency, los, *excess)
         assert near_loss <= far_loss + 4 * np.spacing(far_loss)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            expected_path_loss(0.0, 100.0, F2GHZ, URBAN_LOS, URBAN_EXCESS)
+            expected_path_loss(0.0, 100.0, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
         with pytest.raises(ValueError):
-            expected_path_loss(100.0, -1.0, F2GHZ, URBAN_LOS, URBAN_EXCESS)
+            expected_path_loss(100.0, -1.0, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
 
 
 class TestExcessLoss:
+    """``check_excess_loss`` owns the excess-loss bounds, and both kernels
+    call it."""
+
+    @staticmethod
+    def assert_refused(eta_los, eta_nlos, message):
+        for check in (
+                lambda: check_excess_loss(eta_los, eta_nlos),
+                lambda: expected_path_loss(100.0, 500.0, F2GHZ, URBAN_LOS,
+                                           eta_los, eta_nlos),
+                lambda: coverage_radii([100.0], 110.0, F2GHZ, URBAN_LOS,
+                                       eta_los, eta_nlos)):
+            with pytest.raises(ValueError) as error:
+                check()
+            assert str(error.value) == message
+
     def test_nlos_must_not_be_better(self):
-        with pytest.raises(ValueError):
-            ExcessLoss(5.0, 4.0)
+        self.assert_refused(5.0, 4.0, "eta_nlos must be >= eta_los")
+
+    def test_los_must_not_be_negative(self):
+        self.assert_refused(-1.0, 20.0, "eta_los must be >= 0")
 
 
 class TestCoverageRadius:
@@ -218,7 +237,7 @@ class TestCoverageRadius:
     def test_infeasible_at_nadir(self):
         h = 1000.0
         nadir_loss = expected_path_loss(h, 0.0, F2GHZ, URBAN_LOS,
-                                        URBAN_EXCESS)
+                                        *URBAN_EXCESS)
         assert coverage_radius(h, nadir_loss - 5.0, F2GHZ, URBAN_LOS,
                                URBAN_EXCESS) == 0.0
 
@@ -240,7 +259,7 @@ def coverage_models(draw):
     eta_los = draw(st.floats(0.0, 10.0))
     return (LosProbabilityModel(draw(st.floats(0.5, 30.0)),
                                 draw(st.floats(0.01, 2.0))),
-            ExcessLoss(eta_los, eta_los + draw(st.floats(0.0, 40.0))))
+            (eta_los, eta_los + draw(st.floats(0.0, 40.0))))
 
 
 class TestMatchesScalarReference:
@@ -261,7 +280,7 @@ class TestMatchesScalarReference:
         h = data.draw(st.sampled_from(altitudes))
         k = data.draw(st.integers(-1, 6))
         tie = expected_path_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
-                                 frequency, los, excess)
+                                 frequency, los, *excess)
         threshold = data.draw(st.one_of(st.just(tie), st.floats(40.0, 200.0)))
         grid, radii = coverage_curve((lo, hi), threshold, frequency, los,
                                      excess, step)
@@ -282,7 +301,7 @@ class TestMatchesScalarReference:
         # differs from ``math``'s in the last bit.)
         los, excess = environment("suburban")
         threshold = expected_path_loss(altitude, altitude * 2.0 ** k, F2GHZ,
-                                       los, excess)
+                                       los, *excess)
         assert coverage_radius(altitude, threshold, F2GHZ, los, excess) == \
             reference_coverage_radius(altitude, threshold, F2GHZ, los, excess)
 
@@ -311,7 +330,7 @@ class TestMatchesScalarReference:
         # which rounding can lower from one range to a larger one.  The
         # radius is still the bisection's: a scan of every 0.1 m up to the
         # bracket (380,001 ranges) found 37,999.7 m.
-        excess = ExcessLoss(1e15, 1e15)
+        excess = 1e15, 1e15
         radius = coverage_radius(100.0, 1e15 + 130.0, F2GHZ, URBAN_LOS,
                                  excess)
         assert radius == reference_coverage_radius(
@@ -411,7 +430,7 @@ class TestSameErrorsAsExpectedPathLoss:
             return LosProbabilityModel(*sigmoid)
 
         with pytest.raises(ValueError) as expected:
-            expected_path_loss(altitude, 1e6, frequency, los(), URBAN_EXCESS)
+            expected_path_loss(altitude, 1e6, frequency, los(), *URBAN_EXCESS)
             check_carrier([altitude], frequency)
         kind, text = type(expected.value), re.escape(str(expected.value))
         with pytest.raises(kind, match=text):
@@ -434,12 +453,12 @@ class TestExpectedPathLossArray:
         for name in sorted(ENVIRONMENTS):
             los, excess = environment(name)
             values = expected_path_loss(altitudes, ranges, F2GHZ, los,
-                                        excess)
+                                        *excess)
             assert values.shape == (5, 6)
             for (i, j), value in np.ndenumerate(values):
                 assert value == expected_path_loss(
                     float(altitudes[i, 0]), float(ranges[0, j]), F2GHZ, los,
-                    excess)
+                    *excess)
 
     @pytest.mark.parametrize("altitude,ground_range,message", [
         ([100.0, 0.0], 10.0, "altitude must be > 0"),
@@ -450,11 +469,11 @@ class TestExpectedPathLossArray:
         # raise the same error.
         with pytest.raises(ValueError, match=message):
             expected_path_loss(altitude, ground_range, F2GHZ, URBAN_LOS,
-                               URBAN_EXCESS)
+                               *URBAN_EXCESS)
         with pytest.raises(ValueError, match=message):
             expected_path_loss(float(np.min(altitude)),
                                float(np.min(ground_range)), F2GHZ,
-                               URBAN_LOS, URBAN_EXCESS)
+                               URBAN_LOS, *URBAN_EXCESS)
 
 
 class TestOptimalAltitude:
@@ -464,7 +483,7 @@ class TestOptimalAltitude:
         assert h == 10.0
 
     def test_equal_excess_prefers_lowest(self):
-        equal = ExcessLoss(3.0, 3.0)
+        equal = 3.0, 3.0
         h, _ = optimal_altitude((10.0, 500.0), 105.0, F2GHZ, URBAN_LOS,
                                 equal, grid_step=10.0)
         assert h == 10.0

@@ -1,5 +1,5 @@
-"""``write_csv`` and ``write_csvs`` against the ``csv.writer`` they
-replaced, byte for byte."""
+"""``write_csvs`` against the ``csv.writer`` it replaced, byte for
+byte."""
 
 import csv
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavsim import _csvfile
-from uavsim._csvfile import write_csv, write_csvs
+from uavsim._csvfile import write_csvs
 
 
 def reference_csv(path, header, rows) -> None:
@@ -22,12 +22,12 @@ def reference_csv(path, header, rows) -> None:
 
 
 def assert_same_bytes(tmp_path, header, columns):
-    """``write_csv`` on ``columns`` writes what the reference writes on
-    their rows, ndarray columns read through ``tolist()``."""
+    """``write_csvs`` on one table of ``columns`` writes what the reference
+    writes on their rows, ndarray columns read through ``tolist()``."""
     values = [c.tolist() if isinstance(c, np.ndarray) else list(c)
               for c in columns]
     reference_csv(tmp_path / "reference.csv", header, zip(*values))
-    write_csv(tmp_path / "written.csv", header, columns)
+    write_csvs([(tmp_path / "written.csv", header, columns)])
     expected = (tmp_path / "reference.csv").read_bytes()
     assert (tmp_path / "written.csv").read_bytes() == expected
     return expected.decode()
@@ -112,7 +112,7 @@ class TestMixedColumns:
 
     def test_unequal_columns_write_nothing(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
-            write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [3]])
+            write_csvs([(tmp_path / "x.csv", ["a", "b"], [[1, 2], [3]])])
         assert not (tmp_path / "x.csv").exists()
 
     def test_iterator_of_columns_is_let_go_before_the_body(
@@ -131,8 +131,11 @@ class TestMixedColumns:
         alive, lines = [], _csvfile._lines
         monkeypatch.setattr(_csvfile, "_lines", lambda fields: (
             alive.append(Columns.alive() is not None), lines(fields))[1])
-        write_csv(tmp_path / "x.csv", ["a", "b"],
-                  Columns([(1, 2), np.array([0.5, -0.0])]))
+
+        def tables():  # keeps no reference to the table it yields
+            yield tmp_path / "x.csv", ["a", "b"], Columns(
+                [(1, 2), np.array([0.5, -0.0])])
+        write_csvs(tables())
         assert (tmp_path / "x.csv").read_text() == "a,b\n1,0.5\n2,-0.0\n"
         assert alive == [False, False]
 

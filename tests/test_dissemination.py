@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavsim import dissemination
-from uavsim.dissemination import (D2dGraph, FileSpec, ReceptionModel,
-                                  _WordStreams, compare_schemes,
+from uavsim.dissemination import (D2dGraph, _WordStreams, compare_schemes,
                                   coverage_mask)
 from uavsim.experiment import (PRESETS, ConfigError, _dissemination_scenario,
                                derive_seed, preset_config, validate_config)
@@ -48,25 +47,44 @@ def as_sets(packets):
     return [set(np.flatnonzero(row).tolist()) for row in packets]
 
 
-def broadcast(uav, positions, rx, rng):
+def broadcast(uav, positions, radius, erasure, rng):
     """Phase 1 from scratch; returns (transmissions, packet matrix)."""
-    coverage = coverage_mask(uav, positions, rx)
+    coverage = coverage_mask(uav, positions, radius)
     packets = np.zeros(coverage.shape[::-1], dtype=bool)
-    return dissemination.broadcast(coverage, packets[None], rx, [rng]), packets
+    return (dissemination.broadcast(coverage, packets[None], erasure, [rng]),
+            packets)
 
 
-def gossip(packets, graph, file, rng, round_cap=10_000):
-    """Phase 2 of one seed on its (nodes, packets) matrix."""
-    return dissemination.exchange(packets[None], graph, file, [rng],
-                                  round_cap)[0]
+def gossip(packets, graph, k, rng, round_cap=10_000):
+    """Phase 2 of one seed on its (nodes, packets) matrix: its rounds used,
+    success and stalled flags per component."""
+    rounds, success, stalled = dissemination.exchange(
+        packets[None], graph, k, [rng], round_cap)
+    return rounds[0], success[0], stalled[0]
 
 
-def baseline(uav, positions, file, rx, rng, pass_cap=1_000):
-    """The baseline of one seed from scratch."""
-    coverage = coverage_mask(uav, positions, rx)
-    packets = np.zeros((len(positions), file.source_packet_count), dtype=bool)
-    return dissemination.baseline(coverage, packets[None], file, rx, [rng],
-                                  pass_cap)[0]
+def baseline(uav, positions, k, radius, erasure, rng, pass_cap=1_000):
+    """The baseline of one seed from scratch: its transmissions, success
+    and packets missing per node."""
+    coverage = coverage_mask(uav, positions, radius)
+    packets = np.zeros((len(positions), k), dtype=bool)
+    transmissions, success, missing = dissemination.baseline(
+        coverage, packets[None], erasure, [rng], pass_cap)
+    return transmissions[0], success[0], missing[0]
+
+
+def stalled_components(graph, stalled):
+    """One seed's stalled flags per component as the oracle's tuples of
+    node indices, through ``graph.labels``."""
+    return tuple(tuple(np.flatnonzero(graph.labels == c).tolist())
+                 for c in np.flatnonzero(stalled).tolist())
+
+
+def missing_per_node(missing):
+    """One seed's nonzero missing counts as the oracle's dict, or None
+    when there are none."""
+    return {node: int(missing[node])
+            for node in np.flatnonzero(missing).tolist()} or None
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +115,8 @@ def numpy_distance(a, b):
     return np.hypot(dx, dy)
 
 
-def oracle_in_range(uav_position, node, rx):
-    return numpy_slant(uav_position, node.position) <= rx.coverage_radius
+def oracle_in_range(uav_position, node, radius):
+    return numpy_slant(uav_position, node.position) <= radius
 
 
 def oracle_neighbors(nodes, d2d_range):
@@ -130,19 +148,19 @@ def oracle_components(neighbors):
     return components
 
 
-def oracle_phase1(uav, nodes, rx, rng):
+def oracle_phase1(uav, nodes, radius, erasure, rng):
     """Phase 1 over ``uav``, the UAV position at the start of each slot."""
     uav_positions = np.asarray(uav).tolist()
     for slot, uav_pos in enumerate(uav_positions):
         for node in nodes:
-            if not oracle_in_range(uav_pos, node, rx):
+            if not oracle_in_range(uav_pos, node, radius):
                 continue
-            if rng.random() >= rx.erasure_probability:
+            if rng.random() >= erasure:
                 node.received_packets.add(slot)
     return len(uav_positions)
 
 
-def oracle_phase2(nodes, neighbors, file, rng, round_cap=10_000):
+def oracle_phase2(nodes, neighbors, k, rng, round_cap=10_000):
     """Returns (rounds, success, stalled, union_sizes)."""
     by_id = {n.id: n for n in nodes}
     components = oracle_components(neighbors)
@@ -151,11 +169,11 @@ def oracle_phase2(nodes, neighbors, file, rng, round_cap=10_000):
     for component in components:
         union = set().union(*(by_id[i].received_packets for i in component))
         union_sizes.append(len(union))
-        if len(union) < file.source_packet_count:
+        if len(union) < k:
             stalled.append(tuple(component))
 
     def decoded(node):
-        return len(node.received_packets) >= file.source_packet_count
+        return len(node.received_packets) >= k
 
     def all_decoded():
         return all(decoded(n) for n in nodes)
@@ -187,9 +205,8 @@ def oracle_phase2(nodes, neighbors, file, rng, round_cap=10_000):
     return rounds, all_decoded(), tuple(stalled), tuple(union_sizes)
 
 
-def oracle_baseline(uav, nodes, file, rx, rng, pass_cap=1_000):
+def oracle_baseline(uav, nodes, k, radius, erasure, rng, pass_cap=1_000):
     """Returns (transmissions, passes, success, missing_per_node)."""
-    k = file.source_packet_count
     uav_positions = np.asarray(uav).tolist()
     pending = [n for n in nodes if len(n.received_packets) < k]
     transmissions = 0
@@ -198,9 +215,9 @@ def oracle_baseline(uav, nodes, file, rx, rng, pass_cap=1_000):
             packet = transmissions % k
             transmissions += 1
             for node in pending:
-                if not oracle_in_range(uav_pos, node, rx):
+                if not oracle_in_range(uav_pos, node, radius):
                     continue
-                if rng.random() >= rx.erasure_probability:
+                if rng.random() >= erasure:
                     node.received_packets.add(packet)
             pending = [n for n in pending if len(n.received_packets) < k]
             if not pending:
@@ -229,6 +246,32 @@ def oracle_scenario(params):
         frac = min(speed * (i * slot) / flight_length, 1.0)
         uav.append(tuple(a + frac * (b - a) for a, b in zip(start, end)))
     return nodes, uav
+
+
+def assert_exchange_matches(graph, k, outcome, oracle):
+    """One seed's ``exchange`` outcome, (rounds, success, stalled flags),
+    is ``oracle_phase2``'s: rounds, success and stalled components, and a
+    component is stalled just where the oracle's packet union is short of
+    ``k``."""
+    rounds, success, stalled = outcome
+    oracle_rounds, oracle_success, oracle_stalled, union_sizes = oracle
+    assert (rounds, success, stalled_components(graph, stalled)) == (
+        oracle_rounds, oracle_success, oracle_stalled)
+    assert stalled.tolist() == [size < k for size in union_sizes]
+
+
+def assert_baseline_matches(slots, pass_cap, outcome, oracle):
+    """One seed's ``baseline`` outcome, (transmissions, success, missing
+    per node), is ``oracle_baseline``'s; the oracle's passes are those the
+    transmissions span over ``slots`` a pass, or the cap on a failure.  A
+    zero cap leaves nodes missing nothing without success: the oracle's
+    empty dict, which the nonzero counts give as None."""
+    transmissions, success, missing = outcome
+    oracle_transmissions, passes, oracle_success, oracle_missing = oracle
+    assert (transmissions, success, missing_per_node(missing)) == (
+        oracle_transmissions, oracle_success, oracle_missing or None)
+    assert passes == ((transmissions - 1) // slots + 1 if success
+                      else pass_cap)
 
 
 def comparable(value):
@@ -270,55 +313,61 @@ class TestMatchesScalarReference:
         overrides, round_cap = VARIANTS[case]
         params = {**PRESETS["dissem20"]["params"], **overrides}
         pass_cap = params.get("pass_cap", 1000)
-        coverage, graph, rx, file = _dissemination_scenario(params)
+        radius, erasure, k = (params[name] for name in (
+            "coverage_radius_m", "erasure_probability",
+            "source_packet_count"))
+        coverage, graph = _dissemination_scenario(params)
         nodes, uav = oracle_scenario(params)
 
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         packets = np.zeros(coverage.shape[::-1], dtype=bool)
-        assert dissemination.broadcast(coverage, packets[None], rx, [rng]) == \
-            oracle_phase1(uav, nodes, rx, oracle_rng)
+        assert dissemination.broadcast(coverage, packets[None], erasure,
+                                       [rng]) == \
+            oracle_phase1(uav, nodes, radius, erasure, oracle_rng)
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
         neighbors = oracle_neighbors(nodes, params["d2d_range_m"])
         assert graph.connected_components() == oracle_components(neighbors)
-        exchange = gossip(packets, graph, file, rng, round_cap)
-        assert (exchange.rounds_used, exchange.success,
-                exchange.stalled_components,
-                exchange.component_union_sizes) == oracle_phase2(
-            nodes, neighbors, file, oracle_rng, round_cap)
+        rounds, success, stalled = dissemination.exchange(
+            packets[None], graph, k, [rng], round_cap)
+        assert_exchange_matches(
+            graph, k, (rounds[0], success[0], stalled[0]),
+            oracle_phase2(nodes, neighbors, k, oracle_rng, round_cap))
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         base_nodes, _ = oracle_scenario(params)
-        base_packets = np.zeros((len(base_nodes), file.source_packet_count),
-                                dtype=bool)
-        result = dissemination.baseline(coverage, base_packets[None], file,
-                                        rx, [rng], pass_cap)[0]
-        assert (result.uav_transmissions, result.passes_used, result.success,
-                result.missing_per_node) == oracle_baseline(
-            uav, base_nodes, file, rx, oracle_rng, pass_cap)
+        base_packets = np.zeros((len(base_nodes), k), dtype=bool)
+        result = dissemination.baseline(coverage, base_packets[None], erasure,
+                                        [rng], pass_cap)
+        assert_baseline_matches(
+            coverage.shape[0], pass_cap, [column[0] for column in result],
+            oracle_baseline(uav, base_nodes, k, radius, erasure, oracle_rng,
+                            pass_cap))
         assert as_sets(base_packets) == [n.received_packets
                                          for n in base_nodes]
         assert peek(rng) == peek(oracle_rng)
 
-        # Plain ints, as the scalar loops returned: callers sum and
-        # serialise them.
-        assert all(type(value) is int for value in (
-            exchange.rounds_used, result.uav_transmissions,
-            result.passes_used, *exchange.component_union_sizes))
+        # Integer and bool arrays over the seed axis, as callers sum them
+        # and write them to CSV.
+        transmissions, base_success, missing = result
+        assert [column.dtype.kind for column in (
+            rounds, success, stalled, transmissions, base_success,
+            missing)] == ["i", "b", "b", "i", "b", "i"]
+        assert stalled.shape == (1, graph.component_count)
+        assert missing.shape == (1, len(base_nodes))
         if case == "isolated":
             # Every node is its own component, so it stalls unless phase 1
             # alone gave it K packets (about 1 seed in 60 has such a node).
-            assert exchange.stalled_components == tuple(
-                (n.id,) for n in nodes
-                if len(n.received_packets) < file.source_packet_count)
-            assert exchange.success == (not exchange.stalled_components)
+            assert stalled_components(graph, stalled[0]) == tuple(
+                (n.id,) for n in nodes if len(n.received_packets) < k)
+            assert success[0] == (not stalled[0].any())
         if case == "pass_cap_failure":
-            assert not result.success and result.missing_per_node
+            assert not base_success[0] and missing[0].any()
         if case == "round_cap_0":
-            assert exchange.rounds_used == 0
+            assert rounds[0] == 0
 
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=60, deadline=None)
@@ -331,9 +380,8 @@ class TestMatchesScalarReference:
         positions = [tuple(p) for p in
                      np.round(draw_rng.uniform(0, 300, (n, 2)) / 25) * 25]
         k = data.draw(st.integers(1, 25))
-        file = FileSpec(k)
-        rx = ReceptionModel(data.draw(st.sampled_from([120.0, 200.0])),
-                            data.draw(st.sampled_from([0.0, 0.4, 0.9])))
+        radius = data.draw(st.sampled_from([120.0, 200.0]))
+        erasure = data.draw(st.sampled_from([0.0, 0.4, 0.9]))
         speed = data.draw(st.sampled_from([10.0, 25.0, 60.0]))
         uav = flight((-100.0, 50.0, 80.0), (400.0, 150.0, 80.0), speed,
                      data.draw(st.sampled_from([0.5, 1.0, 3.0])))
@@ -344,15 +392,13 @@ class TestMatchesScalarReference:
         # Phase 1, then gossip over whatever phase 1 delivered.
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        sent, packets = broadcast(uav, positions, rx, rng)
-        assert sent == oracle_phase1(uav, nodes, rx, oracle_rng)
+        sent, packets = broadcast(uav, positions, radius, erasure, rng)
+        assert sent == oracle_phase1(uav, nodes, radius, erasure, oracle_rng)
         neighbors = oracle_neighbors(nodes, d2d_range)
         graph = D2dGraph(positions, d2d_range)
-        exchange = gossip(packets, graph, file, rng, round_cap)
-        assert (exchange.rounds_used, exchange.success,
-                exchange.stalled_components,
-                exchange.component_union_sizes) == oracle_phase2(
-            nodes, neighbors, file, oracle_rng, round_cap)
+        assert_exchange_matches(
+            graph, k, gossip(packets, graph, k, rng, round_cap),
+            oracle_phase2(nodes, neighbors, k, oracle_rng, round_cap))
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
@@ -363,57 +409,68 @@ class TestMatchesScalarReference:
         nodes = [OracleNode(i, p, set(h))
                  for i, (p, h) in enumerate(zip(positions, held))]
         packets = holding(held, k)
-        coverage = coverage_mask(uav, positions, rx)
-        result = dissemination.baseline(coverage, packets[None], file, rx,
-                                        [rng], pass_cap)[0]
-        assert (result.uav_transmissions, result.passes_used, result.success,
-                result.missing_per_node) == oracle_baseline(
-            uav, nodes, file, rx, oracle_rng, pass_cap)
+        coverage = coverage_mask(uav, positions, radius)
+        result = dissemination.baseline(coverage, packets[None], erasure,
+                                        [rng], pass_cap)
+        assert_baseline_matches(
+            coverage.shape[0], pass_cap, [column[0] for column in result],
+            oracle_baseline(uav, nodes, k, radius, erasure, oracle_rng,
+                            pass_cap))
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
 
-def check_batch(coverage, graph, d2d_range, file, rx, uav, positions, seeds,
-                round_cap, pass_cap, block):
+def check_batch(coverage, graph, d2d_range, k, radius, erasure, uav,
+                positions, seeds, round_cap, pass_cap, block):
     """``compare_schemes`` over ``seeds``, ``block`` seeds at a time: every
     seed's outcome and generators must be those of its scalar oracles,
     whose D2D links are the pairs within ``d2d_range``, the range
-    ``graph`` was built with.  Returns the outcomes."""
+    ``graph`` was built with, and whose UAV covers ``radius``, the radius
+    ``coverage`` was built with.  Returns the outcome columns."""
     slots, nodes = coverage.shape
-    seed_cells = nodes * (slots + file.source_packet_count + nodes)
+    seed_cells = nodes * (slots + k + nodes)
     coded = [np.random.default_rng(s) for s in seeds]
     base = [np.random.default_rng(s) for s in seeds]
     with mock.patch.object(dissemination, "_BLOCK_CELLS",
                            block * seed_cells), \
             mock.patch.object(dissemination, "exchange",
                               wraps=dissemination.exchange) as exchange:
-        outcomes = compare_schemes(coverage, graph, file, rx, coded, base,
-                                   round_cap, pass_cap)
+        result = compare_schemes(coverage, graph, k, erasure, coded, base,
+                                 round_cap, pass_cap)
     assert exchange.call_count == -(-len(seeds) // block)
-    for seed, rng, base_rng, outcome in zip(seeds, coded, base, outcomes):
-        coded_tx, result, baseline_result, after_phase1, decoded = outcome
+    assert {name: column.shape for name, column in result.items()} == {
+        **dict.fromkeys(["coded_transmissions", "d2d_rounds",
+                         "coded_success", "baseline_transmissions",
+                         "baseline_success"], (len(seeds),)),
+        "stalled": (len(seeds), graph.component_count),
+        **dict.fromkeys(["missing", "packets_after_phase1",
+                         "decoded_after_phase2"], (len(seeds), nodes))}
+    for i, (seed, rng, base_rng) in enumerate(zip(seeds, coded, base)):
         oracle_rng = np.random.default_rng(seed)
-        nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        assert coded_tx == oracle_phase1(uav, nodes, rx, oracle_rng)
-        assert after_phase1.tolist() == [len(n.received_packets)
-                                         for n in nodes]
+        nodes = [OracleNode(j, p) for j, p in enumerate(positions)]
+        assert result["coded_transmissions"][i] == oracle_phase1(
+            uav, nodes, radius, erasure, oracle_rng)
+        assert result["packets_after_phase1"][i].tolist() == [
+            len(n.received_packets) for n in nodes]
         neighbors = oracle_neighbors(nodes, d2d_range)
-        assert (result.rounds_used, result.success,
-                result.stalled_components,
-                result.component_union_sizes) == oracle_phase2(
-            nodes, neighbors, file, oracle_rng, round_cap)
-        assert decoded.tolist() == [
-            len(n.received_packets) >= file.source_packet_count for n in nodes]
+        assert_exchange_matches(
+            graph, k, (result["d2d_rounds"][i], result["coded_success"][i],
+                       result["stalled"][i]),
+            oracle_phase2(nodes, neighbors, k, oracle_rng, round_cap))
+        assert result["decoded_after_phase2"][i].tolist() == [
+            len(n.received_packets) >= k for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
         oracle_rng = np.random.default_rng(seed)
-        nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        assert (baseline_result.uav_transmissions,
-                baseline_result.passes_used, baseline_result.success,
-                baseline_result.missing_per_node) == oracle_baseline(
-            uav, nodes, file, rx, oracle_rng, pass_cap)
+        nodes = [OracleNode(j, p) for j, p in enumerate(positions)]
+        assert_baseline_matches(
+            slots, pass_cap, (result["baseline_transmissions"][i],
+                              result["baseline_success"][i],
+                              result["missing"][i]),
+            oracle_baseline(uav, nodes, k, radius, erasure, oracle_rng,
+                            pass_cap))
         assert peek(base_rng) == peek(oracle_rng)
-    return outcomes
+    return result
 
 
 # Preset overrides, round cap and pass cap of a six-seed batch run in
@@ -434,26 +491,26 @@ class TestBatchMatchesScalarReference:
     def test_preset_batches(self, batch):
         overrides, round_cap, pass_cap = BATCHES[batch]
         params = {**PRESETS["dissem20"]["params"], **overrides}
-        coverage, graph, rx, file = _dissemination_scenario(params)
+        coverage, graph = _dissemination_scenario(params)
         nodes, uav = oracle_scenario(params)
-        outcomes = check_batch(
-            coverage, graph, params["d2d_range_m"], file, rx, uav,
-            [n.position for n in nodes],
+        result = check_batch(
+            coverage, graph, params["d2d_range_m"],
+            params["source_packet_count"], params["coverage_radius_m"],
+            params["erasure_probability"], uav, [n.position for n in nodes],
             [derive_seed(0, i) for i in range(6)],
             round_cap, pass_cap, block=4)
-        exchanges = [outcome[1] for outcome in outcomes]
-        baselines = [outcome[2] for outcome in outcomes]
+        rounds, stalled = result["d2d_rounds"], result["stalled"]
         if batch == "staggered":
-            assert {e.rounds_used == 0 for e in exchanges} == {True, False}
-            assert all(e.stalled_components for e in exchanges)
+            assert set((rounds == 0).tolist()) == {True, False}
+            assert stalled.any(axis=1).all()
         if batch == "caps_0":
-            assert all(e.rounds_used == 0 for e in exchanges)
-            assert all(b.uav_transmissions == 0 and not b.success
-                       and len(b.missing_per_node) == len(nodes)
-                       for b in baselines)
+            assert (rounds == 0).all()
+            assert (result["baseline_transmissions"] == 0).all()
+            assert not result["baseline_success"].any()
+            assert (result["missing"] > 0).all()
         if batch == "pass_cap_failure":
-            assert all(not b.success and b.missing_per_node
-                       for b in baselines)
+            assert not result["baseline_success"].any()
+            assert result["missing"].any(axis=1).all()
 
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
@@ -464,9 +521,9 @@ class TestBatchMatchesScalarReference:
         n = data.draw(st.integers(1, 8))
         positions = [tuple(p) for p in
                      np.round(draw_rng.uniform(0, 300, (n, 2)) / 25) * 25]
-        file = FileSpec(data.draw(st.integers(1, 20)))
-        rx = ReceptionModel(data.draw(st.sampled_from([120.0, 200.0])),
-                            data.draw(st.sampled_from([0.0, 0.4, 0.9])))
+        k = data.draw(st.integers(1, 20))
+        radius = data.draw(st.sampled_from([120.0, 200.0]))
+        erasure = data.draw(st.sampled_from([0.0, 0.4, 0.9]))
         speed = data.draw(st.sampled_from([10.0, 25.0, 60.0]))
         uav = flight((-100.0, 50.0, 80.0), (400.0, 150.0, 80.0), speed,
                      data.draw(st.sampled_from([0.5, 1.0, 3.0])))
@@ -474,8 +531,8 @@ class TestBatchMatchesScalarReference:
         graph = D2dGraph(positions, d2d_range)
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=1,
                                    max_size=6))
-        check_batch(coverage_mask(uav, positions, rx), graph, d2d_range,
-                    file, rx, uav, positions, seeds,
+        check_batch(coverage_mask(uav, positions, radius), graph, d2d_range,
+                    k, radius, erasure, uav, positions, seeds,
                     data.draw(st.sampled_from([0, 1, 3, 10_000])),
                     data.draw(st.integers(0, 4)),
                     data.draw(st.integers(1, len(seeds))))
@@ -484,50 +541,44 @@ class TestBatchMatchesScalarReference:
 class TestPhase1Broadcast:
     def test_perfect_channel_hovering(self):
         positions = [(0.0, 0.0)]
-        file = FileSpec(10)
-        rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.0)
-        count, packets = broadcast(hover(10), positions, rx,
+        count, packets = broadcast(hover(10), positions, 200.0, 0.0,
                                    rng=np.random.default_rng(0))
         assert count == 10
         assert as_sets(packets)[0] == set(range(10))
-        assert file.decoded(packets)[0]
+        assert packets.sum(axis=1)[0] >= 10  # decodes a 10-packet file
 
     def test_near_total_erasure(self):
-        rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.999)
         totals = 0
         slots = 0
         for seed in range(20):
-            count, packets = broadcast(hover(1000), [(0.0, 0.0)], rx,
-                                       np.random.default_rng(seed))
+            count, packets = broadcast(hover(1000), [(0.0, 0.0)], 200.0,
+                                       0.999, np.random.default_rng(seed))
             slots += count
             totals += int(packets.sum())
         assert totals / slots == pytest.approx(0.001, abs=5e-4)
 
     def test_out_of_range_receives_nothing(self):
-        rx = ReceptionModel(coverage_radius=200.0, erasure_probability=0.0)
-        _, packets = broadcast(hover(10), [(500.0, 0.0)], rx,
+        _, packets = broadcast(hover(10), [(500.0, 0.0)], 200.0, 0.0,
                                np.random.default_rng(0))
         assert as_sets(packets)[0] == set()
 
     def test_reproducible_with_same_seed(self):
         uav = flight((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0), 20.0, 1.0)
-        rx = ReceptionModel(300.0, 0.3)
         rng_nodes = np.random.default_rng(7)
         positions = [(rng_nodes.uniform(0, 1000), 0.0) for _ in range(20)]
         runs = []
         for _ in range(2):
-            _, packets = broadcast(uav, positions, rx,
+            _, packets = broadcast(uav, positions, 300.0, 0.3,
                                    np.random.default_rng(7))
             runs.append([sorted(s) for s in as_sets(packets)])
         assert runs[0] == runs[1]
 
     def test_monotone_packet_counts(self):
         # Slots only ever add packets.
-        rx = ReceptionModel(300.0, 0.5)
-        coverage = coverage_mask(hover(50), [(0.0, 0.0), (50.0, 0.0)], rx)
+        coverage = coverage_mask(hover(50), [(0.0, 0.0), (50.0, 0.0)], 300.0)
         packets = holding([{3}, set()], coverage.shape[0])
         before = packets.sum(axis=1)
-        dissemination.broadcast(coverage, packets[None], rx,
+        dissemination.broadcast(coverage, packets[None], 0.5,
                                 [np.random.default_rng(1)])
         after = packets.sum(axis=1)
         assert all(b >= a for a, b in zip(before, after))
@@ -551,8 +602,7 @@ class TestPhase1Broadcast:
         for i in split[:20]:
             for radius in (slant[i], float(np.nextafter(slant[i], 0.0)),
                            exact[i]):
-                mask = coverage_mask(uav, [ground[i]],
-                                     ReceptionModel(radius, 0.0))
+                mask = coverage_mask(uav, [ground[i]], radius)
                 assert mask.tolist() == [[slant[i] <= radius]]
 
     def test_slot_duration_positive(self):
@@ -584,33 +634,30 @@ class TestPhase2Exchange:
         # and generator states equal the scalar oracle's, for a batch of
         # seeds that, uncapped, finish in different rounds.
         sets, k = DUPLICATE_SENDS[case]
-        file = FileSpec(k)
         positions = [(float(i), 0.0) for i in range(len(sets))]
         seeds = range(8)
         packets = np.stack([holding(sets, k) for _ in seeds])
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        results = dissemination.exchange(
-            packets, D2dGraph(positions, 10.0), file, rngs, round_cap)
-        for seed, rng, result, held in zip(seeds, rngs, results, packets):
+        graph = D2dGraph(positions, 10.0)
+        results = dissemination.exchange(packets, graph, k, rngs, round_cap)
+        for seed, rng, held, *result in zip(seeds, rngs, packets, *results):
             nodes = [OracleNode(i, p, set(s))
                      for i, (p, s) in enumerate(zip(positions, sets))]
             oracle_rng = np.random.default_rng(seed)
-            assert (result.rounds_used, result.success,
-                    result.stalled_components,
-                    result.component_union_sizes) == oracle_phase2(
-                nodes, oracle_neighbors(nodes, 10.0), file, oracle_rng,
-                round_cap)
+            assert_exchange_matches(graph, k, result, oracle_phase2(
+                nodes, oracle_neighbors(nodes, 10.0), k, oracle_rng,
+                round_cap))
             assert as_sets(held) == [n.received_packets for n in nodes]
-            assert file.decoded(held).tolist() == [
+            assert (held.sum(axis=1) >= k).tolist() == [
                 len(n.received_packets) >= k for n in nodes]
             assert peek(rng) == peek(oracle_rng)
 
     def test_already_decoded_zero_rounds(self):
         packets = holding([set(range(10)), set(range(10))], 10)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
-        result = gossip(packets, graph, FileSpec(10),
-                        np.random.default_rng(0))
-        assert result.rounds_used == 0 and result.success
+        rounds, success, _ = gossip(packets, graph, 10,
+                                    np.random.default_rng(0))
+        assert rounds == 0 and success
 
     def test_disjoint_halves_complete(self):
         # Two adjacent nodes holding disjoint halves of K=10 finish in
@@ -619,26 +666,27 @@ class TestPhase2Exchange:
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
         for seed in range(100):
             packets = holding([set(range(5)), set(range(5, 10))], 10)
-            result = gossip(packets, graph, FileSpec(10),
-                            np.random.default_rng(seed))
-            assert result.success
-            assert result.rounds_used <= 10
+            rounds, success, _ = gossip(packets, graph, 10,
+                                        np.random.default_rng(seed))
+            assert success
+            assert rounds <= 10
 
     def test_stalled_isolated_node(self):
         packets = holding([set(range(10)), {0, 1}], 10)
         graph = D2dGraph([(0.0, 0.0), (1e6, 0.0)], d2d_range=10.0)
-        result = gossip(packets, graph, FileSpec(10),
-                        np.random.default_rng(0))
-        assert not result.success
-        assert (1,) in result.stalled_components
-        assert 2 in result.component_union_sizes
+        _, success, stalled = gossip(packets, graph, 10,
+                                     np.random.default_rng(0))
+        assert not success
+        assert stalled_components(graph, stalled) == ((1,),)
+        # Its packet union, short of K, is the two packets it held.
+        assert packets[1].sum() == 2
 
     def test_round_cap_reported_as_failure(self):
         packets = holding([{0}, {1}], 2)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
-        result = gossip(packets, graph, FileSpec(2),
-                        np.random.default_rng(0), round_cap=0)
-        assert not result.success
+        _, success, _ = gossip(packets, graph, 2, np.random.default_rng(0),
+                               round_cap=0)
+        assert not success
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -654,8 +702,8 @@ class TestPhase2Exchange:
         graph = D2dGraph(positions, d2d_range=150.0)
         unions_before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                          for comp in graph.connected_components()]
-        gossip(packets, graph, FileSpec(30),
-               np.random.default_rng(seed + 1), round_cap=50)
+        gossip(packets, graph, 30, np.random.default_rng(seed + 1),
+               round_cap=50)
         unions_after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
                         for comp in graph.connected_components()]
         assert unions_before == unions_after
@@ -663,13 +711,12 @@ class TestPhase2Exchange:
     def test_no_rounds_needed_when_all_covered(self):
         # Erasure-free phase 1 with >= K in-range slots decodes everyone.
         positions = line_positions(5, 100.0)
-        rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
-        _, packets = broadcast(hover(20), positions, rx,
+        _, packets = broadcast(hover(20), positions, 500.0, 0.0,
                                np.random.default_rng(0))
         graph = D2dGraph(positions, d2d_range=50.0)
-        result = gossip(packets, graph, FileSpec(20),
-                        np.random.default_rng(0))
-        assert result.success and result.rounds_used == 0
+        rounds, success, _ = gossip(packets, graph, 20,
+                                    np.random.default_rng(0))
+        assert success and rounds == 0
 
 
 def lemire_oracle(next_uint32, highs):
@@ -795,29 +842,28 @@ class TestWordStreams:
         packets = holding([{0}, {1}], 2)
         graph = D2dGraph([(0.0, 0.0), (1.0, 0.0)], d2d_range=10.0)
         with pytest.raises(ValueError, match="PCG64"):
-            gossip(packets, graph, FileSpec(2), rng)
+            gossip(packets, graph, 2, rng)
 
 
 class TestRunBaseline:
     def test_perfect_channel_single_pass(self):
-        rx = ReceptionModel(coverage_radius=500.0, erasure_probability=0.0)
-        result = baseline(hover(20), line_positions(5, 100.0), FileSpec(20),
-                          rx, np.random.default_rng(0))
-        assert result.success
-        assert result.uav_transmissions == 20
-        assert result.passes_used == 1
+        transmissions, success, missing = baseline(
+            hover(20), line_positions(5, 100.0), 20, 500.0, 0.0,
+            np.random.default_rng(0))
+        assert success
+        assert transmissions == 20  # one pass of 20 slots
+        assert not missing.any()
 
     def test_geometric_retransmissions(self):
         # Single node, K=1, erasure 0.5: transmissions ~ Geometric(0.5),
         # mean 2.
-        rx = ReceptionModel(200.0, 0.5)
-        coverage = coverage_mask(hover(1), [(0.0, 0.0)], rx)
+        coverage = coverage_mask(hover(1), [(0.0, 0.0)], 200.0)
         counts = []
         for seed in range(10_000):
-            result = dissemination.baseline(
-                coverage, np.zeros((1, 1, 1), dtype=bool), FileSpec(1), rx,
-                [np.random.default_rng(seed)], 1_000)[0]
-            counts.append(result.uav_transmissions)
+            transmissions, _, _ = dissemination.baseline(
+                coverage, np.zeros((1, 1, 1), dtype=bool), 0.5,
+                [np.random.default_rng(seed)], 1_000)
+            counts.append(int(transmissions[0]))
         assert 1.9 <= statistics.mean(counts) <= 2.1
 
     @pytest.mark.parametrize("pass_cap, count", [(1_000, 2), (2, 3)])
@@ -825,30 +871,28 @@ class TestRunBaseline:
         # K = 300 from a hovering UAV over a perfect channel: each node in
         # range lands all 300 packets in the first step, more than a byte
         # holds; the third node, out of range, stays missing all 300.
-        file = FileSpec(300)
-        rx = ReceptionModel(coverage_radius=300.0, erasure_probability=0.0)
         uav = hover(400)
         positions = [(0.0, 0.0), (100.0, 50.0), (1e6, 0.0)][:count]
-        coverage = coverage_mask(uav, positions, rx)
+        coverage = coverage_mask(uav, positions, 300.0)
         packets = np.zeros((count, 300), dtype=bool)
         rng, oracle_rng = (np.random.default_rng(7) for _ in range(2))
-        result = dissemination.baseline(coverage, packets[None], file, rx,
-                                        [rng], pass_cap)[0]
+        result = dissemination.baseline(coverage, packets[None], 0.0, [rng],
+                                        pass_cap)
         nodes = [OracleNode(i, p) for i, p in enumerate(positions)]
-        expected = oracle_baseline(uav, nodes, file, rx, oracle_rng, pass_cap)
-        assert (result.uav_transmissions, result.passes_used, result.success,
-                result.missing_per_node) == expected
+        expected = oracle_baseline(uav, nodes, 300, 300.0, 0.0, oracle_rng,
+                                   pass_cap)
+        assert_baseline_matches(400, pass_cap,
+                                [column[0] for column in result], expected)
         assert expected[0] == (300 if count == 2 else 800)
         assert as_sets(packets) == [n.received_packets for n in nodes]
         assert peek(rng) == peek(oracle_rng)
 
     def test_pass_cap_failure_reports_missing(self):
-        rx = ReceptionModel(200.0, 0.0)
-        result = baseline(hover(5), [(1e6, 0.0)],  # never in range
-                          FileSpec(3), rx, np.random.default_rng(0),
-                          pass_cap=2)
-        assert not result.success
-        assert result.missing_per_node == {0: 3}
+        # The node is never in range.
+        _, success, missing = baseline(hover(5), [(1e6, 0.0)], 3, 200.0, 0.0,
+                                       np.random.default_rng(0), pass_cap=2)
+        assert not success
+        assert missing_per_node(missing) == {0: 3}
 
 
 class TestClusterNodes:
@@ -894,7 +938,7 @@ class TestClusterNodes:
     def test_preset_edges_at_exact_range(self):
         # dissem20 nodes i and i+2 are exactly 100 m apart, the D2D range.
         params = PRESETS["dissem20"]["params"]
-        _, graph, _, _ = _dissemination_scenario(params)
+        _, graph = _dissemination_scenario(params)
         n = params["node_count"]
         assert all(graph.adjacency[i, i + 2] for i in range(n - 2))
         assert not any(graph.adjacency[i, i + 3] for i in range(n - 3))
@@ -921,13 +965,48 @@ class TestClusterNodes:
         assert graph.connected_components() == oracle_components(neighbors)
 
 
+def raises_value_error(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message
+
+
 class TestModelValidation:
+    """Each bound lives in one check, which every kernel that takes the
+    value calls, and the config setup too."""
+
     def test_reception_model_bounds(self):
-        with pytest.raises(ValueError):
-            ReceptionModel(coverage_radius=0.0, erasure_probability=0.1)
-        with pytest.raises(ValueError):
-            ReceptionModel(coverage_radius=10.0, erasure_probability=1.0)
+        for radius in (0.0, -1.0):
+            raises_value_error(lambda: coverage_mask(hover(1), [(0.0, 0.0)],
+                                                     radius),
+                               "coverage_radius must be > 0")
+        coverage = coverage_mask(hover(2), [(0.0, 0.0)], 10.0)
+        for erasure in (1.0, -0.1):
+            raises_value_error(lambda: dissemination.broadcast(
+                coverage, np.zeros((1, 1, 2), dtype=bool), erasure,
+                [np.random.default_rng(0)]),
+                "erasure_probability must lie in [0, 1)")
+            raises_value_error(lambda: dissemination.baseline(
+                coverage, np.zeros((1, 1, 2), dtype=bool), erasure,
+                [np.random.default_rng(0)], 10),
+                "erasure_probability must lie in [0, 1)")
 
     def test_file_spec_positive(self):
-        with pytest.raises(ValueError):
-            FileSpec(0)
+        coverage = coverage_mask(hover(2), [(0.0, 0.0)], 10.0)
+        graph = D2dGraph([(0.0, 0.0)], 10.0)
+        for k in (0, -1):
+            raises_value_error(lambda: dissemination.exchange(
+                np.zeros((1, 1, 2), dtype=bool), graph, k,
+                [np.random.default_rng(0)], 10),
+                "source_packet_count must be > 0")
+        # The baseline takes K from the packet matrix.
+        raises_value_error(lambda: dissemination.baseline(
+            coverage, np.zeros((1, 1, 0), dtype=bool), 0.3,
+            [np.random.default_rng(0)], 10),
+            "source_packet_count must be > 0")
+
+    def test_no_seeds(self):
+        coverage = coverage_mask(hover(2), [(0.0, 0.0)], 10.0)
+        raises_value_error(lambda: compare_schemes(
+            coverage, D2dGraph([(0.0, 0.0)], 10.0), 2, 0.3, [], []),
+            "compare_schemes needs at least one seed")

@@ -536,7 +536,7 @@ class TestRunnerFiles:
         channel, ref, (_, cycles) = experiment._trace_setup(
             {**config.params, "time_step": 0.1})
         strategy, geom = list(cycles.values())[-1]  # mobile at 100 m/s
-        cycle = relay.simulate_cycle(strategy, geom, channel, ref,
+        cycle = relay.simulate_cycle(strategy, geom, channel, *ref,
                                      time_step=0.1)
         assert len(manifest.output_files) == 4
         for name in manifest.output_files:
@@ -564,8 +564,8 @@ class TestRunnerFiles:
         assert len(rows) == 3
 
     def test_coverage_file_bytes(self, tmp_path):
-        from uavsim.coverage import (ExcessLoss, LosProbabilityModel,
-                                     altitude_grid, coverage_radii)
+        from uavsim.coverage import (LosProbabilityModel, altitude_grid,
+                                     coverage_radii)
         params = {"altitude_min_m": 100.0, "altitude_max_m": 200.0,
                   "altitude_step_m": 100.0}
         code, lines, out = run_cli({"preset": "urban_coverage",
@@ -576,7 +576,7 @@ class TestRunnerFiles:
         radii = coverage_radii(
             altitudes, full["max_path_loss_db"], full["carrier_frequency_hz"],
             LosProbabilityModel(full["s_curve_a"], full["s_curve_b"]),
-            ExcessLoss(full["eta_los_db"], full["eta_nlos_db"]))
+            full["eta_los_db"], full["eta_nlos_db"])
         assert altitudes.tolist() == [100.0, 200.0]
         assert (out / "coverage.csv").read_bytes() == (
             "altitude_m,coverage_radius_m\n"
@@ -874,7 +874,13 @@ class TestMalformedConfigs:
         ("fig3", {"delay_budget_s": 1e9}, "delay_budget_s"),
         ("fig4", {"delays_s": [5.0, -5.0]}, "delays_s"),
         ("dissem20", {"coverage_radius_m": -1.0}, "coverage_radius_m"),
+        ("dissem20", {"erasure_probability": 1.0}, "erasure_probability"),
+        ("dissem20", {"source_packet_count": 0}, "source_packet_count"),
+        ("urban_coverage", {"eta_los_db": -1.0}, "eta_los_db"),
         ("urban_coverage", {"eta_nlos_db": 0.5}, "eta_nlos_db"),
+        # The reference distance is checked before the relative speed.
+        ("channel_probe", {"reference_distance_m": 0,
+                           "relative_speed_mps": -1}, "reference_distance_m"),
         ("urban_coverage", {"altitude_step_m": 1e-3}, "altitude_step_m"),
         ("urban_coverage", {"s_curve_b": -1}, "s_curve_b"),
         ("urban_coverage", {"s_curve_a": 50, "s_curve_b": 15}, "s_curve_a"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim._csvfile import write_csv
+from uavsim._csvfile import write_csvs
 from uavsim.experiment import PRESETS, _flight_ends, _slot_count
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry,
                              TrajectoryConfigError, _overflight_steps,
@@ -62,7 +62,8 @@ def assert_respects_v_max(times, positions, time_step, v_max):
 
 def write_trajectory(times, positions, path):
     """Columns time_s, x_m, y_m, z_m through the figures' CSV writer."""
-    write_csv(path, ["time_s", "x_m", "y_m", "z_m"], [times, *positions.T])
+    write_csvs([(path, ["time_s", "x_m", "y_m", "z_m"],
+                 [times, *positions.T])])
 
 
 def source_distance(positions):
@@ -239,11 +240,14 @@ class TestShapeFunctions:
             cycle_times(relay_geom(10.0), 0.3)
 
     @pytest.mark.parametrize("delta,time_step", [
-        (10.0, 5e-324), (math.inf, 0.01), (math.inf, math.inf)],
-        ids=["quotient_inf", "delta_inf", "quotient_nan"])
+        (10.0, 5e-324), (math.inf, 0.01), (math.inf, math.inf),
+        (10.0, 0.0), (10.0, -0.0)],
+        ids=["quotient_inf", "delta_inf", "quotient_nan", "zero_step",
+             "negative_zero_step"])
     def test_cycle_times_non_finite_quotient(self, delta, time_step):
         # round() of an inf or nan quotient raised a bare OverflowError or
-        # ValueError that named no parameter.
+        # ValueError that named no parameter, and a zero step a bare
+        # ZeroDivisionError.
         with pytest.raises(TrajectoryConfigError, match="time_step"):
             cycle_times(RelayGeometry(1000.0, 100.0, 10.0, delta), time_step)
 
@@ -481,7 +485,7 @@ def line_flight(times, xs):
 
 
 class TestTrajectoryCsv:
-    """Flight columns through ``write_csv``: float64 texts, one row per
+    """Flight columns through ``write_csvs``: float64 texts, one row per
     sample."""
 
     def test_round_trippable_columns(self, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uavsim import channel, relay
-from uavsim.channel import (SnrReference, free_space_path_loss, snr_anchor_db,
+from uavsim.channel import (free_space_path_loss, snr_anchor_db,
                             spectral_efficiency)
 from uavsim.experiment import preset_config
 from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
@@ -22,13 +22,20 @@ def geom(v_max, delta=20.0):
 
 
 def ref_for(g):
-    return SnrReference(reference_snr_db=10.0,
-                        reference_distance=g.midpoint_slant)
+    """The reference SNR, dB, and distance, m: 10 dB at the midpoint."""
+    return 10.0, g.midpoint_slant
 
 
 def run(strategy, v_max, delta=20.0, **kwargs):
     g = geom(v_max, delta)
-    return simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g), **kwargs)
+    return simulate_cycle(strategy, g, CARRIER_HZ, *ref_for(g), **kwargs)
+
+
+def sweep_rows(columns):
+    """The rows of ``sweep``'s columns: (delay, speed, strategy name, SE,
+    feasible)."""
+    assert len(columns) == 5
+    return list(zip(*columns))
 
 
 def cycle_samples(strategy, g, time_step):
@@ -69,7 +76,7 @@ def scalar_cycle(strategy, g, frequency, ref, buffer_capacity=math.inf,
             se = 0.0  # the ferry is silent in flight
         else:
             se = spectral_efficiency(
-                snr_anchor_db(frequency, ref, h)
+                snr_anchor_db(frequency, *ref, h)
                 - free_space_path_loss(gap, h, frequency))
         ses.append(se)
         if i == len(times) - 1:
@@ -139,7 +146,7 @@ class TestScalarEquivalence:
         g = geom(v)
         oracle = scalar_cycle(strategy, g, CARRIER_HZ, ref_for(g), capacity,
                               time_step=0.05)
-        result = simulate_cycle(strategy, g, CARRIER_HZ, ref_for(g), capacity,
+        result = simulate_cycle(strategy, g, CARRIER_HZ, *ref_for(g), capacity,
                                 time_step=0.05)
         assert_matches_scalar_cycle(result, oracle, g)
 
@@ -154,7 +161,7 @@ def two_link_cycle(strategy, g, frequency, ref, buffer_capacity,
     pl_src = free_space_path_loss(src, g.uav_altitude, frequency)
     pl_dst = free_space_path_loss(dst, g.uav_altitude, frequency)
     phase1 = times < g.delay_budget - 1e-12
-    snr_db = (snr_anchor_db(frequency, ref, g.uav_altitude)
+    snr_db = (snr_anchor_db(frequency, *ref, g.uav_altitude)
               - np.where(phase1, pl_src, pl_dst))
     talking = np.full(len(times), True)
     if strategy == RelayStrategy.FERRY:
@@ -179,7 +186,7 @@ class TestActiveLink:
         g = geom(100.0)
         pl_src, pl_dst, se, occupancy = two_link_cycle(
             strategy, g, frequency, ref_for(g), capacity, 0.05)
-        result = simulate_cycle(strategy, g, frequency, ref_for(g), capacity,
+        result = simulate_cycle(strategy, g, frequency, *ref_for(g), capacity,
                                 time_step=0.05)
         assert np.array_equal(result.se, se)
         assert np.array_equal(result.path_loss_src, pl_src)
@@ -223,7 +230,7 @@ class TestBatchKernel:
     """One batch gives each cycle the bits of a batch of that cycle alone,
     wherever the block boundaries fall."""
 
-    REF = SnrReference(10.0, geom(1.0).midpoint_slant)
+    REF = ref_for(geom(1.0))
 
     @pytest.mark.parametrize("capacity", [math.inf, 40.0])
     @pytest.mark.parametrize("block", [1, 500, 10 ** 9])
@@ -231,23 +238,23 @@ class TestBatchKernel:
                                             capacity):
         monkeypatch.setattr(relay, "_BLOCK_SAMPLES", block)
         cycles = batch_cycles()
-        batch = list(relay._simulate_cycles(cycles, CARRIER_HZ, self.REF,
+        batch = list(relay._simulate_cycles(cycles, CARRIER_HZ, *self.REF,
                                             capacity, time_step=0.05))
         assert len(batch) == len(cycles)
         for (strategy, g), result in zip(cycles, batch):
-            alone = simulate_cycle(strategy, g, CARRIER_HZ, self.REF,
+            alone = simulate_cycle(strategy, g, CARRIER_HZ, *self.REF,
                                    capacity, time_step=0.05)
             assert result_bytes(result) == result_bytes(alone)
 
     def test_anchor_once_per_altitude(self, monkeypatch):
         anchors = []
 
-        def counting(frequency, ref, height):
+        def counting(frequency, snr_db, distance, height):
             anchors.append(height)
-            return snr_anchor_db(frequency, ref, height)
+            return snr_anchor_db(frequency, snr_db, distance, height)
 
         monkeypatch.setattr(relay, "snr_anchor_db", counting)
-        list(relay._simulate_cycles(batch_cycles(), CARRIER_HZ, self.REF,
+        list(relay._simulate_cycles(batch_cycles(), CARRIER_HZ, *self.REF,
                                     time_step=0.05))
         assert anchors == [100.0, 250.0]
 
@@ -256,12 +263,12 @@ class TestBatchKernel:
         # evaluates every sample's own link.
         repeats = 0
         for result in relay._simulate_cycles(batch_cycles(), CARRIER_HZ,
-                                             self.REF, time_step=0.05):
+                                             *self.REF, time_step=0.05):
             h = result.geometry.uav_altitude
             gap = active_gap(result)
             repeats += np.count_nonzero(np.diff(gap) == 0)
             loss = free_space_path_loss(gap, h, CARRIER_HZ)
-            se = spectral_efficiency(snr_anchor_db(CARRIER_HZ, self.REF, h)
+            se = spectral_efficiency(snr_anchor_db(CARRIER_HZ, *self.REF, h)
                                      - loss)
             if result.strategy == RelayStrategy.FERRY:
                 se[gap > 1e-6] = 0.0
@@ -320,7 +327,7 @@ class TestSimulateCycle:
         for strategy in RelayStrategy:
             calls.clear()
             result = simulate_cycle(strategy, geom(100.0), frequency,
-                                    ref_for(geom(100.0)), time_step=0.1)
+                                    *ref_for(geom(100.0)), time_step=0.1)
             n, split = len(result.times), result.phase1_samples
             assert 0 < split < n
             runs = 1 + np.count_nonzero(np.diff(active_gap(result)))
@@ -412,45 +419,47 @@ class TestPathLossTrace:
 
 class TestSweepDelay:
     def test_mobile_to_static_ratio(self):
-        rows = sweep(sweep_plan(["static", "mobile"], geom(1.0, 1.0),
-                                delays=[20.0, 40.0], speeds=[100.0]),
-                     CARRIER_HZ,
-                     SnrReference(10.0, geom(1.0).midpoint_slant),
-                     time_step=0.01)
-        by_key = {(r.delay_budget, r.strategy): r.end_to_end_se for r in rows}
-        ratio20 = (by_key[(20.0, RelayStrategy.MOBILE)]
-                   / by_key[(20.0, RelayStrategy.STATIC)])
-        ratio40 = (by_key[(40.0, RelayStrategy.MOBILE)]
-                   / by_key[(40.0, RelayStrategy.STATIC)])
+        rows = sweep_rows(sweep(
+            sweep_plan(["static", "mobile"], geom(1.0, 1.0),
+                       delays=[20.0, 40.0], speeds=[100.0]),
+            CARRIER_HZ, *ref_for(geom(1.0)), time_step=0.01))
+        by_key = {(delta, strategy): se for delta, _, strategy, se, _ in rows}
+        ratio20 = by_key[(20.0, "mobile")] / by_key[(20.0, "static")]
+        ratio40 = by_key[(40.0, "mobile")] / by_key[(40.0, "static")]
         assert ratio20 == pytest.approx(1.95, abs=0.03)
         assert ratio40 == pytest.approx(2.13, abs=0.02)
         assert ratio40 >= 2.0
 
     def test_static_rows_constant(self):
-        ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep(sweep_plan(["static"], geom(1.0, 1.0),
-                                delays=[5.0, 10.0, 20.0],
-                                speeds=[10.0, 100.0]),
-                     CARRIER_HZ, ref, time_step=0.01)
-        values = {round(r.end_to_end_se, 9) for r in rows}
+        _, _, _, ses, _ = sweep(sweep_plan(["static"], geom(1.0, 1.0),
+                                           delays=[5.0, 10.0, 20.0],
+                                           speeds=[10.0, 100.0]),
+                                CARRIER_HZ, *ref_for(geom(1.0)),
+                                time_step=0.01)
+        values = {round(se, 9) for se in ses}
         assert len(values) == 1
 
     def test_mobile_nondecreasing_in_speed(self):
-        ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep(sweep_plan(["mobile"], geom(1.0, 1.0), delays=[20.0],
-                                speeds=[10.0, 30.0, 60.0, 100.0]),
-                     CARRIER_HZ, ref, time_step=0.01)
-        ses = [r.end_to_end_se for r in rows]
+        _, _, _, ses, _ = sweep(sweep_plan(["mobile"], geom(1.0, 1.0),
+                                           delays=[20.0],
+                                           speeds=[10.0, 30.0, 60.0, 100.0]),
+                                CARRIER_HZ, *ref_for(geom(1.0)),
+                                time_step=0.01)
         assert all(a <= b + 1e-9 for a, b in zip(ses, ses[1:]))
 
     def test_infeasible_ferry_cell_recorded(self):
-        ref = SnrReference(10.0, geom(1.0).midpoint_slant)
-        rows = sweep(sweep_plan(["ferry"], geom(1.0, 1.0), delays=[10.0],
-                                speeds=[50.0, 200.0]),
-                     CARRIER_HZ, ref, time_step=0.01)
-        assert not rows[0].feasible and rows[0].end_to_end_se is None
-        assert "minimum feasible speed" in rows[0].note
-        assert rows[1].feasible
+        plan = sweep_plan(["ferry"], geom(1.0, 1.0), delays=[10.0],
+                          speeds=[50.0, 200.0])
+        rows = sweep_rows(sweep(plan, CARRIER_HZ, *ref_for(geom(1.0)),
+                                time_step=0.01))
+        (_, _, _, se, feasible), (*_, fast_feasible) = rows
+        assert not feasible and se is None
+        # The plan's cell keeps the reason: (delay, speed, strategy, cycle
+        # key, note).
+        cells, _ = plan
+        assert cells[0][3] is None
+        assert "minimum feasible speed" in cells[0][4]
+        assert fast_feasible and cells[1][4] == ""
 
     def test_static_cycle_once_per_delay(self, monkeypatch):
         # The grid's distinct cycles go through one batch, which holds
@@ -463,21 +472,22 @@ class TestSweepDelay:
             return kernel(cycles, *args, **kwargs)
 
         kernel = relay._simulate_cycles
-        ref = SnrReference(10.0, geom(1.0).midpoint_slant)
+        ref = ref_for(geom(1.0))
         plan = sweep_plan(["static", "mobile"], geom(1.0, 1.0), [5.0, 10.0],
                           [10.0, 30.0, 100.0])
         monkeypatch.setattr(relay, "_simulate_cycles", counting)
-        rows = sweep(plan, CARRIER_HZ, ref, time_step=0.05)
+        rows = sweep_rows(sweep(plan, CARRIER_HZ, *ref, time_step=0.05))
         assert len(batches) == 1
         assert batches[0].count(RelayStrategy.STATIC) == 2
         assert batches[0].count(RelayStrategy.MOBILE) == 6
-        assert [(r.delay_budget, r.v_max, r.strategy) for r in rows] == [
+        assert [row[:3] for row in rows] == [
             (d, v, s) for d in (5.0, 10.0) for v in (10.0, 30.0, 100.0)
-            for s in (RelayStrategy.STATIC, RelayStrategy.MOBILE)]
-        for r in rows:
-            g = geom(r.v_max, r.delay_budget)
-            assert r.end_to_end_se == simulate_cycle(
-                r.strategy, g, CARRIER_HZ, ref, time_step=0.05).end_to_end_se
+            for s in ("static", "mobile")]
+        for delta, v, strategy, se, feasible in rows:
+            assert feasible == 1
+            assert se == simulate_cycle(
+                strategy, geom(v, delta), CARRIER_HZ, *ref,
+                time_step=0.05).end_to_end_se
 
     def test_fig4_grid_evaluates_only_active_links(self, monkeypatch):
         # 20 distinct cycles of 2*delta/dt + 1 samples each, 124,020 in
@@ -506,10 +516,8 @@ class TestSweepDelay:
                                  params["uav_altitude_m"], 1.0, 1.0)
         sweep(sweep_plan(params["strategies"], template, params["delays_s"],
                          params["speeds_mps"]),
-              params["carrier_frequency_hz"],
-              SnrReference(params["reference_snr_db"],
-                           template.midpoint_slant),
-              time_step=config.time_step)
+              params["carrier_frequency_hz"], params["reference_snr_db"],
+              template.midpoint_slant, time_step=config.time_step)
         assert sum(samples) == 60_356
         assert len(samples) == 10  # blocks of at most 16,000 samples
         assert len(anchors) == len(scalars) == 1
@@ -529,11 +537,11 @@ class TestDominanceGrid:
                 g = geom(v, delta)
                 ref = ref_for(g)
                 mobile = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ,
-                                        ref, time_step=0.05).end_to_end_se
+                                        *ref, time_step=0.05).end_to_end_se
                 static = simulate_cycle(RelayStrategy.STATIC, g, CARRIER_HZ,
-                                        ref, time_step=0.05).end_to_end_se
+                                        *ref, time_step=0.05).end_to_end_se
                 ferry = simulate_cycle(RelayStrategy.FERRY, g, CARRIER_HZ,
-                                       ref, time_step=0.05).end_to_end_se
+                                       *ref, time_step=0.05).end_to_end_se
                 assert mobile >= static - 1e-9
                 assert mobile >= ferry - 1e-9
                 # Flight legs exist (v > 0), so the gap is strict.
@@ -547,7 +555,7 @@ class TestDominanceGrid:
             for v in speeds:
                 g = geom(v, delta)
                 table[(delta, v)] = simulate_cycle(
-                    RelayStrategy.MOBILE, g, CARRIER_HZ, ref_for(g),
+                    RelayStrategy.MOBILE, g, CARRIER_HZ, *ref_for(g),
                     time_step=0.05).end_to_end_se
         for delta in delays:
             ses = [table[(delta, v)] for v in speeds]
