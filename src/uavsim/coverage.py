@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import require
 from ._numpy import np
 from .channel import _check_frequency, _free_space_loss, slant_distance
 
@@ -51,14 +52,12 @@ class LosProbabilityModel:
 
     def __post_init__(self):
         for name in ("s_curve_a", "s_curve_b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            require(getattr(self, name) > 0, "{%s} must be > 0" % name)
         exponent = self.s_curve_a * self.s_curve_b
         with np.errstate(over="ignore"):  # an overflow is the error raised
-            if not np.isfinite(np.exp(float(exponent))):
-                raise ValueError(f"s_curve_a * s_curve_b = {exponent:g} "
-                                 f"overflows exp() in the LoS probability at "
-                                 f"elevation 0")
+            require(np.isfinite(np.exp(float(exponent))),
+                    f"{{s_curve_a}} * {{s_curve_b}} = {exponent:g} overflows "
+                    f"exp() in the LoS probability at elevation 0")
 
     def los_probability(self, elevation_deg):
         """P_LoS at each elevation in degrees."""
@@ -68,29 +67,26 @@ class LosProbabilityModel:
 
 
 def _check_altitude(altitude) -> None:
-    if np.any(altitude <= 0):
-        raise ValueError("altitude must be > 0")
+    require(np.all(altitude > 0), "{altitude} must be > 0")
 
 
 def check_excess_loss(eta_los: float, eta_nlos: float) -> None:
-    """Raises ``ValueError`` unless the mean excess losses beyond free
+    """Raises ``DomainError`` unless the mean excess losses beyond free
     space, dB, satisfy ``0 <= eta_los <= eta_nlos``: NLoS is never better
     than LoS."""
-    if eta_los < 0:
-        raise ValueError("eta_los must be >= 0")
-    if eta_nlos < eta_los:
-        raise ValueError("eta_nlos must be >= eta_los")
+    require(eta_los >= 0, "{eta_los} must be >= 0")
+    require(eta_nlos >= eta_los, "{eta_nlos} must be >= {eta_los}")
 
 
 def check_carrier(altitudes, frequency: float) -> None:
-    """Raises ``ValueError`` for a frequency <= 0, or where the free-space
+    """Raises ``DomainError`` for a frequency <= 0, or where the free-space
     loss at the lowest altitude's nadir, the shortest link and so the
     smallest loss, underflows to -inf: 4*pi*d*f/c rounds to 0 there."""
     _check_frequency(frequency)
-    if np.size(altitudes) and _free_space_loss(
-            np.min(altitudes), frequency) == -math.inf:
-        raise ValueError(f"path loss at the lowest altitude's nadir "
-                         f"underflows at carrier_frequency {frequency:g} Hz")
+    require(not np.size(altitudes) or _free_space_loss(
+        np.min(altitudes), frequency) > -math.inf,
+        f"path loss at the lowest altitude's nadir underflows at "
+        f"{{frequency}} {frequency:g} Hz")
 
 
 def _expected_loss(altitude, ground_range, frequency: float,
@@ -121,17 +117,16 @@ def expected_path_loss(altitude, ground_range, frequency: float,
     altitude = np.asarray(altitude, dtype=float)
     ground_range = np.asarray(ground_range, dtype=float)
     _check_altitude(altitude)
-    if np.any(ground_range < 0):
-        raise ValueError("ground_range must be >= 0")
+    require(np.all(ground_range >= 0), "{ground_range} must be >= 0")
     _check_frequency(frequency)
     return _expected_loss(altitude, ground_range, frequency, los, eta_los,
                           eta_nlos)
 
 
-def coverage_radii(altitudes, max_path_loss: float, frequency: float,
+def coverage_radii(altitude, max_path_loss: float, frequency: float,
                    los: LosProbabilityModel, eta_los: float,
                    eta_nlos: float) -> np.ndarray:
-    """The coverage radius at each of the altitudes: the largest ground
+    """The coverage radius at each ``altitude`` (m, > 0): the largest ground
     range whose expected loss is <= ``max_path_loss``, by bisection.
 
     The expected loss is ``fspl + eta_nlos - p_los*(eta_nlos - eta_los)``
@@ -142,12 +137,15 @@ def coverage_radii(altitudes, max_path_loss: float, frequency: float,
     by doubling, and bisection.  The altitudes and brackets still at a
     step are held in compact arrays and evaluated in one call of the loss
     kernel; the inputs are checked once, as ``expected_path_loss`` checks
-    them, and the carrier by ``check_carrier``.
+    them, and the carrier by ``check_carrier``.  Only an infinite threshold
+    covers an infinite loss (an infinite altitude, frequency or excess
+    loss); past 1e9 m the radius is the next doubled bracket, or inf.
     """
     check_excess_loss(eta_los, eta_nlos)
-    h = np.asarray(altitudes, dtype=float)
+    h = np.asarray(altitude, dtype=float)
     _check_altitude(h)
     check_carrier(h, frequency)
+    require(not math.isnan(max_path_loss), "{max_path_loss} must not be nan")
 
     def covered(heights, ranges):
         return _expected_loss(heights, ranges, frequency, los, eta_los,
@@ -163,7 +161,8 @@ def coverage_radii(altitudes, max_path_loss: float, frequency: float,
         inside = covered(h[index], hi)
         left.append(index[~inside])
         brackets.append(hi[~inside])
-        index, hi = index[inside], 2.0 * hi[inside]
+        with np.errstate(over="ignore"):  # inf, as it passes _UNBOUNDED
+            index, hi = index[inside], 2.0 * hi[inside]
         # The threshold is never reached within any practical range.
         far = hi > _UNBOUNDED
         radii[index[far]] = hi[far]
@@ -190,13 +189,12 @@ def altitude_grid(altitude_range: tuple[float, float],
     """The float altitudes of a coverage curve: ``lo``, then each the one
     before plus ``grid_step``, while within ``hi`` (and 1e-12 m beyond it,
     for rounding), so the grid carries the rounding of that running sum.
-    More than ``MAX_GRID_POINTS`` of them is a ``ValueError``, as is a
+    More than ``MAX_GRID_POINTS`` of them is a ``DomainError``, as is a
     step too small to advance the running sum."""
     lo, hi = altitude_range
-    if not 0 < lo <= hi < math.inf:
-        raise ValueError("altitude_range must satisfy 0 < lo <= hi < inf")
-    if not grid_step > 0:
-        raise ValueError("grid_step must be > 0")
+    require(0 < lo <= hi < math.inf,
+            "{altitude_range} must satisfy 0 < lo <= hi < inf")
+    require(grid_step > 0, "{grid_step} must be > 0")
     top = hi + 1e-12
     chunks, held, start = [], 0, lo
     while True:
@@ -214,8 +212,7 @@ def altitude_grid(altitude_range: tuple[float, float],
         held += within
         if within < chunk.size:
             return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if held > MAX_GRID_POINTS:
-            raise ValueError(f"more than {MAX_GRID_POINTS} altitudes from "
-                             f"{lo} to {hi} in steps of grid_step "
-                             f"{grid_step}")
+        require(held <= MAX_GRID_POINTS,
+                f"more than {MAX_GRID_POINTS} altitudes from {lo} to {hi} "
+                f"in steps of {{grid_step}} {grid_step}", "altitude_range")
         start = float(chunk[-1]) + grid_step

@@ -42,32 +42,34 @@ from __future__ import annotations
 
 import itertools
 
+from . import require
 from ._numpy import np
 
 
 def _check_coverage_radius(coverage_radius: float) -> None:
-    if coverage_radius <= 0:
-        raise ValueError("coverage_radius must be > 0")
+    require(coverage_radius > 0, "{coverage_radius} must be > 0")
 
 
 def _check_erasure_probability(erasure_probability: float) -> None:
-    if not 0.0 <= erasure_probability < 1.0:
-        raise ValueError("erasure_probability must lie in [0, 1)")
+    require(0.0 <= erasure_probability < 1.0,
+            "{erasure_probability} must lie in [0, 1)")
 
 
 def _check_packet_count(source_packet_count: int) -> None:
-    if source_packet_count <= 0:
-        raise ValueError("source_packet_count must be > 0")
+    require(source_packet_count > 0, "{source_packet_count} must be > 0")
 
 
 class D2dGraph:
-    """Symmetric adjacency over node indices: edge iff
-    ``np.hypot(*(a - b)) <= d2d_range`` for ground positions ``a != b``."""
+    """Symmetric adjacency over node indices: edge iff ``np.hypot(*(a -
+    b)) <= d2d_range`` (m, >= 0) for finite ground positions ``a != b``."""
 
     def __init__(self, positions, d2d_range: float):
+        require(d2d_range >= 0, "{d2d_range} must be >= 0")
         positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-        gap = positions[:, None, :] - positions[None, :, :]
-        adjacency = np.hypot(gap[..., 0], gap[..., 1]) <= d2d_range
+        require(np.isfinite(positions).all(), "{positions} must be finite")
+        with np.errstate(over="ignore"):  # an overflowing gap is inf
+            gap = positions[:, None, :] - positions[None, :, :]
+            adjacency = np.hypot(gap[..., 0], gap[..., 1]) <= d2d_range
         np.fill_diagonal(adjacency, False)
         self.adjacency = adjacency
         # Component index per node, components numbered by smallest member.
@@ -83,25 +85,22 @@ class D2dGraph:
                 frontier = adjacency[frontier].any(axis=0) & (self.labels < 0)
             self.component_count += 1
 
-    def connected_components(self) -> list[list[int]]:
-        """Components as sorted index lists, ordered by smallest member."""
-        return [np.flatnonzero(self.labels == c).tolist()
-                for c in range(self.component_count)]
-
 
 def coverage_mask(uav: np.ndarray, positions,
                   coverage_radius: float) -> np.ndarray:
     """(slots, nodes) bool: the node's slant distance from the UAV at the
     start of the slot, ``sqrt(dx*dx + dy*dy + z*z)``, is at most
     ``coverage_radius`` (m, > 0); ``uav`` holds the (slots, 3) UAV
-    positions at the slot starts."""
+    positions at the slot starts, all finite, as the ground positions are."""
     _check_coverage_radius(coverage_radius)
     uav = np.asarray(uav, dtype=float)
     ground = np.asarray(positions, dtype=float).reshape(-1, 2)
-    dx = uav[:, None, 0] - ground[None, :, 0]
-    dy = uav[:, None, 1] - ground[None, :, 1]
-    # A square that overflows is an infinite slant, which covers nothing.
+    require(np.isfinite(uav).all() and np.isfinite(ground).all(),
+            "{uav} and {positions} must be finite")
+    # An overflow is an infinite slant, which only an infinite radius covers.
     with np.errstate(over="ignore"):
+        dx = uav[:, None, 0] - ground[None, :, 0]
+        dy = uav[:, None, 1] - ground[None, :, 1]
         slant = np.sqrt(dx * dx + dy * dy + (uav[:, 2] * uav[:, 2])[:, None])
     return slant <= coverage_radius
 
@@ -146,9 +145,9 @@ class _WordStreams:
     def __init__(self, rngs, words: int):
         self.rngs = rngs
         self.states = [rng.bit_generator.state for rng in rngs]
-        if not all("has_uint32" in state for state in self.states):
-            raise ValueError("gossip needs a PCG64, PCG64DXSM, Philox or "
-                             "SFC64 bit generator")
+        require(all("has_uint32" in state for state in self.states),
+                "gossip needs a PCG64, PCG64DXSM, Philox or SFC64 bit "
+                "generator", "rngs")
         self.words = np.array([state["uinteger"] for state in self.states],
                               dtype=np.uint32)[:, None]
         self.cursor = np.array([1 - state["has_uint32"]
@@ -473,7 +472,6 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
             "baseline_success": baseline_success, "missing": missing,
             "packets_after_phase1": after_phase1,
             "decoded_after_phase2": packets.sum(axis=2) >= k})
-    if not blocks:
-        raise ValueError("compare_schemes needs at least one seed")
+    require(blocks, "compare_schemes needs at least one seed", "coded_rngs")
     return {name: np.concatenate([part[name] for part in blocks])
             for name in blocks[0]}

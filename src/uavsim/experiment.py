@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from dataclasses import asdict, dataclass, field
 from itertools import starmap
@@ -41,7 +40,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__
+from . import DomainError, __version__
 from ._csvfile import write_csvs
 from ._numpy import import_random, np
 
@@ -217,9 +216,9 @@ _BOUNDS = {"time_step": (0, False), "carrier_frequency_hz": (0, False),
            "field_length_m": (0, False), "uav_speed_mps": (0, False),
            "slot_duration_s": (0, False), "d2d_range_m": (0, True),
            "altitude_min_m": (0, False), "altitude_step_m": (0, False)}
-# Names the library's errors use -> the config field they were built from;
-# of several candidates, the one in the scenario's schema.
-_LIBRARY_NAMES = {
+# Kernel parameter a ``DomainError`` names -> the config fields that set it,
+# of which the scenario's schema has one; an absent one is its field's name.
+_CONFIG_FIELDS = {
     "separation": ("separation_m",), "uav_altitude": ("uav_altitude_m",),
     "v_max": ("speeds_mps",), "delay_budget": ("delay_budget_s", "delays_s"),
     "coverage_radius": ("coverage_radius_m",), "eta_los": ("eta_los_db",),
@@ -229,7 +228,7 @@ _LIBRARY_NAMES = {
     # The relay scenarios' anchor is the midpoint slant, from the separation.
     "reference_distance": ("reference_distance_m", "separation_m"),
     "relative_speed": ("relative_speed_mps",),
-    "carrier_frequency": ("carrier_frequency_hz",)}
+    "frequency": ("carrier_frequency_hz",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
 # Cells in the D2D adjacency, the coverage mask or a seed's packet matrix.
 MAX_DISSEMINATION_CELLS = 10 ** 7
@@ -258,15 +257,6 @@ def _check_fields(where: str, values: dict, schema: dict) -> None:
         if name not in values:
             raise ConfigError(f"{where}: missing required field {name!r}")
         _check_value(name, values[name], example)
-
-
-def _config_terms(message: str, schema: dict) -> str:
-    """``message`` with each library name replaced by its config field."""
-    def field(match):
-        return next((name for name in _LIBRARY_NAMES[match[0]]
-                     if name in schema), match[0])
-    return re.sub(r"\b(" + "|".join(_LIBRARY_NAMES) + r")\b", field,
-                  message)
 
 
 def validate_config(config: ExperimentConfig):
@@ -301,9 +291,13 @@ def validate_config(config: ExperimentConfig):
     setup, _ = _SCENARIOS[config.scenario]
     try:
         return setup(fields)
+    except DomainError as exc:  # its message, in the config's field names
+        raise ConfigError(f"{config.scenario}: " + exc.render({
+            name: next((field for field in _CONFIG_FIELDS.get(name, ())
+                        if field in params), name)
+            for name in exc.parameters})) from exc
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"{config.scenario}: "
-                          f"{_config_terms(str(exc), params)}") from exc
+        raise ConfigError(f"{config.scenario}: {exc}") from exc
 
 
 def _preset(name: str) -> ExperimentConfig:
@@ -378,19 +372,18 @@ def _check_peak_snr(peak_db) -> None:
     overflows: its linear SNR, ``10 ** (peak_db / 10)``, does above about
     3082.55 dB.  Every other link of the run has a lower SNR."""
     from .channel import spectral_efficiency
-    with np.errstate(over="ignore"):  # an overflow is the error raised here
-        if np.isfinite(spectral_efficiency(peak_db)):
-            return
+    if np.isfinite(spectral_efficiency(peak_db)):
+        return
     raise ConfigError(f"the peak SNR, reference_snr_db carried to the "
                       f"shortest link, is {peak_db:.6g} dB, and 10 ** (SNR "
                       f"/ 10) overflows above about 3082.55 dB")
 
 
-def _relay_setup(fields):
+def _relay_setup(fields, delay_field="delays_s"):
     """The carrier frequency, (reference SNR, reference distance) and
-    ``relay.sweep_plan`` of a sweep config.  Checks the series labels,
-    repeats, geometries, samples per cycle, SNR anchor and peak SNR, in
-    that order."""
+    ``relay.sweep_plan`` of a sweep config, its delays in ``delay_field``.
+    Checks the series labels, repeats, geometries, samples per cycle, SNR
+    anchor and peak SNR, in that order."""
     from .channel import free_space_path_loss, snr_anchor_db
     from .mobility import RelayGeometry, _check_step_divides
     from .relay import sweep_plan
@@ -415,7 +408,7 @@ def _relay_setup(fields):
         # is inf, which no integer holds.
         samples = 2 * (delay / time_step) + 1
         if samples > MAX_CYCLE_SAMPLES:
-            raise ConfigError(f"delay_budget {delay} at time_step "
+            raise ConfigError(f"{delay_field} {delay} at time_step "
                               f"{time_step} gives {samples:.0f} samples per "
                               f"cycle, more than {MAX_CYCLE_SAMPLES}")
         _check_step_divides(delay, time_step)
@@ -431,7 +424,8 @@ def _trace_setup(fields):
     """A trace config's ``_relay_setup``: a trace is the sweep of static
     and mobile at its one delay."""
     return _relay_setup({**fields, "strategies": ["static", "mobile"],
-                         "delays_s": [fields["delay_budget_s"]]})
+                         "delays_s": [fields["delay_budget_s"]]},
+                        "delay_budget_s")
 
 
 # The columns of a trace file and of the sweep file, which

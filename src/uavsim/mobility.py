@@ -13,27 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import require
 from ._numpy import np
-
-
-class TrajectoryConfigError(ValueError):
-    """Raised for invalid trajectory generator parameters."""
-
-
-class FerryInfeasibleError(TrajectoryConfigError):
-    """Ferry shuttle cannot complete a cycle at the given speed."""
-
-    def __init__(self, v_max: float, minimum_speed: float):
-        self.minimum_speed = minimum_speed
-        super().__init__(
-            f"ferry infeasible: v_max={v_max} m/s cannot cover the "
-            f"separation within the delay budget; minimum feasible speed "
-            f"is {minimum_speed} m/s")
 
 
 @dataclass(frozen=True)
 class RelayGeometry:
-    """Source/destination layout and flight constraints for relaying."""
+    """Source/destination layout and flight constraints for relaying;
+    every field is finite."""
 
     separation: float      # R, m, > 0
     uav_altitude: float    # H, m, > 0
@@ -41,14 +28,12 @@ class RelayGeometry:
     delay_budget: float    # delta, s, > 0 (one phase; a cycle spans 2*delta)
 
     def __post_init__(self):
-        if self.separation <= 0:
-            raise TrajectoryConfigError("separation must be > 0")
-        if self.uav_altitude <= 0:
-            raise TrajectoryConfigError("uav_altitude must be > 0")
-        if self.v_max < 0:
-            raise TrajectoryConfigError("v_max must be >= 0")
-        if self.delay_budget <= 0:
-            raise TrajectoryConfigError("delay_budget must be > 0")
+        require(self.separation > 0, "{separation} must be > 0")
+        require(self.uav_altitude > 0, "{uav_altitude} must be > 0")
+        require(self.v_max >= 0, "{v_max} must be >= 0")
+        require(self.delay_budget > 0, "{delay_budget} must be > 0")
+        for name, value in vars(self).items():
+            require(value < math.inf, "{%s} must be finite" % name)
 
     @property
     def midpoint_slant(self) -> float:
@@ -59,9 +44,10 @@ def _check_step_divides(delta: float, time_step: float) -> int:
     # A zero step divides nothing: its quotient is taken as infinite.
     quotient = delta / time_step if time_step else math.inf
     n = round(quotient) if math.isfinite(quotient) else 0
-    if n < 1 or abs(n * time_step - delta) > 1e-9:
-        raise TrajectoryConfigError(
-            f"time_step {time_step} does not divide the phase duration {delta}")
+    require(n >= 1 and abs(n * time_step - delta) <= 1e-9, f"{{time_step}} "
+            f"{time_step} does not divide the phase duration {delta}")
+    require(2 * delta < math.inf,
+            f"{{delay_budget}} {delta} too large: its cycle overflows")
     return n
 
 
@@ -72,56 +58,63 @@ def cycle_times(geom: RelayGeometry, time_step: float) -> np.ndarray:
 
 
 def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
-    """Horizontal position of the mobile relay (sawtooth) at ``times``.
+    """Horizontal position of the mobile relay (sawtooth) at ``times`` >= 0.
 
     Phase 1: from the midpoint, fly toward the point above the source at
     v_max; hover there if the speed allows, otherwise turn around at
     delta/2; back at the midpoint exactly at t = delta.  Phase 2 mirrors
-    phase 1 through the midpoint plane toward the destination.
+    phase 1 through the midpoint plane toward the destination.  Past the
+    cycle's end, 2*delta, the last leg goes on, to +-inf where it overflows.
     """
+    require(np.all(times >= 0), "{times} must be >= 0")
     delta = geom.delay_budget
     half = geom.separation / 2.0
     v = geom.v_max
     phase1 = times <= delta
-    t = np.where(phase1, times, times - delta)
-    if v == 0.0:
-        x = np.full_like(t, half)
-    elif v * delta / 2.0 >= half:
-        t_fly = half / v
-        # np.where evaluates each leg at every sample: at a huge speed a leg
-        # overflows at the samples outside its own interval, which it does
-        # not give.
-        with np.errstate(over="ignore"):
+    # np.where evaluates each leg at every sample: at a huge speed or time a
+    # leg overflows at the samples outside its own interval, which it does
+    # not give, or past the cycle's end.
+    with np.errstate(over="ignore"):
+        t = np.where(phase1, times, times - delta)
+        if v == 0.0:
+            x = np.full_like(t, half)
+        elif v * delta / 2.0 >= half:
+            t_fly = half / v
             x = np.where(t <= t_fly, half - v * t,
                          np.where(t <= delta - t_fly, 0.0,
                                   v * (t - (delta - t_fly))))
-    else:
-        x = np.where(t <= delta / 2.0, half - v * t, half - v * (delta - t))
-    return np.where(phase1, x, geom.separation - x)
+        else:
+            x = np.where(t <= delta / 2.0, half - v * t,
+                         half - v * (delta - t))
+        return np.where(phase1, x, geom.separation - x)
 
 
 def _ferry_hover_time(geom: RelayGeometry) -> float:
     """The ferry's hover time at each endpoint, delta - R/v.  Raises
-    ``FerryInfeasibleError`` unless v_max*delta >= R."""
+    ``DomainError`` unless v_max > 0 and v_max*delta >= R."""
     delta, v, R = geom.delay_budget, geom.v_max, geom.separation
-    if v * delta < R - 1e-9:
-        raise FerryInfeasibleError(v, R / delta)
+    require(v > 0 and v * delta >= R - 1e-9,
+            f"ferry infeasible: {{v_max}}={v} m/s cannot cover the "
+            f"{{separation}} within the delay budget; minimum feasible speed "
+            f"is {R / delta} m/s", "delay_budget")
     return delta - R / v
 
 
 def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
-    """Horizontal position of the data ferry (shuttle) at ``times``.
+    """Horizontal position of the data ferry (shuttle) at ``times`` >= 0.
 
     Hover above the source for delta - R/v, fly to above the destination
-    (R/v), hover there equally long, fly back.  Raises
-    ``FerryInfeasibleError`` unless v_max*delta >= R.
+    (R/v), hover there equally long, fly back, and stay above the source
+    past the cycle's end.  Raises ``DomainError`` unless v_max > 0 and
+    v_max*delta >= R.
     """
+    require(np.all(times >= 0), "{times} must be >= 0")
     delta = geom.delay_budget
     v, R = geom.v_max, geom.separation
     t_hover = _ferry_hover_time(geom)
-    # np.where evaluates each leg at every sample: at a huge speed a flight
-    # leg overflows at the samples outside its own interval, which it does
-    # not give.
+    # np.where evaluates each leg at every sample: at a huge speed or time a
+    # flight leg overflows at the samples outside its own interval, which it
+    # does not give.
     with np.errstate(over="ignore"):
         x = np.where(times <= t_hover, 0.0,
                      np.where(times <= delta, v * (times - t_hover),
@@ -145,14 +138,14 @@ def overflight_x(start: tuple[float, float, float],
     """Positions (len(times), 3) of the constant-velocity straight flight
     from ``start`` to ``end`` at ``times`` s after take-off, each
     ``a + min(speed*t/length, 1)*(b - a)``: the UAV stays at ``end`` once
-    there, and at ``start`` if the two coincide."""
-    if not (math.isfinite(speed) and speed > 0):
-        raise TrajectoryConfigError("speed must be finite and > 0")
+    there, at an infinite time too, and at ``start`` if the two coincide."""
+    require(0 < speed < math.inf, "{speed} must be finite and > 0")
     times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0):
-        raise TrajectoryConfigError("times must be >= 0")
+    require(np.all(times >= 0), "{times} must be >= 0")
     a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
     length = math.dist(start, end)
+    require(length < math.inf, "the distance from {start} to {end} must be "
+            "finite")
     if length == 0.0:
         return np.tile(a, (len(times), 1))
     # A flight of a few subnormal metres overflows the fraction to inf; the

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from . import DomainError, require
 from ._numpy import np
 from .channel import free_space_path_loss, snr_anchor_db, spectral_efficiency
-from .mobility import (FerryInfeasibleError, RelayGeometry,
-                       _ferry_hover_time, cycle_times, ferry_x,
-                       mobile_relay_x)
+from .mobility import (RelayGeometry, _ferry_hover_time, cycle_times,
+                       ferry_x, mobile_relay_x)
 
 _HOVER_EPS = 1e-6  # m, horizontal proximity that counts as hovering overhead
 # Samples per block of cycles whose links are evaluated together: no more
@@ -117,9 +117,7 @@ def _cycle_x(strategy: RelayStrategy, geom: RelayGeometry,
         return mobile_relay_x(dataclasses.replace(geom, v_max=0.0), times)
     if strategy == RelayStrategy.MOBILE:
         return mobile_relay_x(geom, times)
-    if strategy == RelayStrategy.FERRY:
-        return ferry_x(geom, times)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return ferry_x(geom, times)
 
 
 def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
@@ -159,8 +157,8 @@ def _simulate_cycles(cycles, carrier_frequency: float,
     The SNR anchor is computed once per altitude, and a block's links
     once per run of equal active-link gaps, each cycle starting a run.
     """
-    if buffer_capacity < 0:
-        raise ValueError("buffer_capacity must be >= 0 (or math.inf)")
+    require(buffer_capacity >= 0,
+            "{buffer_capacity} must be >= 0 (or math.inf)")
     anchors = {}  # UAV altitude -> SNR anchor, dB
     block, samples = [], 0
     for strategy, geom in cycles:
@@ -280,8 +278,7 @@ def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
     once per delay.  An infeasible cell (ferry too slow) has no cycle and
     keeps the reason as its note.
     """
-    if not delays or not speeds:
-        raise ValueError("delays and speeds must be non-empty")
+    require(delays and speeds, "{delays} and {speeds} must be non-empty")
     strategies = [RelayStrategy(strategy) for strategy in strategies]
     cells = []
     cycles = {}
@@ -294,7 +291,7 @@ def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
                 if strategy == RelayStrategy.FERRY:
                     try:
                         _ferry_hover_time(geom)
-                    except FerryInfeasibleError as exc:
+                    except DomainError as exc:
                         cells.append((delta, v, strategy, None, str(exc)))
                         continue
                 key = ((strategy, delta) if strategy == RelayStrategy.STATIC

@@ -180,12 +180,12 @@ def test_criterion_08_dissemination_conservation():
         packets = np.zeros(coverage.shape[::-1], dtype=bool)
         broadcast(coverage, packets[None], params["erasure_probability"],
                   [rng])
-        before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
-                  for comp in graph.connected_components()]
+        before = [frozenset(np.flatnonzero(packets[graph.labels == c].any(
+            axis=0))) for c in range(graph.component_count)]
         exchange(packets[None], graph, params["source_packet_count"], [rng],
                  10_000)
-        after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
-                 for comp in graph.connected_components()]
+        after = [frozenset(np.flatnonzero(packets[graph.labels == c].any(
+            axis=0))) for c in range(graph.component_count)]
         assert before == after
     report(8, "per-component packet unions conserved across 50 seeded runs")
 

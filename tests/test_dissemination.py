@@ -73,6 +73,13 @@ def baseline(uav, positions, k, radius, erasure, rng, pass_cap=1_000):
     return transmissions[0], success[0], missing[0]
 
 
+def components(graph):
+    """The graph's components as sorted node lists, read from
+    ``graph.labels``, which numbers them by smallest member."""
+    return [np.flatnonzero(graph.labels == c).tolist()
+            for c in range(graph.component_count)]
+
+
 def stalled_components(graph, stalled):
     """One seed's stalled flags per component as the oracle's tuples of
     node indices, through ``graph.labels``."""
@@ -328,7 +335,7 @@ class TestMatchesScalarReference:
         assert peek(rng) == peek(oracle_rng)
 
         neighbors = oracle_neighbors(nodes, params["d2d_range_m"])
-        assert graph.connected_components() == oracle_components(neighbors)
+        assert components(graph) == oracle_components(neighbors)
         rounds, success, stalled = dissemination.exchange(
             packets[None], graph, k, [rng], round_cap)
         assert_exchange_matches(
@@ -701,11 +708,11 @@ class TestPhase2Exchange:
         packets = holding(sets, 30)
         graph = D2dGraph(positions, d2d_range=150.0)
         unions_before = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
-                         for comp in graph.connected_components()]
+                         for comp in components(graph)]
         gossip(packets, graph, 30, np.random.default_rng(seed + 1),
                round_cap=50)
         unions_after = [frozenset(np.flatnonzero(packets[comp].any(axis=0)))
-                        for comp in graph.connected_components()]
+                        for comp in components(graph)]
         assert unions_before == unions_after
 
     def test_no_rounds_needed_when_all_covered(self):
@@ -898,17 +905,17 @@ class TestRunBaseline:
 class TestClusterNodes:
     def test_single_cluster(self):
         graph = D2dGraph(line_positions(5, 40.0), d2d_range=10.0)
-        assert graph.connected_components() == [[0, 1, 2, 3, 4]]
+        assert components(graph) == [[0, 1, 2, 3, 4]]
 
     def test_two_separated_groups(self):
         positions = [(0.0, 0.0), (10.0, 0.0), (500.0, 0.0), (510.0, 0.0)]
-        assert D2dGraph(positions, d2d_range=50.0).connected_components() \
+        assert components(D2dGraph(positions, d2d_range=50.0)) \
             == [[0, 1], [2, 3]]
 
     def test_zero_range_singletons(self):
         rng = np.random.default_rng(0)
         positions = rng.uniform(0, 1000, (100, 2))
-        clusters = D2dGraph(positions, d2d_range=0.0).connected_components()
+        clusters = components(D2dGraph(positions, d2d_range=0.0))
         assert len(clusters) == 100
         assert all(len(c) == 1 for c in clusters)
 
@@ -962,7 +969,7 @@ class TestClusterNodes:
         assert graph.adjacency.tolist() == expected
         neighbors = {i: {j for j, edge in enumerate(row) if edge}
                      for i, row in enumerate(expected)}
-        assert graph.connected_components() == oracle_components(neighbors)
+        assert components(graph) == oracle_components(neighbors)
 
 
 def raises_value_error(call, message):

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,6 +58,33 @@ def assert_config_error(code, lines, out):
 
 def read(path):
     return path.read_text()
+
+
+_FUZZ_NUMBERS = st.one_of(
+    st.sampled_from([0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308,
+                     math.inf, -math.inf, math.nan, 10 ** 400, 2 ** 63, -1]),
+    st.floats(-1e4, 1e4), st.integers(-10, 10 ** 6))
+
+
+def fuzz_values(example):
+    """Values of a fuzzed field whose preset value is ``example``: numbers,
+    among them the extremes, JSON's NaN and Infinity, integers past the
+    floats and values near the preset's; several for a list; and the
+    strategies' names."""
+    if isinstance(example, list):
+        return st.lists(fuzz_values(example[0]), max_size=4)
+    if isinstance(example, str):
+        return st.sampled_from(["static", "mobile", "ferry"])
+    return st.one_of(_FUZZ_NUMBERS, st.floats(0.5, 2.0).map(
+        lambda factor: type(example)(example * factor)))
+
+
+# Size bounds low enough that every run the fuzz admits is small; the
+# seed bound admits the preset's own 50.
+FUZZ_BOUNDS = [(experiment, "MAX_CYCLE_SAMPLES", 20_000),
+               (experiment, "MAX_DISSEMINATION_CELLS", 20_000),
+               (experiment, "MAX_SEEDS", 50),
+               (coverage, "MAX_GRID_POINTS", 2_000)]
 
 
 class TestPresets:
@@ -949,6 +977,34 @@ class TestMalformedConfigs:
         assert_config_error(code, lines, out)
         assert field in lines[0]
 
+    @pytest.mark.parametrize("preset,params,line", [
+        ("fig3", {"separation_m": -1},
+         "relay_trace: separation_m must be > 0"),
+        ("fig3", {"delay_budget_s": 1e9},
+         "relay_trace: delay_budget_s 1000000000.0 at time_step 0.01 gives "
+         "200000000001 samples per cycle, more than 10000000"),
+        ("fig4", {"delays_s": [5.0, 1e9]},
+         "relay_sweep: delays_s 1000000000.0 at time_step 0.01 gives "
+         "200000000001 samples per cycle, more than 10000000"),
+        ("fig4", {"separation_m": 1e308},
+         "relay_sweep: separation_m too large: its square overflows"),
+        ("channel_probe", {"reference_distance_m": 1},
+         "channel_probe: reference_distance_m shorter than the endpoint "
+         "height difference"),
+        ("urban_coverage", {"altitude_step_m": 0.001},
+         "coverage: more than 1000000 altitudes from 10.0 to 3000.0 in "
+         "steps of altitude_step_m 0.001"),
+        ("fig3", {"carrier_frequency_hz": 5e-324},
+         "relay_trace: path loss at separation_m underflows at "
+         "carrier_frequency_hz 4.94066e-324 Hz")])
+    def test_library_error_line_in_config_fields(self, tmp_path, preset,
+                                                 params, line):
+        # A kernel's error, rendered with the config's field names.
+        code, lines, out = run_cli({"preset": preset, "params": params},
+                                   tmp_path)
+        assert_config_error(code, lines, out)
+        assert lines == [f"config error: {line}"]
+
     def test_huge_dissemination_field_is_a_short_line(self, tmp_path):
         # Its slot and cell counts used to print as 300-digit integers, in
         # a line of 795 bytes.
@@ -1032,6 +1088,43 @@ class TestMalformedConfigs:
                     failures.append((preset, name, value, code, lines))
         assert runs == 84
         assert failures == []
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_two_field_fuzz(self, preset, data):
+        # Two fields of a preset set at once to drawn values, a list field
+        # to several: a run succeeds with at most CNPC warnings, or is one
+        # config error that names a field of its scenario and writes
+        # nothing.  The size bounds are patched down, so a run is small.
+        schema = PRESETS[preset]["params"]
+        keys = [*schema, *experiment._TOP_LEVEL]
+        names = data.draw(st.lists(st.sampled_from(
+            [name for name in keys if name != "output_directory"]),
+            min_size=2, max_size=2, unique=True))
+        config = {"preset": preset}
+        for name in names:
+            value = data.draw(fuzz_values(
+                schema.get(name, experiment._TOP_LEVEL.get(name))))
+            if name in experiment._TOP_LEVEL:
+                config[name] = value
+            else:
+                config.setdefault("params", {})[name] = value
+        with contextlib.ExitStack() as stack:
+            for module, name, bound in FUZZ_BOUNDS:
+                stack.enter_context(mock.patch.object(module, name, bound))
+            directory = stack.enter_context(tempfile.TemporaryDirectory())
+            stack.enter_context(warnings.catch_warnings())
+            warnings.simplefilter("error")
+            code, lines, out = run_cli(config, Path(directory))
+            if code == 0:
+                assert all(line.startswith("warning: carrier")
+                           for line in lines), (config, lines)
+            else:
+                assert (code, len(lines)) == (2, 1), (config, code, lines)
+                assert lines[0].startswith("config error:"), (config, lines)
+                assert any(key in lines[0] for key in keys), (config, lines)
+                assert not out.exists(), config
 
     def test_overflowing_carrier_covers_nothing(self, tmp_path):
         # Coverage anchors no SNR: the path loss overflows to inf at every

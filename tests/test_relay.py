@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from uavsim import channel, relay
+from uavsim import DomainError, channel, relay
 from uavsim.channel import (free_space_path_loss, snr_anchor_db,
                             spectral_efficiency)
 from uavsim.experiment import preset_config
-from uavsim.mobility import (FerryInfeasibleError, RelayGeometry, cycle_times,
-                             ferry_x, mobile_relay_x)
+from uavsim.mobility import RelayGeometry, cycle_times, ferry_x, mobile_relay_x
 from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
 
 CARRIER_HZ = 5e9
@@ -303,7 +302,7 @@ class TestSimulateCycle:
         assert result.end_to_end_se == pytest.approx(2.007, abs=0.01)
 
     def test_ferry_infeasible_propagates(self):
-        with pytest.raises(FerryInfeasibleError):
+        with pytest.raises(DomainError):
             run(RelayStrategy.FERRY, 49.0)
 
     @pytest.mark.parametrize("frequency", [CARRIER_HZ], ids=["free_space"])
