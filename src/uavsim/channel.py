@@ -33,12 +33,15 @@ def _check_frequency(frequency: float) -> None:
     require(frequency > 0, "{frequency} must be > 0")
 
 
-def _free_space_loss(distance, frequency: float):
+def _free_space_loss(distance, frequency: float, out=None):
     """``free_space_path_loss`` of slant distances, once they and
-    ``frequency`` are checked."""
+    ``frequency`` are checked; written into ``out``, which may be
+    ``distance``, where given."""
     with np.errstate(over="ignore", divide="ignore"):
-        return 20.0 * np.log10(4.0 * math.pi * distance * frequency
-                               / SPEED_OF_LIGHT)
+        loss = np.multiply(4.0 * math.pi, distance, out=out)
+        loss = np.divide(np.multiply(loss, frequency, out=out),
+                         SPEED_OF_LIGHT, out=out)
+        return np.multiply(20.0, np.log10(loss, out=out), out=out)
 
 
 def free_space_path_loss(horizontal_separation, transmitter_height,

@@ -55,8 +55,8 @@ def _check_erasure_probability(erasure_probability: float) -> None:
             "{erasure_probability} must lie in [0, 1)")
 
 
-def _check_packet_count(source_packet_count: int) -> None:
-    require(source_packet_count > 0, "{source_packet_count} must be > 0")
+def _check_packet_count(k: int) -> None:
+    require(k > 0, "{k} must be > 0")
 
 
 class D2dGraph:
@@ -339,7 +339,7 @@ def baseline(coverage: np.ndarray, packets: np.ndarray,
     """
     _check_erasure_probability(erasure_probability)
     k = packets.shape[2]
-    _check_packet_count(k)
+    require(k > 0, "{packets} must hold at least one source packet")
     slots_per_pass, nodes = coverage.shape
     limit = pass_cap * slots_per_pass
     pass_cycles = -(-slots_per_pass // k)  # packet cycles covering a pass

@@ -227,7 +227,7 @@ _CONFIG_FIELDS = {
     "transmitter_height": ("uav_altitude_m",),
     # The relay scenarios' anchor is the midpoint slant, from the separation.
     "reference_distance": ("reference_distance_m", "separation_m"),
-    "relative_speed": ("relative_speed_mps",),
+    "relative_speed": ("relative_speed_mps",), "k": ("source_packet_count",),
     "frequency": ("carrier_frequency_hz",)}
 MAX_CYCLE_SAMPLES = 10 ** 7  # samples in one relay cycle
 # Cells in the D2D adjacency, the coverage mask or a seed's packet matrix.

@@ -5,7 +5,8 @@ simulations are the mobile-relay sawtooth, the data-ferry shuttle, and a
 constant-velocity overflight.  Each is a closed-form array function of
 sample times: ``mobile_relay_x`` and ``ferry_x`` give a relaying cycle's
 horizontal positions, keeping to the geometry's max speed, and
-``overflight_x`` the (x, y, z) positions of a straight flight.
+``overflight_x`` the (x, y, z) positions of a straight flight.  A relaying
+flight is a few legs, each evaluated only at its own sample times.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ def _check_step_divides(delta: float, time_step: float) -> int:
             f"{time_step} does not divide the phase duration {delta}")
     require(2 * delta < math.inf,
             f"{{delay_budget}} {delta} too large: its cycle overflows")
+    require(2 * n < np.iinfo(np.intp).max // 8,  # float64 bytes an array holds
+            f"{{delay_budget}} {delta} at {{time_step}} {time_step} gives "
+            f"{2 * n + 1} samples, more than an array holds")
     return n
 
 
@@ -55,6 +59,66 @@ def cycle_times(geom: RelayGeometry, time_step: float) -> np.ndarray:
     """Sample times i*time_step of one relaying cycle [0, 2*delta]."""
     n = _check_step_divides(geom.delay_budget, time_step)
     return np.arange(2 * n + 1) * time_step
+
+
+def _sawtooth(geom: RelayGeometry):
+    """``mobile_relay_x``'s legs over one phase, in time since its start,
+    and the mirror ``(delta, R)`` through which phase 2 flies them again."""
+    delta, half, v = geom.delay_budget, geom.separation / 2.0, geom.v_max
+    if v == 0.0:
+        legs = [(math.inf, half)]
+    elif v * delta / 2.0 >= half:  # fly out, hover overhead, fly back
+        t_fly = half / v
+        legs = [(t_fly, lambda t: half - v * t), (delta - t_fly, 0.0),
+                (math.inf, lambda t: v * (t - (delta - t_fly)))]
+    else:  # turn around at delta/2
+        legs = [(delta / 2.0, lambda t: half - v * t),
+                (math.inf, lambda t: half - v * (delta - t))]
+    return legs, (delta, geom.separation)
+
+
+def _shuttle(geom: RelayGeometry):
+    """``ferry_x``'s legs, and no mirror."""
+    delta, v, R = geom.delay_budget, geom.v_max, geom.separation
+    t_hover = _ferry_hover_time(geom)
+    def clip(x):
+        return np.minimum(np.maximum(x, 0.0), R)
+    return [(t_hover, 0.0), (delta, lambda t: clip(v * (t - t_hover))),
+            (delta + t_hover, R),
+            (math.inf, lambda t: clip(R - v * (t - delta - t_hover)))], None
+
+
+def _flight_x(times: np.ndarray, out: np.ndarray, legs, mirror=None):
+    """Write into ``out``, and return, the positions at sorted ``times`` of
+    a flight of ``legs``: leg ``(end, x)`` flies the times up to ``end``
+    that no earlier leg flies, at ``x``, a number or a function of them.  A
+    ``mirror`` ``(delta, R)`` flies them again from delta on, at R - x."""
+    phases = [(times, out)]
+    if mirror:  # phase 1 is t <= delta
+        k = times.searchsorted(mirror[0], "right")
+        phases = [(times[:k], out[:k]), (times[k:] - mirror[0], out[k:])]
+    # A leg overflows only past the cycle's end, as the last one goes on.
+    with np.errstate(over="ignore"):
+        for t, x_out in phases:
+            start = 0
+            for end, x in legs:
+                stop = max(start, t.searchsorted(end, "right"))
+                x_out[start:stop] = x(t[start:stop]) if callable(x) else x
+                start = stop
+        if mirror:
+            np.subtract(mirror[1], out[k:], out=out[k:])
+    return out
+
+
+def _at_times(flight_of, geom: RelayGeometry, times) -> np.ndarray:
+    """``_flight_x`` of ``flight_of(geom)`` at ``times`` >= 0 in any order
+    and shape."""
+    times = np.asarray(times, dtype=float)
+    require(np.all(times >= 0), "{times} must be >= 0")
+    flat = times.ravel()
+    order, x = np.argsort(flat, kind="stable"), np.empty_like(flat)
+    x[order] = _flight_x(flat[order], np.empty_like(flat), *flight_of(geom))
+    return x.reshape(times.shape)
 
 
 def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
@@ -66,27 +130,7 @@ def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     phase 1 through the midpoint plane toward the destination.  Past the
     cycle's end, 2*delta, the last leg goes on, to +-inf where it overflows.
     """
-    require(np.all(times >= 0), "{times} must be >= 0")
-    delta = geom.delay_budget
-    half = geom.separation / 2.0
-    v = geom.v_max
-    phase1 = times <= delta
-    # np.where evaluates each leg at every sample: at a huge speed or time a
-    # leg overflows at the samples outside its own interval, which it does
-    # not give, or past the cycle's end.
-    with np.errstate(over="ignore"):
-        t = np.where(phase1, times, times - delta)
-        if v == 0.0:
-            x = np.full_like(t, half)
-        elif v * delta / 2.0 >= half:
-            t_fly = half / v
-            x = np.where(t <= t_fly, half - v * t,
-                         np.where(t <= delta - t_fly, 0.0,
-                                  v * (t - (delta - t_fly))))
-        else:
-            x = np.where(t <= delta / 2.0, half - v * t,
-                         half - v * (delta - t))
-        return np.where(phase1, x, geom.separation - x)
+    return _at_times(_sawtooth, geom, times)
 
 
 def _ferry_hover_time(geom: RelayGeometry) -> float:
@@ -108,19 +152,7 @@ def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
     past the cycle's end.  Raises ``DomainError`` unless v_max > 0 and
     v_max*delta >= R.
     """
-    require(np.all(times >= 0), "{times} must be >= 0")
-    delta = geom.delay_budget
-    v, R = geom.v_max, geom.separation
-    t_hover = _ferry_hover_time(geom)
-    # np.where evaluates each leg at every sample: at a huge speed or time a
-    # flight leg overflows at the samples outside its own interval, which it
-    # does not give.
-    with np.errstate(over="ignore"):
-        x = np.where(times <= t_hover, 0.0,
-                     np.where(times <= delta, v * (times - t_hover),
-                              np.where(times <= delta + t_hover, R,
-                                       R - v * (times - delta - t_hover))))
-    return np.minimum(np.maximum(x, 0.0), R)
+    return _at_times(_shuttle, geom, times)
 
 
 def _overflight_steps(length: float, speed: float, time_step: float):

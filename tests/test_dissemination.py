@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uavsim import dissemination
+from uavsim import DomainError, dissemination
 from uavsim.dissemination import (D2dGraph, _WordStreams, compare_schemes,
                                   coverage_mask)
 from uavsim.experiment import (PRESETS, ConfigError, _dissemination_scenario,
@@ -1001,16 +1001,22 @@ class TestModelValidation:
     def test_file_spec_positive(self):
         coverage = coverage_mask(hover(2), [(0.0, 0.0)], 10.0)
         graph = D2dGraph([(0.0, 0.0)], 10.0)
+        # Each error names the parameter at fault: the config's
+        # source_packet_count is exchange's k.
         for k in (0, -1):
-            raises_value_error(lambda: dissemination.exchange(
-                np.zeros((1, 1, 2), dtype=bool), graph, k,
-                [np.random.default_rng(0)], 10),
-                "source_packet_count must be > 0")
+            with pytest.raises(DomainError) as error:
+                dissemination.exchange(np.zeros((1, 1, 2), dtype=bool),
+                                       graph, k, [np.random.default_rng(0)],
+                                       10)
+            assert (str(error.value), error.value.parameters) == (
+                "k must be > 0", ("k",))
         # The baseline takes K from the packet matrix.
-        raises_value_error(lambda: dissemination.baseline(
-            coverage, np.zeros((1, 1, 0), dtype=bool), 0.3,
-            [np.random.default_rng(0)], 10),
-            "source_packet_count must be > 0")
+        with pytest.raises(DomainError) as error:
+            dissemination.baseline(
+                coverage, np.zeros((1, 1, 0), dtype=bool), 0.3,
+                [np.random.default_rng(0)], 10)
+        assert (str(error.value), error.value.parameters) == (
+            "packets must hold at least one source packet", ("packets",))
 
     def test_no_seeds(self):
         coverage = coverage_mask(hover(2), [(0.0, 0.0)], 10.0)

@@ -251,6 +251,9 @@ def test_d2d_graph(positions, d2d_range):
                     np.array([1.0])), ("start", "end")),
     (cycle_times, (RelayGeometry(1000.0, 100.0, 10.0, 1e308), 1e308),
      ("delay_budget",)),
+    # More samples than an array can hold.
+    (cycle_times, (RelayGeometry(1000.0, 100.0, 10.0, 1e20), 1.0),
+     ("delay_budget", "time_step")),
     (ferry_x, (RelayGeometry(1e-10, 100.0, 0.0, 1.0), np.zeros(1)),
      ("v_max", "separation", "delay_budget")),
 ])

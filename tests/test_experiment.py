@@ -70,11 +70,12 @@ def fuzz_values(example):
     """Values of a fuzzed field whose preset value is ``example``: numbers,
     among them the extremes, JSON's NaN and Infinity, integers past the
     floats and values near the preset's; several for a list; and the
-    strategies' names."""
+    strategies' names, or any other short text."""
     if isinstance(example, list):
         return st.lists(fuzz_values(example[0]), max_size=4)
     if isinstance(example, str):
-        return st.sampled_from(["static", "mobile", "ferry"])
+        return st.one_of(st.sampled_from(["static", "mobile", "ferry"]),
+                         st.text(max_size=6))
     return st.one_of(_FUZZ_NUMBERS, st.floats(0.5, 2.0).map(
         lambda factor: type(example)(example * factor)))
 
@@ -925,6 +926,9 @@ class TestMalformedConfigs:
         ("fig4", {"strategies": ["static", "mobile", "mobile"],
                   "delays_s": [5.0, 10.0]}, "strategies"),
         ("fig4", {"delays_s": [5.0, 5]}, "delays_s"),
+        # An unknown strategy, whose name could read as a message field.
+        ("fig4", {"strategies": ["static", "warp"]}, "strategies"),
+        ("fig4", {"strategies": ["{delays_s}"]}, "strategies"),
         ("fig3", {"carrier_frequency_hz": 1e307}, "carrier_frequency_hz"),
         ("fig4", {"carrier_frequency_hz": 1e307}, "carrier_frequency_hz"),
         ("channel_probe", {"carrier_frequency_hz": 1e307},
@@ -996,7 +1000,13 @@ class TestMalformedConfigs:
          "steps of altitude_step_m 0.001"),
         ("fig3", {"carrier_frequency_hz": 5e-324},
          "relay_trace: path loss at separation_m underflows at "
-         "carrier_frequency_hz 4.94066e-324 Hz")])
+         "carrier_frequency_hz 4.94066e-324 Hz"),
+        # The strategy and packet-count errors name the kernel parameters
+        # strategies and k.
+        ("fig4", {"strategies": ["warp"]},
+         "relay_sweep: strategies: 'warp' is not static, mobile or ferry"),
+        ("dissem20", {"source_packet_count": 0},
+         "disseminate: source_packet_count must be > 0")])
     def test_library_error_line_in_config_fields(self, tmp_path, preset,
                                                  params, line):
         # A kernel's error, rendered with the config's field names.
@@ -1022,7 +1032,8 @@ class TestMalformedConfigs:
         ("fig3", {"uav_altitude_m": 1e-300}, "reference_snr_db"),
         ("channel_probe", {"reference_snr_db": 1e6}, "reference_snr_db"),
         # Overflows in values that no output takes: the outputs are right.
-        # A ferry's flight legs overflow at the samples where it hovers.
+        # A ferry's flight legs overflowed where it hovers, when every leg
+        # was evaluated at every sample.
         ("fig3", {"speeds_mps": [1.7e308]}, None),
         ("fig4", {"speeds_mps": [1.7e308]}, None),
         ("fig4", {"strategies": ["ferry"], "speeds_mps": [1e308]}, None),

@@ -223,9 +223,14 @@ class TestShapeFunctions:
         assert mobile_relay_x(geom, times).tolist() == [
             sawtooth(t) if t <= delta else R - sawtooth(t - delta)
             for t in times.tolist()]
+        # Byte for byte, the array formulas the legs replaced.
+        assert mobile_relay_x(geom, times).tobytes() == \
+            where_sawtooth(geom, times).tobytes()
         if v >= 50.0:
             assert ferry_x(geom, times).tolist() == \
                 [shuttle(t) for t in times.tolist()]
+            assert ferry_x(geom, times).tobytes() == \
+                where_shuttle(geom, times).tobytes()
 
     def test_ferry_infeasible(self):
         geom = relay_geom(49.0)
@@ -259,6 +264,92 @@ class TestShapeFunctions:
                   "delay_budget": 10.0, field: math.inf}
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             RelayGeometry(**fields)
+
+
+def where_sawtooth(geom, times):
+    """``mobile_relay_x`` as it was written before its legs: every leg at
+    every sample, picked by nested ``np.where``."""
+    delta, half, v = geom.delay_budget, geom.separation / 2.0, geom.v_max
+    phase1 = times <= delta
+    with np.errstate(all="ignore"):
+        t = np.where(phase1, times, times - delta)
+        if v == 0.0:
+            x = np.full_like(t, half)
+        elif v * delta / 2.0 >= half:
+            t_fly = half / v
+            x = np.where(t <= t_fly, half - v * t,
+                         np.where(t <= delta - t_fly, 0.0,
+                                  v * (t - (delta - t_fly))))
+        else:
+            x = np.where(t <= delta / 2.0, half - v * t,
+                         half - v * (delta - t))
+        return np.where(phase1, x, geom.separation - x)
+
+
+def where_shuttle(geom, times):
+    """``ferry_x`` as it was written before its legs."""
+    delta, v, R = geom.delay_budget, geom.v_max, geom.separation
+    t_hover = delta - R / v
+    with np.errstate(all="ignore"):
+        x = np.where(times <= t_hover, 0.0,
+                     np.where(times <= delta, v * (times - t_hover),
+                              np.where(times <= delta + t_hover, R,
+                                       R - v * (times - delta - t_hover))))
+    return np.minimum(np.maximum(x, 0.0), R)
+
+
+@st.composite
+def flights(draw):
+    """A relay geometry and sample times, many of them on a leg's end or
+    one float from it, in cycle order or not."""
+    R = draw(st.floats(1.0, 1e4))
+    delta = draw(st.floats(0.5, 100.0))
+    # Parked, turning around (v*delta < R), the ferry's minimum speed (or
+    # just below it, within the ferry's tolerance, where its hover time is
+    # negative and its legs' ends are out of order), or hovering.
+    v = draw(st.one_of(st.sampled_from([0.0, R / delta,
+                                        (R - 5e-10) / delta]),
+                       st.floats(1e-3, 10.0 * R / delta)))
+    ends = [0.0, delta / 2.0, delta, 1.5 * delta, 2.0 * delta]
+    if v:
+        t_fly, t_hover = R / 2.0 / v, delta - R / v
+        ends += [t_fly, delta - t_fly, delta + t_fly, 2.0 * delta - t_fly,
+                 t_hover, delta + t_hover, delta - t_hover]
+    ends += [float(np.nextafter(t, side)) for t in ends
+             for side in (-math.inf, math.inf)]
+    times = draw(st.lists(st.one_of(
+        st.sampled_from([t for t in ends if t >= 0.0]),
+        st.floats(0.0, 3.0 * delta)), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        times.sort()
+    return RelayGeometry(R, 100.0, v, delta), np.array(times)
+
+
+class TestLegs:
+    """Each leg is evaluated only at its own samples, with the expression
+    it had when every leg was evaluated at every sample: the positions
+    keep every bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flight=flights())
+    def test_legs_match_where_formulas(self, flight):
+        geom, times = flight
+        assert mobile_relay_x(geom, times).tobytes() == \
+            where_sawtooth(geom, times).tobytes()
+        if geom.v_max * geom.delay_budget >= geom.separation - 1e-9:
+            assert ferry_x(geom, times).tobytes() == \
+                where_shuttle(geom, times).tobytes()
+
+    def test_unsorted_times_keep_their_order(self):
+        geom = relay_geom(100.0)
+        times = cycle_times(geom, 0.5)
+        order = np.random.default_rng(0).permutation(len(times))
+        for shape in (mobile_relay_x, ferry_x):
+            assert shape(geom, times[order]).tolist() == \
+                shape(geom, times)[order].tolist()
+            grid = times[order].reshape(-1, 9)
+            assert shape(geom, grid).tolist() == \
+                shape(geom, times)[order].reshape(-1, 9).tolist()
 
 
 class TestFerryTrajectory:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from uavsim import DomainError, channel, relay
-from uavsim.channel import (free_space_path_loss, snr_anchor_db,
-                            spectral_efficiency)
+from uavsim.channel import (_free_space_loss, free_space_path_loss,
+                            snr_anchor_db, spectral_efficiency)
 from uavsim.experiment import preset_config
 from uavsim.mobility import RelayGeometry, cycle_times, ferry_x, mobile_relay_x
 from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
@@ -257,6 +257,61 @@ class TestBatchKernel:
                                     time_step=0.05))
         assert anchors == [100.0, 250.0]
 
+    def test_cycles_at_one_delay_share_one_read_only_grid(self,
+                                                          monkeypatch):
+        delays = []
+
+        def counting(g, time_step):
+            delays.append(g.delay_budget)
+            return cycle_times(g, time_step)
+
+        monkeypatch.setattr(relay, "cycle_times", counting)
+        results = list(relay._simulate_cycles(batch_cycles(), CARRIER_HZ,
+                                              *self.REF, time_step=0.05))
+        assert delays == [5.0, 10.0, 20.0]
+        grids = {}
+        for result in results:
+            delta = result.geometry.delay_budget
+            assert result.times is grids.setdefault(delta, result.times)
+            assert not result.times.flags.writeable
+        assert sorted(grids) == delays
+        for delta, times in grids.items():
+            assert times.tobytes() == cycle_times(geom(1.0, delta),
+                                                  0.05).tobytes()
+        with pytest.raises(ValueError):
+            results[0].times[0] = 1.0
+
+    def test_run_lengths_only_where_a_gap_can_repeat(self, monkeypatch):
+        # Only a flight with a constant leg (parked, hovering overhead, or
+        # the ferry's hover) can repeat its gap, so a block of relays that
+        # turn around skips the run-length step and evaluates every sample.
+        scans, links = [], []
+        flatnonzero = np.flatnonzero
+
+        def counting_scan(a):
+            scans.append(len(a))
+            return flatnonzero(a)
+
+        def counting_slant(distance, *args, **kwargs):
+            links.append(len(distance))
+            return _free_space_loss(distance, *args, **kwargs)
+
+        monkeypatch.setattr(np, "flatnonzero", counting_scan)
+        monkeypatch.setattr(relay, "_free_space_loss", counting_slant)
+        turning = [(RelayStrategy.MOBILE, geom(v)) for v in (10.0, 30.0)]
+        results = list(relay._simulate_cycles(turning, CARRIER_HZ,
+                                              *self.REF, time_step=0.05))
+        assert scans == [] and links == [2 * 801]
+        for result in results:
+            loss = free_space_path_loss(active_gap(result), 100.0,
+                                        CARRIER_HZ)
+            assert result.active_path_loss.tobytes() == loss.tobytes()
+        list(relay._simulate_cycles(turning + [(RelayStrategy.STATIC,
+                                                geom(0.0))],
+                                    CARRIER_HZ, *self.REF, time_step=0.05))
+        assert scans == [3 * 801 + 1]
+        assert links[1] < 3 * 801
+
     def test_run_length_links_match_every_sample(self):
         # The kernel evaluates one link per run of equal gaps; the oracle
         # evaluates every sample's own link.
@@ -319,10 +374,17 @@ class TestSimulateCycle:
                          if np.ndim(horizontal_separation) else None)
             return free_space_path_loss(horizontal_separation, *args)
 
-        # The anchor looks the formula up in ``channel``, the cycle in
-        # ``relay``.
+        def counting_slant(distance, *args, **kwargs):
+            calls.append(len(distance))
+            return _free_space_loss(distance, *args, **kwargs)
+
+        # The anchor looks the formula up in ``channel`` and the per-link
+        # columns in ``relay``; the cycle's links, whose gaps and height
+        # are known to be valid, go through the unchecked form of slant
+        # distances.
         monkeypatch.setattr(channel, "free_space_path_loss", counting)
         monkeypatch.setattr(relay, "free_space_path_loss", counting)
+        monkeypatch.setattr(relay, "_free_space_loss", counting_slant)
         for strategy in RelayStrategy:
             calls.clear()
             result = simulate_cycle(strategy, geom(100.0), frequency,
@@ -498,18 +560,23 @@ class TestSweepDelay:
         samples, scalars, anchors = [], [], []
 
         def counting_loss(horizontal_separation, *args):
-            if np.ndim(horizontal_separation):
-                samples.append(np.size(horizontal_separation))
-            else:
-                scalars.append(horizontal_separation)
+            scalars.append(horizontal_separation)
             return free_space_path_loss(horizontal_separation, *args)
+
+        def counting_slant(distance, *args, **kwargs):
+            samples.append(np.size(distance))
+            return _free_space_loss(distance, *args, **kwargs)
 
         def counting_anchor(*args):
             anchors.append(args)
             return snr_anchor_db(*args)
 
+        # The anchor's link goes through the checked formula in
+        # ``channel``; the cycles' links through its unchecked form of
+        # slant distances, in ``relay``.
         monkeypatch.setattr(channel, "free_space_path_loss", counting_loss)
         monkeypatch.setattr(relay, "free_space_path_loss", counting_loss)
+        monkeypatch.setattr(relay, "_free_space_loss", counting_slant)
         monkeypatch.setattr(relay, "snr_anchor_db", counting_anchor)
         template = RelayGeometry(params["separation_m"],
                                  params["uav_altitude_m"], 1.0, 1.0)
@@ -520,6 +587,21 @@ class TestSweepDelay:
         assert sum(samples) == 60_356
         assert len(samples) == 10  # blocks of at most 16,000 samples
         assert len(anchors) == len(scalars) == 1
+
+    def test_unknown_strategy_names_its_parameter(self):
+        # Refused as a DomainError naming the parameter, not as the Enum's
+        # own ValueError; a name with braces is not read as a field.
+        with pytest.raises(DomainError) as error:
+            sweep_plan(["static", "warp"], geom(1.0, 1.0), [5.0], [10.0])
+        assert (str(error.value), error.value.parameters) == (
+            "strategies: 'warp' is not static, mobile or ferry",
+            ("strategies",))
+        with pytest.raises(DomainError) as error:
+            simulate_cycle("{delay_budget}", geom(10.0), CARRIER_HZ,
+                           *ref_for(geom(10.0)))
+        assert (str(error.value), error.value.parameters) == (
+            "strategy: '{delay_budget}' is not static, mobile or ferry",
+            ("strategy",))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
