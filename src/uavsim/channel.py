@@ -51,6 +51,8 @@ def free_space_path_loss(horizontal_separation, transmitter_height,
     ``horizontal_separation`` (m, >= 0): ``inf`` where 4*pi*d*f is
     infinite or overflows, and ``-inf`` where 4*pi*d*f/c underflows to 0.
     A slant distance d is never 0, as the transmitter height is > 0."""
+    horizontal_separation = np.asarray(horizontal_separation, dtype=float)
+    transmitter_height = np.asarray(transmitter_height, dtype=float)
     require(np.all(horizontal_separation >= 0),
             "{horizontal_separation} must be >= 0")
     require(np.all(transmitter_height > 0), "{transmitter_height} must be > 0")

@@ -8,16 +8,15 @@ the optimal altitude is the first maximum of the radius over a grid.
 
 The expected loss is one numpy kernel of floats or arrays, built from
 ``channel.slant_distance``, the unchecked form of
-``channel.free_space_path_loss`` and this module's LoS sigmoid.  It takes
-the mean excess losses as two numbers, ``eta_los`` and ``eta_nlos``,
-which ``check_excess_loss`` checks.  Its inputs are checked once, by
+``channel.free_space_path_loss`` and ``los_probability``.  It takes the
+LoS sigmoid and the mean excess losses as two numbers each, ``s_curve_a,
+s_curve_b`` and ``eta_los, eta_nlos``, which ``check_los_model`` and
+``check_excess_loss`` check.  Its inputs are checked once, by
 ``expected_path_loss`` or before the bisection, and not on each of the
 bisection's calls.  The receiver is on the ground, so a link's height is
-the altitude.  The LoS model owns its domain: it rejects, when built, a
-sigmoid whose exponent at elevation 0, its largest, overflows ``exp``.  A
-coverage curve is two float arrays: ``altitude_grid`` and the
-``coverage_radii`` of its altitudes, which one bisection computes on all
-altitudes in lockstep.  ``check_carrier`` refuses a carrier whose
+the altitude.  A coverage curve is two float arrays: ``altitude_grid`` and
+the ``coverage_radii`` of its altitudes, which one bisection computes on
+all altitudes in lockstep.  ``check_carrier`` refuses a carrier whose
 free-space loss underflows to -inf on the shortest link, as a threshold
 would cover any range then.  The module only computes: ``experiment``
 writes the curve and picks its optimum.
@@ -26,7 +25,6 @@ writes the curve and picks its optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import require
 from ._numpy import np
@@ -38,32 +36,24 @@ _UNBOUNDED = 1e9  # m; bracketing that passes this range returns there
 _TOLERANCE = 0.1  # m; the bisection stops at a bracket this narrow
 
 
-@dataclass(frozen=True)
-class LosProbabilityModel:
-    """Elevation-angle sigmoid P_LoS(theta) = 1/(1 + a*exp(-b*(theta - a))).
+def check_los_model(s_curve_a: float, s_curve_b: float) -> None:
+    """Raises ``DomainError`` unless a, b > 0 and the sigmoid's largest
+    exponential, exp(a * b) at elevation 0, is finite, as all then are."""
+    require(s_curve_a > 0, "{s_curve_a} must be > 0")
+    require(s_curve_b > 0, "{s_curve_b} must be > 0")
+    exponent = s_curve_a * s_curve_b
+    with np.errstate(over="ignore"):  # an overflow is the error raised
+        require(np.isfinite(np.exp(float(exponent))),
+                f"{{s_curve_a}} * {{s_curve_b}} = {exponent:g} overflows "
+                f"exp() in the LoS probability at elevation 0")
 
-    The exponent is largest at elevation 0, where it is ``a * b``; a model
-    whose ``exp(a * b)`` overflows is rejected, so no elevation in
-    [0, 90] degrees overflows it.
-    """
 
-    s_curve_a: float
-    s_curve_b: float
-
-    def __post_init__(self):
-        for name in ("s_curve_a", "s_curve_b"):
-            require(getattr(self, name) > 0, "{%s} must be > 0" % name)
-        exponent = self.s_curve_a * self.s_curve_b
-        with np.errstate(over="ignore"):  # an overflow is the error raised
-            require(np.isfinite(np.exp(float(exponent))),
-                    f"{{s_curve_a}} * {{s_curve_b}} = {exponent:g} overflows "
-                    f"exp() in the LoS probability at elevation 0")
-
-    def los_probability(self, elevation_deg):
-        """P_LoS at each elevation in degrees."""
-        a, b = self.s_curve_a, self.s_curve_b
-        with np.errstate(over="ignore"):  # a * exp(x) may overflow to inf
-            return 1.0 / (1.0 + a * np.exp(-b * (elevation_deg - a)))
+def los_probability(elevation_deg, s_curve_a: float, s_curve_b: float):
+    """P_LoS at each elevation theta in degrees, the sigmoid 1/(1 +
+    a*exp(-b*(theta - a))) of an a, b that ``check_los_model`` passes."""
+    a, b = s_curve_a, s_curve_b
+    with np.errstate(over="ignore"):  # a * exp(x) may overflow to inf
+        return 1.0 / (1.0 + a * np.exp(-b * (elevation_deg - a)))
 
 
 def _check_altitude(altitude) -> None:
@@ -90,14 +80,14 @@ def check_carrier(altitudes, frequency: float) -> None:
 
 
 def _expected_loss(altitude, ground_range, frequency: float,
-                   los: LosProbabilityModel, eta_los: float,
+                   s_curve_a: float, s_curve_b: float, eta_los: float,
                    eta_nlos: float):
     """``expected_path_loss`` of altitudes, ground ranges and a frequency
     that are checked: the LoS-probability-weighted mean of the LoS and
     NLoS losses, dB."""
     fspl = _free_space_loss(slant_distance(ground_range, altitude), frequency)
-    p_los = los.los_probability(np.degrees(np.arctan2(altitude,
-                                                      ground_range)))
+    p_los = los_probability(np.degrees(np.arctan2(altitude, ground_range)),
+                            s_curve_a, s_curve_b)
     # A loss that overflows to inf, weighted by a LoS probability of
     # exactly 0 or 1, makes 0 * inf = nan, which no threshold covers, as
     # none covers inf.  Only such products are nan; finite losses keep
@@ -108,23 +98,24 @@ def _expected_loss(altitude, ground_range, frequency: float,
 
 
 def expected_path_loss(altitude, ground_range, frequency: float,
-                       los: LosProbabilityModel, eta_los: float,
+                       s_curve_a: float, s_curve_b: float, eta_los: float,
                        eta_nlos: float):
     """LoS-probability-weighted mean path loss in dB of every (altitude,
     ground range) pair of the two broadcast floats or arrays, with mean
     excess losses ``eta_los`` and ``eta_nlos`` beyond free space."""
+    check_los_model(s_curve_a, s_curve_b)
     check_excess_loss(eta_los, eta_nlos)
     altitude = np.asarray(altitude, dtype=float)
     ground_range = np.asarray(ground_range, dtype=float)
     _check_altitude(altitude)
     require(np.all(ground_range >= 0), "{ground_range} must be >= 0")
     _check_frequency(frequency)
-    return _expected_loss(altitude, ground_range, frequency, los, eta_los,
-                          eta_nlos)
+    return _expected_loss(altitude, ground_range, frequency, s_curve_a,
+                          s_curve_b, eta_los, eta_nlos)
 
 
 def coverage_radii(altitude, max_path_loss: float, frequency: float,
-                   los: LosProbabilityModel, eta_los: float,
+                   s_curve_a: float, s_curve_b: float, eta_los: float,
                    eta_nlos: float) -> np.ndarray:
     """The coverage radius at each ``altitude`` (m, > 0): the largest ground
     range whose expected loss is <= ``max_path_loss``, by bisection.
@@ -141,6 +132,7 @@ def coverage_radii(altitude, max_path_loss: float, frequency: float,
     covers an infinite loss (an infinite altitude, frequency or excess
     loss); past 1e9 m the radius is the next doubled bracket, or inf.
     """
+    check_los_model(s_curve_a, s_curve_b)
     check_excess_loss(eta_los, eta_nlos)
     h = np.asarray(altitude, dtype=float)
     _check_altitude(h)
@@ -148,8 +140,8 @@ def coverage_radii(altitude, max_path_loss: float, frequency: float,
     require(not math.isnan(max_path_loss), "{max_path_loss} must not be nan")
 
     def covered(heights, ranges):
-        return _expected_loss(heights, ranges, frequency, los, eta_los,
-                              eta_nlos) <= max_path_loss
+        return _expected_loss(heights, ranges, frequency, s_curve_a,
+                              s_curve_b, eta_los, eta_nlos) <= max_path_loss
 
     radii = np.zeros_like(h)
     # Bracket the crossing by doubling.  An altitude leaves with the first

@@ -59,6 +59,16 @@ def _check_packet_count(k: int) -> None:
     require(k > 0, "{k} must be > 0")
 
 
+def _check_batch(packets: np.ndarray, rngs, nodes: int, source: str):
+    """``packets.shape`` once it has a seed per generator of ``rngs`` and a
+    row per node of ``source``'s ``nodes``, and at least one of each."""
+    require(np.ndim(packets) == 3 and 0 < len(rngs) == len(packets),
+            "{packets} needs a seed per generator of {rngs}, at least one")
+    require(0 < nodes == packets.shape[1],
+            "{packets} needs a row per node of {%s}, at least one" % source)
+    return packets.shape
+
+
 class D2dGraph:
     """Symmetric adjacency over node indices: edge iff ``np.hypot(*(a -
     b)) <= d2d_range`` (m, >= 0) for finite ground positions ``a != b``."""
@@ -119,6 +129,7 @@ def broadcast(coverage: np.ndarray, packets: np.ndarray,
     number of UAV transmissions (one per slot over the full flight).
     """
     _check_erasure_probability(erasure_probability)
+    _check_batch(packets, rngs, coverage.shape[1], "coverage")
     received = np.zeros((len(rngs),) + coverage.shape, dtype=bool)
     cells = np.count_nonzero(coverage)
     received[:, coverage] = [rng.random(cells) >= erasure_probability
@@ -228,7 +239,8 @@ def exchange(packets: np.ndarray, graph: D2dGraph, k: int, rngs,
     each node ORs in its neighbours' packets through a padded neighbour
     table, and its packet count grows by the bits that are new to it."""
     _check_packet_count(k)
-    seeds, nodes, width = packets.shape
+    seeds, nodes, width = _check_batch(packets, rngs, len(graph.labels),
+                                       "graph")
     # What the nodes hold, eight packets to a byte.
     held = np.packbits(packets, axis=2, bitorder="little")
     order = np.argsort(graph.labels, kind="stable")
@@ -338,7 +350,7 @@ def baseline(coverage: np.ndarray, packets: np.ndarray,
     generator is rewound to the last draw used.
     """
     _check_erasure_probability(erasure_probability)
-    k = packets.shape[2]
+    _, _, k = _check_batch(packets, rngs, coverage.shape[1], "coverage")
     require(k > 0, "{packets} must hold at least one source packet")
     slots_per_pass, nodes = coverage.shape
     limit = pass_cap * slots_per_pass
@@ -451,7 +463,10 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
       baseline;
     - ``packets_after_phase1``, ``decoded_after_phase2``: (seeds, nodes).
     """
+    _check_packet_count(k)
     slots, nodes = coverage.shape
+    require(0 < nodes == len(graph.labels),
+            "{coverage} and {graph} need the same nodes, at least one")
     block = max(1, _BLOCK_CELLS // (nodes * (slots + k + nodes)))
     coded_rngs, baseline_rngs = iter(coded_rngs), iter(baseline_rngs)
     blocks = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import starmap
 from pathlib import Path
 
@@ -206,7 +206,8 @@ PRESETS: dict[str, dict] = {
 # gives exactly those fields, each with the type of the preset's value.
 _SCHEMAS = {preset["scenario"]: preset["params"]
             for preset in PRESETS.values()}
-_TOP_LEVEL = {"master_seed": 0, "output_directory": "out", "time_step": 0.01}
+_TOP_LEVEL = {f.name: f.default for f in fields(ExperimentConfig)
+              if f.default is not MISSING}
 _CONFIG_KEYS = {"preset", "scenario", "params", *_TOP_LEVEL}
 _KINDS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
           str: (str, "a non-empty string"), list: (list, "a non-empty list")}
@@ -438,10 +439,8 @@ _SWEEP_HEADER = ["delta_s", "v_mps", "strategy", "se_bpshz", "feasible"]
 def _run_relay_trace(config: ExperimentConfig, setup):
     from .relay import simulate_cycle
     frequency, reference, (_, cycles) = setup
-    # A cycle's strategy is a ``RelayStrategy``, whose f-string form is
-    # ``RelayStrategy.MOBILE``, not ``mobile``.
     series = {f"trace_{label}.csv": {"label": label, "kind": "trace"}
-              for label in (_series_label(strategy.value, geom.v_max)
+              for label in (_series_label(strategy, geom.v_max)
                             for strategy, geom in cycles.values())}
 
     def table(cycle, name):
@@ -574,12 +573,11 @@ def _run_disseminate(config: ExperimentConfig, setup):
 
 
 def _coverage_setup(params):
-    """The LoS model and the altitude grid of a coverage config, whose
-    excess losses ``check_excess_loss`` and carrier ``check_carrier``
-    pass."""
-    from .coverage import (LosProbabilityModel, altitude_grid, check_carrier,
-                           check_excess_loss)
-    los = LosProbabilityModel(params["s_curve_a"], params["s_curve_b"])
+    """The altitude grid of a coverage config, once ``check_los_model``,
+    ``check_excess_loss`` and ``check_carrier`` pass it."""
+    from .coverage import (altitude_grid, check_carrier, check_excess_loss,
+                           check_los_model)
+    check_los_model(params["s_curve_a"], params["s_curve_b"])
     check_excess_loss(params["eta_los_db"], params["eta_nlos_db"])
     if params["altitude_max_m"] < params["altitude_min_m"]:
         raise ConfigError("altitude_max_m must be >= altitude_min_m")
@@ -587,15 +585,15 @@ def _coverage_setup(params):
                                params["altitude_max_m"]),
                               params["altitude_step_m"])
     check_carrier(altitudes, params["carrier_frequency_hz"])
-    return los, altitudes
+    return altitudes
 
 
-def _run_coverage(config: ExperimentConfig, setup):
+def _run_coverage(config: ExperimentConfig, altitudes):
     from .coverage import coverage_radii
     params = config.params
-    los, altitudes = setup
     radii = coverage_radii(altitudes, params["max_path_loss_db"],
-                           params["carrier_frequency_hz"], los,
+                           params["carrier_frequency_hz"],
+                           params["s_curve_a"], params["s_curve_b"],
                            params["eta_los_db"], params["eta_nlos_db"])
     best = np.argmax(radii)  # the first maximum
     return [("coverage.csv", ["altitude_m", "coverage_radius_m"],

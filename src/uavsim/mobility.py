@@ -173,6 +173,7 @@ def overflight_x(start: tuple[float, float, float],
     there, at an infinite time too, and at ``start`` if the two coincide."""
     require(0 < speed < math.inf, "{speed} must be finite and > 0")
     times = np.asarray(times, dtype=float)
+    require(times.ndim == 1, "{times} must be one-dimensional")
     require(np.all(times >= 0), "{times} must be >= 0")
     a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
     length = math.dist(start, end)

@@ -1,8 +1,8 @@
 """Half-duplex decode-and-forward relaying cycle simulation.
 
-Covers the three strategies compared in the relaying experiments:
-static (fixed at the midpoint), mobile (sawtooth shuttle each phase),
-and data ferrying (load-carry-and-deliver, communicating only while
+Covers the three strategies of the relaying experiments, named in
+``STRATEGIES``: static (fixed at the midpoint), mobile (sawtooth shuttle
+each phase) and ferry (load-carry-and-deliver, communicating only while
 hovering at the endpoints).  Phase 1 fills the on-board buffer from the
 source link, phase 2 drains it to the destination, by left-endpoint
 Riemann sums.  Only the active link, from the UAV over its horizontal gap
@@ -22,7 +22,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from . import DomainError, require
@@ -32,16 +31,11 @@ from .channel import (_free_space_loss, free_space_path_loss, snr_anchor_db,
 from .mobility import (RelayGeometry, _ferry_hover_time, _flight_x,
                        _sawtooth, _shuttle, cycle_times)
 
+STRATEGIES = ("static", "mobile", "ferry")
 _HOVER_EPS = 1e-6  # m, horizontal proximity that counts as hovering overhead
 # Samples per block of cycles whose links are evaluated together: fig4's
 # longest cycle (16,001 samples) is a block of its own.
 _BLOCK_SAMPLES = 16_000
-
-
-class RelayStrategy(str, Enum):
-    STATIC = "static"
-    MOBILE = "mobile"
-    FERRY = "ferry"
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class RelayRunResult:
     unbounded run.  ``perfbench/tracer.py`` reads ``se_trace``.
     """
 
-    strategy: RelayStrategy
+    strategy: str          # one of STRATEGIES
     bits_received: float   # bits/Hz accepted into the buffer in phase 1
     bits_delivered: float  # bits/Hz drained to the destination in phase 2
     end_to_end_se: float   # bits_delivered / (2*delta), bps/Hz
@@ -98,17 +92,15 @@ class RelayRunResult:
         return tuple(zip(self.times.tolist(), self.se.tolist()))
 
 
-def _strategy(name, parameter: str) -> RelayStrategy:
-    """``RelayStrategy(name)``, or a ``DomainError`` naming ``parameter``."""
-    try:
-        return RelayStrategy(name)
-    except ValueError:
-        text = repr(name).replace("{", "{{").replace("}", "}}")
-        raise DomainError(f"{{{parameter}}}: {text} is not static, mobile "
-                          "or ferry") from None
+def _strategy(name, parameter: str) -> str:
+    """``name`` if in ``STRATEGIES``, else DomainError naming ``parameter``."""
+    text = repr(name).replace("{", "{{").replace("}", "}}")
+    require(isinstance(name, str) and name in STRATEGIES,
+            f"{{{parameter}}}: {text} is not static, mobile or ferry")
+    return name
 
 
-def simulate_cycle(strategy: RelayStrategy, geom: RelayGeometry,
+def simulate_cycle(strategy: str, geom: RelayGeometry,
                    carrier_frequency: float, reference_snr_db: float,
                    reference_distance: float,
                    buffer_capacity: float = math.inf,
@@ -157,9 +149,9 @@ def _simulate_cycles(cycles, carrier_frequency: float,
             yield from _block_results(block, carrier_frequency, anchors,
                                       buffer_capacity, time_step)
             block = []
-        flight = (_shuttle(geom) if strategy == RelayStrategy.FERRY else
+        flight = (_shuttle(geom) if strategy == "ferry" else
                   _sawtooth(dataclasses.replace(geom, v_max=0.0)
-                            if strategy == RelayStrategy.STATIC else geom))
+                            if strategy == "static" else geom))
         if altitude not in anchors:
             anchors[altitude] = snr_anchor_db(
                 carrier_frequency, reference_snr_db, reference_distance,
@@ -203,7 +195,7 @@ def _block_results(block, frequency, anchors, buffer_capacity, time_step):
     se = spectral_efficiency(anchors[altitude]
                              - _free_space_loss(loss, frequency, out=loss))
     for cycle, first, last in zip(block, [0] + runs, runs):
-        if cycle[0] == RelayStrategy.FERRY:  # silent in flight
+        if cycle[0] == "ferry":  # silent in flight
             se[first:last][gap[first:last] > _HOVER_EPS] = 0.0
     if scanned:
         lengths = bounds[1:] - bounds[:-1]
@@ -250,22 +242,22 @@ def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
     delay.  An infeasible cell (ferry too slow) has no cycle and keeps
     the reason as its note.
     """
-    require(delays and speeds, "{delays} and {speeds} must be non-empty")
-    strategies = [_strategy(strategy, "strategies")
-                  for strategy in strategies]
+    require(len(delays) and len(speeds),
+            "{delays} and {speeds} must be non-empty")
+    strategies = [_strategy(name, "strategies") for name in strategies]
     cells, cycles = [], {}
     for delta in delays:
         for v in speeds:
             geom = RelayGeometry(geom_template.separation,
                                  geom_template.uav_altitude, v, delta)
             for strategy in strategies:
-                if strategy == RelayStrategy.FERRY:
+                if strategy == "ferry":
                     try:
                         _ferry_hover_time(geom)
                     except DomainError as exc:
                         cells.append((delta, v, strategy, None, str(exc)))
                         continue
-                key = ((strategy, delta) if strategy == RelayStrategy.STATIC
+                key = ((strategy, delta) if strategy == "static"
                        else (strategy, delta, v))
                 cycles.setdefault(key, (strategy, geom))
                 cells.append((delta, v, strategy, key, ""))
@@ -286,6 +278,6 @@ def sweep(plan, carrier_frequency: float, reference_snr_db: float,
                          reference_snr_db, reference_distance,
                          time_step=time_step))))
     return [[cell[0] for cell in cells], [cell[1] for cell in cells],
-            [cell[2].value for cell in cells],
+            [cell[2] for cell in cells],
             [se.get(cell[3]) for cell in cells],
             [int(cell[3] is not None) for cell in cells]]

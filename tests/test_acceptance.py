@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from uavsim.coverage import LosProbabilityModel, altitude_grid, coverage_radii
+from uavsim.coverage import altitude_grid, coverage_radii
 from uavsim.dissemination import broadcast, compare_schemes, exchange
 from uavsim.experiment import (_dissemination_scenario, derive_seed,
                                preset_config, run, PRESETS)
 from uavsim.mobility import RelayGeometry
-from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
+from uavsim.relay import STRATEGIES, simulate_cycle, sweep, sweep_plan
 
 CARRIER_HZ = 5e9
 
@@ -62,7 +62,7 @@ def test_criterion_01_fig3_plateau_and_gap(tmp_path):
 
 
 def test_criterion_02_static_baseline():
-    result = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CARRIER_HZ,
+    result = simulate_cycle("static", geom(0.0), CARRIER_HZ,
                             *ref_for(geom(0.0)))
     assert result.end_to_end_se == pytest.approx(0.5 * math.log2(11.0),
                                                  abs=1e-4)
@@ -91,9 +91,9 @@ def test_criterion_03_fig4_mobile_static_ratio():
 
 
 def test_criterion_04_zero_speed_degeneracy():
-    mobile = simulate_cycle(RelayStrategy.MOBILE, geom(0.0), CARRIER_HZ,
+    mobile = simulate_cycle("mobile", geom(0.0), CARRIER_HZ,
                             *ref_for(geom(0.0)))
-    static = simulate_cycle(RelayStrategy.STATIC, geom(0.0), CARRIER_HZ,
+    static = simulate_cycle("static", geom(0.0), CARRIER_HZ,
                             *ref_for(geom(0.0)))
     for name in ("times", "path_loss_src", "path_loss_dst", "se",
                  "occupancy"):
@@ -116,26 +116,24 @@ def test_criterion_05_dominance_grid():
             ref = ref_for(g)
             se = {s: simulate_cycle(s, g, CARRIER_HZ, *ref,
                                     time_step=0.05).end_to_end_se
-                  for s in RelayStrategy}
-            assert se[RelayStrategy.MOBILE] >= se[RelayStrategy.STATIC] - 1e-9
-            assert se[RelayStrategy.MOBILE] >= se[RelayStrategy.FERRY] - 1e-9
+                  for s in STRATEGIES}
+            assert se["mobile"] >= se["static"] - 1e-9
+            assert se["mobile"] >= se["ferry"] - 1e-9
             # v > 0 everywhere on the grid, so flight legs exist and the
             # mobile-over-ferry gap must be strict.
-            assert se[RelayStrategy.MOBILE] > se[RelayStrategy.FERRY]
-            worst_gap = min(worst_gap, se[RelayStrategy.MOBILE]
-                            - se[RelayStrategy.FERRY])
+            assert se["mobile"] > se["ferry"]
+            worst_gap = min(worst_gap, se["mobile"] - se["ferry"])
     report(5, f"mobile dominates on 10x10 grid; min mobile-ferry gap "
               f"{worst_gap:.4f} bps/Hz")
 
 
 def test_criterion_06_buffer_tradeoff():
     g = geom(100.0)
-    unbounded = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ,
-                               *ref_for(g))
+    unbounded = simulate_cycle("mobile", g, CARRIER_HZ, *ref_for(g))
     requirement = unbounded.peak_occupancy
-    halved = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, *ref_for(g),
+    halved = simulate_cycle("mobile", g, CARRIER_HZ, *ref_for(g),
                             buffer_capacity=requirement / 2.0)
-    exact = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ, *ref_for(g),
+    exact = simulate_cycle("mobile", g, CARRIER_HZ, *ref_for(g),
                            buffer_capacity=requirement)
     assert halved.end_to_end_se < unbounded.end_to_end_se
     assert exact.end_to_end_se == unbounded.end_to_end_se
@@ -191,19 +189,19 @@ def test_criterion_08_dissemination_conservation():
 
 
 def test_criterion_09_coverage_interiority():
-    los = LosProbabilityModel(9.61, 0.16)
+    los = (9.61, 0.16)  # the urban LoS sigmoid's a and b
     urban = (1.0, 20.0)  # eta_los, eta_nlos, dB
     bounds = (10.0, 3000.0)
     altitudes = altitude_grid(bounds, 10.0)
-    radii = coverage_radii(altitudes, 110.0, 2e9, los, *urban)
+    radii = coverage_radii(altitudes, 110.0, 2e9, *los, *urban)
     best = np.argmax(radii)  # the first maximum, as the CLI takes it
     h_opt, r_opt = float(altitudes[best]), float(radii[best])
     assert bounds[0] < h_opt < bounds[1]
-    r_low, r_high = coverage_radii(list(bounds), 110.0, 2e9, los, *urban)
+    r_low, r_high = coverage_radii(list(bounds), 110.0, 2e9, *los, *urban)
     assert r_opt > r_low and r_opt > r_high
 
     flat = (1.0, 1.0)
-    flat_radii = coverage_radii(altitudes, 110.0, 2e9, los, *flat)
+    flat_radii = coverage_radii(altitudes, 110.0, 2e9, *los, *flat)
     h_flat = float(altitudes[np.argmax(flat_radii)])
     assert h_flat == bounds[0]
     report(9, f"urban optimum {h_opt:.0f} m (radius {r_opt:.0f} m > "
@@ -213,10 +211,10 @@ def test_criterion_09_coverage_interiority():
 
 def test_criterion_10_time_step_convergence():
     worst = 0.0
-    for strategy, v in [(RelayStrategy.STATIC, 0.0),
-                        (RelayStrategy.MOBILE, 30.0),
-                        (RelayStrategy.MOBILE, 100.0),
-                        (RelayStrategy.FERRY, 100.0)]:
+    for strategy, v in [("static", 0.0),
+                        ("mobile", 30.0),
+                        ("mobile", 100.0),
+                        ("ferry", 100.0)]:
         g = geom(v)
         coarse = simulate_cycle(strategy, g, CARRIER_HZ, *ref_for(g),
                                 time_step=0.01).end_to_end_se

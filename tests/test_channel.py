@@ -158,10 +158,12 @@ class TestArrayKernels:
     @pytest.mark.parametrize("tx,rx", HEIGHTS)
     def test_path_loss(self, tx, rx):
         for f in self.FREQUENCIES:
-            self.assert_matches(
-                free_space_path_loss(self.HORIZONTAL, tx - rx, f),
-                [free_space_path_loss(h, tx - rx, f)
-                 for h in self.HORIZONTAL.tolist()])
+            per_element = [free_space_path_loss(h, tx - rx, f)
+                           for h in self.HORIZONTAL.tolist()]
+            # A list of links is evaluated as their array is.
+            for horizontal in (self.HORIZONTAL, self.HORIZONTAL.tolist()):
+                self.assert_matches(
+                    free_space_path_loss(horizontal, tx - rx, f), per_element)
 
     @pytest.mark.parametrize("tx,rx", HEIGHTS)
     def test_snr(self, tx, rx):

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from uavsim import coverage
 from uavsim.channel import free_space_path_loss
-from uavsim.coverage import (LosProbabilityModel, altitude_grid,
-                             check_carrier, check_excess_loss,
-                             coverage_radii, expected_path_loss)
+from uavsim.coverage import (altitude_grid, check_carrier, check_excess_loss,
+                             check_los_model, coverage_radii,
+                             expected_path_loss, los_probability)
 
-URBAN_LOS = LosProbabilityModel(9.61, 0.16)
+URBAN_LOS = (9.61, 0.16)  # the LoS sigmoid's a and b
 # Mean excess losses beyond free space (eta_los dB, eta_nlos dB).
 URBAN_EXCESS = (1.0, 20.0)
 NO_EXCESS = (0.0, 0.0)
@@ -28,12 +28,12 @@ ENVIRONMENTS = {
 def environment(name):
     """The LoS sigmoid and excess losses of one of ``ENVIRONMENTS``."""
     a, b, eta_los, eta_nlos = ENVIRONMENTS[name]
-    return LosProbabilityModel(a, b), (eta_los, eta_nlos)
+    return (a, b), (eta_los, eta_nlos)
 
 
 def coverage_radius(altitude, max_path_loss, frequency, los, excess):
     """The coverage radius of one altitude."""
-    return float(coverage_radii([altitude], max_path_loss, frequency, los,
+    return float(coverage_radii([altitude], max_path_loss, frequency, *los,
                                 *excess)[0])
 
 
@@ -42,7 +42,7 @@ def coverage_curve(altitude_range, max_path_loss, frequency, los, excess,
     """``(altitudes, radii)`` of the grid over ``altitude_range``."""
     altitudes = altitude_grid(altitude_range, grid_step)
     return altitudes, coverage_radii(altitudes, max_path_loss, frequency,
-                                     los, *excess)
+                                     *los, *excess)
 
 
 def optimal_altitude(altitude_range, max_path_loss, frequency, los, excess,
@@ -62,7 +62,7 @@ def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
     r = 0.0
     limit = 100_000.0
     while r <= limit:
-        if expected_path_loss(altitude, r, frequency, los, *excess) <= max_pl:
+        if expected_path_loss(altitude, r, frequency, *los, *excess) <= max_pl:
             best = r
         elif best > 0.0:
             break
@@ -76,7 +76,7 @@ def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
     # numpy loss: the reference the lockstep bisection of a whole grid
     # must equal bit for bit.
     def loss(r):
-        return expected_path_loss(altitude, r, frequency, los, *excess)
+        return expected_path_loss(altitude, r, frequency, *los, *excess)
 
     if loss(0.0) > max_path_loss:
         return 0.0
@@ -115,25 +115,26 @@ def reference_altitude_grid(altitude_range, grid_step):
 class TestLosProbability:
     def test_in_unit_interval(self):
         for theta in range(0, 91):
-            p = URBAN_LOS.los_probability(theta)
+            p = los_probability(theta, *URBAN_LOS)
             assert 0.0 < p < 1.0
 
     def test_nondecreasing_in_elevation(self):
-        values = [URBAN_LOS.los_probability(theta / 2.0)
+        values = [los_probability(theta / 2.0, *URBAN_LOS)
                   for theta in range(0, 181)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_parameters_positive(self):
         with pytest.raises(ValueError):
-            LosProbabilityModel(0.0, 0.16)
+            check_los_model(0.0, 0.16)
 
     def test_exp_overflow_boundary(self):
         # exp(a * b), taken at elevation 0, is the largest exp the sigmoid
-        # computes: the model is built exactly while it is finite.
-        steepest = LosProbabilityModel(1.0, 709.782712893384)
-        assert 0.0 < steepest.los_probability(0.0) < 1e-307
+        # computes: the sigmoid is accepted exactly while it is finite.
+        steepest = 1.0, 709.782712893384
+        check_los_model(*steepest)
+        assert 0.0 < los_probability(0.0, *steepest) < 1e-307
         with pytest.raises(ValueError, match="overflows exp"):
-            LosProbabilityModel(1.0, np.nextafter(709.782712893384, np.inf))
+            check_los_model(1.0, np.nextafter(709.782712893384, np.inf))
 
     def test_presets_available(self):
         for name in ("suburban", "urban", "dense_urban"):
@@ -146,14 +147,14 @@ class TestExpectedPathLoss:
     def test_zero_excess_equals_fspl(self):
         for h, r in [(50.0, 0.0), (100.0, 500.0), (2000.0, 3000.0)]:
             fspl = free_space_path_loss(r, h, F2GHZ)
-            assert expected_path_loss(h, r, F2GHZ, URBAN_LOS,
+            assert expected_path_loss(h, r, F2GHZ, *URBAN_LOS,
                                       *NO_EXCESS) == pytest.approx(fspl,
                                                                   abs=1e-12)
 
     def test_nadir_geometry(self):
         # Directly overhead: theta = 90 deg, P_LoS ~ 1 for urban defaults.
         h = 100.0
-        loss = expected_path_loss(h, 0.0, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
+        loss = expected_path_loss(h, 0.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
         fspl = free_space_path_loss(0.0, h, F2GHZ)
         assert loss == pytest.approx(fspl + 1.0, abs=0.1)
 
@@ -165,14 +166,15 @@ class TestExpectedPathLoss:
         theta = math.degrees(math.atan2(100.0, 500.0))
         p = 1.0 / (1.0 + 9.61 * math.exp(-0.16 * (theta - 9.61)))
         expected = p * (fspl + 1.0) + (1.0 - p) * (fspl + 20.0)
-        value = expected_path_loss(100.0, 500.0, F2GHZ, URBAN_LOS,
+        value = expected_path_loss(100.0, 500.0, F2GHZ, *URBAN_LOS,
                                    *URBAN_EXCESS)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(110.3347, abs=1e-3)  # frozen oracle
 
     def test_nondecreasing_in_range(self):
         for h in (50.0, 100.0, 500.0, 1500.0):
-            losses = [expected_path_loss(h, r, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
+            losses = [expected_path_loss(h, r, F2GHZ, *URBAN_LOS,
+                                         *URBAN_EXCESS)
                       for r in range(0, 5000, 25)]
             assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -187,17 +189,16 @@ class TestExpectedPathLoss:
         # p_los*(eta_nlos - eta_los) with p_los non-increasing in range
         # never drops farther out, except by a few ulps of rounding.
         assume(a * b < 700.0)  # exp(a*b) at elevation 0 stays finite
-        los = LosProbabilityModel(a, b)
         excess = eta_los, min(eta_los + extra, 100.0)
         near_loss, far_loss = expected_path_loss(
-            altitude, np.array([near, near + gap]), frequency, los, *excess)
+            altitude, np.array([near, near + gap]), frequency, a, b, *excess)
         assert near_loss <= far_loss + 4 * np.spacing(far_loss)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            expected_path_loss(0.0, 100.0, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
+            expected_path_loss(0.0, 100.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
         with pytest.raises(ValueError):
-            expected_path_loss(100.0, -1.0, F2GHZ, URBAN_LOS, *URBAN_EXCESS)
+            expected_path_loss(100.0, -1.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
 
 
 class TestExcessLoss:
@@ -208,9 +209,9 @@ class TestExcessLoss:
     def assert_refused(eta_los, eta_nlos, message):
         for check in (
                 lambda: check_excess_loss(eta_los, eta_nlos),
-                lambda: expected_path_loss(100.0, 500.0, F2GHZ, URBAN_LOS,
+                lambda: expected_path_loss(100.0, 500.0, F2GHZ, *URBAN_LOS,
                                            eta_los, eta_nlos),
-                lambda: coverage_radii([100.0], 110.0, F2GHZ, URBAN_LOS,
+                lambda: coverage_radii([100.0], 110.0, F2GHZ, *URBAN_LOS,
                                        eta_los, eta_nlos)):
             with pytest.raises(ValueError) as error:
                 check()
@@ -236,7 +237,7 @@ class TestCoverageRadius:
 
     def test_infeasible_at_nadir(self):
         h = 1000.0
-        nadir_loss = expected_path_loss(h, 0.0, F2GHZ, URBAN_LOS,
+        nadir_loss = expected_path_loss(h, 0.0, F2GHZ, *URBAN_LOS,
                                         *URBAN_EXCESS)
         assert coverage_radius(h, nadir_loss - 5.0, F2GHZ, URBAN_LOS,
                                URBAN_EXCESS) == 0.0
@@ -257,8 +258,7 @@ def coverage_models(draw):
     if name is not None:
         return environment(name)
     eta_los = draw(st.floats(0.0, 10.0))
-    return (LosProbabilityModel(draw(st.floats(0.5, 30.0)),
-                                draw(st.floats(0.01, 2.0))),
+    return ((draw(st.floats(0.5, 30.0)), draw(st.floats(0.01, 2.0))),
             (eta_los, eta_los + draw(st.floats(0.0, 40.0))))
 
 
@@ -280,7 +280,7 @@ class TestMatchesScalarReference:
         h = data.draw(st.sampled_from(altitudes))
         k = data.draw(st.integers(-1, 6))
         tie = expected_path_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
-                                 frequency, los, *excess)
+                                 frequency, *los, *excess)
         threshold = data.draw(st.one_of(st.just(tie), st.floats(40.0, 200.0)))
         grid, radii = coverage_curve((lo, hi), threshold, frequency, los,
                                      excess, step)
@@ -301,7 +301,7 @@ class TestMatchesScalarReference:
         # differs from ``math``'s in the last bit.)
         los, excess = environment("suburban")
         threshold = expected_path_loss(altitude, altitude * 2.0 ** k, F2GHZ,
-                                       los, *excess)
+                                       *los, *excess)
         assert coverage_radius(altitude, threshold, F2GHZ, los, excess) == \
             reference_coverage_radius(altitude, threshold, F2GHZ, los, excess)
 
@@ -338,12 +338,13 @@ class TestMatchesScalarReference:
         assert radius == pytest.approx(37993.95, abs=0.01)
 
     def test_exp_overflow_raises_like_math(self):
-        # A sigmoid whose exp overflows is refused when its model is built,
-        # so neither bisection can meet the overflow.
+        # A sigmoid whose exp overflows is refused by check_los_model,
+        # which both kernels call first, so neither bisection can meet the
+        # overflow.
         with pytest.raises(ValueError, match=re.escape(
                 "s_curve_a * s_curve_b = 750 overflows exp() in the LoS "
                 "probability at elevation 0")):
-            LosProbabilityModel(50.0, 15.0)
+            check_los_model(50.0, 15.0)
 
 
 def grid_or_error(grid, altitude_range, grid_step):
@@ -422,26 +423,24 @@ class TestSameErrorsAsExpectedPathLoss:
              "frequency_negative", "steep_sigmoid", "frequency_underflow"])
     def test_radius_and_curve(self, altitude, frequency, sigmoid):
         # The bisection checks its inputs once, as the loss of one far range
-        # does; a sigmoid whose exp overflows fails before any of them, when
-        # its model is built.  A carrier whose loss underflows to -inf at
+        # does; a sigmoid whose exp overflows fails before any of them, as
+        # both check it first.  A carrier whose loss underflows to -inf at
         # the nadir is no error of the loss, which is then -inf, but of
         # ``check_carrier``: every threshold would cover every range.
-        def los():
-            return LosProbabilityModel(*sigmoid)
-
         with pytest.raises(ValueError) as expected:
-            expected_path_loss(altitude, 1e6, frequency, los(), *URBAN_EXCESS)
+            expected_path_loss(altitude, 1e6, frequency, *sigmoid,
+                               *URBAN_EXCESS)
             check_carrier([altitude], frequency)
         kind, text = type(expected.value), re.escape(str(expected.value))
         with pytest.raises(kind, match=text):
-            coverage_radius(altitude, 150.0, frequency, los(), URBAN_EXCESS)
+            coverage_radius(altitude, 150.0, frequency, sigmoid, URBAN_EXCESS)
         if altitude > 0:
             with pytest.raises(kind, match=text):
                 coverage_curve((altitude, altitude + 50.0), 150.0, frequency,
-                               los(), URBAN_EXCESS, grid_step=10.0)
+                               sigmoid, URBAN_EXCESS, grid_step=10.0)
         else:  # the grid itself refuses altitudes <= 0
             with pytest.raises(ValueError, match="altitude_range"):
-                coverage_curve((altitude, 100.0), 150.0, frequency, los(),
+                coverage_curve((altitude, 100.0), 150.0, frequency, sigmoid,
                                URBAN_EXCESS)
 
 
@@ -452,12 +451,12 @@ class TestExpectedPathLossArray:
         ranges = np.array([0.0, 0.5, 50.0, 500.0, 5000.0, 1e6])[None, :]
         for name in sorted(ENVIRONMENTS):
             los, excess = environment(name)
-            values = expected_path_loss(altitudes, ranges, F2GHZ, los,
+            values = expected_path_loss(altitudes, ranges, F2GHZ, *los,
                                         *excess)
             assert values.shape == (5, 6)
             for (i, j), value in np.ndenumerate(values):
                 assert value == expected_path_loss(
-                    float(altitudes[i, 0]), float(ranges[0, j]), F2GHZ, los,
+                    float(altitudes[i, 0]), float(ranges[0, j]), F2GHZ, *los,
                     *excess)
 
     @pytest.mark.parametrize("altitude,ground_range,message", [
@@ -468,12 +467,12 @@ class TestExpectedPathLossArray:
         # An array call and a call on the smallest altitude and range
         # raise the same error.
         with pytest.raises(ValueError, match=message):
-            expected_path_loss(altitude, ground_range, F2GHZ, URBAN_LOS,
+            expected_path_loss(altitude, ground_range, F2GHZ, *URBAN_LOS,
                                *URBAN_EXCESS)
         with pytest.raises(ValueError, match=message):
             expected_path_loss(float(np.min(altitude)),
                                float(np.min(ground_range)), F2GHZ,
-                               URBAN_LOS, *URBAN_EXCESS)
+                               *URBAN_LOS, *URBAN_EXCESS)
 
 
 class TestOptimalAltitude:

@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from uavsim import DomainError, coverage
+from uavsim import DomainError, coverage, dissemination
 from uavsim.channel import (free_space_path_loss, snr_anchor_db,
                             spectral_efficiency)
-from uavsim.coverage import LosProbabilityModel, altitude_grid, coverage_radii
-from uavsim.dissemination import D2dGraph, coverage_mask
+from uavsim.coverage import altitude_grid, check_los_model, coverage_radii
+from uavsim.dissemination import D2dGraph, compare_schemes, coverage_mask
 from uavsim.mobility import (RelayGeometry, cycle_times, ferry_x,
                              mobile_relay_x, overflight_x)
 
@@ -171,13 +171,20 @@ def test_altitude_grid(lo, hi, step):
             assert grid.tolist() == [lo]
 
 
+def los_sigmoid(s_curve_a, s_curve_b):
+    """The sigmoid ``(a, b)``, once ``check_los_model`` accepts it."""
+    check_los_model(s_curve_a, s_curve_b)
+    return s_curve_a, s_curve_b
+
+
 @EXAMPLES
 @given(sigmoid=st.tuples(values, values))
 @example((math.nan, 1.0))
 def test_los_probability_model(sigmoid):
-    los = call(LosProbabilityModel, *sigmoid)
+    los = call(los_sigmoid, *sigmoid)
     if los is not None:
-        assert los.s_curve_a > 0 and los.s_curve_b > 0
+        s_curve_a, s_curve_b = los
+        assert s_curve_a > 0 and s_curve_b > 0
 
 
 URBAN = (9.61, 0.16)
@@ -192,9 +199,8 @@ URBAN = (9.61, 0.16)
 @example(np.array([1e308]), math.inf, 1e308, URBAN, 0.0, 20.0)
 def test_coverage_radii(altitude, max_path_loss, frequency, sigmoid,
                         eta_los, eta_nlos):
-    los = call(LosProbabilityModel, *sigmoid)
-    assume(los is not None)
-    radii = call(coverage_radii, altitude, max_path_loss, frequency, los,
+    assume(call(los_sigmoid, *sigmoid) is not None)
+    radii = call(coverage_radii, altitude, max_path_loss, frequency, *sigmoid,
                  eta_los, eta_nlos)
     if radii is not None:
         assert radii.shape == altitude.shape
@@ -231,19 +237,37 @@ def test_d2d_graph(positions, d2d_range):
             assert graph.component_count == min(1, len(positions))
 
 
+# Two ground nodes in D2D range of each other, and a field of none.
+PAIR = D2dGraph([(0.0, 0.0), (50.0, 0.0)], 100.0)
+NOBODY = D2dGraph(np.zeros((0, 2)), 100.0)
+
+
+def mask(slots, nodes):
+    """A (slots, nodes) coverage mask that covers every node."""
+    return np.ones((slots, nodes), dtype=bool)
+
+
+def batch(seeds, nodes, width):
+    """An empty (seeds, nodes, packets) matrix."""
+    return np.zeros((seeds, nodes, width), dtype=bool)
+
+
+def generators(count):
+    """``count`` PCG64 generators, seeded 0, 1, ..."""
+    return [np.random.default_rng(seed) for seed in range(count)]
+
+
 @pytest.mark.parametrize("kernel,args,parameters", [
     # Accepted, misnamed or warned about before every check failed on nan
     # and every extreme was refused or documented.
     (snr_anchor_db, (5e9, 10.0, math.nan, 100.0), ("reference_distance",)),
     (RelayGeometry, (math.nan, 100.0, 10.0, 10.0), ("separation",)),
-    (LosProbabilityModel, (math.nan, 1.0), ("s_curve_a",)),
-    (coverage_radii, (np.array([math.nan]), 110.0, 2e9,
-                      LosProbabilityModel(*URBAN), 1.0, 20.0), ("altitude",)),
-    (coverage_radii, (np.array([100.0]), 110.0, 2e9,
-                      LosProbabilityModel(*URBAN), math.nan, 20.0),
+    (check_los_model, (math.nan, 1.0), ("s_curve_a",)),
+    (coverage_radii, (np.array([math.nan]), 110.0, 2e9, *URBAN, 1.0, 20.0),
+     ("altitude",)),
+    (coverage_radii, (np.array([100.0]), 110.0, 2e9, *URBAN, math.nan, 20.0),
      ("eta_los",)),
-    (coverage_radii, (np.array([100.0]), math.nan, 2e9,
-                      LosProbabilityModel(*URBAN), 1.0, 20.0),
+    (coverage_radii, (np.array([100.0]), math.nan, 2e9, *URBAN, 1.0, 20.0),
      ("max_path_loss",)),
     (D2dGraph, ([(0.0, 0.0), (1.0, 0.0)], math.nan), ("d2d_range",)),
     (D2dGraph, ([(math.inf, 0.0), (0.0, 0.0)], 50.0), ("positions",)),
@@ -256,6 +280,41 @@ def test_d2d_graph(positions, d2d_range):
      ("delay_budget", "time_step")),
     (ferry_x, (RelayGeometry(1e-10, 100.0, 0.0, 1.0), np.zeros(1)),
      ("v_max", "separation", "delay_budget")),
+    # Times that are not one-dimensional.
+    (overflight_x, ((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0), 20.0, 1.0),
+     ("times",)),
+    (overflight_x, ((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0), 20.0,
+                    np.zeros((2, 2))), ("times",)),
+    # Dissemination batches that are empty, have no node, or whose seeds,
+    # generators and nodes do not pair up.
+    (dissemination.broadcast, (mask(4, 2), batch(0, 2, 4), 0.1, []),
+     ("packets", "rngs")),
+    (dissemination.broadcast,
+     (mask(4, 2), batch(2, 2, 4), 0.1, generators(1)), ("packets", "rngs")),
+    (dissemination.broadcast,
+     (mask(4, 3), batch(1, 2, 4), 0.1, generators(1)),
+     ("packets", "coverage")),
+    (dissemination.exchange, (batch(0, 2, 4), PAIR, 4, [], 10),
+     ("packets", "rngs")),
+    (dissemination.exchange,
+     (batch(1, 0, 4), NOBODY, 4, generators(1), 10), ("packets", "graph")),
+    (dissemination.exchange,
+     (batch(1, 3, 4), PAIR, 4, generators(1), 10), ("packets", "graph")),
+    (dissemination.baseline, (mask(4, 2), batch(0, 2, 4), 0.1, [], 10),
+     ("packets", "rngs")),
+    (dissemination.baseline,
+     (mask(4, 0), batch(1, 0, 4), 0.1, generators(1), 10),
+     ("packets", "coverage")),
+    (dissemination.baseline,
+     (mask(4, 3), batch(1, 2, 4), 0.1, generators(1), 10),
+     ("packets", "coverage")),
+    (compare_schemes, (mask(4, 0), NOBODY, 4, 0.1, generators(1),
+                       generators(1)), ("coverage", "graph")),
+    (compare_schemes, (mask(4, 3), PAIR, 4, 0.1, generators(1),
+                       generators(1)), ("coverage", "graph")),
+    # Its block size would divide by slots + k + nodes = 0.
+    (compare_schemes, (mask(4, 2), PAIR, -6, 0.1, generators(1),
+                       generators(1)), ("k",)),
 ])
 def test_refused_naming_the_parameter(kernel, args, parameters):
     with warnings.catch_warnings():
@@ -270,7 +329,7 @@ def test_refused_naming_the_parameter(kernel, args, parameters):
     (mobile_relay_x, (RelayGeometry(1000.0, 100.0, 10.0, 10.0),
                       np.array([1e308])), -math.inf),
     (coverage_radii, (np.array([1e308]), math.inf, 2e9,
-                      LosProbabilityModel(*URBAN), 1.0, 20.0), math.inf),
+                      *URBAN, 1.0, 20.0), math.inf),
 ])
 def test_extreme_value_without_warning(kernel, args, value):
     with warnings.catch_warnings():

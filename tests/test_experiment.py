@@ -593,8 +593,7 @@ class TestRunnerFiles:
         assert len(rows) == 3
 
     def test_coverage_file_bytes(self, tmp_path):
-        from uavsim.coverage import (LosProbabilityModel, altitude_grid,
-                                     coverage_radii)
+        from uavsim.coverage import altitude_grid, coverage_radii
         params = {"altitude_min_m": 100.0, "altitude_max_m": 200.0,
                   "altitude_step_m": 100.0}
         code, lines, out = run_cli({"preset": "urban_coverage",
@@ -604,8 +603,8 @@ class TestRunnerFiles:
         altitudes = altitude_grid((100.0, 200.0), 100.0)
         radii = coverage_radii(
             altitudes, full["max_path_loss_db"], full["carrier_frequency_hz"],
-            LosProbabilityModel(full["s_curve_a"], full["s_curve_b"]),
-            full["eta_los_db"], full["eta_nlos_db"])
+            full["s_curve_a"], full["s_curve_b"], full["eta_los_db"],
+            full["eta_nlos_db"])
         assert altitudes.tolist() == [100.0, 200.0]
         assert (out / "coverage.csv").read_bytes() == (
             "altitude_m,coverage_radius_m\n"

@@ -9,7 +9,7 @@ from uavsim.channel import (_free_space_loss, free_space_path_loss,
                             snr_anchor_db, spectral_efficiency)
 from uavsim.experiment import preset_config
 from uavsim.mobility import RelayGeometry, cycle_times, ferry_x, mobile_relay_x
-from uavsim.relay import RelayStrategy, simulate_cycle, sweep, sweep_plan
+from uavsim.relay import STRATEGIES, simulate_cycle, sweep, sweep_plan
 
 CARRIER_HZ = 5e9
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
@@ -41,9 +41,9 @@ def cycle_samples(strategy, g, time_step):
     """The sample times of one cycle and the relay's horizontal position
     at each; the static relay is the mobile one at v_max = 0."""
     times = cycle_times(g, time_step)
-    if strategy == RelayStrategy.FERRY:
+    if strategy == "ferry":
         return times, ferry_x(g, times)
-    if strategy == RelayStrategy.STATIC:
+    if strategy == "static":
         g = dataclasses.replace(g, v_max=0.0)
     return times, mobile_relay_x(g, times)
 
@@ -71,7 +71,7 @@ def scalar_cycle(strategy, g, frequency, ref, buffer_capacity=math.inf,
         buffer.append(occupancy)
         phase1 = t < g.delay_budget - 1e-12
         gap = src if phase1 else dst
-        if strategy == RelayStrategy.FERRY and gap > 1e-6:
+        if strategy == "ferry" and gap > 1e-6:
             se = 0.0  # the ferry is silent in flight
         else:
             se = spectral_efficiency(
@@ -137,10 +137,10 @@ class TestScalarEquivalence:
     """The vectorised cycle reproduces the per-step scalar loop."""
 
     @pytest.mark.parametrize("strategy,v,capacity", [
-        (RelayStrategy.MOBILE, 100.0, math.inf),
-        (RelayStrategy.MOBILE, 100.0, 40.0),
-        (RelayStrategy.STATIC, 0.0, 10.0),
-        (RelayStrategy.FERRY, 100.0, math.inf)])
+        ("mobile", 100.0, math.inf),
+        ("mobile", 100.0, 40.0),
+        ("static", 0.0, 10.0),
+        ("ferry", 100.0, math.inf)])
     def test_free_space(self, strategy, v, capacity):
         g = geom(v)
         oracle = scalar_cycle(strategy, g, CARRIER_HZ, ref_for(g), capacity,
@@ -163,7 +163,7 @@ def two_link_cycle(strategy, g, frequency, ref, buffer_capacity,
     snr_db = (snr_anchor_db(frequency, *ref, g.uav_altitude)
               - np.where(phase1, pl_src, pl_dst))
     talking = np.full(len(times), True)
-    if strategy == RelayStrategy.FERRY:
+    if strategy == "ferry":
         talking = np.where(phase1, src, dst) <= 1e-6
     se = np.where(talking, spectral_efficiency(snr_db), 0.0)
     occupancy = [0.0]
@@ -179,8 +179,7 @@ class TestActiveLink:
 
     @pytest.mark.parametrize("capacity", [math.inf, 40.0])
     @pytest.mark.parametrize("frequency", [CARRIER_HZ], ids=["free_space"])
-    @pytest.mark.parametrize("strategy", list(RelayStrategy),
-                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_matches_two_link_oracle(self, strategy, frequency, capacity):
         g = geom(100.0)
         pl_src, pl_dst, se, occupancy = two_link_cycle(
@@ -196,16 +195,16 @@ class TestActiveLink:
 # (strategy, v_max, delta, altitude): every strategy, a relay at v = 0, a
 # hovering one (v = 100) and one that turns around (v = 10), a ferry that
 # hovers and one that never does (v*delta = R), and a second altitude.
-BATCH = [(RelayStrategy.STATIC, 10.0, 5.0, 100.0),
-         (RelayStrategy.MOBILE, 0.0, 5.0, 100.0),
-         (RelayStrategy.MOBILE, 100.0, 5.0, 100.0),
-         (RelayStrategy.FERRY, 100.0, 10.0, 100.0),
-         (RelayStrategy.MOBILE, 10.0, 10.0, 100.0),
-         (RelayStrategy.MOBILE, 100.0, 20.0, 100.0),
-         (RelayStrategy.FERRY, 100.0, 20.0, 100.0),
-         (RelayStrategy.MOBILE, 100.0, 20.0, 250.0),
-         (RelayStrategy.STATIC, 0.0, 20.0, 250.0),
-         (RelayStrategy.STATIC, 0.0, 20.0, 100.0)]
+BATCH = [("static", 10.0, 5.0, 100.0),
+         ("mobile", 0.0, 5.0, 100.0),
+         ("mobile", 100.0, 5.0, 100.0),
+         ("ferry", 100.0, 10.0, 100.0),
+         ("mobile", 10.0, 10.0, 100.0),
+         ("mobile", 100.0, 20.0, 100.0),
+         ("ferry", 100.0, 20.0, 100.0),
+         ("mobile", 100.0, 20.0, 250.0),
+         ("static", 0.0, 20.0, 250.0),
+         ("static", 0.0, 20.0, 100.0)]
 
 
 def batch_cycles():
@@ -298,7 +297,7 @@ class TestBatchKernel:
 
         monkeypatch.setattr(np, "flatnonzero", counting_scan)
         monkeypatch.setattr(relay, "_free_space_loss", counting_slant)
-        turning = [(RelayStrategy.MOBILE, geom(v)) for v in (10.0, 30.0)]
+        turning = [("mobile", geom(v)) for v in (10.0, 30.0)]
         results = list(relay._simulate_cycles(turning, CARRIER_HZ,
                                               *self.REF, time_step=0.05))
         assert scans == [] and links == [2 * 801]
@@ -306,8 +305,7 @@ class TestBatchKernel:
             loss = free_space_path_loss(active_gap(result), 100.0,
                                         CARRIER_HZ)
             assert result.active_path_loss.tobytes() == loss.tobytes()
-        list(relay._simulate_cycles(turning + [(RelayStrategy.STATIC,
-                                                geom(0.0))],
+        list(relay._simulate_cycles(turning + [("static", geom(0.0))],
                                     CARRIER_HZ, *self.REF, time_step=0.05))
         assert scans == [3 * 801 + 1]
         assert links[1] < 3 * 801
@@ -324,7 +322,7 @@ class TestBatchKernel:
             loss = free_space_path_loss(gap, h, CARRIER_HZ)
             se = spectral_efficiency(snr_anchor_db(CARRIER_HZ, *self.REF, h)
                                      - loss)
-            if result.strategy == RelayStrategy.FERRY:
+            if result.strategy == "ferry":
                 se[gap > 1e-6] = 0.0
             assert result.active_path_loss.tobytes() == loss.tobytes()
             assert result.se.tobytes() == se.tobytes()
@@ -333,19 +331,19 @@ class TestBatchKernel:
 
 class TestSimulateCycle:
     def test_static_closed_form(self):
-        result = run(RelayStrategy.STATIC, 0.0)
+        result = run("static", 0.0)
         assert result.end_to_end_se == pytest.approx(STATIC_SE, abs=1e-4)
         assert result.end_to_end_se == pytest.approx(1.7297, abs=1e-4)
 
     def test_mobile_v100(self):
         # Oracle: 1 ms-step integration over the closed-form trajectory
         # gives 3.3732 bps/Hz.
-        result = run(RelayStrategy.MOBILE, 100.0)
+        result = run("mobile", 100.0)
         assert result.end_to_end_se == pytest.approx(3.37, abs=0.02)
 
     def test_mobile_v0_matches_static_bitwise(self):
-        mobile = run(RelayStrategy.MOBILE, 0.0)
-        static = run(RelayStrategy.STATIC, 0.0)
+        mobile = run("mobile", 0.0)
+        static = run("static", 0.0)
         assert mobile.bits_received == static.bits_received
         assert mobile.bits_delivered == static.bits_delivered
         assert mobile.end_to_end_se == static.end_to_end_se
@@ -353,12 +351,12 @@ class TestSimulateCycle:
 
     def test_ferry_v100(self):
         # Closed form: log2(261) * (delta - R/v) / (2*delta) = 2.007.
-        result = run(RelayStrategy.FERRY, 100.0)
+        result = run("ferry", 100.0)
         assert result.end_to_end_se == pytest.approx(2.007, abs=0.01)
 
     def test_ferry_infeasible_propagates(self):
         with pytest.raises(DomainError):
-            run(RelayStrategy.FERRY, 49.0)
+            run("ferry", 49.0)
 
     @pytest.mark.parametrize("frequency", [CARRIER_HZ], ids=["free_space"])
     def test_each_link_path_loss_evaluated_once(self, monkeypatch,
@@ -385,7 +383,7 @@ class TestSimulateCycle:
         monkeypatch.setattr(channel, "free_space_path_loss", counting)
         monkeypatch.setattr(relay, "free_space_path_loss", counting)
         monkeypatch.setattr(relay, "_free_space_loss", counting_slant)
-        for strategy in RelayStrategy:
+        for strategy in STRATEGIES:
             calls.clear()
             result = simulate_cycle(strategy, geom(100.0), frequency,
                                     *ref_for(geom(100.0)), time_step=0.1)
@@ -405,13 +403,13 @@ class TestSimulateCycle:
 
     def test_negative_buffer_rejected(self):
         with pytest.raises(ValueError):
-            run(RelayStrategy.STATIC, 0.0, buffer_capacity=-1.0)
+            run("static", 0.0, buffer_capacity=-1.0)
 
     def test_conservation(self):
-        for strategy, v in [(RelayStrategy.MOBILE, 100.0),
-                            (RelayStrategy.MOBILE, 30.0),
-                            (RelayStrategy.STATIC, 0.0),
-                            (RelayStrategy.FERRY, 60.0)]:
+        for strategy, v in [("mobile", 100.0),
+                            ("mobile", 30.0),
+                            ("static", 0.0),
+                            ("ferry", 60.0)]:
             for capacity in [math.inf, 40.0, 10.0]:
                 result = run(strategy, v, buffer_capacity=capacity)
                 final_occupancy = float(result.occupancy[-1])
@@ -420,24 +418,24 @@ class TestSimulateCycle:
                 assert result.bits_delivered <= result.bits_received + 1e-12
 
     def test_symmetric_geometry_delivers_everything(self):
-        for strategy, v in [(RelayStrategy.MOBILE, 100.0),
-                            (RelayStrategy.STATIC, 0.0)]:
+        for strategy, v in [("mobile", 100.0),
+                            ("static", 0.0)]:
             result = run(strategy, v)
             assert result.bits_delivered == pytest.approx(
                 result.bits_received, abs=1e-6)
 
     def test_time_step_convergence(self):
         # Halving the default 10 ms step moves the result by < 0.1%.
-        for strategy, v in [(RelayStrategy.MOBILE, 100.0),
-                            (RelayStrategy.FERRY, 100.0),
-                            (RelayStrategy.STATIC, 0.0)]:
+        for strategy, v in [("mobile", 100.0),
+                            ("ferry", 100.0),
+                            ("static", 0.0)]:
             coarse = run(strategy, v, time_step=0.01).end_to_end_se
             fine = run(strategy, v, time_step=0.005).end_to_end_se
             assert abs(fine - coarse) / coarse < 1e-3
 
 class TestTraces:
     def test_traces_hold_python_floats(self):
-        result = run(RelayStrategy.MOBILE, 100.0, time_step=0.1)
+        result = run("mobile", 100.0, time_step=0.1)
         trace = result.se_trace
         assert isinstance(trace, tuple)
         assert all(type(v) is float for row in trace for v in row)
@@ -449,7 +447,7 @@ class TestTraces:
 
 class TestPathLossTrace:
     def test_mobile_plateau(self):
-        trace = path_loss_rows(run(RelayStrategy.MOBILE, 100.0,
+        trace = path_loss_rows(run("mobile", 100.0,
                                    time_step=0.01))
         plateau_value = 86.42696479691709  # FSPL(100 m) oracle
         src_plateau = [t for t, pl_src, _ in trace
@@ -462,16 +460,16 @@ class TestPathLossTrace:
                                                                     abs=0.02)
 
     def test_static_constant(self):
-        trace = path_loss_rows(run(RelayStrategy.STATIC, 0.0,
+        trace = path_loss_rows(run("static", 0.0,
                                    time_step=0.1))
         for _, pl_src, pl_dst in trace:
             assert pl_src == pytest.approx(100.57, abs=0.01)
             assert pl_dst == pytest.approx(100.57, abs=0.01)
 
     def test_plateau_vs_static_gap(self):
-        mobile = path_loss_rows(run(RelayStrategy.MOBILE, 100.0,
+        mobile = path_loss_rows(run("mobile", 100.0,
                                     time_step=0.01))
-        static = path_loss_rows(run(RelayStrategy.STATIC, 0.0,
+        static = path_loss_rows(run("static", 0.0,
                                     time_step=0.01))
         plateau = min(pl_src for _, pl_src, _ in mobile)
         gap = static[0][1] - plateau
@@ -539,8 +537,8 @@ class TestSweepDelay:
         monkeypatch.setattr(relay, "_simulate_cycles", counting)
         rows = sweep_rows(sweep(plan, CARRIER_HZ, *ref, time_step=0.05))
         assert len(batches) == 1
-        assert batches[0].count(RelayStrategy.STATIC) == 2
-        assert batches[0].count(RelayStrategy.MOBILE) == 6
+        assert batches[0].count("static") == 2
+        assert batches[0].count("mobile") == 6
         assert [row[:3] for row in rows] == [
             (d, v, s) for d in (5.0, 10.0) for v in (10.0, 30.0, 100.0)
             for s in ("static", "mobile")]
@@ -606,6 +604,18 @@ class TestSweepDelay:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_plan(["static"], geom(1.0, 1.0), delays=[], speeds=[1.0])
+        with pytest.raises(DomainError, match="delays and speeds"):
+            sweep_plan(["static"], geom(1.0, 1.0), np.array([20.0]),
+                       np.array([]))
+
+    def test_array_grid_plans_as_lists(self):
+        # Any sequence of delays and speeds: arrays give the plan that
+        # lists give, the infeasible ferry's note included.
+        delays, speeds = [20.0, 40.0], [10.0, 100.0]
+        plan = sweep_plan(STRATEGIES, geom(1.0, 1.0), delays, speeds)
+        assert plan[0][2][4].startswith("ferry infeasible")
+        assert sweep_plan(STRATEGIES, geom(1.0, 1.0), np.array(delays),
+                          np.array(speeds)) == plan
 
 
 class TestDominanceGrid:
@@ -617,11 +627,11 @@ class TestDominanceGrid:
             for v in speeds:
                 g = geom(v, delta)
                 ref = ref_for(g)
-                mobile = simulate_cycle(RelayStrategy.MOBILE, g, CARRIER_HZ,
+                mobile = simulate_cycle("mobile", g, CARRIER_HZ,
                                         *ref, time_step=0.05).end_to_end_se
-                static = simulate_cycle(RelayStrategy.STATIC, g, CARRIER_HZ,
+                static = simulate_cycle("static", g, CARRIER_HZ,
                                         *ref, time_step=0.05).end_to_end_se
-                ferry = simulate_cycle(RelayStrategy.FERRY, g, CARRIER_HZ,
+                ferry = simulate_cycle("ferry", g, CARRIER_HZ,
                                        *ref, time_step=0.05).end_to_end_se
                 assert mobile >= static - 1e-9
                 assert mobile >= ferry - 1e-9
@@ -636,7 +646,7 @@ class TestDominanceGrid:
             for v in speeds:
                 g = geom(v, delta)
                 table[(delta, v)] = simulate_cycle(
-                    RelayStrategy.MOBILE, g, CARRIER_HZ, *ref_for(g),
+                    "mobile", g, CARRIER_HZ, *ref_for(g),
                     time_step=0.05).end_to_end_se
         for delta in delays:
             ses = [table[(delta, v)] for v in speeds]
@@ -648,24 +658,24 @@ class TestDominanceGrid:
 
 class TestBufferRequirement:
     def test_mobile_v100(self):
-        req = run(RelayStrategy.MOBILE, 100.0).peak_occupancy
+        req = run("mobile", 100.0).peak_occupancy
         assert req == pytest.approx(134.9, abs=0.5)
-        unbounded = run(RelayStrategy.MOBILE, 100.0)
+        unbounded = run("mobile", 100.0)
         assert req == unbounded.bits_received  # everything buffered at t=delta
 
     def test_static_peak(self):
-        req = run(RelayStrategy.STATIC, 0.0).peak_occupancy
+        req = run("static", 0.0).peak_occupancy
         assert req == pytest.approx(math.log2(11.0) * 20.0, abs=0.05)
 
     def test_half_capacity_strictly_reduces_se(self):
-        req = run(RelayStrategy.MOBILE, 100.0).peak_occupancy
-        unbounded = run(RelayStrategy.MOBILE, 100.0)
-        clipped = run(RelayStrategy.MOBILE, 100.0, buffer_capacity=req / 2.0)
+        req = run("mobile", 100.0).peak_occupancy
+        unbounded = run("mobile", 100.0)
+        clipped = run("mobile", 100.0, buffer_capacity=req / 2.0)
         assert clipped.end_to_end_se < unbounded.end_to_end_se
         assert clipped.peak_occupancy <= req / 2.0 + 1e-12
 
     def test_sufficient_capacity_reproduces_unbounded(self):
-        req = run(RelayStrategy.MOBILE, 100.0).peak_occupancy
-        unbounded = run(RelayStrategy.MOBILE, 100.0)
-        exact = run(RelayStrategy.MOBILE, 100.0, buffer_capacity=req)
+        req = run("mobile", 100.0).peak_occupancy
+        unbounded = run("mobile", 100.0)
+        exact = run("mobile", 100.0, buffer_capacity=req)
         assert exact.end_to_end_se == unbounded.end_to_end_se
