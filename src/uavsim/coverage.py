@@ -11,12 +11,12 @@ The expected loss is one numpy kernel of floats or arrays, built from
 ``channel.free_space_path_loss`` and ``los_probability``.  It takes the
 LoS sigmoid and the mean excess losses as two numbers each, ``s_curve_a,
 s_curve_b`` and ``eta_los, eta_nlos``, which ``check_los_model`` and
-``check_excess_loss`` check.  Its inputs are checked once, by
-``expected_path_loss`` or before the bisection, and not on each of the
-bisection's calls.  The receiver is on the ground, so a link's height is
-the altitude.  A coverage curve is two float arrays: ``altitude_grid`` and
-the ``coverage_radii`` of its altitudes, which one bisection computes on
-all altitudes in lockstep.  ``check_carrier`` refuses a carrier whose
+``check_excess_loss`` check.  ``coverage_radii`` checks its inputs once,
+before the bisection, and not on each of the bisection's calls.  The
+receiver is on the ground, so a link's height is the altitude.  A
+coverage curve is two float arrays: ``altitude_grid`` and the
+``coverage_radii`` of its altitudes, which one bisection computes on all
+altitudes in lockstep.  ``check_carrier`` refuses a carrier whose
 free-space loss underflows to -inf on the shortest link, as a threshold
 would cover any range then.  The module only computes: ``experiment``
 writes the curve and picks its optimum.
@@ -56,10 +56,6 @@ def los_probability(elevation_deg, s_curve_a: float, s_curve_b: float):
         return 1.0 / (1.0 + a * np.exp(-b * (elevation_deg - a)))
 
 
-def _check_altitude(altitude) -> None:
-    require(np.all(altitude > 0), "{altitude} must be > 0")
-
-
 def check_excess_loss(eta_los: float, eta_nlos: float) -> None:
     """Raises ``DomainError`` unless the mean excess losses beyond free
     space, dB, satisfy ``0 <= eta_los <= eta_nlos``: NLoS is never better
@@ -82,9 +78,10 @@ def check_carrier(altitudes, frequency: float) -> None:
 def _expected_loss(altitude, ground_range, frequency: float,
                    s_curve_a: float, s_curve_b: float, eta_los: float,
                    eta_nlos: float):
-    """``expected_path_loss`` of altitudes, ground ranges and a frequency
-    that are checked: the LoS-probability-weighted mean of the LoS and
-    NLoS losses, dB."""
+    """The expected path loss in dB of every (altitude, ground range) pair
+    of the two broadcast floats or arrays, checked by the caller: the
+    LoS-probability-weighted mean of the LoS and NLoS losses, whose mean
+    excess losses beyond free space are ``eta_los`` and ``eta_nlos``."""
     fspl = _free_space_loss(slant_distance(ground_range, altitude), frequency)
     p_los = los_probability(np.degrees(np.arctan2(altitude, ground_range)),
                             s_curve_a, s_curve_b)
@@ -97,28 +94,12 @@ def _expected_loss(altitude, ground_range, frequency: float,
                 + (1.0 - p_los) * (fspl + eta_nlos))
 
 
-def expected_path_loss(altitude, ground_range, frequency: float,
-                       s_curve_a: float, s_curve_b: float, eta_los: float,
-                       eta_nlos: float):
-    """LoS-probability-weighted mean path loss in dB of every (altitude,
-    ground range) pair of the two broadcast floats or arrays, with mean
-    excess losses ``eta_los`` and ``eta_nlos`` beyond free space."""
-    check_los_model(s_curve_a, s_curve_b)
-    check_excess_loss(eta_los, eta_nlos)
-    altitude = np.asarray(altitude, dtype=float)
-    ground_range = np.asarray(ground_range, dtype=float)
-    _check_altitude(altitude)
-    require(np.all(ground_range >= 0), "{ground_range} must be >= 0")
-    _check_frequency(frequency)
-    return _expected_loss(altitude, ground_range, frequency, s_curve_a,
-                          s_curve_b, eta_los, eta_nlos)
-
-
 def coverage_radii(altitude, max_path_loss: float, frequency: float,
                    s_curve_a: float, s_curve_b: float, eta_los: float,
                    eta_nlos: float) -> np.ndarray:
-    """The coverage radius at each ``altitude`` (m, > 0): the largest ground
-    range whose expected loss is <= ``max_path_loss``, by bisection.
+    """The coverage radius at each of the 1-D ``altitude`` (m, > 0): the
+    largest ground range whose expected loss is <= ``max_path_loss``, by
+    bisection.
 
     The expected loss is ``fspl + eta_nlos - p_los*(eta_nlos - eta_los)``
     with ``p_los`` non-increasing in range and ``eta_nlos >= eta_los``, so
@@ -127,15 +108,16 @@ def coverage_radii(altitude, max_path_loss: float, frequency: float,
     each taking the steps it would take alone: the nadir test, bracketing
     by doubling, and bisection.  The altitudes and brackets still at a
     step are held in compact arrays and evaluated in one call of the loss
-    kernel; the inputs are checked once, as ``expected_path_loss`` checks
-    them, and the carrier by ``check_carrier``.  Only an infinite threshold
-    covers an infinite loss (an infinite altitude, frequency or excess
-    loss); past 1e9 m the radius is the next doubled bracket, or inf.
+    kernel; the inputs are checked once, the carrier by ``check_carrier``.
+    Only an infinite threshold covers an infinite loss (an infinite
+    altitude, frequency or excess loss); past 1e9 m the radius is the next
+    doubled bracket, or inf.
     """
     check_los_model(s_curve_a, s_curve_b)
     check_excess_loss(eta_los, eta_nlos)
     h = np.asarray(altitude, dtype=float)
-    _check_altitude(h)
+    require(h.ndim == 1, "{altitude} must be one-dimensional")
+    require(np.all(h > 0), "{altitude} must be > 0")
     check_carrier(h, frequency)
     require(not math.isnan(max_path_loss), "{max_path_loss} must not be nan")
 

@@ -59,6 +59,19 @@ def _check_packet_count(k: int) -> None:
     require(k > 0, "{k} must be > 0")
 
 
+def _check_cap(cap, name: str) -> None:
+    require(isinstance(cap, (int, np.integer)) and cap >= 0,
+            "{%s} must be an integer >= 0" % name)
+
+
+def _ground(positions) -> np.ndarray:
+    """The (nodes, 2) float ground ``positions``, refused in other shapes."""
+    positions = np.asarray(positions, dtype=float)
+    require(positions.ndim == 2 and positions.shape[1] == 2,
+            "{positions} must be (nodes, 2)")
+    return positions
+
+
 def _check_batch(packets: np.ndarray, rngs, nodes: int, source: str):
     """``packets.shape`` once it has a seed per generator of ``rngs`` and a
     row per node of ``source``'s ``nodes``, and at least one of each."""
@@ -71,11 +84,12 @@ def _check_batch(packets: np.ndarray, rngs, nodes: int, source: str):
 
 class D2dGraph:
     """Symmetric adjacency over node indices: edge iff ``np.hypot(*(a -
-    b)) <= d2d_range`` (m, >= 0) for finite ground positions ``a != b``."""
+    b)) <= d2d_range`` (m, >= 0) for finite ground positions ``a != b``,
+    the rows of the (nodes, 2) ``positions``."""
 
     def __init__(self, positions, d2d_range: float):
         require(d2d_range >= 0, "{d2d_range} must be >= 0")
-        positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+        positions = _ground(positions)
         require(np.isfinite(positions).all(), "{positions} must be finite")
         with np.errstate(over="ignore"):  # an overflowing gap is inf
             gap = positions[:, None, :] - positions[None, :, :]
@@ -104,7 +118,8 @@ def coverage_mask(uav: np.ndarray, positions,
     positions at the slot starts, all finite, as the ground positions are."""
     _check_coverage_radius(coverage_radius)
     uav = np.asarray(uav, dtype=float)
-    ground = np.asarray(positions, dtype=float).reshape(-1, 2)
+    require(uav.ndim == 2 and uav.shape[1] == 3, "{uav} must be (slots, 3)")
+    ground = _ground(positions)
     require(np.isfinite(uav).all() and np.isfinite(ground).all(),
             "{uav} and {positions} must be finite")
     # An overflow is an infinite slant, which only an infinite radius covers.
@@ -129,7 +144,9 @@ def broadcast(coverage: np.ndarray, packets: np.ndarray,
     number of UAV transmissions (one per slot over the full flight).
     """
     _check_erasure_probability(erasure_probability)
-    _check_batch(packets, rngs, coverage.shape[1], "coverage")
+    _, _, width = _check_batch(packets, rngs, coverage.shape[1], "coverage")
+    require(width == coverage.shape[0],
+            "{packets} needs a column per slot of {coverage}")
     received = np.zeros((len(rngs),) + coverage.shape, dtype=bool)
     cells = np.count_nonzero(coverage)
     received[:, coverage] = [rng.random(cells) >= erasure_probability
@@ -239,6 +256,7 @@ def exchange(packets: np.ndarray, graph: D2dGraph, k: int, rngs,
     each node ORs in its neighbours' packets through a padded neighbour
     table, and its packet count grows by the bits that are new to it."""
     _check_packet_count(k)
+    _check_cap(round_cap, "round_cap")
     seeds, nodes, width = _check_batch(packets, rngs, len(graph.labels),
                                        "graph")
     # What the nodes hold, eight packets to a byte.
@@ -350,10 +368,13 @@ def baseline(coverage: np.ndarray, packets: np.ndarray,
     generator is rewound to the last draw used.
     """
     _check_erasure_probability(erasure_probability)
+    _check_cap(pass_cap, "pass_cap")
     _, _, k = _check_batch(packets, rngs, coverage.shape[1], "coverage")
     require(k > 0, "{packets} must hold at least one source packet")
     slots_per_pass, nodes = coverage.shape
-    limit = pass_cap * slots_per_pass
+    limit = int(pass_cap) * slots_per_pass
+    require(limit <= np.iinfo(np.int64).max,
+            "{pass_cap} passes of {coverage} overflow the transmission count")
     pass_cycles = -(-slots_per_pass // k)  # packet cycles covering a pass
     # The coverage of any window's consecutive transmissions is a slice.
     tiled = coverage[np.arange(slots_per_pass + k * pass_cycles)
@@ -448,7 +469,7 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
                     round_cap: int = 10_000, pass_cap: int = 1_000) -> dict:
     """Coded broadcast plus D2D gossip against the uncoded baseline of a
     ``k``-packet file, one seed per pair of generators from the two
-    iterables, all seeds in one batched pass.
+    iterables, which must be of one length, all seeds in one batched pass.
 
     Takes the generators as it runs them, in blocks of at most
     ``_BLOCK_CELLS`` cells.  Returns what ``broadcast``, ``exchange`` and
@@ -469,8 +490,11 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
             "{coverage} and {graph} need the same nodes, at least one")
     block = max(1, _BLOCK_CELLS // (nodes * (slots + k + nodes)))
     coded_rngs, baseline_rngs = iter(coded_rngs), iter(baseline_rngs)
+    unpaired = "{coded_rngs} and {baseline_rngs} need the same length"
     blocks = []
     while rngs := list(itertools.islice(coded_rngs, block)):
+        paired = list(itertools.islice(baseline_rngs, len(rngs)))
+        require(len(paired) == len(rngs), unpaired)
         packets = np.zeros((len(rngs), nodes, slots), dtype=bool)
         coded_tx = broadcast(coverage, packets, erasure_probability, rngs)
         after_phase1 = np.count_nonzero(packets, axis=2)
@@ -478,8 +502,7 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
                                                   round_cap)
         baseline_tx, baseline_success, missing = baseline(
             coverage, np.zeros((len(rngs), nodes, k), dtype=bool),
-            erasure_probability,
-            list(itertools.islice(baseline_rngs, len(rngs))), pass_cap)
+            erasure_probability, paired, pass_cap)
         blocks.append({
             "coded_transmissions": np.full(len(rngs), coded_tx),
             "d2d_rounds": rounds, "coded_success": coded_success,
@@ -488,5 +511,6 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
             "packets_after_phase1": after_phase1,
             "decoded_after_phase2": packets.sum(axis=2) >= k})
     require(blocks, "compare_schemes needs at least one seed", "coded_rngs")
+    require(next(baseline_rngs, None) is None, unpaired)
     return {name: np.concatenate([part[name] for part in blocks])
             for name in blocks[0]}

@@ -3,10 +3,11 @@
 The three flight patterns used by the relaying and dissemination
 simulations are the mobile-relay sawtooth, the data-ferry shuttle, and a
 constant-velocity overflight.  Each is a closed-form array function of
-sample times: ``mobile_relay_x`` and ``ferry_x`` give a relaying cycle's
-horizontal positions, keeping to the geometry's max speed, and
-``overflight_x`` the (x, y, z) positions of a straight flight.  A relaying
-flight is a few legs, each evaluated only at its own sample times.
+sample times.  A relaying flight is a few legs, ``_sawtooth``'s or
+``_shuttle``'s, keeping to the geometry's max speed; ``_flight_x`` flies
+them, each leg only at its own sample times, and ``relay`` calls it on a
+cycle's grid.  ``overflight_x`` gives the (x, y, z) positions of a
+straight flight.
 """
 
 from __future__ import annotations
@@ -62,8 +63,15 @@ def cycle_times(geom: RelayGeometry, time_step: float) -> np.ndarray:
 
 
 def _sawtooth(geom: RelayGeometry):
-    """``mobile_relay_x``'s legs over one phase, in time since its start,
-    and the mirror ``(delta, R)`` through which phase 2 flies them again."""
+    """The mobile relay's legs over one phase, in time since its start, and
+    the mirror ``(delta, R)`` through which phase 2 flies them again.
+
+    Phase 1: from the midpoint, fly toward the point above the source at
+    v_max; hover there if the speed allows, otherwise turn around at
+    delta/2; back at the midpoint exactly at t = delta.  Phase 2 mirrors
+    phase 1 through the midpoint plane toward the destination.  Past the
+    cycle's end, 2*delta, the last leg goes on, to +-inf where it
+    overflows."""
     delta, half, v = geom.delay_budget, geom.separation / 2.0, geom.v_max
     if v == 0.0:
         legs = [(math.inf, half)]
@@ -78,7 +86,10 @@ def _sawtooth(geom: RelayGeometry):
 
 
 def _shuttle(geom: RelayGeometry):
-    """``ferry_x``'s legs, and no mirror."""
+    """The data ferry's legs, and no mirror: hover above the source for
+    delta - R/v, fly to above the destination (R/v), hover there equally
+    long, fly back, and stay above the source past the cycle's end.
+    Raises ``DomainError`` unless v_max > 0 and v_max*delta >= R."""
     delta, v, R = geom.delay_budget, geom.v_max, geom.separation
     t_hover = _ferry_hover_time(geom)
     def clip(x):
@@ -110,29 +121,6 @@ def _flight_x(times: np.ndarray, out: np.ndarray, legs, mirror=None):
     return out
 
 
-def _at_times(flight_of, geom: RelayGeometry, times) -> np.ndarray:
-    """``_flight_x`` of ``flight_of(geom)`` at ``times`` >= 0 in any order
-    and shape."""
-    times = np.asarray(times, dtype=float)
-    require(np.all(times >= 0), "{times} must be >= 0")
-    flat = times.ravel()
-    order, x = np.argsort(flat, kind="stable"), np.empty_like(flat)
-    x[order] = _flight_x(flat[order], np.empty_like(flat), *flight_of(geom))
-    return x.reshape(times.shape)
-
-
-def mobile_relay_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
-    """Horizontal position of the mobile relay (sawtooth) at ``times`` >= 0.
-
-    Phase 1: from the midpoint, fly toward the point above the source at
-    v_max; hover there if the speed allows, otherwise turn around at
-    delta/2; back at the midpoint exactly at t = delta.  Phase 2 mirrors
-    phase 1 through the midpoint plane toward the destination.  Past the
-    cycle's end, 2*delta, the last leg goes on, to +-inf where it overflows.
-    """
-    return _at_times(_sawtooth, geom, times)
-
-
 def _ferry_hover_time(geom: RelayGeometry) -> float:
     """The ferry's hover time at each endpoint, delta - R/v.  Raises
     ``DomainError`` unless v_max > 0 and v_max*delta >= R."""
@@ -142,17 +130,6 @@ def _ferry_hover_time(geom: RelayGeometry) -> float:
             f"{{separation}} within the delay budget; minimum feasible speed "
             f"is {R / delta} m/s", "delay_budget")
     return delta - R / v
-
-
-def ferry_x(geom: RelayGeometry, times: np.ndarray) -> np.ndarray:
-    """Horizontal position of the data ferry (shuttle) at ``times`` >= 0.
-
-    Hover above the source for delta - R/v, fly to above the destination
-    (R/v), hover there equally long, fly back, and stay above the source
-    past the cycle's end.  Raises ``DomainError`` unless v_max > 0 and
-    v_max*delta >= R.
-    """
-    return _at_times(_shuttle, geom, times)
 
 
 def _overflight_steps(length: float, speed: float, time_step: float):
@@ -176,6 +153,7 @@ def overflight_x(start: tuple[float, float, float],
     require(times.ndim == 1, "{times} must be one-dimensional")
     require(np.all(times >= 0), "{times} must be >= 0")
     a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+    require(a.shape == b.shape == (3,), "{start} and {end} must be (x, y, z)")
     length = math.dist(start, end)
     require(length < math.inf, "the distance from {start} to {end} must be "
             "finite")

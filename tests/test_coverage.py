@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from uavsim import coverage
+from uavsim import DomainError, coverage
 from uavsim.channel import free_space_path_loss
-from uavsim.coverage import (altitude_grid, check_carrier, check_excess_loss,
-                             check_los_model, coverage_radii,
-                             expected_path_loss, los_probability)
+from uavsim.coverage import (_expected_loss, altitude_grid, check_excess_loss,
+                             check_los_model, coverage_radii, los_probability)
 
 URBAN_LOS = (9.61, 0.16)  # the LoS sigmoid's a and b
 # Mean excess losses beyond free space (eta_los dB, eta_nlos dB).
@@ -62,7 +61,7 @@ def scan_radius_oracle(altitude, max_pl, frequency, los, excess, step=0.1):
     r = 0.0
     limit = 100_000.0
     while r <= limit:
-        if expected_path_loss(altitude, r, frequency, *los, *excess) <= max_pl:
+        if _expected_loss(altitude, r, frequency, *los, *excess) <= max_pl:
             best = r
         elif best > 0.0:
             break
@@ -76,7 +75,7 @@ def reference_coverage_radius(altitude, max_path_loss, frequency, los, excess,
     # numpy loss: the reference the lockstep bisection of a whole grid
     # must equal bit for bit.
     def loss(r):
-        return expected_path_loss(altitude, r, frequency, *los, *excess)
+        return _expected_loss(altitude, r, frequency, *los, *excess)
 
     if loss(0.0) > max_path_loss:
         return 0.0
@@ -147,14 +146,14 @@ class TestExpectedPathLoss:
     def test_zero_excess_equals_fspl(self):
         for h, r in [(50.0, 0.0), (100.0, 500.0), (2000.0, 3000.0)]:
             fspl = free_space_path_loss(r, h, F2GHZ)
-            assert expected_path_loss(h, r, F2GHZ, *URBAN_LOS,
-                                      *NO_EXCESS) == pytest.approx(fspl,
-                                                                  abs=1e-12)
+            assert _expected_loss(h, r, F2GHZ, *URBAN_LOS,
+                                  *NO_EXCESS) == pytest.approx(fspl,
+                                                              abs=1e-12)
 
     def test_nadir_geometry(self):
         # Directly overhead: theta = 90 deg, P_LoS ~ 1 for urban defaults.
         h = 100.0
-        loss = expected_path_loss(h, 0.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
+        loss = _expected_loss(h, 0.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
         fspl = free_space_path_loss(0.0, h, F2GHZ)
         assert loss == pytest.approx(fspl + 1.0, abs=0.1)
 
@@ -166,15 +165,15 @@ class TestExpectedPathLoss:
         theta = math.degrees(math.atan2(100.0, 500.0))
         p = 1.0 / (1.0 + 9.61 * math.exp(-0.16 * (theta - 9.61)))
         expected = p * (fspl + 1.0) + (1.0 - p) * (fspl + 20.0)
-        value = expected_path_loss(100.0, 500.0, F2GHZ, *URBAN_LOS,
-                                   *URBAN_EXCESS)
+        value = _expected_loss(100.0, 500.0, F2GHZ, *URBAN_LOS,
+                               *URBAN_EXCESS)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(110.3347, abs=1e-3)  # frozen oracle
 
     def test_nondecreasing_in_range(self):
         for h in (50.0, 100.0, 500.0, 1500.0):
-            losses = [expected_path_loss(h, r, F2GHZ, *URBAN_LOS,
-                                         *URBAN_EXCESS)
+            losses = [_expected_loss(h, r, F2GHZ, *URBAN_LOS,
+                                     *URBAN_EXCESS)
                       for r in range(0, 5000, 25)]
             assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -190,27 +189,19 @@ class TestExpectedPathLoss:
         # never drops farther out, except by a few ulps of rounding.
         assume(a * b < 700.0)  # exp(a*b) at elevation 0 stays finite
         excess = eta_los, min(eta_los + extra, 100.0)
-        near_loss, far_loss = expected_path_loss(
+        near_loss, far_loss = _expected_loss(
             altitude, np.array([near, near + gap]), frequency, a, b, *excess)
         assert near_loss <= far_loss + 4 * np.spacing(far_loss)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            expected_path_loss(0.0, 100.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
-        with pytest.raises(ValueError):
-            expected_path_loss(100.0, -1.0, F2GHZ, *URBAN_LOS, *URBAN_EXCESS)
-
 
 class TestExcessLoss:
-    """``check_excess_loss`` owns the excess-loss bounds, and both kernels
-    call it."""
+    """``check_excess_loss`` owns the excess-loss bounds, and
+    ``coverage_radii`` calls it."""
 
     @staticmethod
     def assert_refused(eta_los, eta_nlos, message):
         for check in (
                 lambda: check_excess_loss(eta_los, eta_nlos),
-                lambda: expected_path_loss(100.0, 500.0, F2GHZ, *URBAN_LOS,
-                                           eta_los, eta_nlos),
                 lambda: coverage_radii([100.0], 110.0, F2GHZ, *URBAN_LOS,
                                        eta_los, eta_nlos)):
             with pytest.raises(ValueError) as error:
@@ -237,8 +228,8 @@ class TestCoverageRadius:
 
     def test_infeasible_at_nadir(self):
         h = 1000.0
-        nadir_loss = expected_path_loss(h, 0.0, F2GHZ, *URBAN_LOS,
-                                        *URBAN_EXCESS)
+        nadir_loss = _expected_loss(h, 0.0, F2GHZ, *URBAN_LOS,
+                                    *URBAN_EXCESS)
         assert coverage_radius(h, nadir_loss - 5.0, F2GHZ, URBAN_LOS,
                                URBAN_EXCESS) == 0.0
 
@@ -279,8 +270,8 @@ class TestMatchesScalarReference:
         # comparison is a tie.
         h = data.draw(st.sampled_from(altitudes))
         k = data.draw(st.integers(-1, 6))
-        tie = expected_path_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
-                                 frequency, *los, *excess)
+        tie = _expected_loss(h, 0.0 if k < 0 else max(h, 1.0) * 2.0 ** k,
+                             frequency, *los, *excess)
         threshold = data.draw(st.one_of(st.just(tie), st.floats(40.0, 200.0)))
         grid, radii = coverage_curve((lo, hi), threshold, frequency, los,
                                      excess, step)
@@ -300,8 +291,8 @@ class TestMatchesScalarReference:
         # of this altitude alone does.  (With AVX-512 numpy the loss here
         # differs from ``math``'s in the last bit.)
         los, excess = environment("suburban")
-        threshold = expected_path_loss(altitude, altitude * 2.0 ** k, F2GHZ,
-                                       *los, *excess)
+        threshold = _expected_loss(altitude, altitude * 2.0 ** k, F2GHZ,
+                                   *los, *excess)
         assert coverage_radius(altitude, threshold, F2GHZ, los, excess) == \
             reference_coverage_radius(altitude, threshold, F2GHZ, los, excess)
 
@@ -414,28 +405,28 @@ class TestAltitudeGrid:
                              step) == message
 
 
-class TestSameErrorsAsExpectedPathLoss:
-    @pytest.mark.parametrize("altitude,frequency,sigmoid", [
-        (0.0, F2GHZ, (9.61, 0.16)), (-5.0, F2GHZ, (9.61, 0.16)),
-        (100.0, 0.0, (9.61, 0.16)), (100.0, -1.0, (9.61, 0.16)),
-        (100.0, F2GHZ, (50.0, 15.0)), (10.0, 5e-324, (9.61, 0.16))],
+class TestSameErrorsForRadiusAndCurve:
+    @pytest.mark.parametrize("altitude,frequency,sigmoid,message", [
+        (0.0, F2GHZ, (9.61, 0.16), "altitude must be > 0"),
+        (-5.0, F2GHZ, (9.61, 0.16), "altitude must be > 0"),
+        (100.0, 0.0, (9.61, 0.16), "frequency must be > 0"),
+        (100.0, -1.0, (9.61, 0.16), "frequency must be > 0"),
+        (100.0, F2GHZ, (50.0, 15.0), "s_curve_a * s_curve_b = 750 overflows "
+         "exp() in the LoS probability at elevation 0"),
+        (10.0, 5e-324, (9.61, 0.16), "path loss at the lowest altitude's "
+         "nadir underflows at frequency 4.94066e-324 Hz")],
         ids=["altitude_zero", "altitude_negative", "frequency_zero",
              "frequency_negative", "steep_sigmoid", "frequency_underflow"])
-    def test_radius_and_curve(self, altitude, frequency, sigmoid):
-        # The bisection checks its inputs once, as the loss of one far range
-        # does; a sigmoid whose exp overflows fails before any of them, as
-        # both check it first.  A carrier whose loss underflows to -inf at
-        # the nadir is no error of the loss, which is then -inf, but of
+    def test_radius_and_curve(self, altitude, frequency, sigmoid, message):
+        # The bisection checks its inputs once; a sigmoid whose exp
+        # overflows fails before any of them, as it is checked first.  A
+        # carrier whose loss underflows to -inf at the nadir is refused by
         # ``check_carrier``: every threshold would cover every range.
-        with pytest.raises(ValueError) as expected:
-            expected_path_loss(altitude, 1e6, frequency, *sigmoid,
-                               *URBAN_EXCESS)
-            check_carrier([altitude], frequency)
-        kind, text = type(expected.value), re.escape(str(expected.value))
-        with pytest.raises(kind, match=text):
+        text = f"^{re.escape(message)}$"
+        with pytest.raises(DomainError, match=text):
             coverage_radius(altitude, 150.0, frequency, sigmoid, URBAN_EXCESS)
         if altitude > 0:
-            with pytest.raises(kind, match=text):
+            with pytest.raises(DomainError, match=text):
                 coverage_curve((altitude, altitude + 50.0), 150.0, frequency,
                                sigmoid, URBAN_EXCESS, grid_step=10.0)
         else:  # the grid itself refuses altitudes <= 0
@@ -451,28 +442,12 @@ class TestExpectedPathLossArray:
         ranges = np.array([0.0, 0.5, 50.0, 500.0, 5000.0, 1e6])[None, :]
         for name in sorted(ENVIRONMENTS):
             los, excess = environment(name)
-            values = expected_path_loss(altitudes, ranges, F2GHZ, *los,
-                                        *excess)
+            values = _expected_loss(altitudes, ranges, F2GHZ, *los, *excess)
             assert values.shape == (5, 6)
             for (i, j), value in np.ndenumerate(values):
-                assert value == expected_path_loss(
+                assert value == _expected_loss(
                     float(altitudes[i, 0]), float(ranges[0, j]), F2GHZ, *los,
                     *excess)
-
-    @pytest.mark.parametrize("altitude,ground_range,message", [
-        ([100.0, 0.0], 10.0, "altitude must be > 0"),
-        (100.0, [10.0, -1.0], "ground_range must be >= 0"),
-        ([-1.0, 100.0], [-1.0, 10.0], "altitude must be > 0")])
-    def test_same_errors_as_scalar(self, altitude, ground_range, message):
-        # An array call and a call on the smallest altitude and range
-        # raise the same error.
-        with pytest.raises(ValueError, match=message):
-            expected_path_loss(altitude, ground_range, F2GHZ, *URBAN_LOS,
-                               *URBAN_EXCESS)
-        with pytest.raises(ValueError, match=message):
-            expected_path_loss(float(np.min(altitude)),
-                               float(np.min(ground_range)), F2GHZ,
-                               *URBAN_LOS, *URBAN_EXCESS)
 
 
 class TestOptimalAltitude:

@@ -1023,3 +1023,16 @@ class TestModelValidation:
         raises_value_error(lambda: compare_schemes(
             coverage, D2dGraph([(0.0, 0.0)], 10.0), 2, 0.3, [], []),
             "compare_schemes needs at least one seed")
+
+    def test_unpaired_generators_refused_before_their_block(self):
+        # A block takes a baseline generator for each coded one before it
+        # runs, so a short baseline iterable leaves every generator as it
+        # was.
+        coverage = coverage_mask(hover(2), [(0.0, 0.0)], 10.0)
+        coded = [np.random.default_rng(seed) for seed in (0, 1)]
+        base = [np.random.default_rng(0)]
+        states = [rng.bit_generator.state for rng in coded + base]
+        raises_value_error(lambda: compare_schemes(
+            coverage, D2dGraph([(0.0, 0.0)], 10.0), 2, 0.3, coded, base),
+            "coded_rngs and baseline_rngs need the same length")
+        assert [rng.bit_generator.state for rng in coded + base] == states

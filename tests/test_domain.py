@@ -25,8 +25,10 @@ from uavsim.channel import (free_space_path_loss, snr_anchor_db,
                             spectral_efficiency)
 from uavsim.coverage import altitude_grid, check_los_model, coverage_radii
 from uavsim.dissemination import D2dGraph, compare_schemes, coverage_mask
-from uavsim.mobility import (RelayGeometry, cycle_times, ferry_x,
-                             mobile_relay_x, overflight_x)
+from uavsim.mobility import (RelayGeometry, _sawtooth, _shuttle,
+                             cycle_times, overflight_x)
+from uavsim.relay import simulate_cycle
+from test_mobility import flight_x
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf,
             math.nan]
@@ -132,15 +134,20 @@ def test_cycle_times(geom, time_step):
         assert np.all(np.isfinite(times))
 
 
+# Sorted times >= 0, as the relay kernel flies them.
+flight_times = st.lists(values.filter(lambda t: t >= 0), min_size=1,
+                        max_size=4).map(sorted).map(np.array)
+
+
 @EXAMPLES
-@given(geom=geometries, times=arrays)
+@given(geom=geometries, times=flight_times)
 @example(RelayGeometry(1000.0, 100.0, 10.0, 10.0), np.array([1e308]))
-@pytest.mark.parametrize("kernel", [mobile_relay_x, ferry_x])
-def test_relay_x(kernel, geom, times):
-    x = call(kernel, geom, times)
+@pytest.mark.parametrize("shape", [_sawtooth, _shuttle])
+def test_relay_x(shape, geom, times):
+    x = call(flight_x, shape, geom, times)
     if x is not None:
         assert x.shape == times.shape and not np.isnan(x).any()
-        if kernel is ferry_x:
+        if shape is _shuttle:
             assert np.all((x >= 0.0) & (x <= geom.separation))
 
 
@@ -212,10 +219,15 @@ def test_coverage_radii(altitude, max_path_loss, frequency, sigmoid,
             assert np.all(radii[infinite] == 0.0)
 
 
+def ground_positions(max_size):
+    """(nodes, 2) arrays of up to ``max_size`` nodes, zero among them."""
+    return st.lists(st.tuples(values, values), max_size=max_size).map(
+        lambda nodes: np.reshape(nodes, (-1, 2)))
+
+
 @EXAMPLES
 @given(uav=st.lists(points, min_size=1, max_size=3),
-       positions=st.lists(st.tuples(values, values), max_size=3),
-       radius=values)
+       positions=ground_positions(3), radius=values)
 def test_coverage_mask(uav, positions, radius):
     mask = call(coverage_mask, np.array(uav), positions, radius)
     if mask is not None:
@@ -225,8 +237,7 @@ def test_coverage_mask(uav, positions, radius):
 
 
 @EXAMPLES
-@given(positions=st.lists(st.tuples(values, values), max_size=4),
-       d2d_range=values)
+@given(positions=ground_positions(4), d2d_range=values)
 @example([(0.0, 0.0), (1.0, 0.0)], math.nan)
 @example([(math.inf, 0.0), (0.0, 0.0)], 50.0)
 def test_d2d_graph(positions, d2d_range):
@@ -278,8 +289,8 @@ def generators(count):
     # More samples than an array can hold.
     (cycle_times, (RelayGeometry(1000.0, 100.0, 10.0, 1e20), 1.0),
      ("delay_budget", "time_step")),
-    (ferry_x, (RelayGeometry(1e-10, 100.0, 0.0, 1.0), np.zeros(1)),
-     ("v_max", "separation", "delay_budget")),
+    (simulate_cycle, ("ferry", RelayGeometry(1e-10, 100.0, 0.0, 1.0), 5e9,
+                      10.0, 100.0), ("v_max", "separation", "delay_budget")),
     # Times that are not one-dimensional.
     (overflight_x, ((0.0, 0.0, 100.0), (1000.0, 0.0, 100.0), 20.0, 1.0),
      ("times",)),
@@ -315,6 +326,46 @@ def generators(count):
     # Its block size would divide by slots + k + nodes = 0.
     (compare_schemes, (mask(4, 2), PAIR, -6, 0.1, generators(1),
                        generators(1)), ("k",)),
+    # A packet width other than the slot count, and generators that do
+    # not pair up, in either direction.
+    (dissemination.broadcast, (mask(3, 2), batch(1, 2, 4), 0.1,
+                               generators(1)), ("packets", "coverage")),
+    (compare_schemes, (mask(4, 2), PAIR, 4, 0.1, generators(2),
+                       generators(1)), ("coded_rngs", "baseline_rngs")),
+    (compare_schemes, (mask(4, 2), PAIR, 4, 0.1, generators(1),
+                       generators(2)), ("coded_rngs", "baseline_rngs")),
+    # Caps that are not integers >= 0.
+    (dissemination.baseline, (mask(2, 2), batch(1, 2, 3), 0.1, generators(1),
+                              -1), ("pass_cap",)),
+    (dissemination.baseline, (mask(2, 2), batch(1, 2, 3), 0.1, generators(1),
+                              1.5), ("pass_cap",)),
+    # A transmission count past int64, from a Python or a numpy integer.
+    (dissemination.baseline, (mask(2, 2), batch(1, 2, 3), 0.1, generators(1),
+                              10**20), ("pass_cap", "coverage")),
+    (dissemination.baseline, (mask(2, 2), batch(1, 2, 3), 0.1, generators(1),
+                              np.int64(2**62)), ("pass_cap", "coverage")),
+    (dissemination.exchange, (batch(1, 2, 4), PAIR, 4, generators(1), -1),
+     ("round_cap",)),
+    (dissemination.exchange, (batch(1, 2, 4), PAIR, 4, generators(1), 1.5),
+     ("round_cap",)),
+    (dissemination.exchange,
+     (batch(1, 2, 4), PAIR, 4, generators(1), math.nan), ("round_cap",)),
+    (compare_schemes, (mask(4, 2), PAIR, 4, 0.1, generators(1),
+                       generators(1), -1), ("round_cap",)),
+    (compare_schemes, (mask(4, 2), PAIR, 4, 0.1, generators(1),
+                       generators(1), 10, math.nan), ("pass_cap",)),
+    # Arrays of another shape than the kernel takes.
+    (D2dGraph, ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], 100.0), ("positions",)),
+    (coverage_mask, (np.zeros((1, 3)), [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+                     100.0), ("positions",)),
+    (coverage_mask, (np.zeros((1, 2)), [(0.0, 0.0)], 100.0), ("uav",)),
+    (overflight_x, ((0.0, 0.0), (1.0, 1.0, 1.0), 20.0, np.zeros(1)),
+     ("start", "end")),
+    (overflight_x, ((0.0, 0.0), (1.0, 1.0), 20.0, np.zeros(1)),
+     ("start", "end")),
+    (coverage_radii, (100.0, 110.0, 2e9, *URBAN, 1.0, 20.0), ("altitude",)),
+    (coverage_radii, (np.array([[100.0, 200.0]]), 110.0, 2e9, *URBAN, 1.0,
+                      20.0), ("altitude",)),
 ])
 def test_refused_naming_the_parameter(kernel, args, parameters):
     with warnings.catch_warnings():
@@ -326,8 +377,8 @@ def test_refused_naming_the_parameter(kernel, args, parameters):
 
 @pytest.mark.parametrize("kernel,args,value", [
     (spectral_efficiency, (1e308,), math.inf),
-    (mobile_relay_x, (RelayGeometry(1000.0, 100.0, 10.0, 10.0),
-                      np.array([1e308])), -math.inf),
+    (flight_x, (_sawtooth, RelayGeometry(1000.0, 100.0, 10.0, 10.0),
+                np.array([1e308])), -math.inf),
     (coverage_radii, (np.array([1e308]), math.inf, 2e9,
                       *URBAN, 1.0, 20.0), math.inf),
 ])

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from uavsim._csvfile import write_csvs
 from uavsim import DomainError
 from uavsim.experiment import PRESETS, _flight_ends, _slot_count
-from uavsim.mobility import (RelayGeometry, _overflight_steps, cycle_times,
-                             ferry_x, mobile_relay_x, overflight_x)
+from uavsim.mobility import (RelayGeometry, _flight_x, _overflight_steps,
+                             _sawtooth, _shuttle, cycle_times, overflight_x)
+from uavsim.relay import simulate_cycle
 
 
 def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
@@ -18,12 +19,26 @@ def relay_geom(v_max, delta=20.0, separation=1000.0, altitude=100.0):
                          v_max=v_max, delay_budget=delta)
 
 
-def relay_cycle(shape, geom, time_step):
-    """One relaying cycle flown along ``shape`` (``mobile_relay_x`` or
-    ``ferry_x``): its sample times and (x, y, z) positions, along the x
-    axis at the UAV altitude."""
-    times = cycle_times(geom, time_step)
-    xs = shape(geom, times)
+def flown(strategy, geom, time_step):
+    """The sample times of one relaying cycle of ``strategy`` and the
+    relay's horizontal position at each, as ``simulate_cycle`` flies it."""
+    result = simulate_cycle(strategy, geom, 5e9, 10.0, geom.midpoint_slant,
+                            time_step=time_step)
+    return result.times, result.relay_x
+
+
+def flight_x(shape, geom, times):
+    """The horizontal positions of the flight of ``shape`` (``_sawtooth``
+    or ``_shuttle``) at the sorted 1-D ``times``, by the evaluator that the
+    relay kernel calls on a cycle's grid."""
+    return _flight_x(times, np.empty_like(times), *shape(geom))
+
+
+def relay_cycle(strategy, geom, time_step):
+    """One relaying cycle of ``strategy`` (``"mobile"`` or ``"ferry"``):
+    its sample times and (x, y, z) positions, along the x axis at the UAV
+    altitude."""
+    times, xs = flown(strategy, geom, time_step)
     return times, np.column_stack(
         [xs, np.zeros_like(xs), np.full_like(xs, geom.uav_altitude)])
 
@@ -83,28 +98,26 @@ def bits(values):
 class TestMobileRelayTrajectory:
     def test_hover_above_source_window(self):
         # v=100 m/s, delta=20 s: overhead from t=5 to t=15, i.e. 10 s.
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
-                                       0.01)
+        times, positions = relay_cycle("mobile", relay_geom(100.0), 0.01)
         overhead = times[(times <= 20.0) & (np.abs(positions[:, 0]) < 1e-9)]
         assert overhead.min() == pytest.approx(5.0, abs=0.011)
         assert overhead.max() == pytest.approx(15.0, abs=0.011)
 
     def test_zero_speed_stays_at_midpoint(self):
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(0.0), 0.1)
+        times, positions = relay_cycle("mobile", relay_geom(0.0), 0.1)
         assert positions.tolist() == [[500.0, 0.0, 100.0]] * len(times)
 
     def test_turnaround_without_hover(self):
         # v=30 m/s cannot reach the source: closest approach R/2 - v*delta/2
         # = 200 m horizontally, at t = delta/2.
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
+        times, positions = relay_cycle("mobile", relay_geom(30.0), 0.01)
         phase1 = np.flatnonzero(times <= 10.0 + 1e-9)
         closest = phase1[np.argmin(positions[phase1, 0])]
         assert positions[closest, 0] == pytest.approx(200.0, abs=1e-6)
         assert times[closest] == pytest.approx(10.0, abs=0.011)
 
     def test_cycle_span_and_midpoint_boundaries(self):
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
-                                       0.01)
+        times, positions = relay_cycle("mobile", relay_geom(100.0), 0.01)
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(40.0, abs=1e-9)
         for t_idx in (0, len(times) // 2, -1):
@@ -112,12 +125,12 @@ class TestMobileRelayTrajectory:
 
     def test_non_divisible_time_step_rejected(self):
         with pytest.raises(DomainError):
-            relay_cycle(mobile_relay_x, relay_geom(100.0), 0.3)
+            relay_cycle("mobile", relay_geom(100.0), 0.3)
 
     @pytest.mark.parametrize("v", [0.0, 10.0, 30.0, 100.0, 250.0])
     def test_phase_time_symmetry(self, v):
         # position(t) == position(delta - t) within phase 1.
-        positions = by_time(*relay_cycle(mobile_relay_x, relay_geom(v), 0.01))
+        positions = by_time(*relay_cycle("mobile", relay_geom(v), 0.01))
         for t in [0.0, 1.23, 4.56, 7.0, 9.99]:
             t = round(t, 6)
             mirror = round(20.0 - t, 6)
@@ -127,14 +140,14 @@ class TestMobileRelayTrajectory:
 
     @pytest.mark.parametrize("v", [10.0, 100.0])
     def test_phase2_mirrors_phase1(self, v):
-        positions = by_time(*relay_cycle(mobile_relay_x, relay_geom(v), 0.01))
+        positions = by_time(*relay_cycle("mobile", relay_geom(v), 0.01))
         for t in [0.5, 3.0, 8.25]:
             p1 = positions[round(t, 6)]
             p2 = positions[round(t + 20.0, 6)]
             assert p2[0] == pytest.approx(1000.0 - p1[0], abs=1e-6)
 
     def test_distance_to_source_v_shaped_in_phase1(self):
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(30.0), 0.01)
+        times, positions = relay_cycle("mobile", relay_geom(30.0), 0.01)
         distances = source_distance(positions)[times <= 20.0 + 1e-9].tolist()
         turn = distances.index(min(distances))
         assert all(a >= b - 1e-9 for a, b in
@@ -145,11 +158,11 @@ class TestMobileRelayTrajectory:
     @pytest.mark.parametrize("v", [0.0, 10.0, 30.0, 100.0])
     def test_passes_validation_at_own_vmax(self, v):
         assert_respects_v_max(
-            *relay_cycle(mobile_relay_x, relay_geom(v), 0.01), 0.01, v)
+            *relay_cycle("mobile", relay_geom(v), 0.01), 0.01, v)
 
 
 class TestShapeFunctions:
-    """The array shape functions give one float64 position per sample
+    """The relay kernel's flights give one float64 position per sample
     time, between the source and the destination."""
 
     @staticmethod
@@ -162,27 +175,22 @@ class TestShapeFunctions:
     # with no hover left), 100 (hover), 250 (long hover).
     @pytest.mark.parametrize("v", [0.0, 30.0, 50.0, 100.0, 250.0])
     def test_mobile_relay(self, v):
-        geom = relay_geom(v)
-        times = cycle_times(geom, 0.01)
-        xs = mobile_relay_x(geom, times)
+        times, xs = flown("mobile", relay_geom(v), 0.01)
         self.assert_positions(xs, times)
 
     def test_mobile_relay_branches(self):
-        times = cycle_times(relay_geom(0.0), 0.01)
-        assert np.all(mobile_relay_x(relay_geom(0.0), times) == 500.0)
-        turn = mobile_relay_x(relay_geom(30.0), times)
+        assert np.all(flown("mobile", relay_geom(0.0), 0.01)[1] == 500.0)
+        turn = flown("mobile", relay_geom(30.0), 0.01)[1]
         assert turn.min() == pytest.approx(200.0, abs=1e-9)
         assert turn.max() == pytest.approx(800.0, abs=1e-9)
-        hover = mobile_relay_x(relay_geom(100.0), times)
+        hover = flown("mobile", relay_geom(100.0), 0.01)[1]
         assert np.count_nonzero(hover == 0.0) == 1001  # t in [5, 15]
         assert np.count_nonzero(hover == 1000.0) == 1001
 
     # v=50 leaves no hover (v*delta == R); 60 and 100 hover at each end.
     @pytest.mark.parametrize("v", [50.0, 60.0, 100.0])
     def test_ferry(self, v):
-        geom = relay_geom(v)
-        times = cycle_times(geom, 0.01)
-        xs = ferry_x(geom, times)
+        times, xs = flown("ferry", relay_geom(v), 0.01)
         self.assert_positions(xs, times)
         assert xs.min() == 0.0 and xs.max() == 1000.0
 
@@ -219,23 +227,20 @@ class TestShapeFunctions:
             return min(max(x, 0.0), R)
 
         geom = relay_geom(v)
-        times = cycle_times(geom, 0.01)
-        assert mobile_relay_x(geom, times).tolist() == [
+        times, xs = flown("mobile", geom, 0.01)
+        assert xs.tolist() == [
             sawtooth(t) if t <= delta else R - sawtooth(t - delta)
             for t in times.tolist()]
         # Byte for byte, the array formulas the legs replaced.
-        assert mobile_relay_x(geom, times).tobytes() == \
-            where_sawtooth(geom, times).tobytes()
+        assert xs.tobytes() == where_sawtooth(geom, times).tobytes()
         if v >= 50.0:
-            assert ferry_x(geom, times).tolist() == \
-                [shuttle(t) for t in times.tolist()]
-            assert ferry_x(geom, times).tobytes() == \
-                where_shuttle(geom, times).tobytes()
+            times, xs = flown("ferry", geom, 0.01)
+            assert xs.tolist() == [shuttle(t) for t in times.tolist()]
+            assert xs.tobytes() == where_shuttle(geom, times).tobytes()
 
     def test_ferry_infeasible(self):
-        geom = relay_geom(49.0)
         with pytest.raises(DomainError):
-            ferry_x(geom, cycle_times(geom, 0.01))
+            flown("ferry", relay_geom(49.0), 0.01)
 
     def test_cycle_times(self):
         times = cycle_times(relay_geom(10.0), 0.01)
@@ -267,8 +272,8 @@ class TestShapeFunctions:
 
 
 def where_sawtooth(geom, times):
-    """``mobile_relay_x`` as it was written before its legs: every leg at
-    every sample, picked by nested ``np.where``."""
+    """The mobile relay's positions as they were written before its legs:
+    every leg at every sample, picked by nested ``np.where``."""
     delta, half, v = geom.delay_budget, geom.separation / 2.0, geom.v_max
     phase1 = times <= delta
     with np.errstate(all="ignore"):
@@ -287,7 +292,7 @@ def where_sawtooth(geom, times):
 
 
 def where_shuttle(geom, times):
-    """``ferry_x`` as it was written before its legs."""
+    """The ferry's positions as they were written before its legs."""
     delta, v, R = geom.delay_budget, geom.v_max, geom.separation
     t_hover = delta - R / v
     with np.errstate(all="ignore"):
@@ -300,8 +305,8 @@ def where_shuttle(geom, times):
 
 @st.composite
 def flights(draw):
-    """A relay geometry and sample times, many of them on a leg's end or
-    one float from it, in cycle order or not."""
+    """A relay geometry and sorted sample times, many of them on a leg's
+    end or one float from it."""
     R = draw(st.floats(1.0, 1e4))
     delta = draw(st.floats(0.5, 100.0))
     # Parked, turning around (v*delta < R), the ferry's minimum speed (or
@@ -320,9 +325,7 @@ def flights(draw):
     times = draw(st.lists(st.one_of(
         st.sampled_from([t for t in ends if t >= 0.0]),
         st.floats(0.0, 3.0 * delta)), min_size=1, max_size=40))
-    if draw(st.booleans()):
-        times.sort()
-    return RelayGeometry(R, 100.0, v, delta), np.array(times)
+    return RelayGeometry(R, 100.0, v, delta), np.array(sorted(times))
 
 
 class TestLegs:
@@ -334,28 +337,17 @@ class TestLegs:
     @given(flight=flights())
     def test_legs_match_where_formulas(self, flight):
         geom, times = flight
-        assert mobile_relay_x(geom, times).tobytes() == \
+        assert flight_x(_sawtooth, geom, times).tobytes() == \
             where_sawtooth(geom, times).tobytes()
         if geom.v_max * geom.delay_budget >= geom.separation - 1e-9:
-            assert ferry_x(geom, times).tobytes() == \
+            assert flight_x(_shuttle, geom, times).tobytes() == \
                 where_shuttle(geom, times).tobytes()
-
-    def test_unsorted_times_keep_their_order(self):
-        geom = relay_geom(100.0)
-        times = cycle_times(geom, 0.5)
-        order = np.random.default_rng(0).permutation(len(times))
-        for shape in (mobile_relay_x, ferry_x):
-            assert shape(geom, times[order]).tolist() == \
-                shape(geom, times)[order].tolist()
-            grid = times[order].reshape(-1, 9)
-            assert shape(geom, grid).tolist() == \
-                shape(geom, times)[order].reshape(-1, 9).tolist()
 
 
 class TestFerryTrajectory:
     def test_hover_and_flight_segments(self):
         # v=100, delta=20, R=1000: 10 s hover at each end, 10 s legs.
-        times, positions = relay_cycle(ferry_x, relay_geom(100.0), 0.01)
+        times, positions = relay_cycle("ferry", relay_geom(100.0), 0.01)
         x = positions[:, 0]
         at_source = times[x == 0.0]
         at_dest = times[x == 1000.0]
@@ -366,18 +358,18 @@ class TestFerryTrajectory:
         assert x[-1] == pytest.approx(0.0, abs=1e-6)
 
     def test_boundary_speed_zero_hover(self):
-        times, positions = relay_cycle(ferry_x, relay_geom(50.0), 0.01)
+        times, positions = relay_cycle("ferry", relay_geom(50.0), 0.01)
         at_source_p1 = times[(positions[:, 0] == 0.0) & (times < 20.0)]
         assert at_source_p1.max() == pytest.approx(0.0, abs=0.011)
 
     def test_infeasible_speed_reports_minimum(self):
         with pytest.raises(DomainError,
                            match="minimum feasible speed is 50.0 m/s"):
-            relay_cycle(ferry_x, relay_geom(49.0), 0.01)
+            relay_cycle("ferry", relay_geom(49.0), 0.01)
 
     def test_passes_validation_at_own_vmax(self):
         assert_respects_v_max(
-            *relay_cycle(ferry_x, relay_geom(80.0), 0.01), 0.01, 80.0)
+            *relay_cycle("ferry", relay_geom(80.0), 0.01), 0.01, 80.0)
 
 
 class TestOverflightTrajectory:
@@ -532,8 +524,7 @@ class TestValidateTrajectory:
     """``step_violations``, the check behind every "respects v_max" test."""
 
     def test_flags_flight_segments_at_half_vmax(self):
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
-                                       0.01)
+        times, positions = relay_cycle("mobile", relay_geom(100.0), 0.01)
         speed_violations = step_violations(times, positions, 0.01, 50.0)[2]
         # Both 10 s flight legs at 0.01 s steps; hover samples are fine.
         assert len(speed_violations) == 2000
@@ -573,8 +564,7 @@ class TestValidateTrajectory:
 
     @pytest.mark.parametrize("v", [0.0, 30.0, 100.0])
     def test_relay_cycle_matches_scalar_oracle(self, v):
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0),
-                                       0.01)
+        times, positions = relay_cycle("mobile", relay_geom(100.0), 0.01)
         assert step_violations(times, positions, 0.01, v) == \
             scalar_step_violations(times.tolist(), positions, 0.01, v)
 
@@ -589,7 +579,7 @@ class TestTrajectoryCsv:
     sample."""
 
     def test_round_trippable_columns(self, tmp_path):
-        times, positions = relay_cycle(mobile_relay_x, relay_geom(100.0), 0.1)
+        times, positions = relay_cycle("mobile", relay_geom(100.0), 0.1)
         path = tmp_path / "traj.csv"
         write_trajectory(times, positions, path)
         lines = path.read_text().splitlines()
@@ -599,10 +589,10 @@ class TestTrajectoryCsv:
         assert (t, x, y, z) == (0.0, 500.0, 0.0, 100.0)
 
     @pytest.mark.parametrize("flight", [
-        relay_cycle(mobile_relay_x, relay_geom(100.0), 0.01),
-        relay_cycle(ferry_x, relay_geom(100.0), 0.01),
+        relay_cycle("mobile", relay_geom(100.0), 0.01),
+        relay_cycle("ferry", relay_geom(100.0), 0.01),
         # Int geometry: every column is float64, so 100 is written 100.0.
-        relay_cycle(mobile_relay_x, RelayGeometry(1000, 100, 50, 20), 0.1),
+        relay_cycle("mobile", RelayGeometry(1000, 100, 50, 20), 0.1),
         overflight((0, 0, 50), (10, 5, 50), 1, 1),
         overflight((3, 4, 5), (3, 4, 5), 1.0, 0.5),
     ], ids=["mobile", "ferry", "int_geometry", "int_overflight", "hover"])

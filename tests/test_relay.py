@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +7,11 @@ from uavsim import DomainError, channel, relay
 from uavsim.channel import (_free_space_loss, free_space_path_loss,
                             snr_anchor_db, spectral_efficiency)
 from uavsim.experiment import preset_config
-from uavsim.mobility import RelayGeometry, cycle_times, ferry_x, mobile_relay_x
+from uavsim.mobility import RelayGeometry, cycle_times
 from uavsim.relay import STRATEGIES, simulate_cycle, sweep, sweep_plan
+# The oracles below take the relay's positions from the kernel's flight,
+# which test_mobility checks against the piecewise flight definitions.
+from test_mobility import flown
 
 CARRIER_HZ = 5e9
 STATIC_SE = 0.5 * math.log2(11.0)  # closed-form static-relay oracle
@@ -37,17 +39,6 @@ def sweep_rows(columns):
     return list(zip(*columns))
 
 
-def cycle_samples(strategy, g, time_step):
-    """The sample times of one cycle and the relay's horizontal position
-    at each; the static relay is the mobile one at v_max = 0."""
-    times = cycle_times(g, time_step)
-    if strategy == "ferry":
-        return times, ferry_x(g, times)
-    if strategy == "static":
-        g = dataclasses.replace(g, v_max=0.0)
-    return times, mobile_relay_x(g, times)
-
-
 def active_gap(result):
     """The horizontal gap of the active link at each sample of a result."""
     gap = result.relay_x.copy()
@@ -60,7 +51,7 @@ def scalar_cycle(strategy, g, frequency, ref, buffer_capacity=math.inf,
     """Per-step oracle: one link budget of one scalar link per sample,
     and a step-by-step buffer ledger.  Returns (bits_received,
     bits_delivered, peak, path losses, SE, occupancy)."""
-    times, xs = cycle_samples(strategy, g, time_step)
+    times, xs = flown(strategy, g, time_step)
     h = g.uav_altitude
     occupancy = received = delivered = peak = 0.0
     losses, ses, buffer = [], [], []
@@ -155,7 +146,7 @@ def two_link_cycle(strategy, g, frequency, ref, buffer_capacity,
     """Oracle that evaluates both links at every sample and keeps the
     active one.  Returns (path losses to source and destination, SE,
     occupancy)."""
-    times, xs = cycle_samples(strategy, g, time_step)
+    times, xs = flown(strategy, g, time_step)
     src, dst = np.abs(xs), np.abs(xs - g.separation)
     pl_src = free_space_path_loss(src, g.uav_altitude, frequency)
     pl_dst = free_space_path_loss(dst, g.uav_altitude, frequency)
