@@ -64,6 +64,12 @@ def _check_cap(cap, name: str) -> None:
             "{%s} must be an integer >= 0" % name)
 
 
+def _check_coverage(coverage) -> None:
+    require(isinstance(coverage, np.ndarray) and coverage.dtype == bool
+            and coverage.ndim == 2,
+            "{coverage} must be a (slots, nodes) bool array")
+
+
 def _ground(positions) -> np.ndarray:
     """The (nodes, 2) float ground ``positions``, refused in other shapes."""
     positions = np.asarray(positions, dtype=float)
@@ -143,6 +149,7 @@ def broadcast(coverage: np.ndarray, packets: np.ndarray,
     once from its own generator, and ``packets`` gains it.  Returns the
     number of UAV transmissions (one per slot over the full flight).
     """
+    _check_coverage(coverage)
     _check_erasure_probability(erasure_probability)
     _, _, width = _check_batch(packets, rngs, coverage.shape[1], "coverage")
     require(width == coverage.shape[0],
@@ -367,6 +374,7 @@ def baseline(coverage: np.ndarray, packets: np.ndarray,
     not use as hits, the start of its next step's draws; at the end the
     generator is rewound to the last draw used.
     """
+    _check_coverage(coverage)
     _check_erasure_probability(erasure_probability)
     _check_cap(pass_cap, "pass_cap")
     _, _, k = _check_batch(packets, rngs, coverage.shape[1], "coverage")
@@ -484,6 +492,7 @@ def compare_schemes(coverage: np.ndarray, graph: D2dGraph, k: int,
       baseline;
     - ``packets_after_phase1``, ``decoded_after_phase2``: (seeds, nodes).
     """
+    _check_coverage(coverage)
     _check_packet_count(k)
     slots, nodes = coverage.shape
     require(0 < nodes == len(graph.labels),

@@ -211,7 +211,10 @@ _TOP_LEVEL = {f.name: f.default for f in fields(ExperimentConfig)
 _CONFIG_KEYS = {"preset", "scenario", "params", *_TOP_LEVEL}
 _KINDS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
           str: (str, "a non-empty string"), list: (list, "a non-empty list")}
-# Bounds that no library object checks: field -> (limit, limit allowed).
+# Bounds checked before the scenario's setup, though kernels check some of
+# them too: the error line then names the config field first, and
+# ``time_step`` is bounded even where the scenario never uses it.
+# Field -> (limit, limit allowed).
 _BOUNDS = {"time_step": (0, False), "carrier_frequency_hz": (0, False),
            "node_count": (1, True), "n_seeds": (1, True),
            "field_length_m": (0, False), "uav_speed_mps": (0, False),
@@ -529,7 +532,7 @@ def _dissemination_scenario(params):
     spacing = params["field_length_m"] / n
     positions = [((i + 0.5) * spacing, 0.0) for i in range(n)]
     uav = overflight_x(*_flight_ends(params), params["uav_speed_mps"],
-                       np.arange(slots) * params["slot_duration_s"])
+                       np.arange(slots) * float(params["slot_duration_s"]))
     return (coverage_mask(uav, positions, params["coverage_radius_m"]),
             D2dGraph(positions, params["d2d_range_m"]))
 

@@ -99,11 +99,12 @@ def _shuttle(geom: RelayGeometry):
             (math.inf, lambda t: clip(R - v * (t - delta - t_hover)))], None
 
 
-def _flight_x(times: np.ndarray, out: np.ndarray, legs, mirror=None):
-    """Write into ``out``, and return, the positions at sorted ``times`` of
-    a flight of ``legs``: leg ``(end, x)`` flies the times up to ``end``
-    that no earlier leg flies, at ``x``, a number or a function of them.  A
-    ``mirror`` ``(delta, R)`` flies them again from delta on, at R - x."""
+def _flight_x(times: np.ndarray, legs, mirror=None) -> np.ndarray:
+    """The positions at sorted 1-D ``times`` of a flight of ``legs``: leg
+    ``(end, x)`` flies the times up to ``end`` that no earlier leg flies,
+    at ``x``, a number or a function of them.  A ``mirror`` ``(delta, R)``
+    flies them again from delta on, at R - x."""
+    out = np.empty(len(times))
     phases = [(times, out)]
     if mirror:  # phase 1 is t <= delta
         k = times.searchsorted(mirror[0], "right")

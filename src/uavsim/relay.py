@@ -11,14 +11,14 @@ to a ground endpoint, is evaluated per sample, in free space.
 ``simulate_cycle`` is the one-cycle call of a batch kernel, and ``sweep``
 passes the distinct cycles of a ``sweep_plan`` through it.  The kernel
 shares one sample grid per delay, flies each relay leg by leg, and
-evaluates a block of cycles' links in place, once per run of equal gaps
-along a constant leg.  ``experiment`` writes the traces and sweep table.
+evaluates each cycle's links in place on that cycle's own arrays, once
+per run of equal gaps along a constant leg.  ``experiment`` writes the
+traces and sweep table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -33,9 +33,6 @@ from .mobility import (RelayGeometry, _ferry_hover_time, _flight_x,
 
 STRATEGIES = ("static", "mobile", "ferry")
 _HOVER_EPS = 1e-6  # m, horizontal proximity that counts as hovering overhead
-# Samples per block of cycles whose links are evaluated together: fig4's
-# longest cycle (16,001 samples) is a block of its own.
-_BLOCK_SAMPLES = 16_000
 
 
 @dataclass(frozen=True)
@@ -129,13 +126,12 @@ def _simulate_cycles(cycles, carrier_frequency: float,
                      buffer_capacity: float = math.inf,
                      time_step: float = 0.01):
     """Yield ``simulate_cycle``'s result for each ``(strategy, geometry)``
-    of ``cycles``, in order.  The cycles at one delay share one read-only
-    sample grid.  Consecutive cycles at one altitude form blocks of at
-    most ``_BLOCK_SAMPLES`` samples (or of one longer cycle), whose links
-    are evaluated together; the SNR anchor is computed once per altitude."""
+    of ``cycles``, in order, each cycle's links evaluated on its own
+    arrays.  The cycles at one delay share one read-only sample grid, and
+    the SNR anchor is computed once per altitude."""
     require(buffer_capacity >= 0,
             "{buffer_capacity} must be >= 0 (or math.inf)")
-    anchors, grids, block = {}, {}, []  # by altitude, by delay budget
+    anchors, grids = {}, {}  # by altitude, by delay budget
     for strategy, geom in cycles:
         strategy, delta = _strategy(strategy, "strategy"), geom.delay_budget
         if delta not in grids:
@@ -144,70 +140,45 @@ def _simulate_cycles(cycles, carrier_frequency: float,
             # Times increase, so phase 1 (t < delta) is a prefix.
             grids[delta] = times, int(times.searchsorted(delta - 1e-12))
         (times, n_phase1), altitude = grids[delta], geom.uav_altitude
-        if block and (altitude != block[0][1].uav_altitude or len(times)
-                      + sum(len(cycle[2]) for cycle in block) > _BLOCK_SAMPLES):
-            yield from _block_results(block, carrier_frequency, anchors,
-                                      buffer_capacity, time_step)
-            block = []
-        flight = (_shuttle(geom) if strategy == "ferry" else
-                  _sawtooth(dataclasses.replace(geom, v_max=0.0)
-                            if strategy == "static" else geom))
         if altitude not in anchors:
             anchors[altitude] = snr_anchor_db(
                 carrier_frequency, reference_snr_db, reference_distance,
                 altitude)
-        block.append((strategy, geom, times, n_phase1,
-                      _flight_x(times, np.empty(len(times)), *flight),
-                      not all(callable(x) for _, x in flight[0])))
-    if block:
-        yield from _block_results(block, carrier_frequency, anchors,
-                                  buffer_capacity, time_step)
+        legs, mirror = (_shuttle(geom) if strategy == "ferry" else
+                        _sawtooth(dataclasses.replace(geom, v_max=0.0)
+                                  if strategy == "static" else geom))
+        xs = _flight_x(times, legs, mirror)
+        # The active link's horizontal gap: the source is on the ground at
+        # x = 0, the destination at x = R.
+        gap = xs.copy()
+        gap[n_phase1:] -= geom.separation
+        np.abs(gap, out=gap)
+        # Only a constant leg (parked or hovering) can repeat the gap; there
+        # each run of equal gaps is one link: the formulas are elementwise,
+        # so each sample gets the same bits.
+        repeats = not all(callable(x) for _, x in legs)
+        if repeats:
+            head = np.ones(len(gap) + 1, dtype=bool)
+            np.not_equal(gap[1:], gap[:-1], out=head[1:-1])
+            bounds = np.flatnonzero(head)  # run starts, then the cycle's end
+            gap = gap[bounds[:-1]]
+        # The gap is an abs, and the altitude and the frequency are checked.
+        loss = np.hypot(gap, altitude)
+        se = spectral_efficiency(
+            anchors[altitude]
+            - _free_space_loss(loss, carrier_frequency, out=loss))
+        if strategy == "ferry":  # silent in flight
+            se[gap > _HOVER_EPS] = 0.0
+        if repeats:
+            lengths = np.diff(bounds)
+            loss, se = loss.repeat(lengths), se.repeat(lengths)
+        yield _ledger(strategy, geom, times, n_phase1, xs, carrier_frequency,
+                      loss, se, buffer_capacity, time_step)
 
 
-def _block_results(block, frequency, anchors, buffer_capacity, time_step):
-    """The results of a block of ``(strategy, geometry, times, phase-1
-    samples, relay x, repeats)`` cycles at one altitude; a cycle repeats
-    its gap only along a constant leg (parked or hovering)."""
-    ends = list(itertools.accumulate(len(cycle[2]) for cycle in block))
-    starts = [0] + ends[:-1]
-    # The active link's horizontal gap: the source is on the ground at
-    # x = 0, the destination at x = R.
-    gap = np.concatenate([cycle[4] for cycle in block])
-    for (_, geom, _, n_phase1, _, _), start, end in zip(block, starts, ends):
-        gap[start + n_phase1:end] -= geom.separation
-    np.abs(gap, out=gap)
-    # Where a cycle's gap can repeat, each run of equal gaps is one link:
-    # the formulas are elementwise, so each sample gets the same bits.
-    scanned = [(start, end) for cycle, start, end in zip(block, starts, ends)
-               if cycle[5]]
-    runs = ends
-    if scanned:
-        head = np.ones(len(gap) + 1, dtype=bool)
-        for start, end in scanned:
-            np.not_equal(gap[start + 1:end], gap[start:end - 1],
-                         out=head[start + 1:end])
-        bounds = np.flatnonzero(head)  # run starts, then the block's end
-        runs = bounds.searchsorted(ends).tolist()  # runs before each end
-        gap = gap[bounds[:-1]]
-    # The gap is an abs, and the altitude and the frequency are checked.
-    altitude = block[0][1].uav_altitude
-    loss = np.hypot(gap, altitude)
-    se = spectral_efficiency(anchors[altitude]
-                             - _free_space_loss(loss, frequency, out=loss))
-    for cycle, first, last in zip(block, [0] + runs, runs):
-        if cycle[0] == "ferry":  # silent in flight
-            se[first:last][gap[first:last] > _HOVER_EPS] = 0.0
-    if scanned:
-        lengths = bounds[1:] - bounds[:-1]
-        loss, se = loss.repeat(lengths), se.repeat(lengths)
-    for cycle, start, end in zip(block, starts, ends):
-        yield _ledger(cycle, frequency, loss[start:end], se[start:end],
-                      buffer_capacity, time_step)
-
-
-def _ledger(cycle, frequency, loss, se, buffer_capacity, time_step):
-    """The bit ledger of one block cycle from its active-link SE."""
-    strategy, geom, times, n_phase1, xs, _ = cycle
+def _ledger(strategy, geom, times, n_phase1, xs, frequency, loss, se,
+            buffer_capacity, time_step):
+    """The bit ledger of one cycle from its active link's loss and SE."""
     # Closed-form buffer ledger over the left endpoints.  Phase 1 fills:
     # occupancy = min(cumsum(se*dt), capacity).  Phase 2 drains from the
     # B bits received: occupancy = max(B - se_1*dt - se_2*dt - ..., 0),
@@ -267,9 +238,10 @@ def sweep_plan(strategies, geom_template: RelayGeometry, delays, speeds):
 def sweep(plan, carrier_frequency: float, reference_snr_db: float,
           reference_distance: float, time_step: float) -> list[list]:
     """End-to-end SE of each cell of a ``sweep_plan``, with unbounded
-    buffers, its distinct cycles in one batch: five columns in row order,
-    the delay budget, speed, strategy name, end-to-end SE (``None`` if
-    infeasible) and a feasible flag (1 or 0)."""
+    buffers, its distinct cycles through one kernel call, which shares
+    their grids and anchors: five columns in row order, the delay budget,
+    speed, strategy name, end-to-end SE (``None`` if infeasible) and a
+    feasible flag (1 or 0)."""
     cells, cycles = plan
     # Each result goes as soon as its SE is read, before the next is built.
     se = dict(zip(cycles, map(

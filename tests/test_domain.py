@@ -366,6 +366,16 @@ def generators(count):
     (coverage_radii, (100.0, 110.0, 2e9, *URBAN, 1.0, 20.0), ("altitude",)),
     (coverage_radii, (np.array([[100.0, 200.0]]), 110.0, 2e9, *URBAN, 1.0,
                       20.0), ("altitude",)),
+    # Coverage masks that are not 2-D bool arrays: an integer mask would
+    # index its draws by value, a float one not index them at all.
+    *[(kernel, (coverage, *rest), ("coverage",))
+      for coverage in (mask(4, 2).astype(int), mask(4, 2).astype(np.uint8),
+                       mask(4, 2).astype(float), np.ones(2, dtype=bool),
+                       mask(4, 2).tolist())
+      for kernel, rest in (
+          (dissemination.broadcast, (batch(1, 2, 4), 0.1, generators(1))),
+          (dissemination.baseline, (batch(1, 2, 3), 0.1, generators(1), 10)),
+          (compare_schemes, (PAIR, 4, 0.1, generators(1), generators(1))))],
 ])
 def test_refused_naming_the_parameter(kernel, args, parameters):
     with warnings.catch_warnings():

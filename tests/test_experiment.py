@@ -1158,6 +1158,8 @@ class TestMalformedConfigs:
         # along the flight, so only the coverage mask's cells are bounded.
         ("dissem20", {"field_length_m": 1e12, "slot_duration_s": 1e12},
          None),
+        # An integer slot past int64: the slot starts are floats.
+        ("dissem20", {"slot_duration_s": 2 ** 63}, None),
         # Excess losses of 1e15 dB, where rounding can lower the loss
         # farther out: the bisection needs no scan of the range.
         ("urban_coverage", {"eta_los_db": 1e15, "eta_nlos_db": 1e15,
@@ -1165,7 +1167,8 @@ class TestMalformedConfigs:
                             "altitude_min_m": 100.0,
                             "altitude_max_m": 100.0},
          "100.0,120147096.77734375"),
-    ], ids=["dissem20_one_slot", "coverage_1e15_db"])
+    ], ids=["dissem20_one_slot", "dissem20_integer_slot",
+            "coverage_1e15_db"])
     def test_extreme_valid_config_runs(self, tmp_path, preset, params, row):
         code, lines, out = run_cli({"preset": preset, "params": params},
                                    tmp_path)

@@ -31,7 +31,7 @@ def flight_x(shape, geom, times):
     """The horizontal positions of the flight of ``shape`` (``_sawtooth``
     or ``_shuttle``) at the sorted 1-D ``times``, by the evaluator that the
     relay kernel calls on a cycle's grid."""
-    return _flight_x(times, np.empty_like(times), *shape(geom))
+    return _flight_x(times, *shape(geom))
 
 
 def relay_cycle(strategy, geom, time_step):

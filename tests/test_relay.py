@@ -216,16 +216,13 @@ def result_bytes(result):
 
 
 class TestBatchKernel:
-    """One batch gives each cycle the bits of a batch of that cycle alone,
-    wherever the block boundaries fall."""
+    """One batch gives each cycle the bits of a batch of that cycle
+    alone."""
 
     REF = ref_for(geom(1.0))
 
     @pytest.mark.parametrize("capacity", [math.inf, 40.0])
-    @pytest.mark.parametrize("block", [1, 500, 10 ** 9])
-    def test_batch_equals_one_cycle_batches(self, monkeypatch, block,
-                                            capacity):
-        monkeypatch.setattr(relay, "_BLOCK_SAMPLES", block)
+    def test_batch_equals_one_cycle_batches(self, capacity):
         cycles = batch_cycles()
         batch = list(relay._simulate_cycles(cycles, CARRIER_HZ, *self.REF,
                                             capacity, time_step=0.05))
@@ -273,8 +270,8 @@ class TestBatchKernel:
 
     def test_run_lengths_only_where_a_gap_can_repeat(self, monkeypatch):
         # Only a flight with a constant leg (parked, hovering overhead, or
-        # the ferry's hover) can repeat its gap, so a block of relays that
-        # turn around skips the run-length step and evaluates every sample.
+        # the ferry's hover) can repeat its gap, so a relay that turns
+        # around skips the run-length step and evaluates every sample.
         scans, links = [], []
         flatnonzero = np.flatnonzero
 
@@ -291,15 +288,15 @@ class TestBatchKernel:
         turning = [("mobile", geom(v)) for v in (10.0, 30.0)]
         results = list(relay._simulate_cycles(turning, CARRIER_HZ,
                                               *self.REF, time_step=0.05))
-        assert scans == [] and links == [2 * 801]
+        assert scans == [] and links == [801, 801]
         for result in results:
             loss = free_space_path_loss(active_gap(result), 100.0,
                                         CARRIER_HZ)
             assert result.active_path_loss.tobytes() == loss.tobytes()
         list(relay._simulate_cycles(turning + [("static", geom(0.0))],
                                     CARRIER_HZ, *self.REF, time_step=0.05))
-        assert scans == [3 * 801 + 1]
-        assert links[1] < 3 * 801
+        assert scans == [801 + 1]
+        assert links[2:4] == [801, 801] and links[4] < 801
 
     def test_run_length_links_match_every_sample(self):
         # The kernel evaluates one link per run of equal gaps; the oracle
@@ -542,11 +539,12 @@ class TestSweepDelay:
     def test_fig4_grid_evaluates_only_active_links(self, monkeypatch):
         # 20 distinct cycles of 2*delta/dt + 1 samples each, 124,020 in
         # all, evaluate one active link per run of equal gaps: 60,356
-        # links, in one path-loss call per block of cycles.  The SNR
-        # anchor is one scalar link, evaluated once for the one altitude.
+        # links, in one path-loss call per cycle, on one sample grid per
+        # delay.  The SNR anchor is one scalar link, evaluated once for the
+        # one altitude.
         config = preset_config("fig4")
         params = config.params
-        samples, scalars, anchors = [], [], []
+        samples, scalars, anchors, grids = [], [], [], []
 
         def counting_loss(horizontal_separation, *args):
             scalars.append(horizontal_separation)
@@ -560,6 +558,10 @@ class TestSweepDelay:
             anchors.append(args)
             return snr_anchor_db(*args)
 
+        def counting_grid(g, time_step):
+            grids.append(g.delay_budget)
+            return cycle_times(g, time_step)
+
         # The anchor's link goes through the checked formula in
         # ``channel``; the cycles' links through its unchecked form of
         # slant distances, in ``relay``.
@@ -567,6 +569,7 @@ class TestSweepDelay:
         monkeypatch.setattr(relay, "free_space_path_loss", counting_loss)
         monkeypatch.setattr(relay, "_free_space_loss", counting_slant)
         monkeypatch.setattr(relay, "snr_anchor_db", counting_anchor)
+        monkeypatch.setattr(relay, "cycle_times", counting_grid)
         template = RelayGeometry(params["separation_m"],
                                  params["uav_altitude_m"], 1.0, 1.0)
         sweep(sweep_plan(params["strategies"], template, params["delays_s"],
@@ -574,8 +577,9 @@ class TestSweepDelay:
               params["carrier_frequency_hz"], params["reference_snr_db"],
               template.midpoint_slant, time_step=config.time_step)
         assert sum(samples) == 60_356
-        assert len(samples) == 10  # blocks of at most 16,000 samples
+        assert len(samples) == 20
         assert len(anchors) == len(scalars) == 1
+        assert grids == params["delays_s"] and len(grids) == 5
 
     def test_unknown_strategy_names_its_parameter(self):
         # Refused as a DomainError naming the parameter, not as the Enum's
