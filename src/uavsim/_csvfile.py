@@ -6,15 +6,17 @@ written as Python's shortest round-trip ``repr`` (``0.1``, ``-0.0``,
 any other value as its ``str``.  A field that contains a comma, a double
 quote or a line feed is enclosed in double quotes, each of its quotes
 doubled, and a row of one empty field is written as ``""``.  These are
-the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
+the bytes ``csv.writer(fh, lineterminator="\\n")`` writes, except that a
+header with no names writes no line where ``csv.writer`` writes a blank
+one; no run writes such a table.
 
-One writer, ``write_csvs``, writes a sequence of tables.  It builds the
-bytes from columns, so that a float array formats each distinct value
-once: the float array columns of a table, widened to float64, share one
-text per distinct value, and a table takes the texts of the values it
-shares with the last table before it in the same call that has float
-arrays.  ``_reprs`` is the writer's one place that formats a float
-array.
+One writer, ``write_csvs``, writes a sequence of tables.  It formats
+columns and writes blocks of rows, so that a float array formats each
+distinct value once: the float array columns of a table, widened to
+float64, share one text per distinct value, and a table takes the texts
+of the values it shares with the last table before it in the same call
+that has float arrays.  ``_reprs`` is the writer's one place that
+formats a float array.
 """
 
 from ._numpy import np
@@ -104,9 +106,9 @@ def _reused(bits, prior_bits, prior_texts):
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:
-    """The ``repr`` of each of the floats ``values``, as an object array:
-    the writer's one place that formats a float array."""
-    return np.array([repr(value) for value in values.tolist()], dtype=object)
+    """The ``repr`` of each of the floats ``values``, as an object array
+    filled from ``map``: the writer's one place that formats floats."""
+    return np.fromiter(map(repr, values.tolist()), object, len(values))
 
 
 def _texts(values) -> list[str]:
@@ -122,9 +124,12 @@ def _texts(values) -> list[str]:
 
 
 def _lines(fields: list[list[str]]) -> str:
-    """The lines of the rows whose columns hold the texts ``fields``."""
+    """The rows whose columns hold the texts ``fields``, joined at once:
+    each field followed by ``","``, or by ``"\\n"`` if it ends its row."""
     if len(fields) == 1:  # else a row of one empty field is a blank line
         fields = [['""' if text == "" else text for text in fields[0]]]
-    # A row is never an empty line, so only zero rows join to "".
-    lines = "\n".join(map(",".join, zip(*fields)))
-    return lines + "\n" if lines else ""
+    step = 2 * len(fields)  # list items per row
+    parts = ([","] * (step - 1) + ["\n"]) * len(fields[0]) if fields else []
+    for column, texts in enumerate(fields):
+        parts[2 * column::step] = texts
+    return "".join(parts)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import starmap
 from pathlib import Path
 
@@ -91,7 +91,9 @@ class RunManifest:
     series: dict = field(default_factory=dict)  # plot metadata per file
 
     def save(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True)
+        # vars, not asdict: the fields are plain JSON values, and asdict
+        # would deep-copy them first.
+        path.write_text(json.dumps(vars(self), indent=2, sort_keys=True)
                         + "\n")
 
     @classmethod

@@ -75,10 +75,11 @@ class TestFloatColumns:
             grid[:, 0].astype(np.float16), grid[:, 2].astype(">f8"),
             grid[:, 1].astype(np.longdouble)])
 
-    def test_more_rows_than_one_block(self, tmp_path):
+    @pytest.mark.parametrize("rows", [1024, 1025, 2500])
+    def test_more_rows_than_one_block(self, tmp_path, rows):
         rng = np.random.default_rng(3)
         assert_same_bytes(tmp_path, ["u", "v"],
-                          [rng.random(2500), rng.integers(0, 9, 2500)])
+                          [rng.random(rows), rng.integers(0, 9, rows)])
 
 
 class TestMixedColumns:
@@ -109,6 +110,12 @@ class TestMixedColumns:
 
     def test_no_columns(self, tmp_path):
         assert assert_same_bytes(tmp_path, ["a", "b"], []) == "a,b\n"
+
+    def test_no_header_names(self, tmp_path):
+        # csv.writer would write a blank line; the module docstring says so.
+        assert _csvfile._lines([]) == ""
+        write_csvs([(tmp_path / "x.csv", [], [])])
+        assert (tmp_path / "x.csv").read_text() == ""
 
     def test_unequal_columns_write_nothing(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):

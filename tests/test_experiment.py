@@ -440,6 +440,35 @@ class TestRun:
         assert loaded.config_digest == manifest.config_digest
         assert loaded.output_files == manifest.output_files
 
+    def test_manifest_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = preset_config("dissem20")
+        config.params["n_seeds"] = 2
+        config.master_seed = 7
+        config.output_directory = "out"
+        run(config)
+        assert (tmp_path / "out" / "manifest.json").read_text() == (
+            '{\n'
+            '  "config_digest": "e0c345b4fa40f86a89d1af8cb68efbb788aa849da9a'
+            '39b48d80b547c947bdcc0",\n'
+            '  "output_directory": "out",\n'
+            '  "output_files": [\n'
+            '    "summary.csv",\n'
+            '    "nodes.csv"\n'
+            '  ],\n'
+            '  "run_seeds": [\n'
+            '    17725994237439495539,\n'
+            '    15537646209016443107\n'
+            '  ],\n'
+            '  "scenario": "disseminate",\n'
+            '  "series": {\n'
+            '    "summary.csv": {\n'
+            '      "kind": "dissemination_summary"\n'
+            '    }\n'
+            '  },\n'
+            f'  "tool_version": "{experiment.__version__}"\n'
+            '}\n')
+
     def test_run_seeds_only_for_seeded_runs(self, tmp_path):
         for name in ("fig3", "channel_probe"):
             config = preset_config(name)
